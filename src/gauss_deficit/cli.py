@@ -81,8 +81,23 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ParameterError(f"unknown command {self.command!r}")
+        for name in ("beta", "p", "q", "tau", "a", "grid_lo", "grid_hi",
+                     "tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParameterError(
+                    f"{name} must be finite, got {getattr(self, name)}")
+        if self.beta <= 0:
+            raise ParameterError(f"beta must be positive, got {self.beta}")
+        if self.tol < 0:
+            raise ParameterError(f"tol must be nonnegative, got {self.tol}")
         if self.count < 1:
             raise ParameterError("count must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
+        self.grid()  # raises on bad bounds or size
+        if not 2 <= self.gh_nodes <= 512:
+            raise ParameterError(
+                f"gh_nodes must be in [2, 512], got {self.gh_nodes}")
         if self.format not in (None, "json", "csv"):
             raise ParameterError(f"unknown format {self.format!r}")
 

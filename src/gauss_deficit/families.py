@@ -242,7 +242,6 @@ def field_from_family(grid: Grid1D, fam) -> GridField:
     """Wrap a LogQuad/Mixture as a GridField with exact evaluators."""
     return GridField(
         grid,
-        fam(grid.points),
         analytic=fam.__call__,
         analytic_log=fam.log_at,
         analytic_dlog=fam.dlog,

@@ -29,8 +29,7 @@ T_STAR = 0.5 * float(np.log(2.0))
 
 
 def _trapz(field: GridField) -> float:
-    """Unchecked trapezoid mass (internal; integrate_lebesgue is the
-    user-facing op with tail diagnostics)."""
+    """Trapezoid mass over the grid, without a tail check."""
     if field.ndim == 1:
         return float(np.trapezoid(field.values, dx=field.grid.spacing))
     return float(np.trapezoid(
@@ -124,7 +123,7 @@ def _kernel_quadrature_field(grid: Grid1D, source: GridField, beta: float,
             out[i:i + chunk] = K @ coef
         return out.reshape(x.shape)
 
-    return GridField(grid, value(grid.points), analytic=value)
+    return GridField(grid, analytic=value)
 
 
 def fp_evolve(v0, params: FPParams, grid: Optional[Grid1D] = None) -> GridField:

@@ -15,12 +15,13 @@ from typing import Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from .families import LogQuad
+from .families import LOG_2PI, LogQuad
 from .flows import FPParams, fp_evolve
 from .numerics import (DEFAULT_GH_NODES, EvaluationError, GridField,
                        ParameterError, PositivityError, QuadratureRule,
-                       gauss_hermite_rule)
-from .semigroups import ExponentTriple, IntegrabilityError, beta_s
+                       gauss_hermite_rule, tensor_gh)
+from .semigroups import (ExponentTriple, IntegrabilityError, _ou_closures_1d,
+                         beta_s)
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ def entropy_fisher(f: GridField,
         dl = np.asarray(f.dlog(z), float)
         fisher = float((fv * dl * dl) @ w)
         return EntFisher(ent, fisher)
-    Z1, Z2 = np.meshgrid(z, z, indexing="ij")
-    W = np.outer(w, w)
+    Z1, Z2, logW = tensor_gh(rule)
+    W = np.exp(logW)
     fv = np.asarray(f(Z1, Z2), float)
     if np.any(fv < 0):
         raise PositivityError("entropy requires f >= 0")
@@ -87,24 +88,18 @@ def entropy_fisher(f: GridField,
 # Gaussian L^p norms
 
 
-def _log_lp_1d(logf, r: float, rule: QuadratureRule) -> float:
-    """log ||f||_{L^r(gamma)} from a log-evaluator."""
-    lv = np.asarray(logf(rule.nodes), float)
+def _log_lp(lv, r: float, logw) -> float:
+    """log ||f||_{L^r(gamma)} from log f at the quadrature nodes.
+
+    ``lv`` holds log f at the nodes of a rule (1-D) or of its tensor rule
+    (2-D), ``logw`` the matching log weights.
+    """
+    lv = np.asarray(lv, float)
     if np.any(np.isnan(lv)):
         raise EvaluationError("log integrand is NaN at a quadrature node")
-    total = logsumexp(r * lv + np.log(rule.weights))
+    total = logsumexp(r * lv + logw)
     if not np.isfinite(total):
         raise IntegrabilityError("|f|^r not integrable against gamma")
-    return float(total / r)
-
-
-def _log_lp_2d(logf, r: float, rule: QuadratureRule) -> float:
-    z, w = rule.nodes, rule.weights
-    Z1, Z2 = np.meshgrid(z, z, indexing="ij")
-    lv = np.asarray(logf(Z1, Z2), float)
-    total = logsumexp(r * lv + np.log(np.outer(w, w)))
-    if not np.isfinite(total):
-        raise IntegrabilityError("|f|^r not integrable against gamma (2-D)")
     return float(total / r)
 
 
@@ -122,8 +117,10 @@ def lp_norm_gaussian(f: GridField, r: float,
             return np.log(np.abs(f(x)) + 1e-300) if f.analytic_log is None \
                 else f.log(x)
 
-        return float(np.exp(_log_lp_1d(logf, r, rule)))
-    return float(np.exp(_log_lp_2d(lambda a, b: f.log(a, b), r, rule)))
+        return float(np.exp(_log_lp(logf(rule.nodes), r,
+                                    rule.log_weights)))
+    Z1, Z2, logW = tensor_gh(rule)
+    return float(np.exp(_log_lp(f.log(Z1, Z2), r, logW)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +220,14 @@ def sharp_constant(name: str, *, beta: float = None, p: float = None,
 
 
 def relative_log_closure(v: GridField):
-    """log(v/gamma) as a plain closure."""
+    """log(v/gamma) as a plain closure, in v's dimension."""
+    if v.ndim == 2:
+        def rel_log2(x1, x2):
+            x1 = np.asarray(x1, float)
+            x2 = np.asarray(x2, float)
+            return v.log(x1, x2) + 0.5 * (x1 * x1 + x2 * x2) + LOG_2PI
+
+        return rel_log2
 
     def rel_log(x):
         x = np.asarray(x, float)
@@ -248,19 +252,10 @@ def _check_ratio_bounded(v: GridField, beta: float):
             "L^2(gamma_beta^{-1}) proxy check failed")
 
 
-def ou_log_closure(logf, s: float, rule: QuadratureRule):
-    """P_s in log space for a plain log-evaluator."""
-    e = float(np.exp(-s))
-    sig = float(np.sqrt(1.0 - e * e))
-    logw = np.log(rule.weights)
-    z = rule.nodes
-
-    def out(x):
-        x = np.asarray(x, float)
-        lv = np.asarray(logf(e * x[..., None] + sig * z), float)
-        return logsumexp(lv + logw, axis=-1)
-
-    return out
+def _ou_log_lp(logf, s: float, r: float, rule: QuadratureRule) -> float:
+    """log ||P_s f||_{L^r(gamma)} for a plain log-evaluator of f."""
+    _, ps_log = _ou_closures_1d(logf, s, rule)
+    return _log_lp(ps_log(rule.nodes), r, rule.log_weights)
 
 
 def q_functional(v0: GridField, beta: float, triple: ExponentTriple,
@@ -275,8 +270,7 @@ def q_functional(v0: GridField, beta: float, triple: ExponentTriple,
     def g_log(x):
         return rel_log(x) / p
 
-    psg_log = ou_log_closure(g_log, s, rule)
-    return float(np.exp(q * _log_lp_1d(psg_log, q, rule)))
+    return float(np.exp(q * _ou_log_lp(g_log, s, q, rule)))
 
 
 def gross_psi(beta: float, s: float,
@@ -287,8 +281,7 @@ def gross_psi(beta: float, s: float,
         return 1.0
     fstar_log = LogQuad.gaussian_ratio(beta, 0.5).log_at
     qs = 1.0 + np.exp(2.0 * s)
-    return float(np.exp(_log_lp_1d(ou_log_closure(fstar_log, s, rule),
-                                   qs, rule)))
+    return float(np.exp(_ou_log_lp(fstar_log, s, qs, rule)))
 
 
 def gross_psi_prime0(beta: float, n: int = 1) -> float:
@@ -313,8 +306,9 @@ def gross_slope(v: GridField, beta: float, h: float,
     def half_log(x):
         return 0.5 * rel_log(x)
 
-    lam0 = float(np.exp(_log_lp_1d(half_log, 2.0, rule)))  # psi(0) = 1
+    lam0 = float(np.exp(_log_lp(half_log(rule.nodes), 2.0,
+                                rule.log_weights)))  # psi(0) = 1
     qh = 1.0 + np.exp(2.0 * h)
-    lam_h = float(np.exp(_log_lp_1d(ou_log_closure(half_log, h, rule),
-                                    qh, rule))) / gross_psi(beta, h, rule)
+    lam_h = float(np.exp(_ou_log_lp(half_log, h, qh, rule))) \
+        / gross_psi(beta, h, rule)
     return (lam_h - lam0) / h

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .families import LogQuad
-from .functionals import _log_lp_1d, _rule_or_default, sharp_constant
+from .functionals import _log_lp, _rule_or_default, sharp_constant
 from .numerics import Grid1D, GridField, ParameterError, QuadratureRule
 from .reports import DeficitReport, HypothesisCheck
 from .semigroups import IntegrabilityError
@@ -212,11 +212,10 @@ def _integrability_margin(f: HJField, a: float, beta_a: float) -> float:
     return 1.0 if 2 <= k <= x.size - 3 else -1.0
 
 
-def _log_lp_values(vals: np.ndarray, grid: Grid1D, r: float,
-                   rule: QuadratureRule) -> float:
+def _log_lp_exp(u: GridField, r: float, rule: QuadratureRule) -> float:
     """log || e^{u} ||_{L^r(gamma)} for u sampled on the grid."""
-    u = np.interp(rule.nodes, grid.points, vals)
-    return float(logsumexp(r * u + np.log(rule.weights)) / r)
+    lv = np.interp(rule.nodes, u.grid.points, u.values)
+    return _log_lp(lv, r, rule.log_weights)
 
 
 def hj_hc_check(f: HJField, a: float, tau: float, beta: float,
@@ -243,10 +242,10 @@ def hj_hc_check(f: HJField, a: float, tau: float, beta: float,
     hyps.append(HypothesisCheck("exp-moment-integrable", integ > 0, integ))
 
     q = hopf_lax(f, tau)
-    lhs = float(np.exp(_log_lp_values(q.values, q.grid, a + tau, rule)))
+    lhs = float(np.exp(_log_lp_exp(q, a + tau, rule)))
     coef, const = hopf_lax_quadratic(a, ba, tau)
     log_ref = _log_norm_exp_quadratic(coef, const, a + tau)
-    log_ef = _log_lp_values(f.f.values, f.f.grid, a, rule)
+    log_ef = _log_lp_exp(f.f, a, rule)
     rhs = float(np.exp(log_ref + log_ef))
     return DeficitReport.build(
         "hj-hypercontractivity", lhs, rhs, float(np.exp(log_ref)),
@@ -277,7 +276,7 @@ def dual_talagrand_check(f: HJField, tau: float, beta: float,
                                     integ > 0, integ))
 
     q = hopf_lax(f, tau)
-    lhs = float(np.exp(_log_lp_values(q.values, q.grid, tau, rule)))
+    lhs = float(np.exp(_log_lp_exp(q, tau, rule)))
     t_const = sharp_constant("hj_t", tau=tau, beta=beta).value
     mean_f = float(np.asarray(f.f(rule.nodes), float) @ rule.weights)
     rhs = t_const * float(np.exp(mean_f))

@@ -14,20 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .families import LogQuad, Mixture, field_from_family, symmetric_mixture
+from .families import LOG_2PI, Family, LogQuad, field_from_family, \
+    symmetric_mixture
 from .flows import MeasureSpec, _trapz, certify, certify_matrix, covariance, \
     fp_class_member
-from .functionals import _check_ratio_bounded, _log_lp_1d, _log_lp_2d, \
-    _rule_or_default, entropy_fisher, lp_norm_gaussian, ou_log_closure, \
-    relative_log_closure, sharp_constant
+from .functionals import _check_ratio_bounded, _log_lp, _ou_log_lp, \
+    _rule_or_default, entropy_fisher, relative_log_closure, sharp_constant
 from .numerics import Grid1D, Grid2D, GridField, ParameterError, \
-    default_grid, default_grid_2d, gauss_hermite_rule
+    default_grid, default_grid_2d, gauss_hermite_rule, tensor_gh
 from .reports import DeficitReport, HypothesisCheck
-from .semigroups import ExponentTriple, InadmissibleExponentError, beta_s, \
-    ou_apply
+from .semigroups import ExponentTriple, InadmissibleExponentError, \
+    _ou_closures_1d, _ou_values_2d
 from .transport import relative_entropy_gauss, w2_sq_coupling_2d
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -36,25 +34,15 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 def _relative_field(v: GridField) -> GridField:
     """v/gamma as a field with exact-as-possible closures."""
+    rel_log = relative_log_closure(v)
     if v.ndim == 1:
-        rel_log = relative_log_closure(v)
-
-        def fn(x):
-            return np.exp(rel_log(x))
-
         def dlog(x):
             return v.dlog(x) + np.asarray(x, float)
 
-        return GridField.from_callable(v.grid, fn, log_fn=rel_log,
-                                       dlog_fn=dlog)
-
-    def rel_log2(x1, x2):
-        x1 = np.asarray(x1, float)
-        x2 = np.asarray(x2, float)
-        return v.log(x1, x2) + 0.5 * (x1 * x1 + x2 * x2) + LOG_2PI
-
+        return GridField.from_callable(v.grid, lambda x: np.exp(rel_log(x)),
+                                       log_fn=rel_log, dlog_fn=dlog)
     return GridField.from_callable(
-        v.grid, lambda a, b: np.exp(rel_log2(a, b)), log_fn=rel_log2)
+        v.grid, lambda a, b: np.exp(rel_log(a, b)), log_fn=rel_log)
 
 
 def _certificate_hypotheses(v: GridField, beta: float) -> list:
@@ -77,23 +65,21 @@ def _lhs_hc(v: GridField, triple: ExponentTriple, rule) -> float:
     def g_log(x):
         return rel_log(x) / triple.p
 
-    ps_log = ou_log_closure(g_log, triple.s, rule)
-    return float(np.exp(_log_lp_1d(ps_log, triple.q, rule)))
+    return float(np.exp(_ou_log_lp(g_log, triple.s, triple.q, rule)))
 
 
 def _mass_vdx(v: GridField, rule) -> float:
-    """int v dx = int (v/gamma) dgamma at the quadrature nodes."""
+    """int v dx = int (v/gamma) dgamma at the quadrature nodes (n = 1, 2).
+
+    The Gaussian-weighted form is free of grid tail truncation.
+    """
     rel_log = relative_log_closure(v)
-    lv = rel_log(rule.nodes)
-    return float(np.exp(logsumexp(lv + np.log(rule.weights))))
-
-
-def _mass_vdx_2d(rel: GridField, rule) -> float:
-    """int v dx on R^2 as int (v/gamma) dgamma (tail-truncation free)."""
-    z, w = rule.nodes, rule.weights
-    Z1, Z2 = np.meshgrid(z, z, indexing="ij")
-    lv = np.asarray(rel.log(Z1, Z2), float)
-    return float(np.exp(logsumexp(lv + np.log(np.outer(w, w)))))
+    if v.ndim == 1:
+        return float(np.exp(logsumexp(rel_log(rule.nodes)
+                                      + rule.log_weights)))
+    Z1, Z2, logW = tensor_gh(rule)
+    lv = np.asarray(rel_log(Z1, Z2), float)
+    return float(np.exp(logsumexp(lv + logW)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +250,21 @@ def matrix_check(v: GridField, B: np.ndarray, triple=None,
     if which == "hc":
         if triple is None or triple.regime != "forward":
             raise InadmissibleExponentError("matrix hc needs a forward triple")
-        rel = _relative_field(v)
+        rel_log = relative_log_closure(v)
 
-        def g_log(x1, x2):
-            return rel.log(x1, x2) / triple.p
+        def g(x1, x2):
+            return np.exp(rel_log(x1, x2) / triple.p)
 
-        g = GridField.from_callable(v.grid,
-                                    lambda a, b: np.exp(g_log(a, b)),
-                                    log_fn=g_log)
+        # P_s g is read only at the nodes of the outer L^q(gamma) rule
         rule48 = gauss_hermite_rule(48)
-        psg = ou_apply(g, triple.s, rule48)
-        lhs = lp_norm_gaussian(psg, triple.q, rule48)
+        Z1, Z2, logW = tensor_gh(rule48)
+        psg = _ou_values_2d(g, triple.s, rule48, Z1, Z2)
+        lhs = float(np.exp(_log_lp(np.log(np.maximum(psg, 1e-300)),
+                                   triple.q, logW)))
         const = float(np.prod([
             sharp_constant("hc_ratio", beta=b, triple=triple).value
             for b in relevant])) if relevant else 1.0
-        mass = _mass_vdx_2d(rel, rule)
+        mass = _mass_vdx(v, rule)
         rhs = const * mass ** (1.0 / triple.p)
         params = {"which": which, "side": side, "eigenvalues": eigs,
                   "p": triple.p, "q": triple.q, "mass": mass}
@@ -394,8 +380,11 @@ def beckner_check(f: GridField, p: float, beta: float,
     bconst = sharp_constant("beckner_b", p=p, beta=beta).value
     lhs = (int_f2 - bconst * int_fp ** (2.0 / p)) / (2.0 - p)
     s = -0.5 * float(np.log(p - 1.0))
-    psf = ou_apply(f, s, rule) if f.analytic is not None else \
-        ou_apply(GridField(f.grid, f.values), s, rule)
+    # P_s f is read only at the nodes
+    if isinstance(f.tag, Family):
+        psf = f.tag.ou(s)
+    else:
+        psf, _ = _ou_closures_1d(f, s, rule)
     int_psf2 = float((np.asarray(psf(z), float) ** 2) @ wts)
     smooth_rhs = (1.0 - np.exp(-2.0 * s)) * grad
     return DeficitReport.build(

@@ -16,8 +16,7 @@ sum to 1 and ``sum(w * f(z))`` approximates ``int f dgamma``.
 """
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -38,10 +37,6 @@ class PositivityError(ValueError):
 
 class TruncationError(ValueError):
     """Estimated tail mass outside the grid exceeds tolerance."""
-
-
-class TruncationWarning(UserWarning):
-    """Endpoint values are not negligible; tail truncation may matter."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +91,22 @@ def default_grid_2d() -> Grid2D:
 # fields
 
 
+def _sample(grid: GridLike, fn: Callable) -> np.ndarray:
+    """fn at every grid point: f(x) in 1-D, f(x1, x2) on the 2-D mesh."""
+    if isinstance(grid, Grid1D):
+        return np.asarray(fn(grid.points), float)
+    X, Y = np.meshgrid(grid.gx.points, grid.gy.points, indexing="ij")
+    return np.asarray(fn(X, Y), float)
+
+
 @dataclass(frozen=True)
 class GridField:
     """Function samples on a grid, with optional exact evaluators.
 
-    analytic      -- vectorized evaluator f(x) (1-D) or f(x1, x2) (2-D)
+    values        -- samples at the grid points; when omitted they are
+                     filled by evaluating ``analytic`` once
+    analytic      -- vectorized evaluator f(x) (1-D) or f(x1, x2) (2-D);
+                     when both are given, they must agree on the grid
     analytic_log  -- evaluator of log f, preferred wherever powers/ratios
                      of densities are formed (overflow-safe)
     analytic_dlog -- evaluator of (log f)' (1-D only; used for Fisher
@@ -110,14 +116,18 @@ class GridField:
     """
 
     grid: GridLike
-    values: np.ndarray
+    values: Optional[np.ndarray] = None
     analytic: Optional[Callable] = None
     analytic_log: Optional[Callable] = None
     analytic_dlog: Optional[Callable] = None
     tag: object = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        given = self.values is not None
+        if not given and self.analytic is None:
+            raise ParameterError("a field needs values or an analytic closure")
+        v = (np.asarray(self.values, dtype=float) if given
+             else _sample(self.grid, self.analytic))
         object.__setattr__(self, "values", v)
         if self.ndim == 1 and v.shape != (self.grid.n,):
             raise ParameterError("values shape does not match grid")
@@ -125,16 +135,11 @@ class GridField:
             raise ParameterError("values shape does not match grid")
         if not np.all(np.isfinite(v)):
             raise EvaluationError("field values must be finite")
-        if self.analytic is not None:
+        if given and self.analytic is not None:
             self._check_agreement()
 
     def _check_agreement(self):
-        if self.ndim == 1:
-            sampled = np.asarray(self.analytic(self.grid.points), float)
-        else:
-            X, Y = np.meshgrid(self.grid.gx.points, self.grid.gy.points,
-                               indexing="ij")
-            sampled = np.asarray(self.analytic(X, Y), float)
+        sampled = _sample(self.grid, self.analytic)
         scale = np.max(np.abs(self.values)) + 1e-300
         if np.max(np.abs(sampled - self.values)) > 1e-12 * max(scale, 1.0):
             raise EvaluationError("analytic closure disagrees with samples")
@@ -171,12 +176,7 @@ class GridField:
     @classmethod
     def from_callable(cls, grid: GridLike, fn: Callable, *, log_fn=None,
                       dlog_fn=None, tag=None) -> "GridField":
-        if isinstance(grid, Grid1D):
-            vals = np.asarray(fn(grid.points), float)
-        else:
-            X, Y = np.meshgrid(grid.gx.points, grid.gy.points, indexing="ij")
-            vals = np.asarray(fn(X, Y), float)
-        return cls(grid, vals, analytic=fn, analytic_log=log_fn,
+        return cls(grid, analytic=fn, analytic_log=log_fn,
                    analytic_dlog=dlog_fn, tag=tag)
 
 
@@ -213,6 +213,10 @@ class QuadratureRule:
         if np.any(np.asarray(self.weights) <= 0):
             raise ParameterError("quadrature weights must be positive")
 
+    @property
+    def log_weights(self) -> np.ndarray:
+        return np.log(self.weights)
+
 
 def gauss_hermite_rule(m: int) -> QuadratureRule:
     """Gauss-Hermite rule normalized for the standard Gaussian measure.
@@ -230,59 +234,14 @@ def gauss_hermite_rule(m: int) -> QuadratureRule:
 DEFAULT_GH_NODES = 96
 
 
-def integrate_gaussian(f, beta: float = 1.0,
-                       rule: Optional[QuadratureRule] = None) -> float:
-    """int f dgamma_beta via Gauss-Hermite with nodes rescaled by sqrt(beta)."""
-    if beta <= 0:
-        raise ParameterError("beta must be positive")
-    if rule is None:
-        rule = gauss_hermite_rule(DEFAULT_GH_NODES)
-    fe = f if callable(f) else f.__call__
-    x = np.sqrt(beta) * rule.nodes
-    vals = np.asarray(fe(x), float)
-    if not np.all(np.isfinite(vals)):
-        bad = x[~np.isfinite(vals)][0]
-        raise EvaluationError(f"integrand non-finite at node x={bad}")
-    return float(vals @ rule.weights)
+def tensor_gh(rule: QuadratureRule):
+    """The tensor rule on R^2: node meshes (Z1, Z2) and log weights log W.
 
-
-def tail_estimate(values: np.ndarray, spacing: float) -> float:
-    """Crude one-sided tail-mass bound assuming exponential decay."""
-    est = 0.0
-    for end, prev in ((values[-1], values[-2]), (values[0], values[1])):
-        a, b = abs(end), abs(prev)
-        if a < 1e-300:
-            continue
-        if b > a > 0:
-            lam = np.log(b / a) / spacing  # decay rate per unit length
-            est += a / max(lam, 1e-2)
-        else:
-            est += a  # not decaying; report the raw endpoint value
-    return est
-
-
-def integrate_lebesgue(f: GridField, *, tail_tol: float = 1e-8) -> float:
-    """Composite trapezoid over the grid, with an endpoint-decay check."""
-    v = f.values
-    if f.ndim == 1:
-        h = f.grid.spacing
-        scale = np.max(np.abs(v)) + 1e-300
-        if max(abs(v[0]), abs(v[-1])) > 1e-14 * scale:
-            if tail_estimate(v, h) > tail_tol:
-                raise TruncationError("estimated tail mass exceeds tolerance")
-            warnings.warn("integrand not negligible at grid endpoints",
-                          TruncationWarning, stacklevel=2)
-        return float(np.trapezoid(v, dx=h))
-    hx, hy = f.grid.gx.spacing, f.grid.gy.spacing
-    scale = np.max(np.abs(v)) + 1e-300
-    edge = max(np.max(np.abs(v[0])), np.max(np.abs(v[-1])),
-               np.max(np.abs(v[:, 0])), np.max(np.abs(v[:, -1])))
-    if edge > 1e-14 * scale:
-        if edge * (f.grid.gx.hi - f.grid.gx.lo) > tail_tol:
-            raise TruncationError("estimated tail mass exceeds tolerance")
-        warnings.warn("integrand not negligible at grid boundary",
-                      TruncationWarning, stacklevel=2)
-    return float(np.trapezoid(np.trapezoid(v, dx=hy, axis=1), dx=hx))
+    ``sum(exp(log W) * f(Z1, Z2))`` approximates ``int f dgamma_2``.
+    """
+    z, w = rule.nodes, rule.weights
+    Z1, Z2 = np.meshgrid(z, z, indexing="ij")
+    return Z1, Z2, np.log(np.outer(w, w))
 
 
 # ---------------------------------------------------------------------------

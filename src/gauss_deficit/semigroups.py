@@ -10,14 +10,14 @@ fast path for log-quadratic / mixture tagged fields.  Exponent triples
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .families import Family, field_from_family
-from .numerics import (DEFAULT_GH_NODES, EvaluationError, Grid1D, Grid2D,
-                       GridField, ParameterError, QuadratureRule,
+from .numerics import (DEFAULT_GH_NODES, EvaluationError, GridField,
+                       ParameterError, QuadratureRule, _sample,
                        gauss_hermite_rule)
 
 
@@ -110,16 +110,28 @@ def beta_s(beta: float, triple: ExponentTriple) -> BetaS:
 # Ornstein-Uhlenbeck semigroup
 
 
-def _ou_closures_1d(f: GridField, s: float, rule: QuadratureRule):
+def _ou_closures_1d(f, s: float, rule: QuadratureRule):
+    """(value, log value) closures of P_s f, evaluated only where called.
+
+    f is a GridField, or a plain log-evaluator x -> log f(x).
+    """
+    if isinstance(f, GridField):
+        f_value, f_log = f, f.log
+    else:
+        f_log = f
+
+        def f_value(y):
+            return np.exp(f_log(y))
+
     e = float(np.exp(-s))
     sig = float(np.sqrt(1.0 - e * e))
     z, w = rule.nodes, rule.weights
-    logw = np.log(w)
+    logw = rule.log_weights
 
     def value(x):
         x = np.asarray(x, float)
         samples = e * x[..., None] + sig * z
-        vals = np.asarray(f(samples), float)
+        vals = np.asarray(f_value(samples), float)
         if not np.all(np.isfinite(vals)):
             raise IntegrabilityError("OU integrand overflowed; input not in "
                                      "L^2(gamma_beta^{-1}) range")
@@ -128,7 +140,7 @@ def _ou_closures_1d(f: GridField, s: float, rule: QuadratureRule):
     def logvalue(x):
         x = np.asarray(x, float)
         samples = e * x[..., None] + sig * z
-        lv = np.asarray(f.log(samples), float)
+        lv = np.asarray(f_log(samples), float)
         if np.any(np.isnan(lv)) or np.any(lv == np.inf):
             raise IntegrabilityError("OU integrand overflowed in log space")
         return logsumexp(lv + logw, axis=-1)
@@ -136,8 +148,9 @@ def _ou_closures_1d(f: GridField, s: float, rule: QuadratureRule):
     return value, logvalue
 
 
-def _ou_values_2d(f: GridField, s: float, rule: QuadratureRule,
+def _ou_values_2d(f: Callable, s: float, rule: QuadratureRule,
                   x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """P_s f at the points (x1, x2) only, for any vectorized f(a, b)."""
     e = float(np.exp(-s))
     sig = float(np.sqrt(1.0 - e * e))
     z, w = rule.nodes, rule.weights
@@ -149,8 +162,7 @@ def _ou_values_2d(f: GridField, s: float, rule: QuadratureRule,
     for i in range(0, flat1.size, chunk):
         a = e * flat1[i:i + chunk, None, None] + sig * z[None, :, None]
         b = e * flat2[i:i + chunk, None, None] + sig * z[None, None, :]
-        vals = np.asarray(f(np.broadcast_arrays(a, b)[0],
-                            np.broadcast_arrays(a, b)[1]), float)
+        vals = np.asarray(f(*np.broadcast_arrays(a, b)), float)
         if not np.all(np.isfinite(vals)):
             raise IntegrabilityError("OU integrand overflowed (2-D)")
         out[i:i + chunk] = (vals @ w) @ w
@@ -162,7 +174,8 @@ def ou_apply(f: GridField, s: float,
     """P_s f as a GridField on the same grid.
 
     Tagged log-quadratic/mixture inputs take the complete-the-square closed
-    form; everything else is quadrature per output point.
+    form; everything else is quadrature per output point.  Callers that read
+    P_s f at a few points only should use the quadrature closures directly.
     """
     if s <= 0:
         raise ParameterError("s must be positive")
@@ -172,16 +185,14 @@ def ou_apply(f: GridField, s: float,
         if rule is None:
             rule = gauss_hermite_rule(DEFAULT_GH_NODES)
         value, logvalue = _ou_closures_1d(f, s, rule)
-        return GridField(f.grid, value(f.grid.points), analytic=value,
-                         analytic_log=logvalue)
+        return GridField(f.grid, analytic=value, analytic_log=logvalue)
     if rule is None:
         rule = gauss_hermite_rule(48)
 
     def value2(x1, x2):
         return _ou_values_2d(f, s, rule, x1, x2)
 
-    X, Y = np.meshgrid(f.grid.gx.points, f.grid.gy.points, indexing="ij")
-    return GridField(f.grid, value2(X, Y), analytic=value2)
+    return GridField(f.grid, analytic=value2)
 
 
 def dilation_apply(f: GridField, s: float) -> GridField:
@@ -191,15 +202,13 @@ def dilation_apply(f: GridField, s: float) -> GridField:
     lam = float(np.exp(-s))
     if isinstance(f.tag, Family):
         return field_from_family(f.grid, f.tag.dilate(lam))
-    if f.ndim == 1:
-        fn = (lambda x: f(lam * np.asarray(x, float)))
-        return GridField(f.grid, fn(f.grid.points),
-                         analytic=fn if f.analytic is not None else None)
-    fn2 = (lambda x1, x2: f(lam * np.asarray(x1, float),
-                            lam * np.asarray(x2, float)))
-    X, Y = np.meshgrid(f.grid.gx.points, f.grid.gy.points, indexing="ij")
-    return GridField(f.grid, fn2(X, Y),
-                     analytic=fn2 if f.analytic is not None else None)
+
+    def fn(*xs):
+        return f(*(lam * np.asarray(x, float) for x in xs))
+
+    if f.analytic is not None:
+        return GridField(f.grid, analytic=fn)
+    return GridField(f.grid, _sample(f.grid, fn))
 
 
 def check_commutation(f: GridField, s: float,
@@ -225,8 +234,7 @@ def check_commutation(f: GridField, s: float,
         dvals = np.gradient(f.values, h, edge_order=2)
         dfield = GridField(f.grid, dvals)
         df = dfield.__call__
-    dfield = GridField(f.grid, np.asarray(df(f.grid.points), float),
-                       analytic=df)
+    dfield = GridField(f.grid, analytic=df)
     rhs = np.exp(-s) * ou_apply(dfield, s, rule).values
     scale = np.max(np.abs(psf.values)) + 1e-300
     return float(np.max(np.abs(lhs - rhs)[2:-2]) / scale)

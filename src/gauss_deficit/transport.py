@@ -18,9 +18,10 @@ from scipy.integrate import cumulative_simpson
 
 from .families import Family, LogQuad, Mixture, field_from_family
 from .flows import _trapz, certify
-from .functionals import _rule_or_default, sharp_constant
+from .functionals import _rule_or_default, relative_log_closure, \
+    sharp_constant
 from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
-                       gauss_hermite_rule)
+                       gauss_hermite_rule, tensor_gh)
 from .reports import DeficitReport, HypothesisCheck
 
 QUANTILE_CLIP = 1e-7  # interior quantile range for grid-path CDF inversion
@@ -135,13 +136,13 @@ def relative_entropy_gauss(v: GridField,
                            rule: Optional[QuadratureRule] = None) -> float:
     """Ent_gamma(v/gamma) = int v log(v/gamma) dx for a probability density."""
     rule = _rule_or_default(rule)
-    z, w = rule.nodes, rule.weights
+    rel_log = relative_log_closure(v)
     if v.ndim == 1:
-        lf = v.log(z) + 0.5 * z * z + 0.5 * np.log(2 * np.pi)
-        return float((np.exp(lf) * lf) @ w)
-    Z1, Z2 = np.meshgrid(z, z, indexing="ij")
-    lf = (v.log(Z1, Z2) + 0.5 * (Z1 * Z1 + Z2 * Z2) + np.log(2 * np.pi))
-    return float(np.sum(np.exp(lf) * lf * np.outer(w, w)))
+        lf = rel_log(rule.nodes)
+        return float((np.exp(lf) * lf) @ rule.weights)
+    Z1, Z2, logW = tensor_gh(rule)
+    lf = rel_log(Z1, Z2)
+    return float(np.sum(np.exp(lf) * lf * np.exp(logW)))
 
 
 # ---------------------------------------------------------------------------

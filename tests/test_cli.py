@@ -142,6 +142,39 @@ class TestMain:
             main(["no-such-command"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--beta", "nan"], ["--beta", "-1"], ["--tol", "-1"],
+        ["--tol", "inf"], ["--p", "nan"], ["--grid-lo=-inf"],
+        ["--grid-n", "3"], ["--gh-nodes", "1"], ["--seed", "-1"],
+        ["--count", "0"]])
+    def test_bad_numeric_flag_exit_two(self, flags, capsys):
+        assert main(["verify-lsi", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gauss-deficit: ")
+        assert err.count("\n") == 1  # one line, no traceback
+
+    def test_bad_config_file_value_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta = nan\n")
+        assert main(["verify-lsi", "--config", str(cfg)]) == 2
+        assert "beta" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_cleanly(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                   PYTHONWARNINGS="error")
+        done = subprocess.run(
+            [sys.executable, "-m", "gauss_deficit", "sharp-constants"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "Warning" not in done.stderr
+        assert ReportBundle.from_json(done.stdout).all_pass
+        bad = subprocess.run(
+            [sys.executable, "-m", "gauss_deficit", "verify-hc", "--beta",
+             "nan"], capture_output=True, text=True, env=env, timeout=120)
+        assert bad.returncode == 2
+        assert "Traceback" not in bad.stderr
+
     def test_flow_trace_csv(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = main(["flow-trace", "--count", "2", "--grid-n", "1025",

@@ -8,7 +8,8 @@ from gauss_deficit.families import (LogQuad, field_from_family,
                                     symmetric_mixture)
 from gauss_deficit.flows import certify
 from gauss_deficit.functionals import sharp_constant
-from gauss_deficit.inequalities import (beckner_check, brascamp_lieb_check,
+from gauss_deficit.inequalities import (_lhs_hc, beckner_check,
+                                        brascamp_lieb_check,
                                         counterexample_mixture,
                                         counterexample_superharmonic,
                                         els_eigen_check, hc_check,
@@ -20,7 +21,7 @@ from gauss_deficit.inequalities import (beckner_check, brascamp_lieb_check,
 from gauss_deficit.numerics import (GridField, ParameterError, default_grid,
                                     gauss_hermite_rule)
 from gauss_deficit.semigroups import (ExponentTriple,
-                                      InadmissibleExponentError)
+                                      InadmissibleExponentError, ou_apply)
 
 
 def sqrt_ratio_field(grid, beta, power):
@@ -176,6 +177,45 @@ class TestMatrix:
             matrix_check(gaussian_field(grid, 2.0), np.diag([2.0, 2.0]))
 
 
+class TestMatrixHC:
+    """For v = v1 (x) v2, P_s and the L^q(gamma) norm factorise, so the 2-D
+    left side is the product of the two 1-D left sides."""
+
+    triple = ExponentTriple.from_pq(2.0, 4.0)
+
+    @staticmethod
+    def _product(v1, v2, grid2):
+        def log_fn(x1, x2):
+            return v1.log(x1) + v2.log(x2)
+
+        return GridField.from_callable(
+            grid2, lambda a, b: np.exp(log_fn(a, b)), log_fn=log_fn)
+
+    def _check(self, v1, v2, b1, b2, grid2, rule):
+        r = matrix_check(self._product(v1, v2, grid2), np.diag([b1, b2]),
+                         triple=self.triple, which="hc",
+                         rule=gauss_hermite_rule(48))
+        want = (_lhs_hc(v1, self.triple, rule)
+                * _lhs_hc(v2, self.triple, rule))
+        assert r.lhs == pytest.approx(want, rel=1e-10)
+        return r
+
+    def test_gaussian_product_is_extremal(self, grid, grid2, rule):
+        g = gaussian_field(grid, 2.0)
+        r = self._check(g, g, 2.0, 2.0, grid2, rule)
+        assert r.asserted
+        assert abs(r.slack) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    def test_fp_products_factorise(self, seed, grid, grid2, rule):
+        rng = np.random.default_rng(seed)
+        b1, b2 = 2.0, float(rng.uniform(1.2, 4.0))
+        v1 = make_fp_input(rng, b1, grid)
+        v2 = make_fp_input(rng, b2, grid)
+        r = self._check(v1, v2, b1, b2, grid2, rule)
+        assert r.asserted and r.slack >= -1e-9
+
+
 class TestPoincare:
     def test_extremiser_family_positive(self, grid, rule):
         f = sqrt_ratio_field(grid, 2.0, 2.0)
@@ -208,6 +248,23 @@ class TestBeckner:
         r = beckner_check(f, p, 2.0, rule)
         assert r.asserted and r.slack >= -1e-9
         assert r.params["smoothing_slack"] >= -1e-9
+
+    def test_smoothing_lhs_matches_grid_route(self, grid, rule):
+        # int f^2 - int (P_s f)^2 with P_s f taken from the full-grid field
+        p = 1.5
+        s = -0.5 * float(np.log(p - 1.0))
+        z, w = rule.nodes, rule.weights
+        v = make_fp_input(np.random.default_rng(4), 2.0, grid)
+        closure = GridField.from_callable(
+            grid, lambda x: np.exp((v.log(x) + 0.5 * x * x
+                                    + 0.5 * np.log(2 * np.pi)) / p))
+        for f in (closure, GridField(grid, closure.values)):
+            r = beckner_check(f, p, 2.0, rule)
+            fz = np.asarray(f(z), float)
+            psf = ou_apply(f, s, rule)
+            want = float((fz * fz) @ w) - float((psf(z) ** 2) @ w)
+            assert r.params["smoothing_lhs"] == pytest.approx(
+                want, rel=1e-12, abs=1e-12)
 
     def test_b_const_derivative_matches_dn(self):
         # d/dp B(p, beta) at p = 2 equals D_n(beta)/2

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gauss_deficit.families import LogQuad, field_from_family
 from gauss_deficit.numerics import (Grid1D, Grid2D, GridField,
-                                    ParameterError, default_grid,
-                                    default_grid_2d, gauss_hermite_rule,
+                                    EvaluationError, ParameterError,
+                                    default_grid, default_grid_2d,
+                                    gauss_hermite_rule, tensor_gh,
                                     DEFAULT_GH_NODES)
 
 
@@ -48,6 +50,65 @@ class TestGaussHermite:
         for t in (0.3, 1.0, 2.5):
             got = float(np.sum(r.weights * np.exp(t * r.nodes)))
             assert got == pytest.approx(np.exp(0.5 * t * t), rel=1e-12)
+
+
+    def test_tensor_rule(self):
+        r = gauss_hermite_rule(16)
+        Z1, Z2, logW = tensor_gh(r)
+        W = np.exp(logW)
+        assert np.sum(W) == pytest.approx(1.0, abs=1e-14)
+        # E[x1^2 x2^4] = 1 * 3 under the standard Gaussian on R^2
+        assert np.sum(W * Z1 ** 2 * Z2 ** 4) == pytest.approx(3.0, rel=1e-12)
+
+
+class Counting:
+    """A closure that counts how often it is evaluated."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *xs):
+        self.calls += 1
+        return self.fn(*xs)
+
+
+class TestClosureEvaluatedOnce:
+    def test_from_callable_1d(self, grid):
+        fn = Counting(lambda x: np.exp(-0.5 * x ** 2))
+        f = GridField.from_callable(grid, fn)
+        assert fn.calls == 1
+        np.testing.assert_array_equal(f.values, np.exp(-0.5 * grid.points ** 2))
+
+    def test_from_callable_2d(self, grid2):
+        fn = Counting(lambda a, b: np.exp(-0.5 * (a ** 2 + b ** 2)))
+        f = GridField.from_callable(grid2, fn)
+        assert fn.calls == 1
+        assert f.values.shape == grid2.shape
+
+    def test_field_from_family(self, grid):
+        class CountingGaussian(LogQuad):
+            calls = 0
+
+            def __call__(self, x):
+                type(self).calls += 1
+                return super().__call__(x)
+
+        q = LogQuad.gaussian(2.0)
+        f = field_from_family(grid, CountingGaussian(q.a, q.b, q.c))
+        assert CountingGaussian.calls == 1
+        np.testing.assert_array_equal(f.values, q(grid.points))
+
+    def test_values_and_closure_from_different_sources_checked(self, grid):
+        fn = Counting(lambda x: np.exp(-x ** 2))
+        f = GridField(grid, np.exp(-grid.points ** 2), analytic=fn)
+        assert fn.calls == 1  # the agreement check
+        assert f.analytic is fn
+        with pytest.raises(EvaluationError):
+            GridField(grid, np.exp(-grid.points ** 2) + 1e-6, analytic=fn)
+
+    def test_needs_values_or_closure(self, grid):
+        with pytest.raises(ParameterError):
+            GridField(grid)
 
 
 class TestGridField:

@@ -102,6 +102,19 @@ class TestOuApply:
         got = ou_apply(f, 0.7, rule)
         np.testing.assert_allclose(got.values, 2.5, rtol=1e-12)
 
+    def test_quadrature_fills_grid_once(self, grid, rule):
+        mix = symmetric_mixture(1.0, 1.0)
+        calls = []
+
+        def fn(x):
+            calls.append(np.size(x))
+            return mix(x)
+
+        got = ou_apply(GridField.from_callable(grid, fn), 0.3, rule)
+        # one fill of the input, one quadrature pass over the output grid
+        assert calls == [grid.n, grid.n * rule.nodes.size]
+        assert got.values.shape == (grid.n,)
+
     def test_rejects_nonpositive_time(self, grid, rule):
         f = gaussian_ratio_field(grid, 2.0)
         with pytest.raises(ParameterError):
@@ -123,6 +136,19 @@ class TestDilationCommutation:
         lam = np.exp(-s)
         x = np.linspace(-3, 3, 7)
         np.testing.assert_allclose(got(x), f(lam * x), rtol=1e-12)
+
+    def test_dilation_of_closure_field_evaluates_once(self, grid):
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            return np.exp(-0.5 * np.asarray(x) ** 2)
+
+        f = GridField.from_callable(grid, fn)
+        got = dilation_apply(f, 0.5)
+        assert len(calls) == 2  # the input fill and the dilated fill
+        np.testing.assert_array_equal(got.values,
+                                      fn(np.exp(-0.5) * grid.points))
 
     def test_commutation_residual_small(self, grid, rule):
         f = field_from_family(grid, symmetric_mixture(1.0, 1.0))
