@@ -13,7 +13,7 @@ from .numerics import (Grid1D, Grid2D, GridField, QuadratureRule,
                        default_grid, default_grid_2d, gauss_hermite_rule,
                        ParameterError, EvaluationError, PositivityError,
                        TruncationError)
-from .families import (LogQuad, Mixture, field_from_family, gaussian_field,
+from .families import (LogQuad, field_from_family, gaussian_field,
                        gaussian_ratio_field, symmetric_mixture)
 from .semigroups import (BetaS, ExponentTriple, InadmissibleExponentError,
                          IntegrabilityError, beta_s, check_commutation,

@@ -1,40 +1,71 @@
 """
-Closed-form families: log-quadratic functions and Gaussian mixtures.
+Closed-form families: sums of log-quadratic functions.
 
-A LogQuad is f(x) = exp(a x^2/2 + b x + c).  The family is closed under
-products, powers, the Ornstein-Uhlenbeck semigroup and the Fokker-Planck
-kernel (complete-the-square identities), which makes it the workhorse for
-extremiser checks: Gaussian densities gamma_beta(. - m) are log-quadratics,
-and finite measures pushed through the Fokker-Planck kernel are mixtures of
-them.  Fields built from these carry exact evaluators for value, log value
-and (log f)'.
+A LogQuad is f(x) = sum_k exp(a_k x^2/2 + b_k x + c_k) with K >= 1
+components held as arrays.  K = 1 is a single log-quadratic; K > 1 is a
+positive Gaussian mixture, such as every Fokker-Planck snapshot of a finite
+measure.  The family is closed under products, the Ornstein-Uhlenbeck
+semigroup and the Fokker-Planck kernel (complete-the-square identities,
+applied per component), which makes it the workhorse for extremiser checks.
+Fields built from these carry exact evaluators for value, log value and
+(log f)', and (log f)'' comes from the component posterior in the same pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
+from scipy.special import ndtr
 
 from .numerics import Grid1D, GridField, ParameterError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass(frozen=True)
-class LogQuad:
-    """f(x) = exp(a x^2 / 2 + b x + c)."""
+# (point, component) pairs per block of the evaluation pass: cache-sized
+_CHUNK = 1 << 16
 
-    a: float
-    b: float
-    c: float = 0.0
+
+def _by_blocks(x, k: int, rows: int, fn):
+    """``rows`` values per point of x from fn(xs, work) on (n, 1) blocks xs
+    of about _CHUNK / k points.  The two (n, k) scratch arrays in ``work``
+    are allocated once: fresh block-sized temporaries cost page faults."""
+    x = np.asarray(x, float)
+    flat = x.ravel()
+    out = np.empty((rows, flat.size))
+    step = max(1, _CHUNK // k)
+    work = np.empty((2, min(step, flat.size), k))
+    for i in range(0, flat.size, step):
+        xs = flat[i:i + step, None]
+        out[:, i:i + step] = fn(xs, work[:, :xs.shape[0]])
+    return [o.reshape(x.shape)[()] for o in out]
+
+
+@dataclass(frozen=True, eq=False)
+class LogQuad:
+    """f(x) = sum_k exp(a_k x^2 / 2 + b_k x + c_k) over K >= 1 components.
+
+    ``a``, ``b``, ``c`` are 1-D arrays of length K (scalars give K = 1);
+    mixture weights w_k are folded into c_k as log w_k.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray = 0.0
+
+    def __post_init__(self):
+        arrs = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float))
+                                     for v in (self.a, self.b, self.c)))
+        if arrs[0].ndim != 1 or arrs[0].size == 0:
+            raise ParameterError("a, b, c must be scalars or 1-D arrays")
+        for name, v in zip("abc", arrs):
+            object.__setattr__(self, name, v.copy())
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def gaussian(beta: float, mean: float = 0.0) -> "LogQuad":
-        """The density gamma_beta(x - mean)."""
+    def gaussian(beta: float, mean=0.0) -> "LogQuad":
+        """The density gamma_beta(x - mean); one component per mean."""
         if beta <= 0:
             raise ParameterError("beta must be positive")
         return LogQuad(-1.0 / beta, mean / beta,
@@ -49,31 +80,66 @@ class LogQuad:
 
     # -- pointwise --------------------------------------------------------
 
+    def _pass(self, x, order: int = 2):
+        """[log f, (log f)', (log f)''][:order + 1] at x, in one pass.
+
+        Under the component posterior p_k = exp(L_k) / f, with L_k the k-th
+        exponent, (log f)' = E_p[a x + b] and (log f)'' = E_p[a] +
+        Var_p(a x + b), the variance taken about the posterior mean so that
+        no digits cancel.  K = 1 returns the quadratic directly.
+        """
+        if self.a.size == 1:
+            a, b, c = self.a[0], self.b[0], self.c[0]
+            x = np.asarray(x, float)
+            return [0.5 * a * x * x + b * x + c, a * x + b,
+                    np.full_like(x, a)][:order + 1]
+        a, b = self.a, self.b
+        quad = np.stack([0.5 * a, b, self.c])  # L = [x^2, x, 1] @ quad
+        cols = np.stack([np.ones_like(a), a, b], axis=1)
+
+        def block(xs, work):
+            powers = np.hstack([xs * xs, xs, np.ones_like(xs)])
+            L = np.matmul(powers, quad, out=work[0])
+            top = L.max(axis=1, keepdims=True)
+            L -= top
+            # terms below e^-600 cannot move a sum >= 1; the floor keeps exp
+            # off subnormal results, which are slow
+            p = np.exp(np.maximum(L, -600.0, out=L), out=L)
+            s0, sa, sb = (p @ cols).T
+            mean_d = (sa * xs[:, 0] + sb) / s0
+            out = [top[:, 0] + np.log(s0), mean_d]
+            if order > 1:
+                d = np.matmul(powers[:, 1:], cols[:, 1:].T, out=work[1])
+                d -= mean_d[:, None]
+                d *= d
+                out.append((sa + np.einsum("ij,ij->i", p, d)) / s0)
+            return out[:order + 1]
+
+        return _by_blocks(x, a.size, order + 1, block)
+
     def log_at(self, x):
-        x = np.asarray(x, float)
-        return 0.5 * self.a * x * x + self.b * x + self.c
+        return self._pass(x, 0)[0]
 
     def __call__(self, x):
         return np.exp(self.log_at(x))
 
     def dlog(self, x):
-        return self.a * np.asarray(x, float) + self.b
+        return self._pass(x, 1)[1]
 
     def d2log(self, x):
-        return np.full_like(np.asarray(x, float), self.a)
+        return self._pass(x, 2)[2]
 
     # -- algebra ----------------------------------------------------------
 
     def __mul__(self, other: "LogQuad") -> "LogQuad":
-        return LogQuad(self.a + other.a, self.b + other.b, self.c + other.c)
+        return LogQuad(np.add.outer(self.a, other.a).ravel(),
+                       np.add.outer(self.b, other.b).ravel(),
+                       np.add.outer(self.c, other.c).ravel())
 
     def __pow__(self, r: float) -> "LogQuad":
+        if self.a.size != 1:
+            raise ParameterError("a power needs a single component")
         return LogQuad(self.a * r, self.b * r, self.c * r)
-
-    def scaled(self, factor: float) -> "LogQuad":
-        if factor <= 0:
-            raise ParameterError("scale factor must be positive")
-        return LogQuad(self.a, self.b, self.c + float(np.log(factor)))
 
     def dilate(self, lam: float) -> "LogQuad":
         """x -> f(lam x)."""
@@ -81,26 +147,30 @@ class LogQuad:
 
     # -- integrals --------------------------------------------------------
 
-    def integral_lebesgue(self) -> float:
-        if self.a >= 0:
+    def _masses(self) -> np.ndarray:
+        """Lebesgue integral of each component."""
+        if np.any(self.a >= 0):
             raise ParameterError("not Lebesgue integrable (a >= 0)")
-        return float(np.exp(self.c - self.b**2 / (2 * self.a))
-                     * np.sqrt(2 * np.pi / (-self.a)))
+        return (np.exp(self.c - self.b**2 / (2 * self.a))
+                * np.sqrt(2 * np.pi / (-self.a)))
+
+    def integral_lebesgue(self) -> float:
+        return float(np.sum(self._masses()))
 
     def integral_gauss(self) -> float:
         """int f dgamma."""
         d = 1.0 - self.a
-        if d <= 0:
+        if np.any(d <= 0):
             raise ParameterError("not integrable against gamma (a >= 1)")
-        return float(np.exp(self.c + self.b**2 / (2 * d)) / np.sqrt(d))
+        return float(np.sum(np.exp(self.c + self.b**2 / (2 * d)) / np.sqrt(d)))
 
     def log_lp_norm_gauss(self, r: float) -> float:
         """log ||f||_{L^r(gamma)} = (1/r) log int f^r dgamma."""
         fr = self ** r
-        d = 1.0 - fr.a
+        d = 1.0 - fr.a[0]
         if d <= 0:
             raise ParameterError("f^r not integrable against gamma")
-        return float((fr.c + fr.b**2 / (2 * d) - 0.5 * np.log(d)) / r)
+        return float((fr.c[0] + fr.b[0]**2 / (2 * d) - 0.5 * np.log(d)) / r)
 
     # -- kernels ----------------------------------------------------------
 
@@ -109,7 +179,7 @@ class LogQuad:
         e = np.exp(-s)
         sig2 = 1.0 - e * e
         d = 1.0 - self.a * sig2
-        if d <= 0:
+        if np.any(d <= 0):
             raise ParameterError("OU integral diverges for this log-quadratic")
         return LogQuad(self.a * e * e / d, self.b * e / d,
                        self.c + sig2 * self.b**2 / (2 * d) - 0.5 * np.log(d))
@@ -121,7 +191,7 @@ class LogQuad:
         w = beta * (1.0 - np.exp(-2.0 * t))
         et = np.exp(-t)
         eden = et * et - self.a * w  # = w * E in the complete-the-square
-        if eden <= 0:
+        if np.any(eden <= 0):
             raise ParameterError("FP integral diverges for this log-quadratic")
         E = eden / w
         return LogQuad(self.a / eden, self.b * et / eden,
@@ -130,116 +200,30 @@ class LogQuad:
     # -- distribution functions ------------------------------------------
 
     def mass_and_cdf(self):
-        """(total mass, normalized CDF callable); requires a < 0."""
-        if self.a >= 0:
-            raise ParameterError("CDF requires a < 0")
-        sigma = float(np.sqrt(-1.0 / self.a))
+        """(total mass, normalized CDF callable); requires every a_k < 0."""
+        masses = self._masses()
+        mass = float(np.sum(masses))
+        weights = masses / mass
+        sigma = np.sqrt(-1.0 / self.a)
         mean = -self.b / self.a
-        mass = self.integral_lebesgue()
-        return mass, (lambda x: ndtr((np.asarray(x, float) - mean) / sigma))
+
+        def block(xs, work):
+            return [ndtr((xs - mean) / sigma) @ weights]
+
+        return mass, lambda x: _by_blocks(x, self.a.size, 1, block)[0]
 
     def moments(self):
         """(mass, mean, variance) of the unnormalized density; a < 0."""
-        if self.a >= 0:
-            raise ParameterError("moments require a < 0")
-        return self.integral_lebesgue(), -self.b / self.a, -1.0 / self.a
-
-
-@dataclass(frozen=True)
-class Mixture:
-    """Positive combination sum_i w_i f_i of log-quadratics."""
-
-    weights: tuple
-    components: tuple
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.components) or not self.components:
-            raise ParameterError("weights/components mismatch")
-        if any(w <= 0 for w in self.weights):
-            raise ParameterError("mixture weights must be positive")
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "components", tuple(self.components))
-
-    @staticmethod
-    def of(pairs: Sequence) -> "Mixture":
-        ws, cs = zip(*pairs)
-        return Mixture(tuple(ws), tuple(cs))
-
-    def log_at(self, x):
-        x = np.asarray(x, float)
-        logs = np.stack([np.log(w) + q.log_at(x)
-                         for w, q in zip(self.weights, self.components)])
-        return logsumexp(logs, axis=0)
-
-    def __call__(self, x):
-        return np.exp(self.log_at(x))
-
-    def _posterior(self, x):
-        x = np.asarray(x, float)
-        logs = np.stack([np.log(w) + q.log_at(x)
-                         for w, q in zip(self.weights, self.components)])
-        logs -= logsumexp(logs, axis=0, keepdims=True)
-        return np.exp(logs)
-
-    def dlog(self, x):
-        p = self._posterior(x)
-        d = np.stack([q.dlog(x) for q in self.components])
-        return np.sum(p * d, axis=0)
-
-    def d2log(self, x):
-        # sum p_i (logf_i)'' + Var_p((logf_i)')
-        p = self._posterior(x)
-        d = np.stack([q.dlog(x) for q in self.components])
-        d2 = np.stack([q.d2log(x) for q in self.components])
-        mean_d = np.sum(p * d, axis=0)
-        return np.sum(p * d2, axis=0) + np.sum(p * d * d, axis=0) - mean_d**2
-
-    def _map(self, fn) -> "Mixture":
-        return Mixture(self.weights, tuple(fn(q) for q in self.components))
-
-    def ou(self, s: float) -> "Mixture":
-        return self._map(lambda q: q.ou(s))
-
-    def fp(self, beta: float, t: float) -> "Mixture":
-        return self._map(lambda q: q.fp(beta, t))
-
-    def dilate(self, lam: float) -> "Mixture":
-        return self._map(lambda q: q.dilate(lam))
-
-    def integral_lebesgue(self) -> float:
-        return float(sum(w * q.integral_lebesgue()
-                         for w, q in zip(self.weights, self.components)))
-
-    def integral_gauss(self) -> float:
-        return float(sum(w * q.integral_gauss()
-                         for w, q in zip(self.weights, self.components)))
-
-    def mass_and_cdf(self):
-        parts = [q.mass_and_cdf() for q in self.components]
-        mass = float(sum(w * m for w, (m, _) in zip(self.weights, parts)))
-
-        def cdf(x):
-            acc = 0.0
-            for w, (m, F) in zip(self.weights, parts):
-                acc = acc + w * m * F(x)
-            return acc / mass
-
-        return mass, cdf
-
-    def moments(self):
-        mv = [q.moments() for q in self.components]
-        mass = sum(w * m for w, (m, _, _) in zip(self.weights, mv))
-        mean = sum(w * m * mu for w, (m, mu, _) in zip(self.weights, mv)) / mass
-        second = sum(w * m * (v + mu * mu)
-                     for w, (m, mu, v) in zip(self.weights, mv)) / mass
-        return float(mass), float(mean), float(second - mean**2)
-
-
-Family = (LogQuad, Mixture)
+        masses = self._masses()
+        weights = masses / np.sum(masses)
+        means = -self.b / self.a
+        mean = weights @ means
+        var = weights @ (-1.0 / self.a + (means - mean) ** 2)
+        return float(np.sum(masses)), float(mean), float(var)
 
 
 def field_from_family(grid: Grid1D, fam) -> GridField:
-    """Wrap a LogQuad/Mixture as a GridField with exact evaluators."""
+    """Wrap a LogQuad as a GridField with exact evaluators."""
     return GridField(
         grid,
         analytic=fam.__call__,
@@ -258,7 +242,7 @@ def gaussian_ratio_field(grid: Grid1D, beta: float) -> GridField:
     return field_from_family(grid, LogQuad.gaussian_ratio(beta))
 
 
-def symmetric_mixture(a: float, var: float = 1.0) -> Mixture:
+def symmetric_mixture(a: float, var: float = 1.0) -> LogQuad:
     """(1/2) gamma_var(. + a) + (1/2) gamma_var(. - a)."""
-    return Mixture((0.5, 0.5), (LogQuad.gaussian(var, -a),
-                                LogQuad.gaussian(var, a)))
+    g = LogQuad.gaussian(var, np.array([-a, a]))
+    return LogQuad(g.a, g.b, g.c + np.log(0.5))

@@ -8,11 +8,12 @@ exact solution
     v_t(x) = (2 pi w)^{-n/2} int exp(-|x - e^{-t} y|^2 / (2 w)) dmu(y),
     w = beta (1 - e^{-2t}),
 
-which we always evaluate in one shot (closed form for atomic measures and
-tagged densities, quadrature over the source grid otherwise) - never by
-time-stepping.  FP(beta) is the set of time-(1/2)log 2 snapshots of the
-2 beta-flow started from a finite measure; its members are automatically
-beta-semi-log-convex.
+which we always evaluate in one shot, never by time-stepping: every v_t is
+a Gaussian mixture, one LogQuad with a component per atom (a grid density
+counts as the discrete measure on its nodes with trapezoid weights), and
+tagged densities take the closed form of their tag.  FP(beta) is the set of
+time-(1/2)log 2 snapshots of the 2 beta-flow started from a finite measure;
+its members are automatically beta-semi-log-convex.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .families import Family, LogQuad, Mixture, field_from_family
+from .families import LogQuad, field_from_family
 from .numerics import (Grid1D, GridField, ParameterError, PositivityError,
                        TruncationError, default_grid, log_derivatives)
 
@@ -96,34 +97,43 @@ class ConvexityCertificate:
         return self.margin >= -self.tol
 
 
-_KINDS = ("subharmonic", "convex", "concave", "superharmonic")
-
-
 # ---------------------------------------------------------------------------
 # flow
 
 
-def _kernel_quadrature_field(grid: Grid1D, source: GridField, beta: float,
-                             t: float) -> GridField:
-    w = beta * (1.0 - np.exp(-2.0 * t))
-    et = float(np.exp(-t))
-    ys = source.grid.points
-    tw = np.full(ys.size, source.grid.spacing)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
-    coef = tw * source.values / np.sqrt(2 * np.pi * w)
+def _fp_family(v0: MeasureSpec, beta: float, t: float) -> LogQuad:
+    """v_t as one LogQuad with a component per atom of v0.  A grid density
+    is the discrete measure on its nodes with trapezoid weights times its
+    values (nodes of zero weight dropped); a tagged one flows its tag."""
+    if beta * (1.0 - np.exp(-2.0 * t)) < 1e-10:
+        raise ParameterError("flow time too small: kernel variance below 1e-10")
+    points, weights = v0.points, v0.weights
+    if v0.kind == "density":
+        src = v0.density
+        if src.ndim != 1:
+            raise ParameterError("Fokker-Planck evolution is 1-D only")
+        if isinstance(src.tag, LogQuad):
+            return src.tag.fp(beta, t)
+        if np.any(src.values < 0):
+            raise PositivityError("a density must be nonnegative")
+        points = src.grid.points
+        weights = np.full(points.size, src.grid.spacing)
+        weights[[0, -1]] *= 0.5
+        weights *= src.values
+    with np.errstate(divide="ignore"):
+        logw = np.log(weights)
+    keep = logw > -np.inf
+    if not np.any(keep):
+        raise ParameterError("the initial measure has no mass")
+    var = beta * (1.0 - np.exp(-2.0 * t))
+    q = LogQuad.gaussian(var, np.exp(-t) * points[keep])
+    return LogQuad(q.a, q.b, q.c + logw[keep])
 
-    def value(x):
-        x = np.asarray(x, float)
-        flat = np.ravel(x)
-        out = np.empty(flat.size)
-        chunk = max(1, 4_000_000 // ys.size)
-        for i in range(0, flat.size, chunk):
-            K = np.exp(-(flat[i:i + chunk, None] - et * ys) ** 2 / (2 * w))
-            out[i:i + chunk] = K @ coef
-        return out.reshape(x.shape)
 
-    return GridField(grid, analytic=value)
+def _check_mass(mass0: float, mass_t: float):
+    if abs(mass_t - mass0) > 1e-6 * max(abs(mass0), 1.0):
+        raise TruncationError(
+            f"mass drift {mass_t - mass0:.3e} along the flow; widen the grid")
 
 
 def fp_evolve(v0, params: FPParams, grid: Optional[Grid1D] = None) -> GridField:
@@ -140,29 +150,9 @@ def fp_evolve(v0, params: FPParams, grid: Optional[Grid1D] = None) -> GridField:
         if v0.kind != "density":
             raise ParameterError("t = 0 requires a density initial condition")
         return v0.density
-    if beta * (1.0 - np.exp(-2.0 * t)) < 1e-10:
-        raise ParameterError("flow time too small: kernel variance below 1e-10")
-
-    if v0.kind in ("dirac", "discrete"):
-        var = beta * (1.0 - np.exp(-2.0 * t))
-        et = np.exp(-t)
-        comps = tuple(LogQuad.gaussian(var, et * y) for y in v0.points)
-        fam = (comps[0].scaled(v0.weights[0]) if len(comps) == 1
-               else Mixture(tuple(v0.weights), comps))
-        return field_from_family(grid, fam)
-
-    src = v0.density
-    if src.ndim != 1:
-        raise ParameterError("Fokker-Planck evolution is 1-D only")
-    if isinstance(src.tag, Family):
-        out = field_from_family(grid, src.tag.fp(beta, t))
-    else:
-        out = _kernel_quadrature_field(grid, src, beta, t)
-    mass0 = v0.mass
-    mass_t = _trapz(out)
-    if abs(mass_t - mass0) > 1e-6 * max(abs(mass0), 1.0):
-        raise TruncationError(
-            f"mass drift {mass_t - mass0:.3e} along the flow; widen the grid")
+    out = field_from_family(grid, _fp_family(v0, beta, t))
+    if v0.kind == "density":
+        _check_mass(v0.mass, _trapz(out))
     return out
 
 
@@ -185,7 +175,7 @@ def _interior(arr: np.ndarray, trim: int = 2) -> np.ndarray:
 
 
 def _log_hessian_1d(v: GridField) -> np.ndarray:
-    if isinstance(v.tag, Family):
+    if isinstance(v.tag, LogQuad):
         return np.asarray(v.tag.d2log(v.grid.points), float)
     if v.analytic_log is not None:
         h = 1e-4
@@ -209,6 +199,19 @@ def _log_hessian_2d(v: GridField):
     return ld.hxx, ld.hxy, ld.hyy
 
 
+def _margin(kind: str, beta: float, n: int, lap, eigmin, eigmax) -> float:
+    """The signed margin of ``kind`` (see certify) from the curvature."""
+    if kind == "subharmonic":
+        return float(np.min(lap + n / beta))
+    if kind == "convex":
+        return float(np.min(eigmin + 1.0 / beta))
+    if kind == "concave":
+        return float(np.min(-1.0 / beta - eigmax))
+    if kind == "superharmonic":
+        return float(np.min(-n / beta - lap))
+    raise ParameterError(f"unknown certificate kind {kind!r}")
+
+
 def certify(v: GridField, kind: str, beta: float,
             tol: Optional[float] = None) -> ConvexityCertificate:
     """Measure the log-curvature bound defining each semi-log property.
@@ -221,36 +224,22 @@ def certify(v: GridField, kind: str, beta: float,
 
     In 1-D subharmonic/convex coincide, as do concave/superharmonic.
     """
-    if kind not in _KINDS:
-        raise ParameterError(f"unknown certificate kind {kind!r}")
     if beta <= 0:
         raise ParameterError("beta must be positive")
-    if np.any(v.values <= 0):
-        raise PositivityError("certification requires strictly positive v")
+    if v.analytic_log is None and np.any(v.values <= 0):
+        raise PositivityError("certification from samples requires v > 0")
     if tol is None:
         tol = 1e-4 / beta
 
     if v.ndim == 1:
         hess = _interior(_log_hessian_1d(v))
-        if kind in ("subharmonic", "convex"):
-            margin = float(np.min(hess + 1.0 / beta))
-        else:
-            margin = float(np.min(-1.0 / beta - hess))
+        margin = _margin(kind, beta, 1, hess, hess, hess)
         return ConvexityCertificate(kind, beta, margin, tol)
 
     hxx, hxy, hyy = (_interior(a) for a in _log_hessian_2d(v))
     lap = hxx + hyy
     disc = np.sqrt((hxx - hyy) ** 2 + 4.0 * hxy**2)
-    eigmin = 0.5 * (lap - disc)
-    eigmax = 0.5 * (lap + disc)
-    if kind == "subharmonic":
-        margin = float(np.min(lap + 2.0 / beta))
-    elif kind == "convex":
-        margin = float(np.min(eigmin + 1.0 / beta))
-    elif kind == "concave":
-        margin = float(np.min(-1.0 / beta - eigmax))
-    else:
-        margin = float(np.min(-2.0 / beta - lap))
+    margin = _margin(kind, beta, 2, lap, 0.5 * (lap - disc), 0.5 * (lap + disc))
     return ConvexityCertificate(kind, beta, margin, tol)
 
 
@@ -288,15 +277,25 @@ def preservation_trace(v0: GridField, beta: float, kind: str,
     grad^2 log v_t >= -1/((1 - e^{-2t}) beta), valid for arbitrary initial
     measures.
     """
+    source = MeasureSpec.from_density(v0)
+    mass0 = source.mass
+    x = v0.grid.points
     margins = []
     universal = []
     for t in times:
-        vt = fp_evolve(v0, FPParams(beta, float(t)))
-        margins.append(certify(vt, kind, beta).margin)
-        hess = _interior(_log_hessian_1d(vt))
-        bound = 1.0 / ((1.0 - np.exp(-2.0 * float(t))) * beta) if t > 0 else None
-        universal.append(float(np.min(hess + bound)) if bound is not None
-                         else np.nan)
+        t = FPParams(beta, float(t)).t
+        if t == 0.0:
+            margins.append(certify(v0, kind, beta).margin)
+            universal.append(np.nan)
+            continue
+        # one pass over the grid gives the mass and both margins
+        logv, _, hess = _fp_family(source, beta, t)._pass(x, 2)
+        _check_mass(mass0, float(np.trapezoid(np.exp(logv),
+                                              dx=v0.grid.spacing)))
+        hess = _interior(hess)
+        margins.append(_margin(kind, beta, 1, hess, hess, hess))
+        bound = 1.0 / ((1.0 - np.exp(-2.0 * t)) * beta)
+        universal.append(float(np.min(hess + bound)))
     return np.asarray(margins), np.asarray(universal)
 
 
@@ -306,32 +305,21 @@ def preservation_trace(v0: GridField, beta: float, kind: str,
 
 def covariance(v: GridField) -> np.ndarray:
     """Covariance matrix of a probability density (n x n)."""
-    if v.ndim == 1:
-        if isinstance(v.tag, Family):
-            mass, _, var = v.tag.moments()
-            if abs(mass - 1.0) > 1e-6:
-                raise ParameterError(f"density not normalized: mass = {mass}")
-            return np.array([[var]])
+    if isinstance(v.tag, LogQuad):
+        mass, _, var = v.tag.moments()
+        cov = np.array([[var]])
+    else:
         mass = _trapz(v)
-        if abs(mass - 1.0) > 1e-6:
-            raise ParameterError(f"density not normalized: mass = {mass}")
-        x = v.grid.points
-        h = v.grid.spacing
-        mean = float(np.trapezoid(x * v.values, dx=h))
-        second = float(np.trapezoid(x * x * v.values, dx=h))
-        return np.array([[second - mean**2]])
-    mass = _trapz(v)
+        xs = ([v.grid.points] if v.ndim == 1 else
+              np.meshgrid(v.grid.gx.points, v.grid.gy.points, indexing="ij"))
+
+        def integ(g):
+            return _trapz(GridField(v.grid, g * v.values))
+
+        means = [integ(x) for x in xs]
+        cov = np.array([[integ(xi * xj) - mi * mj
+                         for xj, mj in zip(xs, means)]
+                        for xi, mi in zip(xs, means)])
     if abs(mass - 1.0) > 1e-6:
         raise ParameterError(f"density not normalized: mass = {mass}")
-    X, Y = np.meshgrid(v.grid.gx.points, v.grid.gy.points, indexing="ij")
-    hx, hy = v.grid.gx.spacing, v.grid.gy.spacing
-
-    def integ(g):
-        return float(np.trapezoid(np.trapezoid(g * v.values, dx=hy, axis=1),
-                                  dx=hx))
-
-    mx, my = integ(X), integ(Y)
-    return np.array([
-        [integ(X * X) - mx * mx, integ(X * Y) - mx * my],
-        [integ(X * Y) - mx * my, integ(Y * Y) - my * my],
-    ])
+    return cov

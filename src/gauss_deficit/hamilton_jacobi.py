@@ -152,7 +152,7 @@ def quadratic_datum(a: float, alpha: float, grid: Grid1D) -> HJField:
     fld = GridField.from_callable(grid, ratio.log_at)
     curv = (1.0 - 1.0 / alpha) / a  # f(x) = curv x^2/2 + const
     if curv >= 0:
-        C = max(0.0, -ratio.c)
+        C = max(0.0, -float(ratio.c[0]))
     else:
         # quadratic opens downward: linear minorant touches at the grid edge
         C = max(0.0, float(

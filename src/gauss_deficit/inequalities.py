@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .families import LOG_2PI, Family, LogQuad, field_from_family, \
+from .families import LOG_2PI, LogQuad, field_from_family, \
     symmetric_mixture
 from .flows import MeasureSpec, _trapz, certify, certify_matrix, covariance, \
     fp_class_member
@@ -381,7 +381,7 @@ def beckner_check(f: GridField, p: float, beta: float,
     lhs = (int_f2 - bconst * int_fp ** (2.0 / p)) / (2.0 - p)
     s = -0.5 * float(np.log(p - 1.0))
     # P_s f is read only at the nodes
-    if isinstance(f.tag, Family):
+    if isinstance(f.tag, LogQuad):
         psf = f.tag.ou(s)
     else:
         psf, _ = _ou_closures_1d(f, s, rule)

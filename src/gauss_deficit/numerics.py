@@ -111,8 +111,8 @@ class GridField:
                      of densities are formed (overflow-safe)
     analytic_dlog -- evaluator of (log f)' (1-D only; used for Fisher
                      information and certificates)
-    tag           -- closed-form family (LogQuad / Mixture from families.py)
-                     enabling exact semigroup/flow fast paths
+    tag           -- closed-form family (a families.LogQuad of K >= 1
+                     components) enabling exact semigroup/flow fast paths
     """
 
     grid: GridLike

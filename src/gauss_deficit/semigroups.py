@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from .families import Family, field_from_family
+from .families import LogQuad, field_from_family
 from .numerics import (DEFAULT_GH_NODES, EvaluationError, GridField,
                        ParameterError, QuadratureRule, _sample,
                        gauss_hermite_rule)
@@ -173,13 +173,13 @@ def ou_apply(f: GridField, s: float,
              rule: Optional[QuadratureRule] = None) -> GridField:
     """P_s f as a GridField on the same grid.
 
-    Tagged log-quadratic/mixture inputs take the complete-the-square closed
-    form; everything else is quadrature per output point.  Callers that read
+    Tagged LogQuad inputs take the complete-the-square closed form;
+    everything else is quadrature per output point.  Callers that read
     P_s f at a few points only should use the quadrature closures directly.
     """
     if s <= 0:
         raise ParameterError("s must be positive")
-    if isinstance(f.tag, Family):
+    if isinstance(f.tag, LogQuad):
         return field_from_family(f.grid, f.tag.ou(s))
     if f.ndim == 1:
         if rule is None:
@@ -200,7 +200,7 @@ def dilation_apply(f: GridField, s: float) -> GridField:
     if s < 0:
         raise ParameterError("s must be nonnegative")
     lam = float(np.exp(-s))
-    if isinstance(f.tag, Family):
+    if isinstance(f.tag, LogQuad):
         return field_from_family(f.grid, f.tag.dilate(lam))
 
     def fn(*xs):

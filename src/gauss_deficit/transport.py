@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .families import Family, LogQuad, Mixture, field_from_family
+from .families import LogQuad, field_from_family
 from .flows import _trapz, certify
 from .functionals import _rule_or_default, relative_log_closure, \
     sharp_constant
@@ -54,7 +54,7 @@ class DensitySpec:
 
     @staticmethod
     def from_field(field: GridField) -> "DensitySpec":
-        if isinstance(field.tag, Family):
+        if isinstance(field.tag, LogQuad):
             _, cdf = field.tag.mass_and_cdf()
             return DensitySpec(field, cdf)
         return DensitySpec(field)
@@ -151,7 +151,7 @@ def relative_entropy_gauss(v: GridField,
 
 def _centered(v: DensitySpec):
     """Center the density at mean zero; returns (spec, shift)."""
-    if isinstance(v.field.tag, Family):
+    if isinstance(v.field.tag, LogQuad):
         _, mean, _ = v.field.tag.moments()
     else:
         x = v.field.grid.points
@@ -165,12 +165,6 @@ def _centered(v: DensitySpec):
                           tag.b + tag.a * mean,
                           tag.c + 0.5 * tag.a * mean**2 + tag.b * mean)
         return DensitySpec.from_family(shifted, v.field.grid), mean
-    if isinstance(tag, Mixture):
-        comps = tuple(LogQuad(q.a, q.b + q.a * mean,
-                              q.c + 0.5 * q.a * mean**2 + q.b * mean)
-                      for q in tag.components)
-        return DensitySpec.from_family(Mixture(tag.weights, comps),
-                                       v.field.grid), mean
     g = v.field.grid
     vals = np.interp(g.points + mean, g.points, v.field.values,
                      left=0.0, right=0.0)

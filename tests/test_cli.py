@@ -135,6 +135,15 @@ class TestMain:
         assert code == 0
         json.loads(out.read_text())
 
+    def test_underflowing_grid_values_with_log_closures(self, tmp_path):
+        # gamma_0.25 underflows to 0 at +-20; the certificates read log
+        # closures there, not the grid values
+        out = tmp_path / "r.json"
+        code = main(["verify-lsi", "--beta", "0.25", "--grid-lo", "-20",
+                     "--grid-hi", "20", "--count", "3", "--out", str(out)])
+        assert code == 0
+        assert len(ReportBundle.from_json(out.read_text()).reports) == 3
+
     def test_usage_error_exit_two(self):
         # p outside the forward regime is a parameter error, not a failure
         assert main(["verify-hc", "--p", "0.5"]) == 2

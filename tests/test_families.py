@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from gauss_deficit.families import (LogQuad, Mixture, field_from_family,
+from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, gaussian_ratio_field,
                                     symmetric_mixture)
-from gauss_deficit.numerics import default_grid
+from gauss_deficit.numerics import ParameterError, default_grid
 
 
 def brute_gauss_integral(fam):
@@ -137,6 +137,98 @@ class TestMixture:
         for x in (0.0, 1.2):
             assert evolved(x) == pytest.approx(
                 0.5 * parts[0](x) + 0.5 * parts[1](x), rel=1e-12)
+
+
+def _components(fam):
+    return [LogQuad(a, b, c) for a, b, c in zip(fam.a, fam.b, fam.c)]
+
+
+def _loop_derivatives(fam, x):
+    """Reference: log f, (log f)', (log f)'' by a loop over components."""
+    parts = _components(fam)
+    logs = [q.log_at(x) for q in parts]
+    top = np.max(logs, axis=0)
+    ws = [np.exp(lq - top) for lq in logs]
+    total = sum(ws)
+    ps = [w / total for w in ws]
+    ds = [q.dlog(x) for q in parts]
+    mean = sum(p * d for p, d in zip(ps, ds))
+    second = sum(p * (q.a[0] + (d - mean) ** 2)
+                 for p, d, q in zip(ps, ds, parts))
+    return top + np.log(total), mean, second
+
+
+class TestArrayFamilyOracle:
+    """Every closed form of a K-component LogQuad against the loop over its
+    single-component parts."""
+
+    X = np.concatenate([[-40.0, -25.0], np.linspace(-6, 6, 49), [25.0, 40.0]])
+
+    @staticmethod
+    def family(k, seed):
+        rng = np.random.default_rng(seed)
+        return LogQuad(rng.uniform(-3.0, -0.2, k), rng.uniform(-3.0, 3.0, k),
+                       rng.uniform(-2.0, 2.0, k))
+
+    def assert_close(self, got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def assert_same_family(self, got, parts):
+        for n in "abc":
+            self.assert_close(getattr(got, n),
+                              np.concatenate([getattr(q, n) for q in parts]))
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pointwise(self, k, seed):
+        fam = self.family(k, seed)
+        ref = _loop_derivatives(fam, self.X)
+        self.assert_close(fam.log_at(self.X), ref[0])
+        self.assert_close(fam.dlog(self.X), ref[1])
+        self.assert_close(fam.d2log(self.X), ref[2])
+        assert np.all(np.isfinite(fam.d2log(self.X)))
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_kernels_and_dilation(self, k):
+        fam = self.family(k, 2)
+        parts = _components(fam)
+        self.assert_same_family(fam.ou(0.4), [q.ou(0.4) for q in parts])
+        self.assert_same_family(fam.fp(2.0, 0.3),
+                                [q.fp(2.0, 0.3) for q in parts])
+        self.assert_same_family(fam.dilate(0.7),
+                                [q.dilate(0.7) for q in parts])
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_integrals_moments_cdf(self, k):
+        fam = self.family(k, 3)
+        parts = _components(fam)
+        masses = np.array([q.integral_lebesgue() for q in parts])
+        self.assert_close(fam.integral_lebesgue(), masses.sum())
+        self.assert_close(fam.integral_gauss(),
+                          sum(q.integral_gauss() for q in parts))
+        mv = np.array([q.moments() for q in parts])
+        mass = mv[:, 0].sum()
+        mean = (mv[:, 0] * mv[:, 1]).sum() / mass
+        var = (mv[:, 0] * (mv[:, 2] + (mv[:, 1] - mean) ** 2)).sum() / mass
+        got = fam.moments()
+        self.assert_close(got, (mass, mean, var))
+        m, cdf = fam.mass_and_cdf()
+        self.assert_close(m, mass)
+        ref = sum(mq * Fq(self.X) for mq, (_, Fq) in
+                  zip(masses, (q.mass_and_cdf() for q in parts))) / mass
+        self.assert_close(cdf(self.X), ref)
+
+    def test_product_is_outer_sum(self):
+        f, g = self.family(3, 4), self.family(2, 5)
+        x = np.linspace(-4, 4, 17)
+        self.assert_close((f * g).log_at(x), f.log_at(x) + g.log_at(x))
+
+    def test_single_component_operations_reject_mixtures(self):
+        mix = symmetric_mixture(1.0)
+        with pytest.raises(ParameterError):
+            mix ** 2.0
+        with pytest.raises(ParameterError):
+            mix.log_lp_norm_gauss(2.0)
 
 
 class TestFields:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,66 @@ class TestFPEvolve:
         v0 = gaussian_field(grid, 1.0)
         with pytest.raises(ParameterError):
             fp_evolve(v0, FPParams(2.0, -0.1))
+
+
+def _kernel_reference(src, beta, t, x):
+    """The grid-density flow as an exp-kernel matrix times trapezoid weights."""
+    w = beta * (1.0 - np.exp(-2.0 * t))
+    ys = src.grid.points
+    tw = np.full(ys.size, src.grid.spacing)
+    tw[0] *= 0.5
+    tw[-1] *= 0.5
+    K = np.exp(-(x[:, None] - np.exp(-t) * ys) ** 2 / (2 * w))
+    return K @ (tw * src.values / np.sqrt(2 * np.pi * w))
+
+
+def _untagged_gaussian(grid, beta):
+    q = LogQuad.gaussian(beta)
+    return GridField.from_callable(grid, q.__call__, log_fn=q.log_at)
+
+
+class TestGridDensityFlow:
+    @pytest.mark.parametrize("beta,t", [(0.5, 0.2), (2.0, 0.5), (1.0, 1.0)])
+    def test_matches_kernel_quadrature(self, beta, t):
+        g = Grid1D(-12.0, 12.0, 513)
+        src = _untagged_gaussian(g, 0.8)
+        vt = fp_evolve(src, FPParams(beta, t))
+        np.testing.assert_allclose(vt.values,
+                                   _kernel_reference(src, beta, t, g.points),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_gaussian_curvature_is_exact(self, beta):
+        # gamma_beta is stationary: (log v_t)'' = -1/beta at every t.  The
+        # source grid is wider than the default so that cutting gamma_2 off
+        # at its ends (1.2e-9 at |x| = 8, t = 0.5 on [-12, 12]) stays below
+        # the tolerance.
+        grid = Grid1D(-16.0, 16.0, 5461)
+        x = grid.points[np.abs(grid.points) < 8]
+        v0 = _untagged_gaussian(grid, beta)
+        for t in (0.05, 0.2, 0.5, 1.0):
+            vt = fp_evolve(v0, FPParams(beta, t))
+            np.testing.assert_allclose(vt.tag.d2log(x), -1.0 / beta,
+                                       rtol=0, atol=1e-9)
+
+    def test_gaussian_preservation_margins_vanish(self, grid):
+        # the curvature comes from posterior moments taken about their mean,
+        # so the exact margin 0 is met to rounding, not to a finite difference
+        v0 = _untagged_gaussian(grid, 0.5)
+        margins, _ = preservation_trace(v0, 0.5, "concave",
+                                        (0.05, 0.2, 0.5, 1.0))
+        np.testing.assert_allclose(margins, 0.0, atol=1e-12)
+
+    def test_compact_support_source(self, grid):
+        vals = 0.75 * np.maximum(1.0 - grid.points ** 2, 0.0)
+        src = GridField(grid, vals / _trapz(GridField(grid, vals)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vt = fp_evolve(src, FPParams(1.0, 0.5))
+            hess = vt.tag.d2log(grid.points)
+        assert vt.tag.a.size == np.count_nonzero(vals)  # zero nodes dropped
+        assert np.all(np.isfinite(vt.values)) and np.all(vt.values > 0)
+        assert np.all(np.isfinite(hess))
 
 
 class TestFPClassMember:
