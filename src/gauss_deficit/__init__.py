@@ -9,10 +9,9 @@ explicit sharp constants, and reproduces the counterexamples that delimit
 the hypotheses.
 """
 
-from .numerics import (Grid1D, Grid2D, GridField, QuadratureRule,
-                       default_grid, default_grid_2d, gauss_hermite_rule,
-                       ParameterError, EvaluationError, PositivityError,
-                       TruncationError)
+from .numerics import (Grid1D, GridField, QuadratureRule, default_grid,
+                       gauss_hermite_rule, ParameterError, EvaluationError,
+                       PositivityError, TruncationError)
 from .families import (LogQuad, field_from_family, gaussian_field,
                        gaussian_ratio_field, symmetric_mixture)
 from .semigroups import (BetaS, ExponentTriple, InadmissibleExponentError,
@@ -27,8 +26,7 @@ from .functionals import (EntFisher, SharpConstant, entropy_fisher,
 from .reports import DeficitReport, HypothesisCheck
 from .transport import (DensitySpec, PotentialSpec, QuantileMap, brenier_1d,
                         caffarelli_check, general_lsi_deficit,
-                        relative_entropy_gauss, talagrand_deficit, w2,
-                        w2_sq_coupling_2d)
+                        relative_entropy_gauss, talagrand_deficit, w2)
 from .inequalities import (beckner_check, brascamp_lieb_check,
                            counterexample_mixture,
                            counterexample_superharmonic, els_eigen_check,

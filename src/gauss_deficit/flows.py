@@ -31,11 +31,7 @@ T_STAR = 0.5 * float(np.log(2.0))
 
 def _trapz(field: GridField) -> float:
     """Trapezoid mass over the grid, without a tail check."""
-    if field.ndim == 1:
-        return float(np.trapezoid(field.values, dx=field.grid.spacing))
-    return float(np.trapezoid(
-        np.trapezoid(field.values, dx=field.grid.gy.spacing, axis=1),
-        dx=field.grid.gx.spacing))
+    return float(np.trapezoid(field.values, dx=field.grid.spacing))
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,6 @@ class ConvexityCertificate:
     beta: float
     margin: float
     tol: float
-    interior_only: bool = True
 
     @property
     def passed(self) -> bool:
@@ -110,8 +105,6 @@ def _fp_family(v0: MeasureSpec, beta: float, t: float) -> LogQuad:
     points, weights = v0.points, v0.weights
     if v0.kind == "density":
         src = v0.density
-        if src.ndim != 1:
-            raise ParameterError("Fokker-Planck evolution is 1-D only")
         if isinstance(src.tag, LogQuad):
             return src.tag.fp(beta, t)
         if np.any(src.values < 0):
@@ -169,9 +162,7 @@ def fp_class_member(mu: MeasureSpec, beta: float,
 
 
 def _interior(arr: np.ndarray, trim: int = 2) -> np.ndarray:
-    if arr.ndim == 1:
-        return arr[trim:-trim]
-    return arr[trim:-trim, trim:-trim]
+    return arr[trim:-trim]
 
 
 def _log_hessian_1d(v: GridField) -> np.ndarray:
@@ -185,30 +176,12 @@ def _log_hessian_1d(v: GridField) -> np.ndarray:
     return hess.values
 
 
-def _log_hessian_2d(v: GridField):
-    if v.analytic_log is not None or v.analytic is not None:
-        h = 1e-3
-        X, Y = np.meshgrid(v.grid.gx.points, v.grid.gy.points, indexing="ij")
-        L = v.log(X, Y)
-        hxx = (v.log(X + h, Y) - 2 * L + v.log(X - h, Y)) / h**2
-        hyy = (v.log(X, Y + h) - 2 * L + v.log(X, Y - h)) / h**2
-        hxy = (v.log(X + h, Y + h) - v.log(X + h, Y - h)
-               - v.log(X - h, Y + h) + v.log(X - h, Y - h)) / (4 * h**2)
-        return hxx, hxy, hyy
-    ld = log_derivatives(v)
-    return ld.hxx, ld.hxy, ld.hyy
-
-
-def _margin(kind: str, beta: float, n: int, lap, eigmin, eigmax) -> float:
-    """The signed margin of ``kind`` (see certify) from the curvature."""
-    if kind == "subharmonic":
-        return float(np.min(lap + n / beta))
-    if kind == "convex":
-        return float(np.min(eigmin + 1.0 / beta))
-    if kind == "concave":
-        return float(np.min(-1.0 / beta - eigmax))
-    if kind == "superharmonic":
-        return float(np.min(-n / beta - lap))
+def _margin(kind: str, beta: float, hess) -> float:
+    """The signed margin of ``kind`` (see certify) from (log v)''."""
+    if kind in ("subharmonic", "convex"):
+        return float(np.min(hess + 1.0 / beta))
+    if kind in ("concave", "superharmonic"):
+        return float(np.min(-1.0 / beta - hess))
     raise ParameterError(f"unknown certificate kind {kind!r}")
 
 
@@ -216,13 +189,13 @@ def certify(v: GridField, kind: str, beta: float,
             tol: Optional[float] = None) -> ConvexityCertificate:
     """Measure the log-curvature bound defining each semi-log property.
 
-    Margins are signed so that margin >= -tol certifies:
-      subharmonic:   min(Lap log v + n/beta)
-      convex:        min(eigmin grad^2 log v + 1/beta)
-      concave:       min(-1/beta - eigmax grad^2 log v)
-      superharmonic: min(-n/beta - Lap log v)
+    Margins are signed so that margin >= -tol certifies, over interior
+    grid points:
+      subharmonic, convex:    min((log v)'' + 1/beta)
+      concave, superharmonic: min(-1/beta - (log v)'')
 
-    In 1-D subharmonic/convex coincide, as do concave/superharmonic.
+    On the line the Laplacian and the Hessian are both (log v)'', so
+    subharmonic/convex coincide, as do concave/superharmonic.
     """
     if beta <= 0:
         raise ParameterError("beta must be positive")
@@ -230,43 +203,32 @@ def certify(v: GridField, kind: str, beta: float,
         raise PositivityError("certification from samples requires v > 0")
     if tol is None:
         tol = 1e-4 / beta
-
-    if v.ndim == 1:
-        hess = _interior(_log_hessian_1d(v))
-        margin = _margin(kind, beta, 1, hess, hess, hess)
-        return ConvexityCertificate(kind, beta, margin, tol)
-
-    hxx, hxy, hyy = (_interior(a) for a in _log_hessian_2d(v))
-    lap = hxx + hyy
-    disc = np.sqrt((hxx - hyy) ** 2 + 4.0 * hxy**2)
-    margin = _margin(kind, beta, 2, lap, 0.5 * (lap - disc), 0.5 * (lap + disc))
+    margin = _margin(kind, beta, _interior(_log_hessian_1d(v)))
     return ConvexityCertificate(kind, beta, margin, tol)
 
 
-def certify_matrix(v: GridField, B: np.ndarray, side: str,
+def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray, side: str,
                    tol: float = 1e-4) -> ConvexityCertificate:
-    """2-D certificate grad^2 log v >= -B^{-1} (side='convex') or <= -B^{-1}.
+    """Certificate grad^2 log v >= -B^{-1} (side='convex') or <= -B^{-1}
+    for the product density v = v1 (x) v2 on R^2 and an SPD 2 x 2 matrix B.
 
-    Margin is the worst eigenvalue of grad^2 log v + B^{-1} (resp. its
-    negation) over interior points.
+    The margin is the worst eigenvalue of grad^2 log v + B^{-1} (resp. its
+    negation) over pairs of interior points.  grad^2 log v(x1, x2) is
+    diag(h1(x1), h2(x2)) with h_i = (log v_i)'', and every eigenvalue of
+    diag(h1, h2) + B^{-1} is nondecreasing in h1 and h2, so the worst pair
+    takes each factor's smallest (convex) or largest (concave) h_i.
     """
-    if v.ndim != 2:
-        raise ParameterError("matrix certificates are 2-D")
-    Binv = np.linalg.inv(np.asarray(B, float))
-    hxx, hxy, hyy = (_interior(a) for a in _log_hessian_2d(v))
-    axx = hxx + Binv[0, 0]
-    axy = hxy + Binv[0, 1]
-    ayy = hyy + Binv[1, 1]
-    tr = axx + ayy
-    disc = np.sqrt((axx - ayy) ** 2 + 4.0 * axy**2)
-    if side == "convex":
-        margin = float(np.min(0.5 * (tr - disc)))
-    elif side == "concave":
-        margin = float(np.min(-0.5 * (tr + disc)))
-    else:
+    if side not in ("convex", "concave"):
         raise ParameterError("side must be 'convex' or 'concave'")
+    B = np.asarray(B, float)
+    if B.shape != (2, 2):
+        raise ParameterError("B must be a 2 x 2 matrix")
+    extreme = np.min if side == "convex" else np.max
+    h = [extreme(_interior(_log_hessian_1d(v))) for v in (v1, v2)]
+    eigs = np.linalg.eigvalsh(np.diag(h) + np.linalg.inv(B))
+    margin = eigs[0] if side == "convex" else -eigs[-1]
     return ConvexityCertificate(side, float(np.max(np.linalg.eigvalsh(B))),
-                                margin, tol)
+                                float(margin), tol)
 
 
 def preservation_trace(v0: GridField, beta: float, kind: str,
@@ -293,7 +255,7 @@ def preservation_trace(v0: GridField, beta: float, kind: str,
         _check_mass(mass0, float(np.trapezoid(np.exp(logv),
                                               dx=v0.grid.spacing)))
         hess = _interior(hess)
-        margins.append(_margin(kind, beta, 1, hess, hess, hess))
+        margins.append(_margin(kind, beta, hess))
         bound = 1.0 / ((1.0 - np.exp(-2.0 * t)) * beta)
         universal.append(float(np.min(hess + bound)))
     return np.asarray(margins), np.asarray(universal)
@@ -304,22 +266,15 @@ def preservation_trace(v0: GridField, beta: float, kind: str,
 
 
 def covariance(v: GridField) -> np.ndarray:
-    """Covariance matrix of a probability density (n x n)."""
+    """Covariance matrix (1 x 1) of a probability density."""
     if isinstance(v.tag, LogQuad):
         mass, _, var = v.tag.moments()
-        cov = np.array([[var]])
     else:
-        mass = _trapz(v)
-        xs = ([v.grid.points] if v.ndim == 1 else
-              np.meshgrid(v.grid.gx.points, v.grid.gy.points, indexing="ij"))
-
-        def integ(g):
-            return _trapz(GridField(v.grid, g * v.values))
-
-        means = [integ(x) for x in xs]
-        cov = np.array([[integ(xi * xj) - mi * mj
-                         for xj, mj in zip(xs, means)]
-                        for xi, mi in zip(xs, means)])
+        x = v.grid.points
+        mass, mean, second = (
+            float(np.trapezoid(g * v.values, dx=v.grid.spacing))
+            for g in (1.0, x, x * x))
+        var = second - mean * mean
     if abs(mass - 1.0) > 1e-6:
         raise ParameterError(f"density not normalized: mass = {mass}")
-    return cov
+    return np.array([[var]])

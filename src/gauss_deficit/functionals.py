@@ -15,11 +15,11 @@ from typing import Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from .families import LOG_2PI, LogQuad
+from .families import LogQuad
 from .flows import FPParams, fp_evolve
 from .numerics import (DEFAULT_GH_NODES, EvaluationError, GridField,
                        ParameterError, PositivityError, QuadratureRule,
-                       gauss_hermite_rule, tensor_gh)
+                       gauss_hermite_rule)
 from .semigroups import (ExponentTriple, IntegrabilityError, _ou_closures_1d,
                          beta_s)
 
@@ -61,26 +61,13 @@ def entropy_fisher(f: GridField,
     """
     rule = _rule_or_default(rule)
     z, w = rule.nodes, rule.weights
-    if f.ndim == 1:
-        fv = np.asarray(f(z), float)
-        if np.any(fv < 0):
-            raise PositivityError("entropy requires f >= 0")
-        mass = float(fv @ w)
-        ent = float(_xlogx(fv) @ w) - _xlogx(np.array([mass]))[0]
-        dl = np.asarray(f.dlog(z), float)
-        fisher = float((fv * dl * dl) @ w)
-        return EntFisher(ent, fisher)
-    Z1, Z2, logW = tensor_gh(rule)
-    W = np.exp(logW)
-    fv = np.asarray(f(Z1, Z2), float)
+    fv = np.asarray(f(z), float)
     if np.any(fv < 0):
         raise PositivityError("entropy requires f >= 0")
-    mass = float(np.sum(fv * W))
-    ent = float(np.sum(_xlogx(fv) * W)) - _xlogx(np.array([mass]))[0]
-    h = 1e-5
-    gx = (f.log(Z1 + h, Z2) - f.log(Z1 - h, Z2)) / (2 * h)
-    gy = (f.log(Z1, Z2 + h) - f.log(Z1, Z2 - h)) / (2 * h)
-    fisher = float(np.sum(fv * (gx * gx + gy * gy) * W))
+    mass = float(fv @ w)
+    ent = float(_xlogx(fv) @ w) - _xlogx(np.array([mass]))[0]
+    dl = np.asarray(f.dlog(z), float)
+    fisher = float((fv * dl * dl) @ w)
     return EntFisher(ent, fisher)
 
 
@@ -91,8 +78,7 @@ def entropy_fisher(f: GridField,
 def _log_lp(lv, r: float, logw) -> float:
     """log ||f||_{L^r(gamma)} from log f at the quadrature nodes.
 
-    ``lv`` holds log f at the nodes of a rule (1-D) or of its tensor rule
-    (2-D), ``logw`` the matching log weights.
+    ``lv`` holds log f at the nodes of a rule, ``logw`` its log weights.
     """
     lv = np.asarray(lv, float)
     if np.any(np.isnan(lv)):
@@ -109,18 +95,12 @@ def lp_norm_gaussian(f: GridField, r: float,
     if r == 0:
         raise ParameterError("r must be nonzero")
     rule = _rule_or_default(rule)
-    if f.ndim == 1:
-        if r < 0 and np.any(np.asarray(f(rule.nodes)) <= 0):
-            raise PositivityError("negative exponent requires f > 0")
-
-        def logf(x):
-            return np.log(np.abs(f(x)) + 1e-300) if f.analytic_log is None \
-                else f.log(x)
-
-        return float(np.exp(_log_lp(logf(rule.nodes), r,
-                                    rule.log_weights)))
-    Z1, Z2, logW = tensor_gh(rule)
-    return float(np.exp(_log_lp(f.log(Z1, Z2), r, logW)))
+    z = rule.nodes
+    if r < 0 and np.any(np.asarray(f(z)) <= 0):
+        raise PositivityError("negative exponent requires f > 0")
+    logf = (np.log(np.abs(f(z)) + 1e-300) if f.analytic_log is None
+            else f.log(z))
+    return float(np.exp(_log_lp(logf, r, rule.log_weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +200,7 @@ def sharp_constant(name: str, *, beta: float = None, p: float = None,
 
 
 def relative_log_closure(v: GridField):
-    """log(v/gamma) as a plain closure, in v's dimension."""
-    if v.ndim == 2:
-        def rel_log2(x1, x2):
-            x1 = np.asarray(x1, float)
-            x2 = np.asarray(x2, float)
-            return v.log(x1, x2) + 0.5 * (x1 * x1 + x2 * x2) + LOG_2PI
-
-        return rel_log2
+    """log(v/gamma) as a plain closure."""
 
     def rel_log(x):
         x = np.asarray(x, float)

@@ -35,8 +35,6 @@ class HJField:
     lower_linear_bound: float
 
     def __post_init__(self):
-        if self.f.ndim != 1:
-            raise ParameterError("Hamilton-Jacobi module is 1-D only")
         if self.lower_linear_bound < 0:
             raise ParameterError("lower linear bound C must be nonnegative")
         x = self.f.grid.points

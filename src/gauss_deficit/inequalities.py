@@ -18,14 +18,13 @@ from .families import LOG_2PI, LogQuad, field_from_family, \
     symmetric_mixture
 from .flows import MeasureSpec, _trapz, certify, certify_matrix, covariance, \
     fp_class_member
-from .functionals import _check_ratio_bounded, _log_lp, _ou_log_lp, \
+from .functionals import _check_ratio_bounded, _ou_log_lp, \
     _rule_or_default, entropy_fisher, relative_log_closure, sharp_constant
-from .numerics import Grid1D, Grid2D, GridField, ParameterError, \
-    default_grid, default_grid_2d, gauss_hermite_rule, tensor_gh
+from .numerics import Grid1D, GridField, ParameterError, default_grid
 from .reports import DeficitReport, HypothesisCheck
 from .semigroups import ExponentTriple, InadmissibleExponentError, \
-    _ou_closures_1d, _ou_values_2d
-from .transport import relative_entropy_gauss, w2_sq_coupling_2d
+    _ou_closures_1d
+from .transport import DensitySpec, relative_entropy_gauss, w2
 
 
 # ---------------------------------------------------------------------------
@@ -35,14 +34,12 @@ from .transport import relative_entropy_gauss, w2_sq_coupling_2d
 def _relative_field(v: GridField) -> GridField:
     """v/gamma as a field with exact-as-possible closures."""
     rel_log = relative_log_closure(v)
-    if v.ndim == 1:
-        def dlog(x):
-            return v.dlog(x) + np.asarray(x, float)
 
-        return GridField.from_callable(v.grid, lambda x: np.exp(rel_log(x)),
-                                       log_fn=rel_log, dlog_fn=dlog)
-    return GridField.from_callable(
-        v.grid, lambda a, b: np.exp(rel_log(a, b)), log_fn=rel_log)
+    def dlog(x):
+        return v.dlog(x) + np.asarray(x, float)
+
+    return GridField.from_callable(v.grid, lambda x: np.exp(rel_log(x)),
+                                   log_fn=rel_log, dlog_fn=dlog)
 
 
 def _certificate_hypotheses(v: GridField, beta: float) -> list:
@@ -69,17 +66,12 @@ def _lhs_hc(v: GridField, triple: ExponentTriple, rule) -> float:
 
 
 def _mass_vdx(v: GridField, rule) -> float:
-    """int v dx = int (v/gamma) dgamma at the quadrature nodes (n = 1, 2).
+    """int v dx = int (v/gamma) dgamma at the quadrature nodes.
 
     The Gaussian-weighted form is free of grid tail truncation.
     """
     rel_log = relative_log_closure(v)
-    if v.ndim == 1:
-        return float(np.exp(logsumexp(rel_log(rule.nodes)
-                                      + rule.log_weights)))
-    Z1, Z2, logW = tensor_gh(rule)
-    lv = np.asarray(rel_log(Z1, Z2), float)
-    return float(np.exp(logsumexp(lv + logW)))
+    return float(np.exp(logsumexp(rel_log(rule.nodes) + rule.log_weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +150,11 @@ def lsi_check(v: GridField, beta: float, rule=None) -> DeficitReport:
         raise ParameterError(f"density not normalized: mass = {mass:.8f}")
     hyps = _certificate_hypotheses(v, beta)
     ef = entropy_fisher(_relative_field(v), rule)
-    n = v.ndim
-    const = sharp_constant("lsi_gauss", beta=beta, n=n).value
+    const = sharp_constant("lsi_gauss", beta=beta).value
     return DeficitReport.build(
         "log-sobolev", ef.entropy - 0.5 * ef.fisher, const, const,
         hypotheses=hyps,
-        params={"beta": beta, "n": n, "entropy": ef.entropy,
+        params={"beta": beta, "n": 1, "entropy": ef.entropy,
                 "fisher": ef.fisher})
 
 
@@ -188,17 +179,22 @@ def els_eigen_check(v: GridField, rule=None) -> DeficitReport:
 # matrix (tensorised) variants
 
 
-def _matrix_side(v: GridField, B: np.ndarray, eigs, which: str,
-                 side: str = None):
+def _log_concave(v1: GridField, v2: GridField):
+    """grad^2 log(v1 (x) v2) <= 0, the beta -> infinity limit of
+    semi-log-concavity: the factor certificate with the worse margin."""
+    return min((certify(v, "concave", 1e18, tol=1e-6) for v in (v1, v2)),
+               key=lambda cert: cert.margin)
+
+
+def _matrix_side(v1: GridField, v2: GridField, B: np.ndarray, eigs,
+                 which: str, side: str = None):
     """Pick the certified side, preferring the stronger passing statement.
 
     Statement strength is measured by the restricted correction sum
     -(1/2) sum (log b - 1 + 1/b): more negative means a tighter bound.  When
     neither side certifies, the one with the better margin is reported.
     """
-    conv = certify_matrix(v, B, "convex")
-    conc = certify_matrix(v, B, "concave")
-    certs = {"convex": conv, "concave": conc}
+    certs = {s: certify_matrix(v1, v2, B, s) for s in ("convex", "concave")}
     if side is not None:
         if side not in certs:
             raise ParameterError("side must be 'convex' or 'concave'")
@@ -210,7 +206,7 @@ def _matrix_side(v: GridField, B: np.ndarray, eigs, which: str,
 
     passing = [s for s in certs if certs[s].passed]
     if which == "talagrand" and "convex" in passing:
-        if not certify(v, "concave", 1e18, tol=1e-6).passed:
+        if not _log_concave(v1, v2).passed:
             passing.remove("convex")
     if passing:
         best = min(passing, key=strength)
@@ -219,52 +215,49 @@ def _matrix_side(v: GridField, B: np.ndarray, eigs, which: str,
     return best, certs[best]
 
 
-def matrix_check(v: GridField, B: np.ndarray, triple=None,
+def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
                  which: str = "lsi", rule=None, side: str = None
                  ) -> DeficitReport:
-    """n = 2 variants with matrix curvature bound grad^2 log v vs -B^{-1}.
+    """n = 2 variants for the product density v = v1 (x) v2 with matrix
+    curvature bound grad^2 log v vs -B^{-1}, B symmetric positive definite.
 
     Convex side (>= -B^{-1}) restricts corrections to eigenvalues >= 1;
     concave side (<= -B^{-1}) to eigenvalues <= 1.  The Talagrand variant on
     the convex side additionally needs grad^2 log v <= 0.  ``side`` forces a
     particular statement; by default the stronger certified one is used.
+
+    Every quantity comes from the factors: P_s, the L^q(gamma) norm and the
+    mass of v/gamma factorise; with m_i the mass of v_i/gamma, Ent = m2 Ent_1
+    + m1 Ent_2 and I = m2 I_1 + m1 I_2; and W_2^2(gamma_2, v) =
+    W_2^2(gamma, v1) + W_2^2(gamma, v2).
     """
-    if v.ndim != 2:
-        raise ParameterError("matrix_check needs a 2-D field")
     if which not in ("hc", "lsi", "talagrand"):
         raise ParameterError(f"unknown variant {which!r}")
     B = np.asarray(B, float)
+    if B.shape != (2, 2):
+        raise ParameterError("B must be a 2 x 2 matrix")
     eigs = np.linalg.eigvalsh(B)
     if np.any(eigs <= 0):
         raise ParameterError("B must be positive definite")
     rule = _rule_or_default(rule)
 
-    side, cert = _matrix_side(v, B, eigs, which, side)
+    side, cert = _matrix_side(v1, v2, B, eigs, which, side)
     hyps = [HypothesisCheck(f"hessian-{side}-vs-B", cert.passed, cert.margin)]
     relevant = [b for b in eigs if (b >= 1.0 if side == "convex" else b <= 1.0)]
 
     if which == "talagrand" and side == "convex":
-        logc = certify(v, "concave", 1e18, tol=1e-6)
+        logc = _log_concave(v1, v2)
         hyps.append(HypothesisCheck("log-concave", logc.passed, logc.margin))
 
+    m1, m2 = (_mass_vdx(v, rule) for v in (v1, v2))
     if which == "hc":
         if triple is None or triple.regime != "forward":
             raise InadmissibleExponentError("matrix hc needs a forward triple")
-        rel_log = relative_log_closure(v)
-
-        def g(x1, x2):
-            return np.exp(rel_log(x1, x2) / triple.p)
-
-        # P_s g is read only at the nodes of the outer L^q(gamma) rule
-        rule48 = gauss_hermite_rule(48)
-        Z1, Z2, logW = tensor_gh(rule48)
-        psg = _ou_values_2d(g, triple.s, rule48, Z1, Z2)
-        lhs = float(np.exp(_log_lp(np.log(np.maximum(psg, 1e-300)),
-                                   triple.q, logW)))
+        lhs = _lhs_hc(v1, triple, rule) * _lhs_hc(v2, triple, rule)
         const = float(np.prod([
             sharp_constant("hc_ratio", beta=b, triple=triple).value
             for b in relevant])) if relevant else 1.0
-        mass = _mass_vdx(v, rule)
+        mass = m1 * m2
         rhs = const * mass ** (1.0 / triple.p)
         params = {"which": which, "side": side, "eigenvalues": eigs,
                   "p": triple.p, "q": triple.q, "mass": mass}
@@ -272,18 +265,22 @@ def matrix_check(v: GridField, B: np.ndarray, triple=None,
                                    const, hypotheses=hyps, params=params)
 
     if which == "lsi":
-        ef = entropy_fisher(_relative_field(v), rule)
+        ef1, ef2 = (entropy_fisher(_relative_field(v), rule) for v in (v1, v2))
+        ent = m2 * ef1.entropy + m1 * ef2.entropy
+        fisher = m2 * ef1.fisher + m1 * ef2.fisher
         correction = -0.5 * float(sum(np.log(b) - 1.0 + 1.0 / b
                                       for b in relevant))
-        rhs = 0.5 * ef.fisher + correction
+        rhs = 0.5 * fisher + correction
         return DeficitReport.build(
-            "matrix-log-sobolev", ef.entropy, rhs, correction,
+            "matrix-log-sobolev", ent, rhs, correction,
             hypotheses=hyps,
             params={"which": which, "side": side, "eigenvalues": eigs,
-                    "entropy": ef.entropy, "fisher": ef.fisher})
+                    "entropy": ent, "fisher": fisher})
 
-    cost = w2_sq_coupling_2d(v)
-    ent = relative_entropy_gauss(v, rule)
+    cost = sum(w2(DensitySpec.gaussian(1.0, v.grid),
+                  DensitySpec.from_field(v)) ** 2 for v in (v1, v2))
+    ent = (m2 * relative_entropy_gauss(v1, rule)
+           + m1 * relative_entropy_gauss(v2, rule))
     const = float(sum(1.0 + 0.5 * np.log(b) - np.sqrt(b) for b in relevant))
     return DeficitReport.build(
         "matrix-talagrand", 0.5 * cost - ent, const, const, hypotheses=hyps,
@@ -309,7 +306,11 @@ def _grad_sq_gauss(f: GridField, rule) -> float:
 
 
 def _weighted_field(f: GridField, power: float) -> GridField:
-    """gamma |f|^power as a field (for curvature certification)."""
+    """gamma |f|^power as a field (for curvature certification); a field
+    tagged with a one-component LogQuad gives a tagged, exact one."""
+    if isinstance(f.tag, LogQuad) and f.tag.a.size == 1:
+        return field_from_family(f.grid,
+                                 f.tag ** power * LogQuad.gaussian(1.0))
 
     def log_fn(x):
         x = np.asarray(x, float)
@@ -542,17 +543,21 @@ def log_ptf_bilinear(t: float):
 
 
 def counterexample_superharmonic(t: float,
-                                 grid: Grid2D = None) -> SuperharmonicTrace:
-    """f = e^{x1 x2} has Delta log f = 0, yet Delta log P_t f > 0 for t > 0."""
+                                 grid: Grid1D = None) -> SuperharmonicTrace:
+    """f = e^{x1 x2} has Delta log f = 0, yet Delta log P_t f > 0 for t > 0.
+
+    The Laplacian is sampled on the square mesh with ``grid`` on each axis
+    (default [-8, 8], 257 points).
+    """
     if t <= 0:
         raise ParameterError("t must be positive")
-    grid = grid or default_grid_2d()
+    grid = grid or Grid1D(-8.0, 8.0, 257)
     e2 = float(np.exp(-2.0 * t))
     sig2 = 1.0 - e2
     exact = 2.0 * sig2 * e2 / (1.0 - sig2 * sig2)
     log_fn = log_ptf_bilinear(t)
     h = 1e-4
-    X, Y = np.meshgrid(grid.gx.points, grid.gy.points, indexing="ij")
+    X, Y = np.meshgrid(grid.points, grid.points, indexing="ij")
     lap = ((log_fn(X + h, Y) + log_fn(X - h, Y) + log_fn(X, Y + h)
             + log_fn(X, Y - h) - 4.0 * log_fn(X, Y)) / h**2)
     inner = lap[2:-2, 2:-2]

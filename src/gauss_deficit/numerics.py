@@ -17,7 +17,7 @@ sum to 1 and ``sum(w * f(z))`` approximates ``int f dgamma``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -64,39 +64,18 @@ class Grid1D:
         return np.linspace(self.lo, self.hi, self.n)
 
 
-@dataclass(frozen=True)
-class Grid2D:
-    gx: Grid1D
-    gy: Grid1D
-
-    @property
-    def shape(self):
-        return (self.gx.n, self.gy.n)
-
-
-GridLike = Union[Grid1D, Grid2D]
-
-
 def default_grid() -> Grid1D:
     """Desk-scale 1-D grid: 12 standard deviations, ~0.006 spacing."""
     return Grid1D(-12.0, 12.0, 4097)
-
-
-def default_grid_2d() -> Grid2D:
-    g = Grid1D(-8.0, 8.0, 257)
-    return Grid2D(g, g)
 
 
 # ---------------------------------------------------------------------------
 # fields
 
 
-def _sample(grid: GridLike, fn: Callable) -> np.ndarray:
-    """fn at every grid point: f(x) in 1-D, f(x1, x2) on the 2-D mesh."""
-    if isinstance(grid, Grid1D):
-        return np.asarray(fn(grid.points), float)
-    X, Y = np.meshgrid(grid.gx.points, grid.gy.points, indexing="ij")
-    return np.asarray(fn(X, Y), float)
+def _sample(grid: Grid1D, fn: Callable) -> np.ndarray:
+    """fn at every grid point."""
+    return np.asarray(fn(grid.points), float)
 
 
 @dataclass(frozen=True)
@@ -105,17 +84,17 @@ class GridField:
 
     values        -- samples at the grid points; when omitted they are
                      filled by evaluating ``analytic`` once
-    analytic      -- vectorized evaluator f(x) (1-D) or f(x1, x2) (2-D);
-                     when both are given, they must agree on the grid
+    analytic      -- vectorized evaluator f(x); when both are given, they
+                     must agree on the grid
     analytic_log  -- evaluator of log f, preferred wherever powers/ratios
                      of densities are formed (overflow-safe)
-    analytic_dlog -- evaluator of (log f)' (1-D only; used for Fisher
-                     information and certificates)
+    analytic_dlog -- evaluator of (log f)' (used for Fisher information
+                     and certificates)
     tag           -- closed-form family (a families.LogQuad of K >= 1
                      components) enabling exact semigroup/flow fast paths
     """
 
-    grid: GridLike
+    grid: Grid1D
     values: Optional[np.ndarray] = None
     analytic: Optional[Callable] = None
     analytic_log: Optional[Callable] = None
@@ -129,9 +108,7 @@ class GridField:
         v = (np.asarray(self.values, dtype=float) if given
              else _sample(self.grid, self.analytic))
         object.__setattr__(self, "values", v)
-        if self.ndim == 1 and v.shape != (self.grid.n,):
-            raise ParameterError("values shape does not match grid")
-        if self.ndim == 2 and v.shape != self.grid.shape:
+        if v.shape != (self.grid.n,):
             raise ParameterError("values shape does not match grid")
         if not np.all(np.isfinite(v)):
             raise EvaluationError("field values must be finite")
@@ -144,28 +121,20 @@ class GridField:
         if np.max(np.abs(sampled - self.values)) > 1e-12 * max(scale, 1.0):
             raise EvaluationError("analytic closure disagrees with samples")
 
-    @property
-    def ndim(self) -> int:
-        return 1 if isinstance(self.grid, Grid1D) else 2
-
     # -- evaluation -------------------------------------------------------
 
-    def __call__(self, *xs):
+    def __call__(self, x):
         if self.analytic is not None:
-            return np.asarray(self.analytic(*xs), float)
-        if self.ndim == 1:
-            (x,) = xs
-            return np.interp(np.asarray(x, float), self.grid.points,
-                             self.values, left=0.0, right=0.0)
-        x1, x2 = (np.asarray(a, float) for a in xs)
-        return _bilinear(self.grid, self.values, x1, x2)
+            return np.asarray(self.analytic(x), float)
+        return np.interp(np.asarray(x, float), self.grid.points, self.values,
+                         left=0.0, right=0.0)
 
-    def log(self, *xs):
+    def log(self, x):
         """Evaluate log f, using the exact log closure when available."""
         if self.analytic_log is not None:
-            return np.asarray(self.analytic_log(*xs), float)
+            return np.asarray(self.analytic_log(x), float)
         with np.errstate(divide="ignore"):
-            return np.log(np.maximum(self(*xs), 1e-300))
+            return np.log(np.maximum(self(x), 1e-300))
 
     def dlog(self, x, h: float = 1e-5):
         if self.analytic_dlog is not None:
@@ -174,29 +143,10 @@ class GridField:
                 - self.log(np.asarray(x, float) - h)) / (2.0 * h)
 
     @classmethod
-    def from_callable(cls, grid: GridLike, fn: Callable, *, log_fn=None,
+    def from_callable(cls, grid: Grid1D, fn: Callable, *, log_fn=None,
                       dlog_fn=None, tag=None) -> "GridField":
         return cls(grid, analytic=fn, analytic_log=log_fn,
                    analytic_dlog=dlog_fn, tag=tag)
-
-
-def _bilinear(grid: Grid2D, values: np.ndarray, x1, x2):
-    """Bilinear interpolation with zero extension outside the grid."""
-    gx, gy = grid.gx, grid.gy
-    fx = (x1 - gx.lo) / gx.spacing
-    fy = (x2 - gy.lo) / gy.spacing
-    inside = (fx >= 0) & (fx <= gx.n - 1) & (fy >= 0) & (fy <= gy.n - 1)
-    fx = np.clip(fx, 0, gx.n - 1 - 1e-12)
-    fy = np.clip(fy, 0, gy.n - 1 - 1e-12)
-    i = fx.astype(int)
-    j = fy.astype(int)
-    tx = fx - i
-    ty = fy - j
-    out = (values[i, j] * (1 - tx) * (1 - ty)
-           + values[i + 1, j] * tx * (1 - ty)
-           + values[i, j + 1] * (1 - tx) * ty
-           + values[i + 1, j + 1] * tx * ty)
-    return np.where(inside, out, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,59 +184,26 @@ def gauss_hermite_rule(m: int) -> QuadratureRule:
 DEFAULT_GH_NODES = 96
 
 
-def tensor_gh(rule: QuadratureRule):
-    """The tensor rule on R^2: node meshes (Z1, Z2) and log weights log W.
-
-    ``sum(exp(log W) * f(Z1, Z2))`` approximates ``int f dgamma_2``.
-    """
-    z, w = rule.nodes, rule.weights
-    Z1, Z2 = np.meshgrid(z, z, indexing="ij")
-    return Z1, Z2, np.log(np.outer(w, w))
-
-
 # ---------------------------------------------------------------------------
 # finite differences of log f
 
 
-class LogDerivatives2D(NamedTuple):
-    gx: np.ndarray
-    gy: np.ndarray
-    hxx: np.ndarray
-    hxy: np.ndarray
-    hyy: np.ndarray
-    lap: np.ndarray
-
-
-def _second_difference(L: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    L = np.moveaxis(L, axis, 0)
+def _second_difference(L: np.ndarray, h: float) -> np.ndarray:
     out = np.empty_like(L)
     out[1:-1] = (L[2:] - 2.0 * L[1:-1] + L[:-2]) / h**2
     # second-order one-sided stencils at the boundary
     out[0] = (2 * L[0] - 5 * L[1] + 4 * L[2] - L[3]) / h**2
     out[-1] = (2 * L[-1] - 5 * L[-2] + 4 * L[-3] - L[-4]) / h**2
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def log_derivatives(f: GridField):
-    """Central finite differences of log f (one-sided at the boundary).
-
-    1-D: returns ``(grad, hess)`` as GridFields.
-    2-D: returns a LogDerivatives2D with both gradients, the full Hessian
-    entries and the Laplacian of log f.
-    """
+    """Central finite differences of log f (one-sided at the boundary),
+    returned as the GridFields ``(grad, hess)``."""
     if np.any(f.values <= 0):
         raise PositivityError("log_derivatives requires strictly positive f")
-    if f.ndim == 1:
-        h = f.grid.spacing
-        L = np.log(f.values)
-        grad = np.gradient(L, h, edge_order=2)
-        hess = _second_difference(L, h)
-        return (GridField(f.grid, grad), GridField(f.grid, hess))
-    hx, hy = f.grid.gx.spacing, f.grid.gy.spacing
+    h = f.grid.spacing
     L = np.log(f.values)
-    gx = np.gradient(L, hx, axis=0, edge_order=2)
-    gy = np.gradient(L, hy, axis=1, edge_order=2)
-    hxx = _second_difference(L, hx, axis=0)
-    hyy = _second_difference(L, hy, axis=1)
-    hxy = np.gradient(gx, hy, axis=1, edge_order=2)
-    return LogDerivatives2D(gx, gy, hxx, hxy, hyy, hxx + hyy)
+    grad = np.gradient(L, h, edge_order=2)
+    hess = _second_difference(L, h)
+    return (GridField(f.grid, grad), GridField(f.grid, hess))

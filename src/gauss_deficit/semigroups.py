@@ -10,7 +10,7 @@ fast path for log-quadratic / mixture tagged fields.  Exponent triples
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
@@ -148,27 +148,6 @@ def _ou_closures_1d(f, s: float, rule: QuadratureRule):
     return value, logvalue
 
 
-def _ou_values_2d(f: Callable, s: float, rule: QuadratureRule,
-                  x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """P_s f at the points (x1, x2) only, for any vectorized f(a, b)."""
-    e = float(np.exp(-s))
-    sig = float(np.sqrt(1.0 - e * e))
-    z, w = rule.nodes, rule.weights
-    m = len(z)
-    flat1 = np.ravel(np.asarray(x1, float))
-    flat2 = np.ravel(np.asarray(x2, float))
-    out = np.empty(flat1.size)
-    chunk = max(1, 8_000_000 // (m * m))
-    for i in range(0, flat1.size, chunk):
-        a = e * flat1[i:i + chunk, None, None] + sig * z[None, :, None]
-        b = e * flat2[i:i + chunk, None, None] + sig * z[None, None, :]
-        vals = np.asarray(f(*np.broadcast_arrays(a, b)), float)
-        if not np.all(np.isfinite(vals)):
-            raise IntegrabilityError("OU integrand overflowed (2-D)")
-        out[i:i + chunk] = (vals @ w) @ w
-    return out.reshape(np.shape(x1))
-
-
 def ou_apply(f: GridField, s: float,
              rule: Optional[QuadratureRule] = None) -> GridField:
     """P_s f as a GridField on the same grid.
@@ -181,18 +160,10 @@ def ou_apply(f: GridField, s: float,
         raise ParameterError("s must be positive")
     if isinstance(f.tag, LogQuad):
         return field_from_family(f.grid, f.tag.ou(s))
-    if f.ndim == 1:
-        if rule is None:
-            rule = gauss_hermite_rule(DEFAULT_GH_NODES)
-        value, logvalue = _ou_closures_1d(f, s, rule)
-        return GridField(f.grid, analytic=value, analytic_log=logvalue)
     if rule is None:
-        rule = gauss_hermite_rule(48)
-
-    def value2(x1, x2):
-        return _ou_values_2d(f, s, rule, x1, x2)
-
-    return GridField(f.grid, analytic=value2)
+        rule = gauss_hermite_rule(DEFAULT_GH_NODES)
+    value, logvalue = _ou_closures_1d(f, s, rule)
+    return GridField(f.grid, analytic=value, analytic_log=logvalue)
 
 
 def dilation_apply(f: GridField, s: float) -> GridField:
@@ -203,8 +174,8 @@ def dilation_apply(f: GridField, s: float) -> GridField:
     if isinstance(f.tag, LogQuad):
         return field_from_family(f.grid, f.tag.dilate(lam))
 
-    def fn(*xs):
-        return f(*(lam * np.asarray(x, float) for x in xs))
+    def fn(x):
+        return f(lam * np.asarray(x, float))
 
     if f.analytic is not None:
         return GridField(f.grid, analytic=fn)
@@ -218,8 +189,6 @@ def check_commutation(f: GridField, s: float,
     The commutation identity grad(P_s f) = e^{-s} P_s[grad f] holds exactly;
     the residual measures discretization error only.
     """
-    if f.ndim != 1:
-        raise ParameterError("commutation check is 1-D only")
     if rule is None:
         rule = gauss_hermite_rule(DEFAULT_GH_NODES)
     psf = ou_apply(f, s, rule)

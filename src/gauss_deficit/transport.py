@@ -5,8 +5,8 @@ Brenier maps are quantile compositions T = F_nu^{-1} o F_mu.  Densities
 with closed-form CDFs (Gaussians, mixtures) go through scipy.special.ndtr
 with Newton refinement; grid-only densities use cumulative Simpson CDFs
 inverted by monotone interpolation on a clipped quantile range.  On top of
-the maps: W_2, Talagrand deficits, Caffarelli slope checks, a sliced 2-D
-transport-cost bound, and the general-potential LSI comparison.
+the maps: W_2, Talagrand deficits, Caffarelli slope checks, and the
+general-potential LSI comparison.
 """
 from __future__ import annotations
 
@@ -20,8 +20,7 @@ from .families import LogQuad, field_from_family
 from .flows import _trapz, certify
 from .functionals import _rule_or_default, relative_log_closure, \
     sharp_constant
-from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
-                       gauss_hermite_rule, tensor_gh)
+from .numerics import Grid1D, GridField, ParameterError, QuadratureRule
 from .reports import DeficitReport, HypothesisCheck
 
 QUANTILE_CLIP = 1e-7  # interior quantile range for grid-path CDF inversion
@@ -129,20 +128,15 @@ def w2(mu: DensitySpec, nu: DensitySpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# entropy against gamma (1-D and 2-D closures)
+# entropy against gamma
 
 
 def relative_entropy_gauss(v: GridField,
                            rule: Optional[QuadratureRule] = None) -> float:
     """Ent_gamma(v/gamma) = int v log(v/gamma) dx for a probability density."""
     rule = _rule_or_default(rule)
-    rel_log = relative_log_closure(v)
-    if v.ndim == 1:
-        lf = rel_log(rule.nodes)
-        return float((np.exp(lf) * lf) @ rule.weights)
-    Z1, Z2, logW = tensor_gh(rule)
-    lf = rel_log(Z1, Z2)
-    return float(np.sum(np.exp(lf) * lf * np.exp(logW)))
+    lf = relative_log_closure(v)(rule.nodes)
+    return float((np.exp(lf) * lf) @ rule.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -222,62 +216,6 @@ def caffarelli_check(v: DensitySpec, beta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sliced 2-D transport cost (marginal + conditional coupling)
-
-
-def w2_sq_coupling_2d(v: GridField, n_slices: int = 65,
-                      fine_n: int = 2049) -> float:
-    """Upper bound on W_2(gamma_2D, v)^2 via the marginal/conditional coupling.
-
-    Transport the first coordinate by the marginal map, then each conditional
-    by its own 1-D map; the cost is additive over the coupling.  Fields that
-    carry an analytic closure are resampled on a ``fine_n``-point working grid
-    per axis, so the result is not limited by the 2-D storage resolution.
-    """
-    if v.ndim != 2:
-        raise ParameterError("needs a 2-D density")
-    gx, gy = v.grid.gx, v.grid.gy
-    if v.analytic is not None:
-        # widen past the storage window so heavy marginals keep their tails
-        fx = Grid1D(min(gx.lo, -12.0), max(gx.hi, 12.0), fine_n)
-        fy = Grid1D(min(gy.lo, -12.0), max(gy.hi, 12.0), fine_n)
-        X, Y = np.meshgrid(fx.points, fy.points, indexing="ij")
-        vals = np.asarray(v(X, Y), float)
-    else:
-        fx, fy = gx, gy
-        vals = v.values
-    marg_vals = np.maximum(np.trapezoid(vals, dx=fy.spacing, axis=1), 0.0)
-    marg = DensitySpec(GridField(fx, marg_vals / np.trapezoid(
-        marg_vals, dx=fx.spacing)))
-    src = DensitySpec.gaussian(1.0, fx)
-    T1 = brenier_1d(src, marg)
-    cost1 = float(np.trapezoid((fx.points - T1.map_values) ** 2
-                               * src.field.values, dx=fx.spacing))
-
-    rule = gauss_hermite_rule(n_slices)
-    y1 = np.interp(rule.nodes, fx.points, T1.map_values)
-    cost2 = 0.0
-    src_y = DensitySpec.gaussian(1.0, fy)
-    for wk, y1k in zip(rule.weights, y1):
-        if v.analytic is not None:
-            row = np.asarray(v(np.full(fy.n, y1k), fy.points), float)
-        else:
-            i = int(np.clip((y1k - fx.lo) / fx.spacing, 0, fx.n - 2))
-            t = (y1k - fx.points[i]) / fx.spacing
-            row = (1 - t) * vals[i] + t * vals[i + 1]
-        row = np.maximum(row, 0.0)
-        mass = np.trapezoid(row, dx=fy.spacing)
-        if mass < 1e-300:
-            continue
-        cond = DensitySpec(GridField(fy, row / mass))
-        Tk = brenier_1d(src_y, cond)
-        cost2 += wk * float(np.trapezoid(
-            (fy.points - Tk.map_values) ** 2 * src_y.field.values,
-            dx=fy.spacing))
-    return cost1 + cost2
-
-
-# ---------------------------------------------------------------------------
 # general-potential LSI (non-Gaussian reference measure)
 
 
@@ -288,7 +226,6 @@ class PotentialSpec:
     V: GridField
     K: float
     L: float
-    symmetric: bool = True
 
     def __post_init__(self):
         if self.K <= 0 or self.L < self.K:

@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
 
-from gauss_deficit.numerics import (Grid1D, default_grid, default_grid_2d,
-                                    gauss_hermite_rule)
+from gauss_deficit.numerics import Grid1D, default_grid, gauss_hermite_rule
 
 
 @pytest.fixture(scope="session")
 def grid():
     return default_grid()
-
-
-@pytest.fixture(scope="session")
-def grid2():
-    return default_grid_2d()
 
 
 @pytest.fixture(scope="session")

@@ -24,9 +24,9 @@ from gauss_deficit.inequalities import (brascamp_lieb_check,
                                         counterexample_superharmonic,
                                         els_eigen_check, hc_check, lsi_check,
                                         make_fp_input, make_logconcave_input,
-                                        make_talagrand_input)
+                                        make_talagrand_input, matrix_check)
 from gauss_deficit.numerics import (Grid1D, GridField, default_grid,
-                                    default_grid_2d, gauss_hermite_rule)
+                                    gauss_hermite_rule)
 from gauss_deficit.semigroups import ExponentTriple
 from gauss_deficit.transport import (DensitySpec, PotentialSpec, brenier_1d,
                                      caffarelli_check, general_lsi_deficit,
@@ -51,20 +51,14 @@ def hc_ratio_by_quadrature(beta, p, q, rule):
 
 
 def lsi_value(beta, n, rule):
-    """Ent - I/2 of the n-fold tensor of gamma_beta/gamma."""
+    """Ent - I/2 of the n-fold tensor of gamma_beta/gamma (n = 1, 2)."""
     if n == 1:
-        f = gaussian_ratio_field(default_grid(), beta)
-    else:
-        fam = LogQuad.gaussian_ratio(beta)
-
-        def log_fn(x1, x2):
-            return fam.log_at(x1) + fam.log_at(x2)
-
-        f = GridField.from_callable(default_grid_2d(),
-                                    lambda a, b: np.exp(log_fn(a, b)),
-                                    log_fn=log_fn)
-    ef = entropy_fisher(f, rule)
-    return ef.entropy - 0.5 * ef.fisher
+        ef = entropy_fisher(gaussian_ratio_field(default_grid(), beta), rule)
+        return ef.entropy - 0.5 * ef.fisher
+    g = gaussian_field(default_grid(), beta)
+    params = matrix_check(g, g, np.diag([beta, beta]), which="lsi",
+                          rule=rule).params
+    return params["entropy"] - 0.5 * params["fisher"]
 
 
 class TestCriterion1HCRatio:
@@ -306,7 +300,7 @@ class TestCriterion9Transport:
             eps = float(rng.uniform(0.0, 0.05))
             V = GridField(grid, 0.5 * omega * x * x
                           + eps * np.log(np.cosh(x)))
-            pot = PotentialSpec(V, K=omega, L=omega + eps, symmetric=True)
+            pot = PotentialSpec(V, K=omega, L=omega + eps)
             beta = 2.0
             beta_v = beta * pot.L / pot.K * float(rng.uniform(1.0, 1.3))
             vals, _ = pot.density(beta_v)

@@ -86,6 +86,20 @@ class TestRun:
                 "mikulincer", "beckner_b", "hj_t", "bl_h"} <= names
         assert b.all_pass
 
+    def test_extremiser_summary_only_where_equality_is_proved(self):
+        assert "max_abs_extremiser_slack" in run(small("verify-hc")).summary
+        for command in ("verify-poincare", "verify-beckner"):
+            assert "max_abs_extremiser_slack" not in run(
+                small(command)).summary
+
+    @pytest.mark.parametrize("command", ["verify-poincare", "verify-beckner"])
+    @pytest.mark.parametrize("beta", [2.0, 0.5])
+    def test_gaussian_item_margin_is_exact(self, command, beta):
+        # item 0 is f = (gamma_beta/gamma)^{1/p}: gamma f^p = gamma_beta
+        report = run(small(command, beta=beta, count=1)).reports[0]
+        (hyp,) = report.hypotheses
+        assert abs(hyp.margin) <= 1e-12
+
     def test_counterexample_mixture_series(self):
         b = run(RunConfig(command="counterexample-mixture"))
         slacks = [r.slack for r in b.reports]

@@ -10,8 +10,10 @@ from gauss_deficit.families import (LogQuad, field_from_family,
 from gauss_deficit.flows import (T_STAR, FPParams, MeasureSpec, certify,
                                  certify_matrix, covariance,
                                  fp_class_member, fp_evolve,
-                                 preservation_trace, _trapz)
-from gauss_deficit.numerics import Grid2D, Grid1D, GridField, ParameterError
+                                 preservation_trace, _interior,
+                                 _log_hessian_1d, _trapz)
+from gauss_deficit.inequalities import make_fp_input
+from gauss_deficit.numerics import Grid1D, GridField, ParameterError
 
 
 class TestFPEvolve:
@@ -154,20 +156,33 @@ class TestCertify:
         with pytest.raises(ParameterError):
             certify(gaussian_field(grid, 1.0), "bogus", 2.0)
 
-    def test_matrix_certificate_diagonal(self, grid2):
+    def test_matrix_certificate_diagonal(self, grid):
         b1, b2 = 2.0, 3.0
-        fam1, fam2 = LogQuad.gaussian(b1), LogQuad.gaussian(b2)
-
-        def log_fn(x1, x2):
-            return fam1.log_at(x1) + fam2.log_at(x2)
-
-        v = GridField.from_callable(grid2,
-                                    lambda a, b: np.exp(log_fn(a, b)),
-                                    log_fn=log_fn)
+        v1, v2 = gaussian_field(grid, b1), gaussian_field(grid, b2)
         B = np.diag([b1, b2])
-        assert certify_matrix(v, B, "convex").passed
-        assert certify_matrix(v, 0.5 * B, "convex").passed  # weaker floor
-        assert not certify_matrix(v, 2.0 * B, "convex").passed
+        assert certify_matrix(v1, v2, B, "convex").passed
+        assert certify_matrix(v1, v2, 0.5 * B, "convex").passed  # weaker floor
+        assert not certify_matrix(v1, v2, 2.0 * B, "convex").passed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matrix_margin_from_factor_extremes(self, seed):
+        # the worst eigenvalue of diag(h1(x1), h2(x2)) + B^{-1} over the
+        # full mesh of interior point pairs, for a non-diagonal SPD B
+        grid = Grid1D(-12.0, 12.0, 513)
+        rng = np.random.default_rng(seed)
+        v1 = make_fp_input(rng, 2.0, grid)
+        v2 = make_fp_input(rng, float(rng.uniform(1.2, 4.0)), grid)
+        A = rng.normal(size=(2, 2))
+        B = A @ A.T + 0.5 * np.eye(2)
+        h1, h2 = (_interior(_log_hessian_1d(v)) for v in (v1, v2))
+        mesh = np.zeros((h1.size, h2.size, 2, 2))
+        mesh[..., 0, 0] = h1[:, None]
+        mesh[..., 1, 1] = h2[None, :]
+        eigs = np.linalg.eigvalsh(mesh + np.linalg.inv(B))
+        convex = certify_matrix(v1, v2, B, "convex").margin
+        concave = certify_matrix(v1, v2, B, "concave").margin
+        assert convex == pytest.approx(eigs[..., 0].min(), abs=1e-12)
+        assert concave == pytest.approx(-eigs[..., 1].max(), abs=1e-12)
 
 
 class TestPreservation:

@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gauss_deficit.families import (LogQuad, field_from_family,
-                                    gaussian_ratio_field, symmetric_mixture)
+                                    gaussian_field, gaussian_ratio_field,
+                                    symmetric_mixture)
 from gauss_deficit.flows import MeasureSpec, fp_class_member
 from gauss_deficit.functionals import (entropy_fisher, gross_psi,
                                        gross_psi_prime0, gross_slope,
                                        lp_norm_gaussian, q_functional,
                                        sharp_constant)
+from gauss_deficit.inequalities import matrix_check
 from gauss_deficit.numerics import (GridField, ParameterError, default_grid,
-                                    default_grid_2d, gauss_hermite_rule)
+                                    gauss_hermite_rule)
 from gauss_deficit.semigroups import ExponentTriple
 
 
@@ -32,20 +34,15 @@ class TestEntropyFisher:
         assert ef.entropy == pytest.approx(ent, abs=1e-10)
         assert ef.fisher == pytest.approx(fis, abs=1e-9)
 
-    def test_tensorization_2d(self, grid2, rule):
+    def test_tensorization_2d(self, grid, rule):
+        # Ent and I of (gamma_beta/gamma) (x) (gamma_beta/gamma)
         beta = 2.0
-        fam = LogQuad.gaussian_ratio(beta)
-
-        def log_fn(x1, x2):
-            return fam.log_at(x1) + fam.log_at(x2)
-
-        f = GridField.from_callable(grid2,
-                                    lambda a, b: np.exp(log_fn(a, b)),
-                                    log_fn=log_fn)
-        ef = entropy_fisher(f, gauss_hermite_rule(48))
+        g = gaussian_field(grid, beta)
+        ef = matrix_check(g, g, np.diag([beta, beta]), which="lsi",
+                          rule=gauss_hermite_rule(48)).params
         ent, fis = gaussian_relative_entropy_fisher(beta)
-        assert ef.entropy == pytest.approx(2 * ent, abs=1e-8)
-        assert ef.fisher == pytest.approx(2 * fis, abs=1e-7)
+        assert ef["entropy"] == pytest.approx(2 * ent, abs=1e-8)
+        assert ef["fisher"] == pytest.approx(2 * fis, abs=1e-7)
 
     def test_constant_has_zero_entropy(self, grid, rule):
         f = GridField.from_callable(grid, lambda x: np.full_like(

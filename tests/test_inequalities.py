@@ -8,7 +8,8 @@ from gauss_deficit.families import (LogQuad, field_from_family,
                                     symmetric_mixture)
 from gauss_deficit.flows import certify
 from gauss_deficit.functionals import sharp_constant
-from gauss_deficit.inequalities import (_lhs_hc, beckner_check,
+from gauss_deficit.functionals import relative_log_closure
+from gauss_deficit.inequalities import (beckner_check,
                                         brascamp_lieb_check,
                                         counterexample_mixture,
                                         counterexample_superharmonic,
@@ -138,81 +139,84 @@ class TestELS:
 
 class TestMatrix:
     @staticmethod
-    def _product(grid2, b1, b2):
-        f1, f2 = LogQuad.gaussian(b1), LogQuad.gaussian(b2)
+    def _factors(grid, b1, b2):
+        """The factors of the product density gamma_b1 (x) gamma_b2."""
+        return gaussian_field(grid, b1), gaussian_field(grid, b2)
 
-        def log_fn(x1, x2):
-            return f1.log_at(x1) + f2.log_at(x2)
-
-        return GridField.from_callable(grid2,
-                                       lambda a, b: np.exp(log_fn(a, b)),
-                                       log_fn=log_fn)
-
-    def test_lsi_equality_at_gamma_b(self, grid2):
+    def test_lsi_equality_at_gamma_b(self, grid):
         rule = gauss_hermite_rule(48)
         B = np.diag([2.0, 3.0])
-        v = self._product(grid2, 2.0, 3.0)
-        r = matrix_check(v, B, which="lsi", rule=rule)
+        v1, v2 = self._factors(grid, 2.0, 3.0)
+        r = matrix_check(v1, v2, B, which="lsi", rule=rule)
         assert r.asserted
         assert r.slack == pytest.approx(0, abs=1e-9)
 
-    def test_mixed_eigenvalues_concave_side(self, grid2):
+    def test_mixed_eigenvalues_concave_side(self, grid):
         rule = gauss_hermite_rule(48)
         B = np.diag([0.5, 0.25])
-        v = self._product(grid2, 0.5, 0.25)
-        r = matrix_check(v, B, which="lsi", rule=rule)
+        v1, v2 = self._factors(grid, 0.5, 0.25)
+        r = matrix_check(v1, v2, B, which="lsi", rule=rule)
         assert r.asserted
         assert r.slack == pytest.approx(0, abs=1e-8)
 
-    def test_forced_side(self, grid2):
+    def test_forced_side(self, grid):
         rule = gauss_hermite_rule(48)
         B = np.diag([0.5, 0.25])
-        v = self._product(grid2, 0.5, 0.25)
-        r = matrix_check(v, B, which="lsi", rule=rule, side="convex")
+        v1, v2 = self._factors(grid, 0.5, 0.25)
+        r = matrix_check(v1, v2, B, which="lsi", rule=rule, side="convex")
         # the forced convex-side statement is weaker: slack strictly positive
         assert r.slack > 1e-3
 
     def test_requires_2d(self, grid):
+        # B must be the 2 x 2 matrix of the product on R^2
+        g = gaussian_field(grid, 2.0)
         with pytest.raises(ParameterError):
-            matrix_check(gaussian_field(grid, 2.0), np.diag([2.0, 2.0]))
+            matrix_check(g, g, np.diag([2.0]))
 
 
 class TestMatrixHC:
-    """For v = v1 (x) v2, P_s and the L^q(gamma) norm factorise, so the 2-D
-    left side is the product of the two 1-D left sides."""
+    """The left side of matrix_check, a product of 1-D left sides, against
+    ||P_s[(v/gamma)^{1/p}]||_{L^q(gamma_2)} for v = v1 (x) v2 taken on R^2
+    with the tensor Gauss-Hermite rule, inner and outer."""
 
     triple = ExponentTriple.from_pq(2.0, 4.0)
 
     @staticmethod
-    def _product(v1, v2, grid2):
-        def log_fn(x1, x2):
-            return v1.log(x1) + v2.log(x2)
+    def _tensor_lhs(v1, v2, triple, rule):
+        z, w = rule.nodes, rule.weights
+        e = float(np.exp(-triple.s))
+        sig = float(np.sqrt(1.0 - e * e))
+        Z1, Z2 = np.meshgrid(z, z, indexing="ij")
+        # (outer node, outer node, inner node, inner node)
+        y1 = e * Z1[:, :, None, None] + sig * z[:, None]
+        y2 = e * Z2[:, :, None, None] + sig * z
+        log_g = (relative_log_closure(v1)(y1)
+                 + relative_log_closure(v2)(y2)) / triple.p
+        psg = np.exp(log_g) @ w @ w
+        q = triple.q
+        return float(np.sum(np.outer(w, w) * psg ** q)) ** (1.0 / q)
 
-        return GridField.from_callable(
-            grid2, lambda a, b: np.exp(log_fn(a, b)), log_fn=log_fn)
-
-    def _check(self, v1, v2, b1, b2, grid2, rule):
-        r = matrix_check(self._product(v1, v2, grid2), np.diag([b1, b2]),
-                         triple=self.triple, which="hc",
-                         rule=gauss_hermite_rule(48))
-        want = (_lhs_hc(v1, self.triple, rule)
-                * _lhs_hc(v2, self.triple, rule))
+    def _check(self, v1, v2, b1, b2):
+        rule = gauss_hermite_rule(48)
+        r = matrix_check(v1, v2, np.diag([b1, b2]), triple=self.triple,
+                         which="hc", rule=rule)
+        want = self._tensor_lhs(v1, v2, self.triple, rule)
         assert r.lhs == pytest.approx(want, rel=1e-10)
         return r
 
-    def test_gaussian_product_is_extremal(self, grid, grid2, rule):
+    def test_gaussian_product_is_extremal(self, grid):
         g = gaussian_field(grid, 2.0)
-        r = self._check(g, g, 2.0, 2.0, grid2, rule)
+        r = self._check(g, g, 2.0, 2.0)
         assert r.asserted
         assert abs(r.slack) <= 1e-12
 
     @pytest.mark.parametrize("seed", [3, 5, 8])
-    def test_fp_products_factorise(self, seed, grid, grid2, rule):
+    def test_fp_products_factorise(self, seed, grid):
         rng = np.random.default_rng(seed)
         b1, b2 = 2.0, float(rng.uniform(1.2, 4.0))
         v1 = make_fp_input(rng, b1, grid)
         v2 = make_fp_input(rng, b2, grid)
-        r = self._check(v1, v2, b1, b2, grid2, rule)
+        r = self._check(v1, v2, b1, b2)
         assert r.asserted and r.slack >= -1e-9
 
 

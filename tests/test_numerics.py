@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gauss_deficit.families import LogQuad, field_from_family
-from gauss_deficit.numerics import (Grid1D, Grid2D, GridField,
-                                    EvaluationError, ParameterError,
-                                    default_grid, default_grid_2d,
-                                    gauss_hermite_rule, tensor_gh,
-                                    DEFAULT_GH_NODES)
+from gauss_deficit.numerics import (Grid1D, GridField, EvaluationError,
+                                    ParameterError, default_grid,
+                                    gauss_hermite_rule, DEFAULT_GH_NODES)
 
 
 class TestGrid:
@@ -27,8 +25,6 @@ class TestGrid:
     def test_default_grids(self):
         g = default_grid()
         assert (g.lo, g.hi, g.n) == (-12.0, 12.0, 4097)
-        g2 = default_grid_2d()
-        assert g2.shape == (257, 257)
 
 
 class TestGaussHermite:
@@ -52,15 +48,6 @@ class TestGaussHermite:
             assert got == pytest.approx(np.exp(0.5 * t * t), rel=1e-12)
 
 
-    def test_tensor_rule(self):
-        r = gauss_hermite_rule(16)
-        Z1, Z2, logW = tensor_gh(r)
-        W = np.exp(logW)
-        assert np.sum(W) == pytest.approx(1.0, abs=1e-14)
-        # E[x1^2 x2^4] = 1 * 3 under the standard Gaussian on R^2
-        assert np.sum(W * Z1 ** 2 * Z2 ** 4) == pytest.approx(3.0, rel=1e-12)
-
-
 class Counting:
     """A closure that counts how often it is evaluated."""
 
@@ -78,12 +65,6 @@ class TestClosureEvaluatedOnce:
         f = GridField.from_callable(grid, fn)
         assert fn.calls == 1
         np.testing.assert_array_equal(f.values, np.exp(-0.5 * grid.points ** 2))
-
-    def test_from_callable_2d(self, grid2):
-        fn = Counting(lambda a, b: np.exp(-0.5 * (a ** 2 + b ** 2)))
-        f = GridField.from_callable(grid2, fn)
-        assert fn.calls == 1
-        assert f.values.shape == grid2.shape
 
     def test_field_from_family(self, grid):
         class CountingGaussian(LogQuad):
@@ -136,9 +117,3 @@ class TestGridField:
         g = default_grid()
         f = GridField.from_callable(g, lambda t: np.sin(t))
         assert float(f(x)) == pytest.approx(np.sin(x), abs=1e-5)
-
-    def test_2d_field(self, grid2):
-        f = GridField.from_callable(
-            grid2, lambda a, b: np.exp(-0.5 * (a ** 2 + b ** 2)))
-        assert f.ndim == 2
-        assert float(f(0.0, 1.0)) == pytest.approx(np.exp(-0.5), rel=1e-12)

@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gauss_deficit.families import (LogQuad, field_from_family,
-                                    gaussian_field, symmetric_mixture)
+from gauss_deficit.families import (field_from_family, gaussian_field,
+                                    symmetric_mixture)
 from gauss_deficit.functionals import entropy_fisher
-from gauss_deficit.inequalities import make_talagrand_input
+from gauss_deficit.inequalities import make_talagrand_input, matrix_check
 from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
                                     default_grid)
 from gauss_deficit.transport import (DensitySpec, PotentialSpec, brenier_1d,
                                      caffarelli_check, general_lsi_deficit,
                                      relative_entropy_gauss,
-                                     talagrand_deficit, w2, w2_sq_coupling_2d)
+                                     talagrand_deficit, w2)
 
 
 def gauss_spec(beta, grid, mean=0.0):
@@ -142,19 +142,25 @@ class TestCaffarelli:
 
 
 class TestCoupling2D:
-    def test_product_gaussian(self, grid2):
+    """W_2^2(gamma_2, v1 (x) v2) as matrix_check's talagrand variant takes it."""
+
+    @staticmethod
+    def _w2_sq(grid, b1, b2):
+        v1, v2 = gaussian_field(grid, b1), gaussian_field(grid, b2)
+        return matrix_check(v1, v2, np.diag([b1, b2]),
+                            which="talagrand").params["w2_sq"]
+
+    def test_product_gaussian(self, grid):
         b1, b2 = 2.0, 0.5
-        fam1, fam2 = LogQuad.gaussian(b1), LogQuad.gaussian(b2)
-
-        def log_fn(x1, x2):
-            return fam1.log_at(x1) + fam2.log_at(x2)
-
-        v = GridField.from_callable(grid2,
-                                    lambda a, b: np.exp(log_fn(a, b)),
-                                    log_fn=log_fn)
-        got = w2_sq_coupling_2d(v)
+        got = self._w2_sq(grid, b1, b2)
         expect = (1 - np.sqrt(b1)) ** 2 + (1 - np.sqrt(b2)) ** 2
         assert got == pytest.approx(expect, abs=1e-4)
+
+    @pytest.mark.parametrize("b1, b2", [(2.0, 0.5), (3.0, 1.5), (0.4, 0.7)])
+    def test_product_gaussian_exact(self, grid, b1, b2):
+        got = self._w2_sq(grid, b1, b2)
+        expect = (1 - np.sqrt(b1)) ** 2 + (1 - np.sqrt(b2)) ** 2
+        assert got == pytest.approx(expect, abs=1e-9)
 
 
 class TestGeneralLSI:
@@ -162,7 +168,7 @@ class TestGeneralLSI:
     def _potential(grid, omega=1.0, eps=0.0):
         x = grid.points
         V = GridField(grid, 0.5 * omega * x * x + eps * np.log(np.cosh(x)))
-        return PotentialSpec(V, K=omega, L=omega + eps, symmetric=True)
+        return PotentialSpec(V, K=omega, L=omega + eps)
 
     def test_equality_at_reference_quadratic(self, grid):
         pot = self._potential(grid)
