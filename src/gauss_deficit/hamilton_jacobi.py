@@ -3,10 +3,11 @@ Hopf-Lax infimal convolution, its vanishing-viscosity approximation, and the
 Hamilton-Jacobi forms of hypercontractivity and the dual Talagrand
 inequality.
 
-The Hopf-Lax minimization is brute force over the grid (O(N^2) with N = 4097
-is trivially fast and serves as an oracle); beyond the grid the initial datum
-is extended by its linear lower bound -C(1+|y|) so that no spurious boundary
-minimum appears.
+The Hopf-Lax minimum over the M sampled candidates is read off the lower
+envelope of parabolas in O(M + N log M) (Felzenszwalb & Huttenlocher,
+Distance Transforms of Sampled Functions, Theory of Computing 8, 2012);
+beyond the grid the initial datum is extended by its linear lower bound
+-C(1+|y|) so that no spurious boundary minimum appears.
 """
 from __future__ import annotations
 
@@ -74,7 +75,8 @@ class HJField:
 
 
 def hopf_lax(f: HJField, tau: float) -> GridField:
-    """Q_tau f(x) = min_y { f(y) + |x-y|^2 / (2 tau) } by brute force."""
+    """Q_tau f(x) = min_y { f(y) + |x-y|^2 / (2 tau) } over the grid and
+    its linear extension, from the lower envelope of the parabolas."""
     if tau <= 0:
         raise ParameterError("tau must be positive")
     g = f.f.grid
@@ -88,33 +90,36 @@ def hopf_lax(f: HJField, tau: float) -> GridField:
     right = g.hi + g.spacing * np.arange(1, n_ext + 1)
     ys = np.concatenate([left, x, right])
     fy = np.concatenate([f.extended(left), f.f.values, f.extended(right)])
-    out = np.empty(x.size)
-    chunk = max(1, 8_000_000 // ys.size)
-    for i in range(0, x.size, chunk):
-        cost = fy + (x[i:i + chunk, None] - ys) ** 2 / (2.0 * tau)
-        j = cost.argmin(axis=1)
-        rows = np.arange(j.size)
-        best = cost[rows, j]
-        # sub-grid refinement: a parabola through the discrete minimum and
-        # its neighbours; for smooth costs this removes the O(spacing^2)
-        # discretization bias of the brute-force minimum
-        interior = (j > 1) & (j < ys.size - 2)
-        jm = np.clip(j - 1, 0, ys.size - 1)
-        jp = np.clip(j + 1, 0, ys.size - 1)
-        cl, cr = cost[rows, jm], cost[rows, jp]
-        curv = cl + cr - 2.0 * best
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vertex = best - (cr - cl) ** 2 / (8.0 * curv)
-        # only trust the parabola where the cost is locally smooth: the
-        # fit must also predict the second neighbours (it fails at kinks,
-        # where the refinement would undercut the true minimum)
-        cll = cost[rows, np.clip(j - 2, 0, ys.size - 1)]
-        crr = cost[rows, np.clip(j + 2, 0, ys.size - 1)]
-        misfit = np.maximum(np.abs(cll - (best + (cl - cr) + 2.0 * curv)),
-                            np.abs(crr - (best + (cr - cl) + 2.0 * curv)))
-        use = (interior & (curv > 0) & np.isfinite(vertex)
-               & (misfit <= 0.05 * curv + 1e-12))
-        out[i:i + chunk] = np.where(use, np.minimum(best, vertex), best)
+    # Legendre form: the minimiser maximises the line x y - b(y), with
+    # b = tau f(y) + y^2/2; one stack pass over ys keeps the upper envelope of
+    # these lines (the lower convex hull of the points (y, b))
+    yl, bl = ys.tolist(), (tau * fy + 0.5 * ys * ys).tolist()
+    hull, slopes = [0], [-np.inf]
+    for k in range(1, len(yl)):
+        while ((s := (bl[k] - bl[hull[-1]]) / (yl[k] - yl[hull[-1]]))
+               <= slopes[-1]):
+            hull.pop()
+            slopes.pop()
+        hull.append(k)
+        slopes.append(s)
+    j = np.asarray(hull)[np.searchsorted(slopes[1:], x, side="right")]
+    jj = np.clip(j + np.arange(-2, 3)[:, None], 0, ys.size - 1)
+    cll, cl, best, cr, crr = fy[jj] + (x - ys[jj]) ** 2 / (2.0 * tau)
+    # sub-grid refinement: a parabola through the discrete minimum and its
+    # neighbours; for smooth costs this removes the O(spacing^2)
+    # discretization bias of the discrete minimum
+    interior = (j > 1) & (j < ys.size - 2)
+    curv = cl + cr - 2.0 * best
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = best - (cr - cl) ** 2 / (8.0 * curv)
+    # only trust the parabola where the cost is locally smooth: the fit
+    # must also predict the second neighbours (it fails at kinks, where the
+    # refinement would undercut the true minimum)
+    misfit = np.maximum(np.abs(cll - (best + (cl - cr) + 2.0 * curv)),
+                        np.abs(crr - (best + (cr - cl) + 2.0 * curv)))
+    use = (interior & (curv > 0) & np.isfinite(vertex)
+           & (misfit <= 0.05 * curv + 1e-12))
+    out = np.where(use, np.minimum(best, vertex), best)
     return GridField(g, out)
 
 
@@ -170,11 +175,6 @@ def hopf_lax_quadratic(a: float, alpha: float, tau: float):
     coef = (delta / (delta + 1.0)) / tau
     const = -0.5 * np.log(alpha) / a
     return float(coef), float(const)
-
-
-def _log_norm_exp_quadratic(coef: float, const: float, r: float) -> float:
-    """log || e^{coef x^2/2 + const} ||_{L^r(gamma)} via the Gaussian algebra."""
-    return LogQuad(coef, 0.0, const).log_lp_norm_gauss(r)
 
 
 def beta_of_a(a: float, beta: float) -> float:
@@ -242,7 +242,7 @@ def hj_hc_check(f: HJField, a: float, tau: float, beta: float,
     q = hopf_lax(f, tau)
     lhs = float(np.exp(_log_lp_exp(q, a + tau, rule)))
     coef, const = hopf_lax_quadratic(a, ba, tau)
-    log_ref = _log_norm_exp_quadratic(coef, const, a + tau)
+    log_ref = LogQuad(coef, 0.0, const).log_lp_norm_gauss(a + tau)
     log_ef = _log_lp_exp(f.f, a, rule)
     rhs = float(np.exp(log_ref + log_ef))
     return DeficitReport.build(
@@ -281,7 +281,8 @@ def dual_talagrand_check(f: HJField, tau: float, beta: float,
 
     a0 = 0.01
     coef, const = hopf_lax_quadratic(a0, beta_of_a(a0, beta), tau)
-    t_limit = float(np.exp(_log_norm_exp_quadratic(coef, const, a0 + tau)))
+    t_limit = float(np.exp(
+        LogQuad(coef, 0.0, const).log_lp_norm_gauss(a0 + tau)))
     return DeficitReport.build(
         "dual-talagrand", lhs, rhs, t_const, hypotheses=hyps,
         params={"tau": tau, "beta": beta, "mean_f": mean_f,

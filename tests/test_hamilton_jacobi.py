@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gauss_deficit import cli
 from gauss_deficit.hamilton_jacobi import (HJField, beta_of_a,
                                            dual_talagrand_check, hj_hc_check,
                                            hopf_lax, hopf_lax_quadratic,
@@ -64,6 +65,66 @@ class TestHopfLax:
     def test_rejects_nonpositive_tau(self, grid):
         with pytest.raises(ParameterError):
             hopf_lax(abs_datum(grid), 0.0)
+
+
+def brute_hopf_lax(f, tau):
+    """min over the candidate set of hopf_lax by a full (x, y) cost matrix,
+    with the same sub-grid parabola step."""
+    g = f.f.grid
+    x = g.points
+    ext = (f.lower_linear_bound + f.lipschitz_estimate) * tau \
+        + 4.0 * max(1.0, tau)
+    n_ext = int(np.ceil(ext / g.spacing))
+    left = g.lo - g.spacing * np.arange(n_ext, 0, -1)
+    right = g.hi + g.spacing * np.arange(1, n_ext + 1)
+    ys = np.concatenate([left, x, right])
+    fy = np.concatenate([f.extended(left), f.f.values, f.extended(right)])
+    out = np.empty(x.size)
+    chunk = max(1, 8_000_000 // ys.size)
+    for i in range(0, x.size, chunk):
+        cost = fy + (x[i:i + chunk, None] - ys) ** 2 / (2.0 * tau)
+        j = cost.argmin(axis=1)
+        rows = np.arange(j.size)
+        best, cl, cr, cll, crr = (
+            cost[rows, np.clip(j + d, 0, ys.size - 1)]
+            for d in (0, -1, 1, -2, 2))
+        interior = (j > 1) & (j < ys.size - 2)
+        curv = cl + cr - 2.0 * best
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = best - (cr - cl) ** 2 / (8.0 * curv)
+        misfit = np.maximum(np.abs(cll - (best + (cl - cr) + 2.0 * curv)),
+                            np.abs(crr - (best + (cr - cl) + 2.0 * curv)))
+        use = (interior & (curv > 0) & np.isfinite(vertex)
+               & (misfit <= 0.05 * curv + 1e-12))
+        out[i:i + chunk] = np.where(use, np.minimum(best, vertex), best)
+    return out
+
+
+class TestHopfLaxOracle:
+    """The lower-envelope minimum against the brute-force cost matrix."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_suite_data_bit_identical(self, seed):
+        # the data of verify-hj (a = config.a) and verify-dual-talagrand
+        # (a = 0.02), items 0-3
+        config = cli.RunConfig("verify-hj", seed=seed)
+        for a in (config.a, 0.02):
+            for i in range(4):
+                f = cli._perturbed_quadratic(config, i, a)
+                np.testing.assert_array_equal(
+                    hopf_lax(f, config.tau).values,
+                    brute_hopf_lax(f, config.tau))
+
+    @pytest.mark.parametrize("tau", [0.3, 1.0, 2.5])
+    def test_kinked_random_nonconvex_constant(self, small_grid, tau):
+        x = small_grid.points
+        walk = np.cumsum(np.random.default_rng(11).normal(size=x.size))
+        for vals in (np.abs(x), 0.05 * walk, np.cos(3 * x) + 0.1 * x * x,
+                     np.full(x.size, 1.7)):
+            f = HJField.from_field(GridField(small_grid, vals))
+            np.testing.assert_allclose(hopf_lax(f, tau).values,
+                                       brute_hopf_lax(f, tau),
+                                       rtol=0, atol=1e-13)
 
 
 class TestVanishingViscosity:

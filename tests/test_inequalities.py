@@ -239,6 +239,15 @@ class TestPoincare:
         r = poincare_check(f, 2.0, rule)
         assert r.params["entropy_goal_slack"] >= -1e-9
 
+    def test_gradient_exact_for_closed_form(self, grid, rule):
+        # verify-poincare item 0: f = (gamma_beta/gamma)^{1/2} has
+        # int |f'|^2 dgamma = beta (1 - 1/beta)^2 / 4 = 1/8 at beta = 2, 1/2;
+        # f (log f)' gives it to rounding, a difference quotient to ~5e-12
+        for beta in (2.0, 0.5):
+            f = field_from_family(grid, LogQuad.gaussian_ratio(beta, 0.5))
+            r = poincare_check(f, beta, rule)
+            assert abs(r.rhs - 0.125) <= 1e-15
+
 
 class TestBeckner:
     def test_p_out_of_range(self, grid, rule):
@@ -305,6 +314,55 @@ class TestBrascampLieb:
         r = brascamp_lieb_check(f1, f2, t, 2.0)
         assert r.direction == "le"
         assert r.asserted and r.slack >= -1e-7
+
+
+def full_grid_bl_lhs(f1, f2, triple):
+    """The Brascamp-Lieb double integral by the trapezoid on the full
+    n1 x n2 mesh."""
+    c1, c2, s = 1.0 / triple.p, 1.0 - 1.0 / triple.q, triple.s
+    e2s = float(np.exp(-2.0 * s))
+    q11 = (1.0 - (1.0 - e2s) * c1) / (2.0 * (1.0 - e2s))
+    q22 = (1.0 - (1.0 - e2s) * c2) / (2.0 * (1.0 - e2s))
+    q12 = -float(np.exp(-s)) / (2.0 * (1.0 - e2s))
+    x1, x2 = f1.grid.points, f2.grid.points
+    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+    log_int = (-(q11 * X1 * X1 + 2.0 * q12 * X1 * X2 + q22 * X2 * X2)
+               + c1 * np.asarray(f1.log(x1), float)[:, None]
+               + c2 * np.asarray(f2.log(x2), float)[None, :])
+    return float(np.trapezoid(np.trapezoid(np.exp(log_int),
+                                           dx=f2.grid.spacing, axis=1),
+                              dx=f1.grid.spacing))
+
+
+class TestBrascampLiebOracle:
+    """The nested-level trapezoid against the full 4097^2 mesh."""
+
+    @pytest.mark.parametrize("pq, beta, mixture_f2", [
+        ((2.0, 4.0), 2.0, True),     # forward
+        ((0.5, -1.0), 0.5, False),   # reverse-concave
+        ((-1.0, -3.0), 2.0, True),   # reverse-mixed
+    ])
+    def test_resolved_cases(self, grid, pq, beta, mixture_f2):
+        t = ExponentTriple.from_pq(*pq)
+        f1 = gaussian_field(grid, beta)
+        f2 = (field_from_family(grid, symmetric_mixture(0.8, 1.0))
+              if mixture_f2 else gaussian_field(grid, 1.0))
+        r = brascamp_lieb_check(f1, f2, t, beta)
+        assert r.lhs == pytest.approx(full_grid_bl_lhs(f1, f2, t),
+                                      rel=1e-13, abs=0)
+        assert r.params["trapezoid_n"] < grid.n
+        assert r.params["trapezoid_gap"] <= 1e-14
+
+    def test_unresolved_case_uses_full_grid(self, grid):
+        # reverse-mixed at beta = 0.5: the levels never agree to 1e-14
+        t = ExponentTriple.from_pq(-1.0, -3.0)
+        f1 = gaussian_field(grid, 0.5)
+        f2 = field_from_family(grid, symmetric_mixture(0.8, 1.0))
+        r = brascamp_lieb_check(f1, f2, t, 0.5)
+        assert r.params["trapezoid_n"] == grid.n == 4097
+        assert r.params["trapezoid_gap"] > 1e-14
+        assert r.lhs == full_grid_bl_lhs(f1, f2, t)
+        assert r.lhs == pytest.approx(7182.2, rel=1e-5)
 
 
 class TestCounterexamples:
