@@ -425,17 +425,21 @@ def _perturbed_quadratic(config: RunConfig, index: int,
 
 
 def _suite_hj(config: RunConfig):
+    rule = config.rule()
+
     def item(i):
         f = _perturbed_quadratic(config, i, config.a)
-        return hj_hc_check(f, config.a, config.tau, config.beta)
+        return hj_hc_check(f, config.a, config.tau, config.beta, rule)
 
     return [lambda i=i: item(i) for i in range(config.count)], [0]
 
 
 def _suite_dual_talagrand(config: RunConfig):
+    rule = config.rule()
+
     def item(i):
         f = _perturbed_quadratic(config, i, 0.02)
-        return dual_talagrand_check(f, config.tau, config.beta)
+        return dual_talagrand_check(f, config.tau, config.beta, rule)
 
     return [lambda i=i: item(i) for i in range(config.count)], [0]
 

@@ -9,14 +9,21 @@ exact solution
     w = beta (1 - e^{-2t}),
 
 which we always evaluate in one shot, never by time-stepping: every v_t is
-a Gaussian mixture, one LogQuad with a component per atom (a grid density
-counts as the discrete measure on its nodes with trapezoid weights), and
-tagged densities take the closed form of their tag.  FP(beta) is the set of
+a Gaussian mixture, one LogQuad with a component per atom, and tagged
+densities take the closed form of their tag.  An untagged grid density is
+integrated by the trapezoid rule on its node lattice.  With a log closure
+the lattice is padded past the grid, wide enough that the outermost atoms
+carry posterior weight below 2^-53 at every node read, so v_t is the flow
+of the whole density and not of its cut-off; a values-only density flows
+its nodes alone.  The kernel is smooth, so the rule converges exponentially
+and the source is subsampled on nested strided levels, halved until two
+levels agree in log v_t and (log v_t)''.  FP(beta) is the set of
 time-(1/2)log 2 snapshots of the 2 beta-flow started from a finite measure;
 its members are automatically beta-semi-log-convex.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -24,9 +31,16 @@ import numpy as np
 
 from .families import LogQuad, field_from_family
 from .numerics import (Grid1D, GridField, ParameterError, PositivityError,
-                       TruncationError, default_grid, log_derivatives)
+                       TruncationError, _coarsest_stride, _refine_strides,
+                       default_grid, log_derivatives)
+
+logger = logging.getLogger(__name__)
 
 T_STAR = 0.5 * float(np.log(2.0))
+
+# log of the posterior weight below which an outermost source atom is
+# negligible at a node
+_LOG_EDGE_WEIGHT = -53.0 * float(np.log(2.0))
 
 
 def _trapz(field: GridField) -> float:
@@ -96,31 +110,126 @@ class ConvexityCertificate:
 # flow
 
 
-def _fp_family(v0: MeasureSpec, beta: float, t: float) -> LogQuad:
-    """v_t as one LogQuad with a component per atom of v0.  A grid density
-    is the discrete measure on its nodes with trapezoid weights times its
-    values (nodes of zero weight dropped); a tagged one flows its tag."""
-    if beta * (1.0 - np.exp(-2.0 * t)) < 1e-10:
-        raise ParameterError("flow time too small: kernel variance below 1e-10")
-    points, weights = v0.points, v0.weights
-    if v0.kind == "density":
-        src = v0.density
-        if isinstance(src.tag, LogQuad):
-            return src.tag.fp(beta, t)
-        if np.any(src.values < 0):
-            raise PositivityError("a density must be nonnegative")
-        points = src.grid.points
-        weights = np.full(points.size, src.grid.spacing)
-        weights[[0, -1]] *= 0.5
-        weights *= src.values
-    with np.errstate(divide="ignore"):
-        logw = np.log(weights)
+def _atoms_family(points, logw, beta: float, t: float) -> LogQuad:
+    """v_t of the discrete measure with log-weights logw at points, as one
+    LogQuad with a component per atom (atoms of zero weight dropped) that
+    is evaluated about its components' exact centres."""
     keep = logw > -np.inf
     if not np.any(keep):
         raise ParameterError("the initial measure has no mass")
-    var = beta * (1.0 - np.exp(-2.0 * t))
-    q = LogQuad.gaussian(var, np.exp(-t) * points[keep])
-    return LogQuad(q.a, q.b, q.c + logw[keep])
+    w = beta * (1.0 - np.exp(-2.0 * t))
+    mu = np.exp(-t) * points[keep]
+    q = LogQuad.gaussian(w, mu)
+    peak = logw[keep] - 0.5 * np.log(2.0 * np.pi * w)
+
+    def about(s):
+        # L_k(s + u) = peak_k - (s + u - mu_k)^2 / (2 w)
+        d = mu - s
+        return (np.broadcast_to(-1.0 / w, d.shape), d / w,
+                peak - d * d / (2.0 * w))
+
+    return LogQuad(q.a, q.b, q.c + logw[keep], _about=about)
+
+
+def _grid_density_family(src: GridField, beta: float, t: float, x):
+    """v_t of an untagged grid density, read at the nodes x.
+
+    The source is the trapezoid measure on the grid's node lattice.  With a
+    log closure the lattice runs past the grid at the same spacing, and
+    every atom weighs its spacing: the pad starts at the kernel's standard
+    deviation in source coordinates and doubles, on the coarsest level,
+    until the two outermost atoms have posterior weight below 2^-53 at every
+    x.  A values-only field keeps its nodes and their end-halved weights.
+    Then the stride halves until two levels agree in log v_t and
+    (log v_t)'' within 1e-12 (1 + 1/w), w = beta (1 - e^{-2t}) setting the
+    scale of (log v_t)''; an unresolved source ends at stride 1.
+    Returns (family, source mass, (log v_t, (log v_t)'') at x).
+    """
+    grid, x = src.grid, np.asarray(x, float)
+    h, n = grid.spacing, grid.n
+    w = beta * (1.0 - np.exp(-2.0 * t))
+    closure = src.analytic_log is not None
+    # a values-only level keeps the grid's end nodes, so its stride divides
+    # n - 1; the padded lattice has no ends to keep
+    k0 = _coarsest_stride(1 << ((n - 1).bit_length() - 1) if closure
+                          else n - 1)
+    pad = 0
+    if closure:
+        pad = k0 * int(np.ceil(np.exp(t) * np.sqrt(w) / (k0 * h)))
+
+    def lattice(j, k):
+        """Lattice nodes lo + j h and their log weights log(k h v)."""
+        y = grid.lo + h * j
+        return y, np.log(k * h) + np.asarray(src.analytic_log(y), float)
+
+    def atoms(k):
+        if closure:
+            y, logw = lattice(np.arange(-pad, n + pad, k), k)
+        else:
+            y = grid.points[::k]
+            tw = np.full(y.size, k * h)
+            tw[[0, -1]] *= 0.5
+            with np.errstate(divide="ignore"):
+                logw = np.log(tw * src.values[::k])
+        if k > 1 and not np.any(logw > -np.inf):
+            # a coarse level can miss a narrow source: it agrees with nothing
+            return None, (np.full(x.shape, -np.inf),) * 2
+        q = _atoms_family(y, logw, beta, t)
+        logv, _, hess = q._pass(x, 2)
+        return q, (logv, hess)
+
+    def edge_weight(k, logv):
+        """Largest log posterior weight of the two outermost atoms at x."""
+        y, logw = lattice(np.arange(-pad, n + pad, k)[[0, -1]], k)
+        d = x - np.exp(-t) * y[:, None]
+        return np.max(logw[:, None] - 0.5 * np.log(2.0 * np.pi * w)
+                      - d * d / (2.0 * w) - logv)
+
+    def level(k):
+        nonlocal pad
+        lev = atoms(k)
+        # the pad is settled on the coarsest level, before any refinement: a
+        # cut-off source has a kink at the grid edge, so its levels never agree
+        while (k == k0 and closure and lev[0] is not None
+               and not edge_weight(k, lev[1][0]) <= _LOG_EDGE_WEIGHT):
+            if pad >= 64 * (n - 1):
+                raise TruncationError("the log closure does not decay past "
+                                      "the grid: no pad makes its edge "
+                                      "negligible")
+            pad *= 2
+            lev = atoms(k)
+        return lev
+
+    def gap(coarse, fine):
+        return max(float(np.max(np.abs(f - c)))
+                   for f, c in zip(fine[1], coarse[1]))
+
+    k, (q, at_x), g = _refine_strides(level, k0, gap, 1e-12 * (1.0 + 1.0 / w))
+    logger.debug("FP snapshot beta=%g t=%g: pad %d nodes, stride %d, "
+                 "level gap %.3g", beta, t, pad, k, g)
+    return q, q.integral_lebesgue(), at_x
+
+
+def _fp_family(v0: MeasureSpec, beta: float, t: float, x):
+    """v_t as one LogQuad with a component per atom of the source.
+
+    A tagged density flows its tag and an untagged one goes through
+    _grid_density_family, reading v_t at the nodes x.  Returns (family,
+    mass of the source that flowed, (log v_t, (log v_t)'') at x or None
+    when the family was not evaluated there).
+    """
+    if beta * (1.0 - np.exp(-2.0 * t)) < 1e-10:
+        raise ParameterError("flow time too small: kernel variance below 1e-10")
+    if v0.kind != "density":
+        with np.errstate(divide="ignore"):
+            logw = np.log(v0.weights)
+        return _atoms_family(v0.points, logw, beta, t), v0.mass, None
+    src = v0.density
+    if isinstance(src.tag, LogQuad):
+        return src.tag.fp(beta, t), v0.mass, None
+    if np.any(src.values < 0):
+        raise PositivityError("a density must be nonnegative")
+    return _grid_density_family(src, beta, t, x)
 
 
 def _check_mass(mass0: float, mass_t: float):
@@ -143,9 +252,10 @@ def fp_evolve(v0, params: FPParams, grid: Optional[Grid1D] = None) -> GridField:
         if v0.kind != "density":
             raise ParameterError("t = 0 requires a density initial condition")
         return v0.density
-    out = field_from_family(grid, _fp_family(v0, beta, t))
+    family, mass0, _ = _fp_family(v0, beta, t, grid.points)
+    out = field_from_family(grid, family)
     if v0.kind == "density":
-        _check_mass(v0.mass, _trapz(out))
+        _check_mass(mass0, _trapz(out))
     return out
 
 
@@ -240,7 +350,6 @@ def preservation_trace(v0: GridField, beta: float, kind: str,
     measures.
     """
     source = MeasureSpec.from_density(v0)
-    mass0 = source.mass
     x = v0.grid.points
     margins = []
     universal = []
@@ -251,7 +360,8 @@ def preservation_trace(v0: GridField, beta: float, kind: str,
             universal.append(np.nan)
             continue
         # one pass over the grid gives the mass and both margins
-        logv, _, hess = _fp_family(source, beta, t)._pass(x, 2)
+        family, mass0, at_x = _fp_family(source, beta, t, x)
+        logv, hess = at_x or family._pass(x, 2)[::2]
         _check_mass(mass0, float(np.trapezoid(np.exp(logv),
                                               dx=v0.grid.spacing)))
         hess = _interior(hess)

@@ -20,7 +20,8 @@ from .flows import MeasureSpec, _trapz, certify, certify_matrix, covariance, \
     fp_class_member
 from .functionals import _check_ratio_bounded, _ou_log_lp, \
     _rule_or_default, entropy_fisher, relative_log_closure, sharp_constant
-from .numerics import Grid1D, GridField, ParameterError, default_grid
+from .numerics import (Grid1D, GridField, ParameterError, _coarsest_stride,
+                       _refine_strides, default_grid)
 from .reports import DeficitReport, HypothesisCheck
 from .semigroups import ExponentTriple, InadmissibleExponentError, \
     _ou_closures_1d
@@ -468,15 +469,12 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
         h1, h2 = f1.grid.spacing * k, f2.grid.spacing * k
         return np.trapezoid(np.trapezoid(np.exp(log_int), dx=h2), dx=h1)
 
-    m, k = np.gcd(x1.size - 1, x2.size - 1), 1
-    while m % (2 * k) == 0 and min(x1.size, x2.size) - 1 >= 128 * k:
-        k *= 2
-    lhs, gap = trapezoid(k), np.nan
-    while k > 1 and not gap <= 1e-14:
-        k //= 2
-        prev, lhs = lhs, trapezoid(k)
+    def rel_gap(prev, lhs):
         with np.errstate(invalid="ignore", divide="ignore"):
-            gap = abs(lhs - prev) / abs(lhs)
+            return abs(lhs - prev) / abs(lhs)
+
+    k, lhs, gap = _refine_strides(
+        trapezoid, _coarsest_stride(x1.size - 1, x2.size - 1), rel_gap, 1e-14)
 
     h_const = sharp_constant("bl_h", c1=c1, c2=c2, s=s).value
     u = LogQuad.gaussian_ratio(beta, c1).ou(s)

@@ -168,20 +168,60 @@ class QuadratureRule:
         return np.log(self.weights)
 
 
+# one rule per node count, built on first use; its arrays are read-only
+_GH_RULES: dict = {}
+
+
 def gauss_hermite_rule(m: int) -> QuadratureRule:
     """Gauss-Hermite rule normalized for the standard Gaussian measure.
 
     ``int f dgamma ~= sum(w * f(z))``; exact for polynomials of degree
-    <= 2m - 1.
+    <= 2m - 1.  Repeated calls return the same rule.
     """
     if not (2 <= m <= 512):
         raise ParameterError(f"node count must be in [2, 512], got {m}")
-    z, w = hermegauss(m)  # probabilists' weight exp(-x^2/2)
-    w = w / np.sqrt(2.0 * np.pi)
-    return QuadratureRule("gauss-hermite", z, w / w.sum() * 1.0)
+    rule = _GH_RULES.get(m)
+    if rule is None:
+        z, w = hermegauss(m)  # probabilists' weight exp(-x^2/2)
+        w = w / np.sqrt(2.0 * np.pi)
+        w /= w.sum()
+        for arr in (z, w):
+            arr.setflags(write=False)
+        rule = _GH_RULES[m] = QuadratureRule("gauss-hermite", z, w)
+    return rule
 
 
 DEFAULT_GH_NODES = 96
+
+
+# ---------------------------------------------------------------------------
+# nested strided levels
+
+
+def _coarsest_stride(*intervals: int) -> int:
+    """The first of the nested levels: the largest power-of-two stride that
+    divides every interval count and leaves at least 64 intervals on each."""
+    m, k = int(np.gcd.reduce(intervals)), 1
+    while m % (2 * k) == 0 and min(intervals) >= 128 * k:
+        k *= 2
+    return k
+
+
+def _refine_strides(level: Callable, k: int, gap: Callable, tol: float):
+    """Halve the stride from k until two successive levels agree.
+
+    ``level(k)`` evaluates at stride k and ``gap(coarse, fine)`` measures
+    how far two levels disagree.  Returns (k, level(k), gap) at the first
+    level within ``tol`` of the one before it; an unresolved level sequence
+    ends at stride 1.  The gap is NaN when only one level was evaluated.
+    """
+    cur, g = level(k), np.nan
+    while k > 1 and not g <= tol:
+        k //= 2
+        prev = cur  # one earlier level is held while the next is evaluated
+        cur = level(k)
+        g = gap(prev, cur)
+    return k, cur, g
 
 
 # ---------------------------------------------------------------------------

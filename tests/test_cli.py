@@ -8,7 +8,9 @@ import pytest
 
 from gauss_deficit.cli import (COMMANDS, ReportBundle, RunConfig, flow_trace,
                                main, run)
-from gauss_deficit.numerics import ParameterError
+from gauss_deficit.hamilton_jacobi import (beta_of_a, hj_hc_check,
+                                           quadratic_datum)
+from gauss_deficit.numerics import ParameterError, gauss_hermite_rule
 
 
 def small(command, **kw):
@@ -45,6 +47,17 @@ class TestRunConfig:
 
 
 class TestRun:
+    def test_hj_suites_read_gh_nodes(self):
+        config = RunConfig.from_sources("verify-hj", None,
+                                        {"gh_nodes": 8, "count": 1})
+        a, beta = config.a, config.beta
+        f = quadratic_datum(a, beta_of_a(a, beta), config.grid())
+        want = hj_hc_check(f, a, config.tau, beta, rule=gauss_hermite_rule(8))
+        got = run(config).reports[0]
+        assert got.to_dict() == want.to_dict()
+        default = run(RunConfig(command="verify-hj", count=1)).reports[0]
+        assert got.lhs != default.lhs
+
     def test_lsi_suite_passes_with_extremiser(self):
         b = run(small("verify-lsi", beta=2.0))
         assert b.all_pass

@@ -1,3 +1,5 @@
+import logging
+import re
 import warnings
 
 import numpy as np
@@ -12,8 +14,9 @@ from gauss_deficit.flows import (T_STAR, FPParams, MeasureSpec, certify,
                                  fp_class_member, fp_evolve,
                                  preservation_trace, _interior,
                                  _log_hessian_1d, _trapz)
-from gauss_deficit.inequalities import make_fp_input
-from gauss_deficit.numerics import Grid1D, GridField, ParameterError
+from gauss_deficit.inequalities import make_fp_input, make_logconcave_input
+from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
+                                    TruncationError)
 
 
 class TestFPEvolve:
@@ -44,15 +47,24 @@ class TestFPEvolve:
             fp_evolve(v0, FPParams(2.0, -0.1))
 
 
+def _padded_lattice(src, pad):
+    """The source lattice with ``pad`` nodes past each grid end, and the
+    source there: the grid values inside, the closure outside."""
+    g = src.grid
+    ys = g.lo + g.spacing * np.arange(-pad, g.n + pad)
+    vals = np.exp(src.log(ys))
+    vals[pad:pad + g.n] = src.values
+    return ys, vals
+
+
 def _kernel_reference(src, beta, t, x):
-    """The grid-density flow as an exp-kernel matrix times trapezoid weights."""
+    """The grid-density flow as an exp-kernel matrix times the trapezoid
+    weights of the source lattice, padded past the grid to three times its
+    width: every atom weighs the spacing."""
     w = beta * (1.0 - np.exp(-2.0 * t))
-    ys = src.grid.points
-    tw = np.full(ys.size, src.grid.spacing)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
+    ys, vals = _padded_lattice(src, src.grid.n - 1)
     K = np.exp(-(x[:, None] - np.exp(-t) * ys) ** 2 / (2 * w))
-    return K @ (tw * src.values / np.sqrt(2 * np.pi * w))
+    return K @ (src.grid.spacing * vals / np.sqrt(2 * np.pi * w))
 
 
 def _untagged_gaussian(grid, beta):
@@ -72,10 +84,8 @@ class TestGridDensityFlow:
 
     @pytest.mark.parametrize("beta", [0.5, 2.0])
     def test_gaussian_curvature_is_exact(self, beta):
-        # gamma_beta is stationary: (log v_t)'' = -1/beta at every t.  The
-        # source grid is wider than the default so that cutting gamma_2 off
-        # at its ends (1.2e-9 at |x| = 8, t = 0.5 on [-12, 12]) stays below
-        # the tolerance.
+        # gamma_beta is stationary: (log v_t)'' = -1/beta at every t, here
+        # on a grid whose n - 1 = 5460 is not a power of two
         grid = Grid1D(-16.0, 16.0, 5461)
         x = grid.points[np.abs(grid.points) < 8]
         v0 = _untagged_gaussian(grid, beta)
@@ -91,6 +101,71 @@ class TestGridDensityFlow:
         margins, _ = preservation_trace(v0, 0.5, "concave",
                                         (0.05, 0.2, 0.5, 1.0))
         np.testing.assert_allclose(margins, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("beta,kind", [(0.5, "concave"), (2.0, "convex")])
+    def test_default_grid_margins_vanish_to_the_edge(self, grid, beta, kind):
+        # a source cut off at the grid edge bent (log v_t)'' there: the
+        # gamma_2 margin read -1.25 near x = -12
+        v0 = _untagged_gaussian(grid, beta)
+        margins, _ = preservation_trace(v0, beta, kind, (0.05, 0.2, 0.5, 1.0))
+        np.testing.assert_allclose(margins, 0.0, atol=1e-9)
+
+    def test_levels_match_full_padded_source(self, grid):
+        rng = np.random.default_rng(11)
+        src = make_logconcave_input(rng, 0.5, grid)
+        beta, t = 0.5, 0.05
+        vt = fp_evolve(src, FPParams(beta, t))
+        assert vt.tag.a.size < grid.n  # a strided level, not every node
+        # the stride-1 source, padded until its ends weigh nothing
+        ys, vals = _padded_lattice(src, 1024)
+        q = LogQuad.gaussian(beta * (1.0 - np.exp(-2.0 * t)),
+                             np.exp(-t) * ys)
+        full = LogQuad(q.a, q.b, q.c + np.log(grid.spacing * vals))
+        np.testing.assert_allclose(vt.values, full(grid.points), rtol=1e-12,
+                                   atol=0)
+
+    def test_mass_past_the_grid_is_kept(self, grid):
+        # 2.3 % of gamma(. - 10) lies past x = 12; by t = 1 the flow has
+        # carried it inside, so v_t holds the whole mass on the grid
+        q = LogQuad.gaussian(1.0, 10.0)
+        src = GridField.from_callable(grid, q.__call__, log_fn=q.log_at)
+        assert _trapz(src) == pytest.approx(0.9772, abs=1e-4)
+        vt = fp_evolve(src, FPParams(1.0, 1.0))
+        assert _trapz(vt) == pytest.approx(1.0, abs=1e-9)
+        margins, _ = preservation_trace(src, 1.0, "concave", [1.0])
+        assert margins[0] == pytest.approx(0.0, abs=1e-9)
+
+    def test_values_only_source_on_levels(self, grid):
+        # no closure, so no pad: a smooth source that has decayed by the
+        # grid edge still settles on a strided level
+        src = GridField(grid, gaussian_field(grid, 0.5).values)
+        vt = fp_evolve(src, FPParams(0.5, 0.5))
+        assert vt.tag.a.size < grid.n
+        np.testing.assert_allclose(vt.values,
+                                   gaussian_field(grid, 0.5).values,
+                                   rtol=1e-10, atol=1e-300)
+
+    def test_source_between_coarse_nodes(self, grid):
+        # zero at every node of the coarsest level, which then has no mass
+        x = grid.points
+        vals = np.maximum(1.0 - ((x - 0.2) / 0.1) ** 2, 0.0)
+        src = GridField(grid, vals / _trapz(GridField(grid, vals)))
+        vt = fp_evolve(src, FPParams(1.0, 0.5))
+        assert _trapz(vt) == pytest.approx(1.0, abs=1e-9)
+
+    def test_growing_closure_raises(self):
+        # log v0 = x^2 outgrows the kernel: no pad makes the edge negligible
+        g = Grid1D(-1.0, 1.0, 65)
+        src = GridField.from_callable(g, lambda x: np.exp(x * x),
+                                      log_fn=lambda x: x * x)
+        with pytest.raises(TruncationError, match="does not decay"):
+            fp_evolve(src, FPParams(1.0, 1.0))
+
+    def test_resolution_logged(self, grid, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gauss_deficit.flows"):
+            fp_evolve(_untagged_gaussian(grid, 2.0), FPParams(2.0, 0.5))
+        assert re.search(r"pad \d+ nodes, stride \d+, level gap ",
+                         caplog.text)
 
     def test_compact_support_source(self, grid):
         vals = 0.75 * np.maximum(1.0 - grid.points ** 2, 0.0)

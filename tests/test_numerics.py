@@ -40,6 +40,14 @@ class TestGaussHermite:
             assert got == pytest.approx(expect, rel=1e-12)
         assert float(np.sum(r.weights * r.nodes)) == pytest.approx(0, abs=1e-13)
 
+    def test_cached_and_read_only(self):
+        r = gauss_hermite_rule(40)
+        assert gauss_hermite_rule(40) is r
+        assert gauss_hermite_rule(41) is not r
+        for arr in (r.nodes, r.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_exact_for_gaussian_exponential(self):
         # E[e^{t x}] = e^{t^2/2}
         r = gauss_hermite_rule(96)
