@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 from typing import List, Optional
 
 import numpy as np
+from numpy.random import default_rng  # at import: numpy defers it to first use
 
 from .numerics import Grid1D, GridField, ParameterError, gauss_hermite_rule
 from .families import (LogQuad, field_from_family, gaussian_field,
@@ -233,7 +234,7 @@ def _summarize(reports, extremiser_indices, tol):
 
 
 def _item_rng(config: RunConfig, index: int) -> np.random.Generator:
-    return np.random.default_rng([config.seed, index])
+    return default_rng([config.seed, index])
 
 
 def _random_density(config: RunConfig, index: int) -> GridField:

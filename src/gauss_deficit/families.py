@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
-from .numerics import Grid1D, GridField, ParameterError
+from .numerics import Grid1D, GridField, ParameterError, ndtr
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -226,7 +225,8 @@ class LogQuad:
         mean = -self.b / self.a
 
         def block(xs, work):
-            return [ndtr((xs - mean) / sigma) @ weights]
+            a = (xs - mean) / sigma
+            return [ndtr(a, out=a, work=work) @ weights]
 
         return mass, lambda x: _by_blocks(x, self.a.size, 1, block)[0]
 

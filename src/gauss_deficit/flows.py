@@ -213,10 +213,10 @@ def _grid_density_family(src: GridField, beta: float, t: float, x):
 def _fp_family(v0: MeasureSpec, beta: float, t: float, x):
     """v_t as one LogQuad with a component per atom of the source.
 
-    A tagged density flows its tag and an untagged one goes through
-    _grid_density_family, reading v_t at the nodes x.  Returns (family,
-    mass of the source that flowed, (log v_t, (log v_t)'') at x or None
-    when the family was not evaluated there).
+    A tagged density flows its tag, with the tag's exact mass, and an
+    untagged one goes through _grid_density_family, reading v_t at the
+    nodes x.  Returns (family, mass of the source that flowed, (log v_t,
+    (log v_t)'') at x or None when the family was not evaluated there).
     """
     if beta * (1.0 - np.exp(-2.0 * t)) < 1e-10:
         raise ParameterError("flow time too small: kernel variance below 1e-10")
@@ -226,7 +226,7 @@ def _fp_family(v0: MeasureSpec, beta: float, t: float, x):
         return _atoms_family(v0.points, logw, beta, t), v0.mass, None
     src = v0.density
     if isinstance(src.tag, LogQuad):
-        return src.tag.fp(beta, t), v0.mass, None
+        return src.tag.fp(beta, t), src.tag.integral_lebesgue(), None
     if np.any(src.values < 0):
         raise PositivityError("a density must be nonnegative")
     return _grid_density_family(src, beta, t, x)

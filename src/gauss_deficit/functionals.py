@@ -13,13 +13,12 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .families import LogQuad
 from .flows import FPParams, fp_evolve
 from .numerics import (DEFAULT_GH_NODES, EvaluationError, GridField,
                        ParameterError, PositivityError, QuadratureRule,
-                       gauss_hermite_rule)
+                       gauss_hermite_rule, logsumexp)
 from .semigroups import (ExponentTriple, IntegrabilityError, _ou_closures_1d,
                          beta_s)
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .families import LogQuad
 from .functionals import _log_lp, _rule_or_default, sharp_constant
-from .numerics import Grid1D, GridField, ParameterError, QuadratureRule
+from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
+                       logsumexp)
 from .reports import DeficitReport, HypothesisCheck
 from .semigroups import IntegrabilityError
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .families import LOG_2PI, LogQuad, field_from_family, \
     symmetric_mixture
@@ -21,7 +20,7 @@ from .flows import MeasureSpec, _trapz, certify, certify_matrix, covariance, \
 from .functionals import _check_ratio_bounded, _ou_log_lp, \
     _rule_or_default, entropy_fisher, relative_log_closure, sharp_constant
 from .numerics import (Grid1D, GridField, ParameterError, _coarsest_stride,
-                       _refine_strides, default_grid)
+                       _refine_strides, default_grid, logsumexp)
 from .reports import DeficitReport, HypothesisCheck
 from .semigroups import ExponentTriple, InadmissibleExponentError, \
     _ou_closures_1d

@@ -247,3 +247,192 @@ def log_derivatives(f: GridField):
     grad = np.gradient(L, h, edge_order=2)
     hess = _second_difference(L, h)
     return (GridField(f.grid, grad), GridField(f.grid, hess))
+
+
+# ---------------------------------------------------------------------------
+# log-sum-exp, cumulative Simpson and the normal CDF
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over all entries (axis None) or the last axis (-1).
+
+    The maximum is taken out and its m tied entries kept apart from the sum
+    s of the others: log1p(s / m) + log(m) + max (Blanchard, Higham &
+    Higham, IMA J. Numer. Anal. 41, 2021).  Where that is not finite (all
+    -inf, +inf or NaN entries) the direct log(sum(exp(a))) is returned.
+    Bit for bit what scipy.special.logsumexp (1.17) gives for real input.
+    """
+    if axis not in (None, -1):
+        raise ParameterError("logsumexp sums over all entries or axis -1")
+    a = np.atleast_1d(np.asarray(a, float))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    top = np.max(a, axis=axes, keepdims=True)
+    at_top = a == top
+    m = np.count_nonzero(at_top, axis=axes, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e = a - top
+        e[at_top] = -np.inf
+        s = np.sum(np.exp(e, out=e), axis=axes, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + top
+        bad = ~np.isfinite(out)
+        if bad.any():
+            if axis is None:
+                out = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))
+            else:
+                out[bad] = np.log(np.sum(np.exp(a[bad[..., 0]]), axis=-1))
+    out = np.squeeze(out, axis=axes)
+    return out[()] if out.ndim == 0 else out
+
+
+def cumulative_simpson(y, dx: float, initial: float):
+    """Cumulative Simpson integral of samples y at spacing dx, starting at
+    ``initial``: one value per sample.
+
+    Each interval gets d/3 (5 f0/4 + 2 f1 - f2/4) from the three samples
+    that start at it, or from the three that end at it: alternately, and
+    for the last interval; then the intervals are summed.  Bit for bit what
+    scipy.integrate.cumulative_simpson(y, dx=dx, initial=initial) gives for
+    1-D y.
+    """
+    y = np.asarray(y, float)
+    if y.ndim != 1 or y.size < 3:
+        raise ParameterError("cumulative_simpson needs 1-D y with >= 3 samples")
+
+    def forward(f):
+        return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+
+    ahead, behind = forward(y), forward(y[::-1])[::-1]
+    parts = np.empty(y.size - 1)
+    parts[:-1:2] = ahead[::2]
+    parts[1::2] = behind[::2]
+    parts[-1] = behind[-1]
+    return np.concatenate(([initial], np.cumsum(parts) + initial))
+
+
+# Cody's rational approximations as cephes' ndtr.c holds them: erf(x) =
+# x T(x^2) / U(x^2) for |x| < 1, erfc(x) = e^{-x^2} P(x) / Q(x) on [1, 8)
+# and e^{-x^2} R(x) / S(x) from 8 on.  U, Q and S are monic; their leading
+# 1 is not listed.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821794e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+_SQRT1_2 = float(np.sqrt(0.5))
+
+
+def _pair(num, den):
+    """Horner plan for num(v) / den(v), den monic, in cephes' polevl /
+    p1evl order: den's steps before num starts, num's first coefficient,
+    and the (2, 1) coefficient columns of the steps both then take."""
+    lead = len(den) - (len(num) - 1)
+    cols = [np.array([[p], [q]]) for p, q in zip(num[1:], den[lead:])]
+    return den[:lead], num[0], cols
+
+
+_ERF_TU = _pair(_ERF_T, _ERF_U)
+_ERFC_PQ = _pair(_ERFC_P, _ERFC_Q)
+_ERFC_RS = _pair(_ERFC_R, _ERFC_S)
+
+
+def _rational(v, pair, acc):
+    """acc[0] = num(v) and acc[1] = den(v) for a pair from _pair."""
+    lead, first, cols = pair
+    acc[1].fill(1.0)
+    for c in lead:
+        acc[1] *= v
+        acc[1] += c
+    acc[0].fill(first)
+    for c in cols:
+        acc *= v
+        acc += c
+
+
+def ndtr(a, out=None, work=None):
+    """The standard normal CDF at a, by cephes' ndtr (W. J. Cody, Math.
+    Comp. 23, 1969).
+
+    With x = a / sqrt 2 and z = |x|: 1/2 + erf(x) / 2 where z < 1, else
+    y = erfc(z) / 2, or 1 - y where x > 0; y is 0 once z^2 > MAXLOG.  Each
+    branch gathers its points, so no point runs another branch's
+    polynomials.  ``out`` (C-contiguous; a itself is allowed) receives the
+    result and ``work`` holds the two Horner accumulators, shape (2,) +
+    a.shape with contiguous rows; both are allocated when not given.
+    Within 4.4e-16 of scipy.special.ndtr relative on [-40, 40], and
+    bit-identical at 98 % of points there.
+    """
+    a = np.asarray(a, float)
+    if out is None:
+        out = a.copy()
+    elif out is not a:
+        np.copyto(out, a)
+    if not out.flags.c_contiguous:
+        raise ParameterError("ndtr writes into a C-contiguous out")
+    flat = out.reshape(-1)
+    w = np.empty((2, flat.size)) if work is None else work.reshape(2, -1)
+    z = np.multiply(np.abs(flat, out=w[0]), _SQRT1_2, out=w[0])
+    small, big = z < 1.0, z >= 8.0
+    mid = ~(small | big)  # and NaN
+    # overflow and inf / inf only arise at points whose result is 0 or 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mask, branch, pair in ((small, _erf_half, _ERF_TU),
+                                   (mid, _erfc_half, _ERFC_PQ),
+                                   (big, _erfc_half, _ERFC_RS)):
+            m = int(np.count_nonzero(mask))
+            if m:
+                flat[mask] = branch(flat, mask, pair, w[:, :m])
+    return out
+
+
+def _gather(flat, mask):
+    """x = a / sqrt 2 at the points of one branch."""
+    x = flat[mask]
+    x *= _SQRT1_2
+    return x
+
+
+def _erf_half(flat, mask, pair, acc):
+    """1/2 + erf(x) / 2 with erf(x) = x T(x^2) / U(x^2)."""
+    x = _gather(flat, mask)
+    _rational(np.multiply(x, x, out=x), pair, acc)
+    x = _gather(flat, mask)
+    y = np.divide(np.multiply(x, acc[0], out=acc[0]), acc[1], out=acc[0])
+    y *= 0.5
+    y += 0.5
+    return y
+
+
+def _erfc_half(flat, mask, pair, acc):
+    """y = erfc(z) / 2 = e^{-z^2} num(z) / den(z) / 2, and 1 - y where
+    x > 0."""
+    z = _gather(flat, mask)
+    positive = z > 0.0
+    _rational(np.abs(z, out=z), pair, acc)
+    e = np.negative(np.multiply(z, z, out=z), out=z)
+    # e^{-z^2} underflows past MAXLOG, and numpy's exp is slow on subnormal
+    # results: take e^0 there and zero the result afterwards
+    under = e < -_MAXLOG
+    np.copyto(e, 0.0, where=under)
+    np.exp(e, out=e)
+    y = np.divide(np.multiply(e, acc[0], out=acc[0]), acc[1], out=acc[0])
+    np.copyto(y, 0.0, where=under)
+    y *= 0.5
+    np.subtract(1.0, y, out=y, where=positive)
+    return y

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .families import LogQuad, field_from_family
 from .numerics import (DEFAULT_GH_NODES, EvaluationError, GridField,
                        ParameterError, QuadratureRule, _sample,
-                       gauss_hermite_rule)
+                       gauss_hermite_rule, logsumexp)
 
 
 class IntegrabilityError(EvaluationError):

@@ -2,8 +2,8 @@
 One-dimensional quadratic optimal transport.
 
 Brenier maps are quantile compositions T = F_nu^{-1} o F_mu.  Densities
-with closed-form CDFs (Gaussians, mixtures) go through scipy.special.ndtr
-with Newton refinement; grid-only densities use cumulative Simpson CDFs
+with closed-form CDFs (Gaussians, mixtures) go through numerics.ndtr with
+Newton refinement; grid-only densities use cumulative Simpson CDFs
 inverted by monotone interpolation on a clipped quantile range.  On top of
 the maps: W_2, Talagrand deficits, Caffarelli slope checks, and the
 general-potential LSI comparison.
@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .families import LogQuad, field_from_family
 from .flows import _trapz, certify
 from .functionals import _rule_or_default, relative_log_closure, \
     sharp_constant
-from .numerics import Grid1D, GridField, ParameterError, QuadratureRule
+from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
+                       cumulative_simpson)
 from .reports import DeficitReport, HypothesisCheck
 
 QUANTILE_CLIP = 1e-7  # interior quantile range for grid-path CDF inversion

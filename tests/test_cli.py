@@ -211,6 +211,24 @@ class TestMain:
         assert bad.returncode == 2
         assert "Traceback" not in bad.stderr
 
+    def test_suites_run_without_scipy(self):
+        # scipy is a test oracle only: no suite may load it, even lazily
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = (
+            "import sys\n"
+            "import gauss_deficit as gd\n"
+            "from gauss_deficit import cli\n"
+            "for name in cli._SUITES:\n"
+            "    gd.run(cli.RunConfig(command=name, count=1))\n"
+            "gd.flow_trace(cli.RunConfig(command='flow-trace', count=1))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "[]"
+
     def test_flow_trace_csv(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = main(["flow-trace", "--count", "2", "--grid-n", "1025",

@@ -41,6 +41,25 @@ class TestFPEvolve:
         ref = gaussian_field(grid, 2.0)
         np.testing.assert_allclose(vt.values, ref.values, atol=1e-7)
 
+    def test_tagged_source_flows_its_exact_mass(self, grid):
+        # a Gaussian at 10 loses 2.3 % of its mass past the grid end; the
+        # drift check compares v_t with the source's exact mass, as for the
+        # untagged closure of the same density
+        q = LogQuad.gaussian(1.0, 10.0)
+        tagged = gaussian_field(grid, 1.0, 10.0)
+        untagged = GridField.from_callable(grid, q.__call__, log_fn=q.log_at)
+        params = FPParams(1.0, 1.0)
+        vt, ut = fp_evolve(tagged, params), fp_evolve(untagged, params)
+        assert _trapz(vt) == pytest.approx(_trapz(ut), rel=1e-12)
+        np.testing.assert_allclose(vt.values, ut.values, rtol=1e-12,
+                                   atol=1e-300)
+
+    def test_tagged_source_leaving_the_grid_raises(self, grid):
+        # v_t centred at 11.3 with unit variance: a quarter of it is past 12
+        v0 = gaussian_field(grid, 1.0, 11.5)
+        with pytest.raises(TruncationError, match="mass drift"):
+            fp_evolve(v0, FPParams(1.0, 0.02))
+
     def test_rejects_negative_time(self, grid):
         v0 = gaussian_field(grid, 1.0)
         with pytest.raises(ParameterError):
