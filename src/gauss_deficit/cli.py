@@ -30,7 +30,7 @@ from .families import (LogQuad, field_from_family, gaussian_field,
                        symmetric_mixture)
 from .semigroups import ExponentTriple
 from .flows import FPParams, certify, fp_evolve, _trapz
-from .functionals import q_functional, sharp_constant
+from .functionals import q_functional, relative_log_closure, sharp_constant
 from .reports import DeficitReport, HypothesisCheck
 from .inequalities import (beckner_check, brascamp_lieb_check,
                            counterexample_mixture,
@@ -359,15 +359,12 @@ def _test_function(config: RunConfig, index: int, power: float) -> GridField:
     if index == 0:
         return field_from_family(
             grid, LogQuad.gaussian_ratio(config.beta, 1.0 / power))
-    v_log = _random_density(config, index).log
-
-    def log_fn(x):
-        x = np.asarray(x, float)
-        gauss_log = -0.5 * x * x - 0.5 * np.log(2.0 * np.pi)
-        return (v_log(x) - gauss_log) / power
-
-    return GridField.from_callable(grid, lambda x: np.exp(log_fn(x)),
-                                   log_fn=log_fn)
+    v = _random_density(config, index)
+    rel_log, d2 = relative_log_closure(v), v.analytic_d2log
+    return GridField.from_log(
+        grid, lambda x: rel_log(x) / power,
+        dlog=lambda x: (v.dlog(x) + np.asarray(x, float)) / power,
+        d2log=lambda x: (d2(x) + 1.0) / power)
 
 
 def _suite_poincare(config: RunConfig):
@@ -453,15 +450,22 @@ def _suite_general_lsi(config: RunConfig):
         rng = _item_rng(config, i)
         omega = 1.0 if i == 0 else float(rng.uniform(0.8, 1.5))
         eps = 0.0 if i == 0 else float(rng.uniform(0.0, 0.05)) * omega
-        x = grid.points
-        V = GridField(grid, 0.5 * omega * x * x + eps * np.log(np.cosh(x)))
-        pot = PotentialSpec(V, K=omega, L=omega + eps)
+
+        def potential(x):
+            return 0.5 * omega * x * x + eps * np.log(np.cosh(x))
+
+        pot = PotentialSpec(GridField(grid, potential(grid.points)),
+                            K=omega, L=omega + eps)
         # v must be K/beta-semi-log-convex: take the e^{-V/beta_v} member
-        # with beta_v >= beta L / K
+        # with beta_v >= beta L / K, (log v)'' = -(omega + eps sech^2)/beta_v
         beta_v = beta * (pot.L / pot.K) * (1.0 if i == 0 else
                                            float(rng.uniform(1.0, 1.3)))
-        vals, logv = pot.density(beta_v)
-        vf = GridField(grid, vals)
+        lv = -pot.V.values / beta_v
+        logz = float(lv.max() + np.log(np.trapezoid(np.exp(lv - lv.max()),
+                                                    dx=grid.spacing)))
+        vf = GridField.from_log(
+            grid, lambda x: -potential(np.asarray(x, float)) / beta_v - logz,
+            d2log=lambda x: -(omega + eps / np.cosh(x) ** 2) / beta_v)
         return general_lsi_deficit(DensitySpec(vf), pot, beta)
 
     return [lambda i=i: item(i) for i in range(config.count)], [0]

@@ -7,8 +7,9 @@ positive Gaussian mixture, such as every Fokker-Planck snapshot of a finite
 measure.  The family is closed under products, the Ornstein-Uhlenbeck
 semigroup and the Fokker-Planck kernel (complete-the-square identities,
 applied per component), which makes it the workhorse for extremiser checks.
-Fields built from these carry exact evaluators for value, log value and
-(log f)', and (log f)'' comes from the component posterior in the same pass.
+Fields built from these carry exact evaluators for value, log value,
+(log f)' and (log f)'', the last from the component posterior in the same
+pass.
 """
 from __future__ import annotations
 
@@ -247,6 +248,7 @@ def field_from_family(grid: Grid1D, fam) -> GridField:
         analytic=fam.__call__,
         analytic_log=fam.log_at,
         analytic_dlog=fam.dlog,
+        analytic_d2log=fam.d2log,
         tag=fam,
     )
 

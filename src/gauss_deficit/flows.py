@@ -32,7 +32,7 @@ import numpy as np
 from .families import LogQuad, field_from_family
 from .numerics import (Grid1D, GridField, ParameterError, PositivityError,
                        TruncationError, _coarsest_stride, _refine_strides,
-                       default_grid, log_derivatives)
+                       default_grid, second_difference)
 
 logger = logging.getLogger(__name__)
 
@@ -271,19 +271,13 @@ def fp_class_member(mu: MeasureSpec, beta: float,
 # certificates
 
 
-def _interior(arr: np.ndarray, trim: int = 2) -> np.ndarray:
-    return arr[trim:-trim]
-
-
 def _log_hessian_1d(v: GridField) -> np.ndarray:
-    if isinstance(v.tag, LogQuad):
-        return np.asarray(v.tag.d2log(v.grid.points), float)
-    if v.analytic_log is not None:
-        h = 1e-4
-        x = v.grid.points
-        return (v.log(x + h) - 2.0 * v.log(x) + v.log(x - h)) / h**2
-    _, hess = log_derivatives(v)
-    return hess.values
+    """(log v)'' at the grid nodes 2..n-3 (see certify for its sources)."""
+    x = v.grid.points
+    exact = v.tag.d2log if isinstance(v.tag, LogQuad) else v.analytic_d2log
+    if exact is not None:
+        return np.asarray(exact(x[2:-2]), float)
+    return second_difference(np.asarray(v.log(x), float), v.grid.spacing)
 
 
 def _margin(kind: str, beta: float, hess) -> float:
@@ -299,13 +293,22 @@ def certify(v: GridField, kind: str, beta: float,
             tol: Optional[float] = None) -> ConvexityCertificate:
     """Measure the log-curvature bound defining each semi-log property.
 
-    Margins are signed so that margin >= -tol certifies, over interior
-    grid points:
+    Margins are signed so that margin >= -tol certifies, over the grid
+    nodes 2..n-3:
       subharmonic, convex:    min((log v)'' + 1/beta)
       concave, superharmonic: min(-1/beta - (log v)'')
 
     On the line the Laplacian and the Hessian are both (log v)'', so
     subharmonic/convex coincide, as do concave/superharmonic.
+
+    (log v)'' comes from the first of three paths that applies:
+      1. a LogQuad tag (field_from_family, every FP snapshot): the exact
+         posterior moments of its components;
+      2. the field's analytic_d2log, as GridField.from_log(d2log=) sets it;
+      3. numerics.second_difference of log v at the nodes, for values-only
+         fields and for a log closure without d2log: differenced at the
+         grid spacing h, not at h = 1e-4, with an error of about
+         h^2 (log v)''''/12 plus 4 eps |log v| / h^2 of rounding.
     """
     if beta <= 0:
         raise ParameterError("beta must be positive")
@@ -313,7 +316,7 @@ def certify(v: GridField, kind: str, beta: float,
         raise PositivityError("certification from samples requires v > 0")
     if tol is None:
         tol = 1e-4 / beta
-    margin = _margin(kind, beta, _interior(_log_hessian_1d(v)))
+    margin = _margin(kind, beta, _log_hessian_1d(v))
     return ConvexityCertificate(kind, beta, margin, tol)
 
 
@@ -334,7 +337,7 @@ def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray, side: str,
     if B.shape != (2, 2):
         raise ParameterError("B must be a 2 x 2 matrix")
     extreme = np.min if side == "convex" else np.max
-    h = [extreme(_interior(_log_hessian_1d(v))) for v in (v1, v2)]
+    h = [extreme(_log_hessian_1d(v)) for v in (v1, v2)]
     eigs = np.linalg.eigvalsh(np.diag(h) + np.linalg.inv(B))
     margin = eigs[0] if side == "convex" else -eigs[-1]
     return ConvexityCertificate(side, float(np.max(np.linalg.eigvalsh(B))),
@@ -364,7 +367,7 @@ def preservation_trace(v0: GridField, beta: float, kind: str,
         logv, hess = at_x or family._pass(x, 2)[::2]
         _check_mass(mass0, float(np.trapezoid(np.exp(logv),
                                               dx=v0.grid.spacing)))
-        hess = _interior(hess)
+        hess = hess[2:-2]
         margins.append(_margin(kind, beta, hess))
         bound = 1.0 / ((1.0 - np.exp(-2.0 * t)) * beta)
         universal.append(float(np.min(hess + bound)))

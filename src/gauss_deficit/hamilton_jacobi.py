@@ -18,7 +18,7 @@ import numpy as np
 from .families import LogQuad
 from .functionals import _log_lp, _rule_or_default, sharp_constant
 from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
-                       logsumexp)
+                       logsumexp, second_difference)
 from .reports import DeficitReport, HypothesisCheck
 from .semigroups import IntegrabilityError
 
@@ -190,11 +190,10 @@ def beta_of_a(a: float, beta: float) -> float:
 
 
 def _laplacian_margin(f: HJField, bound: float) -> float:
-    """min interior Delta f - bound (second difference on the grid)."""
-    vals = f.f.values
-    h = f.f.grid.spacing
-    lap = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h**2
-    return float(np.min(lap[1:-1]) - bound)
+    """min Delta f - bound over the grid nodes 2..n-3, by the second
+    difference of the samples of f."""
+    return float(np.min(second_difference(f.f.values, f.f.grid.spacing))
+                 - bound)
 
 
 def _integrability_margin(f: HJField, a: float, beta_a: float) -> float:

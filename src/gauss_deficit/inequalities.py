@@ -33,13 +33,11 @@ from .transport import DensitySpec, relative_entropy_gauss, w2
 
 def _relative_field(v: GridField) -> GridField:
     """v/gamma as a field with exact-as-possible closures."""
-    rel_log = relative_log_closure(v)
-
-    def dlog(x):
-        return v.dlog(x) + np.asarray(x, float)
-
-    return GridField.from_callable(v.grid, lambda x: np.exp(rel_log(x)),
-                                   log_fn=rel_log, dlog_fn=dlog)
+    d2 = v.analytic_d2log
+    return GridField.from_log(
+        v.grid, relative_log_closure(v),
+        dlog=lambda x: v.dlog(x) + np.asarray(x, float),
+        d2log=None if d2 is None else (lambda x: d2(x) + 1.0))
 
 
 def _certificate_hypotheses(v: GridField, beta: float) -> list:
@@ -308,22 +306,20 @@ def _grad_sq_gauss(f: GridField, rule) -> float:
 
 
 def _weighted_field(f: GridField, power: float) -> GridField:
-    """gamma |f|^power as a field (for curvature certification); a field
-    tagged with a one-component LogQuad gives a tagged, exact one."""
+    """gamma f^power as a field (for curvature certification), carrying
+    power (log f)'' - 1 when f carries (log f)''; a one-component LogQuad
+    tag gives a tagged, exact one."""
     if isinstance(f.tag, LogQuad) and f.tag.a.size == 1:
         return field_from_family(f.grid,
                                  f.tag ** power * LogQuad.gaussian(1.0))
 
-    def log_fn(x):
+    def log(x):
         x = np.asarray(x, float)
-        vals = np.abs(np.asarray(f(x), float))
-        with np.errstate(divide="ignore"):
-            lf = np.where(vals > 1e-300, np.log(np.maximum(vals, 1e-300)),
-                          -690.0)
-        return power * lf - 0.5 * x * x - 0.5 * LOG_2PI
+        return power * f.log(x) - 0.5 * x * x - 0.5 * LOG_2PI
 
-    return GridField.from_callable(f.grid, lambda x: np.exp(log_fn(x)),
-                                   log_fn=log_fn)
+    d2 = f.analytic_d2log
+    return GridField.from_log(f.grid, log, d2log=None if d2 is None else (
+        lambda x: power * d2(x) - 1.0))
 
 
 def poincare_check(f: GridField, beta: float, rule=None) -> DeficitReport:
@@ -590,32 +586,38 @@ def make_fp_input(rng: np.random.Generator, beta: float,
                            grid=grid or default_grid())
 
 
+def _bumped_gaussian(core: LogQuad, eps: float, m: float,
+                     grid: Grid1D) -> GridField:
+    """The one-component core times e^{-eps sqrt(1 + (x - m)^2)}, a smooth
+    convex bump, normalised by its trapezoid mass on the grid; its exact
+    (log v)' and (log v)'' come with it."""
+
+    def root(x):
+        return np.sqrt(1.0 + (np.asarray(x, float) - m) ** 2)
+
+    def raw_log(x):
+        return core.log_at(x) - eps * root(x)
+
+    def dlog(x):
+        return core.dlog(x) - eps * (np.asarray(x, float) - m) / root(x)
+
+    logz = float(np.log(np.trapezoid(np.exp(raw_log(grid.points)),
+                                     dx=grid.spacing)))
+    return GridField.from_log(grid, lambda x: raw_log(x) - logz, dlog,
+                              lambda x: core.a[0] - eps / root(x) ** 3)
+
+
 def make_logconcave_input(rng: np.random.Generator, beta: float,
                           grid: Grid1D = None) -> GridField:
     """A random beta-semi-log-concave density: a narrower Gaussian times
     e^{-(smooth convex bump)}, renormalized on the grid."""
     if beta >= 1:
         raise ParameterError("generator intended for beta < 1")
-    grid = grid or default_grid()
     base = beta * float(rng.uniform(0.55, 0.95))
     eps = float(rng.uniform(0.0, 0.3))
     m = float(rng.uniform(-1.0, 1.0))
-    core = LogQuad.gaussian(base)
-
-    def raw_log(x):
-        x = np.asarray(x, float)
-        return core.log_at(x) - eps * np.sqrt(1.0 + (x - m) ** 2)
-
-    raw = GridField.from_callable(grid, lambda x: np.exp(raw_log(x)),
-                                  log_fn=raw_log)
-    mass = _trapz(raw)
-    logz = float(np.log(mass))
-
-    def log_fn(x):
-        return raw_log(x) - logz
-
-    return GridField.from_callable(grid, lambda x: np.exp(log_fn(x)),
-                                   log_fn=log_fn)
+    return _bumped_gaussian(LogQuad.gaussian(base), eps, m,
+                            grid or default_grid())
 
 
 def make_talagrand_input(rng: np.random.Generator, beta: float,
@@ -633,21 +635,7 @@ def make_talagrand_input(rng: np.random.Generator, beta: float,
     b = beta * float(rng.uniform(1.1, 3.0))
     eps = float(rng.uniform(0.0, 0.9)) * (1.0 / beta - 1.0 / b)
     m = float(rng.uniform(-1.0, 1.0))
-    core = LogQuad.gaussian(b, m)
-
-    def raw_log(x):
-        x = np.asarray(x, float)
-        return core.log_at(x) - eps * np.sqrt(1.0 + (x - m) ** 2)
-
-    raw = GridField.from_callable(grid, lambda x: np.exp(raw_log(x)),
-                                  log_fn=raw_log)
-    logz = float(np.log(_trapz(raw)))
-
-    def log_fn(x):
-        return raw_log(x) - logz
-
-    return GridField.from_callable(grid, lambda x: np.exp(log_fn(x)),
-                                   log_fn=log_fn)
+    return _bumped_gaussian(LogQuad.gaussian(b, m), eps, m, grid)
 
 
 def sample_reverse_triple(rng: np.random.Generator,

@@ -1,11 +1,12 @@
 """
-Grids, quadrature rules, and finite-difference operators.
+Grids, quadrature rules, and the one second-difference stencil.
 
 Everything downstream works with functions sampled on uniform grids.  A
-GridField couples the samples with an optional analytic closure so that
-kernel integrals (Ornstein-Uhlenbeck, Fokker-Planck, Hopf-Lax) can be
-evaluated exactly where a closed form is known and by interpolation
-otherwise.
+GridField couples the samples with optional exact closures for f, log f,
+(log f)' and (log f)'', so that kernel integrals (Ornstein-Uhlenbeck,
+Fokker-Planck, Hopf-Lax) and curvature certificates read a closed form
+where one is known.  A field without closures is interpolated between its
+nodes, and its second derivative comes from ``second_difference``.
 
 Conventions:
 
@@ -82,16 +83,17 @@ def _sample(grid: Grid1D, fn: Callable) -> np.ndarray:
 class GridField:
     """Function samples on a grid, with optional exact evaluators.
 
-    values        -- samples at the grid points; when omitted they are
-                     filled by evaluating ``analytic`` once
-    analytic      -- vectorized evaluator f(x); when both are given, they
-                     must agree on the grid
-    analytic_log  -- evaluator of log f, preferred wherever powers/ratios
-                     of densities are formed (overflow-safe)
-    analytic_dlog -- evaluator of (log f)' (used for Fisher information
-                     and certificates)
-    tag           -- closed-form family (a families.LogQuad of K >= 1
-                     components) enabling exact semigroup/flow fast paths
+    values         -- samples at the grid points; when omitted they are
+                      filled by evaluating ``analytic`` once
+    analytic       -- vectorized evaluator f(x); when both are given, they
+                      must agree on the grid.  Left out, it is the exp of
+                      ``analytic_log``
+    analytic_log   -- evaluator of log f, preferred wherever powers/ratios
+                      of densities are formed (overflow-safe)
+    analytic_dlog  -- evaluator of (log f)' (Fisher information, int |f'|^2)
+    analytic_d2log -- evaluator of (log f)'' (curvature certificates)
+    tag            -- closed-form family (a families.LogQuad of K >= 1
+                      components) enabling exact semigroup/flow fast paths
     """
 
     grid: Grid1D
@@ -99,10 +101,16 @@ class GridField:
     analytic: Optional[Callable] = None
     analytic_log: Optional[Callable] = None
     analytic_dlog: Optional[Callable] = None
+    analytic_d2log: Optional[Callable] = None
     tag: object = None
 
     def __post_init__(self):
         given = self.values is not None
+        check = given and self.analytic is not None
+        if self.analytic is None and self.analytic_log is not None:
+            log = self.analytic_log
+            object.__setattr__(self, "analytic",
+                               lambda x: np.exp(np.asarray(log(x), float)))
         if not given and self.analytic is None:
             raise ParameterError("a field needs values or an analytic closure")
         v = (np.asarray(self.values, dtype=float) if given
@@ -112,7 +120,7 @@ class GridField:
             raise ParameterError("values shape does not match grid")
         if not np.all(np.isfinite(v)):
             raise EvaluationError("field values must be finite")
-        if given and self.analytic is not None:
+        if check:
             self._check_agreement()
 
     def _check_agreement(self):
@@ -147,6 +155,14 @@ class GridField:
                       dlog_fn=None, tag=None) -> "GridField":
         return cls(grid, analytic=fn, analytic_log=log_fn,
                    analytic_dlog=dlog_fn, tag=tag)
+
+    @classmethod
+    def from_log(cls, grid: Grid1D, log: Callable, dlog: Callable = None,
+                 d2log: Callable = None) -> "GridField":
+        """exp(log) on the grid, log evaluated once at the nodes, with the
+        exact (log f)' and (log f)'' closures when given."""
+        return cls(grid, analytic_log=log, analytic_dlog=dlog,
+                   analytic_d2log=d2log)
 
 
 # ---------------------------------------------------------------------------
@@ -225,28 +241,17 @@ def _refine_strides(level: Callable, k: int, gap: Callable, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# finite differences of log f
+# the second-difference stencil
 
 
-def _second_difference(L: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(L)
-    out[1:-1] = (L[2:] - 2.0 * L[1:-1] + L[:-2]) / h**2
-    # second-order one-sided stencils at the boundary
-    out[0] = (2 * L[0] - 5 * L[1] + 4 * L[2] - L[3]) / h**2
-    out[-1] = (2 * L[-1] - 5 * L[-2] + 4 * L[-3] - L[-4]) / h**2
-    return out
+def second_difference(u: np.ndarray, h: float) -> np.ndarray:
+    """(u[i+1] - 2 u[i] + u[i-1]) / h^2 at the nodes i = 2..n-3 of the
+    samples u at spacing h: the one stencil for data known only on a grid.
 
-
-def log_derivatives(f: GridField):
-    """Central finite differences of log f (one-sided at the boundary),
-    returned as the GridFields ``(grad, hess)``."""
-    if np.any(f.values <= 0):
-        raise PositivityError("log_derivatives requires strictly positive f")
-    h = f.grid.spacing
-    L = np.log(f.values)
-    grad = np.gradient(L, h, edge_order=2)
-    hess = _second_difference(L, h)
-    return (GridField(f.grid, grad), GridField(f.grid, hess))
+    Its error is h^2 u''''/12 plus a rounding error of about 4 eps |u| / h^2.
+    The two nodes at each end, which no certificate reads, are left out.
+    """
+    return (u[3:-1] - 2.0 * u[2:-2] + u[1:-3]) / h**2
 
 
 # ---------------------------------------------------------------------------

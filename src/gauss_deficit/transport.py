@@ -20,7 +20,7 @@ from .flows import _trapz, certify
 from .functionals import _rule_or_default, relative_log_closure, \
     sharp_constant
 from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
-                       cumulative_simpson)
+                       cumulative_simpson, second_difference)
 from .reports import DeficitReport, HypothesisCheck
 
 QUANTILE_CLIP = 1e-7  # interior quantile range for grid-path CDF inversion
@@ -240,10 +240,9 @@ class PotentialSpec:
         return vals / Z, logv - logv.max() - np.log(Z)
 
     def vpp_margins(self):
-        h = self.V.grid.spacing
-        L = self.V.values
-        vpp = (L[2:] - 2 * L[1:-1] + L[:-2]) / h**2
-        vpp = vpp[1:-1]
+        """(min V'' - K, L - max V'') over the grid nodes 2..n-3, by the
+        second difference of the samples of V."""
+        vpp = second_difference(self.V.values, self.V.grid.spacing)
         return float(np.min(vpp) - self.K), float(self.L - np.max(vpp))
 
 
@@ -294,10 +293,7 @@ def general_lsi_deficit(v: DensitySpec, pot: PotentialSpec,
         fisher = float(np.trapezoid(dens_vals * drel * drel, dx=h))
         return ent, fisher
 
-    with np.errstate(divide="ignore"):
-        vlog = np.where(vf.values > 1e-300, np.log(
-            np.maximum(vf.values, 1e-300)), -690.0)
-    ent_v, fi_v = ent_fisher_against_m(vf.values, vlog)
+    ent_v, fi_v = ent_fisher_against_m(vf.values, vf.log(x))
     ent_b, fi_b = ent_fisher_against_m(mbvals, mblog)
 
     K = pot.K

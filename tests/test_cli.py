@@ -6,11 +6,18 @@ import sys
 import numpy as np
 import pytest
 
+from gauss_deficit import cli, inequalities, numerics
 from gauss_deficit.cli import (COMMANDS, ReportBundle, RunConfig, flow_trace,
                                main, run)
+from gauss_deficit.flows import _margin
 from gauss_deficit.hamilton_jacobi import (beta_of_a, hj_hc_check,
                                            quadratic_datum)
-from gauss_deficit.numerics import ParameterError, gauss_hermite_rule
+from gauss_deficit.numerics import GridField, ParameterError, \
+    gauss_hermite_rule
+
+
+# the names of the curvature hypotheses, one per report
+CURVATURE_HYPOTHESES = ("semi-log", "hessian-", "(log v)''", "log f1''")
 
 
 def small(command, **kw):
@@ -105,13 +112,38 @@ class TestRun:
             assert "max_abs_extremiser_slack" not in run(
                 small(command)).summary
 
-    @pytest.mark.parametrize("command", ["verify-poincare", "verify-beckner"])
+    @pytest.mark.parametrize("command", [
+        "verify-hc", "verify-reverse-hc", "verify-lsi", "verify-talagrand",
+        "verify-poincare", "verify-beckner", "verify-general-lsi",
+        "verify-matrix", "verify-bl"])
     @pytest.mark.parametrize("beta", [2.0, 0.5])
     def test_gaussian_item_margin_is_exact(self, command, beta):
-        # item 0 is f = (gamma_beta/gamma)^{1/p}: gamma f^p = gamma_beta
-        report = run(small(command, beta=beta, count=1)).reports[0]
-        (hyp,) = report.hypotheses
-        assert abs(hyp.margin) <= 1e-12
+        # item 0 is a Gaussian (for Poincare and Beckner f = (gamma_beta/
+        # gamma)^{1/p}, so gamma f^p = gamma_beta) whose curvature meets the
+        # bound with equality, on the default grid; only verify-bl at
+        # beta < 1 certifies gamma_beta at 1, where the exact margin is
+        # 1 - 1/beta
+        report = run(RunConfig(command=command, beta=beta,
+                               count=1)).reports[0]
+        (hyp,) = [h for h in report.hypotheses
+                  if any(k in h.name for k in CURVATURE_HYPOTHESES)]
+        exact = 1.0 - 1.0 / beta if command == "verify-bl" and beta < 1 else 0
+        assert abs(hyp.margin - exact) <= 1e-12
+
+    @pytest.mark.parametrize("command", ["verify-poincare", "verify-beckner"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixture_item_margins_are_the_posterior_moments(self, command,
+                                                            seed):
+        # items > 0 at beta = 2: gamma f^p is the FP-class input v, so the
+        # margin is that of v's own (log v)'' from its component posterior
+        config = RunConfig(command=command, count=4, seed=seed)
+        x = config.grid().points
+        for i, report in enumerate(run(config).reports[1:], 1):
+            v = cli._random_density(config, i)
+            want = _margin("subharmonic", config.beta,
+                           v.tag.d2log(x)[2:-2])
+            (hyp,) = report.hypotheses
+            assert hyp.margin == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_counterexample_mixture_series(self):
         b = run(RunConfig(command="counterexample-mixture"))
@@ -258,3 +290,46 @@ class TestFlowTrace:
     def test_rejects_mixed_sign_exponents(self):
         with pytest.raises(ParameterError):
             flow_trace(small("flow-trace", p=0.5, q=-1.0))
+
+
+class TestStencilCallers:
+    def test_only_grid_data_reach_the_stencil(self, monkeypatch):
+        # every input a suite builds carries its exact (log v)' and
+        # (log v)''; only the values-only potential V (vpp_margins) and
+        # Hamilton-Jacobi data (_laplacian_margin) are differenced.  An
+        # input that loses its d2log would reach the stencil from certify,
+        # one that loses its dlog the h = 1e-5 difference quotients, and
+        # fail here.
+        stencil, callers, quotients = numerics.second_difference, [], []
+
+        def recording(u, h):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return stencil(u, h)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("gauss_deficit")
+                    and getattr(module, "second_difference", None) is stencil):
+                monkeypatch.setattr(module, "second_difference", recording)
+        dlog, grad_sq = GridField.dlog, inequalities._grad_sq_gauss
+
+        def recording_dlog(field, x, *h):
+            if field.analytic_dlog is None:
+                quotients.append("GridField.dlog")
+            return dlog(field, x, *h)
+
+        def recording_grad_sq(f, rule):
+            if f.analytic_dlog is None:
+                quotients.append("_grad_sq_gauss")
+            return grad_sq(f, rule)
+
+        monkeypatch.setattr(GridField, "dlog", recording_dlog)
+        monkeypatch.setattr(inequalities, "_grad_sq_gauss", recording_grad_sq)
+        for beta in (2.0, 0.5):
+            for command in cli._SUITES:
+                if beta < 1 and command in ("verify-hj",
+                                            "verify-dual-talagrand"):
+                    continue  # both need beta > 1
+                run(RunConfig(command=command, beta=beta, count=3))
+        flow_trace(RunConfig(command="flow-trace", count=3))
+        assert set(callers) == {"vpp_margins", "_laplacian_margin"}
+        assert quotients == []

@@ -12,8 +12,8 @@ from gauss_deficit.families import (LogQuad, field_from_family,
 from gauss_deficit.flows import (T_STAR, FPParams, MeasureSpec, certify,
                                  certify_matrix, covariance,
                                  fp_class_member, fp_evolve,
-                                 preservation_trace, _interior,
-                                 _log_hessian_1d, _trapz)
+                                 preservation_trace, _log_hessian_1d,
+                                 _trapz)
 from gauss_deficit.inequalities import make_fp_input, make_logconcave_input
 from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
                                     TruncationError)
@@ -268,7 +268,7 @@ class TestCertify:
         v2 = make_fp_input(rng, float(rng.uniform(1.2, 4.0)), grid)
         A = rng.normal(size=(2, 2))
         B = A @ A.T + 0.5 * np.eye(2)
-        h1, h2 = (_interior(_log_hessian_1d(v)) for v in (v1, v2))
+        h1, h2 = (_log_hessian_1d(v) for v in (v1, v2))
         mesh = np.zeros((h1.size, h2.size, 2, 2))
         mesh[..., 0, 0] = h1[:, None]
         mesh[..., 1, 1] = h2[None, :]

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from gauss_deficit.families import LogQuad, field_from_family
 from gauss_deficit.numerics import (Grid1D, GridField, EvaluationError,
                                     ParameterError, default_grid,
-                                    gauss_hermite_rule, DEFAULT_GH_NODES)
+                                    gauss_hermite_rule, second_difference,
+                                    DEFAULT_GH_NODES)
 
 
 class TestGrid:
@@ -74,6 +75,16 @@ class TestClosureEvaluatedOnce:
         assert fn.calls == 1
         np.testing.assert_array_equal(f.values, np.exp(-0.5 * grid.points ** 2))
 
+    def test_from_log(self, grid):
+        log = Counting(lambda x: -0.5 * x ** 2 - 3.0)
+        f = GridField.from_log(grid, log, d2log=lambda x: np.full_like(x, -1))
+        assert log.calls == 1
+        np.testing.assert_array_equal(f.values,
+                                      np.exp(-0.5 * grid.points ** 2 - 3.0))
+        assert f.analytic_d2log is not None and f.analytic_dlog is None
+        # off the grid it is the exp of its log closure, not interpolated
+        assert float(f(0.123)) == np.exp(-0.5 * 0.123 ** 2 - 3.0)
+
     def test_field_from_family(self, grid):
         class CountingGaussian(LogQuad):
             calls = 0
@@ -98,6 +109,15 @@ class TestClosureEvaluatedOnce:
     def test_needs_values_or_closure(self, grid):
         with pytest.raises(ParameterError):
             GridField(grid)
+
+
+class TestSecondDifference:
+    def test_window_and_exact_on_cubics(self):
+        g = Grid1D(-1.0, 1.0, 17)
+        x = g.points
+        d2 = second_difference(x ** 3 - x * x, g.spacing)
+        assert d2.shape == (g.n - 4,)
+        np.testing.assert_allclose(d2, 6 * x[2:-2] - 2, rtol=0, atol=1e-12)
 
 
 class TestGridField:
