@@ -30,7 +30,8 @@ from .families import (LogQuad, field_from_family, gaussian_field,
                        symmetric_mixture)
 from .semigroups import ExponentTriple
 from .flows import FPParams, certify, fp_evolve, _trapz
-from .functionals import q_functional, relative_log_closure, sharp_constant
+from .functionals import (_check_ratio_bounded, log_hc_norm, sharp_constant,
+                          tilt)
 from .reports import DeficitReport, HypothesisCheck
 from .inequalities import (beckner_check, brascamp_lieb_check,
                            counterexample_mixture,
@@ -355,16 +356,9 @@ def _test_function(config: RunConfig, index: int, power: float) -> GridField:
     """f = (v/gamma)^{1/power} so that gamma f^power = v inherits the
     curvature certificate of the generated density v; item 0 (v = gamma_beta)
     is the closed form, so its certificate is exact."""
-    grid = config.grid()
-    if index == 0:
-        return field_from_family(
-            grid, LogQuad.gaussian_ratio(config.beta, 1.0 / power))
-    v = _random_density(config, index)
-    rel_log, d2 = relative_log_closure(v), v.analytic_d2log
-    return GridField.from_log(
-        grid, lambda x: rel_log(x) / power,
-        dlog=lambda x: (v.dlog(x) + np.asarray(x, float)) / power,
-        d2log=lambda x: (d2(x) + 1.0) / power)
+    v = (LogQuad.gaussian(config.beta) if index == 0
+         else _random_density(config, index))
+    return tilt(v, 1.0 / power, 1.0 / power).field(config.grid())
 
 
 def _suite_poincare(config: RunConfig):
@@ -410,7 +404,8 @@ def _suite_bl(config: RunConfig):
 
 def _perturbed_quadratic(config: RunConfig, index: int,
                          a: float) -> HJField:
-    """The quadratic extremiser datum plus a small smooth convex bump."""
+    """The quadratic extremiser datum plus a small smooth convex bump,
+    c log cosh(x - m), with its exact f'' = base f'' + c sech^2(x - m)."""
     base = quadratic_datum(a, beta_of_a(a, config.beta), config.grid())
     if index == 0:
         return base
@@ -418,8 +413,9 @@ def _perturbed_quadratic(config: RunConfig, index: int,
     c = float(rng.uniform(0.0, 0.05))
     m = float(rng.uniform(-1.0, 1.0))
     x = config.grid().points
-    return HJField.from_field(GridField(
-        config.grid(), base.f.values + c * np.log(np.cosh(x - m))))
+    return HJField.from_field(
+        GridField(config.grid(), base.f.values + c * np.log(np.cosh(x - m))),
+        laplacian=lambda y: base.laplacian(y) + c / np.cosh(y - m) ** 2)
 
 
 def _suite_hj(config: RunConfig):
@@ -578,29 +574,28 @@ def run(config: RunConfig) -> ReportBundle:
 
 
 def flow_trace(config: RunConfig, n_times: int = 8):
-    """Q(t) along the flow: rows (t, Q, certificate margin, mass) plus a
-    monotonicity verdict.  Forward regime when beta >= 1 (Q non-decreasing),
-    reverse-concave regime when beta < 1 (certificate kind flips)."""
+    """Q(t) along the beta-flow of an FP(beta) input, beta >= 1: rows (t, Q,
+    convexity certificate margin, mass) plus a monotonicity verdict, for
+    1 < p < q or q < p < 0 (Q non-decreasing in both).  Each snapshot v_t
+    is evolved once; Q(t) = ||P_s[(v_t/gamma)^{1/p}]||_q^q comes from it."""
     grid = config.grid()
     rule = config.rule()
     rng = _item_rng(config, 0)
     if config.beta < 1:
         raise ParameterError("flow-trace needs beta >= 1 (FP-class input)")
     v0 = make_fp_input(rng, config.beta, grid)
-    if 1.0 < config.p < config.q:
-        triple = ExponentTriple.from_pq(config.p, config.q)
-    elif config.q < config.p < 0.0:
-        triple = ExponentTriple.from_pq(config.p, config.q)
-    else:
+    if not (1.0 < config.p < config.q or config.q < config.p < 0.0):
         raise ParameterError("flow-trace needs 1 < p < q or q < p < 0")
-    kind = "convex"
+    triple = ExponentTriple.from_pq(config.p, config.q)
+    _check_ratio_bounded(v0, config.beta)
     expect = "non-decreasing"
     times = np.geomspace(1e-3, 1.0, n_times)
     rows = []
     for t in times:
-        qt = q_functional(v0, config.beta, triple, float(t), rule)
         vt = fp_evolve(v0, FPParams(config.beta, float(t)))
-        cert = certify(vt, kind, config.beta)
+        qt = float(np.exp(triple.q * log_hc_norm(vt, triple.p, triple.q,
+                                                 triple.s, rule)))
+        cert = certify(vt, "convex", config.beta)
         rows.append((float(t), qt, cert.margin, _trapz(vt)))
     qs = np.array([r[1] for r in rows])
     scale = max(1.0, float(np.max(np.abs(qs))))

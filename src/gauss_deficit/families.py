@@ -20,9 +20,6 @@ import numpy as np
 
 from .numerics import Grid1D, GridField, ParameterError, ndtr
 
-LOG_2PI = float(np.log(2.0 * np.pi))
-
-
 # (point, component) pairs per block of the evaluation pass: cache-sized
 _CHUNK = 1 << 16
 
@@ -82,9 +79,8 @@ class LogQuad:
     @staticmethod
     def gaussian_ratio(beta: float, power: float = 1.0) -> "LogQuad":
         """(gamma_beta / gamma)^power."""
-        g = LogQuad.gaussian(beta)
-        return LogQuad((g.a + 1.0) * power, g.b * power,
-                       (g.c + 0.5 * LOG_2PI) * power)
+        return (LogQuad.gaussian(beta) * LogQuad.gaussian(1.0) ** -1.0
+                ) ** power
 
     # -- pointwise --------------------------------------------------------
 

@@ -274,9 +274,8 @@ def fp_class_member(mu: MeasureSpec, beta: float,
 def _log_hessian_1d(v: GridField) -> np.ndarray:
     """(log v)'' at the grid nodes 2..n-3 (see certify for its sources)."""
     x = v.grid.points
-    exact = v.tag.d2log if isinstance(v.tag, LogQuad) else v.analytic_d2log
-    if exact is not None:
-        return np.asarray(exact(x[2:-2]), float)
+    if v.analytic_d2log is not None:
+        return np.asarray(v.analytic_d2log(x[2:-2]), float)
     return second_difference(np.asarray(v.log(x), float), v.grid.spacing)
 
 
@@ -301,11 +300,11 @@ def certify(v: GridField, kind: str, beta: float,
     On the line the Laplacian and the Hessian are both (log v)'', so
     subharmonic/convex coincide, as do concave/superharmonic.
 
-    (log v)'' comes from the first of three paths that applies:
-      1. a LogQuad tag (field_from_family, every FP snapshot): the exact
-         posterior moments of its components;
-      2. the field's analytic_d2log, as GridField.from_log(d2log=) sets it;
-      3. numerics.second_difference of log v at the nodes, for values-only
+    (log v)'' comes from the first of two paths that applies:
+      1. the field's analytic_d2log, as GridField.from_log(d2log=) sets it
+         and field_from_family sets it for a LogQuad (every FP snapshot):
+         the exact posterior moments of its components;
+      2. numerics.second_difference of log v at the nodes, for values-only
          fields and for a log closure without d2log: differenced at the
          grid spacing h, not at h = 1e-4, with an error of about
          h^2 (log v)''''/12 plus 4 eps |log v| / h^2 of rounding.
@@ -318,6 +317,14 @@ def certify(v: GridField, kind: str, beta: float,
         tol = 1e-4 / beta
     margin = _margin(kind, beta, _log_hessian_1d(v))
     return ConvexityCertificate(kind, beta, margin, tol)
+
+
+def certify_log_concave(*factors: GridField) -> ConvexityCertificate:
+    """(log v)'' <= 0 for the product v of the factors, the beta -> infinity
+    limit of semi-log-concavity: the factor certificate with the worse
+    margin."""
+    return min((certify(v, "concave", 1e18, tol=1e-6) for v in factors),
+               key=lambda cert: cert.margin)
 
 
 def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray, side: str,

@@ -1,24 +1,28 @@
 """
-Entropy, Fisher information, Gaussian L^p norms, the flow functional Q(t),
-and every explicit sharp constant.
+Entropy, Fisher information, Gaussian L^p norms, the Gaussian tilt, the
+hypercontractive norm, the flow functional Q(t), and every explicit sharp
+constant.
 
-All integrals against gamma are Gauss-Hermite; fields carrying analytic
-closures are evaluated exactly at the nodes, grid-only fields by
-interpolation.  Norms are assembled in log space (log-sum-exp) so that
-negative and large exponents are handled uniformly.
+The tilt w = v^r gamma^{-a} is the only code that writes out the reference
+measure gamma; every deficit checker reaches v/gamma and its powers through
+it.  Integrals against gamma are Gauss-Hermite unless a one-component
+family gives them in closed form; fields carrying analytic closures are
+evaluated exactly at the nodes, grid-only fields by interpolation.  Norms
+are assembled in log space (log-sum-exp) so that negative and large
+exponents are handled uniformly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .families import LogQuad
+from .families import LogQuad, field_from_family
 from .flows import FPParams, fp_evolve
-from .numerics import (DEFAULT_GH_NODES, EvaluationError, GridField,
+from .numerics import (DEFAULT_GH_NODES, EvaluationError, Grid1D, GridField,
                        ParameterError, PositivityError, QuadratureRule,
-                       gauss_hermite_rule, logsumexp)
+                       gauss_hermite_rule, interior_peak, logsumexp)
 from .semigroups import (ExponentTriple, IntegrabilityError, _ou_closures_1d,
                          beta_s)
 
@@ -195,17 +199,74 @@ def sharp_constant(name: str, *, beta: float = None, p: float = None,
 
 
 # ---------------------------------------------------------------------------
-# the flow functional Q(t) and the Gross differentiation slope
+# the Gaussian tilt and the hypercontractive norm
 
 
-def relative_log_closure(v: GridField):
-    """log(v/gamma) as a plain closure."""
+@dataclass(frozen=True)
+class Tilt:
+    """w = v^r gamma^{-a} as closures, and as ``tag``, w's exact LogQuad,
+    when v's tag gives one (see tilt)."""
 
-    def rel_log(x):
+    log: Callable
+    dlog: Callable
+    d2log: Optional[Callable]
+    tag: Optional[LogQuad] = None
+
+    def field(self, grid: Grid1D) -> GridField:
+        """w on the grid: the tag's field when exact, else from the closures."""
+        if self.tag is not None:
+            return field_from_family(grid, self.tag)
+        return GridField.from_log(grid, self.log, self.dlog, self.d2log)
+
+
+def tilt(v, r: float, a: float) -> Tilt:
+    """w = v^r gamma^{-a}: log w = r log v + a (x^2/2 + (1/2) log 2 pi).
+
+    The one place that knows the Gaussian reference gamma.  v/gamma is
+    (r, a) = (1, 1), (v/gamma)^{1/p} is (1/p, 1/p) and gamma f^p is (p, -1).
+    ``v`` is a GridField, or a LogQuad standing for itself.  A tag of one
+    component, or any tag at r = 1, gives w exactly as a LogQuad.  Otherwise
+    w is built from v's closures, (log w)' = r (log v)' + a x, and
+    (log w)'' = r (log v)'' + a when v carries (log v)''.  Nothing is
+    evaluated until a closure is called or ``field`` is built.
+    """
+    tag = v if isinstance(v, LogQuad) else v.tag
+    if tag is v or (isinstance(tag, LogQuad) and (tag.a.size == 1 or r == 1)):
+        fam = tag if r == 1 else tag ** r  # raises for K > 1
+        fam = LogQuad(fam.a + a, fam.b,
+                      fam.c + 0.5 * np.log(2.0 * np.pi) * a)
+        return Tilt(fam.log_at, fam.dlog, fam.d2log, fam)
+
+    def log(x):
         x = np.asarray(x, float)
-        return v.log(x) + 0.5 * x * x + 0.5 * np.log(2 * np.pi)
+        return r * v.log(x) + a * (0.5 * x * x + 0.5 * np.log(2.0 * np.pi))
 
-    return rel_log
+    def dlog(x):
+        return r * v.dlog(x) + a * np.asarray(x, float)
+
+    d2 = v.analytic_d2log
+    return Tilt(log, dlog, None if d2 is None else (
+        lambda x: r * np.asarray(d2(x), float) + a))
+
+
+def log_hc_norm(v, p: float, q: float, s: float,
+                rule: Optional[QuadratureRule] = None) -> float:
+    """log ||P_s[(v/gamma)^{1/p}]||_{L^q(gamma)}, s >= 0 (P_0 = identity).
+
+    A one-component tilt takes the closed form (LogQuad.ou, then
+    log_lp_norm_gauss); anything else nested Gauss-Hermite, P_s read only
+    at the outer nodes.  ``v`` is a GridField or a LogQuad, as in tilt.
+    """
+    w = tilt(v, 1.0 / p, 1.0 / p)
+    if w.tag is not None and w.tag.a.size == 1:
+        return w.tag.ou(s).log_lp_norm_gauss(q)
+    rule = _rule_or_default(rule)
+    logf = w.log if s == 0 else _ou_closures_1d(w.log, s, rule)[1]
+    return _log_lp(logf(rule.nodes), q, rule.log_weights)
+
+
+# ---------------------------------------------------------------------------
+# the flow functional Q(t) and the Gross differentiation slope
 
 
 def _check_ratio_bounded(v: GridField, beta: float):
@@ -216,44 +277,26 @@ def _check_ratio_bounded(v: GridField, beta: float):
     has no reason to converge.
     """
     x = v.grid.points
-    ratio = 2.0 * v.log(x) - LogQuad.gaussian(beta).log_at(x)
-    k = int(np.argmax(ratio))
-    if k < 2 or k > x.size - 3:
+    if not interior_peak(2.0 * v.log(x) - LogQuad.gaussian(beta).log_at(x)):
         raise IntegrabilityError(
             "v^2/gamma_beta peaks at the grid boundary; "
             "L^2(gamma_beta^{-1}) proxy check failed")
 
 
-def _ou_log_lp(logf, s: float, r: float, rule: QuadratureRule) -> float:
-    """log ||P_s f||_{L^r(gamma)} for a plain log-evaluator of f."""
-    _, ps_log = _ou_closures_1d(logf, s, rule)
-    return _log_lp(ps_log(rule.nodes), r, rule.log_weights)
-
-
 def q_functional(v0: GridField, beta: float, triple: ExponentTriple,
                  t: float, rule: Optional[QuadratureRule] = None) -> float:
     """Q(t) = int gamma P_s[(v_t/gamma)^{1/p}]^q dx along the beta-flow."""
-    rule = _rule_or_default(rule)
     _check_ratio_bounded(v0, beta)
     vt = v0 if t == 0 else fp_evolve(v0, FPParams(beta, t))
-    rel_log = relative_log_closure(vt)
-    p, q, s = triple.p, triple.q, triple.s
-
-    def g_log(x):
-        return rel_log(x) / p
-
-    return float(np.exp(q * _ou_log_lp(g_log, s, q, rule)))
+    return float(np.exp(triple.q * log_hc_norm(vt, triple.p, triple.q,
+                                               triple.s, rule)))
 
 
 def gross_psi(beta: float, s: float,
               rule: Optional[QuadratureRule] = None) -> float:
     """psi(s) = ||P_s[(gamma_beta/gamma)^{1/2}]||_{q(s)}, q(s) = 1 + e^{2s}."""
-    rule = _rule_or_default(rule)
-    if s == 0:
-        return 1.0
-    fstar_log = LogQuad.gaussian_ratio(beta, 0.5).log_at
-    qs = 1.0 + np.exp(2.0 * s)
-    return float(np.exp(_ou_log_lp(fstar_log, s, qs, rule)))
+    return float(np.exp(log_hc_norm(LogQuad.gaussian(beta), 2.0,
+                                    1.0 + np.exp(2.0 * s), s, rule)))
 
 
 def gross_psi_prime0(beta: float, n: int = 1) -> float:
@@ -271,16 +314,8 @@ def gross_slope(v: GridField, beta: float, h: float,
     """
     if not (1e-4 < h < 1e-1):
         raise ParameterError("h must lie in (1e-4, 1e-1)")
-    rule = _rule_or_default(rule)
     _check_ratio_bounded(v, beta)
-    rel_log = relative_log_closure(v)
-
-    def half_log(x):
-        return 0.5 * rel_log(x)
-
-    lam0 = float(np.exp(_log_lp(half_log(rule.nodes), 2.0,
-                                rule.log_weights)))  # psi(0) = 1
-    qh = 1.0 + np.exp(2.0 * h)
-    lam_h = float(np.exp(_ou_log_lp(half_log, h, qh, rule))) \
-        / gross_psi(beta, h, rule)
+    lam0 = float(np.exp(log_hc_norm(v, 2.0, 2.0, 0.0, rule)))  # psi(0) = 1
+    lam_h = float(np.exp(log_hc_norm(v, 2.0, 1.0 + np.exp(2.0 * h), h,
+                                     rule))) / gross_psi(beta, h, rule)
     return (lam_h - lam0) / h

@@ -12,13 +12,14 @@ beyond the grid the initial datum is extended by its linear lower bound
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from .families import LogQuad
-from .functionals import _log_lp, _rule_or_default, sharp_constant
+from .functionals import _log_lp, _rule_or_default, sharp_constant, tilt
 from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
-                       logsumexp, second_difference)
+                       interior_peak, logsumexp, second_difference)
 from .reports import DeficitReport, HypothesisCheck
 from .semigroups import IntegrabilityError
 
@@ -28,12 +29,14 @@ class HJField:
     """Initial datum for the Hamilton-Jacobi flow (a function, not a density).
 
     lower_linear_bound C certifies f(x) >= -C(1+|x|); it is verified on the
-    grid at construction and used to extend f beyond the grid.
+    grid at construction and used to extend f beyond the grid.  laplacian,
+    when given, is the exact f''; data without one are differenced.
     """
 
     f: GridField
     lipschitz_estimate: float
     lower_linear_bound: float
+    laplacian: Optional[Callable] = None
 
     def __post_init__(self):
         if self.lower_linear_bound < 0:
@@ -45,15 +48,15 @@ class HJField:
                 f"f(x) >= -C(1+|x|) fails on the grid by {np.min(gap):.3e}")
 
     @staticmethod
-    def from_field(f: GridField,
-                   lower_linear_bound: float = None) -> "HJField":
+    def from_field(f: GridField, lower_linear_bound: float = None,
+                   laplacian: Callable = None) -> "HJField":
         x = f.grid.points
         lip = float(np.max(np.abs(np.gradient(f.values, f.grid.spacing,
                                               edge_order=2))))
         if lower_linear_bound is None:
             lower_linear_bound = max(0.0, float(
                 np.max(-f.values / (1.0 + np.abs(x)))))
-        return HJField(f, lip, lower_linear_bound)
+        return HJField(f, lip, lower_linear_bound, laplacian)
 
     def extended(self, y: np.ndarray) -> np.ndarray:
         """f inside the grid; outside, the best available linear minorant.
@@ -148,10 +151,11 @@ def vanishing_viscosity(f: HJField, eps: float, tau: float,
 
 
 def quadratic_datum(a: float, alpha: float, grid: Grid1D) -> HJField:
-    """f = (1/a) log(gamma_alpha / gamma) as an HJField."""
+    """f = (1/a) log(gamma_alpha / gamma) = log w, w the tilt of gamma_alpha
+    by (1/a, 1/a), as an HJField with its exact f'' = (1 - 1/alpha)/a."""
     if a <= 0 or alpha <= 0:
         raise ParameterError("a and alpha must be positive")
-    ratio = LogQuad.gaussian_ratio(alpha, 1.0 / a)
+    ratio = tilt(LogQuad.gaussian(alpha), 1.0 / a, 1.0 / a).tag
     fld = GridField.from_callable(grid, ratio.log_at)
     curv = (1.0 - 1.0 / alpha) / a  # f(x) = curv x^2/2 + const
     if curv >= 0:
@@ -161,7 +165,7 @@ def quadratic_datum(a: float, alpha: float, grid: Grid1D) -> HJField:
         C = max(0.0, float(
             np.max(-fld.values / (1.0 + np.abs(grid.points)))) + 1e-12)
     lip = float(abs(curv) * max(abs(grid.lo), abs(grid.hi)))
-    return HJField(fld, lip, C)
+    return HJField(fld, lip, C, ratio.d2log)
 
 
 def hopf_lax_quadratic(a: float, alpha: float, tau: float):
@@ -190,23 +194,22 @@ def beta_of_a(a: float, beta: float) -> float:
 
 
 def _laplacian_margin(f: HJField, bound: float) -> float:
-    """min Delta f - bound over the grid nodes 2..n-3, by the second
-    difference of the samples of f."""
-    return float(np.min(second_difference(f.f.values, f.f.grid.spacing))
-                 - bound)
+    """min Delta f - bound over the grid nodes 2..n-3, from the exact f''
+    when f carries one, else the second difference of its samples."""
+    if f.laplacian is not None:
+        lap = f.laplacian(f.f.grid.points[2:-2])
+    else:
+        lap = second_difference(f.f.values, f.f.grid.spacing)
+    return float(np.min(lap) - bound)
 
 
 def _integrability_margin(f: HJField, a: float, beta_a: float) -> float:
-    """Interior-peak proxy for int e^{2af} gamma/gamma_{beta(a)} dgamma.
-
-    Returns the distance (in grid points, negated on failure) of the
-    log-integrand argmax from the boundary, scaled to a pass/fail margin.
-    """
-    x = f.f.grid.points
-    log_integrand = (2.0 * a * f.f.values - x * x
-                     + 0.5 * x * x / beta_a)
-    k = int(np.argmax(log_integrand))
-    return 1.0 if 2 <= k <= x.size - 3 else -1.0
+    """Interior-peak proxy for int e^{2af} gamma/gamma_{beta(a)} dgamma:
+    1 when the log-integrand peaks inside the grid, -1 when not."""
+    # against dx the integrand is e^{2af} gamma^2 / gamma_{beta(a)}
+    ratio = tilt(LogQuad.gaussian(beta_a), -1.0, -2.0)
+    log_integrand = 2.0 * a * f.f.values + ratio.log(f.f.grid.points)
+    return 1.0 if interior_peak(log_integrand) else -1.0
 
 
 def _log_lp_exp(u: GridField, r: float, rule: QuadratureRule) -> float:

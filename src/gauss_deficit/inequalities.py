@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import LOG_2PI, LogQuad, field_from_family, \
-    symmetric_mixture
-from .flows import MeasureSpec, _trapz, certify, certify_matrix, covariance, \
-    fp_class_member
-from .functionals import _check_ratio_bounded, _ou_log_lp, \
-    _rule_or_default, entropy_fisher, relative_log_closure, sharp_constant
+from .families import LogQuad, field_from_family, symmetric_mixture
+from .flows import MeasureSpec, _trapz, certify, certify_log_concave, \
+    certify_matrix, covariance, fp_class_member
+from .functionals import _check_ratio_bounded, _rule_or_default, \
+    entropy_fisher, log_hc_norm, sharp_constant, tilt
 from .numerics import (Grid1D, GridField, ParameterError, _coarsest_stride,
-                       _refine_strides, default_grid, logsumexp)
+                       _refine_strides, default_grid)
 from .reports import DeficitReport, HypothesisCheck
 from .semigroups import ExponentTriple, InadmissibleExponentError, \
     _ou_closures_1d
@@ -29,15 +28,6 @@ from .transport import DensitySpec, relative_entropy_gauss, w2
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-
-def _relative_field(v: GridField) -> GridField:
-    """v/gamma as a field with exact-as-possible closures."""
-    d2 = v.analytic_d2log
-    return GridField.from_log(
-        v.grid, relative_log_closure(v),
-        dlog=lambda x: v.dlog(x) + np.asarray(x, float),
-        d2log=None if d2 is None else (lambda x: d2(x) + 1.0))
 
 
 def _certificate_hypotheses(v: GridField, beta: float) -> list:
@@ -53,23 +43,9 @@ def _certificate_hypotheses(v: GridField, beta: float) -> list:
     return []
 
 
-def _lhs_hc(v: GridField, triple: ExponentTriple, rule) -> float:
-    """|| P_s[(v/gamma)^{1/p}] ||_{L^q(gamma)} by nested quadrature."""
-    rel_log = relative_log_closure(v)
-
-    def g_log(x):
-        return rel_log(x) / triple.p
-
-    return float(np.exp(_ou_log_lp(g_log, triple.s, triple.q, rule)))
-
-
 def _mass_vdx(v: GridField, rule) -> float:
-    """int v dx = int (v/gamma) dgamma at the quadrature nodes.
-
-    The Gaussian-weighted form is free of grid tail truncation.
-    """
-    rel_log = relative_log_closure(v)
-    return float(np.exp(logsumexp(rel_log(rule.nodes) + rule.log_weights)))
+    """int v dx = ||v/gamma||_{L^1(gamma)}, free of grid tail truncation."""
+    return float(np.exp(log_hc_norm(v, 1.0, 1.0, 0.0, rule)))
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +64,7 @@ def hc_check(v: GridField, beta: float, triple: ExponentTriple,
     rule = _rule_or_default(rule)
     _check_ratio_bounded(v, beta)
     hyps = _certificate_hypotheses(v, beta)
-    lhs = _lhs_hc(v, triple, rule)
+    lhs = float(np.exp(log_hc_norm(v, triple.p, triple.q, triple.s, rule)))
     mass = _mass_vdx(v, rule)
     const = sharp_constant("hc_ratio", beta=beta, triple=triple).value
     rhs = const * mass ** (1.0 / triple.p)
@@ -126,7 +102,7 @@ def reverse_hc_check(v: GridField, beta: float, triple: ExponentTriple,
         cert = certify(v, "concave", min(beta, 1.0))
         hyps.append(HypothesisCheck("beta-semi-log-concave", cert.passed,
                                     cert.margin))
-    lhs = _lhs_hc(v, triple, rule)
+    lhs = float(np.exp(log_hc_norm(v, p, triple.q, s, rule)))
     mass = _mass_vdx(v, rule)
     const = sharp_constant("hc_ratio", beta=beta, triple=triple).value
     rhs = const * float(np.exp(np.log(mass) / p))
@@ -147,7 +123,7 @@ def lsi_check(v: GridField, beta: float, rule=None) -> DeficitReport:
     if abs(mass - 1.0) > 1e-6:
         raise ParameterError(f"density not normalized: mass = {mass:.8f}")
     hyps = _certificate_hypotheses(v, beta)
-    ef = entropy_fisher(_relative_field(v), rule)
+    ef = entropy_fisher(tilt(v, 1.0, 1.0).field(v.grid), rule)
     const = sharp_constant("lsi_gauss", beta=beta).value
     return DeficitReport.build(
         "log-sobolev", ef.entropy - 0.5 * ef.fisher, const, const,
@@ -163,7 +139,7 @@ def els_eigen_check(v: GridField, rule=None) -> DeficitReport:
     """
     rule = _rule_or_default(rule)
     eigs = np.linalg.eigvalsh(covariance(v))
-    ef = entropy_fisher(_relative_field(v), rule)
+    ef = entropy_fisher(tilt(v, 1.0, 1.0).field(v.grid), rule)
     correction = -0.5 * float(sum(np.log(b) - 1.0 + 1.0 / b
                                   for b in eigs if b <= 1.0))
     rhs = 0.5 * ef.fisher + correction
@@ -177,20 +153,14 @@ def els_eigen_check(v: GridField, rule=None) -> DeficitReport:
 # matrix (tensorised) variants
 
 
-def _log_concave(v1: GridField, v2: GridField):
-    """grad^2 log(v1 (x) v2) <= 0, the beta -> infinity limit of
-    semi-log-concavity: the factor certificate with the worse margin."""
-    return min((certify(v, "concave", 1e18, tol=1e-6) for v in (v1, v2)),
-               key=lambda cert: cert.margin)
-
-
 def _matrix_side(v1: GridField, v2: GridField, B: np.ndarray, eigs,
-                 which: str, side: str = None):
+                 logc, side: str = None):
     """Pick the certified side, preferring the stronger passing statement.
 
     Statement strength is measured by the restricted correction sum
     -(1/2) sum (log b - 1 + 1/b): more negative means a tighter bound.  When
     neither side certifies, the one with the better margin is reported.
+    A given log-concavity certificate ``logc`` must pass for the convex side.
     """
     certs = {s: certify_matrix(v1, v2, B, s) for s in ("convex", "concave")}
     if side is not None:
@@ -203,9 +173,8 @@ def _matrix_side(v1: GridField, v2: GridField, B: np.ndarray, eigs,
         return -0.5 * sum(np.log(b) - 1.0 + 1.0 / b for b in rel)
 
     passing = [s for s in certs if certs[s].passed]
-    if which == "talagrand" and "convex" in passing:
-        if not _log_concave(v1, v2).passed:
-            passing.remove("convex")
+    if logc is not None and "convex" in passing and not logc.passed:
+        passing.remove("convex")
     if passing:
         best = min(passing, key=strength)
         return best, certs[best]
@@ -239,19 +208,20 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
         raise ParameterError("B must be positive definite")
     rule = _rule_or_default(rule)
 
-    side, cert = _matrix_side(v1, v2, B, eigs, which, side)
+    logc = certify_log_concave(v1, v2) if which == "talagrand" else None
+    side, cert = _matrix_side(v1, v2, B, eigs, logc, side)
     hyps = [HypothesisCheck(f"hessian-{side}-vs-B", cert.passed, cert.margin)]
     relevant = [b for b in eigs if (b >= 1.0 if side == "convex" else b <= 1.0)]
 
-    if which == "talagrand" and side == "convex":
-        logc = _log_concave(v1, v2)
+    if logc is not None and side == "convex":
         hyps.append(HypothesisCheck("log-concave", logc.passed, logc.margin))
 
     m1, m2 = (_mass_vdx(v, rule) for v in (v1, v2))
     if which == "hc":
         if triple is None or triple.regime != "forward":
             raise InadmissibleExponentError("matrix hc needs a forward triple")
-        lhs = _lhs_hc(v1, triple, rule) * _lhs_hc(v2, triple, rule)
+        lhs = float(np.exp(sum(log_hc_norm(v, triple.p, triple.q, triple.s,
+                                           rule) for v in (v1, v2))))
         const = float(np.prod([
             sharp_constant("hc_ratio", beta=b, triple=triple).value
             for b in relevant])) if relevant else 1.0
@@ -263,7 +233,8 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
                                    const, hypotheses=hyps, params=params)
 
     if which == "lsi":
-        ef1, ef2 = (entropy_fisher(_relative_field(v), rule) for v in (v1, v2))
+        ef1, ef2 = (entropy_fisher(tilt(v, 1.0, 1.0).field(v.grid), rule)
+                    for v in (v1, v2))
         ent = m2 * ef1.entropy + m1 * ef2.entropy
         fisher = m2 * ef1.fisher + m1 * ef2.fisher
         correction = -0.5 * float(sum(np.log(b) - 1.0 + 1.0 / b
@@ -305,23 +276,6 @@ def _grad_sq_gauss(f: GridField, rule) -> float:
     return float((df * df) @ w)
 
 
-def _weighted_field(f: GridField, power: float) -> GridField:
-    """gamma f^power as a field (for curvature certification), carrying
-    power (log f)'' - 1 when f carries (log f)''; a one-component LogQuad
-    tag gives a tagged, exact one."""
-    if isinstance(f.tag, LogQuad) and f.tag.a.size == 1:
-        return field_from_family(f.grid,
-                                 f.tag ** power * LogQuad.gaussian(1.0))
-
-    def log(x):
-        x = np.asarray(x, float)
-        return power * f.log(x) - 0.5 * x * x - 0.5 * LOG_2PI
-
-    d2 = f.analytic_d2log
-    return GridField.from_log(f.grid, log, d2log=None if d2 is None else (
-        lambda x: power * d2(x) - 1.0))
-
-
 def poincare_check(f: GridField, beta: float, rule=None) -> DeficitReport:
     """Sharpened Poincare inequality
 
@@ -332,8 +286,7 @@ def poincare_check(f: GridField, beta: float, rule=None) -> DeficitReport:
     L^2-vs-L^1 entropy inequality (its p = 1 form) is recorded in params.
     """
     rule = _rule_or_default(rule)
-    w = _weighted_field(f, 2.0)
-    hyps = _certificate_hypotheses(w, beta)
+    hyps = _certificate_hypotheses(tilt(f, 2.0, -1.0).field(f.grid), beta)
     z, wts = rule.nodes, rule.weights
     fv = np.asarray(f(z), float)
     int_f2 = float((fv * fv) @ wts)
@@ -371,8 +324,7 @@ def beckner_check(f: GridField, p: float, beta: float,
     fv = np.asarray(f(z), float)
     if np.any(fv < 0):
         raise ParameterError("beckner_check needs nonnegative f")
-    w = _weighted_field(f, p)
-    hyps = _certificate_hypotheses(w, beta)
+    hyps = _certificate_hypotheses(tilt(f, p, -1.0).field(f.grid), beta)
     int_f2 = float((fv * fv) @ wts)
     int_fp = float((fv ** p) @ wts)
     grad = _grad_sq_gauss(f, rule)
@@ -472,9 +424,9 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
         trapezoid, _coarsest_stride(x1.size - 1, x2.size - 1), rel_gap, 1e-14)
 
     h_const = sharp_constant("bl_h", c1=c1, c2=c2, s=s).value
-    u = LogQuad.gaussian_ratio(beta, c1).ou(s)
-    r = 1.0 / (1.0 - c2)  # (1/c2)'
-    script_h = h_const * float(np.exp(u.log_lp_norm_gauss(r)))
+    # ||P_s[(gamma_beta/gamma)^{c1}]||_{(1/c2)'} with c1 = 1/p, (1/c2)' = q
+    script_h = h_const * float(np.exp(log_hc_norm(
+        LogQuad.gaussian(beta), triple.p, triple.q, s)))
     m1, m2 = (f.tag.integral_lebesgue() if isinstance(f.tag, LogQuad)
               else _trapz(f) for f in (f1, f2))
     rhs = script_h * m1 ** c1 * m2 ** c2

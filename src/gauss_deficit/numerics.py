@@ -1,5 +1,6 @@
 """
-Grids, quadrature rules, and the one second-difference stencil.
+Grids, quadrature rules, the one second-difference stencil and the
+interior-peak proxy.
 
 Everything downstream works with functions sampled on uniform grids.  A
 GridField couples the samples with optional exact closures for f, log f,
@@ -252,6 +253,16 @@ def second_difference(u: np.ndarray, h: float) -> np.ndarray:
     The two nodes at each end, which no certificate reads, are left out.
     """
     return (u[3:-1] - 2.0 * u[2:-2] + u[1:-3]) / h**2
+
+
+def interior_peak(u: np.ndarray) -> bool:
+    """Whether the largest of the samples u lies at the nodes 2..n-3.
+
+    The checkable proxy for an integral of e^u over the line: an integrand
+    still climbing at the grid's edge gives it no reason to converge.
+    """
+    k = int(np.argmax(u))
+    return 2 <= k <= np.size(u) - 3
 
 
 # ---------------------------------------------------------------------------

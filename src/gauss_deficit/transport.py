@@ -16,9 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .families import LogQuad, field_from_family
-from .flows import _trapz, certify
-from .functionals import _rule_or_default, relative_log_closure, \
-    sharp_constant
+from .flows import _trapz, certify, certify_log_concave
+from .functionals import _rule_or_default, sharp_constant, tilt
 from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
                        cumulative_simpson, second_difference)
 from .reports import DeficitReport, HypothesisCheck
@@ -135,7 +134,7 @@ def relative_entropy_gauss(v: GridField,
                            rule: Optional[QuadratureRule] = None) -> float:
     """Ent_gamma(v/gamma) = int v log(v/gamma) dx for a probability density."""
     rule = _rule_or_default(rule)
-    lf = relative_log_closure(v)(rule.nodes)
+    lf = tilt(v, 1.0, 1.0).log(rule.nodes)
     return float((np.exp(lf) * lf) @ rule.weights)
 
 
@@ -176,8 +175,7 @@ def talagrand_deficit(v: DensitySpec, beta: float) -> DeficitReport:
     hyps = []
     if beta >= 1:
         conv = certify(field, "convex", beta)
-        # log-concavity is the beta -> infinity limit of semi-log-concavity
-        logc = certify(field, "concave", 1e18, tol=1e-6)
+        logc = certify_log_concave(field)
         hyps.append(HypothesisCheck("semi-log-convex(beta)", conv.passed,
                                     conv.margin))
         hyps.append(HypothesisCheck("log-concave", logc.passed, logc.margin))

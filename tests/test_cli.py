@@ -295,8 +295,8 @@ class TestFlowTrace:
 class TestStencilCallers:
     def test_only_grid_data_reach_the_stencil(self, monkeypatch):
         # every input a suite builds carries its exact (log v)' and
-        # (log v)''; only the values-only potential V (vpp_margins) and
-        # Hamilton-Jacobi data (_laplacian_margin) are differenced.  An
+        # (log v)'', and every Hamilton-Jacobi datum its exact f''; only the
+        # values-only potential V (vpp_margins) is differenced.  An
         # input that loses its d2log would reach the stencil from certify,
         # one that loses its dlog the h = 1e-5 difference quotients, and
         # fail here.
@@ -331,5 +331,5 @@ class TestStencilCallers:
                     continue  # both need beta > 1
                 run(RunConfig(command=command, beta=beta, count=3))
         flow_trace(RunConfig(command="flow-trace", count=3))
-        assert set(callers) == {"vpp_margins", "_laplacian_margin"}
+        assert set(callers) == {"vpp_margins"}
         assert quotients == []

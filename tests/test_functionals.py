@@ -9,9 +9,10 @@ from gauss_deficit.families import (LogQuad, field_from_family,
 from gauss_deficit.flows import MeasureSpec, fp_class_member
 from gauss_deficit.functionals import (entropy_fisher, gross_psi,
                                        gross_psi_prime0, gross_slope,
-                                       lp_norm_gaussian, q_functional,
-                                       sharp_constant)
-from gauss_deficit.inequalities import matrix_check
+                                       log_hc_norm, lp_norm_gaussian,
+                                       q_functional, sharp_constant, tilt)
+from gauss_deficit.inequalities import (make_fp_input, make_logconcave_input,
+                                        matrix_check)
 from gauss_deficit.numerics import (GridField, ParameterError, default_grid,
                                     gauss_hermite_rule)
 from gauss_deficit.semigroups import ExponentTriple
@@ -156,3 +157,71 @@ class TestQFunctional:
         t = ExponentTriple.from_pq(2.0, 4.0)
         qs = [q_functional(v0, 2.0, t, s, rule) for s in (0.0, 0.3, 1.0)]
         assert qs[0] <= qs[1] + 1e-9 <= qs[2] + 2e-9
+
+
+def untagged(v):
+    """v's closures without its tag: the tilt takes its closure path."""
+    return GridField.from_log(v.grid, v.log, v.dlog, v.analytic_d2log)
+
+
+class TestTilt:
+    x = np.linspace(-12.0, 12.0, 97)
+
+    @pytest.mark.parametrize("fam, r, a", [
+        (LogQuad.gaussian(2.0, 0.3), 0.5, 0.5),
+        (LogQuad.gaussian(0.5), 2.0, -1.0),
+        (symmetric_mixture(1.2, 0.8), 1.0, 1.0),
+        (symmetric_mixture(0.5, 1.5), 1.0, -0.7)])
+    def test_exact_tag_matches_closures(self, fam, r, a, grid):
+        v = field_from_family(grid, fam)
+        exact, closure = tilt(v, r, a), tilt(untagged(v), r, a)
+        assert exact.tag is not None and closure.tag is None
+        for name in ("log", "dlog", "d2log"):
+            np.testing.assert_allclose(getattr(exact, name)(self.x),
+                                       getattr(closure, name)(self.x),
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("make, beta", [(make_fp_input, 2.0),
+                                            (make_logconcave_input, 0.5)])
+    def test_closure_derivatives_match_richardson(self, make, beta, grid):
+        v = make(np.random.default_rng(4), beta, grid)
+        w = tilt(v, 0.7, 1.3)
+        assert w.tag is None
+        x, h = np.linspace(-6.0, 6.0, 41), 1e-3
+
+        def d1(h):
+            return (w.log(x + h) - w.log(x - h)) / (2.0 * h)
+
+        def d2(h):
+            return (w.log(x + h) - 2.0 * w.log(x) + w.log(x - h)) / h**2
+
+        np.testing.assert_allclose(w.dlog(x), (4.0 * d1(h / 2) - d1(h)) / 3,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(w.d2log(x), (4.0 * d2(h / 2) - d2(h)) / 3,
+                                   rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_round_trip(self, seed, grid):
+        # gamma ((v/gamma)^{1/p})^p = v
+        rng = np.random.default_rng(seed)
+        for v in (make_fp_input(rng, 2.0, grid),
+                  make_logconcave_input(rng, 0.5, grid)):
+            p = float(rng.uniform(1.2, 3.0))
+            f = tilt(v, 1.0 / p, 1.0 / p).field(grid)
+            back = tilt(f, p, -1.0)
+            np.testing.assert_allclose(back.log(grid.points),
+                                       v.log(grid.points),
+                                       rtol=1e-12, atol=1e-12)
+
+
+class TestHCNorm:
+    @pytest.mark.parametrize("beta, p, q", [
+        (2.0, 2.0, 4.0), (0.5, 1.5, 6.0), (4.0, 1.2, 2.0),
+        (2.0, 0.5, 0.25), (0.5, 0.5, -1.0), (2.0, -2.0, -4.0)])
+    def test_closed_form_matches_gauss_hermite(self, beta, p, q, grid, rule):
+        # forward (1 < p < q) and reverse (q < p < 1) exponents on gamma_beta
+        s = ExponentTriple.from_pq(p, q).s
+        v = gaussian_field(grid, beta)
+        assert tilt(v, 1.0 / p, 1.0 / p).tag is not None
+        assert log_hc_norm(v, p, q, s, rule) == pytest.approx(
+            log_hc_norm(untagged(v), p, q, s, rule), abs=1e-12)
