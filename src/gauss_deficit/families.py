@@ -9,7 +9,8 @@ semigroup and the Fokker-Planck kernel (complete-the-square identities,
 applied per component), which makes it the workhorse for extremiser checks.
 Fields built from these carry exact evaluators for value, log value,
 (log f)' and (log f)'', the last from the component posterior in the same
-pass.
+pass, and are evaluated once on their grid: that one pass gives the values
+and the node arrays of log f and (log f)''.
 """
 from __future__ import annotations
 
@@ -24,18 +25,20 @@ from .numerics import Grid1D, GridField, ParameterError, ndtr
 _CHUNK = 1 << 16
 
 
-def _by_blocks(x, k: int, rows: int, fn):
+def _by_blocks(x, k: int, rows: int, fn, scratch: int):
     """``rows`` values per point of x from fn(xs, work) on (n, 1) blocks xs
-    of about _CHUNK / k points.  The two (n, k) scratch arrays in ``work``
-    are allocated once: fresh block-sized temporaries cost page faults."""
+    of about _CHUNK / k points.  The ``scratch`` (n, k) arrays in ``work``
+    are allocated once: fresh block-sized temporaries cost page faults.
+    Each row is an array of its own, so keeping one keeps no other."""
     x = np.asarray(x, float)
     flat = x.ravel()
-    out = np.empty((rows, flat.size))
+    out = [np.empty(flat.size) for _ in range(rows)]
     step = max(1, _CHUNK // k)
-    work = np.empty((2, min(step, flat.size), k))
+    work = np.empty((scratch, min(step, flat.size), k))
     for i in range(0, flat.size, step):
         xs = flat[i:i + step, None]
-        out[:, i:i + step] = fn(xs, work[:, :xs.shape[0]])
+        for o, part in zip(out, fn(xs, work[:, :xs.shape[0]])):
+            o[i:i + step] = part
     return [o.reshape(x.shape)[()] for o in out]
 
 
@@ -90,13 +93,14 @@ class LogQuad:
         Under the component posterior p_k = exp(L_k) / f, with L_k the k-th
         exponent, (log f)' = E_p[a x + b] and (log f)'' = E_p[a] +
         Var_p(a x + b), the variance taken about the posterior mean so that
-        no digits cancel.  K = 1 returns the quadratic directly.
+        no digits cancel.  K = 1 returns the quadratic directly, its
+        (log f)'' = a as a read-only broadcast that holds no array.
         """
         if self.a.size == 1:
             a, b, c = self.a[0], self.b[0], self.c[0]
             x = np.asarray(x, float)
             return [0.5 * a * x * x + b * x + c, a * x + b,
-                    np.full_like(x, a)][:order + 1]
+                    np.broadcast_to(a, x.shape)][:order + 1]
 
         def tables(a, b, c):
             # L = [x^2, x, 1] @ quad; posterior sums are p @ cols
@@ -129,7 +133,8 @@ class LogQuad:
                 out.append((sa + np.einsum("ij,ij->i", p, d)) / s0)
             return out[:order + 1]
 
-        return _by_blocks(x, self.a.size, order + 1, block)
+        return _by_blocks(x, self.a.size, order + 1, block,
+                          scratch=2 if order > 1 else 1)
 
     def log_at(self, x):
         return self._pass(x, 0)[0]
@@ -225,7 +230,8 @@ class LogQuad:
             a = (xs - mean) / sigma
             return [ndtr(a, out=a, work=work) @ weights]
 
-        return mass, lambda x: _by_blocks(x, self.a.size, 1, block)[0]
+        return mass, lambda x: _by_blocks(x, self.a.size, 1, block,
+                                          scratch=2)[0]
 
     def moments(self):
         """(mass, mean, variance) of the unnormalized density; a < 0."""
@@ -237,8 +243,15 @@ class LogQuad:
         return float(np.sum(masses)), float(mean), float(var)
 
 
-def field_from_family(grid: Grid1D, fam) -> GridField:
-    """Wrap a LogQuad as a GridField with exact evaluators."""
+def field_from_family(grid: Grid1D, fam, nodes=None) -> GridField:
+    """Wrap a LogQuad as a GridField with exact evaluators.
+
+    The family is evaluated once on the grid: one pass gives log f, whose
+    exp are the values, and (log f)'' at the nodes.  ``nodes``, when given,
+    is that (log f, (log f)'') at grid.points, already computed by the
+    caller, and no pass is run.
+    """
+    logv, d2 = fam._pass(grid.points, 2)[::2] if nodes is None else nodes
     return GridField(
         grid,
         analytic=fam.__call__,
@@ -246,6 +259,8 @@ def field_from_family(grid: Grid1D, fam) -> GridField:
         analytic_dlog=fam.dlog,
         analytic_d2log=fam.d2log,
         tag=fam,
+        node_log=logv,
+        node_d2log=d2[2:-2],
     )
 
 

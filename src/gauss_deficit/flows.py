@@ -32,7 +32,7 @@ import numpy as np
 from .families import LogQuad, field_from_family
 from .numerics import (Grid1D, GridField, ParameterError, PositivityError,
                        TruncationError, _coarsest_stride, _refine_strides,
-                       default_grid, second_difference)
+                       default_grid)
 
 logger = logging.getLogger(__name__)
 
@@ -252,8 +252,9 @@ def fp_evolve(v0, params: FPParams, grid: Optional[Grid1D] = None) -> GridField:
         if v0.kind != "density":
             raise ParameterError("t = 0 requires a density initial condition")
         return v0.density
-    family, mass0, _ = _fp_family(v0, beta, t, grid.points)
-    out = field_from_family(grid, family)
+    # the levels of an untagged density already hold v_t at the nodes
+    family, mass0, at_x = _fp_family(v0, beta, t, grid.points)
+    out = field_from_family(grid, family, at_x)
     if v0.kind == "density":
         _check_mass(mass0, _trapz(out))
     return out
@@ -273,10 +274,7 @@ def fp_class_member(mu: MeasureSpec, beta: float,
 
 def _log_hessian_1d(v: GridField) -> np.ndarray:
     """(log v)'' at the grid nodes 2..n-3 (see certify for its sources)."""
-    x = v.grid.points
-    if v.analytic_d2log is not None:
-        return np.asarray(v.analytic_d2log(x[2:-2]), float)
-    return second_difference(np.asarray(v.log(x), float), v.grid.spacing)
+    return v.grid_d2log()
 
 
 def _margin(kind: str, beta: float, hess) -> float:
@@ -300,11 +298,15 @@ def certify(v: GridField, kind: str, beta: float,
     On the line the Laplacian and the Hessian are both (log v)'', so
     subharmonic/convex coincide, as do concave/superharmonic.
 
-    (log v)'' comes from the first of two paths that applies:
-      1. the field's analytic_d2log, as GridField.from_log(d2log=) sets it
-         and field_from_family sets it for a LogQuad (every FP snapshot):
-         the exact posterior moments of its components;
-      2. numerics.second_difference of log v at the nodes, for values-only
+    (log v)'' is the field's node array (GridField.grid_d2log), from the
+    first of three sources that applies:
+      1. the pass that made the values, which field_from_family runs for a
+         LogQuad (every FP snapshot): the exact posterior moments of its
+         components; a tilted field takes its node array from the field it
+         tilts;
+      2. the field's analytic_d2log at the nodes, as GridField.from_log(
+         d2log=) sets it;
+      3. numerics.second_difference of log v at the nodes, for values-only
          fields and for a log closure without d2log: differenced at the
          grid spacing h, not at h = 1e-4, with an error of about
          h^2 (log v)''''/12 plus 4 eps |log v| / h^2 of rounding.
@@ -359,25 +361,18 @@ def preservation_trace(v0: GridField, beta: float, kind: str,
     grad^2 log v_t >= -1/((1 - e^{-2t}) beta), valid for arbitrary initial
     measures.
     """
-    source = MeasureSpec.from_density(v0)
-    x = v0.grid.points
     margins = []
     universal = []
     for t in times:
-        t = FPParams(beta, float(t)).t
-        if t == 0.0:
-            margins.append(certify(v0, kind, beta).margin)
+        params = FPParams(beta, float(t))
+        # fp_evolve's one pass gives the mass check and both margins
+        vt = fp_evolve(v0, params)
+        margins.append(certify(vt, kind, beta).margin)
+        if params.t == 0.0:
             universal.append(np.nan)
             continue
-        # one pass over the grid gives the mass and both margins
-        family, mass0, at_x = _fp_family(source, beta, t, x)
-        logv, hess = at_x or family._pass(x, 2)[::2]
-        _check_mass(mass0, float(np.trapezoid(np.exp(logv),
-                                              dx=v0.grid.spacing)))
-        hess = hess[2:-2]
-        margins.append(_margin(kind, beta, hess))
-        bound = 1.0 / ((1.0 - np.exp(-2.0 * t)) * beta)
-        universal.append(float(np.min(hess + bound)))
+        bound = 1.0 / ((1.0 - np.exp(-2.0 * params.t)) * beta)
+        universal.append(float(np.min(vt.grid_d2log() + bound)))
     return np.asarray(margins), np.asarray(universal)
 
 

@@ -55,12 +55,14 @@ def _xlogx(x):
     return out
 
 
-def entropy_fisher(f: GridField,
+def entropy_fisher(f: GridField | Tilt,
                    rule: Optional[QuadratureRule] = None) -> EntFisher:
     """Ent_gamma(f) and I_gamma(f) for a relative density f (w.r.t. gamma).
 
     Ent = int f log f dgamma - F log F with F = int f dgamma;
     I   = int f |grad log f|^2 dgamma  (the stable form of int |grad f|^2/f).
+    ``f`` is a GridField or a Tilt: only f and (log f)' at the quadrature
+    nodes are read.
     """
     rule = _rule_or_default(rule)
     z, w = rule.nodes, rule.weights
@@ -205,18 +207,28 @@ def sharp_constant(name: str, *, beta: float = None, p: float = None,
 @dataclass(frozen=True)
 class Tilt:
     """w = v^r gamma^{-a} as closures, and as ``tag``, w's exact LogQuad,
-    when v's tag gives one (see tilt)."""
+    when v's tag gives one (see tilt).  Without a tag, ``nodes(grid)``
+    gives log w and (log w)'' at the nodes from v's node arrays, or
+    (None, None) on a grid other than v's."""
 
     log: Callable
     dlog: Callable
     d2log: Optional[Callable]
     tag: Optional[LogQuad] = None
+    nodes: Optional[Callable] = None
+
+    def __call__(self, x):
+        return np.exp(self.log(x))
 
     def field(self, grid: Grid1D) -> GridField:
-        """w on the grid: the tag's field when exact, else from the closures."""
+        """w on the grid: the tag's field when exact, else the closures with
+        w's node arrays taken from v's, or evaluated at the nodes once."""
         if self.tag is not None:
             return field_from_family(grid, self.tag)
-        return GridField.from_log(grid, self.log, self.dlog, self.d2log)
+        logw, d2 = self.nodes(grid)
+        return GridField(grid, analytic_log=self.log, analytic_dlog=self.dlog,
+                         analytic_d2log=self.d2log, node_log=logw,
+                         node_d2log=d2)
 
 
 def tilt(v, r: float, a: float) -> Tilt:
@@ -228,7 +240,8 @@ def tilt(v, r: float, a: float) -> Tilt:
     component, or any tag at r = 1, gives w exactly as a LogQuad.  Otherwise
     w is built from v's closures, (log w)' = r (log v)' + a x, and
     (log w)'' = r (log v)'' + a when v carries (log v)''.  Nothing is
-    evaluated until a closure is called or ``field`` is built.
+    evaluated until a closure is called or ``field`` is built; a field on
+    v's grid is built from v's node arrays, without evaluating v again.
     """
     tag = v if isinstance(v, LogQuad) else v.tag
     if tag is v or (isinstance(tag, LogQuad) and (tag.a.size == 1 or r == 1)):
@@ -237,16 +250,26 @@ def tilt(v, r: float, a: float) -> Tilt:
                       fam.c + 0.5 * np.log(2.0 * np.pi) * a)
         return Tilt(fam.log_at, fam.dlog, fam.d2log, fam)
 
+    d2 = v.analytic_d2log
+
+    def tilted(logv, x):
+        return r * logv + a * (0.5 * x * x + 0.5 * np.log(2.0 * np.pi))
+
     def log(x):
         x = np.asarray(x, float)
-        return r * v.log(x) + a * (0.5 * x * x + 0.5 * np.log(2.0 * np.pi))
+        return tilted(v.log(x), x)
 
     def dlog(x):
         return r * v.dlog(x) + a * np.asarray(x, float)
 
-    d2 = v.analytic_d2log
+    def nodes(grid):
+        if grid != v.grid:
+            return None, None
+        return (tilted(v.grid_log(), grid.points),
+                None if d2 is None else r * v.grid_d2log() + a)
+
     return Tilt(log, dlog, None if d2 is None else (
-        lambda x: r * np.asarray(d2(x), float) + a))
+        lambda x: r * np.asarray(d2(x), float) + a), nodes=nodes)
 
 
 def log_hc_norm(v, p: float, q: float, s: float,
@@ -277,7 +300,8 @@ def _check_ratio_bounded(v: GridField, beta: float):
     has no reason to converge.
     """
     x = v.grid.points
-    if not interior_peak(2.0 * v.log(x) - LogQuad.gaussian(beta).log_at(x)):
+    if not interior_peak(2.0 * v.grid_log()
+                         - LogQuad.gaussian(beta).log_at(x)):
         raise IntegrabilityError(
             "v^2/gamma_beta peaks at the grid boundary; "
             "L^2(gamma_beta^{-1}) proxy check failed")

@@ -44,7 +44,10 @@ def _certificate_hypotheses(v: GridField, beta: float) -> list:
 
 
 def _mass_vdx(v: GridField, rule) -> float:
-    """int v dx = ||v/gamma||_{L^1(gamma)}, free of grid tail truncation."""
+    """int v dx, free of grid tail truncation: the tag's exact mass, else
+    ||v/gamma||_{L^1(gamma)} by the rule."""
+    if isinstance(v.tag, LogQuad):
+        return v.tag.integral_lebesgue()
     return float(np.exp(log_hc_norm(v, 1.0, 1.0, 0.0, rule)))
 
 
@@ -123,7 +126,7 @@ def lsi_check(v: GridField, beta: float, rule=None) -> DeficitReport:
     if abs(mass - 1.0) > 1e-6:
         raise ParameterError(f"density not normalized: mass = {mass:.8f}")
     hyps = _certificate_hypotheses(v, beta)
-    ef = entropy_fisher(tilt(v, 1.0, 1.0).field(v.grid), rule)
+    ef = entropy_fisher(tilt(v, 1.0, 1.0), rule)
     const = sharp_constant("lsi_gauss", beta=beta).value
     return DeficitReport.build(
         "log-sobolev", ef.entropy - 0.5 * ef.fisher, const, const,
@@ -139,7 +142,7 @@ def els_eigen_check(v: GridField, rule=None) -> DeficitReport:
     """
     rule = _rule_or_default(rule)
     eigs = np.linalg.eigvalsh(covariance(v))
-    ef = entropy_fisher(tilt(v, 1.0, 1.0).field(v.grid), rule)
+    ef = entropy_fisher(tilt(v, 1.0, 1.0), rule)
     correction = -0.5 * float(sum(np.log(b) - 1.0 + 1.0 / b
                                   for b in eigs if b <= 1.0))
     rhs = 0.5 * ef.fisher + correction
@@ -233,7 +236,7 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
                                    const, hypotheses=hyps, params=params)
 
     if which == "lsi":
-        ef1, ef2 = (entropy_fisher(tilt(v, 1.0, 1.0).field(v.grid), rule)
+        ef1, ef2 = (entropy_fisher(tilt(v, 1.0, 1.0), rule)
                     for v in (v1, v2))
         ent = m2 * ef1.entropy + m1 * ef2.entropy
         fisher = m2 * ef1.fisher + m1 * ef2.fisher
@@ -406,8 +409,8 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
     q22 = (1.0 - (1.0 - e2s) * c2) / (2.0 * (1.0 - e2s))
     q12 = -float(np.exp(-s)) / (2.0 * (1.0 - e2s))
     x1, x2 = f1.grid.points, f2.grid.points
-    l1 = c1 * np.asarray(f1.log(x1), float)
-    l2 = c2 * np.asarray(f2.log(x2), float)
+    l1 = c1 * f1.grid_log()
+    l2 = c2 * f2.grid_log()
 
     def trapezoid(k):
         X1, X2 = np.meshgrid(x1[::k], x2[::k], indexing="ij")
@@ -542,7 +545,8 @@ def _bumped_gaussian(core: LogQuad, eps: float, m: float,
                      grid: Grid1D) -> GridField:
     """The one-component core times e^{-eps sqrt(1 + (x - m)^2)}, a smooth
     convex bump, normalised by its trapezoid mass on the grid; its exact
-    (log v)' and (log v)'' come with it."""
+    (log v)' and (log v)'' come with it.  The log is evaluated at the nodes
+    once, for the normaliser and the field's values alike."""
 
     def root(x):
         return np.sqrt(1.0 + (np.asarray(x, float) - m) ** 2)
@@ -553,10 +557,12 @@ def _bumped_gaussian(core: LogQuad, eps: float, m: float,
     def dlog(x):
         return core.dlog(x) - eps * (np.asarray(x, float) - m) / root(x)
 
-    logz = float(np.log(np.trapezoid(np.exp(raw_log(grid.points)),
-                                     dx=grid.spacing)))
-    return GridField.from_log(grid, lambda x: raw_log(x) - logz, dlog,
-                              lambda x: core.a[0] - eps / root(x) ** 3)
+    lv = raw_log(grid.points)
+    logz = float(np.log(np.trapezoid(np.exp(lv), dx=grid.spacing)))
+    return GridField(grid, analytic_log=lambda x: raw_log(x) - logz,
+                     analytic_dlog=dlog,
+                     analytic_d2log=lambda x: core.a[0] - eps / root(x) ** 3,
+                     node_log=lv - logz)
 
 
 def make_logconcave_input(rng: np.random.Generator, beta: float,

@@ -5,9 +5,12 @@ interior-peak proxy.
 Everything downstream works with functions sampled on uniform grids.  A
 GridField couples the samples with optional exact closures for f, log f,
 (log f)' and (log f)'', so that kernel integrals (Ornstein-Uhlenbeck,
-Fokker-Planck, Hopf-Lax) and curvature certificates read a closed form
-where one is known.  A field without closures is interpolated between its
-nodes, and its second derivative comes from ``second_difference``.
+Fokker-Planck, Hopf-Lax) read a closed form where one is known.  A field
+also keeps log f and (log f)'' at its nodes, filled by the pass that made
+its values or on first use, and every reader at the nodes reads those
+arrays instead of calling a closure again.  A field without closures is
+interpolated between its nodes, and its second derivative comes from
+``second_difference``.
 
 Conventions:
 
@@ -18,7 +21,8 @@ sum to 1 and ``sum(w * f(z))`` approximates ``int f dgamma``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,7 +67,15 @@ class Grid1D:
 
     @property
     def points(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n)
+        """The n nodes, built once per grid and read-only."""
+        return _grid_points(self.lo, self.hi, self.n)
+
+
+@lru_cache(maxsize=16)
+def _grid_points(lo: float, hi: float, n: int) -> np.ndarray:
+    x = np.linspace(lo, hi, n)
+    x.setflags(write=False)
+    return x
 
 
 def default_grid() -> Grid1D:
@@ -85,7 +97,8 @@ class GridField:
     """Function samples on a grid, with optional exact evaluators.
 
     values         -- samples at the grid points; when omitted they are
-                      filled by evaluating ``analytic`` once
+                      exp(node_log), or else filled by evaluating
+                      ``analytic`` once
     analytic       -- vectorized evaluator f(x); when both are given, they
                       must agree on the grid.  Left out, it is the exp of
                       ``analytic_log``
@@ -95,6 +108,9 @@ class GridField:
     analytic_d2log -- evaluator of (log f)'' (curvature certificates)
     tag            -- closed-form family (a families.LogQuad of K >= 1
                       components) enabling exact semigroup/flow fast paths
+    node_log       -- log f at every node, from the same source as the
+                      closures (no agreement check); see grid_log
+    node_d2log     -- (log f)'' at the nodes 2..n-3; see grid_d2log
     """
 
     grid: Grid1D
@@ -104,18 +120,30 @@ class GridField:
     analytic_dlog: Optional[Callable] = None
     analytic_d2log: Optional[Callable] = None
     tag: object = None
+    node_log: Optional[np.ndarray] = field(default=None, repr=False)
+    node_d2log: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         given = self.values is not None
         check = given and self.analytic is not None
-        if self.analytic is None and self.analytic_log is not None:
-            log = self.analytic_log
+        log = self.analytic_log
+        if self.analytic is None and log is not None:
             object.__setattr__(self, "analytic",
                                lambda x: np.exp(np.asarray(log(x), float)))
+            if not given and self.node_log is None:
+                # the one evaluation at the nodes; its exp are the values
+                object.__setattr__(self, "node_log", log(self.grid.points))
         if not given and self.analytic is None:
             raise ParameterError("a field needs values or an analytic closure")
-        v = (np.asarray(self.values, dtype=float) if given
-             else _sample(self.grid, self.analytic))
+        for name in ("node_log", "node_d2log"):
+            if getattr(self, name) is not None:
+                self._keep(name, getattr(self, name))
+        if given:
+            v = np.asarray(self.values, dtype=float)
+        elif self.node_log is not None:
+            v = np.exp(self.node_log)
+        else:
+            v = _sample(self.grid, self.analytic)
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.n,):
             raise ParameterError("values shape does not match grid")
@@ -129,6 +157,34 @@ class GridField:
         scale = np.max(np.abs(self.values)) + 1e-300
         if np.max(np.abs(sampled - self.values)) > 1e-12 * max(scale, 1.0):
             raise EvaluationError("analytic closure disagrees with samples")
+
+    def _keep(self, name: str, arr):
+        """Hold a node array, read-only, as the slot ``name``."""
+        arr = np.asarray(arr, float)
+        arr.setflags(write=False)
+        object.__setattr__(self, name, arr)
+        return arr
+
+    # -- the node arrays --------------------------------------------------
+
+    def grid_log(self) -> np.ndarray:
+        """log f at every node: node_log, else log evaluated at the nodes
+        once and kept."""
+        if self.node_log is not None:
+            return self.node_log
+        return self._keep("node_log", self.log(self.grid.points))
+
+    def grid_d2log(self) -> np.ndarray:
+        """(log f)'' at the nodes 2..n-3, the window every certificate
+        reads: node_d2log, else the analytic_d2log closure there, else
+        second_difference of grid_log at the grid spacing; kept."""
+        if self.node_d2log is not None:
+            return self.node_d2log
+        if self.analytic_d2log is not None:
+            d2 = self.analytic_d2log(self.grid.points[2:-2])
+        else:
+            d2 = second_difference(self.grid_log(), self.grid.spacing)
+        return self._keep("node_d2log", d2)
 
     # -- evaluation -------------------------------------------------------
 

@@ -258,9 +258,7 @@ def general_lsi_deficit(v: DensitySpec, pot: PotentialSpec,
     """
     if beta <= 1:
         raise ParameterError("requires beta > 1")
-    g = pot.V.grid
-    x = g.points
-    h = g.spacing
+    h = pot.V.grid.spacing
     mvals, mlog = pot.density(1.0)
     mbvals, mblog = pot.density(beta)
 
@@ -291,7 +289,7 @@ def general_lsi_deficit(v: DensitySpec, pot: PotentialSpec,
         fisher = float(np.trapezoid(dens_vals * drel * drel, dx=h))
         return ent, fisher
 
-    ent_v, fi_v = ent_fisher_against_m(vf.values, vf.log(x))
+    ent_v, fi_v = ent_fisher_against_m(vf.values, vf.grid_log())
     ent_b, fi_b = ent_fisher_against_m(mbvals, mblog)
 
     K = pot.K

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+from gauss_deficit import families
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, gaussian_ratio_field,
                                     symmetric_mixture)
@@ -250,3 +251,31 @@ class TestFields:
     def test_gaussian_integral_one(self, beta, mean):
         assert LogQuad.gaussian(beta, mean).integral_lebesgue() == \
             pytest.approx(1.0, rel=1e-10)
+
+
+class TestEvaluationPass:
+    @pytest.mark.parametrize("order, scratch", [(0, 1), (1, 1), (2, 2)])
+    def test_scratch_arrays_per_order(self, order, scratch, monkeypatch):
+        # an order-0/1 pass needs the exponent table only; order 2 also the
+        # centred slopes
+        seen, by_blocks = [], families._by_blocks
+
+        def recording(x, k, rows, fn, **kw):
+            def block(xs, work):
+                seen.append(work.shape[0])
+                return fn(xs, work)
+            return by_blocks(x, k, rows, block, **kw)
+
+        monkeypatch.setattr(families, "_by_blocks", recording)
+        symmetric_mixture(1.0, 1.0)._pass(np.linspace(-5.0, 5.0, 101), order)
+        assert seen == [scratch]
+
+    def test_rows_are_separate_arrays(self):
+        # keeping log f and (log f)'' keeps no (log f)' row alive
+        rows = symmetric_mixture(1.0, 1.0)._pass(np.linspace(-5, 5, 101), 2)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert not np.shares_memory(rows[i], rows[j])
+
+    def test_one_component_curvature_holds_no_array(self):
+        d2 = LogQuad.gaussian(2.0)._pass(np.linspace(-5.0, 5.0, 101), 2)[2]
+        assert d2.strides == (0,) and np.all(d2 == -0.5)

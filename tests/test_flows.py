@@ -113,6 +113,21 @@ class TestGridDensityFlow:
             np.testing.assert_allclose(vt.tag.d2log(x), -1.0 / beta,
                                        rtol=0, atol=1e-9)
 
+    def test_snapshot_keeps_its_level_arrays(self, grid, monkeypatch):
+        # the finest level's pass at the nodes is the snapshot's only one:
+        # the field and its certificate read what the level computed
+        grid_passes, one_pass = [], LogQuad._pass
+
+        def recording(fam, x, order=2):
+            if np.size(x) in (grid.n, grid.n - 4):  # nodes, or 2..n-3
+                grid_passes.append(fam)
+            return one_pass(fam, x, order)
+
+        monkeypatch.setattr(LogQuad, "_pass", recording)
+        vt = fp_evolve(_untagged_gaussian(grid, 0.5), FPParams(0.5, 0.05))
+        certify(vt, "concave", 0.5)
+        assert [q for q in grid_passes if q is vt.tag] == [vt.tag]
+
     def test_gaussian_preservation_margins_vanish(self, grid):
         # the curvature comes from posterior moments taken about their mean,
         # so the exact margin 0 is met to rounding, not to a finite difference

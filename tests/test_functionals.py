@@ -200,6 +200,20 @@ class TestTilt:
         np.testing.assert_allclose(w.d2log(x), (4.0 * d2(h / 2) - d2(h)) / 3,
                                    rtol=0, atol=1e-6)
 
+    @pytest.mark.parametrize("make, beta", [(make_fp_input, 2.0),
+                                            (make_logconcave_input, 0.5)])
+    def test_field_node_arrays_are_the_closures(self, make, beta, grid):
+        # the closure path builds w's node arrays from v's, bit for bit
+        # what its closures give at the nodes
+        v = make(np.random.default_rng(4), beta, grid)
+        w = tilt(v, 0.7, 1.3)
+        f = w.field(grid)
+        assert w.tag is None and f.node_log is not None
+        x = grid.points
+        np.testing.assert_array_equal(f.grid_log(), w.log(x))
+        np.testing.assert_array_equal(f.values, np.exp(w.log(x)))
+        np.testing.assert_array_equal(f.grid_d2log(), w.d2log(x[2:-2]))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_round_trip(self, seed, grid):
         # gamma ((v/gamma)^{1/p})^p = v

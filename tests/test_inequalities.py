@@ -7,7 +7,7 @@ from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, gaussian_ratio_field,
                                     symmetric_mixture)
 from gauss_deficit.flows import certify
-from gauss_deficit.functionals import sharp_constant
+from gauss_deficit.functionals import sharp_constant, tilt
 from gauss_deficit.inequalities import (beckner_check,
                                         brascamp_lieb_check,
                                         counterexample_mixture,
@@ -387,6 +387,34 @@ class TestCounterexamples:
             assert tr.delta_log_ptf == pytest.approx(exact, rel=1e-12)
             assert tr.grid_min > 0
             assert tr.grid_min == pytest.approx(exact, abs=1e-4)
+
+
+class TestOnePassPerField:
+    def test_tagged_fp_input_is_evaluated_once_on_its_grid(self, grid, rule,
+                                                           monkeypatch):
+        # the pass that made v's values gives every grid reader its node
+        # arrays: the ratio proxy, the certificates and the tilted test
+        # functions; lsi and els read the tilt at the GH nodes only
+        grid_passes, one_pass = [], LogQuad._pass
+
+        def recording(fam, x, order=2):
+            if np.size(x) in (grid.n, grid.n - 4):  # nodes, or 2..n-3
+                grid_passes.append(fam)
+            return one_pass(fam, x, order)
+
+        monkeypatch.setattr(LogQuad, "_pass", recording)
+        rng = np.random.default_rng(4)
+        v = make_fp_input(rng, 2.0, grid)
+        assert v.tag.a.size > 1
+        hc_check(v, 2.0, ExponentTriple.from_pq(2.0, 4.0), rule)
+        reverse_hc_check(v, 2.0, sample_reverse_triple(rng, True), rule)
+        lsi_check(v, 2.0, rule)
+        els_eigen_check(v, rule)
+        poincare_check(tilt(v, 0.5, 0.5).field(grid), 2.0, rule)
+        beckner_check(tilt(v, 1 / 1.5, 1 / 1.5).field(grid), 1.5, 2.0, rule)
+        # the one-component passes are the quadratic log gamma_beta of the
+        # ratio proxy
+        assert [q for q in grid_passes if q.a.size > 1] == [v.tag]
 
 
 class TestGenerators:

@@ -17,6 +17,13 @@ class TestGrid:
         assert g.points[0] == -1.0 and g.points[-1] == 1.0
         assert len(g.points) == 9
 
+    def test_points_built_once_and_read_only(self):
+        g = Grid1D(-3.0, 5.0, 33)
+        assert g.points is g.points
+        np.testing.assert_array_equal(g.points, np.linspace(-3.0, 5.0, 33))
+        with pytest.raises(ValueError):
+            g.points[0] = 0.0
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ParameterError):
             Grid1D(1.0, -1.0, 9)
@@ -86,17 +93,23 @@ class TestClosureEvaluatedOnce:
         assert float(f(0.123)) == np.exp(-0.5 * 0.123 ** 2 - 3.0)
 
     def test_field_from_family(self, grid):
+        # one pass at the nodes gives the values and both node arrays
         class CountingGaussian(LogQuad):
             calls = 0
 
-            def __call__(self, x):
-                type(self).calls += 1
-                return super().__call__(x)
+            def _pass(self, x, order=2):
+                if np.size(x) == grid.n:
+                    type(self).calls += 1
+                return super()._pass(x, order)
 
         q = LogQuad.gaussian(2.0)
         f = field_from_family(grid, CountingGaussian(q.a, q.b, q.c))
+        f.grid_log(), f.grid_d2log()
         assert CountingGaussian.calls == 1
         np.testing.assert_array_equal(f.values, q(grid.points))
+        np.testing.assert_array_equal(f.grid_log(), q.log_at(grid.points))
+        np.testing.assert_array_equal(f.grid_d2log(),
+                                      q.d2log(grid.points[2:-2]))
 
     def test_values_and_closure_from_different_sources_checked(self, grid):
         fn = Counting(lambda x: np.exp(-x ** 2))
@@ -145,3 +158,20 @@ class TestGridField:
         g = default_grid()
         f = GridField.from_callable(g, lambda t: np.sin(t))
         assert float(f(x)) == pytest.approx(np.sin(x), abs=1e-5)
+
+    def test_node_arrays_by_source(self, grid):
+        # kept after the first read, read-only, and each from the source
+        # certify documents: d2log closure, else the stencil of log f
+        x = grid.points
+        log = Counting(lambda t: -0.5 * t * t)
+        f = GridField.from_log(grid, log,
+                               d2log=lambda t: np.full_like(t, -1.0))
+        assert f.grid_log() is f.grid_log() and log.calls == 1
+        np.testing.assert_array_equal(f.grid_log(), -0.5 * x * x)
+        np.testing.assert_array_equal(f.grid_d2log(), np.full(grid.n - 4, -1.0))
+        g = GridField(grid, np.exp(-0.5 * x * x))
+        np.testing.assert_array_equal(
+            g.grid_d2log(), second_difference(np.log(g.values), grid.spacing))
+        for arr in (f.grid_log(), f.grid_d2log(), g.grid_log()):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
