@@ -205,8 +205,10 @@ def _grid_density_family(src: GridField, beta: float, t: float, x):
                    for f, c in zip(fine[1], coarse[1]))
 
     k, (q, at_x), g = _refine_strides(level, k0, gap, 1e-12 * (1.0 + 1.0 / w))
-    logger.debug("FP snapshot beta=%g t=%g: pad %d nodes, stride %d, "
-                 "level gap %.3g", beta, t, pad, k, g)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("FP snapshot beta=%g t=%g: pad %d nodes, stride %d, "
+                     "level gap %.3g, pairs evaluated %.3f, dropped-term "
+                     "bound %.3g", beta, t, pad, k, g, *q.window_share(x))
     return q, q.integral_lebesgue(), at_x
 
 

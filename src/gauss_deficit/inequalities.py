@@ -413,7 +413,7 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
     l2 = c2 * f2.grid_log()
 
     def trapezoid(k):
-        X1, X2 = np.meshgrid(x1[::k], x2[::k], indexing="ij")
+        X1, X2 = x1[::k, None], x2[None, ::k]
         log_int = (-(q11 * X1 * X1 + 2.0 * q12 * X1 * X2 + q22 * X2 * X2)
                    + l1[::k, None] + l2[None, ::k])
         h1, h2 = f1.grid.spacing * k, f2.grid.spacing * k

@@ -31,3 +31,8 @@ def test_matrix_workload_traced_run():
 def test_grid_kernels_traced_run():
     # guards the hooks on hopf_lax and brascamp_lieb_check
     traced_run("grid-kernels")
+
+
+def test_fp_flow_traced_run():
+    # fp-flow calls flows.preservation_trace outside the CLI
+    traced_run("fp-flow")

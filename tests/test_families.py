@@ -279,3 +279,49 @@ class TestEvaluationPass:
     def test_one_component_curvature_holds_no_array(self):
         d2 = LogQuad.gaussian(2.0)._pass(np.linspace(-5.0, 5.0, 101), 2)[2]
         assert d2.strides == (0,) and np.all(d2 == -0.5)
+
+    @pytest.mark.parametrize("shape", [(4097, 8), (2048, 2), (113, 577),
+                                       (64, 64)])
+    def test_row_max_is_bit_identical(self, shape):
+        # the column-by-column max of tall narrow tables, NaN and -inf rows
+        # included
+        L = np.random.default_rng(1).normal(0.0, 50.0, shape)
+        L[3, 1] = np.nan
+        L[5] = -np.inf
+        L[7, :] = np.nan
+        L[9, 0] = -np.inf
+        want = L.max(axis=1)
+        got = families._row_max(L)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_scratch_sized_by_the_window(self, monkeypatch):
+        # 577 atoms of one width on a lattice: the blocks sum windows of
+        # them, and the scratch holds the widest window, not all 577
+        q = LogQuad.gaussian(0.05, np.linspace(-12.0, 12.0, 577))
+        x = np.linspace(-12.0, 12.0, 4097)
+        seen, by_blocks = [], families._by_blocks
+
+        def recording(x, k, rows, fn, **kw):
+            def block(xs, work):
+                seen.append(work.shape[1] // xs.shape[0])
+                return fn(xs, work)
+            return by_blocks(x, k, rows, block, **kw)
+
+        monkeypatch.setattr(families, "_by_blocks", recording)
+        q._pass(x, 2)
+        assert max(seen) < 577 // 2
+        assert q.window_share(x)[0] < 0.3
+
+    def test_unbanded_families_keep_every_component(self):
+        x = np.linspace(-6.0, 6.0, 1001)
+        rng = np.random.default_rng(2)
+        means = np.sort(rng.uniform(-4.0, 4.0, 200))
+        sorted_ = LogQuad.gaussian(0.05, means)
+        shuffled = LogQuad.gaussian(0.05, rng.permutation(means))
+        widths = LogQuad(sorted_.a * rng.uniform(0.9, 1.1, 200), sorted_.b,
+                         sorted_.c)
+        assert sorted_.window_share(x)[0] < 1.0
+        for q in (shuffled, widths, symmetric_mixture(1.0, 0.3)):
+            assert q.window_share(x) == (1.0, 0.0)
+        np.testing.assert_allclose(shuffled.log_at(x), sorted_.log_at(x),
+                                   rtol=1e-15, atol=1e-15)

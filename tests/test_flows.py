@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gauss_deficit import families, flows
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
 from gauss_deficit.flows import (T_STAR, FPParams, MeasureSpec, certify,
@@ -16,7 +17,7 @@ from gauss_deficit.flows import (T_STAR, FPParams, MeasureSpec, certify,
                                  _trapz)
 from gauss_deficit.inequalities import make_fp_input, make_logconcave_input
 from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
-                                    TruncationError)
+                                    TruncationError, logsumexp)
 
 
 class TestFPEvolve:
@@ -198,8 +199,9 @@ class TestGridDensityFlow:
     def test_resolution_logged(self, grid, caplog):
         with caplog.at_level(logging.DEBUG, logger="gauss_deficit.flows"):
             fp_evolve(_untagged_gaussian(grid, 2.0), FPParams(2.0, 0.5))
-        assert re.search(r"pad \d+ nodes, stride \d+, level gap ",
-                         caplog.text)
+        assert re.search(r"pad \d+ nodes, stride \d+, level gap \S+, pairs "
+                         r"evaluated [0-9.]+, dropped-term bound \S+$",
+                         caplog.text, re.MULTILINE)
 
     def test_compact_support_source(self, grid):
         vals = 0.75 * np.maximum(1.0 - grid.points ** 2, 0.0)
@@ -211,6 +213,105 @@ class TestGridDensityFlow:
         assert vt.tag.a.size == np.count_nonzero(vals)  # zero nodes dropped
         assert np.all(np.isfinite(vt.values)) and np.all(vt.values > 0)
         assert np.all(np.isfinite(hess))
+
+
+def _full_pass(q, x):
+    """log v and (log v)'' at x from every component of q: logsumexp and
+    the posterior moments, taken on the blocks of LogQuad._pass and about
+    their mid-points, so that only the dropped terms and the order of the
+    sums differ from the banded pass."""
+    out = []
+    step = max(1, families._CHUNK // q.a.size)
+    for i in range(0, x.size, step):
+        s = 0.5 * (x[i:i + step].min() + x[i:i + step].max())
+        u = x[i:i + step] - s
+        a, b, c = np.broadcast_arrays(*q._about(s))
+        L = np.stack([u * u, u, np.ones_like(u)], axis=1) @ np.stack(
+            [0.5 * a, b, c])
+        # posterior weights normalised by their own sum: exp(L - log v)
+        # would carry the rounding of log v, 1e-13 relative at log v = -700
+        p = np.exp(L - L.max(axis=1, keepdims=True))
+        p /= np.sum(p, axis=1, keepdims=True)
+        logv = logsumexp(L, axis=-1)
+        slope = u[:, None] * a + b
+        mean = np.sum(p * slope, axis=1, keepdims=True)
+        out.append((logv, p @ a + np.sum(p * (slope - mean) ** 2, axis=1)))
+    return [np.concatenate(rows) for rows in zip(*out)]
+
+
+def _levels(monkeypatch, v0, beta, t, x):
+    """Every level family that _grid_density_family builds for v_t."""
+    built, atoms = [], flows._atoms_family
+
+    def recording(*args):
+        built.append(atoms(*args))
+        return built[-1]
+
+    monkeypatch.setattr(flows, "_atoms_family", recording)
+    flows._fp_family(MeasureSpec.from_density(v0), beta, t, x)
+    return built
+
+
+class TestBandedLevels:
+    """Each block of an FP level sums only the atoms within 53 log 2 +
+    log K of its largest exponent at the block's ends."""
+
+    @pytest.mark.parametrize("t", [0.05, 0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("name", ["gamma0.5", "gamma2", "logconcave"])
+    def test_matches_full_evaluation(self, grid, monkeypatch, name, t):
+        beta = 2.0 if name == "gamma2" else 0.5
+        v0 = (make_logconcave_input(np.random.default_rng(3), 0.5, grid)
+              if name == "logconcave" else _untagged_gaussian(grid, beta))
+        w = beta * (1.0 - np.exp(-2.0 * t))
+        x = grid.points
+        levels = _levels(monkeypatch, v0, beta, t, x)
+        assert min(q.window_share(x)[0] for q in levels) < 0.8
+        for q in levels:
+            logv, _, d2 = q._pass(x, 2)
+            full_logv, full_d2 = _full_pass(q, x)
+            # log v = top + log(s0) carries the last bits of the largest
+            # exponent: 4.4e-16 where log v = -0.33, for the full pass too
+            np.testing.assert_allclose(logv, full_logv, rtol=1e-15,
+                                       atol=1e-15)
+            np.testing.assert_allclose(d2, full_d2, rtol=0,
+                                       atol=1e-12 * (1.0 + 1.0 / w))
+
+    def test_heavy_far_atom_widens_the_window(self):
+        # atoms centred on [-10, 10] at log-weight -700 but the last at 0:
+        # with w = 19^2 / 1400 the heavy atom, 19 away, ties with the light
+        # ones at x = -9, so the blocks about -9 must reach across the
+        # lattice to it
+        w = 361.0 / 1400.0
+        t = -0.5 * np.log(1.0 - w)  # beta = 1
+        points = np.exp(t) * np.linspace(-10.0, 10.0, 401)
+        light = np.full(points.size, -700.0)
+        heavy = light.copy()
+        heavy[-1] = 0.0
+        x = np.linspace(-10.0, -8.0, 2049)
+        q_light, q_heavy = (flows._atoms_family(points, lw, 1.0, t)
+                            for lw in (light, heavy))
+        light_spans, heavy_spans = (np.array(q._windows(x)[1])
+                                    for q in (q_light, q_heavy))
+        both = ((heavy_spans[:, 0] < light_spans[:, 1])
+                & (heavy_spans[:, 1] == points.size))
+        assert np.any(both)
+        assert np.all(np.diff(heavy_spans[both]) > np.diff(light_spans[both]))
+        logv, _, d2 = q_heavy._pass(x, 2)
+        full_logv, full_d2 = _full_pass(q_heavy, x)
+        np.testing.assert_allclose(logv, full_logv, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(d2, full_d2, rtol=0,
+                                   atol=1e-12 * (1.0 + 1.0 / w))
+        # the light family alone sums the atoms near x only
+        assert q_light.window_share(x)[0] < 0.5
+
+    def test_finest_level_evaluates_few_pairs(self, grid, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gauss_deficit.flows"):
+            fp_evolve(_untagged_gaussian(grid, 0.5), FPParams(0.5, 0.05))
+        share, bound = map(float, re.search(
+            r"pairs evaluated (\S+), dropped-term bound (\S+)$",
+            caplog.text, re.MULTILINE).groups())
+        assert share <= 0.40
+        assert 0.0 < bound <= 2.0 ** -53
 
 
 class TestFPClassMember:
