@@ -15,14 +15,12 @@ from .numerics import (Grid1D, GridField, QuadratureRule, default_grid,
 from .families import (LogQuad, field_from_family, gaussian_field,
                        gaussian_ratio_field, symmetric_mixture)
 from .semigroups import (BetaS, ExponentTriple, InadmissibleExponentError,
-                         IntegrabilityError, beta_s, check_commutation,
-                         dilation_apply, nelson_time, ou_apply)
+                         IntegrabilityError, beta_s, nelson_time, ou_apply)
 from .flows import (T_STAR, ConvexityCertificate, FPParams, MeasureSpec,
                     certify, certify_matrix, covariance, fp_class_member,
                     fp_evolve, preservation_trace)
 from .functionals import (EntFisher, SharpConstant, entropy_fisher,
-                          gross_psi, gross_psi_prime0, gross_slope,
-                          lp_norm_gaussian, q_functional, sharp_constant)
+                          q_functional, sharp_constant)
 from .reports import DeficitReport, HypothesisCheck
 from .transport import (DensitySpec, PotentialSpec, QuantileMap, brenier_1d,
                         caffarelli_check, general_lsi_deficit,
@@ -36,8 +34,7 @@ from .inequalities import (beckner_check, brascamp_lieb_check,
                            poincare_check, reverse_hc_check,
                            sample_reverse_triple)
 from .hamilton_jacobi import (HJField, beta_of_a, dual_talagrand_check,
-                              hj_hc_check, hopf_lax, quadratic_datum,
-                              vanishing_viscosity)
+                              hj_hc_check, hopf_lax, quadratic_datum)
 from .cli import ReportBundle, RunConfig, flow_trace, run
 
 __version__ = "0.1.0"

@@ -7,10 +7,10 @@ positive Gaussian mixture, such as every Fokker-Planck snapshot of a finite
 measure.  The family is closed under products, the Ornstein-Uhlenbeck
 semigroup and the Fokker-Planck kernel (complete-the-square identities,
 applied per component), which makes it the workhorse for extremiser checks.
-Fields built from these carry exact evaluators for value, log value,
-(log f)' and (log f)'', the last from the component posterior in the same
-pass, and are evaluated once on their grid: that one pass gives the values
-and the node arrays of log f and (log f)''.
+Fields built from these carry exact evaluators for log f, (log f)' and
+(log f)'', the last from the component posterior in the same pass, and are
+evaluated once on their grid: that one pass gives the values and the node
+arrays of log f and (log f)''.
 """
 from __future__ import annotations
 
@@ -215,10 +215,6 @@ class LogQuad:
             raise ParameterError("a power needs a single component")
         return LogQuad(self.a * r, self.b * r, self.c * r)
 
-    def dilate(self, lam: float) -> "LogQuad":
-        """x -> f(lam x)."""
-        return LogQuad(self.a * lam * lam, self.b * lam, self.c)
-
     # -- integrals --------------------------------------------------------
 
     def _masses(self) -> np.ndarray:
@@ -230,13 +226,6 @@ class LogQuad:
 
     def integral_lebesgue(self) -> float:
         return float(np.sum(self._masses()))
-
-    def integral_gauss(self) -> float:
-        """int f dgamma."""
-        d = 1.0 - self.a
-        if np.any(d <= 0):
-            raise ParameterError("not integrable against gamma (a >= 1)")
-        return float(np.sum(np.exp(self.c + self.b**2 / (2 * d)) / np.sqrt(d)))
 
     def log_lp_norm_gauss(self, r: float) -> float:
         """log ||f||_{L^r(gamma)} = (1/r) log int f^r dgamma."""
@@ -314,16 +303,9 @@ def field_from_family(grid: Grid1D, fam, nodes=None) -> GridField:
     caller, and no pass is run.
     """
     logv, d2 = fam._pass(grid.points, 2)[::2] if nodes is None else nodes
-    return GridField(
-        grid,
-        analytic=fam.__call__,
-        analytic_log=fam.log_at,
-        analytic_dlog=fam.dlog,
-        analytic_d2log=fam.d2log,
-        tag=fam,
-        node_log=logv,
-        node_d2log=d2[2:-2],
-    )
+    return GridField.from_callable(grid, log_fn=fam.log_at, dlog_fn=fam.dlog,
+                                   d2log_fn=fam.d2log, tag=fam,
+                                   nodes=(logv, d2[2:-2]))
 
 
 def gaussian_field(grid: Grid1D, beta: float, mean: float = 0.0) -> GridField:

@@ -43,11 +43,6 @@ T_STAR = 0.5 * float(np.log(2.0))
 _LOG_EDGE_WEIGHT = -53.0 * float(np.log(2.0))
 
 
-def _trapz(field: GridField) -> float:
-    """Trapezoid mass over the grid, without a tail check."""
-    return float(np.trapezoid(field.values, dx=field.grid.spacing))
-
-
 @dataclass(frozen=True)
 class FPParams:
     beta: float
@@ -90,7 +85,7 @@ class MeasureSpec:
     @property
     def mass(self) -> float:
         if self.kind == "density":
-            return _trapz(self.density)
+            return self.density.grid_mass
         return float(self.weights.sum())
 
 
@@ -258,7 +253,7 @@ def fp_evolve(v0, params: FPParams, grid: Optional[Grid1D] = None) -> GridField:
     family, mass0, at_x = _fp_family(v0, beta, t, grid.points)
     out = field_from_family(grid, family, at_x)
     if v0.kind == "density":
-        _check_mass(mass0, _trapz(out))
+        _check_mass(mass0, out.grid_mass)
     return out
 
 
@@ -272,11 +267,6 @@ def fp_class_member(mu: MeasureSpec, beta: float,
 
 # ---------------------------------------------------------------------------
 # certificates
-
-
-def _log_hessian_1d(v: GridField) -> np.ndarray:
-    """(log v)'' at the grid nodes 2..n-3 (see certify for its sources)."""
-    return v.grid_d2log()
 
 
 def _margin(kind: str, beta: float, hess) -> float:
@@ -306,8 +296,8 @@ def certify(v: GridField, kind: str, beta: float,
          LogQuad (every FP snapshot): the exact posterior moments of its
          components; a tilted field takes its node array from the field it
          tilts;
-      2. the field's analytic_d2log at the nodes, as GridField.from_log(
-         d2log=) sets it;
+      2. the field's analytic_d2log at the nodes, as
+         GridField.from_callable(d2log_fn=) sets it;
       3. numerics.second_difference of log v at the nodes, for values-only
          fields and for a log closure without d2log: differenced at the
          grid spacing h, not at h = 1e-4, with an error of about
@@ -319,7 +309,7 @@ def certify(v: GridField, kind: str, beta: float,
         raise PositivityError("certification from samples requires v > 0")
     if tol is None:
         tol = 1e-4 / beta
-    margin = _margin(kind, beta, _log_hessian_1d(v))
+    margin = _margin(kind, beta, v.grid_d2log())
     return ConvexityCertificate(kind, beta, margin, tol)
 
 
@@ -348,7 +338,7 @@ def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray, side: str,
     if B.shape != (2, 2):
         raise ParameterError("B must be a 2 x 2 matrix")
     extreme = np.min if side == "convex" else np.max
-    h = [extreme(_log_hessian_1d(v)) for v in (v1, v2)]
+    h = [extreme(v.grid_d2log()) for v in (v1, v2)]
     eigs = np.linalg.eigvalsh(np.diag(h) + np.linalg.inv(B))
     margin = eigs[0] if side == "convex" else -eigs[-1]
     return ConvexityCertificate(side, float(np.max(np.linalg.eigvalsh(B))),

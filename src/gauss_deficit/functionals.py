@@ -94,20 +94,6 @@ def _log_lp(lv, r: float, logw) -> float:
     return float(total / r)
 
 
-def lp_norm_gaussian(f: GridField, r: float,
-                     rule: Optional[QuadratureRule] = None) -> float:
-    """(int |f|^r dgamma)^{1/r}; r < 0 requires strictly positive f."""
-    if r == 0:
-        raise ParameterError("r must be nonzero")
-    rule = _rule_or_default(rule)
-    z = rule.nodes
-    if r < 0 and np.any(np.asarray(f(z)) <= 0):
-        raise PositivityError("negative exponent requires f > 0")
-    logf = (np.log(np.abs(f(z)) + 1e-300) if f.analytic_log is None
-            else f.log(z))
-    return float(np.exp(_log_lp(logf, r, rule.log_weights)))
-
-
 # ---------------------------------------------------------------------------
 # sharp constants
 
@@ -225,10 +211,9 @@ class Tilt:
         w's node arrays taken from v's, or evaluated at the nodes once."""
         if self.tag is not None:
             return field_from_family(grid, self.tag)
-        logw, d2 = self.nodes(grid)
-        return GridField(grid, analytic_log=self.log, analytic_dlog=self.dlog,
-                         analytic_d2log=self.d2log, node_log=logw,
-                         node_d2log=d2)
+        return GridField.from_callable(grid, log_fn=self.log,
+                                       dlog_fn=self.dlog, d2log_fn=self.d2log,
+                                       nodes=self.nodes(grid))
 
 
 def tilt(v, r: float, a: float) -> Tilt:
@@ -289,7 +274,7 @@ def log_hc_norm(v, p: float, q: float, s: float,
 
 
 # ---------------------------------------------------------------------------
-# the flow functional Q(t) and the Gross differentiation slope
+# the flow functional Q(t)
 
 
 def _check_ratio_bounded(v: GridField, beta: float):
@@ -314,32 +299,3 @@ def q_functional(v0: GridField, beta: float, triple: ExponentTriple,
     vt = v0 if t == 0 else fp_evolve(v0, FPParams(beta, t))
     return float(np.exp(triple.q * log_hc_norm(vt, triple.p, triple.q,
                                                triple.s, rule)))
-
-
-def gross_psi(beta: float, s: float,
-              rule: Optional[QuadratureRule] = None) -> float:
-    """psi(s) = ||P_s[(gamma_beta/gamma)^{1/2}]||_{q(s)}, q(s) = 1 + e^{2s}."""
-    return float(np.exp(log_hc_norm(LogQuad.gaussian(beta), 2.0,
-                                    1.0 + np.exp(2.0 * s), s, rule)))
-
-
-def gross_psi_prime0(beta: float, n: int = 1) -> float:
-    """Closed-form psi'(0) = -(n/4)(log beta - 1 + 1/beta)."""
-    return -0.5 * _dn(beta, n)
-
-
-def gross_slope(v: GridField, beta: float, h: float,
-                rule: Optional[QuadratureRule] = None) -> float:
-    """Forward-difference slope at s = 0 of
-
-        Lambda(s) = ||P_s[f^{1/2}]||_{q(s)} / psi(s),   f = v/gamma,
-
-    with q(s) = 1 + e^{2s}.  For admissible v this is <= 0 up to O(h).
-    """
-    if not (1e-4 < h < 1e-1):
-        raise ParameterError("h must lie in (1e-4, 1e-1)")
-    _check_ratio_bounded(v, beta)
-    lam0 = float(np.exp(log_hc_norm(v, 2.0, 2.0, 0.0, rule)))  # psi(0) = 1
-    lam_h = float(np.exp(log_hc_norm(v, 2.0, 1.0 + np.exp(2.0 * h), h,
-                                     rule))) / gross_psi(beta, h, rule)
-    return (lam_h - lam0) / h

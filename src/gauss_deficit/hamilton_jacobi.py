@@ -1,7 +1,6 @@
 """
-Hopf-Lax infimal convolution, its vanishing-viscosity approximation, and the
-Hamilton-Jacobi forms of hypercontractivity and the dual Talagrand
-inequality.
+Hopf-Lax infimal convolution and the Hamilton-Jacobi forms of
+hypercontractivity and the dual Talagrand inequality.
 
 The Hopf-Lax minimum over the M sampled candidates is read off the lower
 envelope of parabolas in O(M + N log M) (Felzenszwalb & Huttenlocher,
@@ -19,9 +18,8 @@ import numpy as np
 from .families import LogQuad
 from .functionals import _log_lp, _rule_or_default, sharp_constant, tilt
 from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
-                       interior_peak, logsumexp, second_difference)
+                       interior_peak, second_difference)
 from .reports import DeficitReport, HypothesisCheck
-from .semigroups import IntegrabilityError
 
 
 @dataclass(frozen=True)
@@ -124,26 +122,6 @@ def hopf_lax(f: HJField, tau: float) -> GridField:
            & (misfit <= 0.05 * curv + 1e-12))
     out = np.where(use, np.minimum(best, vertex), best)
     return GridField(g, out)
-
-
-def vanishing_viscosity(f: HJField, eps: float, tau: float,
-                        rule: QuadratureRule = None) -> GridField:
-    """u^eps = -2 eps log P_{eps tau}[e^{-f/(2 eps)}]."""
-    if eps <= 0 or tau <= 0:
-        raise ParameterError("eps and tau must be positive")
-    rule = _rule_or_default(rule)
-    s = eps * tau
-    e = float(np.exp(-s))
-    sig = float(np.sqrt(1.0 - e * e))
-    z, w = rule.nodes, rule.weights
-    logw = np.log(w)
-    x = f.f.grid.points
-    samples = e * x[:, None] + sig * z
-    lv = -f.extended(samples) / (2.0 * eps)
-    if not np.all(np.isfinite(lv)):
-        raise IntegrabilityError("e^{-f/2eps} overflowed under the kernel")
-    u = -2.0 * eps * logsumexp(lv + logw, axis=-1)
-    return GridField(f.f.grid, u)
 
 
 # ---------------------------------------------------------------------------

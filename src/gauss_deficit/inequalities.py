@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import LogQuad, field_from_family, symmetric_mixture
-from .flows import MeasureSpec, _trapz, certify, certify_log_concave, \
+from .flows import MeasureSpec, certify, certify_log_concave, \
     certify_matrix, covariance, fp_class_member
 from .functionals import _check_ratio_bounded, _rule_or_default, \
     entropy_fisher, log_hc_norm, sharp_constant, tilt
@@ -122,7 +122,7 @@ def reverse_hc_check(v: GridField, beta: float, triple: ExponentTriple,
 def lsi_check(v: GridField, beta: float, rule=None) -> DeficitReport:
     """Regularised LSI: Ent - I/2 <= -(n/2)(log beta - 1 + 1/beta)."""
     rule = _rule_or_default(rule)
-    mass = _trapz(v)
+    mass = v.grid_mass
     if abs(mass - 1.0) > 1e-6:
         raise ParameterError(f"density not normalized: mass = {mass:.8f}")
     hyps = _certificate_hypotheses(v, beta)
@@ -269,10 +269,6 @@ def _grad_sq_gauss(f: GridField, rule) -> float:
     z, w = rule.nodes, rule.weights
     if f.analytic_dlog is not None:
         df = np.asarray(f(z), float) * f.dlog(z)
-    elif f.analytic is not None:
-        h = 1e-5
-        df = (np.asarray(f(z + h), float)
-              - np.asarray(f(z - h), float)) / (2 * h)
     else:
         g = np.gradient(f.values, f.grid.spacing, edge_order=2)
         df = np.interp(z, f.grid.points, g)
@@ -431,7 +427,7 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
     script_h = h_const * float(np.exp(log_hc_norm(
         LogQuad.gaussian(beta), triple.p, triple.q, s)))
     m1, m2 = (f.tag.integral_lebesgue() if isinstance(f.tag, LogQuad)
-              else _trapz(f) for f in (f1, f2))
+              else f.grid_mass for f in (f1, f2))
     rhs = script_h * m1 ** c1 * m2 ** c2
     return DeficitReport.build(
         "brascamp-lieb", lhs, rhs, script_h, direction=expected_dir,
@@ -559,10 +555,10 @@ def _bumped_gaussian(core: LogQuad, eps: float, m: float,
 
     lv = raw_log(grid.points)
     logz = float(np.log(np.trapezoid(np.exp(lv), dx=grid.spacing)))
-    return GridField(grid, analytic_log=lambda x: raw_log(x) - logz,
-                     analytic_dlog=dlog,
-                     analytic_d2log=lambda x: core.a[0] - eps / root(x) ** 3,
-                     node_log=lv - logz)
+    return GridField.from_callable(
+        grid, log_fn=lambda x: raw_log(x) - logz, dlog_fn=dlog,
+        d2log_fn=lambda x: core.a[0] - eps / root(x) ** 3,
+        nodes=(lv - logz, None))
 
 
 def make_logconcave_input(rng: np.random.Generator, beta: float,

@@ -3,14 +3,14 @@ Grids, quadrature rules, the one second-difference stencil and the
 interior-peak proxy.
 
 Everything downstream works with functions sampled on uniform grids.  A
-GridField couples the samples with optional exact closures for f, log f,
-(log f)' and (log f)'', so that kernel integrals (Ornstein-Uhlenbeck,
-Fokker-Planck, Hopf-Lax) read a closed form where one is known.  A field
-also keeps log f and (log f)'' at its nodes, filled by the pass that made
-its values or on first use, and every reader at the nodes reads those
-arrays instead of calling a closure again.  A field without closures is
-interpolated between its nodes, and its second derivative comes from
-``second_difference``.
+GridField is either data known only at its nodes, interpolated between
+them, or an exact function (f or log f, with (log f)' and (log f)'' when
+known) evaluated once at its nodes, so that kernel integrals
+(Ornstein-Uhlenbeck, Fokker-Planck, Hopf-Lax) read a closed form where one
+is known.  A field keeps log f and (log f)'' at its nodes, filled by the
+pass that made its values or on first use, and every reader at the nodes
+reads those arrays instead of calling a closure again; data known only at
+the nodes take their second derivative from ``second_difference``.
 
 Conventions:
 
@@ -87,30 +87,27 @@ def default_grid() -> Grid1D:
 # fields
 
 
-def _sample(grid: Grid1D, fn: Callable) -> np.ndarray:
-    """fn at every grid point."""
-    return np.asarray(fn(grid.points), float)
-
-
 @dataclass(frozen=True)
 class GridField:
-    """Function samples on a grid, with optional exact evaluators.
+    """Function samples on a grid, built one of two ways:
 
-    values         -- samples at the grid points; when omitted they are
-                      exp(node_log), or else filled by evaluating
-                      ``analytic`` once
-    analytic       -- vectorized evaluator f(x); when both are given, they
-                      must agree on the grid.  Left out, it is the exp of
-                      ``analytic_log``
+    ``GridField(grid, values)``     -- data known only at the nodes: read
+        between them by linear interpolation (0 outside the grid), and
+        differenced by ``second_difference`` for (log f)'';
+    ``GridField.from_callable(...)`` -- an exact function, evaluated once at
+        the nodes, whose closures every reader off the nodes calls.
+
+    analytic       -- evaluator f(x), the only closure that may give signed
+                      data; left out, f is the exp of ``analytic_log``
     analytic_log   -- evaluator of log f, preferred wherever powers/ratios
                       of densities are formed (overflow-safe)
     analytic_dlog  -- evaluator of (log f)' (Fisher information, int |f'|^2)
     analytic_d2log -- evaluator of (log f)'' (curvature certificates)
     tag            -- closed-form family (a families.LogQuad of K >= 1
                       components) enabling exact semigroup/flow fast paths
-    node_log       -- log f at every node, from the same source as the
-                      closures (no agreement check); see grid_log
-    node_d2log     -- (log f)'' at the nodes 2..n-3; see grid_d2log
+    nodes          -- [log f at every node, (log f)'' at the nodes 2..n-3],
+                      read-only: from the pass that made the values, else
+                      filled on first use (see grid_log, grid_d2log)
     """
 
     grid: Grid1D
@@ -120,77 +117,82 @@ class GridField:
     analytic_dlog: Optional[Callable] = None
     analytic_d2log: Optional[Callable] = None
     tag: object = None
-    node_log: Optional[np.ndarray] = field(default=None, repr=False)
-    node_d2log: Optional[np.ndarray] = field(default=None, repr=False)
+    nodes: Optional[list] = field(default=None, repr=False)
 
     def __post_init__(self):
-        given = self.values is not None
-        check = given and self.analytic is not None
-        log = self.analytic_log
-        if self.analytic is None and log is not None:
-            object.__setattr__(self, "analytic",
-                               lambda x: np.exp(np.asarray(log(x), float)))
-            if not given and self.node_log is None:
-                # the one evaluation at the nodes; its exp are the values
-                object.__setattr__(self, "node_log", log(self.grid.points))
-        if not given and self.analytic is None:
-            raise ParameterError("a field needs values or an analytic closure")
-        for name in ("node_log", "node_d2log"):
-            if getattr(self, name) is not None:
-                self._keep(name, getattr(self, name))
-        if given:
+        exact = self.analytic is not None or self.analytic_log is not None
+        if exact == (self.values is not None):
+            raise ParameterError("a field needs grid values or an exact "
+                                 "closure, and not both")
+        object.__setattr__(self, "nodes", list(self.nodes or (None, None)))
+        for i, arr in enumerate(self.nodes):
+            if arr is not None:
+                self._keep(i, arr)
+        if exact and self.nodes[0] is None and self.analytic is None:
+            # the one evaluation at the nodes; its exp are the values
+            self._keep(0, self.analytic_log(self.grid.points))
+        if not exact:
             v = np.asarray(self.values, dtype=float)
-        elif self.node_log is not None:
-            v = np.exp(self.node_log)
+        elif self.nodes[0] is not None:
+            v = np.exp(self.nodes[0])
         else:
-            v = _sample(self.grid, self.analytic)
+            v = np.asarray(self.analytic(self.grid.points), float)
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.n,):
             raise ParameterError("values shape does not match grid")
         if not np.all(np.isfinite(v)):
             raise EvaluationError("field values must be finite")
-        if check:
-            self._check_agreement()
 
-    def _check_agreement(self):
-        sampled = _sample(self.grid, self.analytic)
-        scale = np.max(np.abs(self.values)) + 1e-300
-        if np.max(np.abs(sampled - self.values)) > 1e-12 * max(scale, 1.0):
-            raise EvaluationError("analytic closure disagrees with samples")
+    @classmethod
+    def from_callable(cls, grid: Grid1D, fn: Callable = None, *,
+                      log_fn=None, dlog_fn=None, d2log_fn=None, tag=None,
+                      nodes=None) -> "GridField":
+        """The exact function fn, or exp(log_fn) when fn is left out, with
+        its (log f)' and (log f)'' closures when given.  ``nodes``, when
+        given, is (log f at the nodes, (log f)'' at the nodes 2..n-3) as the
+        caller already computed them, either entry None if not."""
+        return cls(grid, None, fn, log_fn, dlog_fn, d2log_fn, tag, nodes)
 
-    def _keep(self, name: str, arr):
-        """Hold a node array, read-only, as the slot ``name``."""
+    def _keep(self, i: int, arr):
+        """Hold a node array, read-only, as nodes[i]."""
         arr = np.asarray(arr, float)
         arr.setflags(write=False)
-        object.__setattr__(self, name, arr)
-        return arr
+        self.nodes[i] = arr
 
     # -- the node arrays --------------------------------------------------
 
     def grid_log(self) -> np.ndarray:
-        """log f at every node: node_log, else log evaluated at the nodes
+        """log f at every node: nodes[0], else log evaluated at the nodes
         once and kept."""
-        if self.node_log is not None:
-            return self.node_log
-        return self._keep("node_log", self.log(self.grid.points))
+        if self.nodes[0] is None:
+            self._keep(0, self.log(self.grid.points))
+        return self.nodes[0]
 
     def grid_d2log(self) -> np.ndarray:
         """(log f)'' at the nodes 2..n-3, the window every certificate
-        reads: node_d2log, else the analytic_d2log closure there, else
+        reads: nodes[1], else the analytic_d2log closure there, else
         second_difference of grid_log at the grid spacing; kept."""
-        if self.node_d2log is not None:
-            return self.node_d2log
-        if self.analytic_d2log is not None:
-            d2 = self.analytic_d2log(self.grid.points[2:-2])
-        else:
-            d2 = second_difference(self.grid_log(), self.grid.spacing)
-        return self._keep("node_d2log", d2)
+        if self.nodes[1] is None:
+            if self.analytic_d2log is not None:
+                d2 = self.analytic_d2log(self.grid.points[2:-2])
+            else:
+                d2 = second_difference(self.grid_log(), self.grid.spacing)
+            self._keep(1, d2)
+        return self.nodes[1]
+
+    @property
+    def grid_mass(self) -> float:
+        """Trapezoid integral of the values over the grid, without a tail
+        check."""
+        return float(np.trapezoid(self.values, dx=self.grid.spacing))
 
     # -- evaluation -------------------------------------------------------
 
     def __call__(self, x):
         if self.analytic is not None:
             return np.asarray(self.analytic(x), float)
+        if self.analytic_log is not None:
+            return np.exp(np.asarray(self.analytic_log(x), float))
         return np.interp(np.asarray(x, float), self.grid.points, self.values,
                          left=0.0, right=0.0)
 
@@ -201,25 +203,12 @@ class GridField:
         with np.errstate(divide="ignore"):
             return np.log(np.maximum(self(x), 1e-300))
 
-    def dlog(self, x, h: float = 1e-5):
-        if self.analytic_dlog is not None:
-            return np.asarray(self.analytic_dlog(x), float)
-        return (self.log(np.asarray(x, float) + h)
-                - self.log(np.asarray(x, float) - h)) / (2.0 * h)
-
-    @classmethod
-    def from_callable(cls, grid: Grid1D, fn: Callable, *, log_fn=None,
-                      dlog_fn=None, tag=None) -> "GridField":
-        return cls(grid, analytic=fn, analytic_log=log_fn,
-                   analytic_dlog=dlog_fn, tag=tag)
-
-    @classmethod
-    def from_log(cls, grid: Grid1D, log: Callable, dlog: Callable = None,
-                 d2log: Callable = None) -> "GridField":
-        """exp(log) on the grid, log evaluated once at the nodes, with the
-        exact (log f)' and (log f)'' closures when given."""
-        return cls(grid, analytic_log=log, analytic_dlog=dlog,
-                   analytic_d2log=d2log)
+    def dlog(self, x):
+        """Evaluate (log f)' by the exact closure, which a field must carry
+        to be asked for it."""
+        if self.analytic_dlog is None:
+            raise ParameterError("the field carries no exact (log f)'")
+        return np.asarray(self.analytic_dlog(x), float)
 
 
 # ---------------------------------------------------------------------------

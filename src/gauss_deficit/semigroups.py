@@ -1,5 +1,5 @@
 """
-Ornstein-Uhlenbeck semigroup, dilation semigroup, and exponent bookkeeping.
+Ornstein-Uhlenbeck semigroup and exponent bookkeeping.
 
 P_s f(x) = int f(e^{-s} x + sqrt(1 - e^{-2s}) y) dgamma(y)
 
@@ -16,8 +16,8 @@ import numpy as np
 
 from .families import LogQuad, field_from_family
 from .numerics import (DEFAULT_GH_NODES, EvaluationError, GridField,
-                       ParameterError, QuadratureRule, _sample,
-                       gauss_hermite_rule, logsumexp)
+                       ParameterError, QuadratureRule, gauss_hermite_rule,
+                       logsumexp)
 
 
 class IntegrabilityError(EvaluationError):
@@ -62,10 +62,6 @@ class ExponentTriple:
     @staticmethod
     def from_pq(p: float, q: float) -> "ExponentTriple":
         return ExponentTriple(p, q, nelson_time(p, q))
-
-    @staticmethod
-    def from_ps(p: float, s: float) -> "ExponentTriple":
-        return ExponentTriple(p, 1.0 + (p - 1.0) * np.exp(2.0 * s), s)
 
     @property
     def regime(self) -> str:
@@ -162,47 +158,4 @@ def ou_apply(f: GridField, s: float,
     if rule is None:
         rule = gauss_hermite_rule(DEFAULT_GH_NODES)
     value, logvalue = _ou_closures_1d(f, s, rule)
-    return GridField(f.grid, analytic=value, analytic_log=logvalue)
-
-
-def dilation_apply(f: GridField, s: float) -> GridField:
-    """T_s f(x) = f(e^{-s} x); exact for analytic fields, resampled on grids."""
-    if s < 0:
-        raise ParameterError("s must be nonnegative")
-    lam = float(np.exp(-s))
-    if isinstance(f.tag, LogQuad):
-        return field_from_family(f.grid, f.tag.dilate(lam))
-
-    def fn(x):
-        return f(lam * np.asarray(x, float))
-
-    if f.analytic is not None:
-        return GridField(f.grid, analytic=fn)
-    return GridField(f.grid, _sample(f.grid, fn))
-
-
-def check_commutation(f: GridField, s: float,
-                      rule: Optional[QuadratureRule] = None) -> float:
-    """max interior |grad(P_s f) - e^{-s} P_s[grad f]| / scale(P_s f).
-
-    The commutation identity grad(P_s f) = e^{-s} P_s[grad f] holds exactly;
-    the residual measures discretization error only.
-    """
-    if rule is None:
-        rule = gauss_hermite_rule(DEFAULT_GH_NODES)
-    psf = ou_apply(f, s, rule)
-    h = f.grid.spacing
-    lhs = np.gradient(psf.values, h, edge_order=2)
-
-    if f.analytic is not None:
-        fd = 1e-5
-        df = (lambda x: (f(np.asarray(x, float) + fd)
-                         - f(np.asarray(x, float) - fd)) / (2 * fd))
-    else:
-        dvals = np.gradient(f.values, h, edge_order=2)
-        dfield = GridField(f.grid, dvals)
-        df = dfield.__call__
-    dfield = GridField(f.grid, analytic=df)
-    rhs = np.exp(-s) * ou_apply(dfield, s, rule).values
-    scale = np.max(np.abs(psf.values)) + 1e-300
-    return float(np.max(np.abs(lhs - rhs)[2:-2]) / scale)
+    return GridField.from_callable(f.grid, value, log_fn=logvalue)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .families import LogQuad, field_from_family
-from .flows import _trapz, certify, certify_log_concave
+from .flows import certify, certify_log_concave
 from .functionals import _rule_or_default, sharp_constant, tilt
 from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
                        cumulative_simpson, second_difference)
@@ -33,7 +33,7 @@ class DensitySpec:
     cdf: Optional[object] = None  # callable F(x) when a closed form exists
 
     def __post_init__(self):
-        mass = _trapz(self.field)
+        mass = self.field.grid_mass
         if abs(mass - 1.0) > 1e-6:
             raise ParameterError(f"density not normalized: mass = {mass:.8f}")
         if np.any(self.field.values < 0):

@@ -139,7 +139,7 @@ class TestRun:
         config = RunConfig(command=command, count=4, seed=seed)
         x = config.grid().points
         for i, report in enumerate(run(config).reports[1:], 1):
-            v = cli._random_density(config, i)
+            v = cli._density(config, i)
             want = _margin("subharmonic", config.beta,
                            v.tag.d2log(x)[2:-2])
             (hyp,) = report.hypotheses
@@ -221,6 +221,16 @@ class TestMain:
         assert err.startswith("gauss-deficit: ")
         assert err.count("\n") == 1  # one line, no traceback
 
+    def test_package_error_exit_two(self, capsys):
+        # on [-3, 3] v^2/gamma_beta still climbs at the grid's edge: the
+        # check raises IntegrabilityError, and no report can be written
+        assert main(["verify-hc", "--grid-lo", "-3", "--grid-hi", "3",
+                     "--count", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("gauss-deficit: ") and "gamma_beta" in err
+        assert err.count("\n") == 1  # one line, no traceback
+
     def test_bad_config_file_value_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("beta = nan\n")
@@ -298,8 +308,8 @@ class TestStencilCallers:
         # (log v)'', and every Hamilton-Jacobi datum its exact f''; only the
         # values-only potential V (vpp_margins) is differenced.  An
         # input that loses its d2log would reach the stencil from certify,
-        # one that loses its dlog the h = 1e-5 difference quotients, and
-        # fail here.
+        # one that loses its dlog would raise in GridField.dlog or take
+        # _grad_sq_gauss's grid-gradient branch, and fail here.
         stencil, callers, quotients = numerics.second_difference, [], []
 
         def recording(u, h):
@@ -312,10 +322,10 @@ class TestStencilCallers:
                 monkeypatch.setattr(module, "second_difference", recording)
         dlog, grad_sq = GridField.dlog, inequalities._grad_sq_gauss
 
-        def recording_dlog(field, x, *h):
+        def recording_dlog(field, x):
             if field.analytic_dlog is None:
                 quotients.append("GridField.dlog")
-            return dlog(field, x, *h)
+            return dlog(field, x)
 
         def recording_grad_sq(f, rule):
             if f.analytic_dlog is None:

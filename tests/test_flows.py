@@ -13,8 +13,7 @@ from gauss_deficit.families import (LogQuad, field_from_family,
 from gauss_deficit.flows import (T_STAR, FPParams, MeasureSpec, certify,
                                  certify_matrix, covariance,
                                  fp_class_member, fp_evolve,
-                                 preservation_trace, _log_hessian_1d,
-                                 _trapz)
+                                 preservation_trace)
 from gauss_deficit.inequalities import make_fp_input, make_logconcave_input
 from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
                                     TruncationError, logsumexp)
@@ -34,7 +33,7 @@ class TestFPEvolve:
     def test_mass_conserved(self, grid):
         v0 = field_from_family(grid, symmetric_mixture(2.0, 1.0))
         vt = fp_evolve(v0, FPParams(2.0, 0.8))
-        assert _trapz(vt) == pytest.approx(1.0, abs=1e-9)
+        assert vt.grid_mass == pytest.approx(1.0, abs=1e-9)
 
     def test_long_time_limit_is_gamma_beta(self, grid):
         v0 = field_from_family(grid, symmetric_mixture(1.0, 1.0))
@@ -51,7 +50,7 @@ class TestFPEvolve:
         untagged = GridField.from_callable(grid, q.__call__, log_fn=q.log_at)
         params = FPParams(1.0, 1.0)
         vt, ut = fp_evolve(tagged, params), fp_evolve(untagged, params)
-        assert _trapz(vt) == pytest.approx(_trapz(ut), rel=1e-12)
+        assert vt.grid_mass == pytest.approx(ut.grid_mass, rel=1e-12)
         np.testing.assert_allclose(vt.values, ut.values, rtol=1e-12,
                                    atol=1e-300)
 
@@ -164,9 +163,9 @@ class TestGridDensityFlow:
         # carried it inside, so v_t holds the whole mass on the grid
         q = LogQuad.gaussian(1.0, 10.0)
         src = GridField.from_callable(grid, q.__call__, log_fn=q.log_at)
-        assert _trapz(src) == pytest.approx(0.9772, abs=1e-4)
+        assert src.grid_mass == pytest.approx(0.9772, abs=1e-4)
         vt = fp_evolve(src, FPParams(1.0, 1.0))
-        assert _trapz(vt) == pytest.approx(1.0, abs=1e-9)
+        assert vt.grid_mass == pytest.approx(1.0, abs=1e-9)
         margins, _ = preservation_trace(src, 1.0, "concave", [1.0])
         assert margins[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -184,9 +183,9 @@ class TestGridDensityFlow:
         # zero at every node of the coarsest level, which then has no mass
         x = grid.points
         vals = np.maximum(1.0 - ((x - 0.2) / 0.1) ** 2, 0.0)
-        src = GridField(grid, vals / _trapz(GridField(grid, vals)))
+        src = GridField(grid, vals / GridField(grid, vals).grid_mass)
         vt = fp_evolve(src, FPParams(1.0, 0.5))
-        assert _trapz(vt) == pytest.approx(1.0, abs=1e-9)
+        assert vt.grid_mass == pytest.approx(1.0, abs=1e-9)
 
     def test_growing_closure_raises(self):
         # log v0 = x^2 outgrows the kernel: no pad makes the edge negligible
@@ -205,7 +204,7 @@ class TestGridDensityFlow:
 
     def test_compact_support_source(self, grid):
         vals = 0.75 * np.maximum(1.0 - grid.points ** 2, 0.0)
-        src = GridField(grid, vals / _trapz(GridField(grid, vals)))
+        src = GridField(grid, vals / GridField(grid, vals).grid_mass)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             vt = fp_evolve(src, FPParams(1.0, 0.5))
@@ -384,7 +383,7 @@ class TestCertify:
         v2 = make_fp_input(rng, float(rng.uniform(1.2, 4.0)), grid)
         A = rng.normal(size=(2, 2))
         B = A @ A.T + 0.5 * np.eye(2)
-        h1, h2 = (_log_hessian_1d(v) for v in (v1, v2))
+        h1, h2 = (v.grid_d2log() for v in (v1, v2))
         mesh = np.zeros((h1.size, h2.size, 2, 2))
         mesh[..., 0, 0] = h1[:, None]
         mesh[..., 1, 1] = h2[None, :]

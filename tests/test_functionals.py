@@ -7,9 +7,7 @@ from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, gaussian_ratio_field,
                                     symmetric_mixture)
 from gauss_deficit.flows import MeasureSpec, fp_class_member
-from gauss_deficit.functionals import (entropy_fisher, gross_psi,
-                                       gross_psi_prime0, gross_slope,
-                                       log_hc_norm, lp_norm_gaussian,
+from gauss_deficit.functionals import (_log_lp, entropy_fisher, log_hc_norm,
                                        q_functional, sharp_constant, tilt)
 from gauss_deficit.inequalities import (make_fp_input, make_logconcave_input,
                                         matrix_check)
@@ -46,8 +44,9 @@ class TestEntropyFisher:
         assert ef["fisher"] == pytest.approx(2 * fis, abs=1e-7)
 
     def test_constant_has_zero_entropy(self, grid, rule):
-        f = GridField.from_callable(grid, lambda x: np.full_like(
-            np.asarray(x, float), 3.0))
+        f = GridField.from_callable(
+            grid, lambda x: np.full_like(np.asarray(x, float), 3.0),
+            dlog_fn=lambda x: np.zeros_like(np.asarray(x, float)))
         ef = entropy_fisher(f, rule)
         assert ef.entropy == pytest.approx(0, abs=1e-12)
         assert ef.fisher == pytest.approx(0, abs=1e-12)
@@ -58,8 +57,8 @@ class TestLpNorm:
         f = gaussian_ratio_field(grid, 2.0)
         r = 1.5
         expect = np.exp(LogQuad.gaussian_ratio(2.0).log_lp_norm_gauss(r))
-        assert lp_norm_gaussian(f, r, rule) == pytest.approx(expect,
-                                                             rel=1e-10)
+        got = np.exp(_log_lp(f.log(rule.nodes), r, rule.log_weights))
+        assert got == pytest.approx(expect, rel=1e-10)
 
 
 class TestSharpConstants:
@@ -128,16 +127,17 @@ class TestSharpConstants:
 
 class TestGross:
     def test_psi_prime0_matches_finite_difference(self):
-        beta = 2.0
-        h = 1e-5
-        fd = (gross_psi(beta, h) - gross_psi(beta, 0.0)) / h
-        assert gross_psi_prime0(beta) == pytest.approx(fd, abs=1e-4)
+        # psi(s) = ||P_s[(gamma_beta/gamma)^{1/2}]||_{q(s)}, q(s) = 1 + e^{2s},
+        # has psi'(0) = -(n/4)(log beta - 1 + 1/beta) = -D_n(beta)/2
+        beta, h = 2.0, 1e-5
 
-    def test_psi_prime0_value(self):
-        # -(n/4)(log beta - 1 + 1/beta)
-        beta = 2.0
-        assert gross_psi_prime0(beta) == pytest.approx(
-            -0.25 * (np.log(2) - 0.5), rel=1e-12)
+        def log_psi(s):
+            return log_hc_norm(LogQuad.gaussian(beta), 2.0,
+                               1.0 + np.exp(2.0 * s), s)
+
+        fd = (np.exp(log_psi(h)) - np.exp(log_psi(0.0))) / h
+        assert -0.5 * sharp_constant("dn", beta=beta).value == pytest.approx(
+            fd, abs=1e-4)
 
 
 class TestQFunctional:
@@ -161,7 +161,8 @@ class TestQFunctional:
 
 def untagged(v):
     """v's closures without its tag: the tilt takes its closure path."""
-    return GridField.from_log(v.grid, v.log, v.dlog, v.analytic_d2log)
+    return GridField.from_callable(v.grid, log_fn=v.log, dlog_fn=v.dlog,
+                                   d2log_fn=v.analytic_d2log)
 
 
 class TestTilt:
@@ -208,7 +209,7 @@ class TestTilt:
         v = make(np.random.default_rng(4), beta, grid)
         w = tilt(v, 0.7, 1.3)
         f = w.field(grid)
-        assert w.tag is None and f.node_log is not None
+        assert w.tag is None and f.nodes[0] is not None
         x = grid.points
         np.testing.assert_array_equal(f.grid_log(), w.log(x))
         np.testing.assert_array_equal(f.values, np.exp(w.log(x)))

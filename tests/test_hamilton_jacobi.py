@@ -5,8 +5,7 @@ from gauss_deficit import cli
 from gauss_deficit.hamilton_jacobi import (HJField, beta_of_a,
                                            dual_talagrand_check, hj_hc_check,
                                            hopf_lax, hopf_lax_quadratic,
-                                           quadratic_datum,
-                                           vanishing_viscosity)
+                                           quadratic_datum)
 from gauss_deficit.numerics import GridField, ParameterError, default_grid
 
 
@@ -125,32 +124,6 @@ class TestHopfLaxOracle:
             np.testing.assert_allclose(hopf_lax(f, tau).values,
                                        brute_hopf_lax(f, tau),
                                        rtol=0, atol=1e-13)
-
-
-class TestVanishingViscosity:
-    def test_constant_datum_exact(self, grid, rule):
-        f = HJField.from_field(GridField(grid, np.full(grid.n, -0.4)))
-        u = vanishing_viscosity(f, 0.1, 1.0, rule)
-        np.testing.assert_allclose(u.values, -0.4, atol=1e-10)
-
-    def test_converges_to_hopf_lax(self, grid, rule):
-        f = quadratic_datum(1.0, 2.0, grid)
-        q = hopf_lax(f, 1.0)
-        x = grid.points
-        mask = np.abs(x) <= 2
-        gaps = []
-        for eps in (0.2, 0.1, 0.05):
-            u = vanishing_viscosity(f, eps, 1.0, rule)
-            gaps.append(np.max(np.abs(u.values[mask] - q.values[mask])))
-        assert gaps[0] > gaps[1] > gaps[2]
-        assert gaps[2] < 0.05
-
-    def test_rejects_nonpositive_parameters(self, grid):
-        f = abs_datum(grid)
-        with pytest.raises(ParameterError):
-            vanishing_viscosity(f, 0.0, 1.0)
-        with pytest.raises(ParameterError):
-            vanishing_viscosity(f, 0.1, -1.0)
 
 
 class TestQuadraticHelpers:

@@ -87,7 +87,7 @@ class TestReverseHC:
             # p = 1 - e^{-2s} is the excluded value
             s = 0.5 * np.log(4.0)
             p = 1.0 - np.exp(-2 * s)
-            t = ExponentTriple.from_ps(p, s)
+            t = ExponentTriple(p, 1.0 + (p - 1.0) * np.exp(2 * s), s)
             reverse_hc_check(v, 2.0, t, rule)
 
     def test_opposite_sign_needs_concave(self, grid, rule):

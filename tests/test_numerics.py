@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gauss_deficit.families import LogQuad, field_from_family
-from gauss_deficit.numerics import (Grid1D, GridField, EvaluationError,
-                                    ParameterError, default_grid,
-                                    gauss_hermite_rule, second_difference,
-                                    DEFAULT_GH_NODES)
+from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
+                                    default_grid, gauss_hermite_rule,
+                                    second_difference, DEFAULT_GH_NODES)
 
 
 class TestGrid:
@@ -84,7 +83,8 @@ class TestClosureEvaluatedOnce:
 
     def test_from_log(self, grid):
         log = Counting(lambda x: -0.5 * x ** 2 - 3.0)
-        f = GridField.from_log(grid, log, d2log=lambda x: np.full_like(x, -1))
+        f = GridField.from_callable(grid, log_fn=log,
+                                    d2log_fn=lambda x: np.full_like(x, -1))
         assert log.calls == 1
         np.testing.assert_array_equal(f.values,
                                       np.exp(-0.5 * grid.points ** 2 - 3.0))
@@ -112,12 +112,13 @@ class TestClosureEvaluatedOnce:
                                       q.d2log(grid.points[2:-2]))
 
     def test_values_and_closure_from_different_sources_checked(self, grid):
+        # grid values and an exact closure are two ways to build a field,
+        # not one: given both, the field is refused, unevaluated
         fn = Counting(lambda x: np.exp(-x ** 2))
-        f = GridField(grid, np.exp(-grid.points ** 2), analytic=fn)
-        assert fn.calls == 1  # the agreement check
-        assert f.analytic is fn
-        with pytest.raises(EvaluationError):
-            GridField(grid, np.exp(-grid.points ** 2) + 1e-6, analytic=fn)
+        for kw in (dict(analytic=fn), dict(analytic_log=fn)):
+            with pytest.raises(ParameterError):
+                GridField(grid, np.exp(-grid.points ** 2), **kw)
+        assert fn.calls == 0
 
     def test_needs_values_or_closure(self, grid):
         with pytest.raises(ParameterError):
@@ -147,6 +148,18 @@ class TestGridField:
         f = GridField(grid, np.ones(grid.n))
         assert float(f(grid.hi + 1.0)) == 0.0
 
+    def test_dlog_needs_its_closure(self, grid):
+        # no difference quotient stands in for a missing (log f)'
+        for f in (GridField(grid, np.exp(-0.5 * grid.points ** 2)),
+                  GridField.from_callable(grid, log_fn=lambda x: -0.5 * x * x)):
+            with pytest.raises(ParameterError):
+                f.dlog(0.3)
+
+    def test_grid_mass_is_the_trapezoid(self, grid):
+        f = GridField(grid, np.exp(-0.5 * grid.points ** 2))
+        assert f.grid_mass == float(np.trapezoid(f.values, dx=grid.spacing))
+        assert f.grid_mass == pytest.approx(np.sqrt(2 * np.pi), rel=1e-12)
+
     def test_log_of_values_only_field(self, grid):
         vals = np.exp(-0.5 * grid.points ** 2)
         f = GridField(grid, vals)
@@ -164,8 +177,8 @@ class TestGridField:
         # certify documents: d2log closure, else the stencil of log f
         x = grid.points
         log = Counting(lambda t: -0.5 * t * t)
-        f = GridField.from_log(grid, log,
-                               d2log=lambda t: np.full_like(t, -1.0))
+        f = GridField.from_callable(grid, log_fn=log,
+                                    d2log_fn=lambda t: np.full_like(t, -1.0))
         assert f.grid_log() is f.grid_log() and log.calls == 1
         np.testing.assert_array_equal(f.grid_log(), -0.5 * x * x)
         np.testing.assert_array_equal(f.grid_d2log(), np.full(grid.n - 4, -1.0))

@@ -8,7 +8,6 @@ from gauss_deficit.families import (LogQuad, field_from_family,
 from gauss_deficit.numerics import GridField, ParameterError, default_grid
 from gauss_deficit.semigroups import (BetaS, ExponentTriple,
                                       InadmissibleExponentError, beta_s,
-                                      check_commutation, dilation_apply,
                                       nelson_time, ou_apply)
 
 
@@ -33,10 +32,6 @@ class TestExponentTriple:
         assert t.regime == "forward"
         assert t.p_conj == pytest.approx(2.0)
         assert t.q_conj == pytest.approx(4.0 / 3.0)
-
-    def test_from_ps(self):
-        t = ExponentTriple.from_ps(2.0, 0.5 * np.log(3.0))
-        assert t.q == pytest.approx(4.0)
 
     def test_reverse_regimes(self):
         assert ExponentTriple.from_pq(0.5, 0.25).regime == "reverse-same-sign"
@@ -86,8 +81,7 @@ class TestOuApply:
     def test_quadrature_matches_closure(self, grid, rule):
         # strip the tag to force the quadrature path
         mix = symmetric_mixture(1.0, 1.0)
-        tagged = field_from_family(grid, mix)
-        bare = GridField(grid, tagged.values, analytic=lambda x: mix(x))
+        bare = GridField.from_callable(grid, lambda x: mix(x))
         s = 0.3
         got = ou_apply(bare, s, rule)
         expect = field_from_family(grid, mix.ou(s))
@@ -96,9 +90,8 @@ class TestOuApply:
                                    rtol=1e-8)
 
     def test_constant_preserved(self, grid, rule):
-        f = GridField(grid, np.full(grid.n, 2.5),
-                      analytic=lambda x: np.full_like(np.asarray(x, float),
-                                                      2.5))
+        f = GridField.from_callable(
+            grid, lambda x: np.full_like(np.asarray(x, float), 2.5))
         got = ou_apply(f, 0.7, rule)
         np.testing.assert_allclose(got.values, 2.5, rtol=1e-12)
 
@@ -127,29 +120,3 @@ class TestOuApply:
         x = np.linspace(-5, 5, 11)
         np.testing.assert_allclose(a.log_at(x), b.log_at(x), atol=1e-12)
 
-
-class TestDilationCommutation:
-    def test_dilation_values(self, grid):
-        f = field_from_family(grid, LogQuad.gaussian_ratio(2.0))
-        s = 0.5
-        got = dilation_apply(f, s)
-        lam = np.exp(-s)
-        x = np.linspace(-3, 3, 7)
-        np.testing.assert_allclose(got(x), f(lam * x), rtol=1e-12)
-
-    def test_dilation_of_closure_field_evaluates_once(self, grid):
-        calls = []
-
-        def fn(x):
-            calls.append(1)
-            return np.exp(-0.5 * np.asarray(x) ** 2)
-
-        f = GridField.from_callable(grid, fn)
-        got = dilation_apply(f, 0.5)
-        assert len(calls) == 2  # the input fill and the dilated fill
-        np.testing.assert_array_equal(got.values,
-                                      fn(np.exp(-0.5) * grid.points))
-
-    def test_commutation_residual_small(self, grid, rule):
-        f = field_from_family(grid, symmetric_mixture(1.0, 1.0))
-        assert check_commutation(f, 0.4, rule) < 1e-6

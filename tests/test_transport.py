@@ -82,7 +82,8 @@ class TestW2:
                 lambda x: v.field(x) / np.exp(-0.5 * x * x)
                 * np.sqrt(2 * np.pi),
                 log_fn=lambda x: v.field.log(x) + 0.5 * x * x
-                + 0.5 * np.log(2 * np.pi))
+                + 0.5 * np.log(2 * np.pi),
+                dlog_fn=lambda x: v.field.dlog(x) + x)
             ent = entropy_fisher(rel).entropy
             assert cost <= ent + 1e-5
 
