@@ -2,14 +2,14 @@
 Command-line front end: named verification suites, parameter sweeps and
 machine-readable reports.
 
-Every subcommand builds a deterministic list of check items from the seed,
-executes them on a bounded worker pool (``GAUSS_DEFICIT_THREADS`` caps the
-pool size) and assembles a :class:`ReportBundle`.  Output is JSON (the full
-bundle) or CSV (flat per-check rows), chosen by ``--format`` or the output
-file extension.  Exit status: 0 when every asserted check passes, 1 when a
-check fails (the report is still written), 2 on usage errors and on the
-package's own errors (a parameter, integrand, positivity or truncation
-failure), which leave no report.
+Every subcommand builds a list of check items, runs them in index order on
+the calling thread and assembles a :class:`ReportBundle`; the random input
+of item i depends only on (seed, i).  Output is JSON (the full bundle) or
+CSV (flat per-check rows), chosen by ``--format`` or the output file
+extension.  Exit status: 0 when every asserted check passes, 1 when a check
+fails (the report is still written), 2 on usage errors and on the package's
+own errors (a parameter, integrand, positivity or truncation failure), which
+leave no report.
 """
 from __future__ import annotations
 
@@ -17,10 +17,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import List, Optional
 
@@ -99,9 +97,10 @@ class RunConfig:
         if self.seed < 0:
             raise ParameterError(f"seed must be nonnegative, got {self.seed}")
         self.grid()  # raises on bad bounds or size
-        if not 2 <= self.gh_nodes <= 512:
-            raise ParameterError(
-                f"gh_nodes must be in [2, 512], got {self.gh_nodes}")
+        try:
+            self.rule()  # raises on a bad node count or bad weights
+        except ParameterError as exc:
+            raise ParameterError(f"gh_nodes={self.gh_nodes}: {exc}") from None
         if self.format not in (None, "json", "csv"):
             raise ParameterError(f"unknown format {self.format!r}")
 
@@ -233,8 +232,8 @@ def _summarize(reports, extremiser_indices, tol):
 # ---------------------------------------------------------------------------
 # the suite table: a row makes item i of its suite, a DeficitReport, from
 # the config, and names the items that are cases of equality.  Randomness is
-# drawn from a per-item generator seeded by (seed, index) so the bundle is
-# deterministic regardless of worker scheduling.
+# drawn from a per-item generator seeded by (seed, index), so item i depends
+# only on (seed, i), not on the count or on the items before it.
 
 
 def _item_rng(config: RunConfig, index: int) -> np.random.Generator:
@@ -467,30 +466,18 @@ _SUITES = {
 
 
 def _worker_count() -> int:
-    cap = os.environ.get("GAUSS_DEFICIT_THREADS")
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise ParameterError(
-                f"GAUSS_DEFICIT_THREADS must be an integer, got {cap!r}")
-        if cap < 1:
-            raise ParameterError("GAUSS_DEFICIT_THREADS must be >= 1")
-        return cap
-    return min(4, os.cpu_count() or 1)
+    """Items run on the calling thread: one worker."""
+    return 1
 
 
 def run(config: RunConfig) -> ReportBundle:
-    """Execute the configured suite and assemble the report bundle."""
+    """Execute the configured suite, item by item in index order on the
+    calling thread, and assemble the report bundle."""
     if config.command == "flow-trace":
         raise ParameterError("flow-trace emits a CSV series; use flow_trace()")
     start = time.perf_counter()
     tasks, extremisers = _SUITES[config.command](config)
-    results = [None] * len(tasks)
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        futures = {pool.submit(t): i for i, t in enumerate(tasks)}
-        for fut, i in futures.items():
-            results[i] = fut.result()
+    results = [task() for task in tasks]
     timing_ms = 1000.0 * (time.perf_counter() - start)
     summary = _summarize(results, extremisers, config.tol)
     return ReportBundle(config.to_dict(), results, summary, timing_ms)

@@ -86,6 +86,12 @@ def hopf_lax(f: HJField, tau: float) -> GridField:
     # candidate points: the grid plus linear-bound extension segments wide
     # enough to contain the extension minimizer y = x -+ C tau
     ext = (C + f.lipschitz_estimate) * tau + 4.0 * max(1.0, tau)
+    # the cap flows._grid_density_family puts on its pad; tested before any
+    # allocation (a NaN extension fails it too)
+    if not ext / g.spacing <= 64 * (g.n - 1):
+        raise ParameterError(
+            f"Hopf-Lax at tau={tau:g} needs {ext:.3g} of linear extension on "
+            f"each side of the grid, more than 64 grid widths")
     n_ext = int(np.ceil(ext / g.spacing))
     left = g.lo - g.spacing * np.arange(n_ext, 0, -1)
     right = g.hi + g.spacing * np.arange(1, n_ext + 1)

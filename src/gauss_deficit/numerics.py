@@ -222,8 +222,10 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.asarray(self.weights) <= 0):
-            raise ParameterError("quadrature weights must be positive")
+        w = np.asarray(self.weights)
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ParameterError("quadrature weights must be finite and "
+                                 "positive")
 
     @property
     def log_weights(self) -> np.ndarray:
@@ -238,15 +240,18 @@ def gauss_hermite_rule(m: int) -> QuadratureRule:
     """Gauss-Hermite rule normalized for the standard Gaussian measure.
 
     ``int f dgamma ~= sum(w * f(z))``; exact for polynomials of degree
-    <= 2m - 1.  Repeated calls return the same rule.
+    <= 2m - 1.  Repeated calls return the same rule.  From m = 371 on
+    (numpy 2.4) hermegauss's weights underflow to 0 or come out NaN, and
+    the rule is refused with a ParameterError.
     """
     if not (2 <= m <= 512):
         raise ParameterError(f"node count must be in [2, 512], got {m}")
     rule = _GH_RULES.get(m)
     if rule is None:
-        z, w = hermegauss(m)  # probabilists' weight exp(-x^2/2)
-        w = w / np.sqrt(2.0 * np.pi)
-        w /= w.sum()
+        with np.errstate(all="ignore"):
+            z, w = hermegauss(m)  # probabilists' weight exp(-x^2/2)
+            w = w / np.sqrt(2.0 * np.pi)
+            w /= w.sum()
         for arr in (z, w):
             arr.setflags(write=False)
         rule = _GH_RULES[m] = QuadratureRule("gauss-hermite", z, w)

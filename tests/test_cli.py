@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -87,13 +88,36 @@ class TestRun:
         assert b1.reports[2].slack != b2.reports[2].slack
 
     def test_single_worker_equivalent(self):
-        b1 = run(small("verify-lsi", seed=5))
-        os.environ["GAUSS_DEFICIT_THREADS"] = "1"
-        try:
-            b2 = run(small("verify-lsi", seed=5))
-        finally:
-            del os.environ["GAUSS_DEFICIT_THREADS"]
-        assert [r.slack for r in b1.reports] == [r.slack for r in b2.reports]
+        config = small("verify-lsi", seed=5)
+        b1 = run(config)
+        tasks, _ = cli._SUITES["verify-lsi"](config)
+        assert cli._worker_count() == 1
+        assert [r.slack for r in b1.reports] == [t().slack for t in tasks]
+
+    @pytest.mark.parametrize("command", [
+        "verify-lsi", "verify-reverse-hc", "verify-talagrand"])
+    def test_item_depends_only_on_seed_and_index(self, command):
+        b3 = run(small(command, seed=5, count=3))
+        b6 = run(small(command, seed=5, count=6))
+        assert ([r.to_dict() for r in b3.reports]
+                == [r.to_dict() for r in b6.reports[:3]])
+
+    def test_items_run_in_order_on_calling_thread(self, monkeypatch):
+        seen = []
+        builder = cli._SUITES["verify-lsi"]
+
+        def record(i, task):
+            seen.append((threading.get_ident(), i))
+            return task()
+
+        def recording(config):
+            tasks, extremisers = builder(config)
+            return ([lambda i=i, t=t: record(i, t)
+                     for i, t in enumerate(tasks)], extremisers)
+
+        monkeypatch.setitem(cli._SUITES, "verify-lsi", recording)
+        run(small("verify-lsi", count=5))
+        assert seen == [(threading.get_ident(), i) for i in range(5)]
 
     def test_flow_trace_not_runnable_via_run(self):
         with pytest.raises(ParameterError):
@@ -219,6 +243,16 @@ class TestMain:
         assert main(["verify-lsi", *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("gauss-deficit: ")
+        assert err.count("\n") == 1  # one line, no traceback
+
+    def test_gh_nodes_up_to_the_last_positive_rule(self, capsys):
+        # hermegauss's weights stay positive up to 370 nodes; from 371 on
+        # they underflow, and the flag is refused before any item runs
+        assert main(["verify-hc", "--gh-nodes", "370", "--count", "2"]) == 0
+        capsys.readouterr()
+        assert main(["verify-hc", "--gh-nodes", "371", "--count", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("gauss-deficit: gh_nodes=371")
         assert err.count("\n") == 1  # one line, no traceback
 
     def test_package_error_exit_two(self, capsys):

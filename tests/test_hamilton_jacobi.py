@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,20 @@ class TestHopfLax:
     def test_rejects_nonpositive_tau(self, grid):
         with pytest.raises(ParameterError):
             hopf_lax(abs_datum(grid), 0.0)
+
+    @pytest.mark.parametrize("tau", [1e6, np.inf, np.nan])
+    def test_rejects_unbounded_extension_before_allocating(self, grid, tau):
+        # at tau = 1e6 the pad would be 1.7e9 nodes a side (13 GiB); the cap
+        # of 64 (n - 1) nodes is checked before any array is built
+        f = abs_datum(grid)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="tau"):
+                hopf_lax(f, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 def brute_hopf_lax(f, tau):

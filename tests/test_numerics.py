@@ -55,6 +55,15 @@ class TestGaussHermite:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
+    def test_refuses_rules_whose_weights_underflow(self):
+        # numpy's hermegauss gives 370 positive weights, then from m = 371 on
+        # weights that underflow to 0 or come out NaN
+        w = gauss_hermite_rule(370).weights
+        assert np.all(np.isfinite(w) & (w > 0))
+        for m in (371, 400, 512):
+            with pytest.raises(ParameterError, match="finite and positive"):
+                gauss_hermite_rule(m)
+
     def test_exact_for_gaussian_exponential(self):
         # E[e^{t x}] = e^{t^2/2}
         r = gauss_hermite_rule(96)
