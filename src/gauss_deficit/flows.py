@@ -17,9 +17,10 @@ carry posterior weight below 2^-53 at every node read, so v_t is the flow
 of the whole density and not of its cut-off; a values-only density flows
 its nodes alone.  The kernel is smooth, so the rule converges exponentially
 and the source is subsampled on nested strided levels, halved until two
-levels agree in log v_t and (log v_t)''.  FP(beta) is the set of
-time-(1/2)log 2 snapshots of the 2 beta-flow started from a finite measure;
-its members are automatically beta-semi-log-convex.
+levels agree in log v_t and (log v_t)''; each level adds the atoms between
+the previous level's to it, so every atom is evaluated once.  FP(beta) is
+the set of time-(1/2)log 2 snapshots of the 2 beta-flow started from a
+finite measure; its members are automatically beta-semi-log-convex.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ T_STAR = 0.5 * float(np.log(2.0))
 # log of the posterior weight below which an outermost source atom is
 # negligible at a node
 _LOG_EDGE_WEIGHT = -53.0 * float(np.log(2.0))
+_LOG2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -134,11 +136,17 @@ def _grid_density_family(src: GridField, beta: float, t: float, x):
     every atom weighs its spacing: the pad starts at the kernel's standard
     deviation in source coordinates and doubles, on the coarsest level,
     until the two outermost atoms have posterior weight below 2^-53 at every
-    x.  A values-only field keeps its nodes and their end-halved weights.
-    Then the stride halves until two levels agree in log v_t and
-    (log v_t)'' within 1e-12 (1 + 1/w), w = beta (1 - e^{-2t}) setting the
-    scale of (log v_t)''; an unresolved source ends at stride 1.
-    Returns (family, source mass, (log v_t, (log v_t)'') at x).
+    x, which _edge_weight reads at the two end nodes of x.  A values-only
+    field keeps its nodes and their end-halved weights.  Once the pad has
+    settled, the coarsest level is evaluated at x.  Then the stride halves
+    until two levels agree in log v_t and (log v_t)'' within 1e-12 (1 +
+    1/w), w = beta (1 - e^{-2t}) setting the scale of (log v_t)''; an
+    unresolved source ends at stride 1.  The level at stride k is the level
+    at 2k, its weights halved, plus the odd atoms -pad + k, -pad + 3k, ...:
+    only these are evaluated at x, and _merge_odd merges them into the level
+    in place, so each atom of the finest level is evaluated at x once.  The
+    snapshot's family is built from the finest level and is not evaluated
+    at x.  Returns (family, source mass, (log v_t, (log v_t)'') at x).
     """
     grid, x = src.grid, np.asarray(x, float)
     h, n = grid.spacing, grid.n
@@ -151,60 +159,146 @@ def _grid_density_family(src: GridField, beta: float, t: float, x):
     pad = 0
     if closure:
         pad = k0 * int(np.ceil(np.exp(t) * np.sqrt(w) / (k0 * h)))
+    debug = logger.isEnabledFor(logging.DEBUG)
+    pairs, bound, pad_checks = 0.0, 0.0, 0
 
-    def lattice(j, k):
-        """Lattice nodes lo + j h and their log weights log(k h v)."""
-        y = grid.lo + h * j
-        return y, np.log(k * h) + np.asarray(src.analytic_log(y), float)
-
-    def atoms(k):
+    def atoms(k, first, step):
+        """Lattice atoms first, first + step, ... at stride k: their
+        positions and log weights log(k h v), the grid's end nodes halved
+        on a values-only level."""
         if closure:
-            y, logw = lattice(np.arange(-pad, n + pad, k), k)
-        else:
-            y = grid.points[::k]
-            tw = np.full(y.size, k * h)
+            y = grid.lo + h * np.arange(first - pad, n + pad, step)
+            return y, np.log(k * h) + np.asarray(src.analytic_log(y), float)
+        y = grid.points[first::step]
+        tw = np.full(y.size, k * h)
+        if first == 0:
             tw[[0, -1]] *= 0.5
-            with np.errstate(divide="ignore"):
-                logw = np.log(tw * src.values[::k])
-        if k > 1 and not np.any(logw > -np.inf):
-            # a coarse level can miss a narrow source: it agrees with nothing
-            return None, (np.full(x.shape, -np.inf),) * 2
-        q = _atoms_family(y, logw, beta, t)
-        logv, _, hess = q._pass(x, 2)
-        return q, (logv, hess)
+        with np.errstate(divide="ignore"):
+            return y, np.log(tw * src.values[first::step])
 
-    def edge_weight(k, logv):
-        """Largest log posterior weight of the two outermost atoms at x."""
-        y, logw = lattice(np.arange(-pad, n + pad, k)[[0, -1]], k)
-        d = x - np.exp(-t) * y[:, None]
-        return np.max(logw[:, None] - 0.5 * np.log(2.0 * np.pi * w)
-                      - d * d / (2.0 * w) - logv)
+    def run(q, at, order, sink=None):
+        """q's pass at the points ``at``, its (node, atom) pairs counted."""
+        nonlocal pairs, bound
+        if debug:
+            share, dropped = q.window_share(at)
+            pairs += share * at.size * q.a.size
+            bound = max(bound, dropped)
+        return q._pass(at, order, sink=sink)
 
-    def level(k):
-        nonlocal pad
-        lev = atoms(k)
-        # the pad is settled on the coarsest level, before any refinement: a
-        # cut-off source has a kink at the grid edge, so its levels never agree
-        while (k == k0 and closure and lev[0] is not None
-               and not edge_weight(k, lev[1][0]) <= _LOG_EDGE_WEIGHT):
+    def coarsest():
+        """The coarsest level's family, once its pad has settled, or None
+        when the level has no mass.  The pad is settled here, before any
+        refinement: a cut-off source has a kink at the grid edge, so its
+        levels never agree."""
+        nonlocal pad, pad_checks
+        while True:
+            y, logw = atoms(k0, 0, k0)
+            if k0 > 1 and not np.any(logw > -np.inf):
+                return None  # a coarse level can miss a narrow source
+            q = _atoms_family(y, logw, beta, t)
+            if not closure:
+                return q
+            pad_checks += 1
+            if _edge_weight(lambda at: run(q, at, 0)[0],
+                            np.exp(-t) * y[[0, -1]], logw[[0, -1]], w,
+                            x) <= _LOG_EDGE_WEIGHT:
+                return q
             if pad >= 64 * (n - 1):
                 raise TruncationError("the log closure does not decay past "
                                       "the grid: no pad makes its edge "
                                       "negligible")
             pad *= 2
-            lev = atoms(k)
-        return lev
 
-    def gap(coarse, fine):
-        return max(float(np.max(np.abs(f - c)))
-                   for f, c in zip(fine[1], coarse[1]))
+    def evaluate(q):
+        return [np.require(r, requirements="W") for r in run(q, x, 2)]
 
-    k, (q, at_x), g = _refine_strides(level, k0, gap, 1e-12 * (1.0 + 1.0 / w))
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("FP snapshot beta=%g t=%g: pad %d nodes, stride %d, "
-                     "level gap %.3g, pairs evaluated %.3f, dropped-term "
-                     "bound %.3g", beta, t, pad, k, g, *q.window_share(x))
-    return q, q.integral_lebesgue(), at_x
+    lev = None  # (log v_t, (log v_t)', (log v_t)'') of the current level
+
+    def refine(k):
+        nonlocal lev
+        if k == k0:
+            q = coarsest()
+            lev = None if q is None else evaluate(q)
+            return np.nan
+        y, logw = atoms(k, k, 2 * k)
+        if not np.any(logw > -np.inf):  # no odd atom has mass
+            if lev is None:
+                return np.nan
+            lev[0] -= _LOG2  # the coarse level, its weights halved
+            return _LOG2
+        q = _atoms_family(y, logw, beta, t)
+        if lev is None:  # a massless coarse level: the odd atoms alone
+            lev = evaluate(q)
+            return np.inf
+        return _merge_odd(lev, lambda sink: run(q, x, 2, sink))
+
+    k, g = _refine_strides(refine, k0, 1e-12 * (1.0 + 1.0 / w))
+    q = _atoms_family(*atoms(k, 0, k), beta, t)
+    if debug:
+        levels = (k0 // k).bit_length()
+        logger.debug("FP snapshot beta=%g t=%g: %d levels, %d pad checks, "
+                     "pad %d nodes, stride %d, level gap %.3g, pairs "
+                     "evaluated %.3f, dropped-term bound %.3g", beta, t,
+                     levels, pad_checks, pad, k, g,
+                     pairs / (x.size * q.a.size), bound)
+    return q, q.integral_lebesgue(), (lev[0], lev[2])
+
+
+def _edge_weight(log_v, mu, logw, w: float, x) -> float:
+    """Largest log posterior weight at the points x of the two outermost
+    atoms of a flowed lattice: kernel centres mu = (leftmost, rightmost),
+    log weights logw, kernel variance w, and log v_t the callable log_v.
+    Every exponent differs from the leftmost atom's by a linear function of
+    x with slope (mu_k - mu_0) / w >= 0, so the leftmost atom's weight falls
+    with x and the rightmost's rises: they are read at x.min() and x.max()
+    alone, which needs v_t at two points, not at every x."""
+    ends = np.array([np.min(x), np.max(x)])
+    d = ends - mu
+    return float(np.max(logw - 0.5 * np.log(2.0 * np.pi * w)
+                        - d * d / (2.0 * w) - log_v(ends)))
+
+
+def _merge_odd(lev, odd_pass):
+    """Merge a level's odd atoms into the level at twice its stride.
+
+    ``lev`` holds (log v, (log v)', (log v)'') of the coarse level and is
+    overwritten with the fine level's; ``odd_pass(sink)`` runs the odd
+    atoms' pass, handing its rows to ``sink`` block by block.  With S the
+    sums of the atoms' kernels, the coarse level's halved, S = S_c / 2 +
+    S_o, and with lam = S_o / S the posterior mean and variance of the
+    slopes combine as two groups do (Chan, Golub & LeVeque 1979):
+
+        m = m_c + lam (m_o - m_c),
+        V = V_c + lam (V_o - V_c) + lam (1 - lam) (m_c - m_o)^2.
+
+    Every atom has the same a = -1/w, so (log v)'' = a + V combines as V
+    does, and a is never subtracted.  Returns the largest gap in log v and
+    (log v)'' between the two levels, taken before the coarse one is
+    overwritten.
+    """
+    gap = 0.0
+
+    def sink(block, rows):
+        nonlocal gap
+        logv, mean, hess = (r[block] for r in lev)
+        logv_o, dm, dh = rows  # the odd atoms' rows, reused in place
+        fine = np.logaddexp(logv - _LOG2, logv_o)
+        z = np.subtract(logv_o, fine, out=logv_o)  # log lam
+        lam = np.exp(z)
+        dm -= mean
+        dh -= hess
+        dh *= lam
+        mean += lam * dm
+        lam *= np.expm1(z, out=z)  # -lam (1 - lam), 1 - lam to full digits
+        dm *= dm
+        dh -= lam * dm  # the fine level's (log v)'' less the coarse one's
+        gap = np.maximum(np.maximum(gap, np.max(np.abs(fine - logv))),
+                         np.max(np.abs(dh)))
+        logv[...] = fine
+        hess += dh
+
+    odd_pass(sink)
+    return float(gap)
 
 
 def _fp_family(v0: MeasureSpec, beta: float, t: float, x):

@@ -415,12 +415,16 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
         h1, h2 = f1.grid.spacing * k, f2.grid.spacing * k
         return np.trapezoid(np.trapezoid(np.exp(log_int), dx=h2), dx=h1)
 
-    def rel_gap(prev, lhs):
+    lhs = np.nan
+
+    def refine(k):
+        nonlocal lhs
+        prev, lhs = lhs, trapezoid(k)
         with np.errstate(invalid="ignore", divide="ignore"):
             return abs(lhs - prev) / abs(lhs)
 
-    k, lhs, gap = _refine_strides(
-        trapezoid, _coarsest_stride(x1.size - 1, x2.size - 1), rel_gap, 1e-14)
+    k, gap = _refine_strides(
+        refine, _coarsest_stride(x1.size - 1, x2.size - 1), 1e-14)
 
     h_const = sharp_constant("bl_h", c1=c1, c2=c2, s=s).value
     # ||P_s[(gamma_beta/gamma)^{c1}]||_{(1/c2)'} with c1 = 1/p, (1/c2)' = q

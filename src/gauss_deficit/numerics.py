@@ -274,21 +274,22 @@ def _coarsest_stride(*intervals: int) -> int:
     return k
 
 
-def _refine_strides(level: Callable, k: int, gap: Callable, tol: float):
+def _refine_strides(refine: Callable, k: int, tol: float):
     """Halve the stride from k until two successive levels agree.
 
-    ``level(k)`` evaluates at stride k and ``gap(coarse, fine)`` measures
-    how far two levels disagree.  Returns (k, level(k), gap) at the first
-    level within ``tol`` of the one before it; an unresolved level sequence
-    ends at stride 1.  The gap is NaN when only one level was evaluated.
+    ``refine(k)`` evaluates the level at stride k and returns how far it
+    disagrees with the level evaluated before it (NaN for the first).  The
+    caller holds the levels, so a level may be built in place from the one
+    before it, as long as the gap is taken before the older level is
+    overwritten.  Returns (k, gap) at the first level within ``tol`` of the
+    one before it; an unresolved level sequence ends at stride 1.  The gap
+    is NaN when only one level was evaluated.
     """
-    cur, g = level(k), np.nan
+    g = refine(k)
     while k > 1 and not g <= tol:
         k //= 2
-        prev = cur  # one earlier level is held while the next is evaluated
-        cur = level(k)
-        g = gap(prev, cur)
-    return k, cur, g
+        g = refine(k)
+    return k, g
 
 
 # ---------------------------------------------------------------------------

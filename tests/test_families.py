@@ -267,6 +267,22 @@ class TestEvaluationPass:
         for i, j in ((0, 1), (0, 2), (1, 2)):
             assert not np.shares_memory(rows[i], rows[j])
 
+    @pytest.mark.parametrize("fam", [symmetric_mixture(1.0, 1.0),
+                                     LogQuad.gaussian(2.0)])
+    def test_sink_takes_the_rows_block_by_block(self, fam, monkeypatch):
+        # a sink gets every block's rows in order, and no output array is
+        # made: the concatenated blocks are the pass's rows
+        monkeypatch.setattr(families, "_CHUNK", 64)
+        x = np.linspace(-5.0, 5.0, 101)
+        blocks = []
+        assert fam._pass(x, 2, sink=lambda b, rows: blocks.append(
+            (b, [np.array(r) for r in rows]))) is None
+        starts = [b.indices(x.size)[0] for b, _ in blocks]
+        assert starts == sorted(starts) and starts[0] == 0
+        for want, got in zip(fam._pass(x, 2),
+                             zip(*(rows for _, rows in blocks))):
+            np.testing.assert_array_equal(np.concatenate(got), want)
+
     def test_one_component_curvature_holds_no_array(self):
         d2 = LogQuad.gaussian(2.0)._pass(np.linspace(-5.0, 5.0, 101), 2)[2]
         assert d2.strides == (0,) and np.all(d2 == -0.5)

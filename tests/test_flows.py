@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gauss_deficit import families, flows
+from gauss_deficit import families, flows, numerics
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
 from gauss_deficit.flows import (T_STAR, FPParams, MeasureSpec, certify,
@@ -91,6 +91,20 @@ def _untagged_gaussian(grid, beta):
     return GridField.from_callable(grid, q.__call__, log_fn=q.log_at)
 
 
+def _record_passes(monkeypatch, sizes, orders=(0, 1, 2)):
+    """The families that LogQuad._pass evaluates, to the given orders, on
+    point sets of the given sizes, in order."""
+    seen, one_pass = [], LogQuad._pass
+
+    def recording(fam, x, order=2, **kw):
+        if np.size(x) in sizes and order in orders:
+            seen.append(fam)
+        return one_pass(fam, x, order, **kw)
+
+    monkeypatch.setattr(LogQuad, "_pass", recording)
+    return seen
+
+
 class TestGridDensityFlow:
     @pytest.mark.parametrize("beta,t", [(0.5, 0.2), (2.0, 0.5), (1.0, 1.0)])
     def test_matches_kernel_quadrature(self, beta, t):
@@ -114,19 +128,16 @@ class TestGridDensityFlow:
                                        rtol=0, atol=1e-9)
 
     def test_snapshot_keeps_its_level_arrays(self, grid, monkeypatch):
-        # the finest level's pass at the nodes is the snapshot's only one:
-        # the field and its certificate read what the level computed
-        grid_passes, one_pass = [], LogQuad._pass
-
-        def recording(fam, x, order=2):
-            if np.size(x) in (grid.n, grid.n - 4):  # nodes, or 2..n-3
-                grid_passes.append(fam)
-            return one_pass(fam, x, order)
-
-        monkeypatch.setattr(LogQuad, "_pass", recording)
-        vt = fp_evolve(_untagged_gaussian(grid, 0.5), FPParams(0.5, 0.05))
+        # the field and its certificate read the merged level arrays: the
+        # snapshot's family is never evaluated at the nodes, and each atom
+        # of the finest level is evaluated there once, on one level
+        src = _untagged_gaussian(grid, 0.5)
+        node_passes = _record_passes(monkeypatch, (grid.n, grid.n - 4))
+        vt = fp_evolve(src, FPParams(0.5, 0.05))
         certify(vt, "concave", 0.5)
-        assert [q for q in grid_passes if q is vt.tag] == [vt.tag]
+        assert len(node_passes) > 1  # refined past the coarsest level
+        assert not any(q is vt.tag for q in node_passes)
+        assert sum(q.a.size for q in node_passes) == vt.tag.a.size
 
     def test_gaussian_preservation_margins_vanish(self, grid):
         # the curvature comes from posterior moments taken about their mean,
@@ -187,13 +198,44 @@ class TestGridDensityFlow:
         vt = fp_evolve(src, FPParams(1.0, 0.5))
         assert vt.grid_mass == pytest.approx(1.0, abs=1e-9)
 
-    def test_growing_closure_raises(self):
-        # log v0 = x^2 outgrows the kernel: no pad makes the edge negligible
+    @pytest.mark.parametrize("nodes", [[2048], [2048, 2080]])
+    def test_isolated_nodes_flow_as_atoms(self, grid, nodes):
+        # no odd atom below stride 32 has mass, so those levels halve the
+        # level before them down to stride 1; the second node is a one-atom
+        # odd group at stride 32
+        vals = np.zeros(grid.n)
+        vals[nodes] = 1.0 / grid.spacing
+        beta, t = 1.0, 0.5
+        w = beta * (1.0 - np.exp(-2.0 * t))
+        q, mass, (logv, d2) = flows._fp_family(
+            MeasureSpec.from_density(GridField(grid, vals)), beta, t,
+            grid.points)
+        assert q.a.size == len(nodes) and mass == pytest.approx(len(nodes))
+        ref = LogQuad.gaussian(w, np.exp(-t) * grid.points[nodes])
+        np.testing.assert_allclose(logv, ref.log_at(grid.points), rtol=1e-14,
+                                   atol=1e-13)
+        np.testing.assert_allclose(d2, ref.d2log(grid.points), rtol=0,
+                                   atol=1e-12 * (1.0 + 1.0 / w))
+
+    def test_growing_closure_raises(self, monkeypatch):
+        # log v0 = x^2 outgrows the kernel: no pad makes the edge negligible,
+        # which the pad checks find at the two end nodes, with no pass at
+        # every node
         g = Grid1D(-1.0, 1.0, 65)
         src = GridField.from_callable(g, lambda x: np.exp(x * x),
                                       log_fn=lambda x: x * x)
+        node_passes = _record_passes(monkeypatch, (g.n,))
+        end_passes = _record_passes(monkeypatch, (2,))
         with pytest.raises(TruncationError, match="does not decay"):
             fp_evolve(src, FPParams(1.0, 1.0))
+        assert len(end_passes) > 1 and not node_passes
+
+    @pytest.mark.parametrize("n", [4097, 65])
+    def test_massless_source_raises(self, n):
+        # no mass at any stride, the first level being stride 1 on 65 nodes
+        g = Grid1D(-12.0, 12.0, n)
+        with pytest.raises(ParameterError, match="no mass"):
+            fp_evolve(GridField(g, np.zeros(n)), FPParams(1.0, 0.5))
 
     def test_resolution_logged(self, grid, caplog):
         with caplog.at_level(logging.DEBUG, logger="gauss_deficit.flows"):
@@ -201,6 +243,18 @@ class TestGridDensityFlow:
         assert re.search(r"pad \d+ nodes, stride \d+, level gap \S+, pairs "
                          r"evaluated [0-9.]+, dropped-term bound \S+$",
                          caplog.text, re.MULTILINE)
+
+    def test_levels_and_pairs_logged(self, grid, caplog):
+        # gamma_0.5 at t = 0.05 settles its pad in three checks and ends at
+        # stride 8: the coarsest level and three odd groups, each evaluated
+        # on the nodes near its atoms
+        with caplog.at_level(logging.DEBUG, logger="gauss_deficit.flows"):
+            fp_evolve(_untagged_gaussian(grid, 0.5), FPParams(0.5, 0.05))
+        levels, checks, stride, share = re.search(
+            r"(\d+) levels, (\d+) pad checks, pad \d+ nodes, stride (\d+), "
+            r".*pairs evaluated (\S+),", caplog.text).groups()
+        assert (int(levels), int(checks), int(stride)) == (4, 3, 8)
+        assert 0.0 < float(share) <= 0.40
 
     def test_compact_support_source(self, grid):
         vals = 0.75 * np.maximum(1.0 - grid.points ** 2, 0.0)
@@ -311,6 +365,67 @@ class TestBandedLevels:
             caplog.text, re.MULTILINE).groups())
         assert share <= 0.40
         assert 0.0 < bound <= 2.0 ** -53
+
+
+def _merge_source(name, grid):
+    """(source, beta) for the merged-level checks."""
+    if name == "gamma0.5":
+        return _untagged_gaussian(grid, 0.5), 0.5
+    if name == "gamma2":
+        return _untagged_gaussian(grid, 2.0), 2.0
+    if name == "gamma2-5461":
+        return _untagged_gaussian(Grid1D(-16.0, 16.0, 5461), 2.0), 2.0
+    if name == "logconcave":
+        return make_logconcave_input(np.random.default_rng(3), 0.5, grid), 0.5
+    if name == "values-only":
+        return GridField(grid, gaussian_field(grid, 0.5).values), 0.5
+    # between-coarse-nodes: zero at every node of the coarsest level
+    vals = np.maximum(1.0 - ((grid.points - 0.2) / 0.1) ** 2, 0.0)
+    k0 = numerics._coarsest_stride(grid.n - 1)
+    assert not np.any(vals[::k0]) and np.any(vals[::k0 // 2])
+    return GridField(grid, vals / GridField(grid, vals).grid_mass), 1.0
+
+
+class TestMergedLevels:
+    """The level at stride k is the level at 2k, its weights halved, merged
+    with the odd atoms: the merged (log v_t, (log v_t)'') is the finest
+    family's own pass, to the level tolerance."""
+
+    @pytest.mark.parametrize("t", [0.05, 0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("name", ["gamma0.5", "gamma2", "gamma2-5461",
+                                      "logconcave", "values-only",
+                                      "between-coarse-nodes"])
+    def test_merge_matches_the_finest_pass(self, grid, monkeypatch, name, t):
+        v0, beta = _merge_source(name, grid)
+        x = v0.grid.points
+        w = beta * (1.0 - np.exp(-2.0 * t))
+        checks, edge_weight = [], flows._edge_weight
+
+        def recording(log_v, mu, logw, w_, at):
+            # log v_t at every node, from the family being checked
+            checks.append((log_v(at), mu, logw,
+                           edge_weight(log_v, mu, logw, w_, at)))
+            return checks[-1][-1]
+
+        monkeypatch.setattr(flows, "_edge_weight", recording)
+        # the levels' passes; the checks below read log v_t to order 0
+        node_passes = _record_passes(monkeypatch, (x.size,), orders=(2,))
+        q, _, (logv, d2) = flows._fp_family(MeasureSpec.from_density(v0),
+                                            beta, t, x)
+        assert len(node_passes) > 1  # at least one merge
+        assert sum(p.a.size for p in node_passes) == q.a.size
+        full_logv, _, full_d2 = q._pass(x, 2)
+        tol = 1e-12 * (1.0 + 1.0 / w)
+        np.testing.assert_allclose(logv, full_logv, rtol=0, atol=tol)
+        np.testing.assert_allclose(d2, full_d2, rtol=0, atol=tol)
+        # each pad check, read at the two end nodes, is the largest log
+        # weight of the outermost atoms over every node
+        assert bool(checks) == (v0.analytic_log is not None)
+        for logv_x, mu, logw, got in checks:
+            d = x - mu[:, None]
+            every = np.max(logw[:, None] - 0.5 * np.log(2.0 * np.pi * w)
+                           - d * d / (2.0 * w) - logv_x)
+            assert got == pytest.approx(every, rel=1e-13, abs=1e-12)
 
 
 class TestFPClassMember:
