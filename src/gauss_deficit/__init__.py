@@ -22,7 +22,7 @@ from .flows import (T_STAR, ConvexityCertificate, FPParams, MeasureSpec,
 from .functionals import (EntFisher, SharpConstant, entropy_fisher,
                           q_functional, sharp_constant)
 from .reports import DeficitReport, HypothesisCheck
-from .transport import (DensitySpec, PotentialSpec, QuantileMap, brenier_1d,
+from .transport import (PotentialSpec, QuantileMap, brenier_1d,
                         caffarelli_check, general_lsi_deficit,
                         relative_entropy_gauss, talagrand_deficit, w2)
 from .inequalities import (beckner_check, brascamp_lieb_check,

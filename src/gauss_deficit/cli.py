@@ -42,8 +42,7 @@ from .inequalities import (beckner_check, brascamp_lieb_check,
                            matrix_check,
                            poincare_check, reverse_hc_check,
                            sample_reverse_triple)
-from .transport import (DensitySpec, PotentialSpec, general_lsi_deficit,
-                        talagrand_deficit)
+from .transport import PotentialSpec, general_lsi_deficit, talagrand_deficit
 from .hamilton_jacobi import (HJField, beta_of_a, dual_talagrand_check,
                               hj_hc_check, quadratic_datum)
 
@@ -278,11 +277,8 @@ def _reverse_hc_item(config: RunConfig, i: int):
 
 def _talagrand_item(config: RunConfig, i: int):
     grid = config.grid()
-    if i == 0:
-        v = DensitySpec.gaussian(config.beta, grid)
-    else:
-        v = DensitySpec.from_field(make_talagrand_input(
-            _item_rng(config, i), config.beta, grid))
+    v = (gaussian_field(grid, config.beta) if i == 0 else
+         make_talagrand_input(_item_rng(config, i), config.beta, grid))
     return talagrand_deficit(v, config.beta)
 
 
@@ -304,7 +300,7 @@ def _matrix_item(config: RunConfig, i: int):
         v2 = make_logconcave_input(rng, b2, grid)
     return matrix_check(v1, v2, np.diag([b1, b2]), triple=triple,
                         which=("hc", "lsi", "talagrand")[i % 3],
-                        rule=gauss_hermite_rule(min(config.gh_nodes, 48)))
+                        rule=config.rule())
 
 
 def _test_function(config: RunConfig, index: int, power: float) -> GridField:
@@ -346,9 +342,9 @@ def _perturbed_quadratic(config: RunConfig, index: int,
     rng = _item_rng(config, index)
     c = float(rng.uniform(0.0, 0.05))
     m = float(rng.uniform(-1.0, 1.0))
-    x = config.grid().points
     return HJField.from_field(
-        GridField(config.grid(), base.f.values + c * np.log(np.cosh(x - m))),
+        GridField.from_callable(
+            config.grid(), lambda y: base.f(y) + c * np.log(np.cosh(y - m))),
         laplacian=lambda y: base.laplacian(y) + c / np.cosh(y - m) ** 2)
 
 
@@ -374,7 +370,7 @@ def _general_lsi_item(config: RunConfig, i: int):
     vf = GridField.from_callable(
         grid, log_fn=lambda x: -potential(np.asarray(x, float)) / beta_v - logz,
         d2log_fn=lambda x: -(omega + eps / np.cosh(x) ** 2) / beta_v)
-    return general_lsi_deficit(DensitySpec(vf), pot, beta)
+    return general_lsi_deficit(vf, pot, beta)
 
 
 def _constant_rows(config: RunConfig):

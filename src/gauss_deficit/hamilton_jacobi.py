@@ -6,7 +6,9 @@ The Hopf-Lax minimum over the M sampled candidates is read off the lower
 envelope of parabolas in O(M + N log M) (Felzenszwalb & Huttenlocher,
 Distance Transforms of Sampled Functions, Theory of Computing 8, 2012);
 beyond the grid the initial datum is extended by its linear lower bound
--C(1+|y|) so that no spurious boundary minimum appears.
+-C(1+|y|) so that no spurious boundary minimum appears.  The envelope is
+the exact closure of the field hopf_lax returns, and the checks read Q_tau f
+and the datum through their closures at the quadrature nodes.
 """
 from __future__ import annotations
 
@@ -77,11 +79,13 @@ class HJField:
 
 def hopf_lax(f: HJField, tau: float) -> GridField:
     """Q_tau f(x) = min_y { f(y) + |x-y|^2 / (2 tau) } over the grid and
-    its linear extension, from the lower envelope of the parabolas."""
+    its linear extension, from the lower envelope of the parabolas.
+
+    The field's exact closure reads that envelope at any x, so Q_tau f is
+    evaluated off the grid (at quadrature nodes) as it is at the nodes."""
     if tau <= 0:
         raise ParameterError("tau must be positive")
     g = f.f.grid
-    x = g.points
     C = f.lower_linear_bound
     # candidate points: the grid plus linear-bound extension segments wide
     # enough to contain the extension minimizer y = x -+ C tau
@@ -95,7 +99,7 @@ def hopf_lax(f: HJField, tau: float) -> GridField:
     n_ext = int(np.ceil(ext / g.spacing))
     left = g.lo - g.spacing * np.arange(n_ext, 0, -1)
     right = g.hi + g.spacing * np.arange(1, n_ext + 1)
-    ys = np.concatenate([left, x, right])
+    ys = np.concatenate([left, g.points, right])
     fy = np.concatenate([f.extended(left), f.f.values, f.extended(right)])
     # Legendre form: the minimiser maximises the line x y - b(y), with
     # b = tau f(y) + y^2/2; one stack pass over ys keeps the upper envelope of
@@ -109,25 +113,30 @@ def hopf_lax(f: HJField, tau: float) -> GridField:
             slopes.pop()
         hull.append(k)
         slopes.append(s)
-    j = np.asarray(hull)[np.searchsorted(slopes[1:], x, side="right")]
-    jj = np.clip(j + np.arange(-2, 3)[:, None], 0, ys.size - 1)
-    cll, cl, best, cr, crr = fy[jj] + (x - ys[jj]) ** 2 / (2.0 * tau)
-    # sub-grid refinement: a parabola through the discrete minimum and its
-    # neighbours; for smooth costs this removes the O(spacing^2)
-    # discretization bias of the discrete minimum
-    interior = (j > 1) & (j < ys.size - 2)
-    curv = cl + cr - 2.0 * best
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = best - (cr - cl) ** 2 / (8.0 * curv)
-    # only trust the parabola where the cost is locally smooth: the fit
-    # must also predict the second neighbours (it fails at kinks, where the
-    # refinement would undercut the true minimum)
-    misfit = np.maximum(np.abs(cll - (best + (cl - cr) + 2.0 * curv)),
-                        np.abs(crr - (best + (cr - cl) + 2.0 * curv)))
-    use = (interior & (curv > 0) & np.isfinite(vertex)
-           & (misfit <= 0.05 * curv + 1e-12))
-    out = np.where(use, np.minimum(best, vertex), best)
-    return GridField(g, out)
+    hull, breaks = np.asarray(hull), np.asarray(slopes[1:])
+
+    def envelope(x):
+        x = np.asarray(x, float)
+        j = hull[np.searchsorted(breaks, x, side="right")]
+        jj = np.clip(np.add.outer(np.arange(-2, 3), j), 0, ys.size - 1)
+        cll, cl, best, cr, crr = fy[jj] + (x - ys[jj]) ** 2 / (2.0 * tau)
+        # sub-grid refinement: a parabola through the discrete minimum and
+        # its neighbours; for smooth costs this removes the O(spacing^2)
+        # discretization bias of the discrete minimum
+        interior = (j > 1) & (j < ys.size - 2)
+        curv = cl + cr - 2.0 * best
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = best - (cr - cl) ** 2 / (8.0 * curv)
+        # only trust the parabola where the cost is locally smooth: the fit
+        # must also predict the second neighbours (it fails at kinks, where
+        # the refinement would undercut the true minimum)
+        misfit = np.maximum(np.abs(cll - (best + (cl - cr) + 2.0 * curv)),
+                            np.abs(crr - (best + (cr - cl) + 2.0 * curv)))
+        use = (interior & (curv > 0) & np.isfinite(vertex)
+               & (misfit <= 0.05 * curv + 1e-12))
+        return np.where(use, np.minimum(best, vertex), best)
+
+    return GridField.from_callable(g, envelope)
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +205,6 @@ def _integrability_margin(f: HJField, a: float, beta_a: float) -> float:
     return 1.0 if interior_peak(log_integrand) else -1.0
 
 
-def _log_lp_exp(u: GridField, r: float, rule: QuadratureRule) -> float:
-    """log || e^{u} ||_{L^r(gamma)} for u sampled on the grid."""
-    lv = np.interp(rule.nodes, u.grid.points, u.values)
-    return _log_lp(lv, r, rule.log_weights)
-
-
 def hj_hc_check(f: HJField, a: float, tau: float, beta: float,
                 rule: QuadratureRule = None) -> DeficitReport:
     """Hamilton-Jacobi hypercontractivity deficit:
@@ -225,11 +228,11 @@ def hj_hc_check(f: HJField, a: float, tau: float, beta: float,
     integ = _integrability_margin(f, a, ba)
     hyps.append(HypothesisCheck("exp-moment-integrable", integ > 0, integ))
 
-    q = hopf_lax(f, tau)
-    lhs = float(np.exp(_log_lp_exp(q, a + tau, rule)))
+    z, log_w = rule.nodes, rule.log_weights
+    lhs = float(np.exp(_log_lp(hopf_lax(f, tau)(z), a + tau, log_w)))
     coef, const = hopf_lax_quadratic(a, ba, tau)
     log_ref = LogQuad(coef, 0.0, const).log_lp_norm_gauss(a + tau)
-    log_ef = _log_lp_exp(f.f, a, rule)
+    log_ef = _log_lp(f.f(z), a, log_w)
     rhs = float(np.exp(log_ref + log_ef))
     return DeficitReport.build(
         "hj-hypercontractivity", lhs, rhs, float(np.exp(log_ref)),
@@ -259,8 +262,8 @@ def dual_talagrand_check(f: HJField, tau: float, beta: float,
         hyps.append(HypothesisCheck(f"exp-moment-integrable(a={a})",
                                     integ > 0, integ))
 
-    q = hopf_lax(f, tau)
-    lhs = float(np.exp(_log_lp_exp(q, tau, rule)))
+    lhs = float(np.exp(_log_lp(hopf_lax(f, tau)(rule.nodes), tau,
+                               rule.log_weights)))
     t_const = sharp_constant("hj_t", tau=tau, beta=beta).value
     mean_f = float(np.asarray(f.f(rule.nodes), float) @ rule.weights)
     rhs = t_const * float(np.exp(mean_f))

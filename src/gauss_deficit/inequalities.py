@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import LogQuad, field_from_family, symmetric_mixture
+from .families import (LogQuad, field_from_family, gaussian_field,
+                       symmetric_mixture)
 from .flows import MeasureSpec, certify, certify_log_concave, \
     certify_matrix, covariance, fp_class_member
 from .functionals import _check_ratio_bounded, _rule_or_default, \
@@ -23,7 +24,7 @@ from .numerics import (Grid1D, GridField, ParameterError, _coarsest_stride,
 from .reports import DeficitReport, HypothesisCheck
 from .semigroups import ExponentTriple, InadmissibleExponentError, \
     _ou_closures_1d
-from .transport import DensitySpec, relative_entropy_gauss, w2
+from .transport import relative_entropy_gauss, w2
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +250,7 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
             params={"which": which, "side": side, "eigenvalues": eigs,
                     "entropy": ent, "fisher": fisher})
 
-    cost = sum(w2(DensitySpec.gaussian(1.0, v.grid),
-                  DensitySpec.from_field(v)) ** 2 for v in (v1, v2))
+    cost = sum(w2(gaussian_field(v.grid, 1.0), v) ** 2 for v in (v1, v2))
     ent = (m2 * relative_entropy_gauss(v1, rule)
            + m1 * relative_entropy_gauss(v2, rule))
     const = float(sum(1.0 + 0.5 * np.log(b) - np.sqrt(b) for b in relevant))

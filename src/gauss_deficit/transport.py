@@ -1,11 +1,16 @@
 """
-One-dimensional quadratic optimal transport.
+One-dimensional quadratic optimal transport between densities given as
+GridFields.
 
-Brenier maps are quantile compositions T = F_nu^{-1} o F_mu.  Densities
-with closed-form CDFs (Gaussians, mixtures) go through numerics.ndtr with
-Newton refinement; grid-only densities use cumulative Simpson CDFs
-inverted by monotone interpolation on a clipped quantile range.  On top of
-the maps: W_2, Talagrand deficits, Caffarelli slope checks, and the
+Brenier maps are quantile compositions T = F_nu^{-1} o F_mu, read at the
+source's nodes.  Every entry point first checks that its fields are
+probability densities on their grids and takes their CDFs at the nodes:
+a field tagged with a closed-form family (a LogQuad: Gaussians, mixtures)
+has its exact CDF through numerics.ndtr, any other field the cumulative
+Simpson sum of its values.  F_nu is inverted by monotone interpolation on
+the nodes, refined by Newton steps where nu has an exact CDF, and on a
+clipped quantile range where either CDF is a Simpson sum.  On top of the
+maps: W_2, Talagrand deficits, Caffarelli slope checks, and the
 general-potential LSI comparison.
 """
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .families import LogQuad, field_from_family
+from .families import LogQuad, gaussian_field
 from .flows import certify, certify_log_concave
 from .functionals import _rule_or_default, sharp_constant, tilt
 from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
@@ -25,104 +30,68 @@ from .reports import DeficitReport, HypothesisCheck
 QUANTILE_CLIP = 1e-7  # interior quantile range for grid-path CDF inversion
 
 
-@dataclass(frozen=True)
-class DensitySpec:
-    """A normalized probability density with optional exact CDF."""
-
-    field: GridField
-    cdf: Optional[object] = None  # callable F(x) when a closed form exists
-
-    def __post_init__(self):
-        mass = self.field.grid_mass
-        if abs(mass - 1.0) > 1e-6:
-            raise ParameterError(f"density not normalized: mass = {mass:.8f}")
-        if np.any(self.field.values < 0):
-            raise ParameterError("density must be nonnegative")
-
-    @staticmethod
-    def gaussian(beta: float, grid: Grid1D, mean: float = 0.0) -> "DensitySpec":
-        return DensitySpec.from_family(LogQuad.gaussian(beta, mean), grid)
-
-    @staticmethod
-    def from_family(fam, grid: Grid1D) -> "DensitySpec":
-        mass, cdf = fam.mass_and_cdf()
-        if abs(mass - 1.0) > 1e-6:
-            raise ParameterError(f"family not normalized: mass = {mass:.8f}")
-        return DensitySpec(field_from_family(grid, fam), cdf)
-
-    @staticmethod
-    def from_field(field: GridField) -> "DensitySpec":
-        if isinstance(field.tag, LogQuad):
-            _, cdf = field.tag.mass_and_cdf()
-            return DensitySpec(field, cdf)
-        return DensitySpec(field)
-
-    def cdf_values(self, x: np.ndarray) -> np.ndarray:
-        if self.cdf is not None:
-            return np.asarray(self.cdf(x), float)
-        g = self.field.grid
-        F = cumulative_simpson(self.field.values, dx=g.spacing, initial=0.0)
-        F = np.maximum.accumulate(F / F[-1])
-        return np.interp(x, g.points, F)
+def _density_cdf(v: GridField):
+    """Check that v is a probability density on its grid (trapezoid mass
+    within 1e-6 of 1, no negative value); return (its CDF at the nodes,
+    the exact CDF closure or None)."""
+    mass = v.grid_mass
+    if abs(mass - 1.0) > 1e-6:
+        raise ParameterError(f"density not normalized: mass = {mass:.8f}")
+    if np.any(v.values < 0):
+        raise ParameterError("density must be nonnegative")
+    if isinstance(v.tag, LogQuad):
+        cdf = v.tag.mass_and_cdf()[1]
+        return np.asarray(cdf(v.grid.points), float), cdf
+    F = cumulative_simpson(v.values, dx=v.grid.spacing, initial=0.0)
+    return np.maximum.accumulate(F / F[-1]), None
 
 
 @dataclass(frozen=True)
 class QuantileMap:
-    source: DensitySpec
-    target: DensitySpec
+    source: GridField
+    target: GridField
     map_values: np.ndarray  # T on the source grid, non-decreasing
 
     @property
     def grid(self) -> Grid1D:
-        return self.source.field.grid
+        return self.source.grid
 
     def derivative(self) -> np.ndarray:
         return np.gradient(self.map_values, self.grid.spacing, edge_order=2)
 
     def monge_ampere_residual(self) -> float:
         """max interior |mu(x) - nu(T(x)) T'(x)|."""
-        mu = self.source.field.values
-        nuT = self.target.field(self.map_values)
-        res = np.abs(mu - nuT * self.derivative())
+        res = np.abs(self.source.values
+                     - self.target(self.map_values) * self.derivative())
         return float(np.max(res[2:-2]))
 
 
-def _invert_cdf(u: np.ndarray, nu: DensitySpec) -> np.ndarray:
-    g = nu.field.grid
-    x = g.points
-    F = nu.cdf_values(x)
-    F = np.maximum.accumulate(F)
-    t = np.interp(u, F, x)
-    if nu.cdf is not None:
+def brenier_1d(mu: GridField, nu: GridField) -> QuantileMap:
+    """Monotone transport map T = F_nu^{-1} o F_mu on the source grid."""
+    u, mu_cdf = _density_cdf(mu)
+    F, nu_cdf = _density_cdf(nu)
+    clip = QUANTILE_CLIP if mu_cdf is None or nu_cdf is None else 1e-15
+    u = np.clip(u, clip, 1.0 - clip)
+    x = nu.grid.points
+    T = np.interp(u, np.maximum.accumulate(F), x)
+    if nu_cdf is not None:
         # Newton refinement against the exact CDF (pdf = density values)
         for _ in range(3):
-            pdf = np.asarray(nu.field(t), float)
-            step = np.where(pdf > 1e-12, (nu.cdf_values(t) - u)
+            pdf = nu(T)
+            step = np.where(pdf > 1e-12, (nu_cdf(T) - u)
                             / np.maximum(pdf, 1e-12), 0.0)
-            t = np.clip(t - step, x[0], x[-1])
-    return t
-
-
-def brenier_1d(mu: DensitySpec, nu: DensitySpec) -> QuantileMap:
-    """Monotone transport map T = F_nu^{-1} o F_mu on the source grid."""
-    x = mu.field.grid.points
-    u = mu.cdf_values(x)
-    clip = 1e-15 if (mu.cdf is not None and nu.cdf is not None) \
-        else QUANTILE_CLIP
-    u = np.clip(u, clip, 1.0 - clip)
-    T = _invert_cdf(u, nu)
-    T = np.maximum.accumulate(T)
+            T = np.clip(T - step, x[0], x[-1])
     if np.any(np.diff(T) < -1e-12):
         raise ParameterError("non-monotone transport map reconstruction")
-    return QuantileMap(mu, nu, T)
+    return QuantileMap(mu, nu, np.maximum.accumulate(T))
 
 
-def w2(mu: DensitySpec, nu: DensitySpec) -> float:
+def w2(mu: GridField, nu: GridField) -> float:
     """Quadratic Wasserstein distance via the Brenier map."""
     T = brenier_1d(mu, nu)
-    x = mu.field.grid.points
-    cost = np.trapezoid((x - T.map_values) ** 2 * mu.field.values,
-                        dx=mu.field.grid.spacing)
+    x = mu.grid.points
+    cost = np.trapezoid((x - T.map_values) ** 2 * mu.values,
+                        dx=mu.grid.spacing)
     return float(np.sqrt(max(cost, 0.0)))
 
 
@@ -142,54 +111,38 @@ def relative_entropy_gauss(v: GridField,
 # Talagrand deficit
 
 
-def _centered(v: DensitySpec):
-    """Center the density at mean zero; returns (spec, shift)."""
-    if isinstance(v.field.tag, LogQuad):
-        _, mean, _ = v.field.tag.moments()
-    else:
-        x = v.field.grid.points
-        mean = float(np.trapezoid(x * v.field.values,
-                                  dx=v.field.grid.spacing))
-    if abs(mean) < 1e-12:
-        return v, 0.0
-    tag = v.field.tag
-    if isinstance(tag, LogQuad):
-        shifted = LogQuad(tag.a,
-                          tag.b + tag.a * mean,
-                          tag.c + 0.5 * tag.a * mean**2 + tag.b * mean)
-        return DensitySpec.from_family(shifted, v.field.grid), mean
-    g = v.field.grid
-    vals = np.interp(g.points + mean, g.points, v.field.values,
-                     left=0.0, right=0.0)
-    vals /= np.trapezoid(vals, dx=g.spacing)
-    return DensitySpec(GridField(g, vals)), mean
-
-
-def talagrand_deficit(v: DensitySpec, beta: float) -> DeficitReport:
+def talagrand_deficit(v: GridField, beta: float) -> DeficitReport:
     """(1/2) W_2(gamma, v)^2 - Ent_gamma(v/gamma) <= n(1 + log(beta)/2 - sqrt(beta)).
 
     Hypotheses: for beta > 1, 0 >= grad^2 log v >= -id/beta; for beta < 1,
     beta-semi-log-concavity.  The inequality is asserted only when they pass.
+
+    Both terms are taken at v itself: translating v by its mean m adds m^2
+    to W_2^2 and m^2/2 to the entropy, so the deficit does not see m.
+    ``w2_sq`` and ``entropy`` are reported for the centred density.
     """
-    field = v.field
+    cost = w2(gaussian_field(v.grid, 1.0), v) ** 2  # checks v first
+    ent = relative_entropy_gauss(v)
+    if isinstance(v.tag, LogQuad):
+        _, mean, _ = v.tag.moments()
+    else:
+        mean = float(np.trapezoid(v.grid.points * v.values,
+                                  dx=v.grid.spacing))
     hyps = []
     if beta >= 1:
-        conv = certify(field, "convex", beta)
-        logc = certify_log_concave(field)
+        conv = certify(v, "convex", beta)
+        logc = certify_log_concave(v)
         hyps.append(HypothesisCheck("semi-log-convex(beta)", conv.passed,
                                     conv.margin))
         hyps.append(HypothesisCheck("log-concave", logc.passed, logc.margin))
     else:
-        conc = certify(field, "concave", beta)
+        conc = certify(v, "concave", beta)
         hyps.append(HypothesisCheck("semi-log-concave(beta)", conc.passed,
                                     conc.margin))
-    centered, shift = _centered(v)
-    cost = w2(DensitySpec.gaussian(1.0, field.grid), centered) ** 2
-    ent = relative_entropy_gauss(centered.field)
     lhs = 0.5 * cost - ent
     const = sharp_constant("talagrand_gauss", beta=beta).value
-    params = {"beta": beta, "w2_sq": cost, "entropy": ent,
-              "centering_shift": shift}
+    params = {"beta": beta, "w2_sq": cost - mean**2,
+              "entropy": ent - 0.5 * mean**2, "centering_shift": mean}
     if beta < 1:
         params["mikulincer_bound"] = sharp_constant("mikulincer",
                                                     beta=beta).value
@@ -197,14 +150,14 @@ def talagrand_deficit(v: DensitySpec, beta: float) -> DeficitReport:
                                hypotheses=hyps, params=params)
 
 
-def caffarelli_check(v: DensitySpec, beta: float) -> float:
+def caffarelli_check(v: GridField, beta: float) -> float:
     """max T' for the map gamma -> v; bounded by sqrt(beta) for
     beta-semi-log-concave targets."""
-    cert = certify(v.field, "concave", beta)
+    cert = certify(v, "concave", beta)
     if not cert.passed:
         raise ParameterError(
             f"target not beta-semi-log-concave (margin {cert.margin:.2e})")
-    T = brenier_1d(DensitySpec.gaussian(1.0, v.field.grid), v)
+    T = brenier_1d(gaussian_field(v.grid, 1.0), v)
     # restrict to where the source CDF is still resolvable in double
     # precision: beyond |x| ~ 7.5 the tail 1 - F(x) < 1e-13 quantizes and
     # the finite-difference T' degenerates into a staircase
@@ -244,7 +197,7 @@ class PotentialSpec:
         return float(np.min(vpp) - self.K), float(self.L - np.max(vpp))
 
 
-def general_lsi_deficit(v: DensitySpec, pot: PotentialSpec,
+def general_lsi_deficit(v: GridField, pot: PotentialSpec,
                         beta: float) -> DeficitReport:
     """Compare the LSI deficit of v against the deficit of m_beta.
 
@@ -258,6 +211,7 @@ def general_lsi_deficit(v: DensitySpec, pot: PotentialSpec,
     """
     if beta <= 1:
         raise ParameterError("requires beta > 1")
+    _density_cdf(v)
     h = pot.V.grid.spacing
     mvals, mlog = pot.density(1.0)
     mbvals, mblog = pot.density(beta)
@@ -267,19 +221,18 @@ def general_lsi_deficit(v: DensitySpec, pot: PotentialSpec,
     hyps = [HypothesisCheck("V''>=K", lo_margin >= -tol, lo_margin),
             HypothesisCheck("V''<=L", hi_margin >= -tol, hi_margin)]
 
-    vf = v.field
-    vcert = certify(vf, "convex", beta / pot.K)  # (log v)'' >= -K/beta
+    vcert = certify(v, "convex", beta / pot.K)  # (log v)'' >= -K/beta
     hyps.append(HypothesisCheck("(log v)''>=-K/beta", vcert.passed,
                                 vcert.margin))
-    sym_v = float(np.max(np.abs(vf.values - vf.values[::-1])))
+    sym_v = float(np.max(np.abs(v.values - v.values[::-1])))
     sym_V = float(np.max(np.abs(pot.V.values - pot.V.values[::-1])))
-    scale_v = np.max(vf.values)
+    scale_v = np.max(v.values)
     hyps.append(HypothesisCheck("symmetry", sym_v <= 1e-8 * scale_v
                                 and sym_V <= 1e-8 * max(1, np.max(
                                     np.abs(pot.V.values))),
                                 -max(sym_v, sym_V)))
     vprime = np.gradient(pot.V.values, h, edge_order=2)
-    tail = max(abs(vprime[0] * vf.values[0]), abs(vprime[-1] * vf.values[-1]))
+    tail = max(abs(vprime[0] * v.values[0]), abs(vprime[-1] * v.values[-1]))
     hyps.append(HypothesisCheck("|V'| v -> 0", tail <= 1e-8, -tail))
 
     def ent_fisher_against_m(dens_vals, dens_log):
@@ -289,7 +242,7 @@ def general_lsi_deficit(v: DensitySpec, pot: PotentialSpec,
         fisher = float(np.trapezoid(dens_vals * drel * drel, dx=h))
         return ent, fisher
 
-    ent_v, fi_v = ent_fisher_against_m(vf.values, vf.grid_log())
+    ent_v, fi_v = ent_fisher_against_m(v.values, v.grid_log())
     ent_b, fi_b = ent_fisher_against_m(mbvals, mblog)
 
     K = pot.K

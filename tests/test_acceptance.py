@@ -28,7 +28,7 @@ from gauss_deficit.inequalities import (brascamp_lieb_check,
 from gauss_deficit.numerics import (Grid1D, GridField, default_grid,
                                     gauss_hermite_rule)
 from gauss_deficit.semigroups import ExponentTriple
-from gauss_deficit.transport import (DensitySpec, PotentialSpec, brenier_1d,
+from gauss_deficit.transport import (PotentialSpec, brenier_1d,
                                      caffarelli_check, general_lsi_deficit,
                                      talagrand_deficit, w2)
 
@@ -107,7 +107,7 @@ class TestCriterion3PropertySuite:
 class TestCriterion4Talagrand:
     @pytest.mark.parametrize("beta", BETA_GRID)
     def test_zero_slack_at_gaussian(self, beta, grid):
-        r = talagrand_deficit(DensitySpec.gaussian(beta, grid), beta)
+        r = talagrand_deficit(gaussian_field(grid, beta), beta)
         assert r.asserted
         assert r.slack == pytest.approx(0, abs=1e-6)
 
@@ -116,7 +116,7 @@ class TestCriterion4Talagrand:
         betas = (0.5, 1.5, 2.0, 4.0)
         for i in range(50):
             beta = betas[i % len(betas)]
-            v = DensitySpec.from_field(make_talagrand_input(rng, beta, grid))
+            v = make_talagrand_input(rng, beta, grid)
             r = talagrand_deficit(v, beta)
             assert r.asserted, (beta, i)
             assert r.slack >= -1e-5, (beta, i, r.slack)
@@ -272,23 +272,22 @@ class TestCriterion8Applications:
 class TestCriterion9Transport:
     def test_w2_gaussian_oracle(self, grid):
         for beta in BETA_GRID:
-            got = w2(DensitySpec.gaussian(1.0, grid),
-                     DensitySpec.gaussian(beta, grid))
+            got = w2(gaussian_field(grid, 1.0),
+                     gaussian_field(grid, beta))
             assert got == pytest.approx(abs(1.0 - np.sqrt(beta)), abs=1e-6)
 
     def test_monge_ampere_residual(self, grid):
         rng = np.random.default_rng(600)
         for _ in range(5):
-            v = DensitySpec.from_field(make_talagrand_input(rng, 2.0, grid))
-            T = brenier_1d(v, DensitySpec.gaussian(1.0, grid))
+            v = make_talagrand_input(rng, 2.0, grid)
+            T = brenier_1d(v, gaussian_field(grid, 1.0))
             assert T.monge_ampere_residual() <= 1e-4
 
     def test_caffarelli_bound_on_certified_inputs(self, grid):
         rng = np.random.default_rng(601)
         for beta in (0.25, 0.5):
             for _ in range(5):
-                v = DensitySpec.from_field(
-                    make_logconcave_input(rng, beta, grid))
+                v = make_logconcave_input(rng, beta, grid)
                 slope = caffarelli_check(v, beta)
                 assert slope <= np.sqrt(beta) + 1e-4
 
@@ -304,8 +303,7 @@ class TestCriterion9Transport:
             beta = 2.0
             beta_v = beta * pot.L / pot.K * float(rng.uniform(1.0, 1.3))
             vals, _ = pot.density(beta_v)
-            r = general_lsi_deficit(DensitySpec(GridField(grid, vals)),
-                                    pot, beta)
+            r = general_lsi_deficit(GridField(grid, vals), pot, beta)
             assert r.asserted
             assert r.slack >= -1e-4
 

@@ -66,6 +66,18 @@ class TestRun:
         default = run(RunConfig(command="verify-hj", count=1)).reports[0]
         assert got.lhs != default.lhs
 
+    def test_matrix_suite_reads_gh_nodes(self, monkeypatch):
+        # no cap: --gh-nodes governs the matrix checks as every other suite
+        rules, check = [], cli.matrix_check
+
+        def recording(*args, rule=None, **kw):
+            rules.append(rule)
+            return check(*args, rule=rule, **kw)
+
+        monkeypatch.setattr(cli, "matrix_check", recording)
+        run(RunConfig(command="verify-matrix", gh_nodes=96, count=3))
+        assert [r.nodes.size for r in rules] == [96] * 3
+
     def test_lsi_suite_passes_with_extremiser(self):
         b = run(small("verify-lsi", beta=2.0))
         assert b.all_pass
@@ -336,6 +348,19 @@ class TestFlowTrace:
             flow_trace(small("flow-trace", p=0.5, q=-1.0))
 
 
+def _every_suite():
+    """(name, run) of every suite at beta 2 and 0.5 (count 3), and of
+    flow-trace."""
+    for beta in (2.0, 0.5):
+        for command in cli._SUITES:
+            if beta < 1 and command in ("verify-hj", "verify-dual-talagrand"):
+                continue  # both need beta > 1
+            config = RunConfig(command=command, beta=beta, count=3)
+            yield f"{command} beta={beta}", lambda c=config: run(c)
+    yield "flow-trace", lambda: flow_trace(RunConfig(command="flow-trace",
+                                                     count=3))
+
+
 class TestStencilCallers:
     def test_only_grid_data_reach_the_stencil(self, monkeypatch):
         # every input a suite builds carries its exact (log v)' and
@@ -368,12 +393,39 @@ class TestStencilCallers:
 
         monkeypatch.setattr(GridField, "dlog", recording_dlog)
         monkeypatch.setattr(inequalities, "_grad_sq_gauss", recording_grad_sq)
-        for beta in (2.0, 0.5):
-            for command in cli._SUITES:
-                if beta < 1 and command in ("verify-hj",
-                                            "verify-dual-talagrand"):
-                    continue  # both need beta > 1
-                run(RunConfig(command=command, beta=beta, count=3))
-        flow_trace(RunConfig(command="flow-trace", count=3))
+        for _, task in _every_suite():
+            task()
         assert set(callers) == {"vpp_margins"}
         assert quotients == []
+
+
+class TestInterpolatedReads:
+    def test_closure_built_inputs_are_read_exactly(self, monkeypatch):
+        # every input and every Hopf-Lax envelope a suite builds carries its
+        # exact closure, so no suite reads a values-only field between its
+        # nodes (GridField.__call__ or .log), and the only linear
+        # interpolation left is the inverse CDF of brenier_1d
+        interp, call, log = np.interp, GridField.__call__, GridField.log
+        current, reads, interps = [None], [], []
+
+        def recording_interp(*args, **kw):
+            caller = sys._getframe(1).f_code.co_name
+            if caller != "brenier_1d":
+                interps.append((current[0], caller))
+            return interp(*args, **kw)
+
+        def recording(method):
+            def read(field, x):
+                if field.analytic is None and field.analytic_log is None:
+                    reads.append((current[0], method.__name__,
+                                  sys._getframe(1).f_code.co_name))
+                return method(field, x)
+            return read
+
+        monkeypatch.setattr(np, "interp", recording_interp)
+        monkeypatch.setattr(GridField, "__call__", recording(call))
+        monkeypatch.setattr(GridField, "log", recording(log))
+        for current[0], task in _every_suite():
+            task()
+        assert reads == []
+        assert interps == []

@@ -3,20 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gauss_deficit.families import (field_from_family, gaussian_field,
-                                    symmetric_mixture)
+from gauss_deficit.families import (LogQuad, field_from_family,
+                                    gaussian_field, symmetric_mixture)
 from gauss_deficit.functionals import entropy_fisher
 from gauss_deficit.inequalities import make_talagrand_input, matrix_check
 from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
                                     default_grid)
-from gauss_deficit.transport import (DensitySpec, PotentialSpec, brenier_1d,
+from gauss_deficit.transport import (PotentialSpec, brenier_1d,
                                      caffarelli_check, general_lsi_deficit,
                                      relative_entropy_gauss,
                                      talagrand_deficit, w2)
 
 
 def gauss_spec(beta, grid, mean=0.0):
-    return DensitySpec.gaussian(beta, grid, mean)
+    return gaussian_field(grid, beta, mean)
 
 
 class TestBrenier:
@@ -32,24 +32,75 @@ class TestBrenier:
         assert T.monge_ampere_residual() < 1e-10
 
     def test_monge_ampere_residual_mixture(self, grid):
-        mu = DensitySpec.from_family(symmetric_mixture(1.5, 1.0), grid)
+        mu = field_from_family(grid, symmetric_mixture(1.5, 1.0))
         T = brenier_1d(mu, gauss_spec(1.0, grid))
-        assert T.monge_ampere_residual() <= 1e-4 * np.max(mu.field.values)
+        assert T.monge_ampere_residual() <= 1e-4 * np.max(mu.values)
 
     def test_pushforward_moments(self, grid):
         # int h(T(x)) dmu = int h dnu for h in {x, x^2, |x|}
         mu = gauss_spec(1.0, grid)
-        nu = DensitySpec.from_family(symmetric_mixture(1.0, 1.0), grid)
+        nu = field_from_family(grid, symmetric_mixture(1.0, 1.0))
         T = brenier_1d(mu, nu)
         x = grid.points
         h = grid.spacing
         for fn, expect in ((lambda t: t, 0.0),
                            (lambda t: t * t, 2.0),  # 1 + a^2
                            (np.abs, None)):
-            got = np.trapezoid(fn(T.map_values) * mu.field.values, dx=h)
+            got = np.trapezoid(fn(T.map_values) * mu.values, dx=h)
             want = (expect if expect is not None else
-                    np.trapezoid(fn(x) * nu.field.values, dx=h))
+                    np.trapezoid(fn(x) * nu.values, dx=h))
             assert got == pytest.approx(want, abs=1e-5)
+
+
+def _off_mass(grid):
+    """gamma_2 with its mass off by 2e-6."""
+    vals = gaussian_field(grid, 2.0).values * (1.0 + 2e-6)
+    return GridField(grid, vals)
+
+
+def _negative(grid):
+    """gamma_2 with one node below 0 and its mass kept at 1."""
+    vals = gaussian_field(grid, 2.0).values.copy()
+    vals[grid.n // 2] = -1e-9
+    vals /= np.trapezoid(vals, dx=grid.spacing)
+    return GridField(grid, vals)
+
+
+class TestDensityChecks:
+    """Every public transport entry refuses a field that is not a
+    probability density on its grid."""
+
+    @pytest.mark.parametrize("make", [_off_mass, _negative])
+    def test_refused(self, grid, make):
+        bad = make(grid)
+        x = grid.points
+        V = GridField(grid, 0.5 * x * x)
+        pot = PotentialSpec(V, K=1.0, L=1.0)
+        for call in (lambda: talagrand_deficit(bad, 2.0),
+                     lambda: w2(gauss_spec(1.0, grid), bad),
+                     lambda: w2(bad, gauss_spec(1.0, grid)),
+                     lambda: general_lsi_deficit(bad, pot, 2.0)):
+            with pytest.raises(ParameterError,
+                               match="normalized|nonnegative"):
+                call()
+
+
+class WavyCDF(LogQuad):
+    """A LogQuad whose CDF carries a ripple, so that it is not monotone."""
+
+    def mass_and_cdf(self):
+        mass, cdf = super().mass_and_cdf()
+        return mass, lambda x: cdf(x) + 1e-3 * np.sin(8.0 * np.asarray(x))
+
+
+class TestBrenierMonotonicity:
+    def test_non_monotone_map_raises(self, grid):
+        q = LogQuad.gaussian(1.0)
+        wavy = GridField.from_callable(grid, log_fn=q.log_at, dlog_fn=q.dlog,
+                                       d2log_fn=q.d2log,
+                                       tag=WavyCDF(q.a, q.b, q.c))
+        with pytest.raises(ParameterError, match="non-monotone"):
+            brenier_1d(wavy, gauss_spec(2.0, grid))
 
 
 class TestW2:
@@ -65,7 +116,7 @@ class TestW2:
 
     def test_triangle_inequality(self, grid):
         a = gauss_spec(1.0, grid)
-        b = DensitySpec.from_family(symmetric_mixture(1.0, 1.0), grid)
+        b = field_from_family(grid, symmetric_mixture(1.0, 1.0))
         c = gauss_spec(2.0, grid, mean=0.5)
         assert w2(a, c) <= w2(a, b) + w2(b, c) + 1e-6
 
@@ -75,15 +126,15 @@ class TestW2:
         for _ in range(5):
             a = float(rng.uniform(0.0, 2.0))
             var = float(rng.uniform(0.5, 1.5))
-            v = DensitySpec.from_family(symmetric_mixture(a, var), grid)
+            v = field_from_family(grid, symmetric_mixture(a, var))
             cost = 0.5 * w2(gauss_spec(1.0, grid), v) ** 2
             rel = GridField.from_callable(
                 grid,
-                lambda x: v.field(x) / np.exp(-0.5 * x * x)
+                lambda x: v(x) / np.exp(-0.5 * x * x)
                 * np.sqrt(2 * np.pi),
-                log_fn=lambda x: v.field.log(x) + 0.5 * x * x
+                log_fn=lambda x: v.log(x) + 0.5 * x * x
                 + 0.5 * np.log(2 * np.pi),
-                dlog_fn=lambda x: v.field.dlog(x) + x)
+                dlog_fn=lambda x: v.dlog(x) + x)
             ent = entropy_fisher(rel).entropy
             assert cost <= ent + 1e-5
 
@@ -106,14 +157,19 @@ class TestTalagrandDeficit:
         assert r.slack == pytest.approx(0, abs=1e-6)
 
     def test_centering_invariance(self, grid):
-        # a shifted gamma_beta still attains equality (mean is removed)
+        # a shifted gamma_beta still attains equality (the deficit does not
+        # see the mean), and reports gamma_beta's centred W2^2 and entropy
         r = talagrand_deficit(gauss_spec(2.0, grid, mean=0.8), 2.0)
         assert r.slack == pytest.approx(0, abs=1e-6)
+        r0 = talagrand_deficit(gauss_spec(2.0, grid), 2.0)
+        for key in ("w2_sq", "entropy"):
+            assert r.params[key] == pytest.approx(r0.params[key], abs=1e-10)
+        assert r.params["centering_shift"] == pytest.approx(0.8, abs=1e-12)
 
     def test_admissible_inputs_positive_slack(self, grid):
         rng = np.random.default_rng(11)
         for _ in range(3):
-            v = DensitySpec.from_field(make_talagrand_input(rng, 2.0, grid))
+            v = make_talagrand_input(rng, 2.0, grid)
             r = talagrand_deficit(v, 2.0)
             assert r.asserted and r.slack >= -1e-5
 
@@ -123,7 +179,7 @@ class TestTalagrandDeficit:
         assert r.sharp_constant < r.params["mikulincer_bound"]
 
     def test_non_log_concave_input_not_asserted(self, grid):
-        v = DensitySpec.from_family(symmetric_mixture(2.0, 1.0), grid)
+        v = field_from_family(grid, symmetric_mixture(2.0, 1.0))
         r = talagrand_deficit(v, 5.0)
         assert not r.asserted
 
@@ -137,7 +193,7 @@ class TestCaffarelli:
             assert got == pytest.approx(np.sqrt(beta), abs=1e-5)
 
     def test_rejects_non_log_concave_target(self, grid):
-        v = DensitySpec.from_family(symmetric_mixture(2.0, 1.0), grid)
+        v = field_from_family(grid, symmetric_mixture(2.0, 1.0))
         with pytest.raises(ParameterError):
             caffarelli_check(v, 5.0)
 
@@ -174,7 +230,7 @@ class TestGeneralLSI:
     def test_equality_at_reference_quadratic(self, grid):
         pot = self._potential(grid)
         vals, _ = pot.density(2.0)
-        r = general_lsi_deficit(DensitySpec(GridField(grid, vals)), pot, 2.0)
+        r = general_lsi_deficit(GridField(grid, vals), pot, 2.0)
         assert r.asserted
         assert r.slack == pytest.approx(0, abs=1e-9)
 
@@ -183,7 +239,7 @@ class TestGeneralLSI:
         beta = 2.0
         beta_v = beta * pot.L / pot.K * 1.1
         vals, _ = pot.density(beta_v)
-        r = general_lsi_deficit(DensitySpec(GridField(grid, vals)), pot, beta)
+        r = general_lsi_deficit(GridField(grid, vals), pot, beta)
         assert r.asserted
         assert r.slack >= -1e-4
 
@@ -192,11 +248,11 @@ class TestGeneralLSI:
         x = grid.points
         raw = np.exp(-0.3 * (x - 0.5) ** 2)
         raw /= np.trapezoid(raw, dx=grid.spacing)
-        r = general_lsi_deficit(DensitySpec(GridField(grid, raw)), pot, 2.0)
+        r = general_lsi_deficit(GridField(grid, raw), pot, 2.0)
         assert not r.asserted
 
     def test_requires_beta_above_one(self, grid):
         pot = self._potential(grid)
         vals, _ = pot.density(1.0)
         with pytest.raises(ParameterError):
-            general_lsi_deficit(DensitySpec(GridField(grid, vals)), pot, 0.9)
+            general_lsi_deficit(GridField(grid, vals), pot, 0.9)
