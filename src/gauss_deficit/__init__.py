@@ -14,11 +14,11 @@ from .numerics import (Grid1D, GridField, QuadratureRule, default_grid,
                        PositivityError, TruncationError)
 from .families import (LogQuad, field_from_family, gaussian_field,
                        gaussian_ratio_field, symmetric_mixture)
-from .semigroups import (BetaS, ExponentTriple, InadmissibleExponentError,
+from .semigroups import (ExponentTriple, InadmissibleExponentError,
                          IntegrabilityError, beta_s, nelson_time, ou_apply)
-from .flows import (T_STAR, ConvexityCertificate, FPParams, MeasureSpec,
-                    certify, certify_matrix, covariance, fp_class_member,
-                    fp_evolve, preservation_trace)
+from .flows import (T_STAR, ConvexityCertificate, MeasureSpec, certify,
+                    certify_matrix, covariance, fp_class_member, fp_evolve,
+                    preservation_trace)
 from .functionals import (EntFisher, SharpConstant, entropy_fisher,
                           q_functional, sharp_constant)
 from .reports import DeficitReport, HypothesisCheck

@@ -4,12 +4,14 @@ machine-readable reports.
 
 Every subcommand builds a list of check items, runs them in index order on
 the calling thread and assembles a :class:`ReportBundle`; the random input
-of item i depends only on (seed, i).  Output is JSON (the full bundle) or
-CSV (flat per-check rows), chosen by ``--format`` or the output file
-extension.  Exit status: 0 when every asserted check passes, 1 when a check
-fails (the report is still written), 2 on usage errors and on the package's
-own errors (a parameter, integrand, positivity or truncation failure), which
-leave no report.
+of item i depends only on (seed, i).  Each :class:`RunConfig` field is a
+flag of every subcommand (``--grid-n`` for ``grid_n``) and a config-file
+key, read as the type of its default; a flag beats the file.  Output is
+JSON (the full bundle) or CSV (flat per-check rows), chosen by ``--format``
+or the output file extension.  Exit status: 0 when every asserted check
+passes, 1 when a check fails (the report is still written), 2 on usage
+errors and on the package's own errors (a parameter, integrand, positivity
+or truncation failure), which leave no report.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .numerics import (EvaluationError, Grid1D, GridField, ParameterError,
 from .families import (LogQuad, field_from_family, gaussian_field,
                        symmetric_mixture)
 from .semigroups import ExponentTriple
-from .flows import FPParams, certify, fp_evolve
+from .flows import certify, fp_evolve
 from .functionals import (_check_ratio_bounded, log_hc_norm, sharp_constant,
                           tilt)
 from .reports import DeficitReport, HypothesisCheck
@@ -120,24 +122,23 @@ class RunConfig:
         if config_path:
             values.update(_read_config_file(config_path))
         values.update({k: v for k, v in overrides.items() if v is not None})
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(values) - (known - {"command"})
+        unknown = set(values) - set(_casts())
         if unknown:
             raise ParameterError(
                 f"unknown config keys: {', '.join(sorted(unknown))}")
         return RunConfig(command=command, **values)
 
 
-_CONFIG_TYPES = None
+def _casts() -> dict:
+    """Each RunConfig parameter and the type its text is read as: its
+    default's, str for the options without one."""
+    return {f.name: str if f.default is None else type(f.default)
+            for f in fields(RunConfig) if f.name != "command"}
 
 
 def _read_config_file(path: str) -> dict:
     """Flat ``key=value`` lines; '#' comments and blank lines ignored."""
-    global _CONFIG_TYPES
-    if _CONFIG_TYPES is None:
-        _CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
-    casts = {"count": int, "seed": int, "grid_n": int, "gh_nodes": int,
-             "out": str, "format": str}
+    casts = _casts()
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -151,9 +152,9 @@ def _read_config_file(path: str) -> dict:
             key, val = key.strip(), val.strip()
             if key == "command":
                 raise ParameterError("command is not a config-file key")
-            if key not in _CONFIG_TYPES:
+            if key not in casts:
                 raise ParameterError(f"unknown config keys: {key}")
-            values[key] = casts.get(key, float)(val)
+            values[key] = casts[key](val)
     return values
 
 
@@ -479,7 +480,7 @@ def run(config: RunConfig) -> ReportBundle:
     return ReportBundle(config.to_dict(), results, summary, timing_ms)
 
 
-def flow_trace(config: RunConfig, n_times: int = 8):
+def flow_trace(config: RunConfig):
     """Q(t) along the beta-flow of an FP(beta) input, beta >= 1: rows (t, Q,
     convexity certificate margin, mass) plus a monotonicity verdict, for
     1 < p < q or q < p < 0 (Q non-decreasing in both).  Each snapshot v_t
@@ -495,10 +496,10 @@ def flow_trace(config: RunConfig, n_times: int = 8):
     triple = ExponentTriple.from_pq(config.p, config.q)
     _check_ratio_bounded(v0, config.beta)
     expect = "non-decreasing"
-    times = np.geomspace(1e-3, 1.0, n_times)
+    times = np.geomspace(1e-3, 1.0, 8)
     rows = []
     for t in times:
-        vt = fp_evolve(v0, FPParams(config.beta, float(t)))
+        vt = fp_evolve(v0, config.beta, float(t))
         qt = float(np.exp(triple.q * log_hc_norm(vt, triple.p, triple.q,
                                                  triple.s, rule)))
         cert = certify(vt, "convex", config.beta)
@@ -532,21 +533,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--p", type=float, default=None)
-        p.add_argument("--q", type=float, default=None)
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--a", type=float, default=None)
-        p.add_argument("--count", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--grid-lo", type=float, default=None, dest="grid_lo")
-        p.add_argument("--grid-hi", type=float, default=None, dest="grid_hi")
-        p.add_argument("--grid-n", type=int, default=None, dest="grid_n")
-        p.add_argument("--gh-nodes", type=int, default=None, dest="gh_nodes")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", type=str, default=None,
-                       choices=("json", "csv"))
+        for key, cast in _casts().items():
+            p.add_argument("--" + key.replace("_", "-"), type=cast,
+                           default=None, dest=key)
         p.add_argument("--config", type=str, default=None)
     return parser
 

@@ -101,10 +101,9 @@ class LogQuad:
                        -mean**2 / (2.0 * beta) - 0.5 * np.log(2 * np.pi * beta))
 
     @staticmethod
-    def gaussian_ratio(beta: float, power: float = 1.0) -> "LogQuad":
-        """(gamma_beta / gamma)^power."""
-        return (LogQuad.gaussian(beta) * LogQuad.gaussian(1.0) ** -1.0
-                ) ** power
+    def gaussian_ratio(beta: float) -> "LogQuad":
+        """gamma_beta / gamma; its powers are ``** power``."""
+        return LogQuad.gaussian(beta) * LogQuad.gaussian(1.0) ** -1.0
 
     # -- pointwise --------------------------------------------------------
 

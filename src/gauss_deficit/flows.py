@@ -8,25 +8,26 @@ exact solution
     v_t(x) = (2 pi w)^{-n/2} int exp(-|x - e^{-t} y|^2 / (2 w)) dmu(y),
     w = beta (1 - e^{-2t}),
 
-which we always evaluate in one shot, never by time-stepping: every v_t is
-a Gaussian mixture, one LogQuad with a component per atom, and tagged
-densities take the closed form of their tag.  An untagged grid density is
-integrated by the trapezoid rule on its node lattice.  With a log closure
-the lattice is padded past the grid, wide enough that the outermost atoms
-carry posterior weight below 2^-53 at every node read, so v_t is the flow
-of the whole density and not of its cut-off; a values-only density flows
-its nodes alone.  The kernel is smooth, so the rule converges exponentially
-and the source is subsampled on nested strided levels, halved until two
-levels agree in log v_t and (log v_t)''; each level adds the atoms between
-the previous level's to it, so every atom is evaluated once.  FP(beta) is
-the set of time-(1/2)log 2 snapshots of the 2 beta-flow started from a
-finite measure; its members are automatically beta-semi-log-convex.
+which we always evaluate in one shot, never by time-stepping: mu is a
+GridField density, flowing on its own grid, or a finite MeasureSpec; every
+v_t is a Gaussian mixture, one LogQuad with a component per atom, and
+tagged densities take the closed form of their tag.  An untagged grid
+density is integrated by the trapezoid rule on its node lattice.  With a
+log closure the lattice is padded past the grid, wide enough that the
+outermost atoms carry posterior weight below 2^-53 at every node read, so
+v_t is the flow of the whole density and not of its cut-off; a values-only
+density flows its nodes alone.  The kernel is smooth, so the rule converges
+exponentially and the source is subsampled on nested strided levels, halved
+until two levels agree in log v_t and (log v_t)''; each level adds the
+atoms between the previous level's to it, so every atom is evaluated once.
+FP(beta) is the set of time-(1/2)log 2 snapshots of the 2 beta-flow started
+from a finite measure; its members are automatically beta-semi-log-convex.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -46,49 +47,20 @@ _LOG2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
-class FPParams:
-    beta: float
-    t: float
+class MeasureSpec:
+    """A finite discrete measure: atoms at ``points`` with ``weights``."""
+
+    points: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ParameterError("diffusion speed beta must be positive")
-        if not np.isfinite(self.t) or self.t < 0:
-            raise ParameterError("flow time must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
-class MeasureSpec:
-    kind: str  # "dirac" | "discrete" | "density"
-    points: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
-    density: Optional[GridField] = None
-
-    @staticmethod
-    def dirac(point: float) -> "MeasureSpec":
-        return MeasureSpec("dirac", points=np.array([float(point)]),
-                           weights=np.array([1.0]))
-
-    @staticmethod
-    def discrete(points: Sequence[float],
-                 weights: Sequence[float]) -> "MeasureSpec":
-        p = np.asarray(points, float)
-        w = np.asarray(weights, float)
+        p, w = (np.asarray(a, float) for a in (self.points, self.weights))
         if p.shape != w.shape or p.ndim != 1:
             raise ParameterError("points/weights must be matching 1-D arrays")
         if np.any(w < 0) or not np.isfinite(w.sum()):
             raise ParameterError("weights must be nonnegative with finite mass")
-        return MeasureSpec("discrete", points=p, weights=w)
-
-    @staticmethod
-    def from_density(field: GridField) -> "MeasureSpec":
-        return MeasureSpec("density", density=field)
-
-    @property
-    def mass(self) -> float:
-        if self.kind == "density":
-            return self.density.grid_mass
-        return float(self.weights.sum())
+        object.__setattr__(self, "points", p)
+        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -301,26 +273,27 @@ def _merge_odd(lev, odd_pass):
     return float(gap)
 
 
-def _fp_family(v0: MeasureSpec, beta: float, t: float, x):
-    """v_t as one LogQuad with a component per atom of the source.
+def _fp_family(v0, beta: float, t: float, x):
+    """v_t as one LogQuad with a component per atom of the source, a
+    MeasureSpec or a GridField density.
 
     A tagged density flows its tag, with the tag's exact mass, and an
     untagged one goes through _grid_density_family, reading v_t at the
-    nodes x.  Returns (family, mass of the source that flowed, (log v_t,
-    (log v_t)'') at x or None when the family was not evaluated there).
+    nodes x.  Returns (family, mass of the density that flowed or None for
+    a measure, (log v_t, (log v_t)'') at x or None when the family was not
+    evaluated there).
     """
     if beta * (1.0 - np.exp(-2.0 * t)) < 1e-10:
         raise ParameterError("flow time too small: kernel variance below 1e-10")
-    if v0.kind != "density":
+    if isinstance(v0, MeasureSpec):
         with np.errstate(divide="ignore"):
             logw = np.log(v0.weights)
-        return _atoms_family(v0.points, logw, beta, t), v0.mass, None
-    src = v0.density
-    if isinstance(src.tag, LogQuad):
-        return src.tag.fp(beta, t), src.tag.integral_lebesgue(), None
-    if np.any(src.values < 0):
+        return _atoms_family(v0.points, logw, beta, t), None, None
+    if isinstance(v0.tag, LogQuad):
+        return v0.tag.fp(beta, t), v0.tag.integral_lebesgue(), None
+    if np.any(v0.values < 0):
         raise PositivityError("a density must be nonnegative")
-    return _grid_density_family(src, beta, t, x)
+    return _grid_density_family(v0, beta, t, x)
 
 
 def _check_mass(mass0: float, mass_t: float):
@@ -329,34 +302,34 @@ def _check_mass(mass0: float, mass_t: float):
             f"mass drift {mass_t - mass0:.3e} along the flow; widen the grid")
 
 
-def fp_evolve(v0, params: FPParams, grid: Optional[Grid1D] = None) -> GridField:
-    """One-shot kernel evaluation of the beta-Fokker-Planck flow at time t."""
-    if isinstance(v0, GridField):
-        v0 = MeasureSpec.from_density(v0)
-    beta, t = params.beta, params.t
-    if v0.kind == "density" and grid is None:
-        grid = v0.density.grid
-    if grid is None:
-        grid = default_grid()
-
-    if t == 0.0:
-        if v0.kind != "density":
-            raise ParameterError("t = 0 requires a density initial condition")
-        return v0.density
+def fp_evolve(v0, beta: float, t: float,
+              grid: Optional[Grid1D] = None) -> GridField:
+    """One-shot kernel evaluation of the beta-Fokker-Planck flow at time t
+    of a GridField density, on its own grid and keeping its mass, or of a
+    MeasureSpec, placed on ``grid`` (default_grid when left out)."""
+    if beta <= 0:
+        raise ParameterError("diffusion speed beta must be positive")
+    if not np.isfinite(t) or t < 0:
+        raise ParameterError("flow time must be finite and nonnegative")
+    measure = isinstance(v0, MeasureSpec)
+    if not measure and grid is not None:
+        raise ParameterError("a density flows on its own grid; pass no grid")
+    if t == 0.0 and not measure:
+        return v0
+    grid = grid or (default_grid() if measure else v0.grid)
     # the levels of an untagged density already hold v_t at the nodes
     family, mass0, at_x = _fp_family(v0, beta, t, grid.points)
     out = field_from_family(grid, family, at_x)
-    if v0.kind == "density":
+    if not measure:
         _check_mass(mass0, out.grid_mass)
     return out
 
 
-def fp_class_member(mu: MeasureSpec, beta: float,
+def fp_class_member(mu, beta: float,
                     grid: Optional[Grid1D] = None) -> GridField:
-    """Snapshot of the 2 beta-flow at t* = (1/2) log 2: a member of FP(beta)."""
-    if beta <= 0:
-        raise ParameterError("beta must be positive")
-    return fp_evolve(mu, FPParams(2.0 * beta, T_STAR), grid=grid)
+    """Snapshot of the 2 beta-flow of mu at t* = (1/2) log 2, mu and grid as
+    fp_evolve takes them: a member of FP(beta)."""
+    return fp_evolve(mu, 2.0 * beta, T_STAR, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +388,8 @@ def certify_log_concave(*factors: GridField) -> ConvexityCertificate:
                key=lambda cert: cert.margin)
 
 
-def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray, side: str,
-                   tol: float = 1e-4) -> ConvexityCertificate:
+def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray,
+                   side: str) -> ConvexityCertificate:
     """Certificate grad^2 log v >= -B^{-1} (side='convex') or <= -B^{-1}
     for the product density v = v1 (x) v2 on R^2 and an SPD 2 x 2 matrix B.
 
@@ -424,7 +397,8 @@ def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray, side: str,
     negation) over pairs of interior points.  grad^2 log v(x1, x2) is
     diag(h1(x1), h2(x2)) with h_i = (log v_i)'', and every eigenvalue of
     diag(h1, h2) + B^{-1} is nondecreasing in h1 and h2, so the worst pair
-    takes each factor's smallest (convex) or largest (concave) h_i.
+    takes each factor's smallest (convex) or largest (concave) h_i.  The
+    certificate passes at margin >= -1e-4.
     """
     if side not in ("convex", "concave"):
         raise ParameterError("side must be 'convex' or 'concave'")
@@ -436,7 +410,7 @@ def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray, side: str,
     eigs = np.linalg.eigvalsh(np.diag(h) + np.linalg.inv(B))
     margin = eigs[0] if side == "convex" else -eigs[-1]
     return ConvexityCertificate(side, float(np.max(np.linalg.eigvalsh(B))),
-                                float(margin), tol)
+                                float(margin), 1e-4)
 
 
 def preservation_trace(v0: GridField, beta: float, kind: str,
@@ -450,14 +424,14 @@ def preservation_trace(v0: GridField, beta: float, kind: str,
     margins = []
     universal = []
     for t in times:
-        params = FPParams(beta, float(t))
+        t = float(t)
         # fp_evolve's one pass gives the mass check and both margins
-        vt = fp_evolve(v0, params)
+        vt = fp_evolve(v0, beta, t)
         margins.append(certify(vt, kind, beta).margin)
-        if params.t == 0.0:
+        if t == 0.0:
             universal.append(np.nan)
             continue
-        bound = 1.0 / ((1.0 - np.exp(-2.0 * params.t)) * beta)
+        bound = 1.0 / ((1.0 - np.exp(-2.0 * t)) * beta)
         universal.append(float(np.min(vt.grid_d2log() + bound)))
     return np.asarray(margins), np.asarray(universal)
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .families import LogQuad, field_from_family
-from .flows import FPParams, fp_evolve
+from .flows import fp_evolve
 from .numerics import (DEFAULT_GH_NODES, EvaluationError, Grid1D, GridField,
                        ParameterError, PositivityError, QuadratureRule,
                        gauss_hermite_rule, interior_peak, logsumexp)
@@ -100,10 +100,10 @@ def _log_lp(lv, r: float, logw) -> float:
 
 def _hc_ratio(beta: float, triple: ExponentTriple, n: int) -> float:
     bs = beta_s(beta, triple)
-    if bs.value <= 0:
+    if bs <= 0:
         raise ParameterError("beta_s <= 0: deficit constant undefined")
     return float(beta ** (n / (2 * triple.p_conj))
-                 * bs.value ** (-n / (2 * triple.q_conj)))
+                 * bs ** (-n / (2 * triple.q_conj)))
 
 
 def _dn(beta: float, n: int) -> float:
@@ -296,6 +296,6 @@ def q_functional(v0: GridField, beta: float, triple: ExponentTriple,
                  t: float, rule: Optional[QuadratureRule] = None) -> float:
     """Q(t) = int gamma P_s[(v_t/gamma)^{1/p}]^q dx along the beta-flow."""
     _check_ratio_bounded(v0, beta)
-    vt = v0 if t == 0 else fp_evolve(v0, FPParams(beta, t))
+    vt = fp_evolve(v0, beta, t)
     return float(np.exp(triple.q * log_hc_norm(vt, triple.p, triple.q,
                                                triple.s, rule)))

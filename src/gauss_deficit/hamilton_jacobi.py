@@ -5,10 +5,11 @@ hypercontractivity and the dual Talagrand inequality.
 The Hopf-Lax minimum over the M sampled candidates is read off the lower
 envelope of parabolas in O(M + N log M) (Felzenszwalb & Huttenlocher,
 Distance Transforms of Sampled Functions, Theory of Computing 8, 2012);
-beyond the grid the initial datum is extended by its linear lower bound
--C(1+|y|) so that no spurious boundary minimum appears.  The envelope is
-the exact closure of the field hopf_lax returns, and the checks read Q_tau f
-and the datum through their closures at the quadrature nodes.
+beyond the grid the initial datum is continued by its exact closure (data
+known only at the nodes by a Lipschitz line), never below its linear lower
+bound -C(1+|y|), so that no spurious boundary minimum appears.  The
+envelope is the exact closure of the field hopf_lax returns, and the checks
+read Q_tau f and the datum through their closures at the quadrature nodes.
 """
 from __future__ import annotations
 
@@ -48,32 +49,30 @@ class HJField:
                 f"f(x) >= -C(1+|x|) fails on the grid by {np.min(gap):.3e}")
 
     @staticmethod
-    def from_field(f: GridField, lower_linear_bound: float = None,
-                   laplacian: Callable = None) -> "HJField":
-        x = f.grid.points
+    def from_field(f: GridField, laplacian: Callable = None) -> "HJField":
+        """f with its Lipschitz estimate and bound C read off its values."""
         lip = float(np.max(np.abs(np.gradient(f.values, f.grid.spacing,
                                               edge_order=2))))
-        if lower_linear_bound is None:
-            lower_linear_bound = max(0.0, float(
-                np.max(-f.values / (1.0 + np.abs(x)))))
-        return HJField(f, lip, lower_linear_bound, laplacian)
+        C = max(0.0, float(np.max(-f.values / (1.0 + np.abs(f.grid.points)))))
+        return HJField(f, lip, C, laplacian)
 
     def extended(self, y: np.ndarray) -> np.ndarray:
-        """f inside the grid; outside, the best available linear minorant.
-
-        Beyond the grid we take the larger of the certified bound -C(1+|y|)
-        and the Lipschitz continuation f(edge) - L |y - edge|, so the
+        """f inside the grid; outside, the larger of the certified bound
+        -C(1+|y|) and f's exact closure or, for data known only at the
+        nodes, the Lipschitz continuation f(edge) - L |y - edge|: the
         truncated infimum neither misses exterior minima nor invents
-        spurious ones from an overly slack bound.
-        """
+        spurious ones from an overly slack bound."""
         y = np.asarray(y, float)
         g = self.f.grid
         inside = (y >= g.lo) & (y <= g.hi)
-        dist = np.maximum(np.maximum(g.lo - y, y - g.hi), 0.0)
-        edge = np.where(y < g.lo, self.f.values[0], self.f.values[-1])
-        out = np.maximum(-self.lower_linear_bound * (1.0 + np.abs(y)),
-                         edge - self.lipschitz_estimate * dist)
-        vals = np.asarray(self.f(np.clip(y, g.lo, g.hi)), float)
+        if self.f.analytic is not None or self.f.analytic_log is not None:
+            vals = beyond = np.asarray(self.f(y), float)
+        else:
+            vals = np.asarray(self.f(np.clip(y, g.lo, g.hi)), float)
+            dist = np.maximum(np.maximum(g.lo - y, y - g.hi), 0.0)
+            edge = np.where(y < g.lo, self.f.values[0], self.f.values[-1])
+            beyond = edge - self.lipschitz_estimate * dist
+        out = np.maximum(-self.lower_linear_bound * (1.0 + np.abs(y)), beyond)
         return np.where(inside, vals, out)
 
 
@@ -104,16 +103,21 @@ def hopf_lax(f: HJField, tau: float) -> GridField:
     # Legendre form: the minimiser maximises the line x y - b(y), with
     # b = tau f(y) + y^2/2; one stack pass over ys keeps the upper envelope of
     # these lines (the lower convex hull of the points (y, b))
-    yl, bl = ys.tolist(), (tau * fy + 0.5 * ys * ys).tolist()
-    hull, slopes = [0], [-np.inf]
-    for k in range(1, len(yl)):
-        while ((s := (bl[k] - bl[hull[-1]]) / (yl[k] - yl[hull[-1]]))
-               <= slopes[-1]):
-            hull.pop()
-            slopes.pop()
-        hull.append(k)
-        slopes.append(s)
-    hull, breaks = np.asarray(hull), np.asarray(slopes[1:])
+    b = tau * fy + 0.5 * ys * ys
+    breaks = np.diff(b) / np.diff(ys)
+    if np.all(breaks[1:] > breaks[:-1]):  # rising chords: the pass pops none
+        hull = np.arange(ys.size)
+    else:
+        yl, bl = ys.tolist(), b.tolist()
+        hull, slopes = [0], [-np.inf]
+        for k in range(1, len(yl)):
+            while ((s := (bl[k] - bl[hull[-1]]) / (yl[k] - yl[hull[-1]]))
+                   <= slopes[-1]):
+                hull.pop()
+                slopes.pop()
+            hull.append(k)
+            slopes.append(s)
+        hull, breaks = np.asarray(hull), np.asarray(slopes[1:])
 
     def envelope(x):
         x = np.asarray(x, float)

@@ -360,8 +360,7 @@ def _bl_case(c1: float, c2: float) -> str:
 
 
 def brascamp_lieb_check(f1: GridField, f2: GridField,
-                        triple: ExponentTriple, beta: float,
-                        direction: str = None) -> DeficitReport:
+                        triple: ExponentTriple, beta: float) -> DeficitReport:
     """Dual-form sharpened Brascamp-Lieb inequality on R^2.
 
     With c1 = 1/p, c2 = 1/q' and the Gaussian kernel matrix Q built from s,
@@ -380,11 +379,6 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
             f"scaling condition violated by {scaling:.2e}")
     case = _bl_case(c1, c2)
     expected_dir = "le" if case == "forward" else "ge"
-    if direction is not None:
-        want = "le" if direction == "forward" else "ge"
-        if want != expected_dir:
-            raise ParameterError(
-                f"direction {direction!r} inconsistent with (c1, c2) case")
 
     hyps = []
     if case in ("forward", "reverse-mixed"):
@@ -504,16 +498,15 @@ def log_ptf_bilinear(t: float):
     return log_fn
 
 
-def counterexample_superharmonic(t: float,
-                                 grid: Grid1D = None) -> SuperharmonicTrace:
+def counterexample_superharmonic(t: float) -> SuperharmonicTrace:
     """f = e^{x1 x2} has Delta log f = 0, yet Delta log P_t f > 0 for t > 0.
 
-    The Laplacian is sampled on the square mesh with ``grid`` on each axis
-    (default [-8, 8], 257 points).
+    The Laplacian is sampled on the square mesh of [-8, 8]^2, 257 points a
+    side.
     """
     if t <= 0:
         raise ParameterError("t must be positive")
-    grid = grid or Grid1D(-8.0, 8.0, 257)
+    grid = Grid1D(-8.0, 8.0, 257)
     e2 = float(np.exp(-2.0 * t))
     sig2 = 1.0 - e2
     exact = 2.0 * sig2 * e2 / (1.0 - sig2 * sig2)
@@ -537,8 +530,7 @@ def make_fp_input(rng: np.random.Generator, beta: float,
     k = int(rng.integers(1, 9))
     points = rng.uniform(-3.0, 3.0, size=k)
     weights = rng.dirichlet(np.ones(k))
-    return fp_class_member(MeasureSpec.discrete(points, weights), beta,
-                           grid=grid or default_grid())
+    return fp_class_member(MeasureSpec(points, weights), beta, grid=grid)
 
 
 def _bumped_gaussian(core: LogQuad, eps: float, m: float,

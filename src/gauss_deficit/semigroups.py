@@ -82,23 +82,12 @@ class ExponentTriple:
         return self.q / (self.q - 1.0)
 
 
-@dataclass(frozen=True)
-class BetaS:
-    beta: float
-    triple: ExponentTriple
-    value: float
-
-    @property
-    def positive(self) -> bool:
-        return self.value > 0
-
-
-def beta_s(beta: float, triple: ExponentTriple) -> BetaS:
-    """beta_s = 1 + (beta - 1) (q/p) e^{-2s}; flagged when non-positive."""
+def beta_s(beta: float, triple: ExponentTriple) -> float:
+    """beta_s = 1 + (beta - 1) (q/p) e^{-2s}, which may be non-positive."""
     if beta <= 0:
         raise ParameterError("beta must be positive")
-    value = 1.0 + (beta - 1.0) * (triple.q / triple.p) * np.exp(-2 * triple.s)
-    return BetaS(beta, triple, float(value))
+    return float(1.0 + (beta - 1.0) * (triple.q / triple.p)
+                 * np.exp(-2 * triple.s))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,8 @@ import pytest
 
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, gaussian_ratio_field)
-from gauss_deficit.flows import (FPParams, MeasureSpec, certify,
-                                 fp_class_member, fp_evolve,
-                                 preservation_trace)
+from gauss_deficit.flows import (MeasureSpec, certify, fp_class_member,
+                                 fp_evolve, preservation_trace)
 from gauss_deficit.functionals import (entropy_fisher, q_functional,
                                        sharp_constant)
 from gauss_deficit.hamilton_jacobi import (HJField, beta_of_a,
@@ -172,9 +171,9 @@ class TestCriterion6Preservation:
         beta = 2.0
         for i in range(5):
             pts = rng.uniform(-3, 3, 4)
-            mu = MeasureSpec.discrete(pts, np.full(4, 0.25))
+            mu = MeasureSpec(pts, np.full(4, 0.25))
             for t in (0.05, 0.2, 1.0):
-                vt = fp_evolve(mu, FPParams(beta, t), grid=grid)
+                vt = fp_evolve(mu, beta, t, grid=grid)
                 bt = (1.0 - np.exp(-2.0 * t)) * beta
                 assert certify(vt, "convex", bt).passed, (i, t)
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -52,6 +54,95 @@ class TestRunConfig:
         cfg.write_text("command = verify-hc\n")
         with pytest.raises(ParameterError):
             RunConfig.from_sources("verify-lsi", str(cfg), {})
+
+
+# two values per RunConfig parameter, as a flag or a config-file line
+# writes them, and the type each is read as
+FIELD_SAMPLES = {
+    "beta": ("2.5", "3", float), "p": ("2", "1.5", float),
+    "q": ("4", "5", float), "tau": ("1", "0.5", float),
+    "a": ("1", "2", float), "count": ("2", "5", int),
+    "seed": ("3", "4", int), "grid_lo": ("-12", "-10", float),
+    "grid_hi": ("12", "10", float), "grid_n": ("2049", "1025", int),
+    "gh_nodes": ("32", "48", int), "tol": ("1e-6", "1e-7", float),
+    "out": ("x.csv", "y.json", str), "format": ("csv", "json", str),
+}
+# every subcommand's flags, besides -h
+FLAGS = {"--beta", "--p", "--q", "--tau", "--a", "--count", "--seed",
+         "--grid-lo", "--grid-hi", "--grid-n", "--gh-nodes", "--tol", "--out",
+         "--format", "--config"}
+
+
+def _flag_args(column: int):
+    args = []
+    for key, sample in FIELD_SAMPLES.items():
+        args += ["--" + key.replace("_", "-"), sample[column]]
+    return args
+
+
+def _config_file(tmp_path, column: int) -> str:
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key} = {sample[column]}\n"
+                            for key, sample in FIELD_SAMPLES.items()))
+    return str(path)
+
+
+def _main_config(monkeypatch, argv) -> RunConfig:
+    """The RunConfig that main builds from argv, caught before any item
+    runs."""
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        raise ParameterError("caught")
+
+    monkeypatch.setattr(cli, "run", capture)
+    monkeypatch.setattr(cli, "flow_trace", capture)
+    assert main(argv) == 2
+    return seen[0]
+
+
+def _assert_read_as(config: RunConfig, column: int):
+    for key, sample in FIELD_SAMPLES.items():
+        cast = sample[2]
+        assert type(getattr(config, key)) is cast, key
+        assert getattr(config, key) == cast(sample[column]), key
+
+
+class TestDerivedFlags:
+    def test_samples_cover_every_field(self):
+        names = {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(FIELD_SAMPLES) == names - {"command"}
+
+    def test_each_command_accepts_exactly_the_flags(self):
+        parser = cli._build_parser()
+        subs = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        assert set(subs.choices) == set(COMMANDS)
+        for sub in subs.choices.values():
+            flags = {o for a in sub._actions for o in a.option_strings}
+            assert flags - {"-h", "--help"} == FLAGS
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_flags_read_as_the_field_type(self, monkeypatch, command):
+        _assert_read_as(_main_config(monkeypatch, [command, *_flag_args(0)]),
+                        0)
+
+    def test_config_keys_read_as_the_field_type(self, monkeypatch, tmp_path):
+        config = _main_config(monkeypatch, [
+            "verify-lsi", "--config", _config_file(tmp_path, 0)])
+        _assert_read_as(config, 0)
+
+    def test_flag_beats_file_for_every_key(self, monkeypatch, tmp_path):
+        config = _main_config(monkeypatch, [
+            "verify-lsi", "--config", _config_file(tmp_path, 0),
+            *_flag_args(1)])
+        _assert_read_as(config, 1)
+
+    def test_unknown_format_exit_two(self, capsys):
+        assert main(["verify-lsi", "--format", "xml"]) == 2
+        err = capsys.readouterr().err
+        assert err == "gauss-deficit: unknown format 'xml'\n"
 
 
 class TestRun:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gauss_deficit import families, flows, numerics
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
-from gauss_deficit.flows import (T_STAR, FPParams, MeasureSpec, certify,
+from gauss_deficit.flows import (T_STAR, MeasureSpec, certify,
                                  certify_matrix, covariance,
                                  fp_class_member, fp_evolve,
                                  preservation_trace)
@@ -24,7 +24,7 @@ class TestFPEvolve:
         # variance e^{-2t} v0 + (1 - e^{-2t}) beta
         v0 = gaussian_field(grid, 0.7)
         beta, t = 2.0, 0.45
-        vt = fp_evolve(v0, FPParams(beta, t))
+        vt = fp_evolve(v0, beta, t)
         var = np.exp(-2 * t) * 0.7 + (1 - np.exp(-2 * t)) * beta
         ref = gaussian_field(grid, var)
         np.testing.assert_allclose(vt.values, ref.values, rtol=1e-9,
@@ -32,12 +32,12 @@ class TestFPEvolve:
 
     def test_mass_conserved(self, grid):
         v0 = field_from_family(grid, symmetric_mixture(2.0, 1.0))
-        vt = fp_evolve(v0, FPParams(2.0, 0.8))
+        vt = fp_evolve(v0, 2.0, 0.8)
         assert vt.grid_mass == pytest.approx(1.0, abs=1e-9)
 
     def test_long_time_limit_is_gamma_beta(self, grid):
         v0 = field_from_family(grid, symmetric_mixture(1.0, 1.0))
-        vt = fp_evolve(v0, FPParams(2.0, 8.0))
+        vt = fp_evolve(v0, 2.0, 8.0)
         ref = gaussian_field(grid, 2.0)
         np.testing.assert_allclose(vt.values, ref.values, atol=1e-7)
 
@@ -48,8 +48,7 @@ class TestFPEvolve:
         q = LogQuad.gaussian(1.0, 10.0)
         tagged = gaussian_field(grid, 1.0, 10.0)
         untagged = GridField.from_callable(grid, q.__call__, log_fn=q.log_at)
-        params = FPParams(1.0, 1.0)
-        vt, ut = fp_evolve(tagged, params), fp_evolve(untagged, params)
+        vt, ut = fp_evolve(tagged, 1.0, 1.0), fp_evolve(untagged, 1.0, 1.0)
         assert vt.grid_mass == pytest.approx(ut.grid_mass, rel=1e-12)
         np.testing.assert_allclose(vt.values, ut.values, rtol=1e-12,
                                    atol=1e-300)
@@ -58,12 +57,34 @@ class TestFPEvolve:
         # v_t centred at 11.3 with unit variance: a quarter of it is past 12
         v0 = gaussian_field(grid, 1.0, 11.5)
         with pytest.raises(TruncationError, match="mass drift"):
-            fp_evolve(v0, FPParams(1.0, 0.02))
+            fp_evolve(v0, 1.0, 0.02)
 
     def test_rejects_negative_time(self, grid):
         v0 = gaussian_field(grid, 1.0)
         with pytest.raises(ParameterError):
-            fp_evolve(v0, FPParams(2.0, -0.1))
+            fp_evolve(v0, 2.0, -0.1)
+
+    def test_density_flows_on_its_own_grid(self, grid):
+        # a grid places a measure's snapshot; a density keeps its own
+        v0 = gaussian_field(grid, 1.0)
+        with pytest.raises(ParameterError, match="own grid"):
+            fp_evolve(v0, 2.0, 0.5, grid=Grid1D(-8.0, 8.0, 1025))
+
+
+class TestMeasureSpec:
+    def test_holds_float_arrays(self):
+        mu = MeasureSpec([0.7], [1])
+        assert mu.points.dtype == mu.weights.dtype == float
+
+    @pytest.mark.parametrize("points,weights", [
+        ([0.0, 1.0], [1.0]),             # mismatched shapes
+        ([[0.0, 1.0]], [[0.5, 0.5]]),    # not 1-D
+        ([0.0, 1.0], [1.5, -0.5]),       # a negative weight
+        ([0.0, 1.0], [1.0, np.inf]),     # infinite mass
+    ])
+    def test_refused_at_construction(self, points, weights):
+        with pytest.raises(ParameterError):
+            MeasureSpec(points, weights)
 
 
 def _padded_lattice(src, pad):
@@ -110,7 +131,7 @@ class TestGridDensityFlow:
     def test_matches_kernel_quadrature(self, beta, t):
         g = Grid1D(-12.0, 12.0, 513)
         src = _untagged_gaussian(g, 0.8)
-        vt = fp_evolve(src, FPParams(beta, t))
+        vt = fp_evolve(src, beta, t)
         np.testing.assert_allclose(vt.values,
                                    _kernel_reference(src, beta, t, g.points),
                                    rtol=1e-12, atol=0)
@@ -123,7 +144,7 @@ class TestGridDensityFlow:
         x = grid.points[np.abs(grid.points) < 8]
         v0 = _untagged_gaussian(grid, beta)
         for t in (0.05, 0.2, 0.5, 1.0):
-            vt = fp_evolve(v0, FPParams(beta, t))
+            vt = fp_evolve(v0, beta, t)
             np.testing.assert_allclose(vt.tag.d2log(x), -1.0 / beta,
                                        rtol=0, atol=1e-9)
 
@@ -133,7 +154,7 @@ class TestGridDensityFlow:
         # of the finest level is evaluated there once, on one level
         src = _untagged_gaussian(grid, 0.5)
         node_passes = _record_passes(monkeypatch, (grid.n, grid.n - 4))
-        vt = fp_evolve(src, FPParams(0.5, 0.05))
+        vt = fp_evolve(src, 0.5, 0.05)
         certify(vt, "concave", 0.5)
         assert len(node_passes) > 1  # refined past the coarsest level
         assert not any(q is vt.tag for q in node_passes)
@@ -159,7 +180,7 @@ class TestGridDensityFlow:
         rng = np.random.default_rng(11)
         src = make_logconcave_input(rng, 0.5, grid)
         beta, t = 0.5, 0.05
-        vt = fp_evolve(src, FPParams(beta, t))
+        vt = fp_evolve(src, beta, t)
         assert vt.tag.a.size < grid.n  # a strided level, not every node
         # the stride-1 source, padded until its ends weigh nothing
         ys, vals = _padded_lattice(src, 1024)
@@ -175,7 +196,7 @@ class TestGridDensityFlow:
         q = LogQuad.gaussian(1.0, 10.0)
         src = GridField.from_callable(grid, q.__call__, log_fn=q.log_at)
         assert src.grid_mass == pytest.approx(0.9772, abs=1e-4)
-        vt = fp_evolve(src, FPParams(1.0, 1.0))
+        vt = fp_evolve(src, 1.0, 1.0)
         assert vt.grid_mass == pytest.approx(1.0, abs=1e-9)
         margins, _ = preservation_trace(src, 1.0, "concave", [1.0])
         assert margins[0] == pytest.approx(0.0, abs=1e-9)
@@ -184,7 +205,7 @@ class TestGridDensityFlow:
         # no closure, so no pad: a smooth source that has decayed by the
         # grid edge still settles on a strided level
         src = GridField(grid, gaussian_field(grid, 0.5).values)
-        vt = fp_evolve(src, FPParams(0.5, 0.5))
+        vt = fp_evolve(src, 0.5, 0.5)
         assert vt.tag.a.size < grid.n
         np.testing.assert_allclose(vt.values,
                                    gaussian_field(grid, 0.5).values,
@@ -195,7 +216,7 @@ class TestGridDensityFlow:
         x = grid.points
         vals = np.maximum(1.0 - ((x - 0.2) / 0.1) ** 2, 0.0)
         src = GridField(grid, vals / GridField(grid, vals).grid_mass)
-        vt = fp_evolve(src, FPParams(1.0, 0.5))
+        vt = fp_evolve(src, 1.0, 0.5)
         assert vt.grid_mass == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("nodes", [[2048], [2048, 2080]])
@@ -207,9 +228,8 @@ class TestGridDensityFlow:
         vals[nodes] = 1.0 / grid.spacing
         beta, t = 1.0, 0.5
         w = beta * (1.0 - np.exp(-2.0 * t))
-        q, mass, (logv, d2) = flows._fp_family(
-            MeasureSpec.from_density(GridField(grid, vals)), beta, t,
-            grid.points)
+        q, mass, (logv, d2) = flows._fp_family(GridField(grid, vals), beta,
+                                               t, grid.points)
         assert q.a.size == len(nodes) and mass == pytest.approx(len(nodes))
         ref = LogQuad.gaussian(w, np.exp(-t) * grid.points[nodes])
         np.testing.assert_allclose(logv, ref.log_at(grid.points), rtol=1e-14,
@@ -227,7 +247,7 @@ class TestGridDensityFlow:
         node_passes = _record_passes(monkeypatch, (g.n,))
         end_passes = _record_passes(monkeypatch, (2,))
         with pytest.raises(TruncationError, match="does not decay"):
-            fp_evolve(src, FPParams(1.0, 1.0))
+            fp_evolve(src, 1.0, 1.0)
         assert len(end_passes) > 1 and not node_passes
 
     @pytest.mark.parametrize("n", [4097, 65])
@@ -235,11 +255,11 @@ class TestGridDensityFlow:
         # no mass at any stride, the first level being stride 1 on 65 nodes
         g = Grid1D(-12.0, 12.0, n)
         with pytest.raises(ParameterError, match="no mass"):
-            fp_evolve(GridField(g, np.zeros(n)), FPParams(1.0, 0.5))
+            fp_evolve(GridField(g, np.zeros(n)), 1.0, 0.5)
 
     def test_resolution_logged(self, grid, caplog):
         with caplog.at_level(logging.DEBUG, logger="gauss_deficit.flows"):
-            fp_evolve(_untagged_gaussian(grid, 2.0), FPParams(2.0, 0.5))
+            fp_evolve(_untagged_gaussian(grid, 2.0), 2.0, 0.5)
         assert re.search(r"pad \d+ nodes, stride \d+, level gap \S+, pairs "
                          r"evaluated [0-9.]+, dropped-term bound \S+$",
                          caplog.text, re.MULTILINE)
@@ -249,7 +269,7 @@ class TestGridDensityFlow:
         # stride 8: the coarsest level and three odd groups, each evaluated
         # on the nodes near its atoms
         with caplog.at_level(logging.DEBUG, logger="gauss_deficit.flows"):
-            fp_evolve(_untagged_gaussian(grid, 0.5), FPParams(0.5, 0.05))
+            fp_evolve(_untagged_gaussian(grid, 0.5), 0.5, 0.05)
         levels, checks, stride, share = re.search(
             r"(\d+) levels, (\d+) pad checks, pad \d+ nodes, stride (\d+), "
             r".*pairs evaluated (\S+),", caplog.text).groups()
@@ -261,7 +281,7 @@ class TestGridDensityFlow:
         src = GridField(grid, vals / GridField(grid, vals).grid_mass)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            vt = fp_evolve(src, FPParams(1.0, 0.5))
+            vt = fp_evolve(src, 1.0, 0.5)
             hess = vt.tag.d2log(grid.points)
         assert vt.tag.a.size == np.count_nonzero(vals)  # zero nodes dropped
         assert np.all(np.isfinite(vt.values)) and np.all(vt.values > 0)
@@ -301,7 +321,7 @@ def _levels(monkeypatch, v0, beta, t, x):
         return built[-1]
 
     monkeypatch.setattr(flows, "_atoms_family", recording)
-    flows._fp_family(MeasureSpec.from_density(v0), beta, t, x)
+    flows._fp_family(v0, beta, t, x)
     return built
 
 
@@ -359,7 +379,7 @@ class TestBandedLevels:
 
     def test_finest_level_evaluates_few_pairs(self, grid, caplog):
         with caplog.at_level(logging.DEBUG, logger="gauss_deficit.flows"):
-            fp_evolve(_untagged_gaussian(grid, 0.5), FPParams(0.5, 0.05))
+            fp_evolve(_untagged_gaussian(grid, 0.5), 0.5, 0.05)
         share, bound = map(float, re.search(
             r"pairs evaluated (\S+), dropped-term bound (\S+)$",
             caplog.text, re.MULTILINE).groups())
@@ -410,8 +430,7 @@ class TestMergedLevels:
         monkeypatch.setattr(flows, "_edge_weight", recording)
         # the levels' passes; the checks below read log v_t to order 0
         node_passes = _record_passes(monkeypatch, (x.size,), orders=(2,))
-        q, _, (logv, d2) = flows._fp_family(MeasureSpec.from_density(v0),
-                                            beta, t, x)
+        q, _, (logv, d2) = flows._fp_family(v0, beta, t, x)
         assert len(node_passes) > 1  # at least one merge
         assert sum(p.a.size for p in node_passes) == q.a.size
         full_logv, _, full_d2 = q._pass(x, 2)
@@ -433,8 +452,7 @@ class TestFPClassMember:
         # flowing gamma_a for time t* = (1/2) log 2 gives variance
         # e^{-2 t*} a + (1 - e^{-2 t*}) 2 beta = a/2 + beta
         a, beta = 1.0, 2.0
-        v = fp_class_member(MeasureSpec.from_density(gaussian_field(grid, a)),
-                            beta, grid=grid)
+        v = fp_class_member(gaussian_field(grid, a), beta)
         ref = gaussian_field(grid, beta + a / 2)
         np.testing.assert_allclose(v.values, ref.values, rtol=1e-8,
                                    atol=1e-12)
@@ -442,7 +460,7 @@ class TestFPClassMember:
     def test_dirac_seed(self, grid):
         # a point mass flows to a Gaussian of variance (1 - e^{-2 t*}) 2 beta
         beta = 1.5
-        v = fp_class_member(MeasureSpec.dirac(0.7), beta, grid=grid)
+        v = fp_class_member(MeasureSpec([0.7], [1.0]), beta, grid=grid)
         var = (1 - np.exp(-2 * T_STAR)) * 2 * beta
         mean = np.exp(-T_STAR) * 0.7
         ref = field_from_family(grid, LogQuad.gaussian(var, mean))
@@ -454,7 +472,7 @@ class TestFPClassMember:
         for _ in range(3):
             pts = rng.uniform(-3, 3, size=4)
             w = rng.dirichlet(np.ones(4))
-            v = fp_class_member(MeasureSpec.discrete(pts, w), 2.0, grid=grid)
+            v = fp_class_member(MeasureSpec(pts, w), 2.0, grid=grid)
             assert certify(v, "convex", 2.0).passed
 
 
@@ -514,7 +532,7 @@ class TestPreservation:
         rng = np.random.default_rng(1)
         pts = rng.uniform(-2, 2, size=3)
         v0 = fp_class_member(
-            MeasureSpec.discrete(pts, np.ones(3) / 3), 2.0, grid=grid)
+            MeasureSpec(pts, np.ones(3) / 3), 2.0, grid=grid)
         times = [0.05, 0.2, 0.8]
         margins, universal = preservation_trace(v0, 2.0, "convex", times)
         assert np.all(margins >= -1e-4)

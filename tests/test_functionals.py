@@ -152,7 +152,7 @@ class TestQFunctional:
     def test_monotone_on_fp_member(self, grid, rule):
         rng = np.random.default_rng(3)
         v0 = fp_class_member(
-            MeasureSpec.discrete(rng.uniform(-2, 2, 4), np.ones(4) / 4),
+            MeasureSpec(rng.uniform(-2, 2, 4), np.ones(4) / 4),
             2.0, grid=grid)
         t = ExponentTriple.from_pq(2.0, 4.0)
         qs = [q_functional(v0, 2.0, t, s, rule) for s in (0.0, 0.3, 1.0)]

@@ -66,6 +66,28 @@ class TestHopfLax:
                                                        <= 10]):
             assert np.max(np.abs(q(x) - (0.5 * coef * x * x + const))) < 1e-8
 
+    def test_closure_continues_past_the_grid(self, grid, rule):
+        # a datum with an exact closure is continued by it beyond the grid:
+        # the convex quadratic's Lipschitz continuation fell below it there,
+        # and Q_tau f read 6.0 under the closed form at x = +-12
+        f = quadratic_datum(1.0, 2.0, grid)
+        y = np.array([-20.0, -12.5, 12.5, 20.0])
+        np.testing.assert_array_equal(f.extended(y), f.f(y))
+        q = hopf_lax(f, 1.0)
+        coef, const = hopf_lax_quadratic(1.0, 2.0, 1.0)
+        for x in (rule.nodes, np.array([grid.lo, grid.hi])):
+            assert np.max(np.abs(q(x) - (0.5 * coef * x * x + const))) < 1e-14
+
+    def test_values_only_datum_keeps_lipschitz_continuation(self, grid):
+        closure = quadratic_datum(1.0, 2.0, grid)
+        f = HJField(GridField(grid, closure.f.values),
+                    closure.lipschitz_estimate, closure.lower_linear_bound)
+        y = np.array([-20.0, -12.5, 12.5, 20.0])
+        edge = np.where(y < 0, f.f.values[0], f.f.values[-1])
+        want = np.maximum(-f.lower_linear_bound * (1.0 + np.abs(y)),
+                          edge - f.lipschitz_estimate * (np.abs(y) - 12.0))
+        np.testing.assert_allclose(f.extended(y), want, rtol=1e-15)
+
     def test_semigroup_property(self, small_grid):
         f = quadratic_datum(1.0, 3.0, small_grid)
         q_direct = hopf_lax(f, 0.8)

@@ -245,7 +245,7 @@ class TestPoincare:
         # int |f'|^2 dgamma = beta (1 - 1/beta)^2 / 4 = 1/8 at beta = 2, 1/2;
         # f (log f)' gives it to rounding, a difference quotient to ~5e-12
         for beta in (2.0, 0.5):
-            f = field_from_family(grid, LogQuad.gaussian_ratio(beta, 0.5))
+            f = field_from_family(grid, LogQuad.gaussian_ratio(beta) ** 0.5)
             r = poincare_check(f, beta, rule)
             assert abs(r.rhs - 0.125) <= 1e-15
 
@@ -291,14 +291,6 @@ class TestBeckner:
 
 
 class TestBrascampLieb:
-    def test_direction_mismatch_rejected(self, grid):
-        t = ExponentTriple.from_pq(2.0, 4.0)
-        f1 = gaussian_field(grid, 2.0)
-        f2 = gaussian_field(grid, 1.0)
-        # (c1, c2) in (0,1)^2 forces the forward ("le") statement
-        with pytest.raises(ParameterError):
-            brascamp_lieb_check(f1, f2, t, 2.0, direction="reverse")
-
     def test_reverse_concave_case_holds(self, grid):
         # (p, q) = (1/2, -1) gives c1 = c2 = 2: the reversed statement
         t = ExponentTriple.from_pq(0.5, -1.0)

@@ -92,14 +92,6 @@ class TestNdtr:
         x = np.linspace(-12.0, 12.0, 4097)[:, None]
         _check_ndtr((x - mean) / sigma)
 
-    def test_in_place_with_scratch(self):
-        a = np.random.default_rng(3).normal(0.0, 15.0, (513, 4))
-        want = special.ndtr(a)
-        work = np.empty((2,) + a.shape)
-        got = ndtr(a, out=a, work=work)
-        assert got is a
-        np.testing.assert_allclose(a, want, rtol=1e-14, atol=0.0)
-
     def test_rejects_strided_out(self):
         a = np.zeros((8, 4))
         with pytest.raises(ParameterError):
