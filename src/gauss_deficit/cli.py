@@ -44,7 +44,8 @@ from .inequalities import (beckner_check, brascamp_lieb_check,
                            matrix_check,
                            poincare_check, reverse_hc_check,
                            sample_reverse_triple)
-from .transport import PotentialSpec, general_lsi_deficit, talagrand_deficit
+from .transport import (PotentialSpec, _log_mass, general_lsi_deficit,
+                        talagrand_deficit)
 from .hamilton_jacobi import (HJField, beta_of_a, dual_talagrand_check,
                               hj_hc_check, quadratic_datum)
 
@@ -359,18 +360,23 @@ def _general_lsi_item(config: RunConfig, i: int):
     def potential(x):
         return 0.5 * omega * x * x + eps * np.log(np.cosh(x))
 
-    pot = PotentialSpec(GridField(grid, potential(grid.points)),
-                        K=omega, L=omega + eps)
+    # the reference e^{-V} with its exact -V' and -V''
+    ref = GridField.from_callable(
+        grid, log_fn=lambda x: -potential(np.asarray(x, float)),
+        dlog_fn=lambda x: -(omega * x + eps * np.tanh(x)),
+        d2log_fn=lambda x: -(omega + eps / np.cosh(x) ** 2))
+    pot = PotentialSpec(ref, K=omega, L=omega + eps)
     # v must be K/beta-semi-log-convex: take the e^{-V/beta_v} member
     # with beta_v >= beta L / K, (log v)'' = -(omega + eps sech^2)/beta_v
     beta_v = beta * (pot.L / pot.K) * (1.0 if i == 0 else
                                        float(rng.uniform(1.0, 1.3)))
-    lv = -pot.V.values / beta_v
-    logz = float(lv.max() + np.log(np.trapezoid(np.exp(lv - lv.max()),
-                                                dx=grid.spacing)))
+    lv = ref.grid_log() / beta_v
+    logz = _log_mass(lv, grid.spacing)
     vf = GridField.from_callable(
-        grid, log_fn=lambda x: -potential(np.asarray(x, float)) / beta_v - logz,
-        d2log_fn=lambda x: -(omega + eps / np.cosh(x) ** 2) / beta_v)
+        grid, log_fn=lambda x: ref.log(x) / beta_v - logz,
+        dlog_fn=lambda x: ref.dlog(x) / beta_v,
+        d2log_fn=lambda x: ref.analytic_d2log(x) / beta_v,
+        nodes=(lv - logz, ref.grid_d2log() / beta_v))
     return general_lsi_deficit(vf, pot, beta)
 
 

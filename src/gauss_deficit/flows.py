@@ -12,16 +12,16 @@ which we always evaluate in one shot, never by time-stepping: mu is a
 GridField density, flowing on its own grid, or a finite MeasureSpec; every
 v_t is a Gaussian mixture, one LogQuad with a component per atom, and
 tagged densities take the closed form of their tag.  An untagged grid
-density is integrated by the trapezoid rule on its node lattice.  With a
-log closure the lattice is padded past the grid, wide enough that the
-outermost atoms carry posterior weight below 2^-53 at every node read, so
-v_t is the flow of the whole density and not of its cut-off; a values-only
-density flows its nodes alone.  The kernel is smooth, so the rule converges
-exponentially and the source is subsampled on nested strided levels, halved
-until two levels agree in log v_t and (log v_t)''; each level adds the
-atoms between the previous level's to it, so every atom is evaluated once.
-FP(beta) is the set of time-(1/2)log 2 snapshots of the 2 beta-flow started
-from a finite measure; its members are automatically beta-semi-log-convex.
+density is integrated by the trapezoid rule on its node lattice, padded
+past the grid with its closure's values, wide enough that the outermost
+atoms carry posterior weight below 2^-53 at every node read, so v_t is the
+flow of the whole density and not of its cut-off.  The kernel is smooth, so
+the rule converges exponentially and the source is subsampled on nested
+strided levels, halved until two levels agree in log v_t and (log v_t)'';
+each level adds the atoms between the previous level's to it, so every atom
+is evaluated once.  FP(beta) is the set of time-(1/2)log 2 snapshots of the
+2 beta-flow started from a finite measure; its members are automatically
+beta-semi-log-convex.
 """
 from __future__ import annotations
 
@@ -103,13 +103,12 @@ def _atoms_family(points, logw, beta: float, t: float) -> LogQuad:
 def _grid_density_family(src: GridField, beta: float, t: float, x):
     """v_t of an untagged grid density, read at the nodes x.
 
-    The source is the trapezoid measure on the grid's node lattice.  With a
-    log closure the lattice runs past the grid at the same spacing, and
-    every atom weighs its spacing: the pad starts at the kernel's standard
-    deviation in source coordinates and doubles, on the coarsest level,
-    until the two outermost atoms have posterior weight below 2^-53 at every
-    x, which _edge_weight reads at the two end nodes of x.  A values-only
-    field keeps its nodes and their end-halved weights.  Once the pad has
+    The source is the trapezoid measure on the grid's node lattice, run
+    past the grid at the same spacing, every atom weighing its spacing times
+    the closure's value: the pad starts at the kernel's standard deviation
+    in source coordinates and doubles, on the coarsest level, until the two
+    outermost atoms have posterior weight below 2^-53 at every x, which
+    _edge_weight reads at the two end nodes of x.  Once the pad has
     settled, the coarsest level is evaluated at x.  Then the stride halves
     until two levels agree in log v_t and (log v_t)'' within 1e-12 (1 +
     1/w), w = beta (1 - e^{-2t}) setting the scale of (log v_t)''; an
@@ -123,30 +122,16 @@ def _grid_density_family(src: GridField, beta: float, t: float, x):
     grid, x = src.grid, np.asarray(x, float)
     h, n = grid.spacing, grid.n
     w = beta * (1.0 - np.exp(-2.0 * t))
-    closure = src.analytic_log is not None
-    # a values-only level keeps the grid's end nodes, so its stride divides
-    # n - 1; the padded lattice has no ends to keep
-    k0 = _coarsest_stride(1 << ((n - 1).bit_length() - 1) if closure
-                          else n - 1)
-    pad = 0
-    if closure:
-        pad = k0 * int(np.ceil(np.exp(t) * np.sqrt(w) / (k0 * h)))
+    k0 = _coarsest_stride(1 << ((n - 1).bit_length() - 1))
+    pad = k0 * int(np.ceil(np.exp(t) * np.sqrt(w) / (k0 * h)))
     debug = logger.isEnabledFor(logging.DEBUG)
     pairs, bound, pad_checks = 0.0, 0.0, 0
 
     def atoms(k, first, step):
         """Lattice atoms first, first + step, ... at stride k: their
-        positions and log weights log(k h v), the grid's end nodes halved
-        on a values-only level."""
-        if closure:
-            y = grid.lo + h * np.arange(first - pad, n + pad, step)
-            return y, np.log(k * h) + np.asarray(src.analytic_log(y), float)
-        y = grid.points[first::step]
-        tw = np.full(y.size, k * h)
-        if first == 0:
-            tw[[0, -1]] *= 0.5
-        with np.errstate(divide="ignore"):
-            return y, np.log(tw * src.values[first::step])
+        positions and log weights log(k h v)."""
+        y = grid.lo + h * np.arange(first - pad, n + pad, step)
+        return y, np.log(k * h) + src.log(y)
 
     def run(q, at, order, sink=None):
         """q's pass at the points ``at``, its (node, atom) pairs counted."""
@@ -168,15 +153,13 @@ def _grid_density_family(src: GridField, beta: float, t: float, x):
             if k0 > 1 and not np.any(logw > -np.inf):
                 return None  # a coarse level can miss a narrow source
             q = _atoms_family(y, logw, beta, t)
-            if not closure:
-                return q
             pad_checks += 1
             if _edge_weight(lambda at: run(q, at, 0)[0],
                             np.exp(-t) * y[[0, -1]], logw[[0, -1]], w,
                             x) <= _LOG_EDGE_WEIGHT:
                 return q
             if pad >= 64 * (n - 1):
-                raise TruncationError("the log closure does not decay past "
+                raise TruncationError("the closure does not decay past "
                                       "the grid: no pad makes its edge "
                                       "negligible")
             pad *= 2
@@ -365,10 +348,10 @@ def certify(v: GridField, kind: str, beta: float,
          tilts;
       2. the field's analytic_d2log at the nodes, as
          GridField.from_callable(d2log_fn=) sets it;
-      3. numerics.second_difference of log v at the nodes, for values-only
-         fields and for a log closure without d2log: differenced at the
-         grid spacing h, not at h = 1e-4, with an error of about
-         h^2 (log v)''''/12 plus 4 eps |log v| / h^2 of rounding.
+      3. numerics.second_difference of log v at the nodes, for a field
+         without a d2log closure: differenced at the grid spacing h, not
+         at h = 1e-4, with an error of about h^2 (log v)''''/12 plus
+         4 eps |log v| / h^2 of rounding.
     """
     if beta <= 0:
         raise ParameterError("beta must be positive")

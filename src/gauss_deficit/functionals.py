@@ -6,10 +6,9 @@ constant.
 The tilt w = v^r gamma^{-a} is the only code that writes out the reference
 measure gamma; every deficit checker reaches v/gamma and its powers through
 it.  Integrals against gamma are Gauss-Hermite unless a one-component
-family gives them in closed form; fields carrying analytic closures are
-evaluated exactly at the nodes, grid-only fields by interpolation.  Norms
-are assembled in log space (log-sum-exp) so that negative and large
-exponents are handled uniformly.
+family gives them in closed form, and every field is read off its nodes
+through its exact closures.  Norms are assembled in log space
+(log-sum-exp) so that negative and large exponents are handled uniformly.
 """
 from __future__ import annotations
 

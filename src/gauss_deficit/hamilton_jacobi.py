@@ -5,11 +5,11 @@ hypercontractivity and the dual Talagrand inequality.
 The Hopf-Lax minimum over the M sampled candidates is read off the lower
 envelope of parabolas in O(M + N log M) (Felzenszwalb & Huttenlocher,
 Distance Transforms of Sampled Functions, Theory of Computing 8, 2012);
-beyond the grid the initial datum is continued by its exact closure (data
-known only at the nodes by a Lipschitz line), never below its linear lower
-bound -C(1+|y|), so that no spurious boundary minimum appears.  The
-envelope is the exact closure of the field hopf_lax returns, and the checks
-read Q_tau f and the datum through their closures at the quadrature nodes.
+beyond the grid the initial datum is continued by its exact closure, never
+below its linear lower bound -C(1+|y|), so that no spurious boundary
+minimum appears.  The envelope is the exact closure of the field hopf_lax
+returns, and the checks read Q_tau f and the datum through their closures
+at the quadrature nodes.
 """
 from __future__ import annotations
 
@@ -50,30 +50,20 @@ class HJField:
 
     @staticmethod
     def from_field(f: GridField, laplacian: Callable = None) -> "HJField":
-        """f with its Lipschitz estimate and bound C read off its values."""
+        """f with its Lipschitz estimate, which sets hopf_lax's extension
+        width, and bound C read off its values."""
         lip = float(np.max(np.abs(np.gradient(f.values, f.grid.spacing,
                                               edge_order=2))))
         C = max(0.0, float(np.max(-f.values / (1.0 + np.abs(f.grid.points)))))
         return HJField(f, lip, C, laplacian)
 
     def extended(self, y: np.ndarray) -> np.ndarray:
-        """f inside the grid; outside, the larger of the certified bound
-        -C(1+|y|) and f's exact closure or, for data known only at the
-        nodes, the Lipschitz continuation f(edge) - L |y - edge|: the
-        truncated infimum neither misses exterior minima nor invents
-        spurious ones from an overly slack bound."""
+        """f past the grid: the larger of the certified bound -C(1+|y|) and
+        f's exact closure, so the truncated infimum neither misses exterior
+        minima nor invents spurious ones from an overly slack bound."""
         y = np.asarray(y, float)
-        g = self.f.grid
-        inside = (y >= g.lo) & (y <= g.hi)
-        if self.f.analytic is not None or self.f.analytic_log is not None:
-            vals = beyond = np.asarray(self.f(y), float)
-        else:
-            vals = np.asarray(self.f(np.clip(y, g.lo, g.hi)), float)
-            dist = np.maximum(np.maximum(g.lo - y, y - g.hi), 0.0)
-            edge = np.where(y < g.lo, self.f.values[0], self.f.values[-1])
-            beyond = edge - self.lipschitz_estimate * dist
-        out = np.maximum(-self.lower_linear_bound * (1.0 + np.abs(y)), beyond)
-        return np.where(inside, vals, out)
+        return np.maximum(-self.lower_linear_bound * (1.0 + np.abs(y)),
+                          self.f(y))
 
 
 def hopf_lax(f: HJField, tau: float) -> GridField:

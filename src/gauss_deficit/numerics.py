@@ -3,14 +3,14 @@ Grids, quadrature rules, the one second-difference stencil and the
 interior-peak proxy.
 
 Everything downstream works with functions sampled on uniform grids.  A
-GridField is either data known only at its nodes, interpolated between
-them, or an exact function (f or log f, with (log f)' and (log f)'' when
-known) evaluated once at its nodes, so that kernel integrals
+GridField is an exact function (f or log f, with (log f)' and (log f)''
+when known) evaluated once at its nodes, so that kernel integrals
 (Ornstein-Uhlenbeck, Fokker-Planck, Hopf-Lax) read a closed form where one
-is known.  A field keeps log f and (log f)'' at its nodes, filled by the
-pass that made its values or on first use, and every reader at the nodes
-reads those arrays instead of calling a closure again; data known only at
-the nodes take their second derivative from ``second_difference``.
+is known and every read off the nodes calls a closure.  A field keeps
+log f and (log f)'' at its nodes, filled by the pass that made its values
+or on first use, and every reader at the nodes reads those arrays instead
+of calling a closure again; a field without a (log f)'' closure takes it
+from ``second_difference`` of log f.
 
 Conventions:
 
@@ -89,13 +89,9 @@ def default_grid() -> Grid1D:
 
 @dataclass(frozen=True)
 class GridField:
-    """Function samples on a grid, built one of two ways:
-
-    ``GridField(grid, values)``     -- data known only at the nodes: read
-        between them by linear interpolation (0 outside the grid), and
-        differenced by ``second_difference`` for (log f)'';
-    ``GridField.from_callable(...)`` -- an exact function, evaluated once at
-        the nodes, whose closures every reader off the nodes calls.
+    """An exact function on a grid, built by ``GridField.from_callable`` and
+    evaluated once at the nodes, whose closures every reader off the nodes
+    calls.
 
     analytic       -- evaluator f(x), the only closure that may give signed
                       data; left out, f is the exp of ``analytic_log``
@@ -108,35 +104,31 @@ class GridField:
     nodes          -- [log f at every node, (log f)'' at the nodes 2..n-3],
                       read-only: from the pass that made the values, else
                       filled on first use (see grid_log, grid_d2log)
+    values         -- f at the nodes: the exp of nodes[0], else the value
+                      closure's one evaluation there
     """
 
     grid: Grid1D
-    values: Optional[np.ndarray] = None
     analytic: Optional[Callable] = None
     analytic_log: Optional[Callable] = None
     analytic_dlog: Optional[Callable] = None
     analytic_d2log: Optional[Callable] = None
     tag: object = None
     nodes: Optional[list] = field(default=None, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        exact = self.analytic is not None or self.analytic_log is not None
-        if exact == (self.values is not None):
-            raise ParameterError("a field needs grid values or an exact "
-                                 "closure, and not both")
+        if self.analytic is None and self.analytic_log is None:
+            raise ParameterError("a field needs an exact closure, f or log f")
         object.__setattr__(self, "nodes", list(self.nodes or (None, None)))
         for i, arr in enumerate(self.nodes):
             if arr is not None:
                 self._keep(i, arr)
-        if exact and self.nodes[0] is None and self.analytic is None:
+        if self.nodes[0] is None and self.analytic is None:
             # the one evaluation at the nodes; its exp are the values
             self._keep(0, self.analytic_log(self.grid.points))
-        if not exact:
-            v = np.asarray(self.values, dtype=float)
-        elif self.nodes[0] is not None:
-            v = np.exp(self.nodes[0])
-        else:
-            v = np.asarray(self.analytic(self.grid.points), float)
+        v = (np.exp(self.nodes[0]) if self.nodes[0] is not None
+             else np.asarray(self.analytic(self.grid.points), float))
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.n,):
             raise ParameterError("values shape does not match grid")
@@ -151,7 +143,7 @@ class GridField:
         its (log f)' and (log f)'' closures when given.  ``nodes``, when
         given, is (log f at the nodes, (log f)'' at the nodes 2..n-3) as the
         caller already computed them, either entry None if not."""
-        return cls(grid, None, fn, log_fn, dlog_fn, d2log_fn, tag, nodes)
+        return cls(grid, fn, log_fn, dlog_fn, d2log_fn, tag, nodes)
 
     def _keep(self, i: int, arr):
         """Hold a node array, read-only, as nodes[i]."""
@@ -191,17 +183,15 @@ class GridField:
     def __call__(self, x):
         if self.analytic is not None:
             return np.asarray(self.analytic(x), float)
-        if self.analytic_log is not None:
-            return np.exp(np.asarray(self.analytic_log(x), float))
-        return np.interp(np.asarray(x, float), self.grid.points, self.values,
-                         left=0.0, right=0.0)
+        return np.exp(np.asarray(self.analytic_log(x), float))
 
     def log(self, x):
-        """Evaluate log f, using the exact log closure when available."""
+        """Evaluate log f by the exact log closure when there is one, else
+        as the log of f, -inf where f is not positive."""
         if self.analytic_log is not None:
             return np.asarray(self.analytic_log(x), float)
         with np.errstate(divide="ignore"):
-            return np.log(np.maximum(self(x), 1e-300))
+            return np.log(np.maximum(self(x), 0.0))
 
     def dlog(self, x):
         """Evaluate (log f)' by the exact closure, which a field must carry
@@ -297,7 +287,8 @@ def _refine_strides(refine: Callable, k: int, tol: float):
 
 def second_difference(u: np.ndarray, h: float) -> np.ndarray:
     """(u[i+1] - 2 u[i] + u[i-1]) / h^2 at the nodes i = 2..n-3 of the
-    samples u at spacing h: the one stencil for data known only on a grid.
+    samples u at spacing h: the one stencil, for a field whose (log f)''
+    or f'' has no closure.
 
     Its error is h^2 u''''/12 plus a rounding error of about 4 eps |u| / h^2.
     The two nodes at each end, which no certificate reads, are left out.

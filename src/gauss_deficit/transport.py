@@ -24,7 +24,7 @@ from .families import LogQuad, gaussian_field
 from .flows import certify, certify_log_concave
 from .functionals import _rule_or_default, sharp_constant, tilt
 from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
-                       cumulative_simpson, second_difference)
+                       cumulative_simpson)
 from .reports import DeficitReport, HypothesisCheck
 
 QUANTILE_CLIP = 1e-7  # interior quantile range for grid-path CDF inversion
@@ -172,9 +172,10 @@ def caffarelli_check(v: GridField, beta: float) -> float:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Potential V with convexity window K <= V'' <= L on the grid."""
+    """The reference e^{-V} with convexity window K <= V'' <= L: a field
+    whose log, dlog and d2log closures are -V, -V' and -V''."""
 
-    V: GridField
+    reference: GridField
     K: float
     L: float
 
@@ -182,19 +183,11 @@ class PotentialSpec:
         if self.K <= 0 or self.L < self.K:
             raise ParameterError("need 0 < K <= L")
 
-    def density(self, beta: float = 1.0):
-        """Normalized e^{-V/beta} on the grid; returns (values, log_values)."""
-        g = self.V.grid
-        logv = -self.V.values / beta
-        vals = np.exp(logv - logv.max())
-        Z = np.trapezoid(vals, dx=g.spacing)
-        return vals / Z, logv - logv.max() - np.log(Z)
 
-    def vpp_margins(self):
-        """(min V'' - K, L - max V'') over the grid nodes 2..n-3, by the
-        second difference of the samples of V."""
-        vpp = second_difference(self.V.values, self.V.grid.spacing)
-        return float(np.min(vpp) - self.K), float(self.L - np.max(vpp))
+def _log_mass(logu: np.ndarray, h: float) -> float:
+    """log of the trapezoid integral of the samples e^logu at spacing h."""
+    top = logu.max()
+    return float(top + np.log(np.trapezoid(np.exp(logu - top), dx=h)))
 
 
 def general_lsi_deficit(v: GridField, pot: PotentialSpec,
@@ -207,16 +200,27 @@ def general_lsi_deficit(v: GridField, pot: PotentialSpec,
         Ent_m(v/m) - I_m(v/m)/(2K)
           <= [same at v = m_beta] + (1 - 1/beta)(L - K)/K,
 
-    where m_beta = Z_beta^{-1} e^{-V/beta}.
+    where m_beta = Z_beta^{-1} e^{-V/beta}.  V, V' and V'' at the nodes are
+    the reference's node log, dlog closure and node (log)'' (the stencil
+    only when it has no d2log closure); (log v)' is v's dlog closure, and
+    m, m_beta are normalised by the trapezoid rule at the nodes.  The
+    integrals are trapezoid sums over the grid.
     """
     if beta <= 1:
         raise ParameterError("requires beta > 1")
     _density_cdf(v)
-    h = pot.V.grid.spacing
-    mvals, mlog = pot.density(1.0)
-    mbvals, mblog = pot.density(beta)
+    ref, x = pot.reference, v.grid.points
+    if ref.grid != v.grid:
+        raise ParameterError("v and the reference need one grid")
+    h = ref.grid.spacing
+    V = -ref.grid_log()
+    vpp = -ref.grid_d2log()
+    vprime = -ref.dlog(x)
+    mlog = -V - _log_mass(-V, h)
+    mblog = -V / beta - _log_mass(-V / beta, h)
 
-    lo_margin, hi_margin = pot.vpp_margins()
+    lo_margin = float(np.min(vpp) - pot.K)
+    hi_margin = float(pot.L - np.max(vpp))
     tol = 1e-4
     hyps = [HypothesisCheck("V''>=K", lo_margin >= -tol, lo_margin),
             HypothesisCheck("V''<=L", hi_margin >= -tol, hi_margin)]
@@ -224,26 +228,25 @@ def general_lsi_deficit(v: GridField, pot: PotentialSpec,
     vcert = certify(v, "convex", beta / pot.K)  # (log v)'' >= -K/beta
     hyps.append(HypothesisCheck("(log v)''>=-K/beta", vcert.passed,
                                 vcert.margin))
-    sym_v = float(np.max(np.abs(v.values - v.values[::-1])))
-    sym_V = float(np.max(np.abs(pot.V.values - pot.V.values[::-1])))
+    # x -> -x through the closures, which holds on any grid
+    sym_v = float(np.max(np.abs(v.values - v(-x))))
+    sym_V = float(np.max(np.abs(V + ref.log(-x))))
     scale_v = np.max(v.values)
     hyps.append(HypothesisCheck("symmetry", sym_v <= 1e-8 * scale_v
-                                and sym_V <= 1e-8 * max(1, np.max(
-                                    np.abs(pot.V.values))),
+                                and sym_V <= 1e-8 * max(1, np.max(np.abs(V))),
                                 -max(sym_v, sym_V)))
-    vprime = np.gradient(pot.V.values, h, edge_order=2)
     tail = max(abs(vprime[0] * v.values[0]), abs(vprime[-1] * v.values[-1]))
     hyps.append(HypothesisCheck("|V'| v -> 0", tail <= 1e-8, -tail))
 
-    def ent_fisher_against_m(dens_vals, dens_log):
-        rel = dens_log - mlog
-        ent = float(np.trapezoid(dens_vals * rel, dx=h))
-        drel = np.gradient(rel, h, edge_order=2)
-        fisher = float(np.trapezoid(dens_vals * drel * drel, dx=h))
-        return ent, fisher
+    def ent_fisher_against_m(dens, logd, dlogd):
+        """Ent_m and I_m of the density d at the nodes, from log d and
+        (log d)' there; (log m)' = -V'."""
+        drel = dlogd + vprime
+        return (float(np.trapezoid(dens * (logd - mlog), dx=h)),
+                float(np.trapezoid(dens * drel * drel, dx=h)))
 
-    ent_v, fi_v = ent_fisher_against_m(v.values, v.grid_log())
-    ent_b, fi_b = ent_fisher_against_m(mbvals, mblog)
+    ent_v, fi_v = ent_fisher_against_m(v.values, v.grid_log(), v.dlog(x))
+    ent_b, fi_b = ent_fisher_against_m(np.exp(mblog), mblog, -vprime / beta)
 
     K = pot.K
     lhs = ent_v - fi_v / (2 * K)

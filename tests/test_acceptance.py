@@ -204,8 +204,8 @@ class TestCriterion8Applications:
         for _ in range(5):
             c = float(rng.uniform(0.0, 0.05))
             m = float(rng.uniform(-1.0, 1.0))
-            vals = ext.f.values + c * np.log(np.cosh(grid.points - m))
-            pert = HJField.from_field(GridField(grid, vals))
+            pert = HJField.from_field(GridField.from_callable(
+                grid, lambda y: ext.f(y) + c * np.log(np.cosh(y - m))))
             rp = hj_hc_check(pert, a, tau, beta, rule)
             assert rp.asserted and rp.slack >= -1e-4
 
@@ -218,8 +218,8 @@ class TestCriterion8Applications:
         for _ in range(5):
             c = float(rng.uniform(0.0, 0.03))
             m = float(rng.uniform(-1.0, 1.0))
-            vals = ext.f.values + c * np.log(np.cosh(grid.points - m))
-            pert = HJField.from_field(GridField(grid, vals))
+            pert = HJField.from_field(GridField.from_callable(
+                grid, lambda y: ext.f(y) + c * np.log(np.cosh(y - m))))
             rp = dual_talagrand_check(pert, tau, beta, rule)
             assert rp.asserted and rp.slack >= -1e-4
 
@@ -296,13 +296,26 @@ class TestCriterion9Transport:
         for _ in range(10):
             omega = float(rng.uniform(0.8, 1.5))
             eps = float(rng.uniform(0.0, 0.05))
-            V = GridField(grid, 0.5 * omega * x * x
-                          + eps * np.log(np.cosh(x)))
-            pot = PotentialSpec(V, K=omega, L=omega + eps)
+
+            def log_ref(y, omega=omega, eps=eps):  # -V
+                return -(0.5 * omega * y * y + eps * np.log(np.cosh(y)))
+
+            def dlog_ref(y, omega=omega, eps=eps):  # -V'
+                return -(omega * y + eps * np.tanh(y))
+
+            pot = PotentialSpec(GridField.from_callable(
+                grid, log_fn=log_ref, dlog_fn=dlog_ref,
+                d2log_fn=lambda y, omega=omega, eps=eps:
+                    -(omega + eps / np.cosh(y) ** 2)),
+                K=omega, L=omega + eps)
             beta = 2.0
             beta_v = beta * pot.L / pot.K * float(rng.uniform(1.0, 1.3))
-            vals, _ = pot.density(beta_v)
-            r = general_lsi_deficit(GridField(grid, vals), pot, beta)
+            logz = float(np.log(np.trapezoid(np.exp(log_ref(x) / beta_v),
+                                             dx=grid.spacing)))
+            v = GridField.from_callable(
+                grid, log_fn=lambda y, b=beta_v, z=logz: log_ref(y) / b - z,
+                dlog_fn=lambda y, b=beta_v: dlog_ref(y) / b)
+            r = general_lsi_deficit(v, pot, beta)
             assert r.asserted
             assert r.slack >= -1e-4
 

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from gauss_deficit import cli, inequalities, numerics
+from gauss_deficit import cli, numerics
 from gauss_deficit.cli import (COMMANDS, ReportBundle, RunConfig, flow_trace,
                                main, run)
 from gauss_deficit.flows import _margin
@@ -452,14 +452,53 @@ def _every_suite():
                                                      count=3))
 
 
+class TestGeneralLSISuite:
+    def test_symmetry_read_through_the_closures(self, capsys):
+        # x -> -x is not a reversal of the nodes on [-10, 12]: v and V are
+        # compared with their closures at -x, so the symmetric inputs pass,
+        # and item 2 fails only the tail hypothesis (|V'| v = 3.6e-8 at -10)
+        assert main(["verify-general-lsi", "--count", "3", "--grid-lo", "-10",
+                     "--grid-hi", "12"]) == 0
+        bundle = json.loads(capsys.readouterr().out)
+        assert bundle["summary"]["asserted"] == 2
+        for report in bundle["reports"]:
+            sym = [h for h in report["hypotheses"] if h["name"] == "symmetry"]
+            assert sym[0]["pass"] and sym[0]["margin"] == 0.0
+        failed = [h["name"] for h in bundle["reports"][2]["hypotheses"]
+                  if not h["pass"]]
+        assert failed == ["|V'| v -> 0"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_slack_does_not_see_the_grid_spacing(self, seed):
+        # V', V'' and (log v)' are exact, and the trapezoid sums of the
+        # smooth integrands, decayed at the grid's ends, converge spectrally
+        slacks = [[r.slack for r in run(RunConfig(
+            command="verify-general-lsi", seed=seed, count=6,
+            grid_n=n)).reports] for n in (4097, 16385)]
+        np.testing.assert_allclose(slacks[1], slacks[0], rtol=0, atol=1e-12)
+
+
+def _every_suite():
+    """(name, run) of every suite at beta 2 and 0.5 (count 3), and of
+    flow-trace."""
+    for beta in (2.0, 0.5):
+        for command in cli._SUITES:
+            if beta < 1 and command in ("verify-hj", "verify-dual-talagrand"):
+                continue  # both need beta > 1
+            config = RunConfig(command=command, beta=beta, count=3)
+            yield f"{command} beta={beta}", lambda c=config: run(c)
+    yield "flow-trace", lambda: flow_trace(RunConfig(command="flow-trace",
+                                                     count=3))
+
+
 class TestStencilCallers:
     def test_only_grid_data_reach_the_stencil(self, monkeypatch):
         # every input a suite builds carries its exact (log v)' and
-        # (log v)'', and every Hamilton-Jacobi datum its exact f''; only the
-        # values-only potential V (vpp_margins) is differenced.  An
-        # input that loses its d2log would reach the stencil from certify,
-        # one that loses its dlog would raise in GridField.dlog or take
-        # _grad_sq_gauss's grid-gradient branch, and fail here.
+        # (log v)'', the general-LSI reference its exact -V' and -V'', and
+        # every Hamilton-Jacobi datum its exact f'', so no suite reaches
+        # the stencil.  An input that loses its d2log would reach it from
+        # certify, one that loses its dlog would raise in GridField.dlog,
+        # and fail here.
         stencil, callers, quotients = numerics.second_difference, [], []
 
         def recording(u, h):
@@ -470,53 +509,43 @@ class TestStencilCallers:
             if (name.startswith("gauss_deficit")
                     and getattr(module, "second_difference", None) is stencil):
                 monkeypatch.setattr(module, "second_difference", recording)
-        dlog, grad_sq = GridField.dlog, inequalities._grad_sq_gauss
+        dlog = GridField.dlog
 
         def recording_dlog(field, x):
             if field.analytic_dlog is None:
                 quotients.append("GridField.dlog")
             return dlog(field, x)
 
-        def recording_grad_sq(f, rule):
-            if f.analytic_dlog is None:
-                quotients.append("_grad_sq_gauss")
-            return grad_sq(f, rule)
-
         monkeypatch.setattr(GridField, "dlog", recording_dlog)
-        monkeypatch.setattr(inequalities, "_grad_sq_gauss", recording_grad_sq)
         for _, task in _every_suite():
             task()
-        assert set(callers) == {"vpp_margins"}
+        assert callers == []
         assert quotients == []
 
 
 class TestInterpolatedReads:
     def test_closure_built_inputs_are_read_exactly(self, monkeypatch):
         # every input and every Hopf-Lax envelope a suite builds carries its
-        # exact closure, so no suite reads a values-only field between its
-        # nodes (GridField.__call__ or .log), and the only linear
-        # interpolation left is the inverse CDF of brenier_1d
-        interp, call, log = np.interp, GridField.__call__, GridField.log
-        current, reads, interps = [None], [], []
+        # exact closure, so the only linear interpolation left is the
+        # inverse CDF of brenier_1d, and the only grid gradient the
+        # Lipschitz estimate of HJField.from_field, which sets the width of
+        # the Hopf-Lax extension and no reported number
+        interp, gradient = np.interp, np.gradient
+        current, interps, gradients = [None], [], []
 
-        def recording_interp(*args, **kw):
-            caller = sys._getframe(1).f_code.co_name
-            if caller != "brenier_1d":
-                interps.append((current[0], caller))
-            return interp(*args, **kw)
-
-        def recording(method):
-            def read(field, x):
-                if field.analytic is None and field.analytic_log is None:
-                    reads.append((current[0], method.__name__,
-                                  sys._getframe(1).f_code.co_name))
-                return method(field, x)
+        def recording(fn, allowed, calls):
+            def read(*args, **kw):
+                caller = sys._getframe(1).f_code.co_name
+                if caller != allowed:
+                    calls.append((current[0], caller))
+                return fn(*args, **kw)
             return read
 
-        monkeypatch.setattr(np, "interp", recording_interp)
-        monkeypatch.setattr(GridField, "__call__", recording(call))
-        monkeypatch.setattr(GridField, "log", recording(log))
+        monkeypatch.setattr(np, "interp",
+                            recording(interp, "brenier_1d", interps))
+        monkeypatch.setattr(np, "gradient",
+                            recording(gradient, "from_field", gradients))
         for current[0], task in _every_suite():
             task()
-        assert reads == []
         assert interps == []
+        assert gradients == []

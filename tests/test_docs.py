@@ -1,0 +1,45 @@
+"""README names resolve: every backticked name rooted at a gauss_deficit
+export or module (``GridField.from_callable``, ``flows.fp_evolve``) is
+looked up attribute by attribute, so deleting or renaming a documented
+name fails here until README follows."""
+import dataclasses
+import pathlib
+import re
+
+import gauss_deficit
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+# a dotted name at the start of a backticked span, then the span's end or
+# a call's parenthesis
+NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(|$)")
+
+
+def documented_names():
+    names = set()
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"),
+                  flags=re.DOTALL)  # code blocks hold no backticked names
+    for span in re.findall(r"`([^`]+)`", text):
+        m = NAME.match(span.strip())
+        if m and not m.group(1).startswith("_") and hasattr(
+                gauss_deficit, m.group(1).split(".")[0]):
+            names.add(m.group(1))
+    return sorted(names)
+
+
+def resolves(name: str) -> bool:
+    obj = gauss_deficit
+    for part in name.split("."):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        elif dataclasses.is_dataclass(obj) and part in {
+                f.name for f in dataclasses.fields(obj)}:
+            return True  # a field without a class-level default
+        else:
+            return False
+    return True
+
+
+def test_readme_names_resolve():
+    names = documented_names()
+    assert len(names) >= 50  # the extraction still finds the API names
+    assert [n for n in names if not resolves(n)] == []

@@ -12,15 +12,20 @@ from gauss_deficit.numerics import GridField, ParameterError, default_grid
 
 
 def abs_datum(grid):
-    return HJField.from_field(GridField(grid, np.abs(grid.points)))
+    return HJField.from_field(GridField.from_callable(grid, np.abs))
+
+
+def constant_datum(grid, value):
+    return HJField.from_field(GridField.from_callable(
+        grid, lambda y: np.full(np.shape(y), value)))
 
 
 def perturbed_datum(grid, a, beta, c=0.03, m=0.4):
-    """Extremiser quadratic plus a small convex bump; stays admissible."""
+    """Extremiser quadratic plus a small convex bump; stays admissible.
+    Without its exact f'', the Laplacian hypothesis takes the stencil."""
     base = quadratic_datum(a, beta_of_a(a, beta), grid)
-    x = grid.points
-    vals = base.f.values + c * np.log(np.cosh(x - m))
-    return HJField.from_field(GridField(grid, vals))
+    return HJField.from_field(GridField.from_callable(
+        grid, lambda y: base.f(y) + c * np.log(np.cosh(y - m))))
 
 
 class TestHopfLax:
@@ -35,7 +40,7 @@ class TestHopfLax:
         assert np.max(np.abs(q.values[mask] - exact[mask])) < 5e-6
 
     def test_constant_datum_fixed(self, grid):
-        f = HJField.from_field(GridField(grid, np.full(grid.n, 1.7)))
+        f = constant_datum(grid, 1.7)
         q = hopf_lax(f, 0.7)
         np.testing.assert_allclose(q.values, 1.7, atol=1e-12)
 
@@ -77,16 +82,6 @@ class TestHopfLax:
         coef, const = hopf_lax_quadratic(1.0, 2.0, 1.0)
         for x in (rule.nodes, np.array([grid.lo, grid.hi])):
             assert np.max(np.abs(q(x) - (0.5 * coef * x * x + const))) < 1e-14
-
-    def test_values_only_datum_keeps_lipschitz_continuation(self, grid):
-        closure = quadratic_datum(1.0, 2.0, grid)
-        f = HJField(GridField(grid, closure.f.values),
-                    closure.lipschitz_estimate, closure.lower_linear_bound)
-        y = np.array([-20.0, -12.5, 12.5, 20.0])
-        edge = np.where(y < 0, f.f.values[0], f.f.values[-1])
-        want = np.maximum(-f.lower_linear_bound * (1.0 + np.abs(y)),
-                          edge - f.lipschitz_estimate * (np.abs(y) - 12.0))
-        np.testing.assert_allclose(f.extended(y), want, rtol=1e-15)
 
     def test_semigroup_property(self, small_grid):
         f = quadratic_datum(1.0, 3.0, small_grid)
@@ -169,9 +164,10 @@ class TestHopfLaxOracle:
     def test_kinked_random_nonconvex_constant(self, small_grid, tau):
         x = small_grid.points
         walk = np.cumsum(np.random.default_rng(11).normal(size=x.size))
-        for vals in (np.abs(x), 0.05 * walk, np.cos(3 * x) + 0.1 * x * x,
-                     np.full(x.size, 1.7)):
-            f = HJField.from_field(GridField(small_grid, vals))
+        for fn in (np.abs, lambda y: np.interp(y, x, 0.05 * walk),
+                   lambda y: np.cos(3 * y) + 0.1 * y * y,
+                   lambda y: np.full(np.shape(y), 1.7)):
+            f = HJField.from_field(GridField.from_callable(small_grid, fn))
             np.testing.assert_allclose(hopf_lax(f, tau).values,
                                        brute_hopf_lax(f, tau),
                                        rtol=0, atol=1e-13)
@@ -216,7 +212,7 @@ class TestHJHypercontractivity:
 
     def test_flat_datum_not_asserted(self, grid, rule):
         # a flat datum fails the curvature hypothesis at beta = 2
-        f = HJField.from_field(GridField(grid, np.zeros(grid.n)))
+        f = constant_datum(grid, 0.0)
         r = hj_hc_check(f, 1.0, 1.0, 2.0, rule)
         assert not r.asserted
 

@@ -118,7 +118,8 @@ class TestLSI:
             sharp_constant("lsi_gauss", beta=beta).value, abs=1e-14)
 
     def test_unnormalized_input_rejected(self, grid, rule):
-        v = GridField(grid, 2.0 * gaussian_field(grid, 1.0).values)
+        q = LogQuad.gaussian(1.0)
+        v = GridField.from_callable(grid, lambda x: 2.0 * q(x))
         with pytest.raises(ParameterError):
             lsi_check(v, 2.0, rule)
 
@@ -249,6 +250,18 @@ class TestPoincare:
             r = poincare_check(f, beta, rule)
             assert abs(r.rhs - 0.125) <= 1e-15
 
+    @pytest.mark.parametrize("check", ["poincare", "beckner"])
+    def test_gradient_needs_the_dlog_closure(self, grid, rule, check):
+        # int |f'|^2 dgamma reads f (log f)'; no grid gradient stands in
+        exact = sqrt_ratio_field(grid, 2.0, 2.0)
+        f = GridField.from_callable(grid, log_fn=exact.analytic_log,
+                                    d2log_fn=exact.analytic_d2log)
+        with pytest.raises(ParameterError, match=r"\(log f\)'"):
+            if check == "poincare":
+                poincare_check(f, 2.0, rule)
+            else:
+                beckner_check(f, 1.5, 2.0, rule)
+
 
 class TestBeckner:
     def test_p_out_of_range(self, grid, rule):
@@ -269,10 +282,18 @@ class TestBeckner:
         s = -0.5 * float(np.log(p - 1.0))
         z, w = rule.nodes, rule.weights
         v = make_fp_input(np.random.default_rng(4), 2.0, grid)
+
+        def dlog(x):  # ((log v)' + x) / p
+            return (v.dlog(x) + x) / p
+
         closure = GridField.from_callable(
             grid, lambda x: np.exp((v.log(x) + 0.5 * x * x
-                                    + 0.5 * np.log(2 * np.pi)) / p))
-        for f in (closure, GridField(grid, closure.values)):
+                                    + 0.5 * np.log(2 * np.pi)) / p),
+            dlog_fn=dlog)
+        nodal = GridField.from_callable(
+            grid, lambda x: np.interp(x, grid.points, closure.values,
+                                      left=0.0, right=0.0), dlog_fn=dlog)
+        for f in (closure, nodal):
             r = beckner_check(f, p, 2.0, rule)
             fz = np.asarray(f(z), float)
             psf = ou_apply(f, s, rule)

@@ -120,18 +120,15 @@ class TestClosureEvaluatedOnce:
         np.testing.assert_array_equal(f.grid_d2log(),
                                       q.d2log(grid.points[2:-2]))
 
-    def test_values_and_closure_from_different_sources_checked(self, grid):
-        # grid values and an exact closure are two ways to build a field,
-        # not one: given both, the field is refused, unevaluated
-        fn = Counting(lambda x: np.exp(-x ** 2))
-        for kw in (dict(analytic=fn), dict(analytic_log=fn)):
-            with pytest.raises(ParameterError):
-                GridField(grid, np.exp(-grid.points ** 2), **kw)
-        assert fn.calls == 0
-
     def test_needs_values_or_closure(self, grid):
         with pytest.raises(ParameterError):
             GridField(grid)
+
+    def test_values_are_not_a_constructor_argument(self, grid):
+        # a field is an exact function: its values are its closure's one
+        # evaluation at the nodes, never handed in
+        with pytest.raises(TypeError):
+            GridField(grid, values=np.ones(grid.n))
 
 
 class TestSecondDifference:
@@ -144,35 +141,36 @@ class TestSecondDifference:
 
 
 class TestGridField:
-    def test_analytic_agreement_enforced(self, grid):
-        with pytest.raises(ValueError):
-            GridField(grid, np.exp(-grid.points ** 2),
-                      analytic=lambda x: np.exp(-x ** 2) + 1.0)
-
     def test_from_callable_roundtrip(self, grid):
         f = GridField.from_callable(grid, lambda x: np.exp(-0.5 * x ** 2))
         assert f(0.3) == pytest.approx(np.exp(-0.045), rel=1e-12)
 
-    def test_interp_zero_extension(self, grid):
-        f = GridField(grid, np.ones(grid.n))
-        assert float(f(grid.hi + 1.0)) == 0.0
-
     def test_dlog_needs_its_closure(self, grid):
         # no difference quotient stands in for a missing (log f)'
-        for f in (GridField(grid, np.exp(-0.5 * grid.points ** 2)),
+        for f in (GridField.from_callable(grid,
+                                          lambda x: np.exp(-0.5 * x ** 2)),
                   GridField.from_callable(grid, log_fn=lambda x: -0.5 * x * x)):
             with pytest.raises(ParameterError):
                 f.dlog(0.3)
 
     def test_grid_mass_is_the_trapezoid(self, grid):
-        f = GridField(grid, np.exp(-0.5 * grid.points ** 2))
+        f = GridField.from_callable(grid, lambda x: np.exp(-0.5 * x ** 2))
         assert f.grid_mass == float(np.trapezoid(f.values, dx=grid.spacing))
         assert f.grid_mass == pytest.approx(np.sqrt(2 * np.pi), rel=1e-12)
 
     def test_log_of_values_only_field(self, grid):
         vals = np.exp(-0.5 * grid.points ** 2)
-        f = GridField(grid, vals)
+        f = GridField.from_callable(grid, lambda x: np.interp(
+            x, grid.points, vals, left=0.0, right=0.0))
         assert float(f.log(0.5)) == pytest.approx(-0.125, abs=1e-5)
+
+    def test_log_of_a_value_closure(self, grid):
+        # without a log closure, log f is the log of the value closure, and
+        # -inf, without a warning, where f vanishes or is negative
+        f = GridField.from_callable(
+            grid, lambda x: np.exp(-0.5 * x ** 2) * np.sign(1.0 - x))
+        np.testing.assert_allclose(f.log(np.array([0.5, 1.0, 2.0])),
+                                   [-0.125, -np.inf, -np.inf], rtol=1e-15)
 
     @given(x=st.floats(-10, 10))
     @settings(max_examples=30, deadline=None)
@@ -191,7 +189,7 @@ class TestGridField:
         assert f.grid_log() is f.grid_log() and log.calls == 1
         np.testing.assert_array_equal(f.grid_log(), -0.5 * x * x)
         np.testing.assert_array_equal(f.grid_d2log(), np.full(grid.n - 4, -1.0))
-        g = GridField(grid, np.exp(-0.5 * x * x))
+        g = GridField.from_callable(grid, lambda t: np.exp(-0.5 * t * t))
         np.testing.assert_array_equal(
             g.grid_d2log(), second_difference(np.log(g.values), grid.spacing))
         for arr in (f.grid_log(), f.grid_d2log(), g.grid_log()):

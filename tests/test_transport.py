@@ -54,16 +54,18 @@ class TestBrenier:
 
 def _off_mass(grid):
     """gamma_2 with its mass off by 2e-6."""
-    vals = gaussian_field(grid, 2.0).values * (1.0 + 2e-6)
-    return GridField(grid, vals)
+    q = LogQuad.gaussian(2.0)
+    return GridField.from_callable(grid, lambda x: q(x) * (1.0 + 2e-6))
 
 
 def _negative(grid):
-    """gamma_2 with one node below 0 and its mass kept at 1."""
+    """gamma_2 with one node below 0 and its mass kept at 1, read linearly
+    between the nodes."""
     vals = gaussian_field(grid, 2.0).values.copy()
     vals[grid.n // 2] = -1e-9
     vals /= np.trapezoid(vals, dx=grid.spacing)
-    return GridField(grid, vals)
+    return GridField.from_callable(
+        grid, lambda x: np.interp(x, grid.points, vals, left=0.0, right=0.0))
 
 
 class TestDensityChecks:
@@ -73,9 +75,8 @@ class TestDensityChecks:
     @pytest.mark.parametrize("make", [_off_mass, _negative])
     def test_refused(self, grid, make):
         bad = make(grid)
-        x = grid.points
-        V = GridField(grid, 0.5 * x * x)
-        pot = PotentialSpec(V, K=1.0, L=1.0)
+        # gamma is e^{-V} for V = x^2/2 up to a constant
+        pot = PotentialSpec(gauss_spec(1.0, grid), K=1.0, L=1.0)
         for call in (lambda: talagrand_deficit(bad, 2.0),
                      lambda: w2(gauss_spec(1.0, grid), bad),
                      lambda: w2(bad, gauss_spec(1.0, grid)),
@@ -222,15 +223,31 @@ class TestCoupling2D:
 
 class TestGeneralLSI:
     @staticmethod
-    def _potential(grid, omega=1.0, eps=0.0):
-        x = grid.points
-        V = GridField(grid, 0.5 * omega * x * x + eps * np.log(np.cosh(x)))
-        return PotentialSpec(V, K=omega, L=omega + eps)
+    def _potential(grid, omega=1.0, eps=0.0, d2log=True):
+        """e^{-V}, V = omega x^2/2 + eps log cosh x, with -V', and -V''
+        unless d2log is False."""
+        ref = GridField.from_callable(
+            grid, log_fn=lambda x: -(0.5 * omega * x * x
+                                     + eps * np.log(np.cosh(x))),
+            dlog_fn=lambda x: -(omega * x + eps * np.tanh(x)),
+            d2log_fn=(lambda x: -(omega + eps / np.cosh(x) ** 2))
+            if d2log else None)
+        return PotentialSpec(ref, K=omega, L=omega + eps)
+
+    @staticmethod
+    def _member(pot, beta):
+        """e^{-V/beta}, normalised by the trapezoid rule on the grid."""
+        ref = pot.reference
+        logz = float(np.log(np.trapezoid(np.exp(ref.grid_log() / beta),
+                                         dx=ref.grid.spacing)))
+        return GridField.from_callable(
+            ref.grid, log_fn=lambda x: ref.log(x) / beta - logz,
+            dlog_fn=lambda x: ref.dlog(x) / beta,
+            d2log_fn=lambda x: ref.analytic_d2log(x) / beta)
 
     def test_equality_at_reference_quadratic(self, grid):
         pot = self._potential(grid)
-        vals, _ = pot.density(2.0)
-        r = general_lsi_deficit(GridField(grid, vals), pot, 2.0)
+        r = general_lsi_deficit(self._member(pot, 2.0), pot, 2.0)
         assert r.asserted
         assert r.slack == pytest.approx(0, abs=1e-9)
 
@@ -238,21 +255,48 @@ class TestGeneralLSI:
         pot = self._potential(grid, omega=1.0, eps=0.03)
         beta = 2.0
         beta_v = beta * pot.L / pot.K * 1.1
-        vals, _ = pot.density(beta_v)
-        r = general_lsi_deficit(GridField(grid, vals), pot, beta)
+        r = general_lsi_deficit(self._member(pot, beta_v), pot, beta)
         assert r.asserted
         assert r.slack >= -1e-4
+
+    def test_potential_without_d2log_takes_the_stencil(self, grid):
+        # V'' is the reference's exact -(log)''; left out, it is the
+        # second difference of V at the grid spacing
+        exact = self._potential(grid, omega=1.2, eps=0.04)
+        stencil = self._potential(grid, omega=1.2, eps=0.04, d2log=False)
+        v = self._member(exact, 2.0 * exact.L / exact.K)
+        margins = [[h.margin for h in general_lsi_deficit(v, pot, 2.0)
+                    .hypotheses[:2]] for pot in (exact, stencil)]
+        x = grid.points[2:-2]
+        vpp = 1.2 + 0.04 / np.cosh(x) ** 2
+        assert margins[0] == [np.min(vpp) - 1.2, 1.24 - np.max(vpp)]
+        np.testing.assert_allclose(margins[1], margins[0], rtol=0, atol=1e-6)
+        assert margins[1] != margins[0]
+
+    def test_needs_the_exact_slopes(self, grid):
+        # V' and (log v)' are read from the dlog closures, never differenced
+        pot = self._potential(grid)
+        v = self._member(pot, 2.0)
+        bare = GridField.from_callable(grid, log_fn=v.analytic_log)
+        with pytest.raises(ParameterError, match=r"\(log f\)'"):
+            general_lsi_deficit(bare, pot, 2.0)
+        flat = PotentialSpec(GridField.from_callable(
+            grid, log_fn=pot.reference.analytic_log), K=1.0, L=1.0)
+        with pytest.raises(ParameterError, match=r"\(log f\)'"):
+            general_lsi_deficit(v, flat, 2.0)
 
     def test_asymmetric_input_not_asserted(self, grid):
         pot = self._potential(grid)
         x = grid.points
-        raw = np.exp(-0.3 * (x - 0.5) ** 2)
-        raw /= np.trapezoid(raw, dx=grid.spacing)
-        r = general_lsi_deficit(GridField(grid, raw), pot, 2.0)
+        logz = float(np.log(np.trapezoid(np.exp(-0.3 * (x - 0.5) ** 2),
+                                         dx=grid.spacing)))
+        raw = GridField.from_callable(
+            grid, log_fn=lambda y: -0.3 * (y - 0.5) ** 2 - logz,
+            dlog_fn=lambda y: -0.6 * (y - 0.5))
+        r = general_lsi_deficit(raw, pot, 2.0)
         assert not r.asserted
 
     def test_requires_beta_above_one(self, grid):
         pot = self._potential(grid)
-        vals, _ = pot.density(1.0)
         with pytest.raises(ParameterError):
-            general_lsi_deficit(GridField(grid, vals), pot, 0.9)
+            general_lsi_deficit(self._member(pot, 1.0), pot, 0.9)
