@@ -21,7 +21,9 @@ strided levels, halved until two levels agree in log v_t and (log v_t)'';
 each level adds the atoms between the previous level's to it, so every atom
 is evaluated once.  FP(beta) is the set of time-(1/2)log 2 snapshots of the
 2 beta-flow started from a finite measure; its members are automatically
-beta-semi-log-convex.
+beta-semi-log-convex.  The certificates measure the signed margin of a
+log-curvature bound and return it as a reports.HypothesisCheck that carries
+the tolerance it is judged at.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from .families import LogQuad, field_from_family
 from .numerics import (Grid1D, GridField, ParameterError, PositivityError,
                        TruncationError, _coarsest_stride, _refine_strides,
                        default_grid)
+from .reports import HypothesisCheck
 
 logger = logging.getLogger(__name__)
 
@@ -61,18 +64,6 @@ class MeasureSpec:
             raise ParameterError("weights must be nonnegative with finite mass")
         object.__setattr__(self, "points", p)
         object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True)
-class ConvexityCertificate:
-    kind: str  # "subharmonic" | "convex" | "concave" | "superharmonic"
-    beta: float
-    margin: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.margin >= -self.tol
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +137,21 @@ def _grid_density_family(src: GridField, beta: float, t: float, x):
         """The coarsest level's family, once its pad has settled, or None
         when the level has no mass.  The pad is settled here, before any
         refinement: a cut-off source has a kink at the grid edge, so its
-        levels never agree."""
+        levels never agree.  A coarse level can miss a narrow source or the
+        teeth of a comb: the pad is then settled on the odd atoms of the
+        first finer level with mass."""
         nonlocal pad, pad_checks
         while True:
-            y, logw = atoms(k0, 0, k0)
-            if k0 > 1 and not np.any(logw > -np.inf):
-                return None  # a coarse level can miss a narrow source
+            k, (y, logw) = k0, atoms(k0, 0, k0)
+            while k > 1 and not np.any(logw > -np.inf):
+                k //= 2
+                y, logw = atoms(k, k, 2 * k)
             q = _atoms_family(y, logw, beta, t)
             pad_checks += 1
             if _edge_weight(lambda at: run(q, at, 0)[0],
                             np.exp(-t) * y[[0, -1]], logw[[0, -1]], w,
                             x) <= _LOG_EDGE_WEIGHT:
-                return q
+                return q if k == k0 else None
             if pad >= 64 * (n - 1):
                 raise TruncationError("the closure does not decay past "
                                       "the grid: no pad makes its edge "
@@ -329,8 +323,10 @@ def _margin(kind: str, beta: float, hess) -> float:
 
 
 def certify(v: GridField, kind: str, beta: float,
-            tol: Optional[float] = None) -> ConvexityCertificate:
-    """Measure the log-curvature bound defining each semi-log property.
+            tol: Optional[float] = None) -> HypothesisCheck:
+    """Measure the log-curvature bound defining each semi-log property, as
+    a HypothesisCheck named ``kind`` with tolerance ``tol`` (1e-4/beta when
+    left out); a caller reporting it renames it with dataclasses.replace.
 
     Margins are signed so that margin >= -tol certifies, over the grid
     nodes 2..n-3:
@@ -359,20 +355,19 @@ def certify(v: GridField, kind: str, beta: float,
         raise PositivityError("certification from samples requires v > 0")
     if tol is None:
         tol = 1e-4 / beta
-    margin = _margin(kind, beta, v.grid_d2log())
-    return ConvexityCertificate(kind, beta, margin, tol)
+    return HypothesisCheck(kind, _margin(kind, beta, v.grid_d2log()), tol)
 
 
-def certify_log_concave(*factors: GridField) -> ConvexityCertificate:
+def certify_log_concave(*factors: GridField) -> HypothesisCheck:
     """(log v)'' <= 0 for the product v of the factors, the beta -> infinity
-    limit of semi-log-concavity: the factor certificate with the worse
-    margin."""
-    return min((certify(v, "concave", 1e18, tol=1e-6) for v in factors),
-               key=lambda cert: cert.margin)
+    limit of semi-log-concavity: "log-concave", at the factor margin that is
+    the worse, with tolerance 1e-6."""
+    margin = min(certify(v, "concave", 1e18).margin for v in factors)
+    return HypothesisCheck("log-concave", margin, 1e-6)
 
 
 def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray,
-                   side: str) -> ConvexityCertificate:
+                   side: str) -> HypothesisCheck:
     """Certificate grad^2 log v >= -B^{-1} (side='convex') or <= -B^{-1}
     for the product density v = v1 (x) v2 on R^2 and an SPD 2 x 2 matrix B.
 
@@ -381,7 +376,7 @@ def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray,
     diag(h1(x1), h2(x2)) with h_i = (log v_i)'', and every eigenvalue of
     diag(h1, h2) + B^{-1} is nondecreasing in h1 and h2, so the worst pair
     takes each factor's smallest (convex) or largest (concave) h_i.  The
-    certificate passes at margin >= -1e-4.
+    check is named "hessian-<side>-vs-B" and passes at margin >= -1e-4.
     """
     if side not in ("convex", "concave"):
         raise ParameterError("side must be 'convex' or 'concave'")
@@ -392,8 +387,7 @@ def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray,
     h = [extreme(v.grid_d2log()) for v in (v1, v2)]
     eigs = np.linalg.eigvalsh(np.diag(h) + np.linalg.inv(B))
     margin = eigs[0] if side == "convex" else -eigs[-1]
-    return ConvexityCertificate(side, float(np.max(np.linalg.eigvalsh(B))),
-                                float(margin), 1e-4)
+    return HypothesisCheck(f"hessian-{side}-vs-B", float(margin), 1e-4)
 
 
 def preservation_trace(v0: GridField, beta: float, kind: str,

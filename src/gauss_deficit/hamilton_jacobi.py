@@ -215,12 +215,12 @@ def hj_hc_check(f: HJField, a: float, tau: float, beta: float,
         raise ParameterError("admissibility beta(1 - 1/a) < 1 violated")
     rule = _rule_or_default(rule)
     ba = beta_of_a(a, beta)
-    hyps = [HypothesisCheck("beta(1-1/a)<1", True,
-                            1.0 - beta * (1.0 - 1.0 / a))]
-    lap = _laplacian_margin(f, 1.0 - 1.0 / beta)
-    hyps.append(HypothesisCheck("laplacian>=1-1/beta", lap >= -1e-6, lap))
-    integ = _integrability_margin(f, a, ba)
-    hyps.append(HypothesisCheck("exp-moment-integrable", integ > 0, integ))
+    hyps = [HypothesisCheck("beta(1-1/a)<1",
+                            1.0 - beta * (1.0 - 1.0 / a), 0.0),
+            HypothesisCheck("laplacian>=1-1/beta",
+                            _laplacian_margin(f, 1.0 - 1.0 / beta), 1e-6),
+            HypothesisCheck("exp-moment-integrable",
+                            _integrability_margin(f, a, ba), 0.0)]
 
     z, log_w = rule.nodes, rule.log_weights
     lhs = float(np.exp(_log_lp(hopf_lax(f, tau)(z), a + tau, log_w)))
@@ -228,7 +228,7 @@ def hj_hc_check(f: HJField, a: float, tau: float, beta: float,
     log_ref = LogQuad(coef, 0.0, const).log_lp_norm_gauss(a + tau)
     log_ef = _log_lp(f.f(z), a, log_w)
     rhs = float(np.exp(log_ref + log_ef))
-    return DeficitReport.build(
+    return DeficitReport(
         "hj-hypercontractivity", lhs, rhs, float(np.exp(log_ref)),
         hypotheses=hyps,
         params={"a": a, "tau": tau, "beta": beta, "beta_a": ba,
@@ -249,12 +249,11 @@ def dual_talagrand_check(f: HJField, tau: float, beta: float,
     if beta <= 1:
         raise ParameterError("requires beta > 1")
     rule = _rule_or_default(rule)
-    lap = _laplacian_margin(f, 1.0 - 1.0 / beta)
-    hyps = [HypothesisCheck("laplacian>=1-1/beta", lap >= -1e-6, lap)]
-    for a in (0.01, 0.005):
-        integ = _integrability_margin(f, a, beta_of_a(a, beta))
-        hyps.append(HypothesisCheck(f"exp-moment-integrable(a={a})",
-                                    integ > 0, integ))
+    hyps = [HypothesisCheck("laplacian>=1-1/beta",
+                            _laplacian_margin(f, 1.0 - 1.0 / beta), 1e-6)]
+    hyps += [HypothesisCheck(f"exp-moment-integrable(a={a})",
+                             _integrability_margin(f, a, beta_of_a(a, beta)),
+                             0.0) for a in (0.01, 0.005)]
 
     lhs = float(np.exp(_log_lp(hopf_lax(f, tau)(rule.nodes), tau,
                                rule.log_weights)))
@@ -266,7 +265,7 @@ def dual_talagrand_check(f: HJField, tau: float, beta: float,
     coef, const = hopf_lax_quadratic(a0, beta_of_a(a0, beta), tau)
     t_limit = float(np.exp(
         LogQuad(coef, 0.0, const).log_lp_norm_gauss(a0 + tau)))
-    return DeficitReport.build(
+    return DeficitReport(
         "dual-talagrand", lhs, rhs, t_const, hypotheses=hyps,
         params={"tau": tau, "beta": beta, "mean_f": mean_f,
                 "t_limit_at_a=0.01": t_limit,

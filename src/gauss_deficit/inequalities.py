@@ -9,7 +9,7 @@ assert an inequality whose hypotheses failed; they still carry the numbers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,13 +34,11 @@ from .transport import relative_entropy_gauss, w2
 def _certificate_hypotheses(v: GridField, beta: float) -> list:
     """The regime-dependent curvature hypothesis (none at beta = 1)."""
     if beta > 1:
-        cert = certify(v, "subharmonic", beta)
-        return [HypothesisCheck("beta-semi-log-subharmonic", cert.passed,
-                                cert.margin)]
+        return [replace(certify(v, "subharmonic", beta),
+                        name="beta-semi-log-subharmonic")]
     if beta < 1:
-        cert = certify(v, "concave", beta)
-        return [HypothesisCheck("beta-semi-log-concave", cert.passed,
-                                cert.margin)]
+        return [replace(certify(v, "concave", beta),
+                        name="beta-semi-log-concave")]
     return []
 
 
@@ -72,7 +70,7 @@ def hc_check(v: GridField, beta: float, triple: ExponentTriple,
     mass = _mass_vdx(v, rule)
     const = sharp_constant("hc_ratio", beta=beta, triple=triple).value
     rhs = const * mass ** (1.0 / triple.p)
-    return DeficitReport.build(
+    return DeficitReport(
         "hypercontractivity", lhs, rhs, const, hypotheses=hyps,
         params={"beta": beta, "p": triple.p, "q": triple.q, "s": triple.s,
                 "mass": mass})
@@ -93,24 +91,19 @@ def reverse_hc_check(v: GridField, beta: float, triple: ExponentTriple,
             "p must avoid the excluded values 0 and 1 - e^{-2s}")
     rule = _rule_or_default(rule)
     _check_ratio_bounded(v, beta)
-    hyps = []
     if triple.p * triple.q > 0:
-        hyps.append(HypothesisCheck("beta>1-for-pq>0", beta >= 1.0,
-                                    beta - 1.0))
-        cert = certify(v, "subharmonic", max(beta, 1.0))
-        hyps.append(HypothesisCheck("beta-semi-log-subharmonic", cert.passed,
-                                    cert.margin))
+        hyps = [HypothesisCheck("beta>1-for-pq>0", beta - 1.0, 0.0),
+                replace(certify(v, "subharmonic", max(beta, 1.0)),
+                        name="beta-semi-log-subharmonic")]
     else:
-        hyps.append(HypothesisCheck("beta<1-for-pq<0", beta <= 1.0,
-                                    1.0 - beta))
-        cert = certify(v, "concave", min(beta, 1.0))
-        hyps.append(HypothesisCheck("beta-semi-log-concave", cert.passed,
-                                    cert.margin))
+        hyps = [HypothesisCheck("beta<1-for-pq<0", 1.0 - beta, 0.0),
+                replace(certify(v, "concave", min(beta, 1.0)),
+                        name="beta-semi-log-concave")]
     lhs = float(np.exp(log_hc_norm(v, p, triple.q, s, rule)))
     mass = _mass_vdx(v, rule)
     const = sharp_constant("hc_ratio", beta=beta, triple=triple).value
     rhs = const * float(np.exp(np.log(mass) / p))
-    return DeficitReport.build(
+    return DeficitReport(
         "reverse-hypercontractivity", lhs, rhs, const, direction="ge",
         hypotheses=hyps,
         params={"beta": beta, "p": p, "q": triple.q, "s": s, "mass": mass})
@@ -129,7 +122,7 @@ def lsi_check(v: GridField, beta: float, rule=None) -> DeficitReport:
     hyps = _certificate_hypotheses(v, beta)
     ef = entropy_fisher(tilt(v, 1.0, 1.0), rule)
     const = sharp_constant("lsi_gauss", beta=beta).value
-    return DeficitReport.build(
+    return DeficitReport(
         "log-sobolev", ef.entropy - 0.5 * ef.fisher, const, const,
         hypotheses=hyps,
         params={"beta": beta, "n": 1, "entropy": ef.entropy,
@@ -147,7 +140,7 @@ def els_eigen_check(v: GridField, rule=None) -> DeficitReport:
     correction = -0.5 * float(sum(np.log(b) - 1.0 + 1.0 / b
                                   for b in eigs if b <= 1.0))
     rhs = 0.5 * ef.fisher + correction
-    return DeficitReport.build(
+    return DeficitReport(
         "els-eigenvalue", ef.entropy, rhs, correction,
         params={"cov_eigenvalues": eigs, "entropy": ef.entropy,
                 "fisher": ef.fisher, "correction": correction})
@@ -214,11 +207,8 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
 
     logc = certify_log_concave(v1, v2) if which == "talagrand" else None
     side, cert = _matrix_side(v1, v2, B, eigs, logc, side)
-    hyps = [HypothesisCheck(f"hessian-{side}-vs-B", cert.passed, cert.margin)]
+    hyps = [cert] + ([logc] if logc is not None and side == "convex" else [])
     relevant = [b for b in eigs if (b >= 1.0 if side == "convex" else b <= 1.0)]
-
-    if logc is not None and side == "convex":
-        hyps.append(HypothesisCheck("log-concave", logc.passed, logc.margin))
 
     m1, m2 = (_mass_vdx(v, rule) for v in (v1, v2))
     if which == "hc":
@@ -233,8 +223,8 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
         rhs = const * mass ** (1.0 / triple.p)
         params = {"which": which, "side": side, "eigenvalues": eigs,
                   "p": triple.p, "q": triple.q, "mass": mass}
-        return DeficitReport.build("matrix-hypercontractivity", lhs, rhs,
-                                   const, hypotheses=hyps, params=params)
+        return DeficitReport("matrix-hypercontractivity", lhs, rhs, const,
+                             hypotheses=hyps, params=params)
 
     if which == "lsi":
         ef1, ef2 = (entropy_fisher(tilt(v, 1.0, 1.0), rule)
@@ -244,9 +234,8 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
         correction = -0.5 * float(sum(np.log(b) - 1.0 + 1.0 / b
                                       for b in relevant))
         rhs = 0.5 * fisher + correction
-        return DeficitReport.build(
-            "matrix-log-sobolev", ent, rhs, correction,
-            hypotheses=hyps,
+        return DeficitReport(
+            "matrix-log-sobolev", ent, rhs, correction, hypotheses=hyps,
             params={"which": which, "side": side, "eigenvalues": eigs,
                     "entropy": ent, "fisher": fisher})
 
@@ -254,7 +243,7 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
     ent = (m2 * relative_entropy_gauss(v1, rule)
            + m1 * relative_entropy_gauss(v2, rule))
     const = float(sum(1.0 + 0.5 * np.log(b) - np.sqrt(b) for b in relevant))
-    return DeficitReport.build(
+    return DeficitReport(
         "matrix-talagrand", 0.5 * cost - ent, const, const, hypotheses=hyps,
         params={"which": which, "side": side, "eigenvalues": eigs,
                 "w2_sq": cost, "entropy": ent})
@@ -298,8 +287,8 @@ def poincare_check(f: GridField, beta: float, rule=None) -> DeficitReport:
         params["entropy_goal_lhs"] = float(goal_lhs)
         params["entropy_goal_rhs"] = float(goal_rhs)
         params["entropy_goal_slack"] = float(goal_rhs - goal_lhs)
-    return DeficitReport.build("poincare", lhs, grad, dn, hypotheses=hyps,
-                               params=params)
+    return DeficitReport("poincare", lhs, grad, dn, hypotheses=hyps,
+                         params=params)
 
 
 def beckner_check(f: GridField, p: float, beta: float,
@@ -334,7 +323,7 @@ def beckner_check(f: GridField, p: float, beta: float,
         psf, _ = _ou_closures_1d(f, s, rule)
     int_psf2 = float((np.asarray(psf(z), float) ** 2) @ wts)
     smooth_rhs = (1.0 - np.exp(-2.0 * s)) * grad
-    return DeficitReport.build(
+    return DeficitReport(
         "beckner", lhs, grad, bconst, hypotheses=hyps,
         params={"beta": beta, "p": p, "s": s, "b_const": bconst,
                 "smoothing_lhs": int_f2 - int_psf2,
@@ -377,17 +366,14 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
     case = _bl_case(c1, c2)
     expected_dir = "le" if case == "forward" else "ge"
 
-    hyps = []
     if case in ("forward", "reverse-mixed"):
-        hyps.append(HypothesisCheck("beta>1", beta >= 1.0, beta - 1.0))
-        cert = certify(f1, "convex", max(beta, 1.0))
-        hyps.append(HypothesisCheck("log f1'' >= -1/beta", cert.passed,
-                                    cert.margin))
+        hyps = [HypothesisCheck("beta>1", beta - 1.0, 0.0),
+                replace(certify(f1, "convex", max(beta, 1.0)),
+                        name="log f1'' >= -1/beta")]
     else:
-        hyps.append(HypothesisCheck("beta<1", beta <= 1.0, 1.0 - beta))
-        cert = certify(f1, "concave", min(beta, 1.0))
-        hyps.append(HypothesisCheck("log f1'' <= -1/beta", cert.passed,
-                                    cert.margin))
+        hyps = [HypothesisCheck("beta<1", 1.0 - beta, 0.0),
+                replace(certify(f1, "concave", min(beta, 1.0)),
+                        name="log f1'' <= -1/beta")]
 
     # 2-D trapezoid of the Gaussian-kernel double integral on nested grids of
     # stride k, from >= 64 intervals per axis down until two levels agree to
@@ -424,7 +410,7 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
     m1, m2 = (f.tag.integral_lebesgue() if isinstance(f.tag, LogQuad)
               else f.grid_mass for f in (f1, f2))
     rhs = script_h * m1 ** c1 * m2 ** c2
-    return DeficitReport.build(
+    return DeficitReport(
         "brascamp-lieb", lhs, rhs, script_h, direction=expected_dir,
         hypotheses=hyps,
         params={"beta": beta, "c1": c1, "c2": c2, "s": s, "case": case,
@@ -454,11 +440,8 @@ def counterexample_mixture(a: float, grid: Grid1D = None) -> DeficitReport:
         v = field_from_family(grid, symmetric_mixture(a, 1.0))
         cov = 1.0 + a * a
     report = lsi_check(v, cov)
-    params = dict(report.params)
-    params.update({"a": a, "covariance": cov})
-    return DeficitReport(report.inequality, report.lhs, report.rhs,
-                         report.sharp_constant, report.slack,
-                         report.direction, report.hypotheses, params)
+    return replace(report, params={**report.params, "a": a,
+                                   "covariance": cov})
 
 
 @dataclass(frozen=True)

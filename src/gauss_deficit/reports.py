@@ -1,25 +1,36 @@
 """
-Deficit reports: the common result record for every inequality checker.
+Deficit reports: the common result record for every inequality checker, and
+the one place where a verdict is decided.
 
 Sign convention: ``slack >= 0`` always means "the inequality holds".  For a
 statement lhs <= rhs the slack is rhs - lhs; for a reverse statement
-lhs >= rhs it is lhs - rhs (the ``direction`` field records which).  An
-inequality is *asserted* only when every hypothesis check passed.
+lhs >= rhs it is lhs - rhs (the ``direction`` field records which).  A
+hypothesis passes when its signed margin clears its tolerance, margin >=
+-tol; an inequality is *asserted* only when every hypothesis passes, and a
+report passes at a tolerance when it is not asserted or its slack clears
+that tolerance.  Every verdict is derived from the stored numbers, never
+stored itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
 class HypothesisCheck:
     name: str
-    passed: bool
     margin: float
+    tol: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin >= -self.tol)
 
     def to_dict(self):
-        return {"name": self.name, "pass": bool(self.passed),
+        return {"name": self.name, "pass": self.passed,
                 "margin": float(self.margin)}
 
 
@@ -29,38 +40,34 @@ class DeficitReport:
     lhs: float
     rhs: float
     sharp_constant: float
-    slack: float
     direction: str = "le"  # "le": lhs <= rhs, "ge": lhs >= rhs
-    hypotheses: List[HypothesisCheck] = field(default_factory=list)
-    params: dict = field(default_factory=dict)
+    hypotheses: Sequence[HypothesisCheck] = ()
+    params: Optional[dict] = None
 
     def __post_init__(self):
-        expect = (self.rhs - self.lhs if self.direction == "le"
-                  else self.lhs - self.rhs)
-        if abs(self.slack - expect) > 1e-12 * max(1.0, abs(expect)):
-            raise ValueError("slack inconsistent with lhs/rhs/direction")
-
-    @staticmethod
-    def build(inequality: str, lhs: float, rhs: float, sharp_constant: float,
-              direction: str = "le", hypotheses=(), params=None):
-        lhs, rhs = float(lhs), float(rhs)
-        slack = rhs - lhs if direction == "le" else lhs - rhs
-        return DeficitReport(inequality, lhs, rhs, float(sharp_constant),
-                             slack, direction, list(hypotheses),
-                             dict(params or {}))
+        for name in ("lhs", "rhs", "sharp_constant"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "hypotheses", list(self.hypotheses))
+        object.__setattr__(self, "params", dict(self.params or {}))
 
     @property
-    def hypotheses_pass(self) -> bool:
-        return all(h.passed for h in self.hypotheses)
+    def slack(self) -> float:
+        return (self.rhs - self.lhs if self.direction == "le"
+                else self.lhs - self.rhs)
 
     @property
     def asserted(self) -> bool:
         """Whether the report claims the inequality (hypotheses all pass)."""
-        return self.hypotheses_pass
+        return all(h.passed for h in self.hypotheses)
 
     @property
     def holds(self) -> bool:
         return self.slack >= 0
+
+    def passes(self, tol: float) -> bool:
+        """Not asserted (a hypothesis failed, so the inequality is not
+        claimed), or the slack clears the tolerance."""
+        return not self.asserted or self.slack >= -tol
 
     def to_dict(self):
         return {
@@ -76,12 +83,8 @@ class DeficitReport:
 
 
 def _plain(v):
-    try:
-        import numpy as np
-        if isinstance(v, np.generic):
-            return v.item()
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(v, np.generic):
+        return v.item()
+    if isinstance(v, np.ndarray):
+        return v.tolist()
     return v

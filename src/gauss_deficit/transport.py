@@ -15,7 +15,7 @@ general-potential LSI comparison.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -128,17 +128,13 @@ def talagrand_deficit(v: GridField, beta: float) -> DeficitReport:
     else:
         mean = float(np.trapezoid(v.grid.points * v.values,
                                   dx=v.grid.spacing))
-    hyps = []
     if beta >= 1:
-        conv = certify(v, "convex", beta)
-        logc = certify_log_concave(v)
-        hyps.append(HypothesisCheck("semi-log-convex(beta)", conv.passed,
-                                    conv.margin))
-        hyps.append(HypothesisCheck("log-concave", logc.passed, logc.margin))
+        hyps = [replace(certify(v, "convex", beta),
+                        name="semi-log-convex(beta)"),
+                certify_log_concave(v)]
     else:
-        conc = certify(v, "concave", beta)
-        hyps.append(HypothesisCheck("semi-log-concave(beta)", conc.passed,
-                                    conc.margin))
+        hyps = [replace(certify(v, "concave", beta),
+                        name="semi-log-concave(beta)")]
     lhs = 0.5 * cost - ent
     const = sharp_constant("talagrand_gauss", beta=beta).value
     params = {"beta": beta, "w2_sq": cost - mean**2,
@@ -146,8 +142,8 @@ def talagrand_deficit(v: GridField, beta: float) -> DeficitReport:
     if beta < 1:
         params["mikulincer_bound"] = sharp_constant("mikulincer",
                                                     beta=beta).value
-    return DeficitReport.build("talagrand", lhs, const, const,
-                               hypotheses=hyps, params=params)
+    return DeficitReport("talagrand", lhs, const, const, hypotheses=hyps,
+                         params=params)
 
 
 def caffarelli_check(v: GridField, beta: float) -> float:
@@ -219,24 +215,18 @@ def general_lsi_deficit(v: GridField, pot: PotentialSpec,
     mlog = -V - _log_mass(-V, h)
     mblog = -V / beta - _log_mass(-V / beta, h)
 
-    lo_margin = float(np.min(vpp) - pot.K)
-    hi_margin = float(pot.L - np.max(vpp))
-    tol = 1e-4
-    hyps = [HypothesisCheck("V''>=K", lo_margin >= -tol, lo_margin),
-            HypothesisCheck("V''<=L", hi_margin >= -tol, hi_margin)]
-
-    vcert = certify(v, "convex", beta / pot.K)  # (log v)'' >= -K/beta
-    hyps.append(HypothesisCheck("(log v)''>=-K/beta", vcert.passed,
-                                vcert.margin))
-    # x -> -x through the closures, which holds on any grid
-    sym_v = float(np.max(np.abs(v.values - v(-x))))
-    sym_V = float(np.max(np.abs(V + ref.log(-x))))
-    scale_v = np.max(v.values)
-    hyps.append(HypothesisCheck("symmetry", sym_v <= 1e-8 * scale_v
-                                and sym_V <= 1e-8 * max(1, np.max(np.abs(V))),
-                                -max(sym_v, sym_V)))
+    # x -> -x through the closures, which holds on any grid; relative to
+    # the scales of v and V
+    sym_v = np.max(np.abs(v.values - v(-x))) / np.max(v.values)
+    sym_V = np.max(np.abs(V + ref.log(-x))) / max(1, np.max(np.abs(V)))
     tail = max(abs(vprime[0] * v.values[0]), abs(vprime[-1] * v.values[-1]))
-    hyps.append(HypothesisCheck("|V'| v -> 0", tail <= 1e-8, -tail))
+    hyps = [HypothesisCheck("V''>=K", float(np.min(vpp) - pot.K), 1e-4),
+            HypothesisCheck("V''<=L", float(pot.L - np.max(vpp)), 1e-4),
+            # (log v)'' >= -K/beta
+            replace(certify(v, "convex", beta / pot.K),
+                    name="(log v)''>=-K/beta"),
+            HypothesisCheck("symmetry", -float(max(sym_v, sym_V)), 1e-8),
+            HypothesisCheck("|V'| v -> 0", -float(tail), 1e-8)]
 
     def ent_fisher_against_m(dens, logd, dlogd):
         """Ent_m and I_m of the density d at the nodes, from log d and
@@ -252,9 +242,8 @@ def general_lsi_deficit(v: GridField, pot: PotentialSpec,
     lhs = ent_v - fi_v / (2 * K)
     correction = (1.0 - 1.0 / beta) * (pot.L - K) / K
     rhs = ent_b - fi_b / (2 * K) + correction
-    return DeficitReport.build(
-        "general-lsi", lhs, rhs, rhs - correction,
-        hypotheses=hyps,
+    return DeficitReport(
+        "general-lsi", lhs, rhs, rhs - correction, hypotheses=hyps,
         params={"beta": beta, "K": K, "L": pot.L,
                 "reference_deficit": ent_b - fi_b / (2 * K),
                 "correction": correction})

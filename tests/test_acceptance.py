@@ -184,7 +184,7 @@ class TestCriterion7Counterexamples:
         assert r.params["covariance"] == pytest.approx(17.0)
         assert r.params["covariance"] > 16.0
         assert r.slack < 0
-        assert not r.hypotheses_pass  # subharmonicity certificate fails
+        assert not r.asserted  # subharmonicity certificate fails
 
     def test_superharmonicity_not_preserved(self):
         # f = e^{x1 x2}: Delta log f = 0 but Delta log P_t f > 0 inside

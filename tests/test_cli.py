@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from gauss_deficit import cli, numerics
-from gauss_deficit.cli import (COMMANDS, ReportBundle, RunConfig, flow_trace,
-                               main, run)
+from gauss_deficit.cli import COMMANDS, RunConfig, flow_trace, main, run
 from gauss_deficit.flows import _margin
 from gauss_deficit.hamilton_jacobi import (beta_of_a, hj_hc_check,
                                            quadratic_datum)
@@ -239,12 +238,14 @@ class TestRun:
             assert "max_abs_extremiser_slack" not in run(
                 small(command)).summary
 
-    @pytest.mark.parametrize("command", [
-        "verify-hc", "verify-reverse-hc", "verify-lsi", "verify-talagrand",
-        "verify-poincare", "verify-beckner", "verify-general-lsi",
-        "verify-matrix", "verify-bl"])
-    @pytest.mark.parametrize("beta", [2.0, 0.5])
-    def test_gaussian_item_margin_is_exact(self, command, beta):
+    # verify-general-lsi needs beta > 1
+    @pytest.mark.parametrize("beta, command", [
+        (beta, command) for beta in (2.0, 0.5) for command in (
+            "verify-hc", "verify-reverse-hc", "verify-lsi",
+            "verify-talagrand", "verify-poincare", "verify-beckner",
+            "verify-general-lsi", "verify-matrix", "verify-bl")
+        if beta > 1 or command != "verify-general-lsi"])
+    def test_gaussian_item_margin_is_exact(self, beta, command):
         # item 0 is a Gaussian (for Poincare and Beckner f = (gamma_beta/
         # gamma)^{1/p}, so gamma f^p = gamma_beta) whose curvature meets the
         # bound with equality, on the default grid; only verify-bl at
@@ -284,8 +285,7 @@ class TestRun:
 class TestBundleSerialization:
     def test_json_round_trip(self):
         b = run(small("verify-lsi"))
-        again = ReportBundle.from_json(b.to_json())
-        assert again.to_dict() == b.to_dict()
+        assert json.loads(b.to_json()) == b.to_dict()
 
     def test_csv_shape(self):
         b = run(small("verify-lsi"))
@@ -303,8 +303,7 @@ class TestMain:
         code = main(["verify-lsi", "--count", "2", "--grid-n", "1025",
                      "--gh-nodes", "64", "--out", str(out)])
         assert code == 0
-        bundle = ReportBundle.from_json(out.read_text())
-        assert bundle.all_pass
+        assert json.loads(out.read_text())["summary"]["failed"] == 0
 
     def test_csv_extension_resolves_format(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -328,7 +327,7 @@ class TestMain:
         code = main(["verify-lsi", "--beta", "0.25", "--grid-lo", "-20",
                      "--grid-hi", "20", "--count", "3", "--out", str(out)])
         assert code == 0
-        assert len(ReportBundle.from_json(out.read_text()).reports) == 3
+        assert len(json.loads(out.read_text())["reports"]) == 3
 
     def test_usage_error_exit_two(self):
         # p outside the forward regime is a parameter error, not a failure
@@ -383,7 +382,7 @@ class TestMain:
             capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert "Warning" not in done.stderr
-        assert ReportBundle.from_json(done.stdout).all_pass
+        assert json.loads(done.stdout)["summary"]["failed"] == 0
         bad = subprocess.run(
             [sys.executable, "-m", "gauss_deficit", "verify-hc", "--beta",
              "nan"], capture_output=True, text=True, env=env, timeout=120)
@@ -439,19 +438,6 @@ class TestFlowTrace:
             flow_trace(small("flow-trace", p=0.5, q=-1.0))
 
 
-def _every_suite():
-    """(name, run) of every suite at beta 2 and 0.5 (count 3), and of
-    flow-trace."""
-    for beta in (2.0, 0.5):
-        for command in cli._SUITES:
-            if beta < 1 and command in ("verify-hj", "verify-dual-talagrand"):
-                continue  # both need beta > 1
-            config = RunConfig(command=command, beta=beta, count=3)
-            yield f"{command} beta={beta}", lambda c=config: run(c)
-    yield "flow-trace", lambda: flow_trace(RunConfig(command="flow-trace",
-                                                     count=3))
-
-
 class TestGeneralLSISuite:
     def test_symmetry_read_through_the_closures(self, capsys):
         # x -> -x is not a reversal of the nodes on [-10, 12]: v and V are
@@ -468,6 +454,14 @@ class TestGeneralLSISuite:
                   if not h["pass"]]
         assert failed == ["|V'| v -> 0"]
 
+    def test_beta_at_most_one_exits_two(self, capsys):
+        # the suite runs at the beta asked for, and the statement needs
+        # beta > 1: one line, no report
+        assert main(["verify-general-lsi", "--beta", "0.5",
+                     "--count", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "gauss-deficit: requires beta > 1\n"
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_slack_does_not_see_the_grid_spacing(self, seed):
         # V', V'' and (log v)' are exact, and the trapezoid sums of the
@@ -478,17 +472,65 @@ class TestGeneralLSISuite:
         np.testing.assert_allclose(slacks[1], slacks[0], rtol=0, atol=1e-12)
 
 
+# the suites that need beta > 1
+BETA_ABOVE_ONE = ("verify-hj", "verify-dual-talagrand", "verify-general-lsi")
+
+
 def _every_suite():
     """(name, run) of every suite at beta 2 and 0.5 (count 3), and of
     flow-trace."""
     for beta in (2.0, 0.5):
         for command in cli._SUITES:
-            if beta < 1 and command in ("verify-hj", "verify-dual-talagrand"):
-                continue  # both need beta > 1
+            if beta < 1 and command in BETA_ABOVE_ONE:
+                continue
             config = RunConfig(command=command, beta=beta, count=3)
             yield f"{command} beta={beta}", lambda c=config: run(c)
     yield "flow-trace", lambda: flow_trace(RunConfig(command="flow-trace",
                                                      count=3))
+
+
+def _certify_tol(beta_c):
+    """certify's own tolerance at the beta it ran at."""
+    return lambda params: 1e-4 / beta_c(params)
+
+
+# the tolerance each hypothesis is judged at, by name, from its report's
+# params: loosening a gate changes this table
+GATE_TOLS = {
+    "beta-semi-log-subharmonic": _certify_tol(lambda p: max(p["beta"], 1.0)),
+    "beta-semi-log-concave": _certify_tol(lambda p: min(p["beta"], 1.0)),
+    "log f1'' >= -1/beta": _certify_tol(lambda p: max(p["beta"], 1.0)),
+    "log f1'' <= -1/beta": _certify_tol(lambda p: min(p["beta"], 1.0)),
+    "semi-log-convex(beta)": _certify_tol(lambda p: p["beta"]),
+    "semi-log-concave(beta)": _certify_tol(lambda p: p["beta"]),
+    "(log v)''>=-K/beta": _certify_tol(lambda p: p["beta"] / p["K"]),
+    "hessian-convex-vs-B": 1e-4, "hessian-concave-vs-B": 1e-4,
+    "V''>=K": 1e-4, "V''<=L": 1e-4,
+    "log-concave": 1e-6, "laplacian>=1-1/beta": 1e-6,
+    "symmetry": 1e-8, "|V'| v -> 0": 1e-8,
+    # the regime and integrability checks
+    "beta>1-for-pq>0": 0.0, "beta<1-for-pq<0": 0.0, "beta>1": 0.0,
+    "beta<1": 0.0, "beta(1-1/a)<1": 0.0, "exp-moment-integrable": 0.0,
+    "exp-moment-integrable(a=0.01)": 0.0,
+    "exp-moment-integrable(a=0.005)": 0.0,
+}
+
+
+class TestGateTolerances:
+    def test_every_hypothesis_carries_its_gate(self):
+        seen = set()
+        for _, task in _every_suite():
+            result = task()
+            for report in getattr(result, "reports", ()):
+                for h in report.hypotheses:
+                    want = GATE_TOLS[h.name]
+                    if callable(want):
+                        want = want(report.params)
+                    assert h.tol == want, (report.inequality, h.name)
+                    assert h.passed == (h.margin >= -want)
+                    seen.add(h.name)
+        # no suite reaches the reverse Brascamp-Lieb cases
+        assert seen == set(GATE_TOLS) - {"beta<1", "log f1'' <= -1/beta"}
 
 
 class TestStencilCallers:

@@ -1,12 +1,14 @@
 """README names resolve: every backticked name rooted at a gauss_deficit
 export or module (``GridField.from_callable``, ``flows.fp_evolve``) is
 looked up attribute by attribute, so deleting or renaming a documented
-name fails here until README follows."""
+name fails here until README follows; and the CLI usage block lists the
+flags the parser derives."""
 import dataclasses
 import pathlib
 import re
 
 import gauss_deficit
+from gauss_deficit import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # a dotted name at the start of a backticked span, then the span's end or
@@ -43,3 +45,14 @@ def test_readme_names_resolve():
     names = documented_names()
     assert len(names) >= 50  # the extraction still finds the API names
     assert [n for n in names if not resolves(n)] == []
+
+
+def test_usage_block_lists_every_flag():
+    # the usage block is written by hand, the parser derives its flags
+    # from RunConfig: a new field must show up in README too
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"```\n(gauss-deficit <command> .*?)```", text,
+                          flags=re.DOTALL)
+    derived = {"--" + key.replace("_", "-") for key in cli._casts()}
+    assert set(re.findall(r"--[a-z][a-z-]*", block)) == derived | {
+        "--config"}

@@ -265,6 +265,30 @@ class TestGridDensityFlow:
         with pytest.raises(ParameterError, match="no mass"):
             fp_evolve(_nodal(g, np.zeros(n)), 1.0, 0.5)
 
+    @pytest.mark.parametrize("var", [4.0, 8.0])
+    def test_comb_missed_by_the_coarse_level_settles_its_pad(self, grid,
+                                                              caplog, var):
+        # e^{-x^2/var} set to 0 on the coarse lattice, past the grid too:
+        # the coarsest level has no mass, and the pad is settled on the
+        # first finer level that has; at the end nodes v_t is then the flow
+        # of the whole closure, as on a grid twice as wide
+        k0 = numerics._coarsest_stride(grid.n - 1)
+
+        def comb(x):
+            u = (np.asarray(x, float) - grid.lo) / grid.spacing
+            tooth = (np.abs(u - np.rint(u)) < 1e-6) & (np.rint(u) % k0 == 0)
+            return np.where(tooth, 0.0, np.exp(-x * x / var))
+
+        wide = Grid1D(2.0 * grid.lo, 2.0 * grid.hi, 2 * grid.n - 1)
+        with caplog.at_level(logging.DEBUG, logger="gauss_deficit.flows"):
+            vt = fp_evolve(GridField.from_callable(grid, comb), 2.0, 0.05)
+        checks = int(re.search(r"(\d+) pad checks", caplog.text).group(1))
+        assert checks >= 1
+        ref = fp_evolve(GridField.from_callable(wide, comb), 2.0, 0.05)
+        ends = np.searchsorted(wide.points, [grid.lo, grid.hi])
+        np.testing.assert_allclose(vt.values[[0, -1]], ref.values[ends],
+                                   rtol=1e-12, atol=0)
+
     def test_resolution_logged(self, grid, caplog):
         with caplog.at_level(logging.DEBUG, logger="gauss_deficit.flows"):
             fp_evolve(_untagged_gaussian(grid, 2.0), 2.0, 0.5)
@@ -447,9 +471,9 @@ class TestMergedLevels:
         np.testing.assert_allclose(d2, full_d2, rtol=0, atol=tol)
         # each pad check, read at the two end nodes, is the largest log
         # weight of the outermost atoms over every node
-        # every source is padded, and the pad settles on a coarsest level
-        # with mass
-        assert bool(checks) == (name != "between-coarse-nodes")
+        # every source is padded: the pad settles on the coarsest level, or
+        # on the first finer level with mass when the coarsest has none
+        assert checks
         for logv_x, mu, logw, got in checks:
             d = x - mu[:, None]
             every = np.max(logw[:, None] - 0.5 * np.log(2.0 * np.pi * w)
