@@ -15,7 +15,7 @@ from .numerics import (Grid1D, GridField, QuadratureRule, default_grid,
 from .families import (LogQuad, field_from_family, gaussian_field,
                        gaussian_ratio_field, symmetric_mixture)
 from .semigroups import (ExponentTriple, InadmissibleExponentError,
-                         IntegrabilityError, beta_s, nelson_time, ou_apply)
+                         IntegrabilityError, beta_s, nelson_time)
 from .flows import (T_STAR, MeasureSpec, certify, certify_matrix,
                     covariance, fp_class_member, fp_evolve,
                     preservation_trace)

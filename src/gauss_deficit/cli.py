@@ -263,7 +263,7 @@ def _talagrand_item(config: RunConfig, i: int):
     grid = config.grid()
     v = (gaussian_field(grid, config.beta) if i == 0 else
          make_talagrand_input(_item_rng(config, i), config.beta, grid))
-    return talagrand_deficit(v, config.beta)
+    return talagrand_deficit(v, config.beta, config.rule())
 
 
 def _matrix_item(config: RunConfig, i: int):
@@ -438,7 +438,8 @@ _SUITES = {
     "sharp-constants": _suite(_constant_item, _no_extremiser,
                               lambda c: len(_constant_rows(c))),
     "counterexample-mixture": _suite(
-        lambda c, i: counterexample_mixture(_mixture_shifts(c)[i], c.grid()),
+        lambda c, i: counterexample_mixture(_mixture_shifts(c)[i], c.grid(),
+                                            c.rule()),
         _no_extremiser, lambda c: len(_mixture_shifts(c))),
     "counterexample-superharmonic": _suite(_superharmonic_item,
                                            _no_extremiser, lambda c: 2),

@@ -417,16 +417,29 @@ def preservation_trace(v0: GridField, beta: float, kind: str,
 # moments
 
 
+def check_density(v: GridField, mass: Optional[float] = None):
+    """Refuse v unless it is a probability density: ``mass`` (by default
+    its trapezoid mass) within 1e-6 of 1, and no negative value."""
+    mass = v.grid_mass if mass is None else mass
+    if abs(mass - 1.0) > 1e-6:
+        raise ParameterError(f"density not normalized: mass = {mass:.8f}")
+    if np.any(v.values < 0):
+        raise ParameterError("density must be nonnegative")
+
+
+def moments(v: GridField):
+    """(mass, mean, variance) of v: its tag's closed form, else trapezoid
+    sums, int x v dx and int x^2 v dx less its square."""
+    if isinstance(v.tag, LogQuad):
+        return v.tag.moments()
+    x = v.grid.points
+    mass, mean, second = (float(np.trapezoid(g * v.values, dx=v.grid.spacing))
+                          for g in (1.0, x, x * x))
+    return mass, mean, second - mean * mean
+
+
 def covariance(v: GridField) -> np.ndarray:
     """Covariance matrix (1 x 1) of a probability density."""
-    if isinstance(v.tag, LogQuad):
-        mass, _, var = v.tag.moments()
-    else:
-        x = v.grid.points
-        mass, mean, second = (
-            float(np.trapezoid(g * v.values, dx=v.grid.spacing))
-            for g in (1.0, x, x * x))
-        var = second - mean * mean
-    if abs(mass - 1.0) > 1e-6:
-        raise ParameterError(f"density not normalized: mass = {mass}")
+    mass, _, var = moments(v)
+    check_density(v, mass)
     return np.array([[var]])

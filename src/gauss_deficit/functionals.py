@@ -5,10 +5,11 @@ constant.
 
 The tilt w = v^r gamma^{-a} is the only code that writes out the reference
 measure gamma; every deficit checker reaches v/gamma and its powers through
-it.  Integrals against gamma are Gauss-Hermite unless a one-component
-family gives them in closed form, and every field is read off its nodes
-through its exact closures.  Norms are assembled in log space
-(log-sum-exp) so that negative and large exponents are handled uniformly.
+it.  log_ou_norm is the one reader of ||P_s w||_{L^q(gamma)}, every mass
+int v dx included: Gauss-Hermite unless w's tag gives it in closed form.
+Every field is read off its nodes through its exact closures.  Norms are
+assembled in log space (log-sum-exp) so that negative and large exponents
+are handled uniformly.
 """
 from __future__ import annotations
 
@@ -256,20 +257,26 @@ def tilt(v, r: float, a: float) -> Tilt:
         lambda x: r * np.asarray(d2(x), float) + a), nodes=nodes)
 
 
+def log_ou_norm(w, q: float, s: float,
+                rule: Optional[QuadratureRule] = None) -> float:
+    """log ||P_s w||_{L^q(gamma)}, s >= 0 (P_0 = identity): the one reader
+    of P_s against gamma.  A tag of one component, or any tag at q = 1,
+    takes the closed form (LogQuad.ou, then log_lp_norm_gauss); anything
+    else nested Gauss-Hermite in log space, P_s read only at the outer
+    nodes.  ``w`` is a GridField or a Tilt."""
+    if w.tag is not None and (w.tag.a.size == 1 or q == 1):
+        return (w.tag.ou(s) if s else w.tag).log_lp_norm_gauss(q)
+    rule = _rule_or_default(rule)
+    logf = w.log if s == 0 else _ou_closures_1d(w.log, s, rule)[0]
+    return _log_lp(logf(rule.nodes), q, rule.log_weights)
+
+
 def log_hc_norm(v, p: float, q: float, s: float,
                 rule: Optional[QuadratureRule] = None) -> float:
-    """log ||P_s[(v/gamma)^{1/p}]||_{L^q(gamma)}, s >= 0 (P_0 = identity).
-
-    A one-component tilt takes the closed form (LogQuad.ou, then
-    log_lp_norm_gauss); anything else nested Gauss-Hermite, P_s read only
-    at the outer nodes.  ``v`` is a GridField or a LogQuad, as in tilt.
-    """
-    w = tilt(v, 1.0 / p, 1.0 / p)
-    if w.tag is not None and w.tag.a.size == 1:
-        return w.tag.ou(s).log_lp_norm_gauss(q)
-    rule = _rule_or_default(rule)
-    logf = w.log if s == 0 else _ou_closures_1d(w.log, s, rule)[1]
-    return _log_lp(logf(rule.nodes), q, rule.log_weights)
+    """log ||P_s[(v/gamma)^{1/p}]||_{L^q(gamma)}, s >= 0, through
+    log_ou_norm; at (p, q, s) = (1, 1, 0) the mass int v dx.  ``v`` is a
+    GridField or a LogQuad, as in tilt."""
+    return log_ou_norm(tilt(v, 1.0 / p, 1.0 / p), q, s, rule)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,13 @@ import numpy as np
 from .families import (LogQuad, field_from_family, gaussian_field,
                        symmetric_mixture)
 from .flows import MeasureSpec, certify, certify_log_concave, \
-    certify_matrix, covariance, fp_class_member
+    certify_matrix, check_density, covariance, fp_class_member
 from .functionals import _check_ratio_bounded, _rule_or_default, \
-    entropy_fisher, log_hc_norm, sharp_constant, tilt
+    entropy_fisher, log_hc_norm, log_ou_norm, sharp_constant, tilt
 from .numerics import (Grid1D, GridField, ParameterError, _coarsest_stride,
                        _refine_strides, default_grid)
 from .reports import DeficitReport, HypothesisCheck
-from .semigroups import ExponentTriple, InadmissibleExponentError, \
-    _ou_closures_1d
+from .semigroups import ExponentTriple, InadmissibleExponentError
 from .transport import relative_entropy_gauss, w2
 
 
@@ -42,14 +41,6 @@ def _certificate_hypotheses(v: GridField, beta: float) -> list:
     return []
 
 
-def _mass_vdx(v: GridField, rule) -> float:
-    """int v dx, free of grid tail truncation: the tag's exact mass, else
-    ||v/gamma||_{L^1(gamma)} by the rule."""
-    if isinstance(v.tag, LogQuad):
-        return v.tag.integral_lebesgue()
-    return float(np.exp(log_hc_norm(v, 1.0, 1.0, 0.0, rule)))
-
-
 # ---------------------------------------------------------------------------
 # hypercontractivity
 
@@ -63,11 +54,10 @@ def hc_check(v: GridField, beta: float, triple: ExponentTriple,
     """
     if triple.regime != "forward":
         raise InadmissibleExponentError("hc_check needs 1 < p < q")
-    rule = _rule_or_default(rule)
     _check_ratio_bounded(v, beta)
     hyps = _certificate_hypotheses(v, beta)
     lhs = float(np.exp(log_hc_norm(v, triple.p, triple.q, triple.s, rule)))
-    mass = _mass_vdx(v, rule)
+    mass = float(np.exp(log_hc_norm(v, 1.0, 1.0, 0.0, rule)))
     const = sharp_constant("hc_ratio", beta=beta, triple=triple).value
     rhs = const * mass ** (1.0 / triple.p)
     return DeficitReport(
@@ -89,7 +79,6 @@ def reverse_hc_check(v: GridField, beta: float, triple: ExponentTriple,
     if abs(p) < 1e-9 or abs(p - (1.0 - np.exp(-2.0 * s))) < 1e-9:
         raise InadmissibleExponentError(
             "p must avoid the excluded values 0 and 1 - e^{-2s}")
-    rule = _rule_or_default(rule)
     _check_ratio_bounded(v, beta)
     if triple.p * triple.q > 0:
         hyps = [HypothesisCheck("beta>1-for-pq>0", beta - 1.0, 0.0),
@@ -100,7 +89,7 @@ def reverse_hc_check(v: GridField, beta: float, triple: ExponentTriple,
                 replace(certify(v, "concave", min(beta, 1.0)),
                         name="beta-semi-log-concave")]
     lhs = float(np.exp(log_hc_norm(v, p, triple.q, s, rule)))
-    mass = _mass_vdx(v, rule)
+    mass = float(np.exp(log_hc_norm(v, 1.0, 1.0, 0.0, rule)))
     const = sharp_constant("hc_ratio", beta=beta, triple=triple).value
     rhs = const * float(np.exp(np.log(mass) / p))
     return DeficitReport(
@@ -115,10 +104,7 @@ def reverse_hc_check(v: GridField, beta: float, triple: ExponentTriple,
 
 def lsi_check(v: GridField, beta: float, rule=None) -> DeficitReport:
     """Regularised LSI: Ent - I/2 <= -(n/2)(log beta - 1 + 1/beta)."""
-    rule = _rule_or_default(rule)
-    mass = v.grid_mass
-    if abs(mass - 1.0) > 1e-6:
-        raise ParameterError(f"density not normalized: mass = {mass:.8f}")
+    check_density(v)
     hyps = _certificate_hypotheses(v, beta)
     ef = entropy_fisher(tilt(v, 1.0, 1.0), rule)
     const = sharp_constant("lsi_gauss", beta=beta).value
@@ -134,7 +120,6 @@ def els_eigen_check(v: GridField, rule=None) -> DeficitReport:
 
     Ent <= I/2 - (1/2) sum_{beta_i <= 1} (log beta_i - 1 + 1/beta_i).
     """
-    rule = _rule_or_default(rule)
     eigs = np.linalg.eigvalsh(covariance(v))
     ef = entropy_fisher(tilt(v, 1.0, 1.0), rule)
     correction = -0.5 * float(sum(np.log(b) - 1.0 + 1.0 / b
@@ -203,14 +188,14 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
     eigs = np.linalg.eigvalsh(B)
     if np.any(eigs <= 0):
         raise ParameterError("B must be positive definite")
-    rule = _rule_or_default(rule)
 
     logc = certify_log_concave(v1, v2) if which == "talagrand" else None
     side, cert = _matrix_side(v1, v2, B, eigs, logc, side)
     hyps = [cert] + ([logc] if logc is not None and side == "convex" else [])
     relevant = [b for b in eigs if (b >= 1.0 if side == "convex" else b <= 1.0)]
 
-    m1, m2 = (_mass_vdx(v, rule) for v in (v1, v2))
+    m1, m2 = (float(np.exp(log_hc_norm(v, 1.0, 1.0, 0.0, rule)))
+              for v in (v1, v2))
     if which == "hc":
         if triple is None or triple.regime != "forward":
             raise InadmissibleExponentError("matrix hc needs a forward triple")
@@ -300,7 +285,8 @@ def beckner_check(f: GridField, p: float, beta: float,
 
     with the curvature hypothesis on gamma f^p.  The classical variance
     smoothing bound int f^2 - int |P_s f|^2 <= (1-e^{-2s}) int |f'|^2 at
-    s = -(1/2) log(p-1) is recorded in params.
+    s = -(1/2) log(p-1), int |P_s f|^2 by log_ou_norm, is recorded in
+    params.
     """
     if not 1.0 < p < 2.0:
         raise ParameterError("p must lie in (1, 2)")
@@ -316,12 +302,7 @@ def beckner_check(f: GridField, p: float, beta: float,
     bconst = sharp_constant("beckner_b", p=p, beta=beta).value
     lhs = (int_f2 - bconst * int_fp ** (2.0 / p)) / (2.0 - p)
     s = -0.5 * float(np.log(p - 1.0))
-    # P_s f is read only at the nodes
-    if isinstance(f.tag, LogQuad):
-        psf = f.tag.ou(s)
-    else:
-        psf, _ = _ou_closures_1d(f, s, rule)
-    int_psf2 = float((np.asarray(psf(z), float) ** 2) @ wts)
+    int_psf2 = float(np.exp(2.0 * log_ou_norm(f, 2.0, s, rule)))
     smooth_rhs = (1.0 - np.exp(-2.0 * s)) * grad
     return DeficitReport(
         "beckner", lhs, grad, bconst, hypotheses=hyps,
@@ -352,8 +333,8 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
     With c1 = 1/p, c2 = 1/q' and the Gaussian kernel matrix Q built from s,
     compares the double integral of e^{-pi x.Qx} f1(x1)^{c1} f2(x2)^{c2}
     against H(c1,c2) ||P_s[(gamma_beta/gamma)^{c1}]||_{(1/c2)'} (int f1)^{c1}
-    (int f2)^{c2}.  Case (c1,c2 in (0,1), beta>1): <=; case (c1c2<0, beta>1)
-    and case (c1,c2>1, beta<1): >=.
+    (int f2)^{c2}, the masses by log_hc_norm.  Case (c1,c2 in (0,1),
+    beta>1): <=; case (c1c2<0, beta>1) and case (c1,c2>1, beta<1): >=.
     """
     c1 = 1.0 / triple.p
     c2 = 1.0 - 1.0 / triple.q  # 1/q'
@@ -407,8 +388,7 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
     # ||P_s[(gamma_beta/gamma)^{c1}]||_{(1/c2)'} with c1 = 1/p, (1/c2)' = q
     script_h = h_const * float(np.exp(log_hc_norm(
         LogQuad.gaussian(beta), triple.p, triple.q, s)))
-    m1, m2 = (f.tag.integral_lebesgue() if isinstance(f.tag, LogQuad)
-              else f.grid_mass for f in (f1, f2))
+    m1, m2 = (float(np.exp(log_hc_norm(f, 1.0, 1.0, 0.0))) for f in (f1, f2))
     rhs = script_h * m1 ** c1 * m2 ** c2
     return DeficitReport(
         "brascamp-lieb", lhs, rhs, script_h, direction=expected_dir,
@@ -422,7 +402,8 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
 # counterexamples
 
 
-def counterexample_mixture(a: float, grid: Grid1D = None) -> DeficitReport:
+def counterexample_mixture(a: float, grid: Grid1D = None,
+                           rule=None) -> DeficitReport:
     """Two-bump Gaussian mixture (1/2) gamma(.+a) + (1/2) gamma(.-a).
 
     Its covariance 1 + a^2 blows up while the LSI deficit Ent - I/2 stays
@@ -439,7 +420,7 @@ def counterexample_mixture(a: float, grid: Grid1D = None) -> DeficitReport:
     else:
         v = field_from_family(grid, symmetric_mixture(a, 1.0))
         cov = 1.0 + a * a
-    report = lsi_check(v, cov)
+    report = lsi_check(v, cov, rule)
     return replace(report, params={**report.params, "a": a,
                                    "covariance": cov})
 

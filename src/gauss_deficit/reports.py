@@ -18,6 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .numerics import ParameterError
+
 
 @dataclass(frozen=True)
 class HypothesisCheck:
@@ -45,6 +47,8 @@ class DeficitReport:
     params: Optional[dict] = None
 
     def __post_init__(self):
+        if self.direction not in ("le", "ge"):
+            raise ParameterError(f"unknown direction {self.direction!r}")
         for name in ("lhs", "rhs", "sharp_constant"):
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "hypotheses", list(self.hypotheses))

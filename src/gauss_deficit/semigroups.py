@@ -3,20 +3,17 @@ Ornstein-Uhlenbeck semigroup and exponent bookkeeping.
 
 P_s f(x) = int f(e^{-s} x + sqrt(1 - e^{-2s}) y) dgamma(y)
 
-evaluated per output point by Gauss-Hermite quadrature, with a closed-form
-fast path for log-quadratic / mixture tagged fields.  Exponent triples
-(p, q, s) carry the relation (q - 1)/(p - 1) = e^{2s}.
+read in log space at the points asked for, by Gauss-Hermite quadrature;
+functionals.log_ou_norm takes the closed form of a tagged field instead.
+Exponent triples (p, q, s) carry the relation (q - 1)/(p - 1) = e^{2s}.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .families import LogQuad, field_from_family
-from .numerics import (DEFAULT_GH_NODES, EvaluationError, GridField,
-                       ParameterError, QuadratureRule, gauss_hermite_rule,
+from .numerics import (EvaluationError, ParameterError, QuadratureRule,
                        logsumexp)
 
 
@@ -94,57 +91,21 @@ def beta_s(beta: float, triple: ExponentTriple) -> float:
 # Ornstein-Uhlenbeck semigroup
 
 
-def _ou_closures_1d(f, s: float, rule: QuadratureRule):
-    """(value, log value) closures of P_s f, evaluated only where called.
-
-    f is a GridField, or a plain log-evaluator x -> log f(x).
-    """
-    if isinstance(f, GridField):
-        f_value, f_log = f, f.log
-    else:
-        f_log = f
-
-        def f_value(y):
-            return np.exp(f_log(y))
-
+def _ou_closures_1d(f_log, s: float, rule: QuadratureRule):
+    """(log P_s f,): a closure of x for s > 0, from the log closure f_log
+    of f, evaluated only where called; a tuple, as bench/spans.py wraps
+    each closure returned."""
+    if s <= 0:
+        raise ParameterError("s must be positive")
     e = float(np.exp(-s))
     sig = float(np.sqrt(1.0 - e * e))
-    z, w = rule.nodes, rule.weights
-    logw = rule.log_weights
-
-    def value(x):
-        x = np.asarray(x, float)
-        samples = e * x[..., None] + sig * z
-        vals = np.asarray(f_value(samples), float)
-        if not np.all(np.isfinite(vals)):
-            raise IntegrabilityError("OU integrand overflowed; input not in "
-                                     "L^2(gamma_beta^{-1}) range")
-        return vals @ w
+    z, logw = rule.nodes, rule.log_weights
 
     def logvalue(x):
-        x = np.asarray(x, float)
-        samples = e * x[..., None] + sig * z
+        samples = e * np.asarray(x, float)[..., None] + sig * z
         lv = np.asarray(f_log(samples), float)
         if np.any(np.isnan(lv)) or np.any(lv == np.inf):
             raise IntegrabilityError("OU integrand overflowed in log space")
         return logsumexp(lv + logw, axis=-1)
 
-    return value, logvalue
-
-
-def ou_apply(f: GridField, s: float,
-             rule: Optional[QuadratureRule] = None) -> GridField:
-    """P_s f as a GridField on the same grid.
-
-    Tagged LogQuad inputs take the complete-the-square closed form;
-    everything else is quadrature per output point.  Callers that read
-    P_s f at a few points only should use the quadrature closures directly.
-    """
-    if s <= 0:
-        raise ParameterError("s must be positive")
-    if isinstance(f.tag, LogQuad):
-        return field_from_family(f.grid, f.tag.ou(s))
-    if rule is None:
-        rule = gauss_hermite_rule(DEFAULT_GH_NODES)
-    value, logvalue = _ou_closures_1d(f, s, rule)
-    return GridField.from_callable(f.grid, value, log_fn=logvalue)
+    return (logvalue,)

@@ -4,7 +4,7 @@ GridFields.
 
 Brenier maps are quantile compositions T = F_nu^{-1} o F_mu, read at the
 source's nodes.  Every entry point first checks that its fields are
-probability densities on their grids and takes their CDFs at the nodes:
+probability densities (flows.check_density); a map takes their CDFs there:
 a field tagged with a closed-form family (a LogQuad: Gaussians, mixtures)
 has its exact CDF through numerics.ndtr, any other field the cumulative
 Simpson sum of its values.  F_nu is inverted by monotone interpolation on
@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .families import LogQuad, gaussian_field
-from .flows import certify, certify_log_concave
+from .flows import certify, certify_log_concave, check_density, moments
 from .functionals import _rule_or_default, sharp_constant, tilt
 from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
                        cumulative_simpson)
@@ -31,14 +31,9 @@ QUANTILE_CLIP = 1e-7  # interior quantile range for grid-path CDF inversion
 
 
 def _density_cdf(v: GridField):
-    """Check that v is a probability density on its grid (trapezoid mass
-    within 1e-6 of 1, no negative value); return (its CDF at the nodes,
-    the exact CDF closure or None)."""
-    mass = v.grid_mass
-    if abs(mass - 1.0) > 1e-6:
-        raise ParameterError(f"density not normalized: mass = {mass:.8f}")
-    if np.any(v.values < 0):
-        raise ParameterError("density must be nonnegative")
+    """Check that v is a probability density on its grid (check_density);
+    return (its CDF at the nodes, the exact CDF closure or None)."""
+    check_density(v)
     if isinstance(v.tag, LogQuad):
         cdf = v.tag.mass_and_cdf()[1]
         return np.asarray(cdf(v.grid.points), float), cdf
@@ -111,7 +106,8 @@ def relative_entropy_gauss(v: GridField,
 # Talagrand deficit
 
 
-def talagrand_deficit(v: GridField, beta: float) -> DeficitReport:
+def talagrand_deficit(v: GridField, beta: float,
+                      rule: Optional[QuadratureRule] = None) -> DeficitReport:
     """(1/2) W_2(gamma, v)^2 - Ent_gamma(v/gamma) <= n(1 + log(beta)/2 - sqrt(beta)).
 
     Hypotheses: for beta > 1, 0 >= grad^2 log v >= -id/beta; for beta < 1,
@@ -122,12 +118,8 @@ def talagrand_deficit(v: GridField, beta: float) -> DeficitReport:
     ``w2_sq`` and ``entropy`` are reported for the centred density.
     """
     cost = w2(gaussian_field(v.grid, 1.0), v) ** 2  # checks v first
-    ent = relative_entropy_gauss(v)
-    if isinstance(v.tag, LogQuad):
-        _, mean, _ = v.tag.moments()
-    else:
-        mean = float(np.trapezoid(v.grid.points * v.values,
-                                  dx=v.grid.spacing))
+    ent = relative_entropy_gauss(v, rule)
+    mean = moments(v)[1]
     if beta >= 1:
         hyps = [replace(certify(v, "convex", beta),
                         name="semi-log-convex(beta)"),
@@ -204,7 +196,7 @@ def general_lsi_deficit(v: GridField, pot: PotentialSpec,
     """
     if beta <= 1:
         raise ParameterError("requires beta > 1")
-    _density_cdf(v)
+    check_density(v)
     ref, x = pot.reference, v.grid.points
     if ref.grid != v.grid:
         raise ParameterError("v and the reference need one grid")

@@ -33,6 +33,12 @@ def test_grid_kernels_traced_run():
     traced_run("grid-kernels")
 
 
+def test_gh_1d_traced_run():
+    # guards the hook on semigroups._ou_closures_1d: the rule is its third
+    # argument and it returns a tuple of closures
+    traced_run("gh-1d")
+
+
 def test_fp_flow_traced_run():
     # fp-flow calls flows.preservation_trace outside the CLI
     traced_run("fp-flow")

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from gauss_deficit import cli, numerics
+from gauss_deficit import cli, functionals, numerics
 from gauss_deficit.cli import COMMANDS, RunConfig, flow_trace, main, run
 from gauss_deficit.flows import _margin
 from gauss_deficit.hamilton_jacobi import (beta_of_a, hj_hc_check,
@@ -563,6 +563,34 @@ class TestStencilCallers:
             task()
         assert callers == []
         assert quotients == []
+
+
+class TestDefaultRuleCallers:
+    def test_every_suite_passes_its_rule(self, monkeypatch):
+        # every quadrature a suite runs takes the --gh-nodes rule: no
+        # checker falls back to the default 96-node rule
+        default, current, fallbacks = functionals._rule_or_default, [""], []
+
+        def recording(rule):
+            if rule is None:
+                fallbacks.append(current[0])
+            return default(rule)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("gauss_deficit")
+                    and getattr(module, "_rule_or_default", None) is default):
+                monkeypatch.setattr(module, "_rule_or_default", recording)
+        for current[0], task in _every_suite():
+            task()
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("command", ["verify-talagrand",
+                                         "counterexample-mixture"])
+    def test_gh_nodes_reaches_the_entropy(self, command):
+        entropies = [[r.params["entropy"] for r in run(RunConfig(
+            command=command, count=2, gh_nodes=m)).reports][1]
+            for m in (24, 96)]
+        assert entropies[0] != entropies[1]
 
 
 class TestInterpolatedReads:

@@ -125,6 +125,14 @@ class TestMixture:
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert var == pytest.approx(5.0, rel=1e-12)  # 1 + a^2
 
+    def test_l1_norm_sums_components(self):
+        # at r = 1 the norm of a mixture is the sum of its components'
+        mix = symmetric_mixture(1.5, 0.8)
+        assert np.exp(mix.log_lp_norm_gauss(1.0)) == pytest.approx(
+            brute_gauss_integral(mix), rel=1e-10)
+        with pytest.raises(ParameterError):
+            LogQuad(np.array([-1.0, 1.0]), 0.0).log_lp_norm_gauss(1.0)
+
     def test_ou_commutes_with_mixing(self):
         mix = symmetric_mixture(1.0, 1.0)
         s = 0.3

@@ -1,3 +1,6 @@
+import ast
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,8 @@ from gauss_deficit.families import (LogQuad, field_from_family,
                                     symmetric_mixture)
 from gauss_deficit.flows import MeasureSpec, fp_class_member
 from gauss_deficit.functionals import (_log_lp, entropy_fisher, log_hc_norm,
-                                       q_functional, sharp_constant, tilt)
+                                       log_ou_norm, q_functional,
+                                       sharp_constant, tilt)
 from gauss_deficit.inequalities import (make_fp_input, make_logconcave_input,
                                         matrix_check)
 from gauss_deficit.numerics import (GridField, ParameterError, default_grid,
@@ -240,3 +244,59 @@ class TestHCNorm:
         assert tilt(v, 1.0 / p, 1.0 / p).tag is not None
         assert log_hc_norm(v, p, q, s, rule) == pytest.approx(
             log_hc_norm(untagged(v), p, q, s, rule), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixture_mass_closed_form_matches_gauss_hermite(self, seed, grid,
+                                                            rule):
+        # the mass int v dx is the hc norm at (1, 1, 0): closed form for a
+        # tag of any K, unchanged by P_s, and GH without the tag
+        v = make_fp_input(np.random.default_rng(seed), 2.0, grid)
+        mass = log_hc_norm(v, 1.0, 1.0, 0.0, rule)
+        assert mass == pytest.approx(np.log(v.tag.integral_lebesgue()),
+                                     abs=1e-12)
+        assert mass == pytest.approx(
+            log_hc_norm(untagged(v), 1.0, 1.0, 0.0, rule), abs=1e-12)
+        w = tilt(v, 1.0, 1.0)
+        assert log_ou_norm(w, 1.0, 0.3, rule) == pytest.approx(mass,
+                                                               abs=1e-12)
+        assert log_ou_norm(untagged(w.field(grid)), 1.0, 0.3,
+                           rule) == pytest.approx(mass, abs=1e-12)
+
+
+# the functions that read a field's closed-form tag, one per quantity
+TAG_READERS = {
+    "flows._fp_family", "flows.moments", "functionals.tilt",
+    "functionals.Tilt.field", "functionals.log_ou_norm",
+    "transport._density_cdf", "hamilton_jacobi.quadratic_datum"}
+
+
+def _tag_readers(path, module):
+    """Qualified names of the functions and methods in the module at
+    ``path`` that read an attribute ``.tag``."""
+    found = set()
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope if in_function else scope + [child.name],
+                      in_function or isinstance(child, ast.FunctionDef))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "tag":
+                found.add(".".join([module] + scope))
+            visit(child, scope, in_function)
+
+    with open(path, encoding="utf-8") as fh:
+        visit(ast.parse(fh.read()), [], False)
+    return found
+
+
+class TestClosedFormReaders:
+    def test_one_tag_reader_per_quantity(self):
+        import gauss_deficit
+        src = os.path.dirname(gauss_deficit.__file__)
+        found = set()
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                found |= _tag_readers(os.path.join(src, name), name[:-3])
+        assert found == TAG_READERS
+

@@ -21,7 +21,8 @@ from gauss_deficit.inequalities import (beckner_check,
 from gauss_deficit.numerics import (GridField, ParameterError, default_grid,
                                     gauss_hermite_rule)
 from gauss_deficit.semigroups import (ExponentTriple,
-                                      InadmissibleExponentError, ou_apply)
+                                      InadmissibleExponentError,
+                                      _ou_closures_1d)
 
 
 def sqrt_ratio_field(grid, beta, power):
@@ -277,7 +278,8 @@ class TestBeckner:
         assert r.params["smoothing_slack"] >= -1e-9
 
     def test_smoothing_lhs_matches_grid_route(self, grid, rule):
-        # int f^2 - int (P_s f)^2 with P_s f taken from the full-grid field
+        # int f^2 - int (P_s f)^2, the quadrature P_s f at the nodes
+        # squared and summed in value space
         p = 1.5
         s = -0.5 * float(np.log(p - 1.0))
         z, w = rule.nodes, rule.weights
@@ -296,8 +298,8 @@ class TestBeckner:
         for f in (closure, nodal):
             r = beckner_check(f, p, 2.0, rule)
             fz = np.asarray(f(z), float)
-            psf = ou_apply(f, s, rule)
-            want = float((fz * fz) @ w) - float((psf(z) ** 2) @ w)
+            psf = np.exp(_ou_closures_1d(f.log, s, rule)[0](z))
+            want = float((fz * fz) @ w) - float((psf ** 2) @ w)
             assert r.params["smoothing_lhs"] == pytest.approx(
                 want, rel=1e-12, abs=1e-12)
 

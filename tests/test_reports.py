@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gauss_deficit.numerics import ParameterError
 from gauss_deficit.reports import DeficitReport, HypothesisCheck
 
 
@@ -44,6 +45,12 @@ class TestDeficitReport:
         assert r.passes(0.25) and r.passes(1.0)
         assert r.passes(0.0) == (slack >= 0)
         assert r.passes(np.nextafter(0.25, 0.0)) == (slack >= 0)
+
+    @pytest.mark.parametrize("direction", ["lt", "LE", "", None])
+    def test_unknown_direction_refused(self, direction):
+        # any direction but "le" used to read as "ge"
+        with pytest.raises(ParameterError, match="direction"):
+            DeficitReport("x", 1.0, 2.0, 0.0, direction=direction)
 
     def test_failed_hypothesis_blocks_assertion(self):
         r = DeficitReport("demo", 1.0, 0.5, 0.5,

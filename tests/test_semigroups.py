@@ -5,10 +5,16 @@ from hypothesis import strategies as st
 
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_ratio_field, symmetric_mixture)
+from gauss_deficit.functionals import _log_lp, log_ou_norm
 from gauss_deficit.numerics import GridField, ParameterError, default_grid
 from gauss_deficit.semigroups import (ExponentTriple,
-                                      InadmissibleExponentError, beta_s,
-                                      nelson_time, ou_apply)
+                                      InadmissibleExponentError,
+                                      _ou_closures_1d, beta_s, nelson_time)
+
+
+def ou_log(f, s, rule):
+    """log P_s f by quadrature, the closure of f's log."""
+    return _ou_closures_1d(f.log, s, rule)[0]
 
 
 class TestNelsonTime:
@@ -70,30 +76,35 @@ class TestBetaS:
 
 
 class TestOuApply:
+    """P_s applied: log_ou_norm's closed form for a tagged field, and the
+    log-space quadrature closure at any points."""
+
     def test_gaussian_ratio_closed_form(self, grid, rule):
-        # P_s(gamma_beta/gamma) stays in the log-quadratic family
+        # P_s(gamma_beta/gamma) stays in the log-quadratic family: the norm
+        # of the tagged field is that of P_s's closed form summed by GH
         f = gaussian_ratio_field(grid, 2.0)
         s = 0.4
-        got = ou_apply(f, s, rule)
-        expect = field_from_family(grid, LogQuad.gaussian_ratio(2.0).ou(s))
-        np.testing.assert_allclose(got.values, expect.values, rtol=1e-10)
+        got = log_ou_norm(f, 2.0, s, rule)
+        expect = _log_lp(LogQuad.gaussian_ratio(2.0).ou(s).log_at(rule.nodes),
+                         2.0, rule.log_weights)
+        np.testing.assert_allclose(got, expect, rtol=1e-10)
 
     def test_quadrature_matches_closure(self, grid, rule):
         # strip the tag to force the quadrature path
         mix = symmetric_mixture(1.0, 1.0)
         bare = GridField.from_callable(grid, lambda x: mix(x))
         s = 0.3
-        got = ou_apply(bare, s, rule)
+        got = np.exp(ou_log(bare, s, rule)(grid.points))
         expect = field_from_family(grid, mix.ou(s))
         inner = slice(200, -200)
-        np.testing.assert_allclose(got.values[inner], expect.values[inner],
+        np.testing.assert_allclose(got[inner], expect.values[inner],
                                    rtol=1e-8)
 
     def test_constant_preserved(self, grid, rule):
         f = GridField.from_callable(
             grid, lambda x: np.full_like(np.asarray(x, float), 2.5))
-        got = ou_apply(f, 0.7, rule)
-        np.testing.assert_allclose(got.values, 2.5, rtol=1e-12)
+        got = np.exp(ou_log(f, 0.7, rule)(grid.points))
+        np.testing.assert_allclose(got, 2.5, rtol=1e-12)
 
     def test_quadrature_fills_grid_once(self, grid, rule):
         mix = symmetric_mixture(1.0, 1.0)
@@ -103,15 +114,20 @@ class TestOuApply:
             calls.append(np.size(x))
             return mix(x)
 
-        got = ou_apply(GridField.from_callable(grid, fn), 0.3, rule)
+        got = ou_log(GridField.from_callable(grid, fn), 0.3, rule)(
+            grid.points)
         # one fill of the input, one quadrature pass over the output grid
         assert calls == [grid.n, grid.n * rule.nodes.size]
-        assert got.values.shape == (grid.n,)
+        assert got.shape == (grid.n,)
 
     def test_rejects_nonpositive_time(self, grid, rule):
         f = gaussian_ratio_field(grid, 2.0)
         with pytest.raises(ParameterError):
-            ou_apply(f, 0.0, rule)
+            ou_log(f, 0.0, rule)
+        for negative in (lambda: log_ou_norm(f, 2.0, -0.1, rule),
+                         lambda: f.tag.ou(-0.1)):
+            with pytest.raises(ParameterError):
+                negative()
 
     def test_semigroup_property(self, grid):
         fam = LogQuad.gaussian_ratio(2.0)

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gauss_deficit import transport
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
+from gauss_deficit.flows import check_density, covariance
 from gauss_deficit.functionals import entropy_fisher
-from gauss_deficit.inequalities import make_talagrand_input, matrix_check
+from gauss_deficit.inequalities import (lsi_check, make_talagrand_input,
+                                        matrix_check)
 from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
                                     default_grid)
 from gauss_deficit.transport import (PotentialSpec, brenier_1d,
@@ -84,6 +87,27 @@ class TestDensityChecks:
             with pytest.raises(ParameterError,
                                match="normalized|nonnegative"):
                 call()
+
+
+    @pytest.mark.parametrize("make", [_off_mass, _negative])
+    def test_one_check_for_every_density_reader(self, grid, make):
+        # lsi_check, covariance and the transport entries share one check
+        bad = make(grid)
+        for call in (lambda: lsi_check(bad, 2.0), lambda: covariance(bad),
+                     lambda: brenier_1d(bad, gauss_spec(1.0, grid))):
+            with pytest.raises(ParameterError) as err:
+                call()
+            with pytest.raises(ParameterError) as want:
+                check_density(bad)
+            assert str(err.value) == str(want.value)
+
+    def test_general_lsi_builds_no_cdf(self, grid, monkeypatch):
+        def refuse(v):
+            raise AssertionError("the CDF was built")
+
+        monkeypatch.setattr(transport, "_density_cdf", refuse)
+        pot = PotentialSpec(gauss_spec(1.0, grid), K=1.0, L=1.0)
+        assert general_lsi_deficit(gauss_spec(2.0, grid), pot, 2.0).asserted
 
 
 class WavyCDF(LogQuad):
