@@ -27,28 +27,20 @@ _CHUNK = 1 << 16
 _NARROW = 64
 
 
-def _by_blocks(x, step: int, rows: int, fn, scratch: int, width: int,
-               sink=None):
+def _by_blocks(x, step: int, rows: int, fn, scratch: int, width: int):
     """``rows`` values per point of x from fn(xs, work), called in order on
     (n, 1) blocks xs of ``step`` points.  ``work`` (``scratch`` rows of
     step * width doubles) is allocated once: fresh block-sized temporaries
-    cost page faults.  Each output row is its own array, keeping no other.
-    ``sink(block, parts)``, when given, takes each block's rows in place of
-    the output arrays (``block`` slices the flattened x), and None is
-    returned."""
+    cost page faults.  Each output row is its own array, keeping no other."""
     x = np.asarray(x, float)
     flat = x.ravel()
-    out = [] if sink else [np.empty(flat.size) for _ in range(rows)]
+    out = [np.empty(flat.size) for _ in range(rows)]
     work = np.empty((scratch, min(step, flat.size) * width))
     for i in range(0, flat.size, step):
         xs = flat[i:i + step, None]
-        parts = fn(xs, work[:, :xs.shape[0] * width])
-        if sink:
-            sink(slice(i, i + step), parts)
-        else:
-            for o, part in zip(out, parts):
-                o[i:i + step] = part
-    return None if sink else [o.reshape(x.shape)[()] for o in out]
+        for o, part in zip(out, fn(xs, work[:, :xs.shape[0] * width])):
+            o[i:i + step] = part
+    return [o.reshape(x.shape)[()] for o in out]
 
 
 def _row_max(L):
@@ -107,7 +99,7 @@ class LogQuad:
 
     # -- pointwise --------------------------------------------------------
 
-    def _pass(self, x, order: int = 2, sink=None):
+    def _pass(self, x, order: int = 2):
         """[log f, (log f)', (log f)''][:order + 1] at x, in one pass.
 
         Under the component posterior p_k = exp(L_k) / f, with L_k the k-th
@@ -115,18 +107,13 @@ class LogQuad:
         Var_p(a x + b), the variance taken about the posterior mean so that
         no digits cancel; blocks of points sum windows of components (see
         _windows).  K = 1 returns the quadratic directly, its (log f)'' = a
-        as a read-only broadcast that holds no array.  ``sink``, when given,
-        takes the rows block by block (see _by_blocks) and None is returned.
+        as a read-only broadcast that holds no array.
         """
         x = np.asarray(x, float)
         if self.a.size == 1:
             a, b, c = self.a[0], self.b[0], self.c[0]
-            rows = [0.5 * a * x * x + b * x + c, a * x + b,
+            return [0.5 * a * x * x + b * x + c, a * x + b,
                     np.broadcast_to(a, x.shape)][:order + 1]
-            if sink is None:
-                return rows
-            sink(slice(None), [r.ravel() for r in rows])
-            return None
 
         def tables(a, b, c):
             # L = [x^2, x, 1] @ quad; posterior sums are p @ cols
@@ -166,8 +153,7 @@ class LogQuad:
             return out[:order + 1]
 
         return _by_blocks(x, step, order + 1, block,
-                          scratch=2 if order > 1 else 1, width=width,
-                          sink=sink)
+                          scratch=2 if order > 1 else 1, width=width)
 
     def _windows(self, flat):
         """(step, spans): a pass sums components spans[i] = [lo, hi) on its
@@ -193,16 +179,6 @@ class LogQuad:
                       - np.log(2.0**53 * K), axis=0)
         return step, list(zip(near.argmax(axis=1).tolist(),
                               (K - near[:, ::-1].argmax(axis=1)).tolist()))
-
-    def window_share(self, x):
-        """(share of the (point, component) pairs that a pass at x
-        evaluates, bound on its dropped terms relative to the posterior
-        sum)."""
-        flat = np.asarray(x, float).ravel()
-        step, spans = self._windows(flat)
-        kept = np.diff(spans).ravel() / self.a.size
-        rows = np.minimum(step, flat.size - step * np.arange(kept.size))
-        return rows @ kept / flat.size, (1.0 - min(kept, default=1.0)) / 2**53
 
     def log_at(self, x):
         return self._pass(x, 0)[0]

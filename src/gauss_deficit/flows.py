@@ -19,8 +19,17 @@ flow of the whole density and not of its cut-off.  The kernel is smooth, so
 the rule converges exponentially and the source is subsampled on nested
 strided levels, halved until two levels agree in log v_t and (log v_t)'';
 each level adds the atoms between the previous level's to it, so every atom
-is evaluated once.  FP(beta) is the set of time-(1/2)log 2 snapshots of the
-2 beta-flow started from a finite measure; its members are automatically
+is evaluated once.  A level's atoms y_m = lo + m h lie on the grid's
+lattice, so with theta = e^{-t} the identity (x_i - theta y_m)^2 =
+theta (x_i - y_m)^2 + (1 - theta) x_i^2 - theta (1 - theta) y_m^2 splits
+each kernel term into a node factor, an atom factor and G(i - m) =
+exp(-kappa (i - m)^2), kappa = theta h^2 / (2 w).  For a block of nodes
+i = i_c + u and its window of atoms m = m_c + s v, tilting G by the integer
+offset d* = i_c - m_c leaves, besides terms in u or v alone, which go to
+the factors, the cross term 2 kappa s u v: every block of a level reads
+one matrix exp(2 kappa s u v), built with one exp call (_lattice_pass).
+FP(beta) is the set of time-(1/2)log 2 snapshots of the 2 beta-flow
+started from a finite measure; its members are automatically
 beta-semi-log-convex.  The certificates measure the signed margin of a
 log-curvature bound and return it as a reports.HypothesisCheck that carries
 the tolerance it is judged at.
@@ -47,6 +56,9 @@ T_STAR = 0.5 * float(np.log(2.0))
 # negligible at a node
 _LOG_EDGE_WEIGHT = -53.0 * float(np.log(2.0))
 _LOG2 = float(np.log(2.0))
+# _lattice_pass: nodes per block at most, cells per chunk array at most,
+# and the largest |exponent| of its shared matrix
+_ROWS, _CELLS, _MAX_TILT = 64, 1 << 13, 200.0
 
 
 @dataclass(frozen=True)
@@ -92,31 +104,36 @@ def _atoms_family(points, logw, beta: float, t: float) -> LogQuad:
 
 
 def _grid_density_family(src: GridField, beta: float, t: float, x):
-    """v_t of an untagged grid density, read at the nodes x.
+    """v_t of an untagged grid density, read at the grid's nodes x.
 
     The source is the trapezoid measure on the grid's node lattice, run
     past the grid at the same spacing, every atom weighing its spacing times
-    the closure's value: the pad starts at the kernel's standard deviation
-    in source coordinates and doubles, on the coarsest level, until the two
-    outermost atoms have posterior weight below 2^-53 at every x, which
-    _edge_weight reads at the two end nodes of x.  Once the pad has
-    settled, the coarsest level is evaluated at x.  Then the stride halves
+    the closure's value.  The pad starts at the kernel's reach, e^t sqrt(w)
+    / h nodes, halved while the closure half as far out lies 745 below its
+    largest node value (e^-745 is below the smallest double), and doubles,
+    on the coarsest level, until the two outermost atoms have posterior
+    weight below 2^-53 at every x (_edge_weight).  Then the stride halves
     until two levels agree in log v_t and (log v_t)'' within 1e-12 (1 +
-    1/w), w = beta (1 - e^{-2t}) setting the scale of (log v_t)''; an
-    unresolved source ends at stride 1.  The level at stride k is the level
-    at 2k, its weights halved, plus the odd atoms -pad + k, -pad + 3k, ...:
-    only these are evaluated at x, and _merge_odd merges them into the level
-    in place, so each atom of the finest level is evaluated at x once.  The
-    snapshot's family is built from the finest level and is not evaluated
-    at x.  Returns (family, source mass, (log v_t, (log v_t)'') at x).
+    1/w), w = beta (1 - e^{-2t}); an unresolved source ends at stride 1.
+    The level at stride k is the level at 2k, its weights halved, plus the
+    odd atoms -pad + k, -pad + 3k, ...: only these are evaluated at x, by
+    _lattice_pass, and _merge_odd merges them into the level in place, so
+    each atom of the finest level is evaluated at x once, and the
+    snapshot's family, built from it, not at all.  Returns (family, source
+    mass, (log v_t, (log v_t)'') at x).
     """
     grid, x = src.grid, np.asarray(x, float)
     h, n = grid.spacing, grid.n
     w = beta * (1.0 - np.exp(-2.0 * t))
     k0 = _coarsest_stride(1 << ((n - 1).bit_length() - 1))
-    pad = k0 * int(np.ceil(np.exp(t) * np.sqrt(w) / (k0 * h)))
-    debug = logger.isEnabledFor(logging.DEBUG)
-    pairs, bound, pad_checks = 0.0, 0.0, 0
+    pad = min(np.exp(t) * np.sqrt(w) / h, 64 * (n - 1))
+    with np.errstate(divide="ignore"):
+        floor = np.log(np.max(src.values)) - 745.0
+    while pad > k0 and np.max(src.log(
+            grid.lo + 0.5 * h * np.array([-pad, 2 * (n - 1) + pad]))) < floor:
+        pad /= 2
+    pad = k0 * int(np.ceil(pad / k0))
+    cells, bound, pad_checks = 0, 0.0, 0
 
     def atoms(k, first, step):
         """Lattice atoms first, first + step, ... at stride k: their
@@ -124,17 +141,16 @@ def _grid_density_family(src: GridField, beta: float, t: float, x):
         y = grid.lo + h * np.arange(first - pad, n + pad, step)
         return y, np.log(k * h) + src.log(y)
 
-    def run(q, at, order, sink=None):
-        """q's pass at the points ``at``, its (node, atom) pairs counted."""
-        nonlocal pairs, bound
-        if debug:
-            share, dropped = q.window_share(at)
-            pairs += share * at.size * q.a.size
-            bound = max(bound, dropped)
-        return q._pass(at, order, sink=sink)
+    def run(y, logw):
+        """The lattice pass of the atoms y at x, its cells counted."""
+        nonlocal cells, bound
+        rows, c, dropped = _lattice_pass(x, y, logw, beta, t)
+        cells += c
+        bound = max(bound, dropped)
+        return rows
 
     def coarsest():
-        """The coarsest level's family, once its pad has settled, or None
+        """The coarsest level's atoms, once its pad has settled, or None
         when the level has no mass.  The pad is settled here, before any
         refinement: a cut-off source has a kink at the grid edge, so its
         levels never agree.  A coarse level can miss a narrow source or the
@@ -148,26 +164,23 @@ def _grid_density_family(src: GridField, beta: float, t: float, x):
                 y, logw = atoms(k, k, 2 * k)
             q = _atoms_family(y, logw, beta, t)
             pad_checks += 1
-            if _edge_weight(lambda at: run(q, at, 0)[0],
+            if _edge_weight(lambda at: q._pass(at, 0)[0],
                             np.exp(-t) * y[[0, -1]], logw[[0, -1]], w,
                             x) <= _LOG_EDGE_WEIGHT:
-                return q if k == k0 else None
+                return (y, logw) if k == k0 else None
             if pad >= 64 * (n - 1):
                 raise TruncationError("the closure does not decay past "
                                       "the grid: no pad makes its edge "
                                       "negligible")
             pad *= 2
 
-    def evaluate(q):
-        return [np.require(r, requirements="W") for r in run(q, x, 2)]
-
     lev = None  # (log v_t, (log v_t)', (log v_t)'') of the current level
 
     def refine(k):
         nonlocal lev
         if k == k0:
-            q = coarsest()
-            lev = None if q is None else evaluate(q)
+            level = coarsest()
+            lev = None if level is None else run(*level)
             return np.nan
         y, logw = atoms(k, k, 2 * k)
         if not np.any(logw > -np.inf):  # no odd atom has mass
@@ -175,22 +188,94 @@ def _grid_density_family(src: GridField, beta: float, t: float, x):
                 return np.nan
             lev[0] -= _LOG2  # the coarse level, its weights halved
             return _LOG2
-        q = _atoms_family(y, logw, beta, t)
         if lev is None:  # a massless coarse level: the odd atoms alone
-            lev = evaluate(q)
+            lev = run(y, logw)
             return np.inf
-        return _merge_odd(lev, lambda sink: run(q, x, 2, sink))
+        return _merge_odd(lev, run(y, logw))
 
     k, g = _refine_strides(refine, k0, 1e-12 * (1.0 + 1.0 / w))
     q = _atoms_family(*atoms(k, 0, k), beta, t)
-    if debug:
+    if logger.isEnabledFor(logging.DEBUG):
         levels = (k0 // k).bit_length()
         logger.debug("FP snapshot beta=%g t=%g: %d levels, %d pad checks, "
                      "pad %d nodes, stride %d, level gap %.3g, pairs "
                      "evaluated %.3f, dropped-term bound %.3g", beta, t,
                      levels, pad_checks, pad, k, g,
-                     pairs / (x.size * q.a.size), bound)
+                     cells / (x.size * q.a.size), bound)
     return q, q.integral_lebesgue(), (lev[0], lev[2])
+
+
+def _lattice_pass(x, points, logw, beta: float, t: float):
+    """The pass of _atoms_family(points, logw, beta, t) at the grid nodes x
+    for atoms on a lattice: rows (log v_t, (log v_t)', (log v_t)''), the
+    (node, atom) cells of its products and the bound 2^-53 (M - W) / M on
+    its dropped terms.
+
+    Blocks of ``rows`` nodes (at most _ROWS) each sum a window of W atoms,
+    W the widest hull of the atoms within 53 log 2 + log M of the largest
+    exponent at a block end (as in LogQuad._windows).  About the block's
+    centre node x_c and the window's centre atom c0, atom c's exponent at
+    x = x_c + u h is L_c(x_c) + s (x - x_c) - (x - x_c)^2 / (2 w) + (d h /
+    w) u (c - c0), s = (mu_c0 - x_c) / w and d the step of the kernel
+    centres mu_c: each block weighs the shared matrix exp((d h / w) u (c -
+    c0)) by exp(L_c(x_c) - max).  One product gives the posterior sums of 1
+    and c - c0, a second the variance of c about the centre row's posterior
+    mean.  Rows halve until the matrix's exponents lie within +-_MAX_TILT,
+    so that no factor that matters overflows or falls subnormal.
+    """
+    w, mu = beta * (1.0 - np.exp(-2.0 * t)), np.exp(-t) * points
+    peak = logw - 0.5 * np.log(2.0 * np.pi * w)
+    M, n = mu.size, x.size
+    d, h = (mu[-1] - mu[0]) / max(M - 1, 1), (x[-1] - x[0]) / (n - 1)
+    cut = 53.0 * _LOG2 + np.log(M)
+    # the exponents at a node p, less -p^2 / (2 w), are base + rate p
+    base, rate = peak - mu * mu / (2.0 * w), mu / w
+    rows, step = _ROWS, max(1, _CELLS // M)
+    while True:
+        ends = x[np.append(np.arange(0, n, rows), n - 1)]
+        first, last = np.empty((2, ends.size), int)
+        for i in range(0, ends.size, step):
+            L = base[:, None] + np.multiply.outer(rate, ends[i:i + step])
+            near = L >= L.max(axis=0) - cut
+            first[i:i + step] = near.argmax(axis=0)
+            last[i:i + step] = M - near[::-1].argmax(axis=0)
+        lo = np.minimum(first[:-1], first[1:])
+        hi = np.maximum(last[:-1], last[1:])
+        W = int(np.max(hi - lo))
+        c0, tilt = W // 2, d * h / w
+        if rows == 1 or tilt * (rows // 2) * c0 <= _MAX_TILT:
+            break
+        rows //= 2
+    starts = np.clip(lo - (W - (hi - lo)) // 2, 0, M - W)
+    c = np.arange(W) - c0
+    kern = np.exp(tilt * np.multiply.outer(c, np.arange(rows) - rows // 2))
+    both = np.hstack([kern, kern * c[:, None]])
+    # the last block's rows past x[-1] are computed and dropped
+    xs = np.concatenate([x, x[-1] + h * np.arange(1, rows)])
+    out = np.empty((3, xs.size))
+    chunk = max(1, _CELLS // W)
+    for b in range(0, starts.size, chunk):
+        at = starts[b:b + chunk, None] + np.arange(W)
+        i0 = b * rows
+        nodes = xs[i0:i0 + at.shape[0] * rows].reshape(-1, rows)
+        xc = nodes[:, rows // 2, None]
+        dx = nodes - xc
+        L = mu[at] - xc
+        slope = L[:, c0, None] / w
+        L = peak[at] - 0.5 * L * L / w
+        top = L.max(axis=1, keepdims=True)
+        p = np.exp(L - top)
+        sums = p @ both
+        s0 = sums[:, :rows]
+        mean = sums[:, rows:] / s0
+        mid = mean[:, rows // 2, None]
+        var = (p * (c - mid) ** 2 @ kern) / s0 - (mean - mid) ** 2
+        for row, part in zip(out, (
+                np.log(s0) + top + dx * (slope - 0.5 * dx / w),
+                slope - dx / w + (d / w) * mean,
+                (d / w) ** 2 * var - 1.0 / w)):
+            row[i0:i0 + dx.size] = part.ravel()
+    return out[:, :n], starts.size * rows * W, (M - W) / M / 2.0**53
 
 
 def _edge_weight(log_v, mu, logw, w: float, x) -> float:
@@ -207,15 +292,15 @@ def _edge_weight(log_v, mu, logw, w: float, x) -> float:
                         - d * d / (2.0 * w) - log_v(ends)))
 
 
-def _merge_odd(lev, odd_pass):
+def _merge_odd(lev, odd):
     """Merge a level's odd atoms into the level at twice its stride.
 
     ``lev`` holds (log v, (log v)', (log v)'') of the coarse level and is
-    overwritten with the fine level's; ``odd_pass(sink)`` runs the odd
-    atoms' pass, handing its rows to ``sink`` block by block.  With S the
-    sums of the atoms' kernels, the coarse level's halved, S = S_c / 2 +
-    S_o, and with lam = S_o / S the posterior mean and variance of the
-    slopes combine as two groups do (Chan, Golub & LeVeque 1979):
+    overwritten with the fine level's; ``odd`` holds the odd atoms' rows,
+    reused in place.  With S the sums of the atoms' kernels, the coarse
+    level's halved, S = S_c / 2 + S_o, and with lam = S_o / S the posterior
+    mean and variance of the slopes combine as two groups do (Chan, Golub &
+    LeVeque 1979):
 
         m = m_c + lam (m_o - m_c),
         V = V_c + lam (V_o - V_c) + lam (1 - lam) (m_c - m_o)^2.
@@ -225,28 +310,21 @@ def _merge_odd(lev, odd_pass):
     (log v)'' between the two levels, taken before the coarse one is
     overwritten.
     """
-    gap = 0.0
-
-    def sink(block, rows):
-        nonlocal gap
-        logv, mean, hess = (r[block] for r in lev)
-        logv_o, dm, dh = rows  # the odd atoms' rows, reused in place
-        fine = np.logaddexp(logv - _LOG2, logv_o)
-        z = np.subtract(logv_o, fine, out=logv_o)  # log lam
-        lam = np.exp(z)
-        dm -= mean
-        dh -= hess
-        dh *= lam
-        mean += lam * dm
-        lam *= np.expm1(z, out=z)  # -lam (1 - lam), 1 - lam to full digits
-        dm *= dm
-        dh -= lam * dm  # the fine level's (log v)'' less the coarse one's
-        gap = np.maximum(np.maximum(gap, np.max(np.abs(fine - logv))),
-                         np.max(np.abs(dh)))
-        logv[...] = fine
-        hess += dh
-
-    odd_pass(sink)
+    logv, mean, hess = lev
+    logv_o, dm, dh = odd
+    fine = np.logaddexp(logv - _LOG2, logv_o)
+    z = np.subtract(logv_o, fine, out=logv_o)  # log lam
+    lam = np.exp(z)
+    dm -= mean
+    dh -= hess
+    dh *= lam
+    mean += lam * dm
+    lam *= np.expm1(z, out=z)  # -lam (1 - lam), 1 - lam to full digits
+    dm *= dm
+    dh -= lam * dm  # the fine level's (log v)'' less the coarse one's
+    gap = max(np.max(np.abs(fine - logv)), np.max(np.abs(dh)))
+    logv[...] = fine
+    hess += dh
     return float(gap)
 
 
@@ -429,13 +507,14 @@ def check_density(v: GridField, mass: Optional[float] = None):
 
 def moments(v: GridField):
     """(mass, mean, variance) of v: its tag's closed form, else trapezoid
-    sums, int x v dx and int x^2 v dx less its square."""
+    sums, the mean and second moment normalised by the mass as the tag's
+    are."""
     if isinstance(v.tag, LogQuad):
         return v.tag.moments()
     x = v.grid.points
     mass, mean, second = (float(np.trapezoid(g * v.values, dx=v.grid.spacing))
                           for g in (1.0, x, x * x))
-    return mass, mean, second - mean * mean
+    return mass, mean / mass, second / mass - (mean / mass) ** 2
 
 
 def covariance(v: GridField) -> np.ndarray:

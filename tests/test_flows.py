@@ -1,5 +1,7 @@
 import logging
 import re
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,9 +14,10 @@ from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
 from gauss_deficit.flows import (T_STAR, MeasureSpec, certify,
                                  certify_matrix, covariance,
-                                 fp_class_member, fp_evolve,
+                                 fp_class_member, fp_evolve, moments,
                                  preservation_trace)
-from gauss_deficit.inequalities import make_fp_input, make_logconcave_input
+from gauss_deficit.inequalities import (make_fp_input, make_logconcave_input,
+                                        make_talagrand_input)
 from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
                                     TruncationError, logsumexp)
 
@@ -133,6 +136,19 @@ def _record_passes(monkeypatch, sizes, orders=(0, 1, 2)):
     return seen
 
 
+def _record_levels(monkeypatch):
+    """The number of atoms with mass in each level that flows._lattice_pass
+    evaluates at the nodes, in order."""
+    seen, one_pass = [], flows._lattice_pass
+
+    def recording(x, points, logw, *args):
+        seen.append(int(np.count_nonzero(logw > -np.inf)))
+        return one_pass(x, points, logw, *args)
+
+    monkeypatch.setattr(flows, "_lattice_pass", recording)
+    return seen
+
+
 class TestGridDensityFlow:
     @pytest.mark.parametrize("beta,t", [(0.5, 0.2), (2.0, 0.5), (1.0, 1.0)])
     def test_matches_kernel_quadrature(self, beta, t):
@@ -161,11 +177,12 @@ class TestGridDensityFlow:
         # of the finest level is evaluated there once, on one level
         src = _untagged_gaussian(grid, 0.5)
         node_passes = _record_passes(monkeypatch, (grid.n, grid.n - 4))
+        levels = _record_levels(monkeypatch)
         vt = fp_evolve(src, 0.5, 0.05)
         certify(vt, "concave", 0.5)
-        assert len(node_passes) > 1  # refined past the coarsest level
-        assert not any(q is vt.tag for q in node_passes)
-        assert sum(q.a.size for q in node_passes) == vt.tag.a.size
+        assert len(levels) > 1  # refined past the coarsest level
+        assert not node_passes  # no LogQuad pass at the nodes at all
+        assert sum(levels) == vt.tag.a.size
 
     def test_gaussian_preservation_margins_vanish(self, grid):
         # the curvature comes from posterior moments taken about their mean,
@@ -319,6 +336,28 @@ class TestGridDensityFlow:
         assert np.all(np.isfinite(vt.values)) and np.all(vt.values > 0)
         assert np.all(np.isfinite(hess))
 
+    @pytest.mark.parametrize("t", [20.0, 30.0])
+    def test_long_flow_pads_to_the_source(self, grid, t):
+        # the kernel reaches e^t sqrt(w) / h nodes past the grid, 1.2e11 at
+        # t = 20, but the bumped Gaussian lies 745 below its peak some 60-80
+        # past the grid: the pad stops there, not at the kernel's reach
+        v0 = make_talagrand_input(np.random.default_rng(0), 2.0, grid)
+        assert v0.tag is None
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            vt = fp_evolve(v0, 2.0, t)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 100e6
+        # relaxed to gamma_2, carrying the source's mass
+        mass = vt.tag.integral_lebesgue()
+        np.testing.assert_allclose(vt.values,
+                                   mass * gaussian_field(grid, 2.0).values,
+                                   rtol=1e-7, atol=0)
+
 
 def _full_pass(q, x):
     """log v and (log v)'' at x from every component of q: logsumexp and
@@ -342,6 +381,13 @@ def _full_pass(q, x):
         mean = np.sum(p * slope, axis=1, keepdims=True)
         out.append((logv, p @ a + np.sum(p * (slope - mean) ** 2, axis=1)))
     return [np.concatenate(rows) for rows in zip(*out)]
+
+
+def _kept_share(q, x):
+    """The share of the (point, component) pairs that q's pass at x sums."""
+    step, spans = q._windows(x)
+    rows = np.minimum(step, x.size - step * np.arange(len(spans)))
+    return rows @ np.diff(spans).ravel() / (x.size * q.a.size)
 
 
 def _levels(monkeypatch, v0, beta, t, x):
@@ -370,7 +416,7 @@ class TestBandedLevels:
         w = beta * (1.0 - np.exp(-2.0 * t))
         x = grid.points
         levels = _levels(monkeypatch, v0, beta, t, x)
-        assert min(q.window_share(x)[0] for q in levels) < 0.8
+        assert min(_kept_share(q, x) for q in levels) < 0.8
         for q in levels:
             logv, _, d2 = q._pass(x, 2)
             full_logv, full_d2 = _full_pass(q, x)
@@ -407,7 +453,7 @@ class TestBandedLevels:
         np.testing.assert_allclose(d2, full_d2, rtol=0,
                                    atol=1e-12 * (1.0 + 1.0 / w))
         # the light family alone sums the atoms near x only
-        assert q_light.window_share(x)[0] < 0.5
+        assert _kept_share(q_light, x) < 0.5
 
     def test_finest_level_evaluates_few_pairs(self, grid, caplog):
         with caplog.at_level(logging.DEBUG, logger="gauss_deficit.flows"):
@@ -460,11 +506,11 @@ class TestMergedLevels:
             return checks[-1][-1]
 
         monkeypatch.setattr(flows, "_edge_weight", recording)
-        # the levels' passes; the checks below read log v_t to order 0
-        node_passes = _record_passes(monkeypatch, (x.size,), orders=(2,))
+        # the levels' passes at the nodes
+        levels = _record_levels(monkeypatch)
         q, _, (logv, d2) = flows._fp_family(v0, beta, t, x)
-        assert len(node_passes) > 1  # at least one merge
-        assert sum(p.a.size for p in node_passes) == q.a.size
+        assert len(levels) > 1  # at least one merge
+        assert sum(levels) == q.a.size
         full_logv, _, full_d2 = q._pass(x, 2)
         tol = 1e-12 * (1.0 + 1.0 / w)
         np.testing.assert_allclose(logv, full_logv, rtol=0, atol=tol)
@@ -479,6 +525,96 @@ class TestMergedLevels:
             every = np.max(logw[:, None] - 0.5 * np.log(2.0 * np.pi * w)
                            - d * d / (2.0 * w) - logv_x)
             assert got == pytest.approx(every, rel=1e-13, abs=1e-12)
+
+
+def _lattice_source(name, grid):
+    """(source, beta) for the lattice kernel's oracle."""
+    if name == "narrow":  # log v_t < -700 at the far nodes
+        return _untagged_gaussian(grid, 0.01), 0.5
+    if name == "isolated-nodes":
+        vals = np.zeros(grid.n)
+        vals[[2048, 2080]] = 1.0 / grid.spacing
+        return _nodal(grid, vals), 1.0
+    return _merge_source(name, grid)
+
+
+def _kernel_levels(monkeypatch, v0, beta, t):
+    """(atoms, their log weights, log v_t, (log v_t)'') of every level that
+    flows._lattice_pass reads at the nodes for the flow of v0."""
+    seen, one_pass = [], flows._lattice_pass
+
+    def recording(x, points, logw, beta, t):
+        out = one_pass(x, points, logw, beta, t)
+        seen.append((points, logw, out[0][0].copy(), out[0][2].copy()))
+        return out
+
+    monkeypatch.setattr(flows, "_lattice_pass", recording)
+    flows._fp_family(v0, beta, t, v0.grid.points)
+    return seen
+
+
+class TestLatticePass:
+    """Each level that _lattice_pass reads at the nodes is the full pass of
+    its atoms' family, within 1e-12 (1 + 1/w) in log v_t and (log v_t)''."""
+
+    @staticmethod
+    def _check(levels, x, beta, t):
+        assert levels
+        tol = 1e-12 * (1.0 + 1.0 / (beta * (1.0 - np.exp(-2.0 * t))))
+        for points, logw, logv, d2 in levels:
+            q = flows._atoms_family(points, logw, beta, t)
+            full_logv, full_d2 = _full_pass(q, x)
+            np.testing.assert_allclose(logv, full_logv, rtol=0, atol=tol)
+            np.testing.assert_allclose(d2, full_d2, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("t", [0.05, 0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("name", ["gamma0.5", "gamma2", "logconcave"])
+    def test_matches_the_full_pass(self, grid, monkeypatch, name, t):
+        v0, beta = _lattice_source(name, grid)
+        levels = _kernel_levels(monkeypatch, v0, beta, t)
+        self._check(levels, grid.points, beta, t)
+
+    @pytest.mark.parametrize("name,t", [("between-coarse-nodes", 0.05),
+                                        ("between-coarse-nodes", 0.5),
+                                        ("isolated-nodes", 0.5),
+                                        ("narrow", 0.05)])
+    def test_zero_weights_and_far_tails(self, grid, monkeypatch, name, t):
+        # atoms of zero weight inside the windows, and far nodes where every
+        # atom's kernel is below e^-700: each block is read against the
+        # largest of its atoms' exponents at its centre
+        v0, beta = _lattice_source(name, grid)
+        levels = _kernel_levels(monkeypatch, v0, beta, t)
+        if name == "narrow":
+            assert min(np.min(logv) for *_, logv, _ in levels) < -700.0
+        self._check(levels, grid.points, beta, t)
+
+    def test_kernel_narrower_than_a_block(self, monkeypatch):
+        # sqrt(w) is a third of the spacing: one atom step from the window's
+        # centre already tilts the block's end row past _MAX_TILT, so the
+        # blocks take fewer rows.  Between the atoms (log v_t)'' reaches
+        # 180 / w, and the full pass, about the mid-points of wide blocks,
+        # loses 1e-10 in log v_t: the reference takes every (node, atom)
+        # exponent directly
+        g = Grid1D(-4.0, 4.0, 513)
+        x, beta, t = g.points, 0.5, 2e-5
+        w = beta * (1.0 - np.exp(-2.0 * t))
+        levels = _kernel_levels(monkeypatch, _untagged_gaussian(g, beta),
+                                beta, t)
+        for points, logw, logv, d2 in levels:
+            mu = np.exp(-t) * points
+            tilt = (mu[1] - mu[0]) * g.spacing / w
+            assert tilt * (flows._ROWS // 2) > flows._MAX_TILT
+            L = (logw - 0.5 * np.log(2.0 * np.pi * w)
+                 - 0.5 * (x[:, None] - mu) ** 2 / w)
+            full_logv = logsumexp(L, axis=-1)
+            p = np.exp(L - full_logv[:, None])
+            slope = (mu - x[:, None]) / w
+            mean = np.sum(p * slope, axis=1, keepdims=True)
+            full_d2 = np.sum(p * (slope - mean) ** 2, axis=1) - 1.0 / w
+            np.testing.assert_allclose(logv, full_logv, rtol=0,
+                                       atol=1e-12 * (1.0 + 1.0 / w))
+            np.testing.assert_allclose(d2, full_d2, rtol=1e-12,
+                                       atol=1e-12 * (1.0 + 1.0 / w))
 
 
 class TestFPClassMember:
@@ -580,6 +716,18 @@ class TestPreservation:
 
 
 class TestCovariance:
+    def test_untagged_moments_are_normalised(self, grid):
+        # mass 1 + 9e-7 passes check_density; the trapezoid moments are
+        # normalised by it, as the tag's closed form is
+        q = LogQuad.gaussian(2.0, 1.0)
+        q = LogQuad(q.a, q.b, q.c + np.log1p(9e-7))
+        (m1, *tagged), (m2, *untagged) = (
+            moments(field_from_family(grid, q)),
+            moments(GridField.from_callable(grid, log_fn=q.log_at)))
+        assert m2 == pytest.approx(m1, rel=1e-12)
+        assert untagged == pytest.approx(tagged, abs=1e-12)
+        assert untagged == pytest.approx([1.0, 2.0], abs=1e-12)
+
     def test_mixture_covariance(self, grid):
         v = field_from_family(grid, symmetric_mixture(2.0, 1.0))
         assert covariance(v)[0, 0] == pytest.approx(5.0, rel=1e-10)
