@@ -209,6 +209,11 @@ def _summarize(reports, extremiser_indices, tol):
     if extremiser_indices:
         summary["max_abs_extremiser_slack"] = max(
             abs(reports[i].slack) for i in extremiser_indices)
+    # the beta each item ran at, which need not be --beta (verify-reverse-hc)
+    betas = sorted({float(r.params["beta"]) for r in reports
+                    if "beta" in r.params})
+    if betas:
+        summary["betas"] = betas
     return summary
 
 

@@ -23,8 +23,6 @@ from .numerics import Grid1D, GridField, ParameterError, ndtr
 
 # (point, component) pairs per block of the evaluation pass: cache-sized
 _CHUNK = 1 << 16
-# families of more components are evaluated on windows of them
-_NARROW = 64
 
 
 def _by_blocks(x, step: int, rows: int, fn, scratch: int, width: int):
@@ -105,8 +103,8 @@ class LogQuad:
         Under the component posterior p_k = exp(L_k) / f, with L_k the k-th
         exponent, (log f)' = E_p[a x + b] and (log f)'' = E_p[a] +
         Var_p(a x + b), the variance taken about the posterior mean so that
-        no digits cancel; blocks of points sum windows of components (see
-        _windows).  K = 1 returns the quadratic directly, its (log f)'' = a
+        no digits cancel; each block of _CHUNK // K points sums all K
+        components.  K = 1 returns the quadratic directly, its (log f)'' = a
         as a read-only broadcast that holds no array.
         """
         x = np.asarray(x, float)
@@ -121,20 +119,16 @@ class LogQuad:
                     np.stack([np.ones_like(a), a, b], axis=1))
 
         fixed = tables(self.a, self.b, self.c) if self._about is None else None
-        step, spans = self._windows(x.ravel())
-        width = max((hi - lo for lo, hi in spans), default=1)
-        spans = iter(spans)
+        K = self.a.size
 
         def block(xs, work):
-            lo, hi = next(spans)
             if fixed is None:
                 s = 0.5 * (xs.min() + xs.max())
                 xs = xs - s
                 quad, cols = tables(*self._about(s))
             else:
                 quad, cols = fixed
-            quad, cols = quad[:, lo:hi], cols[lo:hi]
-            work = [w[:xs.size * (hi - lo)].reshape(xs.size, -1) for w in work]
+            work = [w.reshape(xs.size, K) for w in work]
             powers = np.hstack([xs * xs, xs, np.ones_like(xs)])
             L = np.matmul(powers, quad, out=work[0])
             top = _row_max(L)
@@ -152,33 +146,8 @@ class LogQuad:
                 out.append((sa + np.einsum("ij,ij->i", p, d)) / s0)
             return out[:order + 1]
 
-        return _by_blocks(x, step, order + 1, block,
-                          scratch=2 if order > 1 else 1, width=width)
-
-    def _windows(self, flat):
-        """(step, spans): a pass sums components spans[i] = [lo, hi) on its
-        i-th block of ``step`` points of flat.  A family of more than
-        _NARROW components with one a, sorted by b (FP atoms by centre),
-        drops those whose exponent lies over 53 log 2 + log K below the
-        largest at both block ends.  Exponents differ by linear functions of
-        x, so one past the window's right (left) end stays that far below
-        the largest at the right (left) end on the whole block: the dropped
-        terms sum to under 2^-53 of the posterior sum."""
-        K = self.a.size
-        step = max(1, _CHUNK // K)
-        if (K <= _NARROW or not flat.size or np.any(self.a != self.a[0])
-                or np.any(self.b[1:] < self.b[:-1])):
-            return step, [(0, K)] * -(-flat.size // step)
-        starts = np.arange(0, flat.size, step)
-        ends = np.stack([np.minimum.reduceat(flat, starts),
-                         np.maximum.reduceat(flat, starts)])[..., None]
-        L = ends * self.b
-        L += self.c
-        L += 0.5 * self.a[0] * ends * ends
-        near = np.any(L >= L.max(axis=2, keepdims=True)
-                      - np.log(2.0**53 * K), axis=0)
-        return step, list(zip(near.argmax(axis=1).tolist(),
-                              (K - near[:, ::-1].argmax(axis=1)).tolist()))
+        return _by_blocks(x, max(1, _CHUNK // K), order + 1, block,
+                          scratch=2 if order > 1 else 1, width=K)
 
     def log_at(self, x):
         return self._pass(x, 0)[0]

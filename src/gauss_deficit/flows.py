@@ -45,7 +45,7 @@ import numpy as np
 from .families import LogQuad, field_from_family
 from .numerics import (Grid1D, GridField, ParameterError, PositivityError,
                        TruncationError, _coarsest_stride, _refine_strides,
-                       default_grid)
+                       default_grid, logsumexp)
 from .reports import HypothesisCheck
 
 logger = logging.getLogger(__name__)
@@ -162,11 +162,10 @@ def _grid_density_family(src: GridField, beta: float, t: float, x):
             while k > 1 and not np.any(logw > -np.inf):
                 k //= 2
                 y, logw = atoms(k, k, 2 * k)
-            q = _atoms_family(y, logw, beta, t)
+            if not np.any(logw > -np.inf):
+                raise ParameterError("the initial measure has no mass")
             pad_checks += 1
-            if _edge_weight(lambda at: q._pass(at, 0)[0],
-                            np.exp(-t) * y[[0, -1]], logw[[0, -1]], w,
-                            x) <= _LOG_EDGE_WEIGHT:
+            if _edge_weight(np.exp(-t) * y, logw, w, x) <= _LOG_EDGE_WEIGHT:
                 return (y, logw) if k == k0 else None
             if pad >= 64 * (n - 1):
                 raise TruncationError("the closure does not decay past "
@@ -213,13 +212,16 @@ def _lattice_pass(x, points, logw, beta: float, t: float):
 
     Blocks of ``rows`` nodes (at most _ROWS) each sum a window of W atoms,
     W the widest hull of the atoms within 53 log 2 + log M of the largest
-    exponent at a block end (as in LogQuad._windows).  About the block's
-    centre node x_c and the window's centre atom c0, atom c's exponent at
-    x = x_c + u h is L_c(x_c) + s (x - x_c) - (x - x_c)^2 / (2 w) + (d h /
-    w) u (c - c0), s = (mu_c0 - x_c) / w and d the step of the kernel
-    centres mu_c: each block weighs the shared matrix exp((d h / w) u (c -
-    c0)) by exp(L_c(x_c) - max).  One product gives the posterior sums of 1
-    and c - c0, a second the variance of c about the centre row's posterior
+    exponent at a block end.  Exponents differ by linear functions of x,
+    rising with the atom's index, so an atom past the hull's right (left)
+    end stays that far below the largest exponent at the block's right
+    (left) end on the whole block.  About the block's centre node x_c and
+    the window's centre atom c0, atom c's exponent at x = x_c + u h is
+    L_c(x_c) + s (x - x_c) - (x - x_c)^2 / (2 w) + (d h / w) u (c - c0),
+    s = (mu_c0 - x_c) / w and d the step of the kernel centres mu_c: each
+    block weighs the shared matrix exp((d h / w) u (c - c0)) by
+    exp(L_c(x_c) - max).  One product gives the posterior sums of 1 and
+    c - c0, a second the variance of c about the centre row's posterior
     mean.  Rows halve until the matrix's exponents lie within +-_MAX_TILT,
     so that no factor that matters overflows or falls subnormal.
     """
@@ -278,18 +280,17 @@ def _lattice_pass(x, points, logw, beta: float, t: float):
     return out[:, :n], starts.size * rows * W, (M - W) / M / 2.0**53
 
 
-def _edge_weight(log_v, mu, logw, w: float, x) -> float:
+def _edge_weight(mu, logw, w: float, x) -> float:
     """Largest log posterior weight at the points x of the two outermost
-    atoms of a flowed lattice: kernel centres mu = (leftmost, rightmost),
-    log weights logw, kernel variance w, and log v_t the callable log_v.
-    Every exponent differs from the leftmost atom's by a linear function of
-    x with slope (mu_k - mu_0) / w >= 0, so the leftmost atom's weight falls
-    with x and the rightmost's rises: they are read at x.min() and x.max()
-    alone, which needs v_t at two points, not at every x."""
-    ends = np.array([np.min(x), np.max(x)])
-    d = ends - mu
-    return float(np.max(logw - 0.5 * np.log(2.0 * np.pi * w)
-                        - d * d / (2.0 * w) - log_v(ends)))
+    atoms of a flowed lattice: kernel centres mu and log weights logw of
+    all its M atoms, in order, and kernel variance w.  Every exponent
+    differs from the leftmost atom's by a linear function of x with slope
+    (mu_k - mu_0) / w >= 0, so the leftmost atom's weight falls with x and
+    the rightmost's rises: they are read at x.min() and x.max() alone,
+    log v_t there being one log-sum-exp of the 2 x M exponents."""
+    d = np.array([[np.min(x)], [np.max(x)]]) - mu
+    L = logw - 0.5 * np.log(2.0 * np.pi * w) - d * d / (2.0 * w)
+    return float(np.max(L[[0, 1], [0, -1]] - logsumexp(L, axis=-1)))
 
 
 def _merge_odd(lev, odd):

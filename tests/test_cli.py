@@ -238,6 +238,17 @@ class TestRun:
             assert "max_abs_extremiser_slack" not in run(
                 small(command)).summary
 
+    @pytest.mark.parametrize("beta", [2.0, 0.5])
+    def test_summary_names_the_betas_that_ran(self, beta):
+        # same-sign items run at 2 unless --beta > 1, opposite-sign ones at
+        # 0.5 unless --beta < 1: both betas run whatever --beta is
+        b = run(small("verify-reverse-hc", beta=beta, count=4))
+        assert b.summary["betas"] == [0.5, 2.0]
+        assert json.loads(b.to_json())["summary"]["betas"] == [0.5, 2.0]
+        assert run(small("verify-lsi", beta=beta)).summary["betas"] == [beta]
+        # no report of verify-matrix carries a beta
+        assert "betas" not in run(small("verify-matrix", count=1)).summary
+
     # verify-general-lsi needs beta > 1
     @pytest.mark.parametrize("beta, command", [
         (beta, command) for beta in (2.0, 0.5) for command in (

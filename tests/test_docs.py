@@ -1,11 +1,15 @@
 """README names resolve: every backticked name rooted at a gauss_deficit
 export or module (``GridField.from_callable``, ``flows.fp_evolve``) is
 looked up attribute by attribute, so deleting or renaming a documented
-name fails here until README follows; and the CLI usage block lists the
-flags the parser derives."""
+name fails here until README follows; so does every dotted name so rooted
+in the package's own docstrings and comments (``flows._lattice_pass``);
+and the CLI usage block lists the flags the parser derives."""
+import ast
 import dataclasses
+import io
 import pathlib
 import re
+import tokenize
 
 import gauss_deficit
 from gauss_deficit import cli
@@ -14,6 +18,8 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # a dotted name at the start of a backticked span, then the span's end or
 # a call's parenthesis
 NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(|$)")
+# a dotted name in prose, not the tail of a longer one
+DOTTED = re.compile(r"(?<![\w.])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)")
 
 
 def documented_names():
@@ -25,6 +31,31 @@ def documented_names():
         if m and not m.group(1).startswith("_") and hasattr(
                 gauss_deficit, m.group(1).split(".")[0]):
             names.add(m.group(1))
+    return sorted(names)
+
+
+def _prose(path):
+    """The comments and docstrings of a source file."""
+    text = path.read_text(encoding="utf-8")
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            yield tok.string
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                yield doc
+
+
+def source_names():
+    """(file, name) for every dotted name in the package's docstrings and
+    comments that is rooted at a gauss_deficit export or module."""
+    names = set()
+    for path in sorted(pathlib.Path(gauss_deficit.__file__).parent.glob(
+            "*.py")):
+        for text in _prose(path):
+            names.update((path.name, name) for name in DOTTED.findall(text)
+                         if hasattr(gauss_deficit, name.split(".")[0]))
     return sorted(names)
 
 
@@ -45,6 +76,12 @@ def test_readme_names_resolve():
     names = documented_names()
     assert len(names) >= 50  # the extraction still finds the API names
     assert [n for n in names if not resolves(n)] == []
+
+
+def test_source_names_resolve():
+    names = source_names()
+    assert len(names) >= 10  # the extraction still finds the names
+    assert [(f, n) for f, n in names if not resolves(n)] == []
 
 
 def test_usage_block_lists_every_flag():

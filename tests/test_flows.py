@@ -270,10 +270,17 @@ class TestGridDensityFlow:
         src = GridField.from_callable(g, lambda x: np.exp(x * x),
                                       log_fn=lambda x: x * x)
         node_passes = _record_passes(monkeypatch, (g.n,))
-        end_passes = _record_passes(monkeypatch, (2,))
+        levels = _record_levels(monkeypatch)
+        checks, edge_weight = [], flows._edge_weight
+
+        def recording(mu, logw, w, x):
+            checks.append(np.size(x))
+            return edge_weight(mu, logw, w, x)
+
+        monkeypatch.setattr(flows, "_edge_weight", recording)
         with pytest.raises(TruncationError, match="does not decay"):
             fp_evolve(src, 1.0, 1.0)
-        assert len(end_passes) > 1 and not node_passes
+        assert len(checks) > 1 and not node_passes and not levels
 
     @pytest.mark.parametrize("n", [4097, 65])
     def test_massless_source_raises(self, n):
@@ -362,8 +369,8 @@ class TestGridDensityFlow:
 def _full_pass(q, x):
     """log v and (log v)'' at x from every component of q: logsumexp and
     the posterior moments, taken on the blocks of LogQuad._pass and about
-    their mid-points, so that only the dropped terms and the order of the
-    sums differ from the banded pass."""
+    their mid-points, so that only the order of the sums differs from that
+    pass."""
     out = []
     step = max(1, families._CHUNK // q.a.size)
     for i in range(0, x.size, step):
@@ -383,15 +390,8 @@ def _full_pass(q, x):
     return [np.concatenate(rows) for rows in zip(*out)]
 
 
-def _kept_share(q, x):
-    """The share of the (point, component) pairs that q's pass at x sums."""
-    step, spans = q._windows(x)
-    rows = np.minimum(step, x.size - step * np.arange(len(spans)))
-    return rows @ np.diff(spans).ravel() / (x.size * q.a.size)
-
-
-def _levels(monkeypatch, v0, beta, t, x):
-    """Every level family that _grid_density_family builds for v_t."""
+def _built_families(monkeypatch, v0, beta, t, x):
+    """Every family that _grid_density_family builds for v_t."""
     built, atoms = [], flows._atoms_family
 
     def recording(*args):
@@ -404,8 +404,10 @@ def _levels(monkeypatch, v0, beta, t, x):
 
 
 class TestBandedLevels:
-    """Each block of an FP level sums only the atoms within 53 log 2 +
-    log K of its largest exponent at the block's ends."""
+    """An untagged snapshot builds one family, whose pass sums every atom;
+    its levels are read at the nodes by _lattice_pass, each block summing
+    only the atoms within 53 log 2 + log M of its largest exponent at the
+    block's ends."""
 
     @pytest.mark.parametrize("t", [0.05, 0.2, 0.5, 1.0])
     @pytest.mark.parametrize("name", ["gamma0.5", "gamma2", "logconcave"])
@@ -415,19 +417,17 @@ class TestBandedLevels:
               if name == "logconcave" else _untagged_gaussian(grid, beta))
         w = beta * (1.0 - np.exp(-2.0 * t))
         x = grid.points
-        levels = _levels(monkeypatch, v0, beta, t, x)
-        assert min(_kept_share(q, x) for q in levels) < 0.8
-        for q in levels:
-            logv, _, d2 = q._pass(x, 2)
-            full_logv, full_d2 = _full_pass(q, x)
-            # log v = top + log(s0) carries the last bits of the largest
-            # exponent: 4.4e-16 where log v = -0.33, for the full pass too
-            np.testing.assert_allclose(logv, full_logv, rtol=1e-15,
-                                       atol=1e-15)
-            np.testing.assert_allclose(d2, full_d2, rtol=0,
-                                       atol=1e-12 * (1.0 + 1.0 / w))
+        # the snapshot's family alone: the pad checks build none
+        (q,) = _built_families(monkeypatch, v0, beta, t, x)
+        logv, _, d2 = q._pass(x, 2)
+        full_logv, full_d2 = _full_pass(q, x)
+        # log v = top + log(s0) carries the last bits of the largest
+        # exponent: 4.4e-16 where log v = -0.33, for the full pass too
+        np.testing.assert_allclose(logv, full_logv, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(d2, full_d2, rtol=0,
+                                   atol=1e-12 * (1.0 + 1.0 / w))
 
-    def test_heavy_far_atom_widens_the_window(self):
+    def test_heavy_far_atom_is_summed(self):
         # atoms centred on [-10, 10] at log-weight -700 but the last at 0:
         # with w = 19^2 / 1400 the heavy atom, 19 away, ties with the light
         # ones at x = -9, so the blocks about -9 must reach across the
@@ -435,25 +435,15 @@ class TestBandedLevels:
         w = 361.0 / 1400.0
         t = -0.5 * np.log(1.0 - w)  # beta = 1
         points = np.exp(t) * np.linspace(-10.0, 10.0, 401)
-        light = np.full(points.size, -700.0)
-        heavy = light.copy()
+        heavy = np.full(points.size, -700.0)
         heavy[-1] = 0.0
         x = np.linspace(-10.0, -8.0, 2049)
-        q_light, q_heavy = (flows._atoms_family(points, lw, 1.0, t)
-                            for lw in (light, heavy))
-        light_spans, heavy_spans = (np.array(q._windows(x)[1])
-                                    for q in (q_light, q_heavy))
-        both = ((heavy_spans[:, 0] < light_spans[:, 1])
-                & (heavy_spans[:, 1] == points.size))
-        assert np.any(both)
-        assert np.all(np.diff(heavy_spans[both]) > np.diff(light_spans[both]))
+        q_heavy = flows._atoms_family(points, heavy, 1.0, t)
         logv, _, d2 = q_heavy._pass(x, 2)
         full_logv, full_d2 = _full_pass(q_heavy, x)
         np.testing.assert_allclose(logv, full_logv, rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(d2, full_d2, rtol=0,
                                    atol=1e-12 * (1.0 + 1.0 / w))
-        # the light family alone sums the atoms near x only
-        assert _kept_share(q_light, x) < 0.5
 
     def test_finest_level_evaluates_few_pairs(self, grid, caplog):
         with caplog.at_level(logging.DEBUG, logger="gauss_deficit.flows"):
@@ -499,10 +489,8 @@ class TestMergedLevels:
         w = beta * (1.0 - np.exp(-2.0 * t))
         checks, edge_weight = [], flows._edge_weight
 
-        def recording(log_v, mu, logw, w_, at):
-            # log v_t at every node, from the family being checked
-            checks.append((log_v(at), mu, logw,
-                           edge_weight(log_v, mu, logw, w_, at)))
+        def recording(mu, logw, w_, at):
+            checks.append((mu, logw, edge_weight(mu, logw, w_, at)))
             return checks[-1][-1]
 
         monkeypatch.setattr(flows, "_edge_weight", recording)
@@ -516,13 +504,19 @@ class TestMergedLevels:
         np.testing.assert_allclose(logv, full_logv, rtol=0, atol=tol)
         np.testing.assert_allclose(d2, full_d2, rtol=0, atol=tol)
         # each pad check, read at the two end nodes, is the largest log
-        # weight of the outermost atoms over every node
+        # weight of the outermost atoms over every node, log v_t at every
+        # node read from the pass of the checked atoms' family
         # every source is padded: the pad settles on the coarsest level, or
         # on the first finer level with mass when the coarsest has none
         assert checks
-        for logv_x, mu, logw, got in checks:
-            d = x - mu[:, None]
-            every = np.max(logw[:, None] - 0.5 * np.log(2.0 * np.pi * w)
+        for mu, logw, got in checks:
+            keep = logw > -np.inf
+            checked = LogQuad.gaussian(w, mu[keep])
+            logv_x = LogQuad(checked.a, checked.b,
+                             checked.c + logw[keep])._pass(x, 0)[0]
+            d = x - mu[[0, -1], None]
+            every = np.max(logw[[0, -1], None]
+                           - 0.5 * np.log(2.0 * np.pi * w)
                            - d * d / (2.0 * w) - logv_x)
             assert got == pytest.approx(every, rel=1e-13, abs=1e-12)
 
