@@ -13,7 +13,7 @@ from .numerics import (Grid1D, GridField, QuadratureRule, default_grid,
                        gauss_hermite_rule, ParameterError, EvaluationError,
                        PositivityError, TruncationError)
 from .families import (LogQuad, field_from_family, gaussian_field,
-                       gaussian_ratio_field, symmetric_mixture)
+                       symmetric_mixture)
 from .semigroups import (ExponentTriple, InadmissibleExponentError,
                          IntegrabilityError, beta_s, nelson_time)
 from .flows import (T_STAR, MeasureSpec, certify, certify_matrix,
@@ -22,9 +22,9 @@ from .flows import (T_STAR, MeasureSpec, certify, certify_matrix,
 from .functionals import (EntFisher, SharpConstant, entropy_fisher,
                           q_functional, sharp_constant)
 from .reports import DeficitReport, HypothesisCheck
-from .transport import (PotentialSpec, QuantileMap, brenier_1d,
-                        caffarelli_check, general_lsi_deficit,
-                        relative_entropy_gauss, talagrand_deficit, w2)
+from .transport import (PotentialSpec, brenier_1d, caffarelli_check,
+                        general_lsi_deficit, relative_entropy_gauss,
+                        talagrand_deficit, w2)
 from .inequalities import (beckner_check, brascamp_lieb_check,
                            counterexample_mixture,
                            counterexample_superharmonic, els_eigen_check,

@@ -34,7 +34,7 @@ from .families import (LogQuad, field_from_family, gaussian_field,
                        symmetric_mixture)
 from .semigroups import ExponentTriple
 from .flows import certify, fp_evolve
-from .functionals import (_check_ratio_bounded, log_hc_norm, sharp_constant,
+from .functionals import (_check_ratio_bounded, q_functional, sharp_constant,
                           tilt)
 from .reports import DeficitReport
 from .inequalities import (beckner_check, brascamp_lieb_check,
@@ -477,7 +477,8 @@ def flow_trace(config: RunConfig):
     """Q(t) along the beta-flow of an FP(beta) input, beta >= 1: rows (t, Q,
     convexity certificate margin, mass) plus a monotonicity verdict, for
     1 < p < q or q < p < 0 (Q non-decreasing in both).  Each snapshot v_t
-    is evolved once; Q(t) = ||P_s[(v_t/gamma)^{1/p}]||_q^q comes from it."""
+    is evolved once; Q(t) = ||P_s[(v_t/gamma)^{1/p}]||_q^q comes from it
+    (q_functional)."""
     grid = config.grid()
     rule = config.rule()
     rng = _item_rng(config, 0)
@@ -493,8 +494,7 @@ def flow_trace(config: RunConfig):
     rows = []
     for t in times:
         vt = fp_evolve(v0, config.beta, float(t))
-        qt = float(np.exp(triple.q * log_hc_norm(vt, triple.p, triple.q,
-                                                 triple.s, rule)))
+        qt = q_functional(vt, triple, rule)
         cert = certify(vt, "convex", config.beta)
         rows.append((float(t), qt, cert.margin, vt.grid_mass))
     qs = np.array([r[1] for r in rows])

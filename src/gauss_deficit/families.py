@@ -4,9 +4,10 @@ Closed-form families: sums of log-quadratic functions.
 A LogQuad is f(x) = sum_k exp(a_k x^2/2 + b_k x + c_k) with K >= 1
 components held as arrays.  K = 1 is a single log-quadratic; K > 1 is a
 positive Gaussian mixture, such as every Fokker-Planck snapshot of a finite
-measure.  The family is closed under products, the Ornstein-Uhlenbeck
-semigroup and the Fokker-Planck kernel (complete-the-square identities,
-applied per component), which makes it the workhorse for extremiser checks.
+measure.  The family is closed under the Ornstein-Uhlenbeck semigroup and
+the Fokker-Planck kernel (complete-the-square identities, applied per
+component), and one component under powers, which makes it the workhorse
+for extremiser checks; functionals.tilt takes it to v/gamma.
 Fields built from these carry exact evaluators for log f, (log f)' and
 (log f)'', the last from the component posterior in the same pass, and are
 evaluated once on their grid: that one pass gives the values and the node
@@ -90,11 +91,6 @@ class LogQuad:
         return LogQuad(-1.0 / beta, mean / beta,
                        -mean**2 / (2.0 * beta) - 0.5 * np.log(2 * np.pi * beta))
 
-    @staticmethod
-    def gaussian_ratio(beta: float) -> "LogQuad":
-        """gamma_beta / gamma; its powers are ``** power``."""
-        return LogQuad.gaussian(beta) * LogQuad.gaussian(1.0) ** -1.0
-
     # -- pointwise --------------------------------------------------------
 
     def _pass(self, x, order: int = 2):
@@ -162,11 +158,6 @@ class LogQuad:
         return self._pass(x, 2)[2]
 
     # -- algebra ----------------------------------------------------------
-
-    def __mul__(self, other: "LogQuad") -> "LogQuad":
-        return LogQuad(np.add.outer(self.a, other.a).ravel(),
-                       np.add.outer(self.b, other.b).ravel(),
-                       np.add.outer(self.c, other.c).ravel())
 
     def __pow__(self, r: float) -> "LogQuad":
         if self.a.size != 1:
@@ -273,11 +264,6 @@ def field_from_family(grid: Grid1D, fam, nodes=None) -> GridField:
 
 def gaussian_field(grid: Grid1D, beta: float, mean: float = 0.0) -> GridField:
     return field_from_family(grid, LogQuad.gaussian(beta, mean))
-
-
-def gaussian_ratio_field(grid: Grid1D, beta: float) -> GridField:
-    """gamma_beta / gamma as a field (the extremiser input v/gamma)."""
-    return field_from_family(grid, LogQuad.gaussian_ratio(beta))
 
 
 def symmetric_mixture(a: float, var: float = 1.0) -> LogQuad:

@@ -19,7 +19,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .families import LogQuad, field_from_family
-from .flows import fp_evolve
 from .numerics import (DEFAULT_GH_NODES, EvaluationError, Grid1D, GridField,
                        ParameterError, PositivityError, QuadratureRule,
                        gauss_hermite_rule, interior_peak, logsumexp)
@@ -136,9 +135,9 @@ def _beckner_b(p: float, beta: float, n: int) -> float:
 
 
 def sharp_constant(name: str, *, beta: float = None, p: float = None,
-                   q: float = None, s: float = None, tau: float = None,
-                   c1: float = None, c2: float = None,
-                   triple: ExponentTriple = None, n: int = 1) -> SharpConstant:
+                   s: float = None, tau: float = None, c1: float = None,
+                   c2: float = None, triple: ExponentTriple = None,
+                   n: int = 1) -> SharpConstant:
     """Evaluate a named sharp constant.
 
     hc_ratio        beta^{n/2p'} beta_s^{-n/2q'}         (needs beta, triple)
@@ -148,10 +147,8 @@ def sharp_constant(name: str, *, beta: float = None, p: float = None,
     mikulincer      -n (2(1-beta) + (beta+1) log beta) / (2(beta-1))
     beckner_b       beta^{n/p'} (1 + (beta-1) 2/p')^{-n/2}   (needs p, beta)
     hj_t            (e^{-1}(1+tau(1-1/beta))^{1/(tau(1-1/beta))})^{(n/2)(1-1/beta)}
-    bl_h            (2 pi)^{1-(c1+c2)/2} sqrt(1-e^{-2s})
+    bl_h            (2 pi)^{1-(c1+c2)/2} sqrt(1-e^{-2s})   (needs c1, c2, s)
     """
-    if triple is None and p is not None and q is not None:
-        triple = ExponentTriple.from_pq(p, q)
     if name == "hc_ratio":
         value = _hc_ratio(beta, triple, n)
         params = dict(beta=beta, p=triple.p, q=triple.q, s=triple.s, n=n)
@@ -174,8 +171,6 @@ def sharp_constant(name: str, *, beta: float = None, p: float = None,
         value = _hj_t(tau, beta, n)
         params = dict(tau=tau, beta=beta, n=n)
     elif name == "bl_h":
-        if s is None and triple is not None:
-            s = triple.s
         value = float((2 * np.pi) ** (1.0 - 0.5 * (c1 + c2))
                       * np.sqrt(1.0 - np.exp(-2.0 * s)))
         params = dict(c1=c1, c2=c2, s=s)
@@ -220,7 +215,8 @@ def tilt(v, r: float, a: float) -> Tilt:
     """w = v^r gamma^{-a}: log w = r log v + a (x^2/2 + (1/2) log 2 pi).
 
     The one place that knows the Gaussian reference gamma.  v/gamma is
-    (r, a) = (1, 1), (v/gamma)^{1/p} is (1/p, 1/p) and gamma f^p is (p, -1).
+    (r, a) = (1, 1), (v/gamma)^{1/p} is (1/p, 1/p) and gamma f^p is (p, -1);
+    gamma_beta/gamma is tilt(LogQuad.gaussian(beta), 1, 1).
     ``v`` is a GridField, or a LogQuad standing for itself.  A tag of one
     component, or any tag at r = 1, gives w exactly as a LogQuad.  Otherwise
     w is built from v's closures, (log w)' = r (log v)' + a x, and
@@ -298,10 +294,9 @@ def _check_ratio_bounded(v: GridField, beta: float):
             "L^2(gamma_beta^{-1}) proxy check failed")
 
 
-def q_functional(v0: GridField, beta: float, triple: ExponentTriple,
-                 t: float, rule: Optional[QuadratureRule] = None) -> float:
-    """Q(t) = int gamma P_s[(v_t/gamma)^{1/p}]^q dx along the beta-flow."""
-    _check_ratio_bounded(v0, beta)
-    vt = fp_evolve(v0, beta, t)
+def q_functional(vt: GridField, triple: ExponentTriple,
+                 rule: Optional[QuadratureRule] = None) -> float:
+    """Q(t) = int gamma P_s[(v_t/gamma)^{1/p}]^q dx of the snapshot v_t of
+    the beta-flow (flows.fp_evolve)."""
     return float(np.exp(triple.q * log_hc_norm(vt, triple.p, triple.q,
                                                triple.s, rule)))

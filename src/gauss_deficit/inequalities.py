@@ -135,8 +135,7 @@ def els_eigen_check(v: GridField, rule=None) -> DeficitReport:
 # matrix (tensorised) variants
 
 
-def _matrix_side(v1: GridField, v2: GridField, B: np.ndarray, eigs,
-                 logc, side: str = None):
+def _matrix_side(v1: GridField, v2: GridField, B: np.ndarray, eigs, logc):
     """Pick the certified side, preferring the stronger passing statement.
 
     Statement strength is measured by the restricted correction sum
@@ -145,10 +144,6 @@ def _matrix_side(v1: GridField, v2: GridField, B: np.ndarray, eigs,
     A given log-concavity certificate ``logc`` must pass for the convex side.
     """
     certs = {s: certify_matrix(v1, v2, B, s) for s in ("convex", "concave")}
-    if side is not None:
-        if side not in certs:
-            raise ParameterError("side must be 'convex' or 'concave'")
-        return side, certs[side]
 
     def strength(s):
         rel = [b for b in eigs if (b >= 1.0 if s == "convex" else b <= 1.0)]
@@ -165,15 +160,14 @@ def _matrix_side(v1: GridField, v2: GridField, B: np.ndarray, eigs,
 
 
 def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
-                 which: str = "lsi", rule=None, side: str = None
-                 ) -> DeficitReport:
+                 which: str = "lsi", rule=None) -> DeficitReport:
     """n = 2 variants for the product density v = v1 (x) v2 with matrix
     curvature bound grad^2 log v vs -B^{-1}, B symmetric positive definite.
 
     Convex side (>= -B^{-1}) restricts corrections to eigenvalues >= 1;
     concave side (<= -B^{-1}) to eigenvalues <= 1.  The Talagrand variant on
-    the convex side additionally needs grad^2 log v <= 0.  ``side`` forces a
-    particular statement; by default the stronger certified one is used.
+    the convex side additionally needs grad^2 log v <= 0.  The stronger
+    certified statement is used.
 
     Every quantity comes from the factors: P_s, the L^q(gamma) norm and the
     mass of v/gamma factorise; with m_i the mass of v_i/gamma, Ent = m2 Ent_1
@@ -190,7 +184,7 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
         raise ParameterError("B must be positive definite")
 
     logc = certify_log_concave(v1, v2) if which == "talagrand" else None
-    side, cert = _matrix_side(v1, v2, B, eigs, logc, side)
+    side, cert = _matrix_side(v1, v2, B, eigs, logc)
     hyps = [cert] + ([logc] if logc is not None and side == "convex" else [])
     relevant = [b for b in eigs if (b >= 1.0 if side == "convex" else b <= 1.0)]
 

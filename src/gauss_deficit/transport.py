@@ -10,8 +10,9 @@ has its exact CDF through numerics.ndtr, any other field the cumulative
 Simpson sum of its values.  F_nu is inverted by monotone interpolation on
 the nodes, refined by Newton steps where nu has an exact CDF, and on a
 clipped quantile range where either CDF is a Simpson sum.  On top of the
-maps: W_2, Talagrand deficits, Caffarelli slope checks, and the
-general-potential LSI comparison.
+maps: W_2, Talagrand deficits, Caffarelli slope checks (the slope read
+exactly, by Monge-Ampere, from the densities), and the general-potential
+LSI comparison.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 from .families import LogQuad, gaussian_field
 from .flows import certify, certify_log_concave, check_density, moments
 from .functionals import _rule_or_default, sharp_constant, tilt
-from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
+from .numerics import (GridField, ParameterError, QuadratureRule,
                        cumulative_simpson)
 from .reports import DeficitReport, HypothesisCheck
 
@@ -41,28 +42,8 @@ def _density_cdf(v: GridField):
     return np.maximum.accumulate(F / F[-1]), None
 
 
-@dataclass(frozen=True)
-class QuantileMap:
-    source: GridField
-    target: GridField
-    map_values: np.ndarray  # T on the source grid, non-decreasing
-
-    @property
-    def grid(self) -> Grid1D:
-        return self.source.grid
-
-    def derivative(self) -> np.ndarray:
-        return np.gradient(self.map_values, self.grid.spacing, edge_order=2)
-
-    def monge_ampere_residual(self) -> float:
-        """max interior |mu(x) - nu(T(x)) T'(x)|."""
-        res = np.abs(self.source.values
-                     - self.target(self.map_values) * self.derivative())
-        return float(np.max(res[2:-2]))
-
-
-def brenier_1d(mu: GridField, nu: GridField) -> QuantileMap:
-    """Monotone transport map T = F_nu^{-1} o F_mu on the source grid."""
+def brenier_1d(mu: GridField, nu: GridField) -> np.ndarray:
+    """Monotone transport map T = F_nu^{-1} o F_mu at the source's nodes."""
     u, mu_cdf = _density_cdf(mu)
     F, nu_cdf = _density_cdf(nu)
     clip = QUANTILE_CLIP if mu_cdf is None or nu_cdf is None else 1e-15
@@ -78,14 +59,13 @@ def brenier_1d(mu: GridField, nu: GridField) -> QuantileMap:
             T = np.clip(T - step, x[0], x[-1])
     if np.any(np.diff(T) < -1e-12):
         raise ParameterError("non-monotone transport map reconstruction")
-    return QuantileMap(mu, nu, np.maximum.accumulate(T))
+    return np.maximum.accumulate(T)
 
 
 def w2(mu: GridField, nu: GridField) -> float:
     """Quadratic Wasserstein distance via the Brenier map."""
     T = brenier_1d(mu, nu)
-    x = mu.grid.points
-    cost = np.trapezoid((x - T.map_values) ** 2 * mu.values,
+    cost = np.trapezoid((mu.grid.points - T) ** 2 * mu.values,
                         dx=mu.grid.spacing)
     return float(np.sqrt(max(cost, 0.0)))
 
@@ -145,13 +125,12 @@ def caffarelli_check(v: GridField, beta: float) -> float:
     if not cert.passed:
         raise ParameterError(
             f"target not beta-semi-log-concave (margin {cert.margin:.2e})")
-    T = brenier_1d(gaussian_field(v.grid, 1.0), v)
-    # restrict to where the source CDF is still resolvable in double
-    # precision: beyond |x| ~ 7.5 the tail 1 - F(x) < 1e-13 quantizes and
-    # the finite-difference T' degenerates into a staircase
-    x = T.grid.points
-    bulk = np.abs(x) <= 6.0
-    return float(np.max(T.derivative()[bulk]))
+    gamma = gaussian_field(v.grid, 1.0)
+    # T' = gamma(x) / v(T(x)) by Monge-Ampere, read where the map is
+    # resolved: past |x| ~ 7.9 the quantile clip flattens T
+    bulk = np.abs(v.grid.points) <= 6.0
+    T = brenier_1d(gamma, v)[bulk]
+    return float(np.max(gamma.values[bulk] / v(T)))
 
 
 # ---------------------------------------------------------------------------

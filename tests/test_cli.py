@@ -630,3 +630,14 @@ class TestInterpolatedReads:
             task()
         assert interps == []
         assert gradients == []
+
+    def test_one_grid_gradient_in_the_library(self):
+        # caffarelli_check, which no suite runs, reads T' exactly by
+        # Monge-Ampere: no module but hamilton_jacobi takes a grid gradient
+        src = os.path.dirname(cli.__file__)
+        takers = []
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name), encoding="utf-8") as fh:
+                    takers += [name] * fh.read().count("np.gradient(")
+        assert takers == ["hamilton_jacobi.py"]

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gauss_deficit.families import (LogQuad, field_from_family,
-                                    gaussian_field, gaussian_ratio_field,
-                                    symmetric_mixture)
-from gauss_deficit.flows import MeasureSpec, fp_class_member
+                                    gaussian_field, symmetric_mixture)
+from gauss_deficit.flows import MeasureSpec, fp_class_member, fp_evolve
 from gauss_deficit.functionals import (_log_lp, entropy_fisher, log_hc_norm,
                                        log_ou_norm, q_functional,
                                        sharp_constant, tilt)
@@ -31,7 +30,7 @@ def gaussian_relative_entropy_fisher(beta):
 class TestEntropyFisher:
     @pytest.mark.parametrize("beta", [0.25, 0.5, 2.0, 4.0])
     def test_gaussian_closed_form(self, beta, grid, rule):
-        f = gaussian_ratio_field(grid, beta)
+        f = tilt(LogQuad.gaussian(beta), 1.0, 1.0).field(grid)
         ef = entropy_fisher(f, rule)
         ent, fis = gaussian_relative_entropy_fisher(beta)
         assert ef.entropy == pytest.approx(ent, abs=1e-10)
@@ -58,9 +57,9 @@ class TestEntropyFisher:
 
 class TestLpNorm:
     def test_matches_closed_form(self, grid, rule):
-        f = gaussian_ratio_field(grid, 2.0)
+        f = tilt(LogQuad.gaussian(2.0), 1.0, 1.0).field(grid)
         r = 1.5
-        expect = np.exp(LogQuad.gaussian_ratio(2.0).log_lp_norm_gauss(r))
+        expect = np.exp(f.tag.log_lp_norm_gauss(r))
         got = np.exp(_log_lp(f.log(rule.nodes), r, rule.log_weights))
         assert got == pytest.approx(expect, rel=1e-10)
 
@@ -149,8 +148,8 @@ class TestQFunctional:
         beta = 2.0
         v0 = field_from_family(grid, LogQuad.gaussian(beta))
         t = ExponentTriple.from_pq(2.0, 4.0)
-        q0 = q_functional(v0, beta, t, 0.0, rule)
-        q1 = q_functional(v0, beta, t, 0.5, rule)
+        q0, q1 = (q_functional(fp_evolve(v0, beta, s), t, rule)
+                  for s in (0.0, 0.5))
         assert q1 == pytest.approx(q0, rel=1e-9)
 
     def test_monotone_on_fp_member(self, grid, rule):
@@ -159,7 +158,8 @@ class TestQFunctional:
             MeasureSpec(rng.uniform(-2, 2, 4), np.ones(4) / 4),
             2.0, grid=grid)
         t = ExponentTriple.from_pq(2.0, 4.0)
-        qs = [q_functional(v0, 2.0, t, s, rule) for s in (0.0, 0.3, 1.0)]
+        qs = [q_functional(fp_evolve(v0, 2.0, s), t, rule)
+              for s in (0.0, 0.3, 1.0)]
         assert qs[0] <= qs[1] + 1e-9 <= qs[2] + 2e-9
 
 

@@ -4,12 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gauss_deficit.families import (LogQuad, field_from_family,
-                                    gaussian_ratio_field, symmetric_mixture)
-from gauss_deficit.functionals import _log_lp, log_ou_norm
+                                    symmetric_mixture)
+from gauss_deficit.functionals import _log_lp, log_ou_norm, tilt
 from gauss_deficit.numerics import GridField, ParameterError, default_grid
 from gauss_deficit.semigroups import (ExponentTriple,
                                       InadmissibleExponentError,
                                       _ou_closures_1d, beta_s, nelson_time)
+
+
+def ratio_field(grid, beta):
+    """gamma_beta / gamma as a tagged field."""
+    return tilt(LogQuad.gaussian(beta), 1.0, 1.0).field(grid)
 
 
 def ou_log(f, s, rule):
@@ -82,10 +87,10 @@ class TestOuApply:
     def test_gaussian_ratio_closed_form(self, grid, rule):
         # P_s(gamma_beta/gamma) stays in the log-quadratic family: the norm
         # of the tagged field is that of P_s's closed form summed by GH
-        f = gaussian_ratio_field(grid, 2.0)
+        f = ratio_field(grid, 2.0)
         s = 0.4
         got = log_ou_norm(f, 2.0, s, rule)
-        expect = _log_lp(LogQuad.gaussian_ratio(2.0).ou(s).log_at(rule.nodes),
+        expect = _log_lp(f.tag.ou(s).log_at(rule.nodes),
                          2.0, rule.log_weights)
         np.testing.assert_allclose(got, expect, rtol=1e-10)
 
@@ -121,7 +126,7 @@ class TestOuApply:
         assert got.shape == (grid.n,)
 
     def test_rejects_nonpositive_time(self, grid, rule):
-        f = gaussian_ratio_field(grid, 2.0)
+        f = ratio_field(grid, 2.0)
         with pytest.raises(ParameterError):
             ou_log(f, 0.0, rule)
         for negative in (lambda: log_ou_norm(f, 2.0, -0.1, rule),
@@ -130,7 +135,7 @@ class TestOuApply:
                 negative()
 
     def test_semigroup_property(self, grid):
-        fam = LogQuad.gaussian_ratio(2.0)
+        fam = tilt(LogQuad.gaussian(2.0), 1.0, 1.0).tag
         a = fam.ou(0.3).ou(0.4)
         b = fam.ou(0.7)
         x = np.linspace(-5, 5, 11)

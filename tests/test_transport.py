@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from gauss_deficit import transport
+from gauss_deficit import cli, transport
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
 from gauss_deficit.flows import check_density, covariance
@@ -22,22 +23,29 @@ def gauss_spec(beta, grid, mean=0.0):
     return gaussian_field(grid, beta, mean)
 
 
+def monge_ampere_residual(mu, nu, T):
+    """max interior |mu(x) - nu(T(x)) T'(x)|, T' the grid gradient of T."""
+    slope = np.gradient(T, mu.grid.spacing, edge_order=2)
+    return float(np.max(np.abs(mu.values - nu(T) * slope)[2:-2]))
+
+
 class TestBrenier:
     def test_gaussian_to_gaussian_map_is_linear(self, grid):
         T = brenier_1d(gauss_spec(1.0, grid), gauss_spec(4.0, grid))
         x = grid.points
         mask = np.abs(x) <= 6
-        np.testing.assert_allclose(T.map_values[mask], 2.0 * x[mask],
+        np.testing.assert_allclose(T[mask], 2.0 * x[mask],
                                    atol=1e-8)
 
     def test_monge_ampere_residual_gaussian(self, grid):
-        T = brenier_1d(gauss_spec(1.0, grid), gauss_spec(2.0, grid))
-        assert T.monge_ampere_residual() < 1e-10
+        mu, nu = gauss_spec(1.0, grid), gauss_spec(2.0, grid)
+        assert monge_ampere_residual(mu, nu, brenier_1d(mu, nu)) < 1e-10
 
     def test_monge_ampere_residual_mixture(self, grid):
         mu = field_from_family(grid, symmetric_mixture(1.5, 1.0))
-        T = brenier_1d(mu, gauss_spec(1.0, grid))
-        assert T.monge_ampere_residual() <= 1e-4 * np.max(mu.values)
+        nu = gauss_spec(1.0, grid)
+        assert (monge_ampere_residual(mu, nu, brenier_1d(mu, nu))
+                <= 1e-4 * np.max(mu.values))
 
     def test_pushforward_moments(self, grid):
         # int h(T(x)) dmu = int h dnu for h in {x, x^2, |x|}
@@ -49,7 +57,7 @@ class TestBrenier:
         for fn, expect in ((lambda t: t, 0.0),
                            (lambda t: t * t, 2.0),  # 1 + a^2
                            (np.abs, None)):
-            got = np.trapezoid(fn(T.map_values) * mu.values, dx=h)
+            got = np.trapezoid(fn(T) * mu.values, dx=h)
             want = (expect if expect is not None else
                     np.trapezoid(fn(x) * nu.values, dx=h))
             assert got == pytest.approx(want, abs=1e-5)
@@ -209,13 +217,32 @@ class TestTalagrandDeficit:
         assert not r.asserted
 
 
+class TestTalagrandInputTails:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 3: the beta >= 1 inputs are normalised by their "
+        "trapezoid on the grid and leave up to 2e-7 of their mass past it"))
+    def test_mass_beyond_the_grid(self):
+        # W_2 reads the density cut to the grid and the entropy reads it on
+        # the line by Gauss-Hermite: the two see one density only when
+        # almost no mass lies past the grid
+        for seed in (0, 1, 2):
+            config = cli.RunConfig(command="verify-talagrand", beta=2.0,
+                                   seed=seed)
+            for i in range(1, 7):
+                v = make_talagrand_input(cli._item_rng(config, i), 2.0,
+                                         config.grid())
+                tail = (quad(v, -np.inf, config.grid_lo, epsabs=1e-14)[0]
+                        + quad(v, config.grid_hi, np.inf, epsabs=1e-14)[0])
+                assert tail <= 1e-9, (seed, i, tail)
+
+
 class TestCaffarelli:
     def test_gaussian_slope(self, grid):
         # T from gamma into gamma_beta has slope sqrt(beta); the contraction
         # bound applies when the target is at least as log-concave (beta<=1)
         for beta in (0.25, 0.5, 1.0):
             got = caffarelli_check(gauss_spec(beta, grid), beta)
-            assert got == pytest.approx(np.sqrt(beta), abs=1e-5)
+            assert got == pytest.approx(np.sqrt(beta), abs=1e-7)
 
     def test_rejects_non_log_concave_target(self, grid):
         v = field_from_family(grid, symmetric_mixture(2.0, 1.0))
