@@ -19,12 +19,11 @@ from .semigroups import (ExponentTriple, InadmissibleExponentError,
 from .flows import (T_STAR, MeasureSpec, certify, certify_matrix,
                     covariance, fp_class_member, fp_evolve,
                     preservation_trace)
-from .functionals import (EntFisher, SharpConstant, entropy_fisher,
-                          q_functional, sharp_constant)
+from .functionals import (EntFisher, entropy_fisher, q_functional,
+                          sharp_constant)
 from .reports import DeficitReport, HypothesisCheck
 from .transport import (PotentialSpec, brenier_1d, caffarelli_check,
-                        general_lsi_deficit, relative_entropy_gauss,
-                        talagrand_deficit, w2)
+                        general_lsi_deficit, talagrand_deficit, w2)
 from .inequalities import (beckner_check, brascamp_lieb_check,
                            counterexample_mixture,
                            counterexample_superharmonic, els_eigen_check,

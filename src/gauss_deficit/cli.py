@@ -376,7 +376,7 @@ def _constant_rows(config: RunConfig):
                  ("dn", dict(beta=beta)),
                  ("talagrand_gauss", dict(beta=beta)),
                  ("mikulincer", dict(beta=beta)),
-                 ("beckner_b", dict(p=_beckner_p(config), beta=beta))]
+                 ("beckner_b", dict(beta=beta, p=_beckner_p(config)))]
         if 1.0 + config.tau * (1.0 - 1.0 / beta) > 0:
             rows.append(("hj_t", dict(tau=config.tau, beta=beta)))
     return rows + [("bl_h", dict(c1=1.0 / triple.p, c2=1.0 - 1.0 / triple.q,
@@ -384,24 +384,22 @@ def _constant_rows(config: RunConfig):
 
 
 def _constant_item(config: RunConfig, i: int):
+    """A constant's report: its value on each side, its arguments as
+    params, the triple as p, q, s, and the dimension n = 1 of every
+    constant that takes one."""
     name, kw = _constant_rows(config)[i]
-    sc = sharp_constant(name, **kw)
-    return DeficitReport(name, sc.value, sc.value, sc.value,
-                         params=sc.params)
+    value = sharp_constant(name, **kw)
+    params = dict(kw)
+    if "triple" in params:
+        t = params.pop("triple")
+        params.update(p=t.p, q=t.q, s=t.s)
+    if name != "bl_h":
+        params["n"] = 1
+    return DeficitReport(name, value, value, value, params=params)
 
 
 def _mixture_shifts(config: RunConfig):
     return [config.a] if config.a != 1.0 else [0.0, 1.0, 2.0, 4.0]
-
-
-def _superharmonic_item(config: RunConfig, i: int):
-    tr = counterexample_superharmonic((0.1, 0.5)[i])
-    return DeficitReport(
-        "superharmonic-not-preserved", lhs=tr.grid_min, rhs=0.0,
-        sharp_constant=0.0, direction="ge",
-        params={"t": tr.t, "delta_log_f": tr.delta_log_f,
-                "delta_log_ptf_exact": tr.delta_log_ptf,
-                "grid_min": tr.grid_min, "grid_max": tr.grid_max})
 
 
 def _suite(item, extremisers=lambda config: [0],
@@ -446,8 +444,9 @@ _SUITES = {
         lambda c, i: counterexample_mixture(_mixture_shifts(c)[i], c.grid(),
                                             c.rule()),
         _no_extremiser, lambda c: len(_mixture_shifts(c))),
-    "counterexample-superharmonic": _suite(_superharmonic_item,
-                                           _no_extremiser, lambda c: 2),
+    "counterexample-superharmonic": _suite(
+        lambda c, i: counterexample_superharmonic((0.1, 0.5)[i]),
+        _no_extremiser, lambda c: 2),
 }
 
 

@@ -216,14 +216,13 @@ class LogQuad:
 
     # -- distribution functions ------------------------------------------
 
-    def mass_and_cdf(self):
-        """(total mass, normalized CDF callable); requires every a_k < 0.
+    def cdf(self):
+        """The normalized CDF as a callable; requires every a_k < 0.
         ndtr takes a row per component, so that its branches run on sorted
         stretches, and at most _CHUNK / 4 (point, component) pairs a call:
         it holds four doubles a pair, a quantile map's peak memory."""
         masses = self._masses()
-        mass = float(np.sum(masses))
-        weights = masses / mass
+        weights = masses / np.sum(masses)
         sigma = np.sqrt(-1.0 / self.a)[:, None]
         mean = (-self.b / self.a)[:, None]
 
@@ -236,7 +235,7 @@ class LogQuad:
                 out.append(weights @ ndtr(np.divide(a, sigma, out=a), out=a))
             return np.concatenate(out).reshape(x.shape)[()]
 
-        return mass, cdf
+        return cdf
 
     def moments(self):
         """(mass, mean, variance) of the unnormalized density; a < 0."""
@@ -262,8 +261,8 @@ def field_from_family(grid: Grid1D, fam, nodes=None) -> GridField:
                                    nodes=(logv, d2[2:-2]))
 
 
-def gaussian_field(grid: Grid1D, beta: float, mean: float = 0.0) -> GridField:
-    return field_from_family(grid, LogQuad.gaussian(beta, mean))
+def gaussian_field(grid: Grid1D, beta: float) -> GridField:
+    return field_from_family(grid, LogQuad.gaussian(beta))
 
 
 def symmetric_mixture(a: float, var: float = 1.0) -> LogQuad:

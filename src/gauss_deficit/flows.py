@@ -401,13 +401,12 @@ def _margin(kind: str, beta: float, hess) -> float:
     raise ParameterError(f"unknown certificate kind {kind!r}")
 
 
-def certify(v: GridField, kind: str, beta: float,
-            tol: Optional[float] = None) -> HypothesisCheck:
+def certify(v: GridField, kind: str, beta: float) -> HypothesisCheck:
     """Measure the log-curvature bound defining each semi-log property, as
-    a HypothesisCheck named ``kind`` with tolerance ``tol`` (1e-4/beta when
-    left out); a caller reporting it renames it with dataclasses.replace.
+    a HypothesisCheck named ``kind`` with tolerance 1e-4/beta; a caller
+    reporting it renames it with dataclasses.replace.
 
-    Margins are signed so that margin >= -tol certifies, over the grid
+    Margins are signed so that margin >= -1e-4/beta certifies, over the grid
     nodes 2..n-3:
       subharmonic, convex:    min((log v)'' + 1/beta)
       concave, superharmonic: min(-1/beta - (log v)'')
@@ -432,9 +431,8 @@ def certify(v: GridField, kind: str, beta: float,
         raise ParameterError("beta must be positive")
     if v.analytic_log is None and np.any(v.values <= 0):
         raise PositivityError("certification from samples requires v > 0")
-    if tol is None:
-        tol = 1e-4 / beta
-    return HypothesisCheck(kind, _margin(kind, beta, v.grid_d2log()), tol)
+    return HypothesisCheck(kind, _margin(kind, beta, v.grid_d2log()),
+                           1e-4 / beta)
 
 
 def certify_log_concave(*factors: GridField) -> HypothesisCheck:

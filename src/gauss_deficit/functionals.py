@@ -5,15 +5,15 @@ constant.
 
 The tilt w = v^r gamma^{-a} is the only code that writes out the reference
 measure gamma; every deficit checker reaches v/gamma and its powers through
-it.  log_ou_norm is the one reader of ||P_s w||_{L^q(gamma)}, every mass
-int v dx included: Gauss-Hermite unless w's tag gives it in closed form.
-Every field is read off its nodes through its exact closures.  Norms are
-assembled in log space (log-sum-exp) so that negative and large exponents
-are handled uniformly.
+it.  entropy_fisher is the one reader of Ent_gamma, and log_ou_norm the
+one reader of ||P_s w||_{L^q(gamma)}, every mass int v dx included:
+Gauss-Hermite unless w's tag gives it in closed form.  Every field is read
+off its nodes through its exact closures.  Norms are assembled in log space
+(log-sum-exp) so that negative and large exponents are handled uniformly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,13 +30,6 @@ from .semigroups import (ExponentTriple, IntegrabilityError, _ou_closures_1d,
 class EntFisher:
     entropy: float
     fisher: float
-
-
-@dataclass(frozen=True)
-class SharpConstant:
-    name: str
-    value: float
-    params: dict = dc_field(default_factory=dict)
 
 
 def _rule_or_default(rule: Optional[QuadratureRule]) -> QuadratureRule:
@@ -97,7 +90,7 @@ def _log_lp(lv, r: float, logw) -> float:
 # sharp constants
 
 
-def _hc_ratio(beta: float, triple: ExponentTriple, n: int) -> float:
+def _hc_ratio(beta: float, triple: ExponentTriple, n: int = 1) -> float:
     bs = beta_s(beta, triple)
     if bs <= 0:
         raise ParameterError("beta_s <= 0: deficit constant undefined")
@@ -105,18 +98,26 @@ def _hc_ratio(beta: float, triple: ExponentTriple, n: int) -> float:
                  * bs ** (-n / (2 * triple.q_conj)))
 
 
-def _dn(beta: float, n: int) -> float:
+def _dn(beta: float, n: int = 1) -> float:
     return 0.5 * n * (np.log(beta) - 1.0 + 1.0 / beta)
 
 
-def _mikulincer(beta: float, n: int) -> float:
+def _lsi_gauss(beta: float, n: int = 1) -> float:
+    return -_dn(beta, n)
+
+
+def _talagrand_gauss(beta: float, n: int = 1) -> float:
+    return float(n * (1.0 + 0.5 * np.log(beta) - np.sqrt(beta)))
+
+
+def _mikulincer(beta: float, n: int = 1) -> float:
     if beta == 1.0:
         return 0.0  # analytic limit of the ratio
     return float(-n * (2 * (1 - beta) + (beta + 1) * np.log(beta))
                  / (2 * (beta - 1)))
 
 
-def _hj_t(tau: float, beta: float, n: int) -> float:
+def _hj_t(tau: float, beta: float, n: int = 1) -> float:
     if tau <= 0 or beta <= 0:
         raise ParameterError("tau and beta must be positive")
     if beta == 1.0:
@@ -128,57 +129,44 @@ def _hj_t(tau: float, beta: float, n: int) -> float:
                  ** (0.5 * n * (1.0 - 1.0 / beta)))
 
 
-def _beckner_b(p: float, beta: float, n: int) -> float:
+def _beckner_b(p: float, beta: float, n: int = 1) -> float:
     pc = p / (p - 1.0)
     return float(beta ** (n / pc) * (1.0 + (beta - 1.0) * 2.0 / pc)
                  ** (-0.5 * n))
 
 
-def sharp_constant(name: str, *, beta: float = None, p: float = None,
-                   s: float = None, tau: float = None, c1: float = None,
-                   c2: float = None, triple: ExponentTriple = None,
-                   n: int = 1) -> SharpConstant:
-    """Evaluate a named sharp constant.
+def _bl_h(c1: float, c2: float, s: float) -> float:
+    return float((2 * np.pi) ** (1.0 - 0.5 * (c1 + c2))
+                 * np.sqrt(1.0 - np.exp(-2.0 * s)))
 
-    hc_ratio        beta^{n/2p'} beta_s^{-n/2q'}         (needs beta, triple)
+
+# name -> formula, each taking its parameters by keyword
+_SHARP_CONSTANTS = {
+    "hc_ratio": _hc_ratio, "lsi_gauss": _lsi_gauss, "dn": _dn,
+    "talagrand_gauss": _talagrand_gauss, "mikulincer": _mikulincer,
+    "beckner_b": _beckner_b, "hj_t": _hj_t, "bl_h": _bl_h,
+}
+
+
+def sharp_constant(name: str, **kw) -> float:
+    """Evaluate a named sharp constant, its parameters by keyword; every
+    one but bl_h takes the dimension n (default 1).
+
+    hc_ratio        beta^{n/2p'} beta_s^{-n/2q'}         (beta, triple)
     lsi_gauss       -(n/2)(log beta - 1 + 1/beta)
     dn              +(n/2)(log beta - 1 + 1/beta)
     talagrand_gauss n (1 + log(beta)/2 - sqrt(beta))
     mikulincer      -n (2(1-beta) + (beta+1) log beta) / (2(beta-1))
-    beckner_b       beta^{n/p'} (1 + (beta-1) 2/p')^{-n/2}   (needs p, beta)
+    beckner_b       beta^{n/p'} (1 + (beta-1) 2/p')^{-n/2}   (p, beta)
     hj_t            (e^{-1}(1+tau(1-1/beta))^{1/(tau(1-1/beta))})^{(n/2)(1-1/beta)}
-    bl_h            (2 pi)^{1-(c1+c2)/2} sqrt(1-e^{-2s})   (needs c1, c2, s)
+    bl_h            (2 pi)^{1-(c1+c2)/2} sqrt(1-e^{-2s})   (c1, c2, s)
     """
-    if name == "hc_ratio":
-        value = _hc_ratio(beta, triple, n)
-        params = dict(beta=beta, p=triple.p, q=triple.q, s=triple.s, n=n)
-    elif name == "lsi_gauss":
-        value = -_dn(beta, n)
-        params = dict(beta=beta, n=n)
-    elif name == "dn":
-        value = _dn(beta, n)
-        params = dict(beta=beta, n=n)
-    elif name == "talagrand_gauss":
-        value = float(n * (1.0 + 0.5 * np.log(beta) - np.sqrt(beta)))
-        params = dict(beta=beta, n=n)
-    elif name == "mikulincer":
-        value = _mikulincer(beta, n)
-        params = dict(beta=beta, n=n)
-    elif name == "beckner_b":
-        value = _beckner_b(p, beta, n)
-        params = dict(beta=beta, p=p, n=n)
-    elif name == "hj_t":
-        value = _hj_t(tau, beta, n)
-        params = dict(tau=tau, beta=beta, n=n)
-    elif name == "bl_h":
-        value = float((2 * np.pi) ** (1.0 - 0.5 * (c1 + c2))
-                      * np.sqrt(1.0 - np.exp(-2.0 * s)))
-        params = dict(c1=c1, c2=c2, s=s)
-    else:
+    if name not in _SHARP_CONSTANTS:
         raise ParameterError(f"unknown sharp constant {name!r}")
+    value = float(_SHARP_CONSTANTS[name](**kw))
     if not np.isfinite(value):
         raise EvaluationError(f"sharp constant {name} is not finite")
-    return SharpConstant(name, float(value), params)
+    return value
 
 
 # ---------------------------------------------------------------------------

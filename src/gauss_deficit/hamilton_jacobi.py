@@ -257,7 +257,7 @@ def dual_talagrand_check(f: HJField, tau: float, beta: float,
 
     lhs = float(np.exp(_log_lp(hopf_lax(f, tau)(rule.nodes), tau,
                                rule.log_weights)))
-    t_const = sharp_constant("hj_t", tau=tau, beta=beta).value
+    t_const = sharp_constant("hj_t", tau=tau, beta=beta)
     mean_f = float(np.asarray(f.f(rule.nodes), float) @ rule.weights)
     rhs = t_const * float(np.exp(mean_f))
 

@@ -9,7 +9,7 @@ assert an inequality whose hypotheses failed; they still carry the numbers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .numerics import (Grid1D, GridField, ParameterError, _coarsest_stride,
                        _refine_strides, default_grid)
 from .reports import DeficitReport, HypothesisCheck
 from .semigroups import ExponentTriple, InadmissibleExponentError
-from .transport import relative_entropy_gauss, w2
+from .transport import w2
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def hc_check(v: GridField, beta: float, triple: ExponentTriple,
     hyps = _certificate_hypotheses(v, beta)
     lhs = float(np.exp(log_hc_norm(v, triple.p, triple.q, triple.s, rule)))
     mass = float(np.exp(log_hc_norm(v, 1.0, 1.0, 0.0, rule)))
-    const = sharp_constant("hc_ratio", beta=beta, triple=triple).value
+    const = sharp_constant("hc_ratio", beta=beta, triple=triple)
     rhs = const * mass ** (1.0 / triple.p)
     return DeficitReport(
         "hypercontractivity", lhs, rhs, const, hypotheses=hyps,
@@ -90,7 +90,7 @@ def reverse_hc_check(v: GridField, beta: float, triple: ExponentTriple,
                         name="beta-semi-log-concave")]
     lhs = float(np.exp(log_hc_norm(v, p, triple.q, s, rule)))
     mass = float(np.exp(log_hc_norm(v, 1.0, 1.0, 0.0, rule)))
-    const = sharp_constant("hc_ratio", beta=beta, triple=triple).value
+    const = sharp_constant("hc_ratio", beta=beta, triple=triple)
     rhs = const * float(np.exp(np.log(mass) / p))
     return DeficitReport(
         "reverse-hypercontractivity", lhs, rhs, const, direction="ge",
@@ -107,7 +107,7 @@ def lsi_check(v: GridField, beta: float, rule=None) -> DeficitReport:
     check_density(v)
     hyps = _certificate_hypotheses(v, beta)
     ef = entropy_fisher(tilt(v, 1.0, 1.0), rule)
-    const = sharp_constant("lsi_gauss", beta=beta).value
+    const = sharp_constant("lsi_gauss", beta=beta)
     return DeficitReport(
         "log-sobolev", ef.entropy - 0.5 * ef.fisher, const, const,
         hypotheses=hyps,
@@ -196,7 +196,7 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
         lhs = float(np.exp(sum(log_hc_norm(v, triple.p, triple.q, triple.s,
                                            rule) for v in (v1, v2))))
         const = float(np.prod([
-            sharp_constant("hc_ratio", beta=b, triple=triple).value
+            sharp_constant("hc_ratio", beta=b, triple=triple)
             for b in relevant])) if relevant else 1.0
         mass = m1 * m2
         rhs = const * mass ** (1.0 / triple.p)
@@ -219,8 +219,9 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
                     "entropy": ent, "fisher": fisher})
 
     cost = sum(w2(gaussian_field(v.grid, 1.0), v) ** 2 for v in (v1, v2))
-    ent = (m2 * relative_entropy_gauss(v1, rule)
-           + m1 * relative_entropy_gauss(v2, rule))
+    ent1, ent2 = (entropy_fisher(tilt(v, 1.0, 1.0), rule).entropy
+                  for v in (v1, v2))
+    ent = m2 * ent1 + m1 * ent2
     const = float(sum(1.0 + 0.5 * np.log(b) - np.sqrt(b) for b in relevant))
     return DeficitReport(
         "matrix-talagrand", 0.5 * cost - ent, const, const, hypotheses=hyps,
@@ -256,7 +257,7 @@ def poincare_check(f: GridField, beta: float, rule=None) -> DeficitReport:
     int_f2 = float((fv * fv) @ wts)
     int_absf = float(np.abs(fv) @ wts)
     grad = _grad_sq_gauss(f, rule)
-    dn = sharp_constant("dn", beta=beta).value
+    dn = sharp_constant("dn", beta=beta)
     lhs = 0.5 * (1.0 + dn) * int_f2 - 0.5 * int_absf**2
     params = {"beta": beta, "dn": dn, "int_f2": int_f2, "int_absf": int_absf,
               "improves_classical": bool(dn > 1.0)}
@@ -293,7 +294,7 @@ def beckner_check(f: GridField, p: float, beta: float,
     int_f2 = float((fv * fv) @ wts)
     int_fp = float((fv ** p) @ wts)
     grad = _grad_sq_gauss(f, rule)
-    bconst = sharp_constant("beckner_b", p=p, beta=beta).value
+    bconst = sharp_constant("beckner_b", p=p, beta=beta)
     lhs = (int_f2 - bconst * int_fp ** (2.0 / p)) / (2.0 - p)
     s = -0.5 * float(np.log(p - 1.0))
     int_psf2 = float(np.exp(2.0 * log_ou_norm(f, 2.0, s, rule)))
@@ -378,7 +379,7 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
     k, gap = _refine_strides(
         refine, _coarsest_stride(x1.size - 1, x2.size - 1), 1e-14)
 
-    h_const = sharp_constant("bl_h", c1=c1, c2=c2, s=s).value
+    h_const = sharp_constant("bl_h", c1=c1, c2=c2, s=s)
     # ||P_s[(gamma_beta/gamma)^{c1}]||_{(1/c2)'} with c1 = 1/p, (1/c2)' = q
     script_h = h_const * float(np.exp(log_hc_norm(
         LogQuad.gaussian(beta), triple.p, triple.q, s)))
@@ -419,60 +420,22 @@ def counterexample_mixture(a: float, grid: Grid1D = None,
                                    "covariance": cov})
 
 
-@dataclass(frozen=True)
-class SuperharmonicTrace:
-    """Laplacian of log P_t f for f = e^{x1 x2} (closed form and on-grid)."""
-
-    t: float
-    delta_log_f: float
-    delta_log_ptf: float       # exact: constant in x
-    grid_min: float            # min of the FD Laplacian over interior points
-    grid_max: float
-
-
-def log_ptf_bilinear(t: float):
-    """Exact log P_t[e^{x1 x2}]: complete-the-square in both kernel variables.
-
-    With e = e^{-t}, sig^2 = 1 - e^{-2t}, c = sig^2:
-    log P_t f = e^2 x1 x2 + [a^2 (1-c^2) + (b + a c)^2] / (2 (1-c^2))
-                - (1/2) log(1-c^2),   a = sig e x2, b = sig e x1.
-    """
-    e = float(np.exp(-t))
-    sig = float(np.sqrt(1.0 - e * e))
-    c = sig * sig
-
-    def log_fn(x1, x2):
-        x1 = np.asarray(x1, float)
-        x2 = np.asarray(x2, float)
-        a = sig * e * x2
-        b = sig * e * x1
-        return (e * e * x1 * x2 + 0.5 * a * a
-                + (b + a * c) ** 2 / (2.0 * (1.0 - c * c))
-                - 0.5 * np.log(1.0 - c * c))
-
-    return log_fn
-
-
-def counterexample_superharmonic(t: float) -> SuperharmonicTrace:
+def counterexample_superharmonic(t: float) -> DeficitReport:
     """f = e^{x1 x2} has Delta log f = 0, yet Delta log P_t f > 0 for t > 0.
 
-    The Laplacian is sampled on the square mesh of [-8, 8]^2, 257 points a
-    side.
+    Completing the square in both kernel variables makes log P_t f a
+    quadratic form in x plus a constant, so its Laplacian is the same at
+    every x: with sig^2 = 1 - e^{-2t} and e^2 = e^{-2t},
+    Delta log P_t f = 2 sig^2 e^2 / (1 - sig^4).
     """
     if t <= 0:
         raise ParameterError("t must be positive")
-    grid = Grid1D(-8.0, 8.0, 257)
     e2 = float(np.exp(-2.0 * t))
     sig2 = 1.0 - e2
-    exact = 2.0 * sig2 * e2 / (1.0 - sig2 * sig2)
-    log_fn = log_ptf_bilinear(t)
-    h = 1e-4
-    X, Y = np.meshgrid(grid.points, grid.points, indexing="ij")
-    lap = ((log_fn(X + h, Y) + log_fn(X - h, Y) + log_fn(X, Y + h)
-            + log_fn(X, Y - h) - 4.0 * log_fn(X, Y)) / h**2)
-    inner = lap[2:-2, 2:-2]
-    return SuperharmonicTrace(t, 0.0, float(exact),
-                              float(np.min(inner)), float(np.max(inner)))
+    return DeficitReport(
+        "superharmonic-not-preserved",
+        lhs=2.0 * sig2 * e2 / (1.0 - sig2 * sig2), rhs=0.0, sharp_constant=0.0,
+        direction="ge", params={"t": t, "delta_log_f": 0.0})
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from .families import LogQuad, gaussian_field
 from .flows import certify, certify_log_concave, check_density, moments
-from .functionals import _rule_or_default, sharp_constant, tilt
+from .functionals import entropy_fisher, sharp_constant, tilt
 from .numerics import (GridField, ParameterError, QuadratureRule,
                        cumulative_simpson)
 from .reports import DeficitReport, HypothesisCheck
@@ -36,7 +36,7 @@ def _density_cdf(v: GridField):
     return (its CDF at the nodes, the exact CDF closure or None)."""
     check_density(v)
     if isinstance(v.tag, LogQuad):
-        cdf = v.tag.mass_and_cdf()[1]
+        cdf = v.tag.cdf()
         return np.asarray(cdf(v.grid.points), float), cdf
     F = cumulative_simpson(v.values, dx=v.grid.spacing, initial=0.0)
     return np.maximum.accumulate(F / F[-1]), None
@@ -71,18 +71,6 @@ def w2(mu: GridField, nu: GridField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# entropy against gamma
-
-
-def relative_entropy_gauss(v: GridField,
-                           rule: Optional[QuadratureRule] = None) -> float:
-    """Ent_gamma(v/gamma) = int v log(v/gamma) dx for a probability density."""
-    rule = _rule_or_default(rule)
-    lf = tilt(v, 1.0, 1.0).log(rule.nodes)
-    return float((np.exp(lf) * lf) @ rule.weights)
-
-
-# ---------------------------------------------------------------------------
 # Talagrand deficit
 
 
@@ -93,12 +81,13 @@ def talagrand_deficit(v: GridField, beta: float,
     Hypotheses: for beta > 1, 0 >= grad^2 log v >= -id/beta; for beta < 1,
     beta-semi-log-concavity.  The inequality is asserted only when they pass.
 
+    The entropy is entropy_fisher's of v/gamma, as the LSI checks read it.
     Both terms are taken at v itself: translating v by its mean m adds m^2
     to W_2^2 and m^2/2 to the entropy, so the deficit does not see m.
     ``w2_sq`` and ``entropy`` are reported for the centred density.
     """
     cost = w2(gaussian_field(v.grid, 1.0), v) ** 2  # checks v first
-    ent = relative_entropy_gauss(v, rule)
+    ent = entropy_fisher(tilt(v, 1.0, 1.0), rule).entropy
     mean = moments(v)[1]
     if beta >= 1:
         hyps = [replace(certify(v, "convex", beta),
@@ -108,12 +97,11 @@ def talagrand_deficit(v: GridField, beta: float,
         hyps = [replace(certify(v, "concave", beta),
                         name="semi-log-concave(beta)")]
     lhs = 0.5 * cost - ent
-    const = sharp_constant("talagrand_gauss", beta=beta).value
+    const = sharp_constant("talagrand_gauss", beta=beta)
     params = {"beta": beta, "w2_sq": cost - mean**2,
               "entropy": ent - 0.5 * mean**2, "centering_shift": mean}
     if beta < 1:
-        params["mikulincer_bound"] = sharp_constant("mikulincer",
-                                                    beta=beta).value
+        params["mikulincer_bound"] = sharp_constant("mikulincer", beta=beta)
     return DeficitReport("talagrand", lhs, const, const, hypotheses=hyps,
                          params=params)
 

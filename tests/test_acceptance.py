@@ -72,8 +72,7 @@ class TestCriterion1HCRatio:
             for beta in BETA_GRID:
                 got = hc_ratio_by_quadrature(beta, p, q, rule)
                 want = sharp_constant("hc_ratio", beta=beta,
-                                      triple=ExponentTriple.from_pq(p, q)
-                                      ).value
+                                      triple=ExponentTriple.from_pq(p, q))
                 assert got == pytest.approx(want, abs=1e-7), (p, q, beta)
         assert time.perf_counter() - start < 5.0
 
@@ -129,8 +128,8 @@ class TestCriterion4Talagrand:
         # 1 + log(beta)/2 - sqrt(beta) < -(2(1-beta)+(beta+1)log beta)
         #                                  / (2(beta-1)) for beta < 1
         for beta in (0.2, 0.5, 0.9):
-            ours = sharp_constant("talagrand_gauss", beta=beta).value
-            other = sharp_constant("mikulincer", beta=beta).value
+            ours = sharp_constant("talagrand_gauss", beta=beta)
+            other = sharp_constant("mikulincer", beta=beta)
             assert ours < other
 
 
@@ -193,11 +192,11 @@ class TestCriterion7Counterexamples:
         assert not r.asserted  # subharmonicity certificate fails
 
     def test_superharmonicity_not_preserved(self):
-        # f = e^{x1 x2}: Delta log f = 0 but Delta log P_t f > 0 inside
+        # f = e^{x1 x2}: Delta log f = 0 but Delta log P_t f > 0
         for t in (0.1, 0.5):
-            tr = counterexample_superharmonic(t)
-            assert tr.delta_log_f == 0.0
-            assert tr.grid_min > 0.0
+            r = counterexample_superharmonic(t)
+            assert r.params["delta_log_f"] == 0.0
+            assert r.lhs > 0.0 and r.asserted and r.holds
 
 
 class TestCriterion8Applications:
@@ -230,7 +229,7 @@ class TestCriterion8Applications:
             assert rp.asserted and rp.slack >= -1e-4
 
     def test_t_constant_value(self):
-        got = sharp_constant("hj_t", tau=1.0, beta=2.0).value
+        got = sharp_constant("hj_t", tau=1.0, beta=2.0)
         assert got == pytest.approx((np.exp(-1.0) * 2.25) ** 0.25,
                                     abs=1e-10)
 
@@ -247,17 +246,23 @@ class TestCriterion8Applications:
                 psf = np.exp(fam.log_at(e * z[:, None]
                                         + sig * z[None, :])) @ w
                 got = float((psf ** 2) @ w)
-                want = sharp_constant("beckner_b", p=p, beta=beta).value
+                want = sharp_constant("beckner_b", p=p, beta=beta)
                 assert got == pytest.approx(want, abs=1e-7), (beta, p)
 
     def test_beckner_b_derivative_recovers_lsi(self):
-        # d/dp B(p, beta) at p = 2 equals D_n(beta)/2
-        for beta in (0.5, 2.0, 4.0):
-            h = 1e-5
-            fd = (1.0 - sharp_constant("beckner_b", p=2.0 - h,
-                                       beta=beta).value) / h
-            dn = sharp_constant("dn", beta=beta).value
-            assert fd == pytest.approx(0.5 * dn, abs=1e-3)
+        # d/dp B(p, beta) at p = 2 equals D_n(beta)/2 = -lsi_gauss/2, by the
+        # Richardson extrapolation of the one-sided quotients at h and 2h
+        # (an O(h^2) error, measured at most 5.2e-10 relative)
+        h = 1e-5
+
+        def quotient(k, beta):
+            return (1.0 - sharp_constant("beckner_b", p=2.0 - k,
+                                         beta=beta)) / k
+
+        for beta in (0.25, 0.5, 2.0, 4.0):
+            richardson = 2.0 * quotient(h, beta) - quotient(2.0 * h, beta)
+            assert richardson == pytest.approx(
+                -0.5 * sharp_constant("lsi_gauss", beta=beta), rel=1e-8), beta
 
     def test_brascamp_lieb_scaling_and_classical_reduction(self, grid):
         # the exponent scaling identity holds exactly for every consistent

@@ -86,8 +86,8 @@ class TestLogQuad:
 
     def test_mass_and_cdf(self):
         fam = LogQuad.gaussian(2.0, mean=0.5)
-        mass, cdf = fam.mass_and_cdf()
-        assert mass == pytest.approx(1.0, rel=1e-12)
+        cdf = fam.cdf()
+        assert fam.integral_lebesgue() == pytest.approx(1.0, rel=1e-12)
         assert cdf(0.5) == pytest.approx(0.5, abs=1e-12)
         assert cdf(0.5 + np.sqrt(2.0)) == pytest.approx(ndtr(1.0), abs=1e-12)
 
@@ -215,11 +215,8 @@ class TestArrayFamilyOracle:
         var = (mv[:, 0] * (mv[:, 2] + (mv[:, 1] - mean) ** 2)).sum() / mass
         got = fam.moments()
         self.assert_close(got, (mass, mean, var))
-        m, cdf = fam.mass_and_cdf()
-        self.assert_close(m, mass)
-        ref = sum(mq * Fq(self.X) for mq, (_, Fq) in
-                  zip(masses, (q.mass_and_cdf() for q in parts))) / mass
-        self.assert_close(cdf(self.X), ref)
+        ref = sum(mq * q.cdf()(self.X) for mq, q in zip(masses, parts)) / mass
+        self.assert_close(fam.cdf()(self.X), ref)
 
     def test_single_component_operations_reject_mixtures(self):
         mix = symmetric_mixture(1.0)

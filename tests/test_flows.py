@@ -49,7 +49,7 @@ class TestFPEvolve:
         # drift check compares v_t with the source's exact mass, as for the
         # untagged closure of the same density
         q = LogQuad.gaussian(1.0, 10.0)
-        tagged = gaussian_field(grid, 1.0, 10.0)
+        tagged = field_from_family(grid, q)
         untagged = GridField.from_callable(grid, q.__call__, log_fn=q.log_at)
         vt, ut = fp_evolve(tagged, 1.0, 1.0), fp_evolve(untagged, 1.0, 1.0)
         assert vt.grid_mass == pytest.approx(ut.grid_mass, rel=1e-12)
@@ -58,7 +58,7 @@ class TestFPEvolve:
 
     def test_tagged_source_leaving_the_grid_raises(self, grid):
         # v_t centred at 11.3 with unit variance: a quarter of it is past 12
-        v0 = gaussian_field(grid, 1.0, 11.5)
+        v0 = field_from_family(grid, LogQuad.gaussian(1.0, 11.5))
         with pytest.raises(TruncationError, match="mass drift"):
             fp_evolve(v0, 1.0, 0.02)
 

@@ -14,7 +14,8 @@ from gauss_deficit.functionals import (_log_lp, entropy_fisher, log_hc_norm,
                                        sharp_constant, tilt)
 from gauss_deficit.inequalities import (make_fp_input, make_logconcave_input,
                                         matrix_check)
-from gauss_deficit.numerics import (GridField, ParameterError, default_grid,
+from gauss_deficit.numerics import (EvaluationError, GridField,
+                                    ParameterError, default_grid,
                                     gauss_hermite_rule)
 from gauss_deficit.semigroups import ExponentTriple
 
@@ -68,14 +69,28 @@ class TestSharpConstants:
     def test_lsi_gauss_value(self):
         # -(1/2)(log 2 - 1 + 1/2)
         sc = sharp_constant("lsi_gauss", beta=2.0)
-        assert sc.value == pytest.approx(-0.0965735902799726, abs=1e-12)
-        assert sharp_constant("dn", beta=2.0).value == pytest.approx(
-            -sc.value, abs=1e-15)
+        assert isinstance(sc, float)
+        assert sc == pytest.approx(-0.0965735902799726, abs=1e-12)
+        assert sharp_constant("dn", beta=2.0) == pytest.approx(-sc,
+                                                               abs=1e-15)
 
     def test_lsi_gauss_tensorizes(self):
-        one = sharp_constant("lsi_gauss", beta=3.0, n=1).value
-        two = sharp_constant("lsi_gauss", beta=3.0, n=2).value
-        assert two == pytest.approx(2 * one, rel=1e-14)
+        # every constant that takes the dimension n, at n = 2 against n = 1:
+        # a sum over the coordinates doubles, a product squares
+        triple = ExponentTriple.from_pq(2.0, 4.0)
+        for name, kw, kind in (
+                ("hc_ratio", dict(beta=3.0, triple=triple), "product"),
+                ("lsi_gauss", dict(beta=3.0), "sum"),
+                ("dn", dict(beta=3.0), "sum"),
+                ("talagrand_gauss", dict(beta=3.0), "sum"),
+                ("mikulincer", dict(beta=3.0), "sum"),
+                ("beckner_b", dict(p=1.5, beta=3.0), "product"),
+                ("hj_t", dict(tau=1.0, beta=3.0), "product")):
+            one = sharp_constant(name, n=1, **kw)
+            two = sharp_constant(name, n=2, **kw)
+            assert one == sharp_constant(name, **kw), name  # n = 1 default
+            want = 2 * one if kind == "sum" else one * one
+            assert two == pytest.approx(want, rel=1e-14), name
 
     def test_hc_ratio_value(self):
         t = ExponentTriple.from_pq(2.0, 4.0)
@@ -83,49 +98,51 @@ class TestSharpConstants:
         # beta^{1/(2p')} beta_s^{-1/(2q')} with beta_s = 5/3, p' = 2,
         # q' = 4/3
         expect = 2.0 ** 0.25 * (5.0 / 3.0) ** -0.375
-        assert sc.value == pytest.approx(expect, rel=1e-14)
-        assert sc.value == pytest.approx(0.9818931218485962, abs=1e-12)
+        assert sc == pytest.approx(expect, rel=1e-14)
+        assert sc == pytest.approx(0.9818931218485962, abs=1e-12)
 
     def test_talagrand_gauss(self):
         sc = sharp_constant("talagrand_gauss", beta=4.0)
-        assert sc.value == pytest.approx(1 + 0.5 * np.log(4) - 2.0,
-                                         rel=1e-14)
+        assert sc == pytest.approx(1 + 0.5 * np.log(4) - 2.0, rel=1e-14)
 
     def test_mikulincer_limit_and_comparison(self):
-        assert sharp_constant("mikulincer", beta=1.0).value == 0.0
+        assert sharp_constant("mikulincer", beta=1.0) == 0.0
         for beta in (0.2, 0.5, 0.9):
-            tala = sharp_constant("talagrand_gauss", beta=beta).value
-            miku = sharp_constant("mikulincer", beta=beta).value
+            tala = sharp_constant("talagrand_gauss", beta=beta)
+            miku = sharp_constant("mikulincer", beta=beta)
             assert tala < miku
 
     def test_beckner_b(self):
         sc = sharp_constant("beckner_b", p=1.5, beta=2.0)
         # beta^{n/p'} (1 + (beta-1) 2/p')^{-n/2} with p' = 3
         expect = 2.0 ** (1.0 / 3.0) * (5.0 / 3.0) ** -0.5
-        assert sc.value == pytest.approx(expect, rel=1e-14)
+        assert sc == pytest.approx(expect, rel=1e-14)
 
     def test_hj_t(self):
         sc = sharp_constant("hj_t", tau=1.0, beta=2.0)
-        assert sc.value == pytest.approx((np.exp(-1) * 2.25) ** 0.25,
-                                         abs=1e-10)
-        assert sharp_constant("hj_t", tau=1.0, beta=1.0).value == 1.0
+        assert sc == pytest.approx((np.exp(-1) * 2.25) ** 0.25, abs=1e-10)
+        assert sharp_constant("hj_t", tau=1.0, beta=1.0) == 1.0
         with pytest.raises(ParameterError):
             sharp_constant("hj_t", tau=1.0, beta=0.25)
 
     def test_hj_t_in_unit_interval(self):
         for beta in (1.5, 2.0, 5.0, 20.0):
-            v = sharp_constant("hj_t", tau=1.0, beta=beta).value
+            v = sharp_constant("hj_t", tau=1.0, beta=beta)
             assert 0.0 < v < 1.0
 
     def test_bl_h(self):
         s = 0.5 * np.log(3.0)
         sc = sharp_constant("bl_h", c1=0.5, c2=0.75, s=s)
         expect = (2 * np.pi) ** (1 - 0.625) * np.sqrt(1 - 1 / 3)
-        assert sc.value == pytest.approx(expect, rel=1e-14)
+        assert sc == pytest.approx(expect, rel=1e-14)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ParameterError):
             sharp_constant("nope", beta=2.0)
+
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(EvaluationError, match="not finite"):
+            sharp_constant("dn", beta=np.inf)
 
 
 class TestGross:
@@ -139,8 +156,27 @@ class TestGross:
                                1.0 + np.exp(2.0 * s), s)
 
         fd = (np.exp(log_psi(h)) - np.exp(log_psi(0.0))) / h
-        assert -0.5 * sharp_constant("dn", beta=beta).value == pytest.approx(
+        assert -0.5 * sharp_constant("dn", beta=beta) == pytest.approx(
             fd, abs=1e-4)
+
+    def test_hc_ratio_derivative_is_half_the_lsi_constant(self):
+        # Gross: with p = 2 and q(s) = 1 + e^{2s}, d/ds log hc_ratio at
+        # s = 0 is (1/2) lsi_gauss(beta); hc_ratio is 1 at s = 0.  The
+        # one-sided quotient errs by O(s) (1.6e-4 relative at s = 1e-4);
+        # its Richardson extrapolation from s and 2s by O(s^2), measured
+        # at most 4.8e-8 relative
+        s = 1e-4
+
+        def log_ratio(u, beta):
+            triple = ExponentTriple(2.0, 1.0 + np.exp(2.0 * u), u)
+            return np.log(sharp_constant("hc_ratio", beta=beta,
+                                         triple=triple))
+
+        for beta in (0.5, 2.0, 4.0):
+            richardson = (4.0 * log_ratio(s, beta)
+                          - log_ratio(2.0 * s, beta)) / (2.0 * s)
+            assert richardson == pytest.approx(
+                0.5 * sharp_constant("lsi_gauss", beta=beta), rel=1e-7), beta
 
 
 class TestQFunctional:

@@ -1,4 +1,5 @@
-"""Every library function is reached from the command line, or named here.
+"""Every library function is reached from the command line, and each of its
+options is set there to a value other than its default, or is named here.
 
 A fresh interpreter installs ``sys.setprofile``, imports ``gauss_deficit``
 and runs ``cli.main`` over every command at beta 2 and 0.5 (count 3), once
@@ -8,10 +9,18 @@ UNREACHED names it with the reason it is kept, and on an entry of UNREACHED
 that ran or names nothing.  The interpreter is fresh so that what runs at
 import counts, and no cache filled by an earlier test hides a function.
 
-Run as a script, this file prints the unreached names as JSON.
+The option guard reads the arguments of every call the commands make: it
+fails on a parameter with a default that no call sets to another value,
+unless UNSET names it with the reason it is kept, and on a stale entry of
+UNSET.  The functions of UNREACHED are not read.
+
+Run as a script, this file prints the unreached names and the unset
+options as JSON.
 """
 import contextlib
+import functools
 import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -19,6 +28,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 
 # qualified name -> why it stays although no command runs it
 UNREACHED = {
@@ -39,8 +49,20 @@ UNREACHED = {
 }
 
 
+# function.parameter -> why it stays although no command sets it
+UNSET = {
+    "families.field_from_family.nodes": "the untagged FP kernel's node "
+                                        "arrays: the fp-flow workload",
+    **{f"functionals._{name}.n": "the dimension: the paper states its "
+                                 "constants in R^n; the tensorisation test "
+                                 "sets it"
+       for name in ("hc_ratio", "dn", "lsi_gauss", "talagrand_gauss",
+                    "mikulincer", "beckner_b", "hj_t")},
+}
+
+
 def _library_functions():
-    """{qualified name: code} of every module-level function and method
+    """{qualified name: function} of every module-level function and method
     written in a module of the package."""
     import gauss_deficit
     found = {}
@@ -60,25 +82,61 @@ def _library_functions():
                 code = getattr(fn, "__code__", None)
                 # dataclass-generated methods are not written in the module
                 if code is not None and code.co_filename == module.__file__:
-                    found[f"{info.name}.{fn.__qualname__}"] = code
+                    found[f"{info.name}.{fn.__qualname__}"] = fn
     return found
 
 
-def unreached(workdir):
-    """The functions that never ran from import through every command;
-    ``workdir`` takes the config file."""
-    ran = set()
+def _options(fn):
+    """[(name, default)] of the parameters of fn that have a default."""
+    return [(p.name, p.default)
+            for p in inspect.signature(fn).parameters.values()
+            if p.default is not p.empty]
+
+
+def _is_default(value, default) -> bool:
+    if value is default:
+        return True
+    try:
+        return bool(value == default)
+    except (TypeError, ValueError):  # an array against a scalar default
+        return False
+
+
+def profile_commands():
+    """(the functions that never ran from import through every command,
+    the options no call set to a value other than the default)."""
+    package = os.path.dirname(importlib.util.find_spec("gauss_deficit").origin)
+    ran, early, changed = set(), [], set()
+    options = None  # code -> [(parameter, default)], once imported
+
+    def note(code, args):
+        for key, default in options[code]:
+            if not _is_default(args[key], default):
+                changed.add((code, key))
 
     def profile(frame, event, arg):
         if event == "call":
-            ran.add(frame.f_code)
+            code = frame.f_code
+            ran.add(code)
+            if options is None:
+                if code.co_filename.startswith(package):
+                    early.append((code, dict(frame.f_locals)))  # at import
+            elif code in options:
+                note(code, frame.f_locals)
 
-    config = os.path.join(workdir, "run.cfg")
+    workdir = tempfile.TemporaryDirectory()
+    config = os.path.join(workdir.name, "run.cfg")
     with open(config, "w", encoding="utf-8") as fh:
         fh.write("# a config-file run\ncount = 3\nbeta = 2.0\n")
     sys.setprofile(profile)
     try:
         from gauss_deficit import cli
+        functions = _library_functions()
+        options = {fn.__code__: opts for name, fn in functions.items()
+                   if name not in UNREACHED and (opts := _options(fn))}
+        for code, args in early:
+            if code in options:
+                note(code, args)
         runs = [[command, "--beta", str(beta), "--count", "3"]
                 for beta in (2.0, 0.5) for command in cli.COMMANDS]
         runs += [["verify-hc", "--config", config],
@@ -89,22 +147,40 @@ def unreached(workdir):
                 cli.main(argv)
     finally:
         sys.setprofile(None)
-    return sorted(name for name, code in _library_functions().items()
-                  if code not in ran)
+        workdir.cleanup()
+    unreached = sorted(name for name, fn in functions.items()
+                       if fn.__code__ not in ran)
+    unset = sorted(f"{name}.{key}" for name, fn in functions.items()
+                   for key, _ in options.get(fn.__code__, ())
+                   if (fn.__code__, key) not in changed)
+    return unreached, unset
 
 
-def test_every_function_is_reached(tmp_path):
+@functools.cache
+def _profiled():
+    """The unreached names and the unset options, from a fresh
+    interpreter."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     done = subprocess.run(
-        [sys.executable, __file__, str(tmp_path)], capture_output=True,
-        text=True, env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
-        timeout=300)
+        [sys.executable, __file__], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)), timeout=300)
     assert done.returncode == 0, done.stderr
-    names = set(json.loads(done.stdout))
+    return [set(part) for part in json.loads(done.stdout)]
+
+
+def test_every_function_is_reached():
+    names = _profiled()[0]
     assert names - set(UNREACHED) == set()
     # an entry that a command now reaches, or that names nothing, is stale
     assert set(UNREACHED) - names == set()
 
 
+def test_every_option_is_set():
+    unset = _profiled()[1]
+    assert unset - set(UNSET) == set()
+    # an option a command now sets, or that names nothing, is stale
+    assert set(UNSET) - unset == set()
+
+
 if __name__ == "__main__":
-    print(json.dumps(unreached(sys.argv[1])))
+    print(json.dumps(profile_commands()))

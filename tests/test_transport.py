@@ -8,19 +8,18 @@ from gauss_deficit import cli, transport
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
 from gauss_deficit.flows import check_density, covariance
-from gauss_deficit.functionals import entropy_fisher
+from gauss_deficit.functionals import entropy_fisher, tilt
 from gauss_deficit.inequalities import (lsi_check, make_talagrand_input,
                                         matrix_check)
 from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
                                     default_grid)
 from gauss_deficit.transport import (PotentialSpec, brenier_1d,
                                      caffarelli_check, general_lsi_deficit,
-                                     relative_entropy_gauss,
                                      talagrand_deficit, w2)
 
 
 def gauss_spec(beta, grid, mean=0.0):
-    return gaussian_field(grid, beta, mean)
+    return field_from_family(grid, LogQuad.gaussian(beta, mean))
 
 
 def monge_ampere_residual(mu, nu, T):
@@ -121,9 +120,9 @@ class TestDensityChecks:
 class WavyCDF(LogQuad):
     """A LogQuad whose CDF carries a ripple, so that it is not monotone."""
 
-    def mass_and_cdf(self):
-        mass, cdf = super().mass_and_cdf()
-        return mass, lambda x: cdf(x) + 1e-3 * np.sin(8.0 * np.asarray(x))
+    def cdf(self):
+        cdf = super().cdf()
+        return lambda x: cdf(x) + 1e-3 * np.sin(8.0 * np.asarray(x))
 
 
 class TestBrenierMonotonicity:
@@ -177,7 +176,7 @@ class TestRelativeEntropy:
         beta = 2.0
         v = gaussian_field(grid, beta)
         # Ent_gamma(gamma_beta/gamma) = (1/2)(beta - 1 - log beta)
-        got = relative_entropy_gauss(v)
+        got = entropy_fisher(tilt(v, 1.0, 1.0)).entropy
         assert got == pytest.approx(0.5 * (beta - 1 - np.log(beta)),
                                     abs=1e-10)
 
@@ -205,6 +204,16 @@ class TestTalagrandDeficit:
             v = make_talagrand_input(rng, 2.0, grid)
             r = talagrand_deficit(v, 2.0)
             assert r.asserted and r.slack >= -1e-5
+
+    def test_entropy_is_the_lsi_entropy(self, grid, rule):
+        # the reported entropy is Ent_gamma(v/gamma) as the LSI checks read
+        # it, re-centred: adding back m^2/2 gives entropy_fisher's exactly
+        v = make_talagrand_input(np.random.default_rng(5), 2.0, grid)
+        r = talagrand_deficit(v, 2.0, rule)
+        shift = r.params["centering_shift"]
+        assert abs(shift) > 0.01
+        assert (r.params["entropy"] + 0.5 * shift**2
+                == entropy_fisher(tilt(v, 1.0, 1.0), rule).entropy)
 
     def test_mikulincer_reported_for_small_beta(self, grid):
         r = talagrand_deficit(gauss_spec(0.5, grid), 0.5)
