@@ -33,7 +33,7 @@ from .numerics import (EvaluationError, Grid1D, GridField, ParameterError,
 from .families import (LogQuad, field_from_family, gaussian_field,
                        symmetric_mixture)
 from .semigroups import ExponentTriple
-from .flows import certify, fp_evolve
+from .flows import curvature, fp_evolve
 from .functionals import (_check_ratio_bounded, q_functional, sharp_constant,
                           tilt)
 from .reports import DeficitReport
@@ -331,7 +331,7 @@ def _perturbed_quadratic(config: RunConfig, index: int,
     rng = _item_rng(config, index)
     c = float(rng.uniform(0.0, 0.05))
     m = float(rng.uniform(-1.0, 1.0))
-    return HJField.from_field(
+    return HJField(
         GridField.from_callable(
             config.grid(), lambda y: base.f(y) + c * np.log(np.cosh(y - m))),
         laplacian=lambda y: base.laplacian(y) + c / np.cosh(y - m) ** 2)
@@ -494,8 +494,8 @@ def flow_trace(config: RunConfig):
     for t in times:
         vt = fp_evolve(v0, config.beta, float(t))
         qt = q_functional(vt, triple, rule)
-        cert = certify(vt, "convex", config.beta)
-        rows.append((float(t), qt, cert.margin, vt.grid_mass))
+        margin = curvature(vt)[0] + 1.0 / config.beta
+        rows.append((float(t), qt, margin, vt.grid_mass))
     qs = np.array([r[1] for r in rows])
     scale = max(1.0, float(np.max(np.abs(qs))))
     monotone = bool(np.all(np.diff(qs) >= -1e-5 * scale))

@@ -30,9 +30,9 @@ the factors, the cross term 2 kappa s u v: every block of a level reads
 one matrix exp(2 kappa s u v), built with one exp call (_lattice_pass).
 FP(beta) is the set of time-(1/2)log 2 snapshots of the 2 beta-flow
 started from a finite measure; its members are automatically
-beta-semi-log-convex.  The certificates measure the signed margin of a
-log-curvature bound and return it as a reports.HypothesisCheck that carries
-the tolerance it is judged at.
+beta-semi-log-convex.  Every certificate reads (log v)'' through
+curvature and returns the signed margin of a log-curvature bound as a
+reports.HypothesisCheck that carries the tolerance it is judged at.
 """
 from __future__ import annotations
 
@@ -392,27 +392,11 @@ def fp_class_member(mu, beta: float,
 # certificates
 
 
-def _margin(kind: str, beta: float, hess) -> float:
-    """The signed margin of ``kind`` (see certify) from (log v)''."""
-    if kind in ("subharmonic", "convex"):
-        return float(np.min(hess + 1.0 / beta))
-    if kind in ("concave", "superharmonic"):
-        return float(np.min(-1.0 / beta - hess))
-    raise ParameterError(f"unknown certificate kind {kind!r}")
-
-
-def certify(v: GridField, kind: str, beta: float) -> HypothesisCheck:
-    """Measure the log-curvature bound defining each semi-log property, as
-    a HypothesisCheck named ``kind`` with tolerance 1e-4/beta; a caller
-    reporting it renames it with dataclasses.replace.
-
-    Margins are signed so that margin >= -1e-4/beta certifies, over the grid
-    nodes 2..n-3:
-      subharmonic, convex:    min((log v)'' + 1/beta)
-      concave, superharmonic: min(-1/beta - (log v)'')
-
-    On the line the Laplacian and the Hessian are both (log v)'', so
-    subharmonic/convex coincide, as do concave/superharmonic.
+def curvature(v: GridField) -> tuple[float, float]:
+    """(inf, sup) of (log v)'' over the grid nodes 2..n-3: the one reading
+    of every curvature hypothesis.  On the line the Laplacian and the
+    Hessian are both (log v)'', so beta-semi-log-subharmonic and -convex
+    are one lower bound on it, -superharmonic and -concave one upper bound.
 
     (log v)'' is the field's node array (GridField.grid_d2log), from the
     first of three sources that applies:
@@ -427,20 +411,25 @@ def certify(v: GridField, kind: str, beta: float) -> HypothesisCheck:
          at h = 1e-4, with an error of about h^2 (log v)''''/12 plus
          4 eps |log v| / h^2 of rounding.
     """
-    if beta <= 0:
-        raise ParameterError("beta must be positive")
     if v.analytic_log is None and np.any(v.values <= 0):
         raise PositivityError("certification from samples requires v > 0")
-    return HypothesisCheck(kind, _margin(kind, beta, v.grid_d2log()),
-                           1e-4 / beta)
+    d2 = v.grid_d2log()
+    return float(np.min(d2)), float(np.max(d2))
 
 
-def certify_log_concave(*factors: GridField) -> HypothesisCheck:
-    """(log v)'' <= 0 for the product v of the factors, the beta -> infinity
-    limit of semi-log-concavity: "log-concave", at the factor margin that is
-    the worse, with tolerance 1e-6."""
-    margin = min(certify(v, "concave", 1e18).margin for v in factors)
-    return HypothesisCheck("log-concave", margin, 1e-6)
+def semi_log_convex(v: GridField, beta: float, name: str) -> HypothesisCheck:
+    """``name``: (log v)'' >= -1/beta, margin inf + 1/beta, tol 1e-4/beta."""
+    if beta <= 0:
+        raise ParameterError("beta must be positive")
+    return HypothesisCheck(name, curvature(v)[0] + 1.0 / beta, 1e-4 / beta)
+
+
+def semi_log_concave(v: GridField, beta: float,
+                     name: str) -> HypothesisCheck:
+    """``name``: (log v)'' <= -1/beta, margin -1/beta - sup, tol 1e-4/beta."""
+    if beta <= 0:
+        raise ParameterError("beta must be positive")
+    return HypothesisCheck(name, -1.0 / beta - curvature(v)[1], 1e-4 / beta)
 
 
 def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray,
@@ -460,8 +449,7 @@ def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray,
     B = np.asarray(B, float)
     if B.shape != (2, 2):
         raise ParameterError("B must be a 2 x 2 matrix")
-    extreme = np.min if side == "convex" else np.max
-    h = [extreme(v.grid_d2log()) for v in (v1, v2)]
+    h = [curvature(v)[0 if side == "convex" else 1] for v in (v1, v2)]
     eigs = np.linalg.eigvalsh(np.diag(h) + np.linalg.inv(B))
     margin = eigs[0] if side == "convex" else -eigs[-1]
     return HypothesisCheck(f"hessian-{side}-vs-B", float(margin), 1e-4)
@@ -469,24 +457,31 @@ def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray,
 
 def preservation_trace(v0: GridField, beta: float, kind: str,
                        times: Iterable[float]):
-    """Certificate margins of v_t along the flow, plus the universal bound.
+    """Margins of v_t along the flow for the hypothesis ``kind``, convex or
+    subharmonic, concave or superharmonic, plus the universal bound.
 
     Returns (margins, universal_margins): the universal bound is
     grad^2 log v_t >= -1/((1 - e^{-2t}) beta), valid for arbitrary initial
     measures.
     """
+    if kind in ("convex", "subharmonic"):
+        check = semi_log_convex
+    elif kind in ("concave", "superharmonic"):
+        check = semi_log_concave
+    else:
+        raise ParameterError(f"unknown certificate kind {kind!r}")
     margins = []
     universal = []
     for t in times:
         t = float(t)
         # fp_evolve's one pass gives the mass check and both margins
         vt = fp_evolve(v0, beta, t)
-        margins.append(certify(vt, kind, beta).margin)
+        margins.append(check(vt, beta, kind).margin)
         if t == 0.0:
             universal.append(np.nan)
             continue
         bound = 1.0 / ((1.0 - np.exp(-2.0 * t)) * beta)
-        universal.append(float(np.min(vt.grid_d2log() + bound)))
+        universal.append(curvature(vt)[0] + bound)
     return np.asarray(margins), np.asarray(universal)
 
 

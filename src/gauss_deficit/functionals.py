@@ -13,6 +13,7 @@ off its nodes through its exact closures.  Norms are assembled in log space
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -140,17 +141,16 @@ def _bl_h(c1: float, c2: float, s: float) -> float:
                  * np.sqrt(1.0 - np.exp(-2.0 * s)))
 
 
-# name -> formula, each taking its parameters by keyword
-_SHARP_CONSTANTS = {
-    "hc_ratio": _hc_ratio, "lsi_gauss": _lsi_gauss, "dn": _dn,
-    "talagrand_gauss": _talagrand_gauss, "mikulincer": _mikulincer,
-    "beckner_b": _beckner_b, "hj_t": _hj_t, "bl_h": _bl_h,
-}
+# name -> (formula, its signature); a formula takes its parameters by keyword
+_SHARP_CONSTANTS = {f.__name__[1:]: (f, inspect.signature(f)) for f in (
+    _hc_ratio, _lsi_gauss, _dn, _talagrand_gauss, _mikulincer, _beckner_b,
+    _hj_t, _bl_h)}
 
 
 def sharp_constant(name: str, **kw) -> float:
     """Evaluate a named sharp constant, its parameters by keyword; every
-    one but bl_h takes the dimension n (default 1).
+    one but bl_h takes the dimension n (default 1).  A missing or unknown
+    keyword raises ParameterError naming the keywords the constant takes.
 
     hc_ratio        beta^{n/2p'} beta_s^{-n/2q'}         (beta, triple)
     lsi_gauss       -(n/2)(log beta - 1 + 1/beta)
@@ -163,7 +163,14 @@ def sharp_constant(name: str, **kw) -> float:
     """
     if name not in _SHARP_CONSTANTS:
         raise ParameterError(f"unknown sharp constant {name!r}")
-    value = float(_SHARP_CONSTANTS[name](**kw))
+    formula, signature = _SHARP_CONSTANTS[name]
+    try:
+        signature.bind(**kw)
+    except TypeError as exc:
+        raise ParameterError(
+            f"sharp constant {name} takes {', '.join(signature.parameters)}"
+            f": {exc}") from None
+    value = float(formula(**kw))
     if not np.isfinite(value):
         raise EvaluationError(f"sharp constant {name} is not finite")
     return value

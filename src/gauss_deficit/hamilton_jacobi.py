@@ -27,61 +27,33 @@ from .reports import DeficitReport, HypothesisCheck
 
 @dataclass(frozen=True)
 class HJField:
-    """Initial datum for the Hamilton-Jacobi flow (a function, not a density).
-
-    lower_linear_bound C certifies f(x) >= -C(1+|x|); it is verified on the
-    grid at construction and used to extend f beyond the grid.  laplacian,
-    when given, is the exact f''; data without one are differenced.
-    """
+    """Initial datum f for the Hamilton-Jacobi flow (a function, not a
+    density), with its exact f'' as laplacian or else differenced."""
 
     f: GridField
-    lipschitz_estimate: float
-    lower_linear_bound: float
     laplacian: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.lower_linear_bound < 0:
-            raise ParameterError("lower linear bound C must be nonnegative")
-        x = self.f.grid.points
-        gap = self.f.values + self.lower_linear_bound * (1.0 + np.abs(x))
-        if np.min(gap) < -1e-9:
-            raise ParameterError(
-                f"f(x) >= -C(1+|x|) fails on the grid by {np.min(gap):.3e}")
-
-    @staticmethod
-    def from_field(f: GridField, laplacian: Callable = None) -> "HJField":
-        """f with its Lipschitz estimate, which sets hopf_lax's extension
-        width, and bound C read off its values."""
-        lip = float(np.max(np.abs(np.gradient(f.values, f.grid.spacing,
-                                              edge_order=2))))
-        C = max(0.0, float(np.max(-f.values / (1.0 + np.abs(f.grid.points)))))
-        return HJField(f, lip, C, laplacian)
-
-    def extended(self, y: np.ndarray) -> np.ndarray:
-        """f past the grid: the larger of the certified bound -C(1+|y|) and
-        f's exact closure, so the truncated infimum neither misses exterior
-        minima nor invents spurious ones from an overly slack bound."""
-        y = np.asarray(y, float)
-        return np.maximum(-self.lower_linear_bound * (1.0 + np.abs(y)),
-                          self.f(y))
 
 
 def hopf_lax(f: HJField, tau: float) -> GridField:
     """Q_tau f(x) = min_y { f(y) + |x-y|^2 / (2 tau) } over the grid and
-    its linear extension, from the lower envelope of the parabolas.
+    its extension, from the lower envelope of the parabolas.
 
-    The field's exact closure reads that envelope at any x, so Q_tau f is
-    evaluated off the grid (at quadrature nodes) as it is at the nodes."""
-    if tau <= 0:
+    Past the grid f is the larger of its exact closure and -C(1+|y|), C =
+    max(0, max -f/(1+|x|)) read off its values.  The field's exact closure
+    reads the envelope at any x, so Q_tau f is evaluated off the grid (at
+    quadrature nodes) as it is at the nodes."""
+    if not tau > 0:
         raise ParameterError("tau must be positive")
-    g = f.f.grid
-    C = f.lower_linear_bound
-    # candidate points: the grid plus linear-bound extension segments wide
-    # enough to contain the extension minimizer y = x -+ C tau
-    ext = (C + f.lipschitz_estimate) * tau + 4.0 * max(1.0, tau)
-    # the cap flows._grid_density_family puts on its pad; tested before any
-    # allocation (a NaN extension fails it too)
-    if not ext / g.spacing <= 64 * (g.n - 1):
+    g, fv = f.f.grid, f.f.values
+    # candidate points: the grid plus extension segments that hold the
+    # minimizer y = x -+ C tau, within flows._grid_density_family's pad cap;
+    # a tau whose margin 4 max(1, tau) alone passes it is refused unread
+    ext = 4.0 * max(1.0, tau)
+    if ext / g.spacing <= 64 * (g.n - 1):
+        C = max(0.0, float(np.max(-fv / (1.0 + np.abs(g.points)))))
+        lip = float(np.max(np.abs(np.gradient(fv, g.spacing, edge_order=2))))
+        ext += (C + lip) * tau
+    if not ext / g.spacing <= 64 * (g.n - 1):  # a NaN extension fails too
         raise ParameterError(
             f"Hopf-Lax at tau={tau:g} needs {ext:.3g} of linear extension on "
             f"each side of the grid, more than 64 grid widths")
@@ -89,7 +61,8 @@ def hopf_lax(f: HJField, tau: float) -> GridField:
     left = g.lo - g.spacing * np.arange(n_ext, 0, -1)
     right = g.hi + g.spacing * np.arange(1, n_ext + 1)
     ys = np.concatenate([left, g.points, right])
-    fy = np.concatenate([f.extended(left), f.f.values, f.extended(right)])
+    fy = np.concatenate([np.maximum(-C * (1.0 + np.abs(left)), f.f(left)), fv,
+                         np.maximum(-C * (1.0 + np.abs(right)), f.f(right))])
     # Legendre form: the minimiser maximises the line x y - b(y), with
     # b = tau f(y) + y^2/2; one stack pass over ys keeps the upper envelope of
     # these lines (the lower convex hull of the points (y, b))
@@ -143,16 +116,7 @@ def quadratic_datum(a: float, alpha: float, grid: Grid1D) -> HJField:
     if a <= 0 or alpha <= 0:
         raise ParameterError("a and alpha must be positive")
     ratio = tilt(LogQuad.gaussian(alpha), 1.0 / a, 1.0 / a).tag
-    fld = GridField.from_callable(grid, ratio.log_at)
-    curv = (1.0 - 1.0 / alpha) / a  # f(x) = curv x^2/2 + const
-    if curv >= 0:
-        C = max(0.0, -float(ratio.c[0]))
-    else:
-        # quadratic opens downward: linear minorant touches at the grid edge
-        C = max(0.0, float(
-            np.max(-fld.values / (1.0 + np.abs(grid.points)))) + 1e-12)
-    lip = float(abs(curv) * max(abs(grid.lo), abs(grid.hi)))
-    return HJField(fld, lip, C, ratio.d2log)
+    return HJField(GridField.from_callable(grid, ratio.log_at), ratio.d2log)
 
 
 def hopf_lax_quadratic(a: float, alpha: float, tau: float):
@@ -239,10 +203,10 @@ def dual_talagrand_check(f: HJField, tau: float, beta: float,
                          rule: QuadratureRule = None) -> DeficitReport:
     """Dual Talagrand deficit: ||e^{Q_tau f}||_tau <= T(tau, beta) e^{int f}.
 
-    Hypotheses: the linear lower bound (carried by HJField) and the
-    uniform-subharmonicity / exponential-moment condition at the two small
-    values a in {0.01, 0.005}.  The limit identity defining T is evaluated
-    at a = 0.01 and recorded in params.
+    Hypotheses: the uniform-subharmonicity / exponential-moment condition
+    at the two small values a in {0.01, 0.005} (hopf_lax reads the linear
+    lower bound off f).  The limit identity defining T is evaluated at
+    a = 0.01 and recorded in params.
     """
     if tau <= 0:
         raise ParameterError("tau must be positive")

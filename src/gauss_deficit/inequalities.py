@@ -15,8 +15,8 @@ import numpy as np
 
 from .families import (LogQuad, field_from_family, gaussian_field,
                        symmetric_mixture)
-from .flows import MeasureSpec, certify, certify_log_concave, \
-    certify_matrix, check_density, covariance, fp_class_member
+from .flows import MeasureSpec, certify_matrix, check_density, \
+    covariance, curvature, fp_class_member, semi_log_concave, semi_log_convex
 from .functionals import _check_ratio_bounded, _rule_or_default, \
     entropy_fisher, log_hc_norm, log_ou_norm, sharp_constant, tilt
 from .numerics import (Grid1D, GridField, ParameterError, _coarsest_stride,
@@ -33,11 +33,9 @@ from .transport import w2
 def _certificate_hypotheses(v: GridField, beta: float) -> list:
     """The regime-dependent curvature hypothesis (none at beta = 1)."""
     if beta > 1:
-        return [replace(certify(v, "subharmonic", beta),
-                        name="beta-semi-log-subharmonic")]
+        return [semi_log_convex(v, beta, "beta-semi-log-subharmonic")]
     if beta < 1:
-        return [replace(certify(v, "concave", beta),
-                        name="beta-semi-log-concave")]
+        return [semi_log_concave(v, beta, "beta-semi-log-concave")]
     return []
 
 
@@ -82,12 +80,11 @@ def reverse_hc_check(v: GridField, beta: float, triple: ExponentTriple,
     _check_ratio_bounded(v, beta)
     if triple.p * triple.q > 0:
         hyps = [HypothesisCheck("beta>1-for-pq>0", beta - 1.0, 0.0),
-                replace(certify(v, "subharmonic", max(beta, 1.0)),
-                        name="beta-semi-log-subharmonic")]
+                semi_log_convex(v, max(beta, 1.0),
+                                "beta-semi-log-subharmonic")]
     else:
         hyps = [HypothesisCheck("beta<1-for-pq<0", 1.0 - beta, 0.0),
-                replace(certify(v, "concave", min(beta, 1.0)),
-                        name="beta-semi-log-concave")]
+                semi_log_concave(v, min(beta, 1.0), "beta-semi-log-concave")]
     lhs = float(np.exp(log_hc_norm(v, p, triple.q, s, rule)))
     mass = float(np.exp(log_hc_norm(v, 1.0, 1.0, 0.0, rule)))
     const = sharp_constant("hc_ratio", beta=beta, triple=triple)
@@ -183,7 +180,9 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
     if np.any(eigs <= 0):
         raise ParameterError("B must be positive definite")
 
-    logc = certify_log_concave(v1, v2) if which == "talagrand" else None
+    logc = (HypothesisCheck("log-concave", -max(curvature(v)[1]
+                                                for v in (v1, v2)), 1e-6)
+            if which == "talagrand" else None)
     side, cert = _matrix_side(v1, v2, B, eigs, logc)
     hyps = [cert] + ([logc] if logc is not None and side == "convex" else [])
     relevant = [b for b in eigs if (b >= 1.0 if side == "convex" else b <= 1.0)]
@@ -344,12 +343,10 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
 
     if case in ("forward", "reverse-mixed"):
         hyps = [HypothesisCheck("beta>1", beta - 1.0, 0.0),
-                replace(certify(f1, "convex", max(beta, 1.0)),
-                        name="log f1'' >= -1/beta")]
+                semi_log_convex(f1, max(beta, 1.0), "log f1'' >= -1/beta")]
     else:
         hyps = [HypothesisCheck("beta<1", 1.0 - beta, 0.0),
-                replace(certify(f1, "concave", min(beta, 1.0)),
-                        name="log f1'' <= -1/beta")]
+                semi_log_concave(f1, min(beta, 1.0), "log f1'' <= -1/beta")]
 
     # 2-D trapezoid of the Gaussian-kernel double integral on nested grids of
     # stride k, from >= 64 intervals per axis down until two levels agree to

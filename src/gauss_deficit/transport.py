@@ -16,13 +16,14 @@ LSI comparison.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .families import LogQuad, gaussian_field
-from .flows import certify, certify_log_concave, check_density, moments
+from .flows import (check_density, curvature, moments, semi_log_concave,
+                    semi_log_convex)
 from .functionals import entropy_fisher, sharp_constant, tilt
 from .numerics import (GridField, ParameterError, QuadratureRule,
                        cumulative_simpson)
@@ -90,12 +91,10 @@ def talagrand_deficit(v: GridField, beta: float,
     ent = entropy_fisher(tilt(v, 1.0, 1.0), rule).entropy
     mean = moments(v)[1]
     if beta >= 1:
-        hyps = [replace(certify(v, "convex", beta),
-                        name="semi-log-convex(beta)"),
-                certify_log_concave(v)]
+        hyps = [semi_log_convex(v, beta, "semi-log-convex(beta)"),
+                HypothesisCheck("log-concave", -curvature(v)[1], 1e-6)]
     else:
-        hyps = [replace(certify(v, "concave", beta),
-                        name="semi-log-concave(beta)")]
+        hyps = [semi_log_concave(v, beta, "semi-log-concave(beta)")]
     lhs = 0.5 * cost - ent
     const = sharp_constant("talagrand_gauss", beta=beta)
     params = {"beta": beta, "w2_sq": cost - mean**2,
@@ -109,7 +108,7 @@ def talagrand_deficit(v: GridField, beta: float,
 def caffarelli_check(v: GridField, beta: float) -> float:
     """max T' for the map gamma -> v; bounded by sqrt(beta) for
     beta-semi-log-concave targets."""
-    cert = certify(v, "concave", beta)
+    cert = semi_log_concave(v, beta, "semi-log-concave(beta)")
     if not cert.passed:
         raise ParameterError(
             f"target not beta-semi-log-concave (margin {cert.margin:.2e})")
@@ -155,9 +154,9 @@ def general_lsi_deficit(v: GridField, pot: PotentialSpec,
         Ent_m(v/m) - I_m(v/m)/(2K)
           <= [same at v = m_beta] + (1 - 1/beta)(L - K)/K,
 
-    where m_beta = Z_beta^{-1} e^{-V/beta}.  V, V' and V'' at the nodes are
-    the reference's node log, dlog closure and node (log)'' (the stencil
-    only when it has no d2log closure); (log v)' is v's dlog closure, and
+    where m_beta = Z_beta^{-1} e^{-V/beta}.  V and V' at the nodes are the
+    reference's node log and dlog closure, and the range of V'' is the
+    reference's flows.curvature, negated; (log v)' is v's dlog closure, and
     m, m_beta are normalised by the trapezoid rule at the nodes.  The
     integrals are trapezoid sums over the grid.
     """
@@ -169,7 +168,7 @@ def general_lsi_deficit(v: GridField, pot: PotentialSpec,
         raise ParameterError("v and the reference need one grid")
     h = ref.grid.spacing
     V = -ref.grid_log()
-    vpp = -ref.grid_d2log()
+    lo, hi = curvature(ref)  # of (log e^{-V})'' = -V''
     vprime = -ref.dlog(x)
     mlog = -V - _log_mass(-V, h)
     mblog = -V / beta - _log_mass(-V / beta, h)
@@ -179,11 +178,9 @@ def general_lsi_deficit(v: GridField, pot: PotentialSpec,
     sym_v = np.max(np.abs(v.values - v(-x))) / np.max(v.values)
     sym_V = np.max(np.abs(V + ref.log(-x))) / max(1, np.max(np.abs(V)))
     tail = max(abs(vprime[0] * v.values[0]), abs(vprime[-1] * v.values[-1]))
-    hyps = [HypothesisCheck("V''>=K", float(np.min(vpp) - pot.K), 1e-4),
-            HypothesisCheck("V''<=L", float(pot.L - np.max(vpp)), 1e-4),
-            # (log v)'' >= -K/beta
-            replace(certify(v, "convex", beta / pot.K),
-                    name="(log v)''>=-K/beta"),
+    hyps = [HypothesisCheck("V''>=K", -hi - pot.K, 1e-4),
+            HypothesisCheck("V''<=L", pot.L + lo, 1e-4),
+            semi_log_convex(v, beta / pot.K, "(log v)''>=-K/beta"),
             HypothesisCheck("symmetry", -float(max(sym_v, sym_V)), 1e-8),
             HypothesisCheck("|V'| v -> 0", -float(tail), 1e-8)]
 

@@ -11,8 +11,8 @@ import pytest
 
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field)
-from gauss_deficit.flows import (MeasureSpec, certify, fp_class_member,
-                                 fp_evolve, preservation_trace)
+from gauss_deficit.flows import (MeasureSpec, fp_class_member, fp_evolve,
+                                 preservation_trace, semi_log_convex)
 from gauss_deficit.functionals import (_check_ratio_bounded, entropy_fisher,
                                        q_functional, sharp_constant, tilt)
 from gauss_deficit.hamilton_jacobi import (HJField, beta_of_a,
@@ -180,7 +180,7 @@ class TestCriterion6Preservation:
             for t in (0.05, 0.2, 1.0):
                 vt = fp_evolve(mu, beta, t, grid=grid)
                 bt = (1.0 - np.exp(-2.0 * t)) * beta
-                assert certify(vt, "convex", bt).passed, (i, t)
+                assert semi_log_convex(vt, bt, "convex").passed, (i, t)
 
 
 class TestCriterion7Counterexamples:
@@ -209,7 +209,7 @@ class TestCriterion8Applications:
         for _ in range(5):
             c = float(rng.uniform(0.0, 0.05))
             m = float(rng.uniform(-1.0, 1.0))
-            pert = HJField.from_field(GridField.from_callable(
+            pert = HJField(GridField.from_callable(
                 grid, lambda y: ext.f(y) + c * np.log(np.cosh(y - m))))
             rp = hj_hc_check(pert, a, tau, beta, rule)
             assert rp.asserted and rp.slack >= -1e-4
@@ -223,7 +223,7 @@ class TestCriterion8Applications:
         for _ in range(5):
             c = float(rng.uniform(0.0, 0.03))
             m = float(rng.uniform(-1.0, 1.0))
-            pert = HJField.from_field(GridField.from_callable(
+            pert = HJField(GridField.from_callable(
                 grid, lambda y: ext.f(y) + c * np.log(np.cosh(y - m))))
             rp = dual_talagrand_check(pert, tau, beta, rule)
             assert rp.asserted and rp.slack >= -1e-4

@@ -11,7 +11,6 @@ import pytest
 
 from gauss_deficit import cli, functionals, numerics
 from gauss_deficit.cli import COMMANDS, RunConfig, flow_trace, main, run
-from gauss_deficit.flows import _margin
 from gauss_deficit.hamilton_jacobi import (beta_of_a, hj_hc_check,
                                            quadratic_datum)
 from gauss_deficit.numerics import GridField, ParameterError, \
@@ -279,8 +278,7 @@ class TestRun:
         x = config.grid().points
         for i, report in enumerate(run(config).reports[1:], 1):
             v = cli._density(config, i)
-            want = _margin("subharmonic", config.beta,
-                           v.tag.d2log(x)[2:-2])
+            want = np.min(v.tag.d2log(x)[2:-2]) + 1.0 / config.beta
             (hyp,) = report.hypotheses
             assert hyp.margin == pytest.approx(want, rel=0, abs=1e-12)
 
@@ -501,7 +499,7 @@ def _every_suite():
 
 
 def _certify_tol(beta_c):
-    """certify's own tolerance at the beta it ran at."""
+    """A curvature certificate's tolerance, 1e-4 over the beta it ran at."""
     return lambda params: 1e-4 / beta_c(params)
 
 
@@ -550,7 +548,7 @@ class TestStencilCallers:
         # (log v)'', the general-LSI reference its exact -V' and -V'', and
         # every Hamilton-Jacobi datum its exact f'', so no suite reaches
         # the stencil.  An input that loses its d2log would reach it from
-        # certify, one that loses its dlog would raise in GridField.dlog,
+        # curvature, one that loses its dlog would raise in GridField.dlog,
         # and fail here.
         stencil, callers, quotients = numerics.second_difference, [], []
 
@@ -609,8 +607,8 @@ class TestInterpolatedReads:
         # every input and every Hopf-Lax envelope a suite builds carries its
         # exact closure, so the only linear interpolation left is the
         # inverse CDF of brenier_1d, and the only grid gradient the
-        # Lipschitz estimate of HJField.from_field, which sets the width of
-        # the Hopf-Lax extension and no reported number
+        # Lipschitz estimate hopf_lax reads off its datum, which sets the
+        # width of the Hopf-Lax extension and no reported number
         interp, gradient = np.interp, np.gradient
         current, interps, gradients = [None], [], []
 
@@ -625,7 +623,7 @@ class TestInterpolatedReads:
         monkeypatch.setattr(np, "interp",
                             recording(interp, "brenier_1d", interps))
         monkeypatch.setattr(np, "gradient",
-                            recording(gradient, "from_field", gradients))
+                            recording(gradient, "hopf_lax", gradients))
         for current[0], task in _every_suite():
             task()
         assert interps == []

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from gauss_deficit import families, flows, numerics
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
-from gauss_deficit.flows import (T_STAR, MeasureSpec, certify,
-                                 certify_matrix, covariance,
-                                 fp_class_member, fp_evolve, moments,
-                                 preservation_trace)
+from gauss_deficit.flows import (T_STAR, MeasureSpec, certify_matrix,
+                                 covariance, curvature, fp_class_member,
+                                 fp_evolve, moments, preservation_trace,
+                                 semi_log_concave, semi_log_convex)
 from gauss_deficit.inequalities import (make_fp_input, make_logconcave_input,
                                         make_talagrand_input)
 from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
@@ -179,7 +179,7 @@ class TestGridDensityFlow:
         node_passes = _record_passes(monkeypatch, (grid.n, grid.n - 4))
         levels = _record_levels(monkeypatch)
         vt = fp_evolve(src, 0.5, 0.05)
-        certify(vt, "concave", 0.5)
+        semi_log_concave(vt, 0.5, "concave")
         assert len(levels) > 1  # refined past the coarsest level
         assert not node_passes  # no LogQuad pass at the nodes at all
         assert sum(levels) == vt.tag.a.size
@@ -637,7 +637,7 @@ class TestFPClassMember:
             pts = rng.uniform(-3, 3, size=4)
             w = rng.dirichlet(np.ones(4))
             v = fp_class_member(MeasureSpec(pts, w), 2.0, grid=grid)
-            assert certify(v, "convex", 2.0).passed
+            assert semi_log_convex(v, 2.0, "convex").passed
 
 
 class TestCertify:
@@ -645,22 +645,35 @@ class TestCertify:
         g2 = gaussian_field(grid, 2.0)
         # (log gamma_2)'' = -1/2: the curvature floor -1/beta is met with
         # equality at beta = 2, met strictly for beta < 2, violated beyond
-        assert certify(g2, "convex", 2.0).margin == pytest.approx(0, abs=1e-6)
-        assert certify(g2, "convex", 1.0).passed
-        assert not certify(g2, "convex", 4.0).passed
+        assert curvature(g2) == pytest.approx((-0.5, -0.5), abs=1e-6)
+        assert semi_log_convex(g2, 2.0, "c").margin == pytest.approx(
+            0, abs=1e-6)
+        assert semi_log_convex(g2, 1.0, "c").passed
+        assert not semi_log_convex(g2, 4.0, "c").passed
         # concave side: -1/2 <= -1/beta needs beta >= 2
-        assert certify(g2, "concave", 4.0).passed
-        assert not certify(g2, "concave", 1.0).passed
+        assert semi_log_concave(g2, 4.0, "c").passed
+        assert not semi_log_concave(g2, 1.0, "c").passed
+        # each check carries the name it is reported under and its gate
+        check = semi_log_convex(g2, 4.0, "beta-semi-log-subharmonic")
+        assert (check.name, check.tol) == ("beta-semi-log-subharmonic",
+                                           1e-4 / 4.0)
 
     def test_subharmonic_equals_convex_in_1d(self, grid):
+        # subharmonic and convex are one lower bound on (log v)'', read as
+        # the node array's extremes, and the margins are those extremes
+        # offset by 1/beta to the last bit
         v = field_from_family(grid, symmetric_mixture(1.0, 1.0))
-        m1 = certify(v, "subharmonic", 2.0).margin
-        m2 = certify(v, "convex", 2.0).margin
-        assert m1 == pytest.approx(m2, abs=1e-9)
+        d2 = v.grid_d2log()
+        assert curvature(v) == (np.min(d2), np.max(d2))
+        assert semi_log_convex(v, 2.0, "c").margin == np.min(d2 + 0.5)
+        assert semi_log_concave(v, 2.0, "c").margin == np.min(-0.5 - d2)
 
     def test_unknown_kind_rejected(self, grid):
-        with pytest.raises(ParameterError):
-            certify(gaussian_field(grid, 1.0), "bogus", 2.0)
+        # the kind strings are preservation_trace's alone; an unknown one
+        # is refused before the flow runs
+        with pytest.raises(ParameterError, match="bogus"):
+            preservation_trace(gaussian_field(grid, 1.0), 2.0, "bogus",
+                               [0.1])
 
     def test_matrix_certificate_diagonal(self, grid):
         b1, b2 = 2.0, 3.0

@@ -144,6 +144,20 @@ class TestSharpConstants:
         with pytest.raises(EvaluationError, match="not finite"):
             sharp_constant("dn", beta=np.inf)
 
+    def test_missing_keyword_rejected(self):
+        # the keywords are bound against the formula before it runs: the
+        # error names the constant and the keywords it takes
+        with pytest.raises(ParameterError,
+                           match=r"hc_ratio takes beta, triple, n: .*triple"):
+            sharp_constant("hc_ratio", beta=2.0)
+
+    def test_unknown_keyword_rejected(self):
+        with pytest.raises(ParameterError,
+                           match=r"bl_h takes c1, c2, s: .*'n'"):
+            sharp_constant("bl_h", c1=0.5, c2=0.5, s=0.3, n=1)
+        with pytest.raises(ParameterError, match="lsi_gauss takes beta, n"):
+            sharp_constant("lsi_gauss", beta=2.0, p=1.5)
+
 
 class TestGross:
     def test_psi_prime0_matches_finite_difference(self):
@@ -305,10 +319,21 @@ TAG_READERS = {
     "functionals.Tilt.field", "functionals.log_ou_norm",
     "transport._density_cdf", "hamilton_jacobi.quadratic_datum"}
 
+# the functions that read a node array of (log v)'' or f'': the certificates
+# read it through flows.curvature alone; tilt carries it to a tilted field
+# and the general-LSI item to its member of e^{-V/beta}
+D2LOG_READERS = {"flows.curvature", "functionals.tilt",
+                 "cli._general_lsi_item"}
+STENCIL_CALLERS = {"numerics.GridField.grid_d2log",
+                   "hamilton_jacobi._laplacian_margin"}
+# dataclasses.replace renames no HypothesisCheck: its one caller adds
+# params to a DeficitReport
+REPLACE_CALLERS = {"inequalities.counterexample_mixture"}
 
-def _tag_readers(path, module):
+
+def _readers(path, module, reads):
     """Qualified names of the functions and methods in the module at
-    ``path`` that read an attribute ``.tag``."""
+    ``path`` that hold a node for which ``reads(node)`` holds."""
     found = set()
 
     def visit(node, scope, in_function):
@@ -317,7 +342,7 @@ def _tag_readers(path, module):
                 visit(child, scope if in_function else scope + [child.name],
                       in_function or isinstance(child, ast.FunctionDef))
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "tag":
+            if reads(child):
                 found.add(".".join([module] + scope))
             visit(child, scope, in_function)
 
@@ -326,13 +351,41 @@ def _tag_readers(path, module):
     return found
 
 
+def _library_readers(reads):
+    """_readers over every module of the package."""
+    import gauss_deficit
+    src = os.path.dirname(gauss_deficit.__file__)
+    return set().union(*(_readers(os.path.join(src, name), name[:-3], reads)
+                         for name in sorted(os.listdir(src))
+                         if name.endswith(".py")))
+
+
+def _calls(name, module=None):
+    """A predicate: the node calls ``name``, a method of that name, or, with
+    ``module``, the function by its bare name or as module.name."""
+    def reads(node):
+        if not isinstance(node, ast.Call):
+            return False
+        fn = node.func
+        if isinstance(fn, ast.Name):
+            return fn.id == name
+        return (isinstance(fn, ast.Attribute) and fn.attr == name
+                and (module is None or (isinstance(fn.value, ast.Name)
+                                        and fn.value.id == module)))
+    return reads
+
+
 class TestClosedFormReaders:
     def test_one_tag_reader_per_quantity(self):
-        import gauss_deficit
-        src = os.path.dirname(gauss_deficit.__file__)
-        found = set()
-        for name in sorted(os.listdir(src)):
-            if name.endswith(".py"):
-                found |= _tag_readers(os.path.join(src, name), name[:-3])
-        assert found == TAG_READERS
+        assert _library_readers(
+            lambda node: isinstance(node, ast.Attribute)
+            and node.attr == "tag") == TAG_READERS
 
+    def test_one_curvature_reader(self):
+        assert _library_readers(_calls("grid_d2log")) == D2LOG_READERS
+        assert (_library_readers(_calls("second_difference"))
+                == STENCIL_CALLERS)
+
+    def test_no_hypothesis_is_renamed(self):
+        assert (_library_readers(_calls("replace", module="dataclasses"))
+                == REPLACE_CALLERS)

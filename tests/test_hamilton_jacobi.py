@@ -12,11 +12,11 @@ from gauss_deficit.numerics import GridField, ParameterError, default_grid
 
 
 def abs_datum(grid):
-    return HJField.from_field(GridField.from_callable(grid, np.abs))
+    return HJField(GridField.from_callable(grid, np.abs))
 
 
 def constant_datum(grid, value):
-    return HJField.from_field(GridField.from_callable(
+    return HJField(GridField.from_callable(
         grid, lambda y: np.full(np.shape(y), value)))
 
 
@@ -24,7 +24,7 @@ def perturbed_datum(grid, a, beta, c=0.03, m=0.4):
     """Extremiser quadratic plus a small convex bump; stays admissible.
     Without its exact f'', the Laplacian hypothesis takes the stencil."""
     base = quadratic_datum(a, beta_of_a(a, beta), grid)
-    return HJField.from_field(GridField.from_callable(
+    return HJField(GridField.from_callable(
         grid, lambda y: base.f(y) + c * np.log(np.cosh(y - m))))
 
 
@@ -76,18 +76,21 @@ class TestHopfLax:
         # the convex quadratic's Lipschitz continuation fell below it there,
         # and Q_tau f read 6.0 under the closed form at x = +-12
         f = quadratic_datum(1.0, 2.0, grid)
-        y = np.array([-20.0, -12.5, 12.5, 20.0])
-        np.testing.assert_array_equal(f.extended(y), f.f(y))
         q = hopf_lax(f, 1.0)
         coef, const = hopf_lax_quadratic(1.0, 2.0, 1.0)
         for x in (rule.nodes, np.array([grid.lo, grid.hi])):
             assert np.max(np.abs(q(x) - (0.5 * coef * x * x + const))) < 1e-14
+        # past the grid too: at x = +-20 the minimiser y = x/1.5 lies in
+        # the extension, which holds the datum's closure, not a linear bound
+        y = np.array([-20.0, -12.5, 12.5, 20.0])
+        np.testing.assert_allclose(q(y), 0.5 * coef * y * y + const,
+                                   rtol=1e-15, atol=0)
 
     def test_semigroup_property(self, small_grid):
         f = quadratic_datum(1.0, 3.0, small_grid)
         q_direct = hopf_lax(f, 0.8)
         q_half = hopf_lax(f, 0.5)
-        q_chain = hopf_lax(HJField.from_field(q_half), 0.3)
+        q_chain = hopf_lax(HJField(q_half), 0.3)
         x = small_grid.points
         mask = np.abs(x) <= 8
         assert np.max(np.abs(q_chain.values[mask]
@@ -117,13 +120,20 @@ def brute_hopf_lax(f, tau):
     with the same sub-grid parabola step."""
     g = f.f.grid
     x = g.points
-    ext = (f.lower_linear_bound + f.lipschitz_estimate) * tau \
-        + 4.0 * max(1.0, tau)
+    # the datum's linear lower bound C and Lipschitz estimate, read off its
+    # values, set the extension's width; past the grid the datum is its
+    # closure, never below -C(1+|y|)
+    C = max(0.0, float(np.max(-f.f.values / (1.0 + np.abs(x)))))
+    lip = float(np.max(np.abs(np.gradient(f.f.values, g.spacing,
+                                          edge_order=2))))
+    ext = (C + lip) * tau + 4.0 * max(1.0, tau)
     n_ext = int(np.ceil(ext / g.spacing))
     left = g.lo - g.spacing * np.arange(n_ext, 0, -1)
     right = g.hi + g.spacing * np.arange(1, n_ext + 1)
     ys = np.concatenate([left, x, right])
-    fy = np.concatenate([f.extended(left), f.f.values, f.extended(right)])
+    fy = np.concatenate([np.maximum(-C * (1.0 + np.abs(left)), f.f(left)),
+                         f.f.values,
+                         np.maximum(-C * (1.0 + np.abs(right)), f.f(right))])
     out = np.empty(x.size)
     chunk = max(1, 8_000_000 // ys.size)
     for i in range(0, x.size, chunk):
@@ -167,7 +177,7 @@ class TestHopfLaxOracle:
         for fn in (np.abs, lambda y: np.interp(y, x, 0.05 * walk),
                    lambda y: np.cos(3 * y) + 0.1 * y * y,
                    lambda y: np.full(np.shape(y), 1.7)):
-            f = HJField.from_field(GridField.from_callable(small_grid, fn))
+            f = HJField(GridField.from_callable(small_grid, fn))
             np.testing.assert_allclose(hopf_lax(f, tau).values,
                                        brute_hopf_lax(f, tau),
                                        rtol=0, atol=1e-13)

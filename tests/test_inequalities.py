@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
-from gauss_deficit.flows import certify, certify_log_concave
+from gauss_deficit.flows import curvature, semi_log_concave, semi_log_convex
 from gauss_deficit.functionals import sharp_constant, tilt
 from gauss_deficit.inequalities import (beckner_check,
                                         brascamp_lieb_check,
@@ -471,13 +471,13 @@ class TestGenerators:
         rng = np.random.default_rng(21)
         for beta in (1.5, 4.0):
             v = make_fp_input(rng, beta, grid)
-            assert certify(v, "subharmonic", beta).passed
+            assert semi_log_convex(v, beta, "subharmonic").passed
 
     def test_logconcave_inputs_certified(self, grid):
         rng = np.random.default_rng(22)
         for beta in (0.25, 0.5):
             v = make_logconcave_input(rng, beta, grid)
-            assert certify(v, "concave", beta).passed
+            assert semi_log_concave(v, beta, "concave").passed
 
     def test_logconcave_rejects_large_beta(self, grid):
         with pytest.raises(ParameterError):
@@ -486,8 +486,8 @@ class TestGenerators:
     def test_talagrand_inputs_certified(self, grid):
         rng = np.random.default_rng(23)
         v = make_talagrand_input(rng, 2.0, grid)
-        assert certify(v, "convex", 2.0).passed
-        assert certify_log_concave(v).passed
+        assert semi_log_convex(v, 2.0, "convex").passed
+        assert curvature(v)[1] <= 1e-6  # log-concave at its 1e-6 gate
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("make,beta", [(make_logconcave_input, 0.5),

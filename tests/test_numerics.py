@@ -181,7 +181,7 @@ class TestGridField:
 
     def test_node_arrays_by_source(self, grid):
         # kept after the first read, read-only, and each from the source
-        # certify documents: d2log closure, else the stencil of log f
+        # flows.curvature documents: d2log closure, else the stencil of log f
         x = grid.points
         log = Counting(lambda t: -0.5 * t * t)
         f = GridField.from_callable(grid, log_fn=log,
