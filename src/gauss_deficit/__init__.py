@@ -16,9 +16,9 @@ from .families import (LogQuad, field_from_family, gaussian_field,
                        symmetric_mixture)
 from .semigroups import (ExponentTriple, InadmissibleExponentError,
                          IntegrabilityError, beta_s, nelson_time)
-from .flows import (T_STAR, MeasureSpec, certify_matrix, covariance,
-                    curvature, fp_class_member, fp_evolve, preservation_trace,
-                    semi_log_concave, semi_log_convex)
+from .flows import (T_STAR, certify_matrix, curvature, fp_evolve,
+                    fp_measure, preservation_trace, semi_log_concave,
+                    semi_log_convex)
 from .functionals import (EntFisher, entropy_fisher, q_functional,
                           sharp_constant)
 from .reports import DeficitReport, HypothesisCheck

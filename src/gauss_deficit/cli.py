@@ -10,9 +10,9 @@ key, read as the type of its default; a flag beats the file.  Output is
 JSON (the full bundle) or CSV (flat per-check rows), chosen by ``--format``
 or the output file extension.  Exit status: 0 when every report passes
 (DeficitReport.passes at ``tol``), 1 when one fails (the report is still
-written), 2 on usage errors and on the package's own errors (a parameter,
-integrand, positivity or truncation failure, such as verify-general-lsi,
-verify-hj or verify-dual-talagrand at beta <= 1), which leave no report.
+written), 2 on usage errors, an unwritable ``--out`` among them, and on the
+package's own errors (a parameter, integrand, positivity or truncation
+failure, such as verify-hj at beta <= 1), which leave no report.
 """
 from __future__ import annotations
 
@@ -475,9 +475,10 @@ def run(config: RunConfig) -> ReportBundle:
 def flow_trace(config: RunConfig):
     """Q(t) along the beta-flow of an FP(beta) input, beta >= 1: rows (t, Q,
     convexity certificate margin, mass) plus a monotonicity verdict, for
-    1 < p < q or q < p < 0 (Q non-decreasing in both).  Each snapshot v_t
-    is evolved once; Q(t) = ||P_s[(v_t/gamma)^{1/p}]||_q^q comes from it
-    (q_functional)."""
+    1 < p < q or q < p < 0 (Q non-decreasing in both): no step of Q may
+    fall by more than tol max(1, max |Q|).  Each snapshot v_t is evolved
+    once; Q(t) = ||P_s[(v_t/gamma)^{1/p}]||_q^q comes from it (q_functional).
+    """
     grid = config.grid()
     rule = config.rule()
     rng = _item_rng(config, 0)
@@ -498,7 +499,7 @@ def flow_trace(config: RunConfig):
         rows.append((float(t), qt, margin, vt.grid_mass))
     qs = np.array([r[1] for r in rows])
     scale = max(1.0, float(np.max(np.abs(qs))))
-    monotone = bool(np.all(np.diff(qs) >= -1e-5 * scale))
+    monotone = bool(np.all(np.diff(qs) >= -config.tol * scale))
     verdict = expect if monotone else f"violates {expect}"
     return rows, verdict
 
@@ -564,20 +565,25 @@ def main(argv=None) -> int:
     try:
         if config.command == "flow-trace":
             rows, verdict = flow_trace(config)
-            _emit(_flow_trace_csv(rows, verdict), config.out)
-            return 0 if "violates" not in verdict else 1
-        bundle = run(config)
+            text = _flow_trace_csv(rows, verdict)
+            passed = "violates" not in verdict
+        else:
+            bundle = run(config)
+            text = (bundle.to_json() if _resolve_format(config) == "json"
+                    else bundle.to_csv())
+            passed = bundle.all_pass
     except (ParameterError, EvaluationError, PositivityError,
             TruncationError) as exc:
         # the package's own errors (IntegrabilityError is an
         # EvaluationError): no report could be written
         print(f"gauss-deficit: {exc}", file=sys.stderr)
         return 2
-
-    fmt = _resolve_format(config)
-    text = bundle.to_json() if fmt == "json" else bundle.to_csv()
-    _emit(text, config.out)
-    return 0 if bundle.all_pass else 1
+    try:
+        _emit(text, config.out)
+    except OSError as exc:  # an unwritable --out is a usage error
+        print(f"gauss-deficit: {exc}", file=sys.stderr)
+        return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,7 +9,8 @@ exact solution
     w = beta (1 - e^{-2t}),
 
 which we always evaluate in one shot, never by time-stepping: mu is a
-GridField density, flowing on its own grid, or a finite MeasureSpec; every
+GridField density, flowing on its own grid (fp_evolve), or a finite
+measure, placed on a grid the caller names (fp_measure); every
 v_t is a Gaussian mixture, one LogQuad with a component per atom, and
 tagged densities take the closed form of their tag.  An untagged grid
 density is integrated by the trapezoid rule on its node lattice, padded
@@ -37,7 +38,6 @@ reports.HypothesisCheck that carries the tolerance it is judged at.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -45,7 +45,7 @@ import numpy as np
 from .families import LogQuad, field_from_family
 from .numerics import (Grid1D, GridField, ParameterError, PositivityError,
                        TruncationError, _coarsest_stride, _refine_strides,
-                       default_grid, logsumexp)
+                       logsumexp)
 from .reports import HypothesisCheck
 
 logger = logging.getLogger(__name__)
@@ -59,23 +59,6 @@ _LOG2 = float(np.log(2.0))
 # _lattice_pass: nodes per block at most, cells per chunk array at most,
 # and the largest |exponent| of its shared matrix
 _ROWS, _CELLS, _MAX_TILT = 64, 1 << 13, 200.0
-
-
-@dataclass(frozen=True)
-class MeasureSpec:
-    """A finite discrete measure: atoms at ``points`` with ``weights``."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        p, w = (np.asarray(a, float) for a in (self.points, self.weights))
-        if p.shape != w.shape or p.ndim != 1:
-            raise ParameterError("points/weights must be matching 1-D arrays")
-        if np.any(w < 0) or not np.isfinite(w.sum()):
-            raise ParameterError("weights must be nonnegative with finite mass")
-        object.__setattr__(self, "points", p)
-        object.__setattr__(self, "weights", w)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +86,7 @@ def _atoms_family(points, logw, beta: float, t: float) -> LogQuad:
     return LogQuad(q.a, q.b, q.c + logw[keep], _about=about)
 
 
-def _grid_density_family(src: GridField, beta: float, t: float, x):
+def _grid_density_family(src: GridField, beta: float, t: float):
     """v_t of an untagged grid density, read at the grid's nodes x.
 
     The source is the trapezoid measure on the grid's node lattice, run
@@ -122,7 +105,7 @@ def _grid_density_family(src: GridField, beta: float, t: float, x):
     snapshot's family, built from it, not at all.  Returns (family, source
     mass, (log v_t, (log v_t)'') at x).
     """
-    grid, x = src.grid, np.asarray(x, float)
+    grid, x = src.grid, src.grid.points
     h, n = grid.spacing, grid.n
     w = beta * (1.0 - np.exp(-2.0 * t))
     k0 = _coarsest_stride(1 << ((n - 1).bit_length() - 1))
@@ -329,63 +312,57 @@ def _merge_odd(lev, odd):
     return float(gap)
 
 
-def _fp_family(v0, beta: float, t: float, x):
-    """v_t as one LogQuad with a component per atom of the source, a
-    MeasureSpec or a GridField density.
-
-    A tagged density flows its tag, with the tag's exact mass, and an
-    untagged one goes through _grid_density_family, reading v_t at the
-    nodes x.  Returns (family, mass of the density that flowed or None for
-    a measure, (log v_t, (log v_t)'') at x or None when the family was not
-    evaluated there).
-    """
-    if beta * (1.0 - np.exp(-2.0 * t)) < 1e-10:
-        raise ParameterError("flow time too small: kernel variance below 1e-10")
-    if isinstance(v0, MeasureSpec):
-        with np.errstate(divide="ignore"):
-            logw = np.log(v0.weights)
-        return _atoms_family(v0.points, logw, beta, t), None, None
-    if isinstance(v0.tag, LogQuad):
-        return v0.tag.fp(beta, t), v0.tag.integral_lebesgue(), None
-    if np.any(v0.values < 0):
-        raise PositivityError("a density must be nonnegative")
-    return _grid_density_family(v0, beta, t, x)
-
-
-def _check_mass(mass0: float, mass_t: float):
-    if abs(mass_t - mass0) > 1e-6 * max(abs(mass0), 1.0):
-        raise TruncationError(
-            f"mass drift {mass_t - mass0:.3e} along the flow; widen the grid")
-
-
-def fp_evolve(v0, beta: float, t: float,
-              grid: Optional[Grid1D] = None) -> GridField:
-    """One-shot kernel evaluation of the beta-Fokker-Planck flow at time t
-    of a GridField density, on its own grid and keeping its mass, or of a
-    MeasureSpec, placed on ``grid`` (default_grid when left out)."""
-    if beta <= 0:
+def _check_flow(beta: float, t: float):
+    """Refuse a beta that is not positive, a t that is not finite and
+    nonnegative, and a kernel variance beta (1 - e^{-2t}) below 1e-10."""
+    if not beta > 0:
         raise ParameterError("diffusion speed beta must be positive")
     if not np.isfinite(t) or t < 0:
         raise ParameterError("flow time must be finite and nonnegative")
-    measure = isinstance(v0, MeasureSpec)
-    if not measure and grid is not None:
-        raise ParameterError("a density flows on its own grid; pass no grid")
-    if t == 0.0 and not measure:
+    if beta * (1.0 - np.exp(-2.0 * t)) < 1e-10:
+        raise ParameterError("flow time too small: kernel variance below 1e-10")
+
+
+def fp_evolve(v0: GridField, beta: float, t: float) -> GridField:
+    """One-shot kernel evaluation of the beta-Fokker-Planck flow at time t
+    of a GridField density, on its own grid and keeping its mass.
+
+    A tagged density flows its tag, with the tag's exact mass; an untagged
+    one goes through _grid_density_family, whose levels already hold
+    (log v_t, (log v_t)'') at the nodes."""
+    if t == 0.0 and beta > 0:  # the start of the flow
         return v0
-    grid = grid or (default_grid() if measure else v0.grid)
-    # the levels of an untagged density already hold v_t at the nodes
-    family, mass0, at_x = _fp_family(v0, beta, t, grid.points)
-    out = field_from_family(grid, family, at_x)
-    if not measure:
-        _check_mass(mass0, out.grid_mass)
+    _check_flow(beta, t)
+    if isinstance(v0.tag, LogQuad):
+        family, mass0, at_x = (v0.tag.fp(beta, t),
+                               v0.tag.integral_lebesgue(), None)
+    elif np.any(v0.values < 0):
+        raise PositivityError("a density must be nonnegative")
+    else:
+        family, mass0, at_x = _grid_density_family(v0, beta, t)
+    out = field_from_family(v0.grid, family, at_x)
+    drift = out.grid_mass - mass0
+    if abs(drift) > 1e-6 * max(abs(mass0), 1.0):
+        raise TruncationError(
+            f"mass drift {drift:.3e} along the flow; widen the grid")
     return out
 
 
-def fp_class_member(mu, beta: float,
-                    grid: Optional[Grid1D] = None) -> GridField:
-    """Snapshot of the 2 beta-flow of mu at t* = (1/2) log 2, mu and grid as
-    fp_evolve takes them: a member of FP(beta)."""
-    return fp_evolve(mu, 2.0 * beta, T_STAR, grid=grid)
+def fp_measure(points, weights, beta: float, t: float,
+               grid: Grid1D) -> GridField:
+    """The beta-Fokker-Planck flow at time t of the finite measure with
+    atoms at ``points`` and ``weights``, on ``grid``: one LogQuad with a
+    component per atom of positive weight.  FP(beta) is its snapshots at
+    beta -> 2 beta, t = T_STAR."""
+    points, weights = (np.asarray(a, float) for a in (points, weights))
+    if points.shape != weights.shape or points.ndim != 1:
+        raise ParameterError("points/weights must be matching 1-D arrays")
+    if np.any(weights < 0) or not np.isfinite(weights.sum()):
+        raise ParameterError("weights must be nonnegative with finite mass")
+    _check_flow(beta, t)
+    with np.errstate(divide="ignore"):
+        logw = np.log(weights)
+    return field_from_family(grid, _atoms_family(points, logw, beta, t))
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +487,3 @@ def moments(v: GridField):
                           for g in (1.0, x, x * x))
     return mass, mean / mass, second / mass - (mean / mass) ** 2
 
-
-def covariance(v: GridField) -> np.ndarray:
-    """Covariance matrix (1 x 1) of a probability density."""
-    mass, _, var = moments(v)
-    check_density(v, mass)
-    return np.array([[var]])

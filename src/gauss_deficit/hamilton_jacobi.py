@@ -7,9 +7,9 @@ envelope of parabolas in O(M + N log M) (Felzenszwalb & Huttenlocher,
 Distance Transforms of Sampled Functions, Theory of Computing 8, 2012);
 beyond the grid the initial datum is continued by its exact closure, never
 below its linear lower bound -C(1+|y|), so that no spurious boundary
-minimum appears.  The envelope is the exact closure of the field hopf_lax
-returns, and the checks read Q_tau f and the datum through their closures
-at the quadrature nodes.
+minimum appears.  hopf_lax returns the envelope as a closure, and the
+checks read Q_tau f and the datum through their closures at the quadrature
+nodes alone.
 """
 from __future__ import annotations
 
@@ -34,14 +34,13 @@ class HJField:
     laplacian: Optional[Callable] = None
 
 
-def hopf_lax(f: HJField, tau: float) -> GridField:
+def hopf_lax(f: HJField, tau: float) -> Callable:
     """Q_tau f(x) = min_y { f(y) + |x-y|^2 / (2 tau) } over the grid and
-    its extension, from the lower envelope of the parabolas.
+    its extension, from the lower envelope of the parabolas, as a closure
+    that reads the envelope at any x.
 
     Past the grid f is the larger of its exact closure and -C(1+|y|), C =
-    max(0, max -f/(1+|x|)) read off its values.  The field's exact closure
-    reads the envelope at any x, so Q_tau f is evaluated off the grid (at
-    quadrature nodes) as it is at the nodes."""
+    max(0, max -f/(1+|x|)) read off its values."""
     if not tau > 0:
         raise ParameterError("tau must be positive")
     g, fv = f.f.grid, f.f.values
@@ -103,7 +102,7 @@ def hopf_lax(f: HJField, tau: float) -> GridField:
                & (misfit <= 0.05 * curv + 1e-12))
         return np.where(use, np.minimum(best, vertex), best)
 
-    return GridField.from_callable(g, envelope)
+    return envelope
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +118,15 @@ def quadratic_datum(a: float, alpha: float, grid: Grid1D) -> HJField:
     return HJField(GridField.from_callable(grid, ratio.log_at), ratio.d2log)
 
 
-def hopf_lax_quadratic(a: float, alpha: float, tau: float):
+def hopf_lax_quadratic(a: float, alpha: float, tau: float) -> LogQuad:
     """Closed form Q_tau[(1/a) log(gamma_alpha/gamma)] (valid for alpha >= 1):
 
     (1/(2 tau)) (delta/(delta+1)) |x|^2 - (1/(2a)) log alpha,
-    delta = (tau/a)(1 - 1/alpha).  Returns (quadratic coefficient of x^2/2,
-    constant term).
+    delta = (tau/a)(1 - 1/alpha), as the LogQuad e^{Q_tau}.
     """
     delta = (tau / a) * (1.0 - 1.0 / alpha)
     coef = (delta / (delta + 1.0)) / tau
-    const = -0.5 * np.log(alpha) / a
-    return float(coef), float(const)
+    return LogQuad(float(coef), 0.0, float(-0.5 * np.log(alpha) / a))
 
 
 def beta_of_a(a: float, beta: float) -> float:
@@ -188,8 +185,7 @@ def hj_hc_check(f: HJField, a: float, tau: float, beta: float,
 
     z, log_w = rule.nodes, rule.log_weights
     lhs = float(np.exp(_log_lp(hopf_lax(f, tau)(z), a + tau, log_w)))
-    coef, const = hopf_lax_quadratic(a, ba, tau)
-    log_ref = LogQuad(coef, 0.0, const).log_lp_norm_gauss(a + tau)
+    log_ref = hopf_lax_quadratic(a, ba, tau).log_lp_norm_gauss(a + tau)
     log_ef = _log_lp(f.f(z), a, log_w)
     rhs = float(np.exp(log_ref + log_ef))
     return DeficitReport(
@@ -226,9 +222,8 @@ def dual_talagrand_check(f: HJField, tau: float, beta: float,
     rhs = t_const * float(np.exp(mean_f))
 
     a0 = 0.01
-    coef, const = hopf_lax_quadratic(a0, beta_of_a(a0, beta), tau)
-    t_limit = float(np.exp(
-        LogQuad(coef, 0.0, const).log_lp_norm_gauss(a0 + tau)))
+    t_limit = float(np.exp(hopf_lax_quadratic(
+        a0, beta_of_a(a0, beta), tau).log_lp_norm_gauss(a0 + tau)))
     return DeficitReport(
         "dual-talagrand", lhs, rhs, t_const, hypotheses=hyps,
         params={"tau": tau, "beta": beta, "mean_f": mean_f,

@@ -15,8 +15,8 @@ import numpy as np
 
 from .families import (LogQuad, field_from_family, gaussian_field,
                        symmetric_mixture)
-from .flows import MeasureSpec, certify_matrix, check_density, \
-    covariance, curvature, fp_class_member, semi_log_concave, semi_log_convex
+from .flows import T_STAR, certify_matrix, check_density, curvature, \
+    fp_measure, moments, semi_log_concave, semi_log_convex
 from .functionals import _check_ratio_bounded, _rule_or_default, \
     entropy_fisher, log_hc_norm, log_ou_norm, sharp_constant, tilt
 from .numerics import (Grid1D, GridField, ParameterError, _coarsest_stride,
@@ -117,7 +117,9 @@ def els_eigen_check(v: GridField, rule=None) -> DeficitReport:
 
     Ent <= I/2 - (1/2) sum_{beta_i <= 1} (log beta_i - 1 + 1/beta_i).
     """
-    eigs = np.linalg.eigvalsh(covariance(v))
+    mass, _, var = moments(v)
+    check_density(v, mass)
+    eigs = [var]  # the covariance of a density on the line is 1 x 1
     ef = entropy_fisher(tilt(v, 1.0, 1.0), rule)
     correction = -0.5 * float(sum(np.log(b) - 1.0 + 1.0 / b
                                   for b in eigs if b <= 1.0))
@@ -445,7 +447,8 @@ def make_fp_input(rng: np.random.Generator, beta: float,
     k = int(rng.integers(1, 9))
     points = rng.uniform(-3.0, 3.0, size=k)
     weights = rng.dirichlet(np.ones(k))
-    return fp_class_member(MeasureSpec(points, weights), beta, grid=grid)
+    return fp_measure(points, weights, 2.0 * beta, T_STAR,
+                      grid or default_grid())
 
 
 def _bumped_gaussian(core: LogQuad, eps: float, m: float,

@@ -11,8 +11,8 @@ import pytest
 
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field)
-from gauss_deficit.flows import (MeasureSpec, fp_class_member, fp_evolve,
-                                 preservation_trace, semi_log_convex)
+from gauss_deficit.flows import (fp_evolve, fp_measure, preservation_trace,
+                                 semi_log_convex)
 from gauss_deficit.functionals import (_check_ratio_bounded, entropy_fisher,
                                        q_functional, sharp_constant, tilt)
 from gauss_deficit.hamilton_jacobi import (HJField, beta_of_a,
@@ -176,9 +176,8 @@ class TestCriterion6Preservation:
         beta = 2.0
         for i in range(5):
             pts = rng.uniform(-3, 3, 4)
-            mu = MeasureSpec(pts, np.full(4, 0.25))
             for t in (0.05, 0.2, 1.0):
-                vt = fp_evolve(mu, beta, t, grid=grid)
+                vt = fp_measure(pts, np.full(4, 0.25), beta, t, grid)
                 bt = (1.0 - np.exp(-2.0 * t)) * beta
                 assert semi_log_convex(vt, bt, "convex").passed, (i, t)
 

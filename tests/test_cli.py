@@ -376,6 +376,20 @@ class TestMain:
         assert err.startswith("gauss-deficit: ") and "gamma_beta" in err
         assert err.count("\n") == 1  # one line, no traceback
 
+    @pytest.mark.parametrize("command", ["verify-hc", "flow-trace"])
+    @pytest.mark.parametrize("missing", [True, False])
+    def test_unwritable_out_exit_two(self, tmp_path, capsys, command,
+                                     missing):
+        # a missing directory, or a directory as --out: the run finished
+        # but its report cannot be written, a usage error told in one line,
+        # not a failed check
+        out = tmp_path / "absent" / "r.json" if missing else tmp_path
+        assert main([command, "--count", "1", "--grid-n", "1025",
+                     "--gh-nodes", "64", "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("gauss-deficit: ")
+        assert err.count("\n") == 1  # one line, no traceback
+
     def test_bad_config_file_value_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("beta = nan\n")
@@ -437,6 +451,20 @@ class TestFlowTrace:
         for t, qv, margin, mass in rows:
             assert margin >= -1e-4
             assert mass == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("tol, code, verdict", [
+        (None, 0, "non-decreasing"), ("0", 1, "violates non-decreasing")])
+    def test_verdict_reads_tol(self, monkeypatch, capsys, tol, code,
+                               verdict):
+        # Q falls by 1e-6 at one step: within the default tol 1e-5 of
+        # max(1, max |Q|) = 1, past tol 0
+        series = iter([1.0] * 4 + [1.0 - 1e-6] * 4)
+        monkeypatch.setattr(cli, "q_functional",
+                            lambda v, triple, rule: next(series))
+        argv = ["flow-trace", "--grid-n", "1025", "--gh-nodes", "64"]
+        assert main(argv + ([] if tol is None else ["--tol", tol])) == code
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last == f"verdict,{verdict},,"
 
     def test_rejects_small_beta(self):
         with pytest.raises(ParameterError):

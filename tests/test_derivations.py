@@ -9,26 +9,39 @@ m the mass of v, and
 Ent and I the entropy and Fisher information of v/gamma (entropy_fisher).
 So the quotient [L(s) - (1/2) log m] / s, which log_hc_norm reads, tends to
 the LSI deficit that entropy_fisher reads.
+
+Beckner -> LSI: with e = 2 - p, (int f^p dgamma)^{2/p} = M - (e/2) Ent + O(e^2)
+and B(p, beta) = 1 - (e/2) dn + O(e^2), Ent = Ent_gamma(f^2), M = int f^2
+dgamma and dn = (1/2)(log beta - 1 + 1/beta) ((d/dp) beckner_b at p = 2).
+So the left side of beckner_check, [M - B (int f^p)^{2/p}] / e, tends to
+(1/2) Ent + (dn/2) M as p -> 2.
 """
 import numpy as np
 import pytest
 
 from gauss_deficit import cli
-from gauss_deficit.functionals import entropy_fisher, log_hc_norm, tilt
+from gauss_deficit.functionals import (entropy_fisher, log_hc_norm,
+                                       log_ou_norm, sharp_constant, tilt)
+from gauss_deficit.inequalities import beckner_check
+
+
+def _richardson(g, h):
+    """Three-level Richardson extrapolation to 0 of g from h, 2h and 4h:
+    its error is O(h^3) for a smooth g."""
+    g1, g2, g4 = (g(k * h) for k in (1, 2, 4))
+    return (4.0 * (2.0 * g1 - g2) - (2.0 * g2 - g4)) / 3.0
 
 
 def _hc_quotient(v, rule, h):
-    """Three-level Richardson extrapolation to s = 0 of
-    [L(s) - (1/2) log m] / s from s = h, 2h, 4h: its error is O(h^3)."""
+    """The Richardson extrapolation to s = 0 of [L(s) - (1/2) log m] / s
+    from s = h, 2h, 4h, and the mass m."""
     log_m = log_hc_norm(v, 1.0, 1.0, 0.0, rule)
 
     def quotient(s):
         return (log_hc_norm(v, 2.0, 1.0 + np.exp(2.0 * s), s, rule)
                 - 0.5 * log_m) / s
 
-    g1, g2, g4 = (quotient(k * h) for k in (1, 2, 4))
-    got = (4.0 * (2.0 * g1 - g2) - (2.0 * g2 - g4)) / 3.0
-    return got, float(np.exp(log_m))
+    return _richardson(quotient, h), float(np.exp(log_m))
 
 
 class TestHcToLsi:
@@ -51,3 +64,24 @@ class TestHcToLsi:
             got, mass = _hc_quotient(v, rule, 2.5e-4)
             want = 0.5 * (ef.entropy - 0.5 * ef.fisher) / mass
             assert got == pytest.approx(want, rel=0, abs=tol), i
+
+
+class TestBecknerToLsi:
+    # the worst gap over items 0-3 at both beta, at p = 2 - h, 2 - h/2 and
+    # 2 - h/4: 6.8e-11 at h = 1e-3, 9.7e-12 at h = 5e-4 and 8.3e-12 at
+    # h = 2.5e-4, where rounding takes over.  Both sides read one
+    # Gauss-Hermite rule, so the beta = 0.5 stall of hc -> LSI does not
+    # show here.
+    @pytest.mark.parametrize("beta", [2.0, 0.5])
+    def test_limit_is_the_lsi_deficit(self, beta):
+        config = cli.RunConfig("verify-beckner", beta=beta, seed=0)
+        rule = config.rule()
+        dn = sharp_constant("dn", beta=beta)
+        for i in range(4):
+            f = cli._test_function(config, i, 2.0)  # f^2 = v/gamma
+            got = _richardson(
+                lambda e: beckner_check(f, 2.0 - e, beta, rule).lhs, 1.25e-4)
+            ent = entropy_fisher(tilt(f, 2.0, 0.0), rule).entropy
+            mass = float(np.exp(2.0 * log_ou_norm(f, 2.0, 0.0, rule)))
+            want = 0.5 * ent + 0.5 * dn * mass
+            assert got == pytest.approx(want, rel=0, abs=1e-10), i

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from gauss_deficit import families, flows, numerics
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
-from gauss_deficit.flows import (T_STAR, MeasureSpec, certify_matrix,
-                                 covariance, curvature, fp_class_member,
-                                 fp_evolve, moments, preservation_trace,
-                                 semi_log_concave, semi_log_convex)
+from gauss_deficit.flows import (T_STAR, certify_matrix, curvature,
+                                 fp_evolve, fp_measure, moments,
+                                 preservation_trace, semi_log_concave,
+                                 semi_log_convex)
 from gauss_deficit.inequalities import (make_fp_input, make_logconcave_input,
                                         make_talagrand_input)
 from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
@@ -67,17 +67,15 @@ class TestFPEvolve:
         with pytest.raises(ParameterError):
             fp_evolve(v0, 2.0, -0.1)
 
-    def test_density_flows_on_its_own_grid(self, grid):
-        # a grid places a measure's snapshot; a density keeps its own
-        v0 = gaussian_field(grid, 1.0)
-        with pytest.raises(ParameterError, match="own grid"):
-            fp_evolve(v0, 2.0, 0.5, grid=Grid1D(-8.0, 8.0, 1025))
-
 
 class TestMeasureSpec:
-    def test_holds_float_arrays(self):
-        mu = MeasureSpec([0.7], [1])
-        assert mu.points.dtype == mu.weights.dtype == float
+    """A finite measure as fp_measure takes it: atoms and weights."""
+
+    def test_holds_float_arrays(self, grid):
+        # integer atoms and weights flow as the floats they stand for
+        v = fp_measure([1], [1], 1.0, 0.5, grid)
+        ref = fp_measure(np.array([1.0]), np.array([1.0]), 1.0, 0.5, grid)
+        np.testing.assert_array_equal(v.values, ref.values)
 
     @pytest.mark.parametrize("points,weights", [
         ([0.0, 1.0], [1.0]),             # mismatched shapes
@@ -85,9 +83,10 @@ class TestMeasureSpec:
         ([0.0, 1.0], [1.5, -0.5]),       # a negative weight
         ([0.0, 1.0], [1.0, np.inf]),     # infinite mass
     ])
-    def test_refused_at_construction(self, points, weights):
-        with pytest.raises(ParameterError):
-            MeasureSpec(points, weights)
+    def test_refused_at_construction(self, grid, points, weights):
+        # refused before the flow's own checks, which these pass
+        with pytest.raises(ParameterError, match="points|weights"):
+            fp_measure(points, weights, 1.0, 0.5, grid)
 
 
 def _padded_lattice(src, pad):
@@ -253,8 +252,8 @@ class TestGridDensityFlow:
         vals[nodes] = 1.0 / grid.spacing
         beta, t = 1.0, 0.5
         w = beta * (1.0 - np.exp(-2.0 * t))
-        q, mass, (logv, d2) = flows._fp_family(_nodal(grid, vals), beta,
-                                               t, grid.points)
+        q, mass, (logv, d2) = flows._grid_density_family(
+            _nodal(grid, vals), beta, t)
         assert q.a.size == len(nodes) and mass == pytest.approx(len(nodes))
         ref = LogQuad.gaussian(w, np.exp(-t) * grid.points[nodes])
         np.testing.assert_allclose(logv, ref.log_at(grid.points), rtol=1e-14,
@@ -390,7 +389,7 @@ def _full_pass(q, x):
     return [np.concatenate(rows) for rows in zip(*out)]
 
 
-def _built_families(monkeypatch, v0, beta, t, x):
+def _built_families(monkeypatch, v0, beta, t):
     """Every family that _grid_density_family builds for v_t."""
     built, atoms = [], flows._atoms_family
 
@@ -399,7 +398,7 @@ def _built_families(monkeypatch, v0, beta, t, x):
         return built[-1]
 
     monkeypatch.setattr(flows, "_atoms_family", recording)
-    flows._fp_family(v0, beta, t, x)
+    flows._grid_density_family(v0, beta, t)
     return built
 
 
@@ -418,7 +417,7 @@ class TestBandedLevels:
         w = beta * (1.0 - np.exp(-2.0 * t))
         x = grid.points
         # the snapshot's family alone: the pad checks build none
-        (q,) = _built_families(monkeypatch, v0, beta, t, x)
+        (q,) = _built_families(monkeypatch, v0, beta, t)
         logv, _, d2 = q._pass(x, 2)
         full_logv, full_d2 = _full_pass(q, x)
         # log v = top + log(s0) carries the last bits of the largest
@@ -496,7 +495,7 @@ class TestMergedLevels:
         monkeypatch.setattr(flows, "_edge_weight", recording)
         # the levels' passes at the nodes
         levels = _record_levels(monkeypatch)
-        q, _, (logv, d2) = flows._fp_family(v0, beta, t, x)
+        q, _, (logv, d2) = flows._grid_density_family(v0, beta, t)
         assert len(levels) > 1  # at least one merge
         assert sum(levels) == q.a.size
         full_logv, _, full_d2 = q._pass(x, 2)
@@ -543,7 +542,7 @@ def _kernel_levels(monkeypatch, v0, beta, t):
         return out
 
     monkeypatch.setattr(flows, "_lattice_pass", recording)
-    flows._fp_family(v0, beta, t, v0.grid.points)
+    flows._grid_density_family(v0, beta, t)
     return seen
 
 
@@ -616,7 +615,7 @@ class TestFPClassMember:
         # flowing gamma_a for time t* = (1/2) log 2 gives variance
         # e^{-2 t*} a + (1 - e^{-2 t*}) 2 beta = a/2 + beta
         a, beta = 1.0, 2.0
-        v = fp_class_member(gaussian_field(grid, a), beta)
+        v = fp_evolve(gaussian_field(grid, a), 2.0 * beta, T_STAR)
         ref = gaussian_field(grid, beta + a / 2)
         np.testing.assert_allclose(v.values, ref.values, rtol=1e-8,
                                    atol=1e-12)
@@ -624,7 +623,7 @@ class TestFPClassMember:
     def test_dirac_seed(self, grid):
         # a point mass flows to a Gaussian of variance (1 - e^{-2 t*}) 2 beta
         beta = 1.5
-        v = fp_class_member(MeasureSpec([0.7], [1.0]), beta, grid=grid)
+        v = fp_measure([0.7], [1.0], 2.0 * beta, T_STAR, grid)
         var = (1 - np.exp(-2 * T_STAR)) * 2 * beta
         mean = np.exp(-T_STAR) * 0.7
         ref = field_from_family(grid, LogQuad.gaussian(var, mean))
@@ -636,7 +635,7 @@ class TestFPClassMember:
         for _ in range(3):
             pts = rng.uniform(-3, 3, size=4)
             w = rng.dirichlet(np.ones(4))
-            v = fp_class_member(MeasureSpec(pts, w), 2.0, grid=grid)
+            v = fp_measure(pts, w, 4.0, T_STAR, grid)
             assert semi_log_convex(v, 2.0, "convex").passed
 
 
@@ -708,8 +707,7 @@ class TestPreservation:
     def test_margins_along_flow(self, grid):
         rng = np.random.default_rng(1)
         pts = rng.uniform(-2, 2, size=3)
-        v0 = fp_class_member(
-            MeasureSpec(pts, np.ones(3) / 3), 2.0, grid=grid)
+        v0 = fp_measure(pts, np.ones(3) / 3, 4.0, T_STAR, grid)
         times = [0.05, 0.2, 0.8]
         margins, universal = preservation_trace(v0, 2.0, "convex", times)
         assert np.all(margins >= -1e-4)
@@ -737,11 +735,11 @@ class TestCovariance:
 
     def test_mixture_covariance(self, grid):
         v = field_from_family(grid, symmetric_mixture(2.0, 1.0))
-        assert covariance(v)[0, 0] == pytest.approx(5.0, rel=1e-10)
+        assert moments(v)[2] == pytest.approx(5.0, rel=1e-10)
 
     @given(a=st.floats(0.0, 4.0))
     @settings(max_examples=20, deadline=None)
     def test_mixture_covariance_formula(self, a):
         g = Grid1D(-12.0, 12.0, 1025)
         v = field_from_family(g, symmetric_mixture(a, 1.0))
-        assert covariance(v)[0, 0] == pytest.approx(1 + a * a, rel=1e-9)
+        assert moments(v)[2] == pytest.approx(1 + a * a, rel=1e-9)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
-from gauss_deficit.flows import MeasureSpec, fp_class_member, fp_evolve
+from gauss_deficit.flows import T_STAR, fp_evolve, fp_measure
 from gauss_deficit.functionals import (_log_lp, entropy_fisher, log_hc_norm,
                                        log_ou_norm, q_functional,
                                        sharp_constant, tilt)
@@ -204,9 +204,8 @@ class TestQFunctional:
 
     def test_monotone_on_fp_member(self, grid, rule):
         rng = np.random.default_rng(3)
-        v0 = fp_class_member(
-            MeasureSpec(rng.uniform(-2, 2, 4), np.ones(4) / 4),
-            2.0, grid=grid)
+        v0 = fp_measure(rng.uniform(-2, 2, 4), np.ones(4) / 4, 4.0, T_STAR,
+                        grid)
         t = ExponentTriple.from_pq(2.0, 4.0)
         qs = [q_functional(fp_evolve(v0, 2.0, s), t, rule)
               for s in (0.0, 0.3, 1.0)]
@@ -315,7 +314,7 @@ class TestHCNorm:
 
 # the functions that read a field's closed-form tag, one per quantity
 TAG_READERS = {
-    "flows._fp_family", "flows.moments", "functionals.tilt",
+    "flows.fp_evolve", "flows.moments", "functionals.tilt",
     "functionals.Tilt.field", "functionals.log_ou_norm",
     "transport._density_cdf", "hamilton_jacobi.quadratic_datum"}
 

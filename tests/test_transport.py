@@ -7,10 +7,10 @@ from scipy.integrate import quad
 from gauss_deficit import cli, transport
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
-from gauss_deficit.flows import check_density, covariance
+from gauss_deficit.flows import check_density
 from gauss_deficit.functionals import entropy_fisher, tilt
-from gauss_deficit.inequalities import (lsi_check, make_talagrand_input,
-                                        matrix_check)
+from gauss_deficit.inequalities import (els_eigen_check, lsi_check,
+                                        make_talagrand_input, matrix_check)
 from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
                                     default_grid)
 from gauss_deficit.transport import (PotentialSpec, brenier_1d,
@@ -98,9 +98,11 @@ class TestDensityChecks:
 
     @pytest.mark.parametrize("make", [_off_mass, _negative])
     def test_one_check_for_every_density_reader(self, grid, make):
-        # lsi_check, covariance and the transport entries share one check
+        # lsi_check, els_eigen_check and the transport entries share one
+        # check
         bad = make(grid)
-        for call in (lambda: lsi_check(bad, 2.0), lambda: covariance(bad),
+        for call in (lambda: lsi_check(bad, 2.0),
+                     lambda: els_eigen_check(bad),
                      lambda: brenier_1d(bad, gauss_spec(1.0, grid))):
             with pytest.raises(ParameterError) as err:
                 call()
