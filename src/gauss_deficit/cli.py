@@ -318,7 +318,7 @@ def _bl_item(config: RunConfig, i: int):
                                float(rng.uniform(0.6, 1.6)))
     return brascamp_lieb_check(gaussian_field(grid, config.beta),
                                field_from_family(grid, f2), triple,
-                               config.beta)
+                               config.beta, config.rule())
 
 
 def _perturbed_quadratic(config: RunConfig, index: int,

@@ -376,17 +376,14 @@ def curvature(v: GridField) -> tuple[float, float]:
     are one lower bound on it, -superharmonic and -concave one upper bound.
 
     (log v)'' is the field's node array (GridField.grid_d2log), from the
-    first of three sources that applies:
+    first of two sources that applies:
       1. the pass that made the values, which field_from_family runs for a
          LogQuad (every FP snapshot): the exact posterior moments of its
          components; a tilted field takes its node array from the field it
          tilts;
       2. the field's analytic_d2log at the nodes, as
-         GridField.from_callable(d2log_fn=) sets it;
-      3. numerics.second_difference of log v at the nodes, for a field
-         without a d2log closure: differenced at the grid spacing h, not
-         at h = 1e-4, with an error of about h^2 (log v)''''/12 plus
-         4 eps |log v| / h^2 of rounding.
+         GridField.from_callable(d2log_fn=) sets it.
+    A field with neither is refused with a ParameterError.
     """
     if v.analytic_log is None and np.any(v.values <= 0):
         raise PositivityError("certification from samples requires v > 0")

@@ -20,9 +20,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .families import LogQuad, field_from_family
-from .numerics import (DEFAULT_GH_NODES, EvaluationError, Grid1D, GridField,
-                       ParameterError, PositivityError, QuadratureRule,
-                       gauss_hermite_rule, interior_peak, logsumexp)
+from .numerics import (EvaluationError, Grid1D, GridField, ParameterError,
+                       PositivityError, QuadratureRule, interior_peak,
+                       logsumexp)
 from .semigroups import (ExponentTriple, IntegrabilityError, _ou_closures_1d,
                          beta_s)
 
@@ -31,10 +31,6 @@ from .semigroups import (ExponentTriple, IntegrabilityError, _ou_closures_1d,
 class EntFisher:
     entropy: float
     fisher: float
-
-
-def _rule_or_default(rule: Optional[QuadratureRule]) -> QuadratureRule:
-    return rule if rule is not None else gauss_hermite_rule(DEFAULT_GH_NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +44,7 @@ def _xlogx(x):
     return out
 
 
-def entropy_fisher(f: GridField | Tilt,
-                   rule: Optional[QuadratureRule] = None) -> EntFisher:
+def entropy_fisher(f: GridField | Tilt, rule: QuadratureRule) -> EntFisher:
     """Ent_gamma(f) and I_gamma(f) for a relative density f (w.r.t. gamma).
 
     Ent = int f log f dgamma - F log F with F = int f dgamma;
@@ -57,7 +52,6 @@ def entropy_fisher(f: GridField | Tilt,
     ``f`` is a GridField or a Tilt: only f and (log f)' at the quadrature
     nodes are read.
     """
-    rule = _rule_or_default(rule)
     z, w = rule.nodes, rule.weights
     fv = np.asarray(f(z), float)
     if np.any(fv < 0):
@@ -248,8 +242,7 @@ def tilt(v, r: float, a: float) -> Tilt:
         lambda x: r * np.asarray(d2(x), float) + a), nodes=nodes)
 
 
-def log_ou_norm(w, q: float, s: float,
-                rule: Optional[QuadratureRule] = None) -> float:
+def log_ou_norm(w, q: float, s: float, rule: QuadratureRule) -> float:
     """log ||P_s w||_{L^q(gamma)}, s >= 0 (P_0 = identity): the one reader
     of P_s against gamma.  A tag of one component, or any tag at q = 1,
     takes the closed form (LogQuad.ou, then log_lp_norm_gauss); anything
@@ -257,13 +250,12 @@ def log_ou_norm(w, q: float, s: float,
     nodes.  ``w`` is a GridField or a Tilt."""
     if w.tag is not None and (w.tag.a.size == 1 or q == 1):
         return (w.tag.ou(s) if s else w.tag).log_lp_norm_gauss(q)
-    rule = _rule_or_default(rule)
     logf = w.log if s == 0 else _ou_closures_1d(w.log, s, rule)[0]
     return _log_lp(logf(rule.nodes), q, rule.log_weights)
 
 
 def log_hc_norm(v, p: float, q: float, s: float,
-                rule: Optional[QuadratureRule] = None) -> float:
+                rule: QuadratureRule) -> float:
     """log ||P_s[(v/gamma)^{1/p}]||_{L^q(gamma)}, s >= 0, through
     log_ou_norm; at (p, q, s) = (1, 1, 0) the mass int v dx.  ``v`` is a
     GridField or a LogQuad, as in tilt."""
@@ -290,7 +282,7 @@ def _check_ratio_bounded(v: GridField, beta: float):
 
 
 def q_functional(vt: GridField, triple: ExponentTriple,
-                 rule: Optional[QuadratureRule] = None) -> float:
+                 rule: QuadratureRule) -> float:
     """Q(t) = int gamma P_s[(v_t/gamma)^{1/p}]^q dx of the snapshot v_t of
     the beta-flow (flows.fp_evolve)."""
     return float(np.exp(triple.q * log_hc_norm(vt, triple.p, triple.q,

@@ -19,16 +19,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .families import LogQuad
-from .functionals import _log_lp, _rule_or_default, sharp_constant, tilt
+from .functionals import _log_lp, sharp_constant, tilt
 from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
-                       interior_peak, second_difference)
+                       interior_peak)
 from .reports import DeficitReport, HypothesisCheck
 
 
 @dataclass(frozen=True)
 class HJField:
     """Initial datum f for the Hamilton-Jacobi flow (a function, not a
-    density), with its exact f'' as laplacian or else differenced."""
+    density), with its exact f'' as laplacian: the checks refuse a datum
+    without one, which only hopf_lax reads."""
 
     f: GridField
     laplacian: Optional[Callable] = None
@@ -143,12 +144,10 @@ def beta_of_a(a: float, beta: float) -> float:
 
 def _laplacian_margin(f: HJField, bound: float) -> float:
     """min Delta f - bound over the grid nodes 2..n-3, from the exact f''
-    when f carries one, else the second difference of its samples."""
-    if f.laplacian is not None:
-        lap = f.laplacian(f.f.grid.points[2:-2])
-    else:
-        lap = second_difference(f.f.values, f.f.grid.spacing)
-    return float(np.min(lap) - bound)
+    that f must carry."""
+    if f.laplacian is None:
+        raise ParameterError("the datum carries no exact f''")
+    return float(np.min(f.laplacian(f.f.grid.points[2:-2])) - bound)
 
 
 def _integrability_margin(f: HJField, a: float, beta_a: float) -> float:
@@ -161,7 +160,7 @@ def _integrability_margin(f: HJField, a: float, beta_a: float) -> float:
 
 
 def hj_hc_check(f: HJField, a: float, tau: float, beta: float,
-                rule: QuadratureRule = None) -> DeficitReport:
+                rule: QuadratureRule) -> DeficitReport:
     """Hamilton-Jacobi hypercontractivity deficit:
 
         ||e^{Q_tau f}||_{a+tau}
@@ -174,7 +173,6 @@ def hj_hc_check(f: HJField, a: float, tau: float, beta: float,
         raise ParameterError("requires beta > 1")
     if beta * (1.0 - 1.0 / a) >= 1.0:
         raise ParameterError("admissibility beta(1 - 1/a) < 1 violated")
-    rule = _rule_or_default(rule)
     ba = beta_of_a(a, beta)
     hyps = [HypothesisCheck("beta(1-1/a)<1",
                             1.0 - beta * (1.0 - 1.0 / a), 0.0),
@@ -196,7 +194,7 @@ def hj_hc_check(f: HJField, a: float, tau: float, beta: float,
 
 
 def dual_talagrand_check(f: HJField, tau: float, beta: float,
-                         rule: QuadratureRule = None) -> DeficitReport:
+                         rule: QuadratureRule) -> DeficitReport:
     """Dual Talagrand deficit: ||e^{Q_tau f}||_tau <= T(tau, beta) e^{int f}.
 
     Hypotheses: the uniform-subharmonicity / exponential-moment condition
@@ -208,7 +206,6 @@ def dual_talagrand_check(f: HJField, tau: float, beta: float,
         raise ParameterError("tau must be positive")
     if beta <= 1:
         raise ParameterError("requires beta > 1")
-    rule = _rule_or_default(rule)
     hyps = [HypothesisCheck("laplacian>=1-1/beta",
                             _laplacian_margin(f, 1.0 - 1.0 / beta), 1e-6)]
     hyps += [HypothesisCheck(f"exp-moment-integrable(a={a})",

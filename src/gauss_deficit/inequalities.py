@@ -17,10 +17,10 @@ from .families import (LogQuad, field_from_family, gaussian_field,
                        symmetric_mixture)
 from .flows import T_STAR, certify_matrix, check_density, curvature, \
     fp_measure, moments, semi_log_concave, semi_log_convex
-from .functionals import _check_ratio_bounded, _rule_or_default, \
-    entropy_fisher, log_hc_norm, log_ou_norm, sharp_constant, tilt
+from .functionals import _check_ratio_bounded, entropy_fisher, \
+    log_hc_norm, log_ou_norm, sharp_constant, tilt
 from .numerics import (Grid1D, GridField, ParameterError, _coarsest_stride,
-                       _refine_strides, default_grid)
+                       _refine_strides)
 from .reports import DeficitReport, HypothesisCheck
 from .semigroups import ExponentTriple, InadmissibleExponentError
 from .transport import w2
@@ -44,7 +44,7 @@ def _certificate_hypotheses(v: GridField, beta: float) -> list:
 
 
 def hc_check(v: GridField, beta: float, triple: ExponentTriple,
-             rule=None) -> DeficitReport:
+             rule) -> DeficitReport:
     """Forward regularised hypercontractivity deficit.
 
     lhs = ||P_s[(v/gamma)^{1/p}]||_q,
@@ -65,7 +65,7 @@ def hc_check(v: GridField, beta: float, triple: ExponentTriple,
 
 
 def reverse_hc_check(v: GridField, beta: float, triple: ExponentTriple,
-                     rule=None) -> DeficitReport:
+                     rule) -> DeficitReport:
     """Reverse regularised hypercontractivity: lhs >= rhs, slack = lhs - rhs.
 
     Admissible exponents have q < p < 1 with p excluded from {0, 1-e^{-2s}};
@@ -99,7 +99,7 @@ def reverse_hc_check(v: GridField, beta: float, triple: ExponentTriple,
 # logarithmic Sobolev
 
 
-def lsi_check(v: GridField, beta: float, rule=None) -> DeficitReport:
+def lsi_check(v: GridField, beta: float, rule) -> DeficitReport:
     """Regularised LSI: Ent - I/2 <= -(n/2)(log beta - 1 + 1/beta)."""
     check_density(v)
     hyps = _certificate_hypotheses(v, beta)
@@ -112,7 +112,7 @@ def lsi_check(v: GridField, beta: float, rule=None) -> DeficitReport:
                 "fisher": ef.fisher})
 
 
-def els_eigen_check(v: GridField, rule=None) -> DeficitReport:
+def els_eigen_check(v: GridField, rule) -> DeficitReport:
     """Covariance-eigenvalue entropy bound (no convexity hypothesis):
 
     Ent <= I/2 - (1/2) sum_{beta_i <= 1} (log beta_i - 1 + 1/beta_i).
@@ -158,8 +158,8 @@ def _matrix_side(v1: GridField, v2: GridField, B: np.ndarray, eigs, logc):
     return best, certs[best]
 
 
-def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
-                 which: str = "lsi", rule=None) -> DeficitReport:
+def matrix_check(v1: GridField, v2: GridField, B: np.ndarray,
+                 triple: ExponentTriple, which: str, rule) -> DeficitReport:
     """n = 2 variants for the product density v = v1 (x) v2 with matrix
     curvature bound grad^2 log v vs -B^{-1}, B symmetric positive definite.
 
@@ -192,7 +192,7 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, triple=None,
     m1, m2 = (float(np.exp(log_hc_norm(v, 1.0, 1.0, 0.0, rule)))
               for v in (v1, v2))
     if which == "hc":
-        if triple is None or triple.regime != "forward":
+        if triple.regime != "forward":
             raise InadmissibleExponentError("matrix hc needs a forward triple")
         lhs = float(np.exp(sum(log_hc_norm(v, triple.p, triple.q, triple.s,
                                            rule) for v in (v1, v2))))
@@ -242,7 +242,7 @@ def _grad_sq_gauss(f: GridField, rule) -> float:
     return float((df * df) @ w)
 
 
-def poincare_check(f: GridField, beta: float, rule=None) -> DeficitReport:
+def poincare_check(f: GridField, beta: float, rule) -> DeficitReport:
     """Sharpened Poincare inequality
 
         (1/2)(1 + D_n(beta)) int f^2 dgamma - (1/2)(int |f| dgamma)^2
@@ -251,7 +251,6 @@ def poincare_check(f: GridField, beta: float, rule=None) -> DeficitReport:
     with the curvature hypothesis placed on gamma f^2.  The intermediate
     L^2-vs-L^1 entropy inequality (its p = 1 form) is recorded in params.
     """
-    rule = _rule_or_default(rule)
     hyps = _certificate_hypotheses(tilt(f, 2.0, -1.0).field(f.grid), beta)
     z, wts = rule.nodes, rule.weights
     fv = np.asarray(f(z), float)
@@ -273,7 +272,7 @@ def poincare_check(f: GridField, beta: float, rule=None) -> DeficitReport:
 
 
 def beckner_check(f: GridField, p: float, beta: float,
-                  rule=None) -> DeficitReport:
+                  rule) -> DeficitReport:
     """Sharpened Beckner inequality for p in (1, 2):
 
         (1/(2-p)) [ int f^2 dgamma - B(p,beta) (int f^p dgamma)^{2/p} ]
@@ -286,7 +285,6 @@ def beckner_check(f: GridField, p: float, beta: float,
     """
     if not 1.0 < p < 2.0:
         raise ParameterError("p must lie in (1, 2)")
-    rule = _rule_or_default(rule)
     z, wts = rule.nodes, rule.weights
     fv = np.asarray(f(z), float)
     if np.any(fv < 0):
@@ -323,14 +321,16 @@ def _bl_case(c1: float, c2: float) -> str:
 
 
 def brascamp_lieb_check(f1: GridField, f2: GridField,
-                        triple: ExponentTriple, beta: float) -> DeficitReport:
+                        triple: ExponentTriple, beta: float,
+                        rule) -> DeficitReport:
     """Dual-form sharpened Brascamp-Lieb inequality on R^2.
 
     With c1 = 1/p, c2 = 1/q' and the Gaussian kernel matrix Q built from s,
     compares the double integral of e^{-pi x.Qx} f1(x1)^{c1} f2(x2)^{c2}
     against H(c1,c2) ||P_s[(gamma_beta/gamma)^{c1}]||_{(1/c2)'} (int f1)^{c1}
-    (int f2)^{c2}, the masses by log_hc_norm.  Case (c1,c2 in (0,1),
-    beta>1): <=; case (c1c2<0, beta>1) and case (c1,c2>1, beta<1): >=.
+    (int f2)^{c2}, the norm and the masses by log_hc_norm on the rule.  Case
+    (c1,c2 in (0,1), beta>1): <=; case (c1c2<0, beta>1) and case (c1,c2>1,
+    beta<1): >=.
     """
     c1 = 1.0 / triple.p
     c2 = 1.0 - 1.0 / triple.q  # 1/q'
@@ -381,8 +381,9 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
     h_const = sharp_constant("bl_h", c1=c1, c2=c2, s=s)
     # ||P_s[(gamma_beta/gamma)^{c1}]||_{(1/c2)'} with c1 = 1/p, (1/c2)' = q
     script_h = h_const * float(np.exp(log_hc_norm(
-        LogQuad.gaussian(beta), triple.p, triple.q, s)))
-    m1, m2 = (float(np.exp(log_hc_norm(f, 1.0, 1.0, 0.0))) for f in (f1, f2))
+        LogQuad.gaussian(beta), triple.p, triple.q, s, rule)))
+    m1, m2 = (float(np.exp(log_hc_norm(f, 1.0, 1.0, 0.0, rule)))
+              for f in (f1, f2))
     rhs = script_h * m1 ** c1 * m2 ** c2
     return DeficitReport(
         "brascamp-lieb", lhs, rhs, script_h, direction=expected_dir,
@@ -396,8 +397,7 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
 # counterexamples
 
 
-def counterexample_mixture(a: float, grid: Grid1D = None,
-                           rule=None) -> DeficitReport:
+def counterexample_mixture(a: float, grid: Grid1D, rule) -> DeficitReport:
     """Two-bump Gaussian mixture (1/2) gamma(.+a) + (1/2) gamma(.-a).
 
     Its covariance 1 + a^2 blows up while the LSI deficit Ent - I/2 stays
@@ -407,7 +407,6 @@ def counterexample_mixture(a: float, grid: Grid1D = None,
     """
     if a < 0:
         raise ParameterError("a must be nonnegative")
-    grid = grid or default_grid()
     if a == 0:
         v = field_from_family(grid, LogQuad.gaussian(1.0))
         cov = 1.0
@@ -442,13 +441,12 @@ def counterexample_superharmonic(t: float) -> DeficitReport:
 
 
 def make_fp_input(rng: np.random.Generator, beta: float,
-                  grid: Grid1D = None) -> GridField:
+                  grid: Grid1D) -> GridField:
     """A random member of FP(beta): automatically beta-semi-log-convex."""
     k = int(rng.integers(1, 9))
     points = rng.uniform(-3.0, 3.0, size=k)
     weights = rng.dirichlet(np.ones(k))
-    return fp_measure(points, weights, 2.0 * beta, T_STAR,
-                      grid or default_grid())
+    return fp_measure(points, weights, 2.0 * beta, T_STAR, grid)
 
 
 def _bumped_gaussian(core: LogQuad, eps: float, m: float,
@@ -476,7 +474,7 @@ def _bumped_gaussian(core: LogQuad, eps: float, m: float,
 
 
 def make_logconcave_input(rng: np.random.Generator, beta: float,
-                          grid: Grid1D = None) -> GridField:
+                          grid: Grid1D) -> GridField:
     """A random beta-semi-log-concave density: a narrower Gaussian times
     e^{-(smooth convex bump)}, renormalized on the grid."""
     if beta >= 1:
@@ -484,12 +482,11 @@ def make_logconcave_input(rng: np.random.Generator, beta: float,
     base = beta * float(rng.uniform(0.55, 0.95))
     eps = float(rng.uniform(0.0, 0.3))
     m = float(rng.uniform(-1.0, 1.0))
-    return _bumped_gaussian(LogQuad.gaussian(base), eps, m,
-                            grid or default_grid())
+    return _bumped_gaussian(LogQuad.gaussian(base), eps, m, grid)
 
 
 def make_talagrand_input(rng: np.random.Generator, beta: float,
-                         grid: Grid1D = None) -> GridField:
+                         grid: Grid1D) -> GridField:
     """A random density satisfying the transport-inequality hypotheses.
 
     For beta >= 1 that is 0 >= (log v)'' >= -1/beta: a shifted Gaussian of
@@ -497,7 +494,6 @@ def make_talagrand_input(rng: np.random.Generator, beta: float,
     curvature above -1/beta.  For beta < 1 the beta-semi-log-concave
     generator already qualifies.
     """
-    grid = grid or default_grid()
     if beta < 1:
         return make_logconcave_input(rng, beta, grid)
     b = beta * float(rng.uniform(1.1, 3.0))

@@ -1,6 +1,5 @@
 """
-Grids, quadrature rules, the one second-difference stencil and the
-interior-peak proxy.
+Grids, quadrature rules and the interior-peak proxy.
 
 Everything downstream works with functions sampled on uniform grids.  A
 GridField is an exact function (f or log f, with (log f)' and (log f)''
@@ -9,8 +8,8 @@ when known) evaluated once at its nodes, so that kernel integrals
 is known and every read off the nodes calls a closure.  A field keeps
 log f and (log f)'' at its nodes, filled by the pass that made its values
 or on first use, and every reader at the nodes reads those arrays instead
-of calling a closure again; a field without a (log f)'' closure takes it
-from ``second_difference`` of log f.
+of calling a closure again.  A field with neither a (log f)'' node array
+nor a closure for it is refused by every reader of (log f)''.
 
 Conventions:
 
@@ -162,14 +161,12 @@ class GridField:
 
     def grid_d2log(self) -> np.ndarray:
         """(log f)'' at the nodes 2..n-3, the window every certificate
-        reads: nodes[1], else the analytic_d2log closure there, else
-        second_difference of grid_log at the grid spacing; kept."""
+        reads: nodes[1], else the analytic_d2log closure there, kept.  A
+        field with neither is refused, as dlog refuses one without (log f)'."""
         if self.nodes[1] is None:
-            if self.analytic_d2log is not None:
-                d2 = self.analytic_d2log(self.grid.points[2:-2])
-            else:
-                d2 = second_difference(self.grid_log(), self.grid.spacing)
-            self._keep(1, d2)
+            if self.analytic_d2log is None:
+                raise ParameterError("the field carries no exact (log f)''")
+            self._keep(1, self.analytic_d2log(self.grid.points[2:-2]))
         return self.nodes[1]
 
     @property
@@ -247,9 +244,6 @@ def gauss_hermite_rule(m: int) -> QuadratureRule:
     return rule
 
 
-DEFAULT_GH_NODES = 96
-
-
 # ---------------------------------------------------------------------------
 # nested strided levels
 
@@ -282,18 +276,7 @@ def _refine_strides(refine: Callable, k: int, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# the second-difference stencil
-
-
-def second_difference(u: np.ndarray, h: float) -> np.ndarray:
-    """(u[i+1] - 2 u[i] + u[i-1]) / h^2 at the nodes i = 2..n-3 of the
-    samples u at spacing h: the one stencil, for a field whose (log f)''
-    or f'' has no closure.
-
-    Its error is h^2 u''''/12 plus a rounding error of about 4 eps |u| / h^2.
-    The two nodes at each end, which no certificate reads, are left out.
-    """
-    return (u[3:-1] - 2.0 * u[2:-2] + u[1:-3]) / h**2
+# the interior-peak proxy
 
 
 def interior_peak(u: np.ndarray) -> bool:
@@ -422,7 +405,7 @@ def _rational(v, pair, acc):
         acc += c
 
 
-def ndtr(a, out=None):
+def ndtr(a, out):
     """The standard normal CDF at a, by cephes' ndtr (W. J. Cody, Math.
     Comp. 23, 1969).
 
@@ -430,14 +413,11 @@ def ndtr(a, out=None):
     y = erfc(z) / 2, or 1 - y where x > 0; y is 0 once z^2 > MAXLOG.  Each
     branch gathers its points, so no point runs another branch's
     polynomials.  ``out`` (C-contiguous; a itself is allowed) receives the
-    result, and is allocated when not given.
-    Within 4.4e-16 of scipy.special.ndtr relative on [-40, 40], and
+    result.  Within 4.4e-16 of scipy.special.ndtr relative on [-40, 40], and
     bit-identical at 98 % of points there.
     """
     a = np.asarray(a, float)
-    if out is None:
-        out = a.copy()
-    elif out is not a:
+    if out is not a:
         np.copyto(out, a)
     if not out.flags.c_contiguous:
         raise ParameterError("ndtr writes into a C-contiguous out")

@@ -17,7 +17,6 @@ LSI comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -76,7 +75,7 @@ def w2(mu: GridField, nu: GridField) -> float:
 
 
 def talagrand_deficit(v: GridField, beta: float,
-                      rule: Optional[QuadratureRule] = None) -> DeficitReport:
+                      rule: QuadratureRule) -> DeficitReport:
     """(1/2) W_2(gamma, v)^2 - Ent_gamma(v/gamma) <= n(1 + log(beta)/2 - sqrt(beta)).
 
     Hypotheses: for beta > 1, 0 >= grad^2 log v >= -id/beta; for beta < 1,

@@ -60,8 +60,9 @@ def lsi_value(beta, n, rule):
         ef = entropy_fisher(tilt(LogQuad.gaussian(beta), 1.0, 1.0), rule)
         return ef.entropy - 0.5 * ef.fisher
     g = gaussian_field(default_grid(), beta)
-    params = matrix_check(g, g, np.diag([beta, beta]), which="lsi",
-                          rule=rule).params
+    params = matrix_check(g, g, np.diag([beta, beta]),
+                          ExponentTriple.from_pq(2.0, 4.0), "lsi",
+                          rule).params
     return params["entropy"] - 0.5 * params["fisher"]
 
 
@@ -109,18 +110,18 @@ class TestCriterion3PropertySuite:
 
 class TestCriterion4Talagrand:
     @pytest.mark.parametrize("beta", BETA_GRID)
-    def test_zero_slack_at_gaussian(self, beta, grid):
-        r = talagrand_deficit(gaussian_field(grid, beta), beta)
+    def test_zero_slack_at_gaussian(self, beta, grid, rule):
+        r = talagrand_deficit(gaussian_field(grid, beta), beta, rule)
         assert r.asserted
         assert r.slack == pytest.approx(0, abs=1e-6)
 
-    def test_admissible_inputs_nonnegative_slack(self, grid):
+    def test_admissible_inputs_nonnegative_slack(self, grid, rule):
         rng = np.random.default_rng(200)
         betas = (0.5, 1.5, 2.0, 4.0)
         for i in range(50):
             beta = betas[i % len(betas)]
             v = make_talagrand_input(rng, beta, grid)
-            r = talagrand_deficit(v, beta)
+            r = talagrand_deficit(v, beta, rule)
             assert r.asserted, (beta, i)
             assert r.slack >= -1e-5, (beta, i, r.slack)
 
@@ -183,8 +184,8 @@ class TestCriterion6Preservation:
 
 
 class TestCriterion7Counterexamples:
-    def test_mixture_large_covariance_violates_els(self, grid):
-        r = counterexample_mixture(4.0)
+    def test_mixture_large_covariance_violates_els(self, grid, rule):
+        r = counterexample_mixture(4.0, grid, rule)
         assert r.params["covariance"] == pytest.approx(17.0)
         assert r.params["covariance"] > 16.0
         assert r.slack < 0
@@ -208,8 +209,11 @@ class TestCriterion8Applications:
         for _ in range(5):
             c = float(rng.uniform(0.0, 0.05))
             m = float(rng.uniform(-1.0, 1.0))
+            # with its exact f'' = base f'' + c sech^2(y - m)
             pert = HJField(GridField.from_callable(
-                grid, lambda y: ext.f(y) + c * np.log(np.cosh(y - m))))
+                grid, lambda y: ext.f(y) + c * np.log(np.cosh(y - m))),
+                laplacian=lambda y: (ext.laplacian(y)
+                                     + c / np.cosh(y - m) ** 2))
             rp = hj_hc_check(pert, a, tau, beta, rule)
             assert rp.asserted and rp.slack >= -1e-4
 
@@ -222,8 +226,11 @@ class TestCriterion8Applications:
         for _ in range(5):
             c = float(rng.uniform(0.0, 0.03))
             m = float(rng.uniform(-1.0, 1.0))
+            # with its exact f'' = base f'' + c sech^2(y - m)
             pert = HJField(GridField.from_callable(
-                grid, lambda y: ext.f(y) + c * np.log(np.cosh(y - m))))
+                grid, lambda y: ext.f(y) + c * np.log(np.cosh(y - m))),
+                laplacian=lambda y: (ext.laplacian(y)
+                                     + c / np.cosh(y - m) ** 2))
             rp = dual_talagrand_check(pert, tau, beta, rule)
             assert rp.asserted and rp.slack >= -1e-4
 
@@ -263,7 +270,7 @@ class TestCriterion8Applications:
             assert richardson == pytest.approx(
                 -0.5 * sharp_constant("lsi_gauss", beta=beta), rel=1e-8), beta
 
-    def test_brascamp_lieb_scaling_and_classical_reduction(self, grid):
+    def test_brascamp_lieb_scaling_and_classical_reduction(self, grid, rule):
         # the exponent scaling identity holds exactly for every consistent
         # triple, and at beta = 1 the two-function bound is attained
         for p, q in PQ_GRID:
@@ -273,7 +280,7 @@ class TestCriterion8Applications:
             assert abs(c1 + c2 - 1.0 - (1.0 - e2s) * c1 * c2) < 1e-14
         t = ExponentTriple.from_pq(2.0, 4.0)
         r = brascamp_lieb_check(gaussian_field(grid, 1.0),
-                                gaussian_field(grid, 1.0), t, 1.0)
+                                gaussian_field(grid, 1.0), t, 1.0, rule)
         assert r.asserted
         assert r.slack == pytest.approx(0, abs=1e-12)
 
@@ -315,10 +322,11 @@ class TestCriterion9Transport:
             def dlog_ref(y, omega=omega, eps=eps):  # -V'
                 return -(omega * y + eps * np.tanh(y))
 
+            def d2log_ref(y, omega=omega, eps=eps):  # -V''
+                return -(omega + eps / np.cosh(y) ** 2)
+
             pot = PotentialSpec(GridField.from_callable(
-                grid, log_fn=log_ref, dlog_fn=dlog_ref,
-                d2log_fn=lambda y, omega=omega, eps=eps:
-                    -(omega + eps / np.cosh(y) ** 2)),
+                grid, log_fn=log_ref, dlog_fn=dlog_ref, d2log_fn=d2log_ref),
                 K=omega, L=omega + eps)
             beta = 2.0
             beta_v = beta * pot.L / pot.K * float(rng.uniform(1.0, 1.3))
@@ -326,7 +334,8 @@ class TestCriterion9Transport:
                                              dx=grid.spacing)))
             v = GridField.from_callable(
                 grid, log_fn=lambda y, b=beta_v, z=logz: log_ref(y) / b - z,
-                dlog_fn=lambda y, b=beta_v: dlog_ref(y) / b)
+                dlog_fn=lambda y, b=beta_v: dlog_ref(y) / b,
+                d2log_fn=lambda y, b=beta_v: d2log_ref(y) / b)
             r = general_lsi_deficit(v, pot, beta)
             assert r.asserted
             assert r.slack >= -1e-4

@@ -9,12 +9,11 @@ import threading
 import numpy as np
 import pytest
 
-from gauss_deficit import cli, functionals, numerics
+from gauss_deficit import cli
 from gauss_deficit.cli import COMMANDS, RunConfig, flow_trace, main, run
 from gauss_deficit.hamilton_jacobi import (beta_of_a, hj_hc_check,
                                            quadratic_datum)
-from gauss_deficit.numerics import GridField, ParameterError, \
-    gauss_hermite_rule
+from gauss_deficit.numerics import ParameterError, gauss_hermite_rule
 
 
 # the names of the curvature hypotheses, one per report
@@ -570,57 +569,7 @@ class TestGateTolerances:
         assert seen == set(GATE_TOLS) - {"beta<1", "log f1'' <= -1/beta"}
 
 
-class TestStencilCallers:
-    def test_only_grid_data_reach_the_stencil(self, monkeypatch):
-        # every input a suite builds carries its exact (log v)' and
-        # (log v)'', the general-LSI reference its exact -V' and -V'', and
-        # every Hamilton-Jacobi datum its exact f'', so no suite reaches
-        # the stencil.  An input that loses its d2log would reach it from
-        # curvature, one that loses its dlog would raise in GridField.dlog,
-        # and fail here.
-        stencil, callers, quotients = numerics.second_difference, [], []
-
-        def recording(u, h):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return stencil(u, h)
-
-        for name, module in list(sys.modules.items()):
-            if (name.startswith("gauss_deficit")
-                    and getattr(module, "second_difference", None) is stencil):
-                monkeypatch.setattr(module, "second_difference", recording)
-        dlog = GridField.dlog
-
-        def recording_dlog(field, x):
-            if field.analytic_dlog is None:
-                quotients.append("GridField.dlog")
-            return dlog(field, x)
-
-        monkeypatch.setattr(GridField, "dlog", recording_dlog)
-        for _, task in _every_suite():
-            task()
-        assert callers == []
-        assert quotients == []
-
-
 class TestDefaultRuleCallers:
-    def test_every_suite_passes_its_rule(self, monkeypatch):
-        # every quadrature a suite runs takes the --gh-nodes rule: no
-        # checker falls back to the default 96-node rule
-        default, current, fallbacks = functionals._rule_or_default, [""], []
-
-        def recording(rule):
-            if rule is None:
-                fallbacks.append(current[0])
-            return default(rule)
-
-        for name, module in list(sys.modules.items()):
-            if (name.startswith("gauss_deficit")
-                    and getattr(module, "_rule_or_default", None) is default):
-                monkeypatch.setattr(module, "_rule_or_default", recording)
-        for current[0], task in _every_suite():
-            task()
-        assert fallbacks == []
-
     @pytest.mark.parametrize("command", ["verify-talagrand",
                                          "counterexample-mixture"])
     def test_gh_nodes_reaches_the_entropy(self, command):

@@ -17,15 +17,17 @@ def abs_datum(grid):
 
 def constant_datum(grid, value):
     return HJField(GridField.from_callable(
-        grid, lambda y: np.full(np.shape(y), value)))
+        grid, lambda y: np.full(np.shape(y), value)),
+        laplacian=lambda y: np.zeros(np.shape(y)))
 
 
 def perturbed_datum(grid, a, beta, c=0.03, m=0.4):
-    """Extremiser quadratic plus a small convex bump; stays admissible.
-    Without its exact f'', the Laplacian hypothesis takes the stencil."""
+    """Extremiser quadratic plus a small convex bump, c log cosh(y - m);
+    stays admissible.  Its exact f'' is base f'' + c sech^2(y - m)."""
     base = quadratic_datum(a, beta_of_a(a, beta), grid)
     return HJField(GridField.from_callable(
-        grid, lambda y: base.f(y) + c * np.log(np.cosh(y - m))))
+        grid, lambda y: base.f(y) + c * np.log(np.cosh(y - m))),
+        laplacian=lambda y: base.laplacian(y) + c / np.cosh(y - m) ** 2)
 
 
 class TestHopfLax:
@@ -224,6 +226,16 @@ class TestHJHypercontractivity:
         f = constant_datum(grid, 0.0)
         r = hj_hc_check(f, 1.0, 1.0, 2.0, rule)
         assert not r.asserted
+
+
+class TestLaplacianHypothesis:
+    def test_datum_without_its_laplacian_is_refused(self, grid, rule):
+        # no difference quotient stands in for a datum's missing exact f''
+        bare = HJField(quadratic_datum(0.02, beta_of_a(0.02, 2.0), grid).f)
+        with pytest.raises(ParameterError, match="f''"):
+            hj_hc_check(bare, 0.02, 1.0, 2.0, rule)
+        with pytest.raises(ParameterError, match="f''"):
+            dual_talagrand_check(bare, 1.0, 2.0, rule)
 
 
 class TestDualTalagrand:

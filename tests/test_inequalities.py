@@ -172,7 +172,8 @@ class TestMatrix:
         rule = gauss_hermite_rule(48)
         B = np.diag([2.0, 3.0])
         v1, v2 = self._factors(grid, 2.0, 3.0)
-        r = matrix_check(v1, v2, B, which="lsi", rule=rule)
+        r = matrix_check(v1, v2, B, ExponentTriple.from_pq(2.0, 4.0), "lsi",
+                         rule)
         assert r.asserted
         assert r.slack == pytest.approx(0, abs=1e-9)
 
@@ -180,15 +181,17 @@ class TestMatrix:
         rule = gauss_hermite_rule(48)
         B = np.diag([0.5, 0.25])
         v1, v2 = self._factors(grid, 0.5, 0.25)
-        r = matrix_check(v1, v2, B, which="lsi", rule=rule)
+        r = matrix_check(v1, v2, B, ExponentTriple.from_pq(2.0, 4.0), "lsi",
+                         rule)
         assert r.asserted
         assert r.slack == pytest.approx(0, abs=1e-8)
 
-    def test_requires_2d(self, grid):
+    def test_requires_2d(self, grid, rule):
         # B must be the 2 x 2 matrix of the product on R^2
         g = gaussian_field(grid, 2.0)
         with pytest.raises(ParameterError):
-            matrix_check(g, g, np.diag([2.0]))
+            matrix_check(g, g, np.diag([2.0]),
+                         ExponentTriple.from_pq(2.0, 4.0), "lsi", rule)
 
 
 class TestMatrixHC:
@@ -304,13 +307,17 @@ class TestBeckner:
         def dlog(x):  # ((log v)' + x) / p
             return (v.dlog(x) + x) / p
 
+        def d2log(x):  # ((log v)'' + 1) / p
+            return (v.analytic_d2log(x) + 1.0) / p
+
         closure = GridField.from_callable(
             grid, lambda x: np.exp((v.log(x) + 0.5 * x * x
                                     + 0.5 * np.log(2 * np.pi)) / p),
-            dlog_fn=dlog)
+            dlog_fn=dlog, d2log_fn=d2log)
         nodal = GridField.from_callable(
             grid, lambda x: np.interp(x, grid.points, closure.values,
-                                      left=0.0, right=0.0), dlog_fn=dlog)
+                                      left=0.0, right=0.0),
+            dlog_fn=dlog, d2log_fn=d2log)
         for f in (closure, nodal):
             r = beckner_check(f, p, 2.0, rule)
             fz = np.asarray(f(z), float)
@@ -336,20 +343,20 @@ class TestBeckner:
 
 
 class TestBrascampLieb:
-    def test_reverse_concave_case_holds(self, grid):
+    def test_reverse_concave_case_holds(self, grid, rule):
         # (p, q) = (1/2, -1) gives c1 = c2 = 2: the reversed statement
         t = ExponentTriple.from_pq(0.5, -1.0)
         f1 = gaussian_field(grid, 0.5)
         f2 = gaussian_field(grid, 1.0)
-        r = brascamp_lieb_check(f1, f2, t, 0.5)
+        r = brascamp_lieb_check(f1, f2, t, 0.5, rule)
         assert r.direction == "ge"
         assert r.asserted and r.slack >= -1e-7
 
-    def test_forward_case_holds(self, grid):
+    def test_forward_case_holds(self, grid, rule):
         t = ExponentTriple.from_pq(2.0, 4.0)
         f1 = gaussian_field(grid, 2.0)
         f2 = field_from_family(grid, symmetric_mixture(0.8, 1.0))
-        r = brascamp_lieb_check(f1, f2, t, 2.0)
+        r = brascamp_lieb_check(f1, f2, t, 2.0, rule)
         assert r.direction == "le"
         assert r.asserted and r.slack >= -1e-7
 
@@ -380,23 +387,23 @@ class TestBrascampLiebOracle:
         ((0.5, -1.0), 0.5, False),   # reverse-concave
         ((-1.0, -3.0), 2.0, True),   # reverse-mixed
     ])
-    def test_resolved_cases(self, grid, pq, beta, mixture_f2):
+    def test_resolved_cases(self, grid, rule, pq, beta, mixture_f2):
         t = ExponentTriple.from_pq(*pq)
         f1 = gaussian_field(grid, beta)
         f2 = (field_from_family(grid, symmetric_mixture(0.8, 1.0))
               if mixture_f2 else gaussian_field(grid, 1.0))
-        r = brascamp_lieb_check(f1, f2, t, beta)
+        r = brascamp_lieb_check(f1, f2, t, beta, rule)
         assert r.lhs == pytest.approx(full_grid_bl_lhs(f1, f2, t),
                                       rel=1e-13, abs=0)
         assert r.params["trapezoid_n"] < grid.n
         assert r.params["trapezoid_gap"] <= 1e-14
 
-    def test_unresolved_case_uses_full_grid(self, grid):
+    def test_unresolved_case_uses_full_grid(self, grid, rule):
         # reverse-mixed at beta = 0.5: the levels never agree to 1e-14
         t = ExponentTriple.from_pq(-1.0, -3.0)
         f1 = gaussian_field(grid, 0.5)
         f2 = field_from_family(grid, symmetric_mixture(0.8, 1.0))
-        r = brascamp_lieb_check(f1, f2, t, 0.5)
+        r = brascamp_lieb_check(f1, f2, t, 0.5, rule)
         assert r.params["trapezoid_n"] == grid.n == 4097
         assert r.params["trapezoid_gap"] > 1e-14
         assert r.lhs == full_grid_bl_lhs(f1, f2, t)
@@ -404,13 +411,13 @@ class TestBrascampLiebOracle:
 
 
 class TestCounterexamples:
-    def test_mixture_zero_offset(self, grid):
-        r = counterexample_mixture(0.0)
+    def test_mixture_zero_offset(self, grid, rule):
+        r = counterexample_mixture(0.0, grid, rule)
         assert r.slack == pytest.approx(0, abs=1e-10)
         assert r.asserted
 
-    def test_mixture_large_offset_fails_certificate(self):
-        r = counterexample_mixture(4.0)
+    def test_mixture_large_offset_fails_certificate(self, grid, rule):
+        r = counterexample_mixture(4.0, grid, rule)
         assert r.params["covariance"] == pytest.approx(17.0)
         assert r.slack < 0
         assert not r.asserted  # subharmonicity certificate fails

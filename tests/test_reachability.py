@@ -12,10 +12,13 @@ import counts, and no cache filled by an earlier test hides a function.
 The option guard reads the arguments of every call the commands make: it
 fails on a parameter with a default that no call sets to another value,
 unless UNSET names it with the reason it is kept, and on a stale entry of
-UNSET.  The functions of UNREACHED are not read.
+UNSET.  Conversely it fails on a parameter with a default that no call
+leaves at it, a default nothing takes, unless ALWAYS_SET names it with the
+reason it is kept, and on a stale entry of ALWAYS_SET.  The functions of
+UNREACHED are not read.
 
-Run as a script, this file prints the unreached names and the unset
-options as JSON.
+Run as a script, this file prints the unreached names, the unset options
+and the always-set options as JSON.
 """
 import contextlib
 import functools
@@ -33,8 +36,6 @@ import tempfile
 # qualified name -> why it stays although no command runs it
 UNREACHED = {
     "numerics.default_grid": "the benchmark's grid",
-    "numerics.second_difference": "(log f)'' of a field without a d2log "
-                                  "closure; every suite input has one",
     "families.LogQuad.__call__": "a family as a value closure: the "
                                  "benchmark's untagged Gaussian",
     "flows._grid_density_family": "the untagged FP kernel: the benchmark's "
@@ -58,6 +59,14 @@ UNSET = {
                                  "sets it"
        for name in ("hc_ratio", "dn", "lsi_gauss", "talagrand_gauss",
                     "mikulincer", "beckner_b", "hj_t")},
+}
+
+
+# function.parameter -> why its default stays although every command call
+# sets it
+ALWAYS_SET = {
+    "cli.main.argv": "the console script and python -m gauss_deficit call "
+                     "main() bare, to read sys.argv",
 }
 
 
@@ -104,15 +113,16 @@ def _is_default(value, default) -> bool:
 
 def profile_commands():
     """(the functions that never ran from import through every command,
-    the options no call set to a value other than the default)."""
+    the options no call set to a value other than the default, the options
+    of functions that ran that no call left at the default)."""
     package = os.path.dirname(importlib.util.find_spec("gauss_deficit").origin)
-    ran, early, changed = set(), [], set()
+    ran, early, changed, kept = set(), [], set(), set()
     options = None  # code -> [(parameter, default)], once imported
 
     def note(code, args):
         for key, default in options[code]:
-            if not _is_default(args[key], default):
-                changed.add((code, key))
+            (kept if _is_default(args[key], default) else changed).add(
+                (code, key))
 
     def profile(frame, event, arg):
         if event == "call":
@@ -153,13 +163,19 @@ def profile_commands():
     unset = sorted(f"{name}.{key}" for name, fn in functions.items()
                    for key, _ in options.get(fn.__code__, ())
                    if (fn.__code__, key) not in changed)
-    return unreached, unset
+    # a function that never ran left no default either: the reach guard
+    # reports it
+    always_set = sorted(f"{name}.{key}" for name, fn in functions.items()
+                        if fn.__code__ in ran
+                        for key, _ in options.get(fn.__code__, ())
+                        if (fn.__code__, key) not in kept)
+    return unreached, unset, always_set
 
 
 @functools.cache
 def _profiled():
-    """The unreached names and the unset options, from a fresh
-    interpreter."""
+    """The unreached names, the unset options and the always-set options,
+    from a fresh interpreter."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     done = subprocess.run(
         [sys.executable, __file__], capture_output=True, text=True,
@@ -180,6 +196,14 @@ def test_every_option_is_set():
     assert unset - set(UNSET) == set()
     # an option a command now sets, or that names nothing, is stale
     assert set(UNSET) - unset == set()
+
+
+def test_every_default_is_taken():
+    always_set = _profiled()[2]
+    assert always_set - set(ALWAYS_SET) == set()
+    # an option a command now leaves at its default, or that names nothing,
+    # is stale
+    assert set(ALWAYS_SET) - always_set == set()
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from gauss_deficit.inequalities import (els_eigen_check, lsi_check,
                                         make_talagrand_input, matrix_check)
 from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
                                     default_grid)
+from gauss_deficit.semigroups import ExponentTriple
 from gauss_deficit.transport import (PotentialSpec, brenier_1d,
                                      caffarelli_check, general_lsi_deficit,
                                      talagrand_deficit, w2)
@@ -83,11 +84,11 @@ class TestDensityChecks:
     probability density on its grid."""
 
     @pytest.mark.parametrize("make", [_off_mass, _negative])
-    def test_refused(self, grid, make):
+    def test_refused(self, grid, rule, make):
         bad = make(grid)
         # gamma is e^{-V} for V = x^2/2 up to a constant
         pot = PotentialSpec(gauss_spec(1.0, grid), K=1.0, L=1.0)
-        for call in (lambda: talagrand_deficit(bad, 2.0),
+        for call in (lambda: talagrand_deficit(bad, 2.0, rule),
                      lambda: w2(gauss_spec(1.0, grid), bad),
                      lambda: w2(bad, gauss_spec(1.0, grid)),
                      lambda: general_lsi_deficit(bad, pot, 2.0)):
@@ -97,12 +98,12 @@ class TestDensityChecks:
 
 
     @pytest.mark.parametrize("make", [_off_mass, _negative])
-    def test_one_check_for_every_density_reader(self, grid, make):
+    def test_one_check_for_every_density_reader(self, grid, rule, make):
         # lsi_check, els_eigen_check and the transport entries share one
         # check
         bad = make(grid)
-        for call in (lambda: lsi_check(bad, 2.0),
-                     lambda: els_eigen_check(bad),
+        for call in (lambda: lsi_check(bad, 2.0, rule),
+                     lambda: els_eigen_check(bad, rule),
                      lambda: brenier_1d(bad, gauss_spec(1.0, grid))):
             with pytest.raises(ParameterError) as err:
                 call()
@@ -154,7 +155,7 @@ class TestW2:
         c = gauss_spec(2.0, grid, mean=0.5)
         assert w2(a, c) <= w2(a, b) + w2(b, c) + 1e-6
 
-    def test_classical_talagrand_random_inputs(self, grid):
+    def test_classical_talagrand_random_inputs(self, grid, rule):
         # (1/2) W2(gamma, v)^2 <= Ent_gamma(v/gamma)
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -169,42 +170,42 @@ class TestW2:
                 log_fn=lambda x: v.log(x) + 0.5 * x * x
                 + 0.5 * np.log(2 * np.pi),
                 dlog_fn=lambda x: v.dlog(x) + x)
-            ent = entropy_fisher(rel).entropy
+            ent = entropy_fisher(rel, rule).entropy
             assert cost <= ent + 1e-5
 
 
 class TestRelativeEntropy:
-    def test_gaussian_closed_form(self, grid):
+    def test_gaussian_closed_form(self, grid, rule):
         beta = 2.0
         v = gaussian_field(grid, beta)
         # Ent_gamma(gamma_beta/gamma) = (1/2)(beta - 1 - log beta)
-        got = entropy_fisher(tilt(v, 1.0, 1.0)).entropy
+        got = entropy_fisher(tilt(v, 1.0, 1.0), rule).entropy
         assert got == pytest.approx(0.5 * (beta - 1 - np.log(beta)),
                                     abs=1e-10)
 
 
 class TestTalagrandDeficit:
     @pytest.mark.parametrize("beta", [0.5, 2.0, 4.0])
-    def test_equality_at_gamma_beta(self, beta, grid):
-        r = talagrand_deficit(gauss_spec(beta, grid), beta)
+    def test_equality_at_gamma_beta(self, beta, grid, rule):
+        r = talagrand_deficit(gauss_spec(beta, grid), beta, rule)
         assert r.asserted
         assert r.slack == pytest.approx(0, abs=1e-6)
 
-    def test_centering_invariance(self, grid):
+    def test_centering_invariance(self, grid, rule):
         # a shifted gamma_beta still attains equality (the deficit does not
         # see the mean), and reports gamma_beta's centred W2^2 and entropy
-        r = talagrand_deficit(gauss_spec(2.0, grid, mean=0.8), 2.0)
+        r = talagrand_deficit(gauss_spec(2.0, grid, mean=0.8), 2.0, rule)
         assert r.slack == pytest.approx(0, abs=1e-6)
-        r0 = talagrand_deficit(gauss_spec(2.0, grid), 2.0)
+        r0 = talagrand_deficit(gauss_spec(2.0, grid), 2.0, rule)
         for key in ("w2_sq", "entropy"):
             assert r.params[key] == pytest.approx(r0.params[key], abs=1e-10)
         assert r.params["centering_shift"] == pytest.approx(0.8, abs=1e-12)
 
-    def test_admissible_inputs_positive_slack(self, grid):
+    def test_admissible_inputs_positive_slack(self, grid, rule):
         rng = np.random.default_rng(11)
         for _ in range(3):
             v = make_talagrand_input(rng, 2.0, grid)
-            r = talagrand_deficit(v, 2.0)
+            r = talagrand_deficit(v, 2.0, rule)
             assert r.asserted and r.slack >= -1e-5
 
     def test_entropy_is_the_lsi_entropy(self, grid, rule):
@@ -217,14 +218,14 @@ class TestTalagrandDeficit:
         assert (r.params["entropy"] + 0.5 * shift**2
                 == entropy_fisher(tilt(v, 1.0, 1.0), rule).entropy)
 
-    def test_mikulincer_reported_for_small_beta(self, grid):
-        r = talagrand_deficit(gauss_spec(0.5, grid), 0.5)
+    def test_mikulincer_reported_for_small_beta(self, grid, rule):
+        r = talagrand_deficit(gauss_spec(0.5, grid), 0.5, rule)
         assert "mikulincer_bound" in r.params
         assert r.sharp_constant < r.params["mikulincer_bound"]
 
-    def test_non_log_concave_input_not_asserted(self, grid):
+    def test_non_log_concave_input_not_asserted(self, grid, rule):
         v = field_from_family(grid, symmetric_mixture(2.0, 1.0))
-        r = talagrand_deficit(v, 5.0)
+        r = talagrand_deficit(v, 5.0, rule)
         assert not r.asserted
 
 
@@ -265,20 +266,21 @@ class TestCoupling2D:
     """W_2^2(gamma_2, v1 (x) v2) as matrix_check's talagrand variant takes it."""
 
     @staticmethod
-    def _w2_sq(grid, b1, b2):
+    def _w2_sq(grid, rule, b1, b2):
         v1, v2 = gaussian_field(grid, b1), gaussian_field(grid, b2)
         return matrix_check(v1, v2, np.diag([b1, b2]),
-                            which="talagrand").params["w2_sq"]
+                            ExponentTriple.from_pq(2.0, 4.0), "talagrand",
+                            rule).params["w2_sq"]
 
-    def test_product_gaussian(self, grid):
+    def test_product_gaussian(self, grid, rule):
         b1, b2 = 2.0, 0.5
-        got = self._w2_sq(grid, b1, b2)
+        got = self._w2_sq(grid, rule, b1, b2)
         expect = (1 - np.sqrt(b1)) ** 2 + (1 - np.sqrt(b2)) ** 2
         assert got == pytest.approx(expect, abs=1e-4)
 
     @pytest.mark.parametrize("b1, b2", [(2.0, 0.5), (3.0, 1.5), (0.4, 0.7)])
-    def test_product_gaussian_exact(self, grid, b1, b2):
-        got = self._w2_sq(grid, b1, b2)
+    def test_product_gaussian_exact(self, grid, rule, b1, b2):
+        got = self._w2_sq(grid, rule, b1, b2)
         expect = (1 - np.sqrt(b1)) ** 2 + (1 - np.sqrt(b2)) ** 2
         assert got == pytest.approx(expect, abs=1e-9)
 
@@ -321,19 +323,19 @@ class TestGeneralLSI:
         assert r.asserted
         assert r.slack >= -1e-4
 
-    def test_potential_without_d2log_takes_the_stencil(self, grid):
-        # V'' is the reference's exact -(log)''; left out, it is the
-        # second difference of V at the grid spacing
+    def test_potential_without_d2log_is_refused(self, grid):
+        # V'' is the reference's exact -(log)''; left out, no difference
+        # quotient stands in for it and the reference is refused
         exact = self._potential(grid, omega=1.2, eps=0.04)
-        stencil = self._potential(grid, omega=1.2, eps=0.04, d2log=False)
+        bare = self._potential(grid, omega=1.2, eps=0.04, d2log=False)
         v = self._member(exact, 2.0 * exact.L / exact.K)
-        margins = [[h.margin for h in general_lsi_deficit(v, pot, 2.0)
-                    .hypotheses[:2]] for pot in (exact, stencil)]
+        margins = [h.margin for h in general_lsi_deficit(v, exact, 2.0)
+                   .hypotheses[:2]]
         x = grid.points[2:-2]
         vpp = 1.2 + 0.04 / np.cosh(x) ** 2
-        assert margins[0] == [np.min(vpp) - 1.2, 1.24 - np.max(vpp)]
-        np.testing.assert_allclose(margins[1], margins[0], rtol=0, atol=1e-6)
-        assert margins[1] != margins[0]
+        assert margins == [np.min(vpp) - 1.2, 1.24 - np.max(vpp)]
+        with pytest.raises(ParameterError, match=r"\(log f\)''"):
+            general_lsi_deficit(v, bare, 2.0)
 
     def test_needs_the_exact_slopes(self, grid):
         # V' and (log v)' are read from the dlog closures, never differenced
@@ -354,7 +356,8 @@ class TestGeneralLSI:
                                          dx=grid.spacing)))
         raw = GridField.from_callable(
             grid, log_fn=lambda y: -0.3 * (y - 0.5) ** 2 - logz,
-            dlog_fn=lambda y: -0.6 * (y - 0.5))
+            dlog_fn=lambda y: -0.6 * (y - 0.5),
+            d2log_fn=lambda y: np.full(np.shape(y), -0.6))
         r = general_lsi_deficit(raw, pot, 2.0)
         assert not r.asserted
 
