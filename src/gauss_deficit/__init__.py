@@ -29,8 +29,7 @@ from .inequalities import (beckner_check, brascamp_lieb_check,
                            counterexample_superharmonic, els_eigen_check,
                            hc_check, lsi_check, make_fp_input,
                            make_logconcave_input, make_talagrand_input,
-                           matrix_check,
-                           poincare_check, reverse_hc_check,
+                           matrix_check, poincare_check,
                            sample_reverse_triple)
 from .hamilton_jacobi import (HJField, beta_of_a, dual_talagrand_check,
                               hj_hc_check, hopf_lax, quadratic_datum)

@@ -30,8 +30,7 @@ from numpy.random import default_rng  # at import: numpy defers it to first use
 
 from .numerics import (EvaluationError, Grid1D, GridField, ParameterError,
                        PositivityError, TruncationError, gauss_hermite_rule)
-from .families import (LogQuad, field_from_family, gaussian_field,
-                       symmetric_mixture)
+from .families import field_from_family, gaussian_field, symmetric_mixture
 from .semigroups import ExponentTriple
 from .flows import curvature, fp_evolve
 from .functionals import (_check_ratio_bounded, q_functional, sharp_constant,
@@ -42,8 +41,7 @@ from .inequalities import (beckner_check, brascamp_lieb_check,
                            counterexample_superharmonic, els_eigen_check,
                            hc_check, lsi_check, make_fp_input,
                            make_logconcave_input, make_talagrand_input,
-                           matrix_check,
-                           poincare_check, reverse_hc_check,
+                           matrix_check, poincare_check,
                            sample_reverse_triple)
 from .transport import (PotentialSpec, _log_mass, general_lsi_deficit,
                         talagrand_deficit)
@@ -261,7 +259,7 @@ def _reverse_hc_item(config: RunConfig, i: int):
     else:
         beta = config.beta if config.beta < 1 else 0.5
         v = make_logconcave_input(rng, beta, grid)
-    return reverse_hc_check(v, beta, triple, config.rule())
+    return hc_check(v, beta, triple, config.rule())
 
 
 def _talagrand_item(config: RunConfig, i: int):
@@ -272,7 +270,8 @@ def _talagrand_item(config: RunConfig, i: int):
 
 
 def _matrix_item(config: RunConfig, i: int):
-    triple = _forward_triple(config)
+    which = ("hc", "lsi", "talagrand")[i % 3]
+    triple = _forward_triple(config) if which == "hc" else None
     rng = _item_rng(config, i)
     grid = config.grid()
     b1 = config.beta
@@ -287,18 +286,16 @@ def _matrix_item(config: RunConfig, i: int):
     else:
         v1 = make_logconcave_input(rng, b1, grid)
         v2 = make_logconcave_input(rng, b2, grid)
-    return matrix_check(v1, v2, np.diag([b1, b2]), triple=triple,
-                        which=("hc", "lsi", "talagrand")[i % 3],
-                        rule=config.rule())
+    return matrix_check(v1, v2, np.diag([b1, b2]), which=which,
+                        rule=config.rule(), triple=triple)
 
 
 def _test_function(config: RunConfig, index: int, power: float) -> GridField:
     """f = (v/gamma)^{1/power} so that gamma f^power = v inherits the
-    curvature certificate of the generated density v; item 0 (v = gamma_beta)
-    is the closed form, so its certificate is exact."""
-    v = (LogQuad.gaussian(config.beta) if index == 0
-         else _density(config, index))
-    return tilt(v, 1.0 / power, 1.0 / power).field(config.grid())
+    curvature certificate of the generated density v; at item 0, v =
+    gamma_beta, f is the closed form, so its certificate is exact."""
+    return tilt(_density(config, index), 1.0 / power,
+                1.0 / power).field(config.grid())
 
 
 def _beckner_item(config: RunConfig, i: int):

@@ -10,6 +10,7 @@ assert an inequality whose hypotheses failed; they still carry the numbers.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 
@@ -45,54 +46,40 @@ def _certificate_hypotheses(v: GridField, beta: float) -> list:
 
 def hc_check(v: GridField, beta: float, triple: ExponentTriple,
              rule) -> DeficitReport:
-    """Forward regularised hypercontractivity deficit.
+    """Regularised hypercontractivity deficit in the triple's regime:
 
     lhs = ||P_s[(v/gamma)^{1/p}]||_q,
     rhs = beta^{n/2p'} beta_s^{-n/2q'} (int v dx)^{1/p}.
+
+    Forward (1 < p < q): lhs <= rhs under beta's curvature certificate.
+    Reverse (q < p < 1, p outside {0, 1-e^{-2s}}): lhs >= rhs; pq > 0
+    pairs with beta > 1 (subharmonic), pq < 0 with beta < 1 (concave).
     """
-    if triple.regime != "forward":
-        raise InadmissibleExponentError("hc_check needs 1 < p < q")
-    _check_ratio_bounded(v, beta)
-    hyps = _certificate_hypotheses(v, beta)
-    lhs = float(np.exp(log_hc_norm(v, triple.p, triple.q, triple.s, rule)))
-    mass = float(np.exp(log_hc_norm(v, 1.0, 1.0, 0.0, rule)))
-    const = sharp_constant("hc_ratio", beta=beta, triple=triple)
-    rhs = const * mass ** (1.0 / triple.p)
-    return DeficitReport(
-        "hypercontractivity", lhs, rhs, const, hypotheses=hyps,
-        params={"beta": beta, "p": triple.p, "q": triple.q, "s": triple.s,
-                "mass": mass})
-
-
-def reverse_hc_check(v: GridField, beta: float, triple: ExponentTriple,
-                     rule) -> DeficitReport:
-    """Reverse regularised hypercontractivity: lhs >= rhs, slack = lhs - rhs.
-
-    Admissible exponents have q < p < 1 with p excluded from {0, 1-e^{-2s}};
-    pq > 0 pairs with beta > 1 (subharmonic), pq < 0 with beta < 1 (concave).
-    """
-    if triple.regime not in ("reverse-same-sign", "reverse-opposite-sign"):
-        raise InadmissibleExponentError("reverse_hc_check needs q < p < 1")
-    p, s = triple.p, triple.s
-    if abs(p) < 1e-9 or abs(p - (1.0 - np.exp(-2.0 * s))) < 1e-9:
+    p, q, s = triple.p, triple.q, triple.s
+    forward = triple.regime == "forward"
+    if not forward and (abs(p) < 1e-9
+                        or abs(p - (1.0 - np.exp(-2.0 * s))) < 1e-9):
         raise InadmissibleExponentError(
             "p must avoid the excluded values 0 and 1 - e^{-2s}")
     _check_ratio_bounded(v, beta)
-    if triple.p * triple.q > 0:
+    if forward:
+        hyps = _certificate_hypotheses(v, beta)
+    elif p * q > 0:
         hyps = [HypothesisCheck("beta>1-for-pq>0", beta - 1.0, 0.0),
                 semi_log_convex(v, max(beta, 1.0),
                                 "beta-semi-log-subharmonic")]
     else:
         hyps = [HypothesisCheck("beta<1-for-pq<0", 1.0 - beta, 0.0),
                 semi_log_concave(v, min(beta, 1.0), "beta-semi-log-concave")]
-    lhs = float(np.exp(log_hc_norm(v, p, triple.q, s, rule)))
+    lhs = float(np.exp(log_hc_norm(v, p, q, s, rule)))
     mass = float(np.exp(log_hc_norm(v, 1.0, 1.0, 0.0, rule)))
     const = sharp_constant("hc_ratio", beta=beta, triple=triple)
-    rhs = const * float(np.exp(np.log(mass) / p))
+    rhs = const * mass ** (1.0 / p)
     return DeficitReport(
-        "reverse-hypercontractivity", lhs, rhs, const, direction="ge",
+        "hypercontractivity" if forward else "reverse-hypercontractivity",
+        lhs, rhs, const, direction="le" if forward else "ge",
         hypotheses=hyps,
-        params={"beta": beta, "p": p, "q": triple.q, "s": s, "mass": mass})
+        params={"beta": beta, "p": p, "q": q, "s": s, "mass": mass})
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +106,14 @@ def els_eigen_check(v: GridField, rule) -> DeficitReport:
     """
     mass, _, var = moments(v)
     check_density(v, mass)
-    eigs = [var]  # the covariance of a density on the line is 1 x 1
     ef = entropy_fisher(tilt(v, 1.0, 1.0), rule)
-    correction = -0.5 * float(sum(np.log(b) - 1.0 + 1.0 / b
-                                  for b in eigs if b <= 1.0))
+    # the covariance of a density on the line is 1 x 1; a variance above 1
+    # is read at 1, where the constant vanishes
+    correction = sharp_constant("lsi_gauss", beta=min(var, 1.0))
     rhs = 0.5 * ef.fisher + correction
     return DeficitReport(
         "els-eigenvalue", ef.entropy, rhs, correction,
-        params={"cov_eigenvalues": eigs, "entropy": ef.entropy,
+        params={"cov_eigenvalues": [var], "entropy": ef.entropy,
                 "fisher": ef.fisher, "correction": correction})
 
 
@@ -137,8 +124,8 @@ def els_eigen_check(v: GridField, rule) -> DeficitReport:
 def _matrix_side(v1: GridField, v2: GridField, B: np.ndarray, eigs, logc):
     """Pick the certified side, preferring the stronger passing statement.
 
-    Statement strength is measured by the restricted correction sum
-    -(1/2) sum (log b - 1 + 1/b): more negative means a tighter bound.  When
+    Statement strength is the side's LSI correction, lsi_gauss summed over
+    its eigenvalues: more negative means a tighter bound.  When
     neither side certifies, the one with the better margin is reported.
     A given log-concavity certificate ``logc`` must pass for the convex side.
     """
@@ -146,7 +133,7 @@ def _matrix_side(v1: GridField, v2: GridField, B: np.ndarray, eigs, logc):
 
     def strength(s):
         rel = [b for b in eigs if (b >= 1.0 if s == "convex" else b <= 1.0)]
-        return -0.5 * sum(np.log(b) - 1.0 + 1.0 / b for b in rel)
+        return sum(sharp_constant("lsi_gauss", beta=b) for b in rel)
 
     passing = [s for s in certs if certs[s].passed]
     if logc is not None and "convex" in passing and not logc.passed:
@@ -158,15 +145,19 @@ def _matrix_side(v1: GridField, v2: GridField, B: np.ndarray, eigs, logc):
     return best, certs[best]
 
 
-def matrix_check(v1: GridField, v2: GridField, B: np.ndarray,
-                 triple: ExponentTriple, which: str, rule) -> DeficitReport:
+def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, which: str,
+                 rule,
+                 triple: Optional[ExponentTriple] = None) -> DeficitReport:
     """n = 2 variants for the product density v = v1 (x) v2 with matrix
     curvature bound grad^2 log v vs -B^{-1}, B symmetric positive definite.
+    ``which`` is "hc", which needs a forward ``triple``, or "lsi" or
+    "talagrand", which take none.
 
     Convex side (>= -B^{-1}) restricts corrections to eigenvalues >= 1;
-    concave side (<= -B^{-1}) to eigenvalues <= 1.  The Talagrand variant on
-    the convex side additionally needs grad^2 log v <= 0.  The stronger
-    certified statement is used.
+    concave side (<= -B^{-1}) to eigenvalues <= 1.  Each constant is the
+    1-D sharp constant summed (hc: multiplied) over those eigenvalues.  The
+    Talagrand variant on the convex side additionally needs grad^2 log v
+    <= 0.  The stronger certified statement is used.
 
     Every quantity comes from the factors: P_s, the L^q(gamma) norm and the
     mass of v/gamma factorise; with m_i the mass of v_i/gamma, Ent = m2 Ent_1
@@ -175,6 +166,9 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray,
     """
     if which not in ("hc", "lsi", "talagrand"):
         raise ParameterError(f"unknown variant {which!r}")
+    if (triple is None) == (which == "hc"):
+        raise ParameterError(f"a triple is for the hc variant only, which "
+                             f"needs one; got {which!r} with {triple}")
     B = np.asarray(B, float)
     if B.shape != (2, 2):
         raise ParameterError("B must be a 2 x 2 matrix")
@@ -211,8 +205,8 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray,
                     for v in (v1, v2))
         ent = m2 * ef1.entropy + m1 * ef2.entropy
         fisher = m2 * ef1.fisher + m1 * ef2.fisher
-        correction = -0.5 * float(sum(np.log(b) - 1.0 + 1.0 / b
-                                      for b in relevant))
+        correction = float(sum(sharp_constant("lsi_gauss", beta=b)
+                               for b in relevant))
         rhs = 0.5 * fisher + correction
         return DeficitReport(
             "matrix-log-sobolev", ent, rhs, correction, hypotheses=hyps,
@@ -223,7 +217,8 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray,
     ent1, ent2 = (entropy_fisher(tilt(v, 1.0, 1.0), rule).entropy
                   for v in (v1, v2))
     ent = m2 * ent1 + m1 * ent2
-    const = float(sum(1.0 + 0.5 * np.log(b) - np.sqrt(b) for b in relevant))
+    const = float(sum(sharp_constant("talagrand_gauss", beta=b)
+                      for b in relevant))
     return DeficitReport(
         "matrix-talagrand", 0.5 * cost - ent, const, const, hypotheses=hyps,
         params={"which": which, "side": side, "eigenvalues": eigs,

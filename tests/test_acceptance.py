@@ -60,9 +60,7 @@ def lsi_value(beta, n, rule):
         ef = entropy_fisher(tilt(LogQuad.gaussian(beta), 1.0, 1.0), rule)
         return ef.entropy - 0.5 * ef.fisher
     g = gaussian_field(default_grid(), beta)
-    params = matrix_check(g, g, np.diag([beta, beta]),
-                          ExponentTriple.from_pq(2.0, 4.0), "lsi",
-                          rule).params
+    params = matrix_check(g, g, np.diag([beta, beta]), "lsi", rule).params
     return params["entropy"] - 0.5 * params["fisher"]
 
 

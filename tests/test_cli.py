@@ -158,9 +158,9 @@ class TestRun:
         # no cap: --gh-nodes governs the matrix checks as every other suite
         rules, check = [], cli.matrix_check
 
-        def recording(*args, rule=None, **kw):
+        def recording(v1, v2, B, which, rule, triple=None):
             rules.append(rule)
-            return check(*args, rule=rule, **kw)
+            return check(v1, v2, B, which, rule, triple)
 
         monkeypatch.setattr(cli, "matrix_check", recording)
         run(RunConfig(command="verify-matrix", gh_nodes=96, count=3))

@@ -41,8 +41,7 @@ class TestEntropyFisher:
         # Ent and I of (gamma_beta/gamma) (x) (gamma_beta/gamma)
         beta = 2.0
         g = gaussian_field(grid, beta)
-        ef = matrix_check(g, g, np.diag([beta, beta]),
-                          ExponentTriple.from_pq(2.0, 4.0), "lsi",
+        ef = matrix_check(g, g, np.diag([beta, beta]), "lsi",
                           gauss_hermite_rule(48)).params
         ent, fis = gaussian_relative_entropy_fisher(beta)
         assert ef["entropy"] == pytest.approx(2 * ent, abs=1e-8)

@@ -15,7 +15,7 @@ from gauss_deficit.inequalities import (beckner_check,
                                         lsi_check, make_fp_input,
                                         make_logconcave_input,
                                         make_talagrand_input, matrix_check,
-                                        poincare_check, reverse_hc_check,
+                                        poincare_check,
                                         sample_reverse_triple)
 from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
                                     default_grid, gauss_hermite_rule)
@@ -101,7 +101,7 @@ class TestHC:
 class TestReverseHC:
     def test_equality_at_gamma_beta(self, grid, rule):
         t = ExponentTriple.from_pq(0.5, 0.25)
-        r = reverse_hc_check(gaussian_field(grid, 2.0), 2.0, t, rule)
+        r = hc_check(gaussian_field(grid, 2.0), 2.0, t, rule)
         assert r.direction == "ge"
         assert r.asserted
         assert r.slack == pytest.approx(0, abs=1e-12)
@@ -113,15 +113,27 @@ class TestReverseHC:
             s = 0.5 * np.log(4.0)
             p = 1.0 - np.exp(-2 * s)
             t = ExponentTriple(p, 1.0 + (p - 1.0) * np.exp(2 * s), s)
-            reverse_hc_check(v, 2.0, t, rule)
+            hc_check(v, 2.0, t, rule)
 
     def test_opposite_sign_needs_concave(self, grid, rule):
         t = ExponentTriple.from_pq(0.5, -1.0)
         # concave hypothesis at beta < 1: the log-concave generator passes
         rng = np.random.default_rng(4)
         v = make_logconcave_input(rng, 0.5, grid)
-        r = reverse_hc_check(v, 0.5, t, rule)
+        r = hc_check(v, 0.5, t, rule)
         assert r.asserted and r.slack >= -1e-5
+
+    def test_regime_picks_direction_and_name(self, grid, rule):
+        v = gaussian_field(grid, 2.0)
+        forward = hc_check(v, 2.0, ExponentTriple.from_pq(2.0, 4.0), rule)
+        reverse = hc_check(v, 2.0, ExponentTriple.from_pq(0.5, 0.25), rule)
+        assert (forward.direction, forward.inequality) == (
+            "le", "hypercontractivity")
+        assert (reverse.direction, reverse.inequality) == (
+            "ge", "reverse-hypercontractivity")
+        with pytest.raises(InadmissibleExponentError):
+            # p = 0.5 < 1 < q = 2 lies in neither regime: no triple admits it
+            hc_check(v, 2.0, ExponentTriple.from_pq(0.5, 2.0), rule)
 
     def test_sampled_triples_avoid_bands(self):
         rng = np.random.default_rng(9)
@@ -172,8 +184,7 @@ class TestMatrix:
         rule = gauss_hermite_rule(48)
         B = np.diag([2.0, 3.0])
         v1, v2 = self._factors(grid, 2.0, 3.0)
-        r = matrix_check(v1, v2, B, ExponentTriple.from_pq(2.0, 4.0), "lsi",
-                         rule)
+        r = matrix_check(v1, v2, B, "lsi", rule)
         assert r.asserted
         assert r.slack == pytest.approx(0, abs=1e-9)
 
@@ -181,17 +192,27 @@ class TestMatrix:
         rule = gauss_hermite_rule(48)
         B = np.diag([0.5, 0.25])
         v1, v2 = self._factors(grid, 0.5, 0.25)
-        r = matrix_check(v1, v2, B, ExponentTriple.from_pq(2.0, 4.0), "lsi",
-                         rule)
+        r = matrix_check(v1, v2, B, "lsi", rule)
         assert r.asserted
         assert r.slack == pytest.approx(0, abs=1e-8)
+
+    def test_triple_only_for_hc(self, grid, rule):
+        g = gaussian_field(grid, 2.0)
+        B = np.diag([2.0, 2.0])
+        triple = ExponentTriple.from_pq(2.0, 4.0)
+        for which in ("lsi", "talagrand"):
+            assert matrix_check(g, g, B, which, rule).asserted
+        with pytest.raises(ParameterError):
+            matrix_check(g, g, B, "hc", rule)
+        with pytest.raises(ParameterError):
+            matrix_check(g, g, B, "lsi", rule, triple)
+        assert matrix_check(g, g, B, "hc", rule, triple).asserted
 
     def test_requires_2d(self, grid, rule):
         # B must be the 2 x 2 matrix of the product on R^2
         g = gaussian_field(grid, 2.0)
         with pytest.raises(ParameterError):
-            matrix_check(g, g, np.diag([2.0]),
-                         ExponentTriple.from_pq(2.0, 4.0), "lsi", rule)
+            matrix_check(g, g, np.diag([2.0]), "lsi", rule)
 
 
 class TestMatrixHC:
@@ -463,7 +484,7 @@ class TestOnePassPerField:
         v = make_fp_input(rng, 2.0, grid)
         assert v.tag.a.size > 1
         hc_check(v, 2.0, ExponentTriple.from_pq(2.0, 4.0), rule)
-        reverse_hc_check(v, 2.0, sample_reverse_triple(rng, True), rule)
+        hc_check(v, 2.0, sample_reverse_triple(rng, True), rule)
         lsi_check(v, 2.0, rule)
         els_eigen_check(v, rule)
         poincare_check(tilt(v, 0.5, 0.5).field(grid), 2.0, rule)

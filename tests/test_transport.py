@@ -13,7 +13,6 @@ from gauss_deficit.inequalities import (els_eigen_check, lsi_check,
                                         make_talagrand_input, matrix_check)
 from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
                                     default_grid)
-from gauss_deficit.semigroups import ExponentTriple
 from gauss_deficit.transport import (PotentialSpec, brenier_1d,
                                      caffarelli_check, general_lsi_deficit,
                                      talagrand_deficit, w2)
@@ -268,8 +267,7 @@ class TestCoupling2D:
     @staticmethod
     def _w2_sq(grid, rule, b1, b2):
         v1, v2 = gaussian_field(grid, b1), gaussian_field(grid, b2)
-        return matrix_check(v1, v2, np.diag([b1, b2]),
-                            ExponentTriple.from_pq(2.0, 4.0), "talagrand",
+        return matrix_check(v1, v2, np.diag([b1, b2]), "talagrand",
                             rule).params["w2_sq"]
 
     def test_product_gaussian(self, grid, rule):
