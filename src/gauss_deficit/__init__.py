@@ -15,7 +15,7 @@ from .numerics import (Grid1D, GridField, QuadratureRule, default_grid,
 from .families import (LogQuad, field_from_family, gaussian_field,
                        symmetric_mixture)
 from .semigroups import (ExponentTriple, InadmissibleExponentError,
-                         IntegrabilityError, beta_s, nelson_time)
+                         IntegrabilityError, beta_s)
 from .flows import (T_STAR, certify_matrix, curvature, fp_evolve,
                     fp_measure, preservation_trace, semi_log_concave,
                     semi_log_convex)

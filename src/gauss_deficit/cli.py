@@ -240,7 +240,7 @@ def _density(config: RunConfig, index: int) -> GridField:
 def _forward_triple(config: RunConfig) -> ExponentTriple:
     if not (1 < config.p < config.q):
         raise ParameterError("forward regime needs 1 < p < q")
-    return ExponentTriple.from_pq(config.p, config.q)
+    return ExponentTriple(config.p, config.q)
 
 
 def _beckner_p(config: RunConfig) -> float:
@@ -484,7 +484,7 @@ def flow_trace(config: RunConfig):
     v0 = make_fp_input(rng, config.beta, grid)
     if not (1.0 < config.p < config.q or config.q < config.p < 0.0):
         raise ParameterError("flow-trace needs 1 < p < q or q < p < 0")
-    triple = ExponentTriple.from_pq(config.p, config.q)
+    triple = ExponentTriple(config.p, config.q)
     _check_ratio_bounded(v0, config.beta)
     expect = "non-decreasing"
     times = np.geomspace(1e-3, 1.0, 8)

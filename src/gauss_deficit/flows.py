@@ -406,6 +406,16 @@ def semi_log_concave(v: GridField, beta: float,
     return HypothesisCheck(name, -1.0 / beta - curvature(v)[1], 1e-4 / beta)
 
 
+def _symmetric_2x2(B) -> np.ndarray:
+    """B as floats; refused unless 2 x 2 and symmetric to 1e-12 max |B|."""
+    B = np.asarray(B, float)
+    if B.shape != (2, 2):
+        raise ParameterError("B must be a 2 x 2 matrix")
+    if np.max(np.abs(B - B.T)) > 1e-12 * np.max(np.abs(B)):
+        raise ParameterError("B must be symmetric")
+    return B
+
+
 def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray,
                    side: str) -> HypothesisCheck:
     """Certificate grad^2 log v >= -B^{-1} (side='convex') or <= -B^{-1}
@@ -420,9 +430,7 @@ def certify_matrix(v1: GridField, v2: GridField, B: np.ndarray,
     """
     if side not in ("convex", "concave"):
         raise ParameterError("side must be 'convex' or 'concave'")
-    B = np.asarray(B, float)
-    if B.shape != (2, 2):
-        raise ParameterError("B must be a 2 x 2 matrix")
+    B = _symmetric_2x2(B)
     h = [curvature(v)[0 if side == "convex" else 1] for v in (v1, v2)]
     eigs = np.linalg.eigvalsh(np.diag(h) + np.linalg.inv(B))
     margin = eigs[0] if side == "convex" else -eigs[-1]

@@ -16,8 +16,8 @@ import numpy as np
 
 from .families import (LogQuad, field_from_family, gaussian_field,
                        symmetric_mixture)
-from .flows import T_STAR, certify_matrix, check_density, curvature, \
-    fp_measure, moments, semi_log_concave, semi_log_convex
+from .flows import T_STAR, _symmetric_2x2, certify_matrix, check_density, \
+    curvature, fp_measure, moments, semi_log_concave, semi_log_convex
 from .functionals import _check_ratio_bounded, entropy_fisher, \
     log_hc_norm, log_ou_norm, sharp_constant, tilt
 from .numerics import (Grid1D, GridField, ParameterError, _coarsest_stride,
@@ -52,15 +52,11 @@ def hc_check(v: GridField, beta: float, triple: ExponentTriple,
     rhs = beta^{n/2p'} beta_s^{-n/2q'} (int v dx)^{1/p}.
 
     Forward (1 < p < q): lhs <= rhs under beta's curvature certificate.
-    Reverse (q < p < 1, p outside {0, 1-e^{-2s}}): lhs >= rhs; pq > 0
+    Reverse (q < p < 1; the triple refuses p, q = 0): lhs >= rhs; pq > 0
     pairs with beta > 1 (subharmonic), pq < 0 with beta < 1 (concave).
     """
     p, q, s = triple.p, triple.q, triple.s
     forward = triple.regime == "forward"
-    if not forward and (abs(p) < 1e-9
-                        or abs(p - (1.0 - np.exp(-2.0 * s))) < 1e-9):
-        raise InadmissibleExponentError(
-            "p must avoid the excluded values 0 and 1 - e^{-2s}")
     _check_ratio_bounded(v, beta)
     if forward:
         hyps = _certificate_hypotheses(v, beta)
@@ -169,9 +165,7 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, which: str,
     if (triple is None) == (which == "hc"):
         raise ParameterError(f"a triple is for the hc variant only, which "
                              f"needs one; got {which!r} with {triple}")
-    B = np.asarray(B, float)
-    if B.shape != (2, 2):
-        raise ParameterError("B must be a 2 x 2 matrix")
+    B = _symmetric_2x2(B)
     eigs = np.linalg.eigvalsh(B)
     if np.any(eigs <= 0):
         raise ParameterError("B must be positive definite")
@@ -305,14 +299,10 @@ def beckner_check(f: GridField, p: float, beta: float,
 # Brascamp-Lieb dual form
 
 
-def _bl_case(c1: float, c2: float) -> str:
-    if 0 < c1 < 1 and 0 < c2 < 1:
-        return "forward"
-    if c1 * c2 < 0:
-        return "reverse-mixed"
-    if c1 > 1 and c2 > 1:
-        return "reverse-concave"
-    raise ParameterError(f"(c1, c2) = ({c1}, {c2}) not in a covered case")
+# the Brascamp-Lieb case of each regime: c1 = 1/p and c2 = 1/q' both in
+# (0, 1) forward, of opposite signs for pq > 0, both above 1 for pq < 0
+_BL_CASE = {"forward": "forward", "reverse-same-sign": "reverse-mixed",
+            "reverse-opposite-sign": "reverse-concave"}
 
 
 def brascamp_lieb_check(f1: GridField, f2: GridField,
@@ -323,19 +313,16 @@ def brascamp_lieb_check(f1: GridField, f2: GridField,
     With c1 = 1/p, c2 = 1/q' and the Gaussian kernel matrix Q built from s,
     compares the double integral of e^{-pi x.Qx} f1(x1)^{c1} f2(x2)^{c2}
     against H(c1,c2) ||P_s[(gamma_beta/gamma)^{c1}]||_{(1/c2)'} (int f1)^{c1}
-    (int f2)^{c2}, the norm and the masses by log_hc_norm on the rule.  Case
-    (c1,c2 in (0,1), beta>1): <=; case (c1c2<0, beta>1) and case (c1,c2>1,
+    (int f2)^{c2}, the norm and the masses by log_hc_norm on the rule.  The
+    case is _BL_CASE of the triple's regime: forward (c1,c2 in (0,1),
+    beta>1): <=; reverse-mixed (c1c2<0, beta>1) and reverse-concave (c1,c2>1,
     beta<1): >=.
     """
     c1 = 1.0 / triple.p
     c2 = 1.0 - 1.0 / triple.q  # 1/q'
     s = triple.s
     e2s = float(np.exp(-2.0 * s))
-    scaling = c1 + c2 - 1.0 - (1.0 - e2s) * c1 * c2
-    if abs(scaling) > 1e-10:
-        raise InadmissibleExponentError(
-            f"scaling condition violated by {scaling:.2e}")
-    case = _bl_case(c1, c2)
+    case = _BL_CASE[triple.regime]
     expected_dir = "le" if case == "forward" else "ge"
 
     if case in ("forward", "reverse-mixed"):
@@ -499,7 +486,8 @@ def make_talagrand_input(rng: np.random.Generator, beta: float,
 
 def sample_reverse_triple(rng: np.random.Generator,
                           same_sign: bool) -> ExponentTriple:
-    """Random reverse-regime (p, q, s) avoiding p in {0, 1-e^{-2s}} by 0.05."""
+    """Random reverse-regime triple, p at least 0.05 from the excluded 0 and
+    1 - e^{-2s}; every pair drawn is admissible, redrawn only for that."""
     for _ in range(200):
         if same_sign:
             p = float(rng.uniform(0.15, 0.9))
@@ -507,10 +495,7 @@ def sample_reverse_triple(rng: np.random.Generator,
         else:
             p = float(rng.uniform(0.2, 0.8))
             q = float(rng.uniform(-2.0, -0.1))
-        try:
-            triple = ExponentTriple.from_pq(p, q)
-        except InadmissibleExponentError:
-            continue
+        triple = ExponentTriple(p, q)
         band = 1.0 - np.exp(-2.0 * triple.s)
         if abs(p) >= 0.05 and abs(p - band) >= 0.05:
             return triple

@@ -5,11 +5,11 @@ P_s f(x) = int f(e^{-s} x + sqrt(1 - e^{-2s}) y) dgamma(y)
 
 read in log space at the points asked for, by Gauss-Hermite quadrature;
 functionals.log_ou_norm takes the closed form of a tagged field instead.
-Exponent triples (p, q, s) carry the relation (q - 1)/(p - 1) = e^{2s}.
+An exponent triple is its (p, q); it derives s from (q - 1)/(p - 1) = e^{2s}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,46 +29,33 @@ class InadmissibleExponentError(ParameterError):
     """(p, q) outside the admissible hypercontractivity regimes."""
 
 
-def nelson_time(p: float, q: float) -> float:
-    """s = (1/2) log((q-1)/(p-1)); requires the ratio to exceed 1."""
-    if p == 1 or q == 1:
-        raise InadmissibleExponentError("p and q must differ from 1")
-    ratio = (q - 1.0) / (p - 1.0)
-    if ratio <= 1.0:
-        raise InadmissibleExponentError(
-            f"(q-1)/(p-1) = {ratio} must exceed 1")
-    return 0.5 * float(np.log(ratio))
-
-
 @dataclass(frozen=True)
 class ExponentTriple:
+    """Finite (p, q), neither 0 nor 1, with (q - 1)/(p - 1) = e^{2s} > 1:
+    1 < p < q or q < p < 1; q = 0 is the excluded p = 1 - e^{-2s}."""
     p: float
     q: float
-    s: float
+    s: float = field(init=False)
 
     def __post_init__(self):
+        if not (np.isfinite(self.p) and np.isfinite(self.q)):
+            raise InadmissibleExponentError("p and q must be finite")
         if self.p == 1 or self.q == 1:
             raise InadmissibleExponentError("p and q must differ from 1")
-        if self.s <= 0:
-            raise InadmissibleExponentError("s must be positive")
+        if abs(self.p) < 1e-9 or abs(self.q) < 1e-9:
+            raise InadmissibleExponentError("p and q must differ from 0")
         ratio = (self.q - 1.0) / (self.p - 1.0)
-        if ratio <= 0 or abs(ratio - np.exp(2 * self.s)) > 1e-12 * abs(ratio):
+        if not 1.0 < ratio < np.inf:
             raise InadmissibleExponentError(
-                "(q-1)/(p-1) = e^{2s} violated")
-
-    @staticmethod
-    def from_pq(p: float, q: float) -> "ExponentTriple":
-        return ExponentTriple(p, q, nelson_time(p, q))
+                f"(q-1)/(p-1) = {ratio} must be finite and exceed 1")
+        object.__setattr__(self, "s", 0.5 * float(np.log(ratio)))
 
     @property
     def regime(self) -> str:
-        if 1 < self.p < self.q:
+        if self.p > 1:
             return "forward"
-        if self.q < self.p < 1:
-            return ("reverse-same-sign" if self.p * self.q > 0
-                    else "reverse-opposite-sign")
-        raise InadmissibleExponentError(
-            f"(p, q) = ({self.p}, {self.q}) not in an admissible regime")
+        return ("reverse-same-sign" if self.p * self.q > 0
+                else "reverse-opposite-sign")
 
     @property
     def p_conj(self) -> float:

@@ -43,7 +43,7 @@ def ratio(beta):
 def hc_ratio_by_quadrature(beta, p, q, rule):
     """||P_s[(g_b/g)^{1/p}]||_q / (int g_b/g dg)^{1/p} with the OU average
     done by an inner quadrature (no closed-form shortcuts)."""
-    triple = ExponentTriple.from_pq(p, q)
+    triple = ExponentTriple(p, q)
     fam = ratio(beta) ** (1.0 / p)
     z, w = rule.nodes, rule.weights
     e = float(np.exp(-triple.s))
@@ -71,7 +71,7 @@ class TestCriterion1HCRatio:
             for beta in BETA_GRID:
                 got = hc_ratio_by_quadrature(beta, p, q, rule)
                 want = sharp_constant("hc_ratio", beta=beta,
-                                      triple=ExponentTriple.from_pq(p, q))
+                                      triple=ExponentTriple(p, q))
                 assert got == pytest.approx(want, abs=1e-7), (p, q, beta)
         assert time.perf_counter() - start < 5.0
 
@@ -90,7 +90,7 @@ class TestCriterion2LSI:
 class TestCriterion3PropertySuite:
     def test_random_inputs_nonnegative_slack(self, grid, rule):
         start = time.perf_counter()
-        triple = ExponentTriple.from_pq(2.0, 4.0)
+        triple = ExponentTriple(2.0, 4.0)
         cases = ([(b, make_fp_input) for b in (1.5, 2.0, 4.0)],
                  [(b, make_logconcave_input) for b in (0.25, 0.5)])
         for group, total in zip(cases, (50, 50)):
@@ -148,12 +148,12 @@ class TestCriterion5FlowMonotonicity:
 
     def test_forward_regime(self, grid, rule):
         self._assert_monotone(grid, rule, 2.0,
-                              ExponentTriple.from_pq(2.0, 4.0), 300)
+                              ExponentTriple(2.0, 4.0), 300)
 
     def test_reverse_regime(self, grid, rule):
         # q < p < 0 with beta > 1
         self._assert_monotone(grid, rule, 2.0,
-                              ExponentTriple.from_pq(-2.0, -4.0), 301)
+                              ExponentTriple(-2.0, -4.0), 301)
 
 
 class TestCriterion6Preservation:
@@ -272,11 +272,11 @@ class TestCriterion8Applications:
         # the exponent scaling identity holds exactly for every consistent
         # triple, and at beta = 1 the two-function bound is attained
         for p, q in PQ_GRID:
-            t = ExponentTriple.from_pq(p, q)
+            t = ExponentTriple(p, q)
             c1, c2 = 1.0 / t.p, 1.0 - 1.0 / t.q
             e2s = np.exp(-2.0 * t.s)
             assert abs(c1 + c2 - 1.0 - (1.0 - e2s) * c1 * c2) < 1e-14
-        t = ExponentTriple.from_pq(2.0, 4.0)
+        t = ExponentTriple(2.0, 4.0)
         r = brascamp_lieb_check(gaussian_field(grid, 1.0),
                                 gaussian_field(grid, 1.0), t, 1.0, rule)
         assert r.asserted

@@ -77,7 +77,7 @@ class TestSharpConstants:
     def test_lsi_gauss_tensorizes(self):
         # every constant that takes the dimension n, at n = 2 against n = 1:
         # a sum over the coordinates doubles, a product squares
-        triple = ExponentTriple.from_pq(2.0, 4.0)
+        triple = ExponentTriple(2.0, 4.0)
         for name, kw, kind in (
                 ("hc_ratio", dict(beta=3.0, triple=triple), "product"),
                 ("lsi_gauss", dict(beta=3.0), "sum"),
@@ -93,7 +93,7 @@ class TestSharpConstants:
             assert two == pytest.approx(want, rel=1e-14), name
 
     def test_hc_ratio_value(self):
-        t = ExponentTriple.from_pq(2.0, 4.0)
+        t = ExponentTriple(2.0, 4.0)
         sc = sharp_constant("hc_ratio", beta=2.0, triple=t)
         # beta^{1/(2p')} beta_s^{-1/(2q')} with beta_s = 5/3, p' = 2,
         # q' = 4/3
@@ -182,7 +182,7 @@ class TestGross:
         s = 1e-4
 
         def log_ratio(u, beta):
-            triple = ExponentTriple(2.0, 1.0 + np.exp(2.0 * u), u)
+            triple = ExponentTriple(2.0, 1.0 + np.exp(2.0 * u))
             return np.log(sharp_constant("hc_ratio", beta=beta,
                                          triple=triple))
 
@@ -197,7 +197,7 @@ class TestQFunctional:
     def test_flat_at_gamma_beta(self, grid, rule):
         beta = 2.0
         v0 = field_from_family(grid, LogQuad.gaussian(beta))
-        t = ExponentTriple.from_pq(2.0, 4.0)
+        t = ExponentTriple(2.0, 4.0)
         q0, q1 = (q_functional(fp_evolve(v0, beta, s), t, rule)
                   for s in (0.0, 0.5))
         assert q1 == pytest.approx(q0, rel=1e-9)
@@ -206,7 +206,7 @@ class TestQFunctional:
         rng = np.random.default_rng(3)
         v0 = fp_measure(rng.uniform(-2, 2, 4), np.ones(4) / 4, 4.0, T_STAR,
                         grid)
-        t = ExponentTriple.from_pq(2.0, 4.0)
+        t = ExponentTriple(2.0, 4.0)
         qs = [q_functional(fp_evolve(v0, 2.0, s), t, rule)
               for s in (0.0, 0.3, 1.0)]
         assert qs[0] <= qs[1] + 1e-9 <= qs[2] + 2e-9
@@ -288,7 +288,7 @@ class TestHCNorm:
         (2.0, 0.5, 0.25), (0.5, 0.5, -1.0), (2.0, -2.0, -4.0)])
     def test_closed_form_matches_gauss_hermite(self, beta, p, q, grid, rule):
         # forward (1 < p < q) and reverse (q < p < 1) exponents on gamma_beta
-        s = ExponentTriple.from_pq(p, q).s
+        s = ExponentTriple(p, q).s
         v = gaussian_field(grid, beta)
         assert tilt(v, 1.0 / p, 1.0 / p).tag is not None
         assert log_hc_norm(v, p, q, s, rule) == pytest.approx(

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
-from gauss_deficit.flows import curvature, semi_log_concave, semi_log_convex
+from gauss_deficit.flows import (certify_matrix, curvature,
+                                 semi_log_concave, semi_log_convex)
 from gauss_deficit.functionals import sharp_constant, tilt
 from gauss_deficit.inequalities import (beckner_check,
                                         brascamp_lieb_check,
@@ -57,7 +58,7 @@ def sqrt_ratio_field(grid, beta, power):
 
 class TestHC:
     def test_equality_at_gamma_beta(self, grid, rule):
-        t = ExponentTriple.from_pq(2.0, 4.0)
+        t = ExponentTriple(2.0, 4.0)
         for beta in (0.5, 2.0):
             r = hc_check(gaussian_field(grid, beta), beta, t, rule)
             assert r.asserted
@@ -65,7 +66,7 @@ class TestHC:
 
     def test_classical_at_beta_one(self, grid, rule):
         # beta = 1 places no hypothesis and must hold for arbitrary inputs
-        t = ExponentTriple.from_pq(2.0, 4.0)
+        t = ExponentTriple(2.0, 4.0)
         rng = np.random.default_rng(5)
         for _ in range(10):
             a = float(rng.uniform(0.0, 2.5))
@@ -77,20 +78,20 @@ class TestHC:
 
     def test_gating_on_rough_input(self, grid, rule):
         # a strongly bimodal mixture is not 2-semi-log-subharmonic
-        t = ExponentTriple.from_pq(2.0, 4.0)
+        t = ExponentTriple(2.0, 4.0)
         v = field_from_family(grid, symmetric_mixture(3.0, 0.5))
         r = hc_check(v, 2.0, t, rule)
         assert not r.asserted
 
     def test_ratio_non_increasing_in_beta(self):
-        t = ExponentTriple.from_pq(2.0, 4.0)
+        t = ExponentTriple(2.0, 4.0)
         vals = [sharp_constant("hc_ratio", beta=b, triple=t)
                 for b in (1.0, 1.5, 2.0, 3.0, 5.0)]
         assert vals[0] == pytest.approx(1.0, abs=1e-14)
         assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
 
     def test_fp_inputs_positive_slack(self, grid, rule):
-        t = ExponentTriple.from_pq(1.5, 3.0)
+        t = ExponentTriple(1.5, 3.0)
         rng = np.random.default_rng(2)
         for _ in range(3):
             v = make_fp_input(rng, 2.0, grid)
@@ -100,7 +101,7 @@ class TestHC:
 
 class TestReverseHC:
     def test_equality_at_gamma_beta(self, grid, rule):
-        t = ExponentTriple.from_pq(0.5, 0.25)
+        t = ExponentTriple(0.5, 0.25)
         r = hc_check(gaussian_field(grid, 2.0), 2.0, t, rule)
         assert r.direction == "ge"
         assert r.asserted
@@ -112,11 +113,11 @@ class TestReverseHC:
             # p = 1 - e^{-2s} is the excluded value
             s = 0.5 * np.log(4.0)
             p = 1.0 - np.exp(-2 * s)
-            t = ExponentTriple(p, 1.0 + (p - 1.0) * np.exp(2 * s), s)
+            t = ExponentTriple(p, 1.0 + (p - 1.0) * np.exp(2 * s))
             hc_check(v, 2.0, t, rule)
 
     def test_opposite_sign_needs_concave(self, grid, rule):
-        t = ExponentTriple.from_pq(0.5, -1.0)
+        t = ExponentTriple(0.5, -1.0)
         # concave hypothesis at beta < 1: the log-concave generator passes
         rng = np.random.default_rng(4)
         v = make_logconcave_input(rng, 0.5, grid)
@@ -125,15 +126,15 @@ class TestReverseHC:
 
     def test_regime_picks_direction_and_name(self, grid, rule):
         v = gaussian_field(grid, 2.0)
-        forward = hc_check(v, 2.0, ExponentTriple.from_pq(2.0, 4.0), rule)
-        reverse = hc_check(v, 2.0, ExponentTriple.from_pq(0.5, 0.25), rule)
+        forward = hc_check(v, 2.0, ExponentTriple(2.0, 4.0), rule)
+        reverse = hc_check(v, 2.0, ExponentTriple(0.5, 0.25), rule)
         assert (forward.direction, forward.inequality) == (
             "le", "hypercontractivity")
         assert (reverse.direction, reverse.inequality) == (
             "ge", "reverse-hypercontractivity")
         with pytest.raises(InadmissibleExponentError):
             # p = 0.5 < 1 < q = 2 lies in neither regime: no triple admits it
-            hc_check(v, 2.0, ExponentTriple.from_pq(0.5, 2.0), rule)
+            hc_check(v, 2.0, ExponentTriple(0.5, 2.0), rule)
 
     def test_sampled_triples_avoid_bands(self):
         rng = np.random.default_rng(9)
@@ -199,7 +200,7 @@ class TestMatrix:
     def test_triple_only_for_hc(self, grid, rule):
         g = gaussian_field(grid, 2.0)
         B = np.diag([2.0, 2.0])
-        triple = ExponentTriple.from_pq(2.0, 4.0)
+        triple = ExponentTriple(2.0, 4.0)
         for which in ("lsi", "talagrand"):
             assert matrix_check(g, g, B, which, rule).asserted
         with pytest.raises(ParameterError):
@@ -214,13 +215,30 @@ class TestMatrix:
         with pytest.raises(ParameterError):
             matrix_check(g, g, np.diag([2.0]), "lsi", rule)
 
+    def test_requires_symmetric(self, grid, rule):
+        # eigvalsh reads B's lower triangle only: the upper-triangular B
+        # would be checked as diag(2, 3), the lower one refused as not
+        # positive definite
+        g = gaussian_field(grid, 2.0)
+        for B in ([[2.0, 5.0], [0.0, 3.0]], [[2.0, 0.0], [5.0, 3.0]]):
+            with pytest.raises(ParameterError, match="symmetric"):
+                matrix_check(g, g, np.array(B), "lsi", rule)
+            with pytest.raises(ParameterError, match="symmetric"):
+                certify_matrix(g, g, np.array(B), "convex")
+        # a product A A^T is symmetric only up to rounding
+        A = np.random.default_rng(2).normal(size=(2, 2))
+        B = A @ A.T + 0.5 * np.eye(2)
+        assert matrix_check(g, g, B, "lsi", rule).params["eigenvalues"] \
+            == pytest.approx(np.linalg.eigvalsh(B), rel=1e-15)
+        certify_matrix(g, g, B, "convex")
+
 
 class TestMatrixHC:
     """The left side of matrix_check, a product of 1-D left sides, against
     ||P_s[(v/gamma)^{1/p}]||_{L^q(gamma_2)} for v = v1 (x) v2 taken on R^2
     with the tensor Gauss-Hermite rule, inner and outer."""
 
-    triple = ExponentTriple.from_pq(2.0, 4.0)
+    triple = ExponentTriple(2.0, 4.0)
 
     @staticmethod
     def _tensor_lhs(v1, v2, triple, rule):
@@ -366,7 +384,7 @@ class TestBeckner:
 class TestBrascampLieb:
     def test_reverse_concave_case_holds(self, grid, rule):
         # (p, q) = (1/2, -1) gives c1 = c2 = 2: the reversed statement
-        t = ExponentTriple.from_pq(0.5, -1.0)
+        t = ExponentTriple(0.5, -1.0)
         f1 = gaussian_field(grid, 0.5)
         f2 = gaussian_field(grid, 1.0)
         r = brascamp_lieb_check(f1, f2, t, 0.5, rule)
@@ -374,12 +392,46 @@ class TestBrascampLieb:
         assert r.asserted and r.slack >= -1e-7
 
     def test_forward_case_holds(self, grid, rule):
-        t = ExponentTriple.from_pq(2.0, 4.0)
+        t = ExponentTriple(2.0, 4.0)
         f1 = gaussian_field(grid, 2.0)
         f2 = field_from_family(grid, symmetric_mixture(0.8, 1.0))
         r = brascamp_lieb_check(f1, f2, t, 2.0, rule)
         assert r.direction == "le"
         assert r.asserted and r.slack >= -1e-7
+
+
+# (p, q) in each regime, q < p < 0 included, |p| and |q| at least 0.05
+ADMISSIBLE_PQ = st.one_of(
+    st.tuples(st.floats(1.1, 5.0), st.floats(0.1, 5.0)).map(
+        lambda t: (t[0], t[0] + t[1])),                  # 1 < p < q
+    st.tuples(st.floats(0.2, 0.9), st.floats(0.25, 0.9)).map(
+        lambda t: (t[0], t[0] * t[1])),                  # 0 < q < p < 1
+    st.tuples(st.floats(-5.0, -0.1), st.floats(0.1, 5.0)).map(
+        lambda t: (t[0], t[0] - t[1])),                  # q < p < 0
+    st.tuples(st.floats(0.1, 0.9), st.floats(-5.0, -0.1)))  # q < 0 < p < 1
+
+# regime -> (Brascamp-Lieb case, direction, the signs of c1 and c2 there)
+BL_CASES = {
+    "forward": ("forward", "le", lambda c1, c2: 0 < c1 < 1 and 0 < c2 < 1),
+    "reverse-same-sign": ("reverse-mixed", "ge", lambda c1, c2: c1 * c2 < 0),
+    "reverse-opposite-sign": ("reverse-concave", "ge",
+                              lambda c1, c2: c1 > 1 and c2 > 1),
+}
+
+
+class TestBrascampLiebCases:
+    @given(ADMISSIBLE_PQ)
+    @settings(max_examples=40, deadline=None)
+    def test_scaling_and_case_follow_the_regime(self, rule, pq):
+        t = ExponentTriple(*pq)
+        c1, c2 = 1.0 / t.p, 1.0 - 1.0 / t.q
+        e2s = np.exp(-2.0 * t.s)
+        assert abs(c1 + c2 - 1.0 - (1.0 - e2s) * c1 * c2) <= 1e-12
+        case, direction, signs = BL_CASES[t.regime]
+        assert signs(c1, c2)
+        g = gaussian_field(Grid1D(-6.0, 6.0, 129), 1.0)
+        r = brascamp_lieb_check(g, g, t, 1.0, rule)
+        assert (r.params["case"], r.direction) == (case, direction)
 
 
 def full_grid_bl_lhs(f1, f2, triple):
@@ -409,7 +461,7 @@ class TestBrascampLiebOracle:
         ((-1.0, -3.0), 2.0, True),   # reverse-mixed
     ])
     def test_resolved_cases(self, grid, rule, pq, beta, mixture_f2):
-        t = ExponentTriple.from_pq(*pq)
+        t = ExponentTriple(*pq)
         f1 = gaussian_field(grid, beta)
         f2 = (field_from_family(grid, symmetric_mixture(0.8, 1.0))
               if mixture_f2 else gaussian_field(grid, 1.0))
@@ -421,7 +473,7 @@ class TestBrascampLiebOracle:
 
     def test_unresolved_case_uses_full_grid(self, grid, rule):
         # reverse-mixed at beta = 0.5: the levels never agree to 1e-14
-        t = ExponentTriple.from_pq(-1.0, -3.0)
+        t = ExponentTriple(-1.0, -3.0)
         f1 = gaussian_field(grid, 0.5)
         f2 = field_from_family(grid, symmetric_mixture(0.8, 1.0))
         r = brascamp_lieb_check(f1, f2, t, 0.5, rule)
@@ -483,7 +535,7 @@ class TestOnePassPerField:
         rng = np.random.default_rng(4)
         v = make_fp_input(rng, 2.0, grid)
         assert v.tag.a.size > 1
-        hc_check(v, 2.0, ExponentTriple.from_pq(2.0, 4.0), rule)
+        hc_check(v, 2.0, ExponentTriple(2.0, 4.0), rule)
         hc_check(v, 2.0, sample_reverse_triple(rng, True), rule)
         lsi_check(v, 2.0, rule)
         els_eigen_check(v, rule)

@@ -9,7 +9,7 @@ from gauss_deficit.functionals import _log_lp, log_ou_norm, tilt
 from gauss_deficit.numerics import GridField, ParameterError, default_grid
 from gauss_deficit.semigroups import (ExponentTriple,
                                       InadmissibleExponentError,
-                                      _ou_closures_1d, beta_s, nelson_time)
+                                      _ou_closures_1d, beta_s)
 
 
 def ratio_field(grid, beta):
@@ -24,39 +24,46 @@ def ou_log(f, s, rule):
 
 class TestNelsonTime:
     def test_known_values(self):
-        assert nelson_time(2.0, 4.0) == pytest.approx(0.5 * np.log(3.0))
-        assert nelson_time(1.5, 3.0) == pytest.approx(0.5 * np.log(4.0))
+        assert ExponentTriple(2.0, 4.0).s == pytest.approx(0.5 * np.log(3.0))
+        assert ExponentTriple(1.5, 3.0).s == pytest.approx(0.5 * np.log(4.0))
         # reverse regime: both below 1, q < p
-        assert nelson_time(0.5, -1.0) == pytest.approx(0.5 * np.log(4.0))
+        assert ExponentTriple(0.5, -1.0).s == pytest.approx(
+            0.5 * np.log(4.0))
 
     def test_rejects_inadmissible(self):
-        with pytest.raises(InadmissibleExponentError):
-            nelson_time(4.0, 2.0)
-        with pytest.raises(InadmissibleExponentError):
-            nelson_time(1.0, 3.0)
+        # a ratio below 1 or overflowing, an exponent 1, non-finite
+        # exponents, and p = 0 or q = 0 (the excluded p = 1 - e^{-2s}),
+        # where the ratio exceeds 1
+        for p, q in ((4.0, 2.0), (1.0 + 2.3e-16, 1e300), (1.0, 3.0),
+                     (2.0, np.inf), (np.nan, 4.0), (-np.inf, -2.0),
+                     (0.5, np.nan), (0.0, -1.0), (0.75, 0.0), (0.5, 1e-10)):
+            with pytest.raises(InadmissibleExponentError):
+                ExponentTriple(p, q)
 
 
 class TestExponentTriple:
-    def test_from_pq_roundtrip(self):
-        t = ExponentTriple.from_pq(2.0, 4.0)
+    def test_pq_roundtrip(self):
+        t = ExponentTriple(2.0, 4.0)
         assert t.s == pytest.approx(0.5 * np.log(3.0))
         assert t.regime == "forward"
         assert t.p_conj == pytest.approx(2.0)
         assert t.q_conj == pytest.approx(4.0 / 3.0)
 
     def test_reverse_regimes(self):
-        assert ExponentTriple.from_pq(0.5, 0.25).regime == "reverse-same-sign"
-        assert ExponentTriple.from_pq(0.5, -1.0).regime == \
+        assert ExponentTriple(0.5, 0.25).regime == "reverse-same-sign"
+        assert ExponentTriple(-1.0, -3.0).regime == "reverse-same-sign"
+        assert ExponentTriple(0.5, -1.0).regime == \
             "reverse-opposite-sign"
 
     def test_inconsistent_triple_rejected(self):
-        with pytest.raises(InadmissibleExponentError):
+        # s is derived from (p, q), so no third exponent can disagree
+        with pytest.raises(TypeError):
             ExponentTriple(2.0, 4.0, 0.1)
 
 
 class TestBetaS:
     def test_formula(self):
-        t = ExponentTriple.from_pq(2.0, 4.0)
+        t = ExponentTriple(2.0, 4.0)
         bs = beta_s(2.0, t)
         # 1 + (2-1)(4/2)(1/3) = 5/3
         assert bs == pytest.approx(5.0 / 3.0, rel=1e-12)
@@ -65,14 +72,14 @@ class TestBetaS:
     def test_flags_nonpositive(self):
         # opposite-sign reverse triple: (q/p) e^{-2s} = -1/2, so the
         # flowed parameter crosses zero at beta = 3
-        t = ExponentTriple.from_pq(0.5, -1.0)
+        t = ExponentTriple(0.5, -1.0)
         assert not beta_s(4.0, t) > 0
         assert beta_s(2.0, t) > 0
 
     @given(beta=st.floats(0.2, 5.0))
     @settings(max_examples=25, deadline=None)
     def test_beta_one_fixed_point(self, beta):
-        t = ExponentTriple.from_pq(2.0, 4.0)
+        t = ExponentTriple(2.0, 4.0)
         assert beta_s(1.0, t) == pytest.approx(1.0, abs=1e-14)
         if beta > 1:
             assert beta_s(beta, t) > 1
