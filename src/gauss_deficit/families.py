@@ -11,7 +11,8 @@ for extremiser checks; functionals.tilt takes it to v/gamma.
 Fields built from these carry exact evaluators for log f, (log f)' and
 (log f)'', the last from the component posterior in the same pass, and are
 evaluated once on their grid: that one pass gives the values and the node
-arrays of log f and (log f)''.
+arrays of log f and (log f)''.  The pass works on (K, points) blocks, a row
+per component, in scratch allocated once.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ _CHUNK = 1 << 16
 
 def _by_blocks(x, step: int, rows: int, fn, scratch: int, width: int):
     """``rows`` values per point of x from fn(xs, work), called in order on
-    (n, 1) blocks xs of ``step`` points.  ``work`` (``scratch`` rows of
+    1-D blocks xs of ``step`` points.  ``work`` (``scratch`` rows of
     step * width doubles) is allocated once: fresh block-sized temporaries
     cost page faults.  Each output row is its own array, keeping no other."""
     x = np.asarray(x, float)
@@ -36,22 +37,10 @@ def _by_blocks(x, step: int, rows: int, fn, scratch: int, width: int):
     out = [np.empty(flat.size) for _ in range(rows)]
     work = np.empty((scratch, min(step, flat.size) * width))
     for i in range(0, flat.size, step):
-        xs = flat[i:i + step, None]
-        for o, part in zip(out, fn(xs, work[:, :xs.shape[0] * width])):
+        xs = flat[i:i + step]
+        for o, part in zip(out, fn(xs, work[:, :xs.size * width])):
             o[i:i + step] = part
     return [o.reshape(x.shape)[()] for o in out]
-
-
-def _row_max(L):
-    """L.max(axis=1), bit for bit; column by column when rows outnumber
-    columns 16 to 1, where numpy's row-wise reduction is slower (at (4097,
-    8): 265 us against 26 us)."""
-    if 16 * L.shape[1] > L.shape[0]:
-        return L.max(axis=1)
-    top = L[:, 0].copy()
-    for col in L.T[1:]:
-        np.maximum(top, col, out=top)
-    return top
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +63,13 @@ class LogQuad:
     _about: Optional[Callable] = field(default=None, repr=False)
 
     def __post_init__(self):
-        arrs = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float))
-                                     for v in (self.a, self.b, self.c)))
-        if arrs[0].ndim != 1 or arrs[0].size == 0:
-            raise ParameterError("a, b, c must be scalars or 1-D arrays")
+        arrs = [np.array(v, float, ndmin=1) for v in (self.a, self.b, self.c)]
+        K = max(v.size for v in arrs)
         for name, v in zip("abc", arrs):
-            object.__setattr__(self, name, v.copy())
+            if v.ndim != 1 or v.size not in (1, K) or K == 0:
+                raise ParameterError("a, b, c must be scalars or 1-D arrays "
+                                     "of one length")
+            object.__setattr__(self, name, v if v.size == K else v.repeat(K))
 
     # -- construction -----------------------------------------------------
 
@@ -99,48 +89,51 @@ class LogQuad:
         Under the component posterior p_k = exp(L_k) / f, with L_k the k-th
         exponent, (log f)' = E_p[a x + b] and (log f)'' = E_p[a] +
         Var_p(a x + b), the variance taken about the posterior mean so that
-        no digits cancel; each block of _CHUNK // K points sums all K
-        components.  K = 1 returns the quadratic directly, its (log f)'' = a
+        no digits cancel.  Each block of _CHUNK // K points sums all K
+        components on (K, points) arrays, a row per component: the
+        exponents are built in place in the first scratch row, and the
+        squared slope deviations for (log f)'' in the second.  K = 1 returns
+        the quadratic directly, only the orders asked for, its (log f)'' = a
         as a read-only broadcast that holds no array.
         """
         x = np.asarray(x, float)
-        if self.a.size == 1:
-            a, b, c = self.a[0], self.b[0], self.c[0]
-            return [0.5 * a * x * x + b * x + c, a * x + b,
-                    np.broadcast_to(a, x.shape)][:order + 1]
-
-        def tables(a, b, c):
-            # L = [x^2, x, 1] @ quad; posterior sums are p @ cols
-            return (np.stack([0.5 * a, b, c]),
-                    np.stack([np.ones_like(a), a, b], axis=1))
-
-        fixed = tables(self.a, self.b, self.c) if self._about is None else None
         K = self.a.size
+        if K == 1:
+            a, b, c = self.a[0], self.b[0], self.c[0]
+            rows = (lambda: 0.5 * a * x * x + b * x + c, lambda: a * x + b,
+                    lambda: np.broadcast_to(a, x.shape))
+            return [row() for row in rows[:order + 1]]
 
-        def block(xs, work):
-            if fixed is None:
-                s = 0.5 * (xs.min() + xs.max())
-                xs = xs - s
-                quad, cols = tables(*self._about(s))
+        def block(u, work):
+            if self._about is None:
+                a, b, c = self.a, self.b, self.c
             else:
-                quad, cols = fixed
-            work = [w.reshape(xs.size, K) for w in work]
-            powers = np.hstack([xs * xs, xs, np.ones_like(xs)])
-            L = np.matmul(powers, quad, out=work[0])
-            top = _row_max(L)
-            L -= top[:, None]
+                s = 0.5 * (u.min() + u.max())
+                u = u - s
+                a, b, c = self._about(s)
+            L = np.multiply(0.5 * a[:, None], u, out=work[0].reshape(K, -1))
+            L += b[:, None]
+            L *= u
+            L += c[:, None]
+            top = L.max(axis=0)
+            L -= top
             # terms below e^-600 cannot move a sum >= 1; the floor keeps exp
             # off subnormal results, which are slow
             p = np.exp(np.maximum(L, -600.0, out=L), out=L)
-            s0, sa, sb = (p @ cols).T
-            mean_d = (sa * xs[:, 0] + sb) / s0
-            out = [top + np.log(s0), mean_d]
-            if order > 1:
-                d = np.matmul(powers[:, 1:], cols[:, 1:].T, out=work[1])
-                d -= mean_d[:, None]
-                d *= d
-                out.append((sa + np.einsum("ij,ij->i", p, d)) / s0)
-            return out[:order + 1]
+            s0 = p.sum(axis=0)
+            top += np.log(s0)
+            if order == 0:
+                return [top]
+            sa = a @ p
+            mean = (sa * u + b @ p) / s0
+            if order == 1:
+                return [top, mean]
+            d = np.multiply(a[:, None], u, out=work[1].reshape(K, -1))
+            d += b[:, None]
+            d -= mean
+            d *= d
+            d *= p
+            return [top, mean, (sa + d.sum(axis=0)) / s0]
 
         return _by_blocks(x, max(1, _CHUNK // K), order + 1, block,
                           scratch=2 if order > 1 else 1, width=K)

@@ -407,10 +407,13 @@ def semi_log_concave(v: GridField, beta: float,
 
 
 def _symmetric_2x2(B) -> np.ndarray:
-    """B as floats; refused unless 2 x 2 and symmetric to 1e-12 max |B|."""
+    """B as floats; refused unless 2 x 2, finite and symmetric to 1e-12
+    max |B|."""
     B = np.asarray(B, float)
     if B.shape != (2, 2):
         raise ParameterError("B must be a 2 x 2 matrix")
+    if not np.all(np.isfinite(B)):
+        raise ParameterError("B must be finite")
     if np.max(np.abs(B - B.T)) > 1e-12 * np.max(np.abs(B)):
         raise ParameterError("B must be symmetric")
     return B

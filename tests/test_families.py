@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from gauss_deficit import families
+from gauss_deficit import families, flows
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
 from gauss_deficit.functionals import tilt
@@ -274,19 +276,94 @@ class TestEvaluationPass:
         d2 = LogQuad.gaussian(2.0)._pass(np.linspace(-5.0, 5.0, 101), 2)[2]
         assert d2.strides == (0,) and np.all(d2 == -0.5)
 
-    @pytest.mark.parametrize("shape", [(4097, 8), (2048, 2), (113, 577),
-                                       (64, 64)])
-    def test_row_max_is_bit_identical(self, shape):
-        # the column-by-column max of tall narrow tables, NaN and -inf rows
-        # included
-        L = np.random.default_rng(1).normal(0.0, 50.0, shape)
-        L[3, 1] = np.nan
-        L[5] = -np.inf
-        L[7, :] = np.nan
-        L[9, 0] = -np.inf
-        want = L.max(axis=1)
-        got = families._row_max(L)
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    @staticmethod
+    def mixture(k, seed, about):
+        """K components exp(peak + a (x - m)^2 / 2) of unequal widths, and
+        their (a, b, c) in long double; with ``about`` the family is read
+        about each block's mid-point from the exact centres m."""
+        rng = np.random.default_rng(seed)
+        a, m = rng.uniform(-2.0, -0.25, k), rng.uniform(-3.0, 3.0, k)
+        peak = rng.uniform(-3.0, 3.0, k)
+
+        def centred(s):
+            return a, a * (s - m), peak + 0.5 * a * (s - m) ** 2
+
+        fam = LogQuad(*centred(0.0), _about=centred if about else None)
+        if not about:
+            return fam, [np.asarray(v, np.longdouble) for v in
+                         (fam.a, fam.b, fam.c)]
+        a, m, peak = (np.asarray(v, np.longdouble) for v in (a, m, peak))
+        return fam, [a, -a * m, peak + a * m * m / 2]
+
+    @staticmethod
+    def brute_pass(a, b, c, x):
+        """[log f, (log f)', (log f)''] at x in long double, one component
+        at a time."""
+        x = np.asarray(x, np.longdouble)
+        L = [ak * x * x / 2 + bk * x + ck for ak, bk, ck in zip(a, b, c)]
+        top = np.max(L, axis=0)
+        s0, s1, s2 = 0, 0, 0
+        for ak, bk, Lk in zip(a, b, L):
+            w, slope = np.exp(Lk - top), ak * x + bk
+            s0, s1, s2 = s0 + w, s1 + w * slope, s2 + w * (ak + slope ** 2)
+        mean = s1 / s0
+        return [top + np.log(s0), mean, s2 / s0 - mean * mean]
+
+    def assert_matches_brute(self, fam, abc, x):
+        want = self.brute_pass(*abc, x)
+        for order in (0, 1, 2):
+            got = fam._pass(x, order)
+            assert len(got) == order + 1
+            for g, w in zip(got, want):
+                assert g.shape == x.shape
+                err = np.abs(g - w) / (1 + np.abs(w))
+                assert np.max(err) <= 1e-13
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 64, 200])
+    @pytest.mark.parametrize("about", [False, True])
+    def test_pass_matches_long_double(self, k, about):
+        # several blocks of _CHUNK // K points; about the blocks' mid-points
+        # the points may reach the grid's ends
+        fam, abc = self.mixture(k, k, about)
+        step = families._CHUNK // k
+        x = np.linspace(-12.0 if about else -4.0, 12.0 if about else 4.0,
+                        3 * step + 5)
+        self.assert_matches_brute(fam, abc, x)
+
+    @pytest.mark.parametrize("about", [False, True])
+    def test_pass_on_nested_gauss_hermite_samples(self, rule, about):
+        # the (96, 96) samples e^-s z_i + sqrt(1 - e^-2s) z_j of a nested GH
+        # norm: unsorted, two blocks at K = 8; held about 0, the family is
+        # read on a third of their range, where its rounding stays small
+        e = np.exp(-0.4)
+        x = e * rule.nodes[:, None] + np.sqrt(1.0 - e * e) * rule.nodes
+        fam, abc = self.mixture(8, 11, about)
+        self.assert_matches_brute(fam, abc, x if about else x / 3.0)
+
+    @pytest.mark.parametrize("about", [False, True])
+    def test_nan_point_gives_nan(self, about):
+        fam, _ = self.mixture(8, 12, about)
+        x = np.linspace(-4.0, 4.0, 101)
+        x[[0, 50]] = np.nan
+        for order in (0, 1, 2):
+            for row in fam._pass(x, order):
+                assert np.all(np.isnan(row[[0, 50]]))
+
+    @pytest.mark.parametrize("order, rows, doubles", [(0, 1, 10), (2, 2, 13)])
+    def test_peak_memory_per_point(self, grid, order, rows, doubles):
+        # a pass holds its scratch rows of K doubles a point, its output rows
+        # and a few block rows; a fresh (K, n) temporary would cost K more
+        rng = np.random.default_rng(3)
+        fam = flows._atoms_family(rng.uniform(-3.0, 3.0, 8),
+                                  rng.normal(-2.0, 1.0, 8), 2.0, 0.3)
+        K, x = fam.a.size, grid.points
+        tracemalloc.start()
+        try:
+            fam._pass(x, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (rows * K + doubles) * 8 * x.size
 
     def test_unbanded_families_keep_every_component(self):
         # every block sums all K components, so the order of the

@@ -232,6 +232,18 @@ class TestMatrix:
             == pytest.approx(np.linalg.eigvalsh(B), rel=1e-15)
         certify_matrix(g, g, B, "convex")
 
+    def test_requires_finite(self, grid, rule):
+        # a NaN fails every comparison, so the symmetry test alone lets a
+        # NaN B through to NaN eigenvalues and margins
+        g = gaussian_field(grid, 2.0)
+        nan, inf = np.nan, np.inf
+        for B in (np.full((2, 2), nan), [[2.0, inf], [inf, 3.0]],
+                  [[nan, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, -inf]]):
+            with pytest.raises(ParameterError, match="finite"):
+                matrix_check(g, g, np.array(B), "lsi", rule)
+            with pytest.raises(ParameterError, match="finite"):
+                certify_matrix(g, g, np.array(B), "convex")
+
 
 class TestMatrixHC:
     """The left side of matrix_check, a product of 1-D left sides, against
