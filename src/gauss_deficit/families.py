@@ -50,11 +50,11 @@ class LogQuad:
     ``a``, ``b``, ``c`` are 1-D arrays of length K (scalars give K = 1);
     mixture weights w_k are folded into c_k as log w_k.  ``_about(s)``, when
     given, returns the components' (a, b, c) in the coordinate u = x - s,
-    computed from their exact centres; evaluation then takes each block of
-    points about its mid-point.  Held about 0, b and c carry rounding that
-    grows like |x| |b| far from the origin, which moves (log f)'' by about
-    1e-12 at |x| = 12 for components of variance 0.05.  The algebra below
-    returns families without it.
+    computed from their exact centres; evaluation then takes each block
+    about the mid-point of its finite points.  Held about 0, b and c carry
+    rounding that grows like |x| |b| far from the origin, which moves
+    (log f)'' by about 1e-12 at |x| = 12 for components of variance 0.05.
+    The algebra below returns families without it.
     """
 
     a: np.ndarray
@@ -108,7 +108,8 @@ class LogQuad:
             if self._about is None:
                 a, b, c = self.a, self.b, self.c
             else:
-                s = 0.5 * (u.min() + u.max())
+                ok = u if np.isfinite(u).all() else u[np.isfinite(u)]
+                s = 0.5 * (ok.min() + ok.max()) if ok.size else 0.0
                 u = u - s
                 a, b, c = self._about(s)
             L = np.multiply(0.5 * a[:, None], u, out=work[0].reshape(K, -1))
@@ -116,9 +117,9 @@ class LogQuad:
             L *= u
             L += c[:, None]
             top = L.max(axis=0)
-            L -= top
-            # terms below e^-600 cannot move a sum >= 1; the floor keeps exp
-            # off subnormal results, which are slow
+            # L = -inf at x = +-inf stays so; terms below e^-600 cannot move
+            # a sum >= 1, and the floor keeps exp off slow subnormal results
+            np.subtract(L, top, out=L, where=np.isfinite(top))
             p = np.exp(np.maximum(L, -600.0, out=L), out=L)
             s0 = p.sum(axis=0)
             top += np.log(s0)
@@ -130,10 +131,12 @@ class LogQuad:
                 return [top, mean]
             d = np.multiply(a[:, None], u, out=work[1].reshape(K, -1))
             d += b[:, None]
-            d -= mean
+            np.subtract(d, mean, out=d, where=np.isfinite(mean))
             d *= d
             d *= p
-            return [top, mean, (sa + d.sum(axis=0)) / s0]
+            d2 = (sa + d.sum(axis=0)) / s0
+            np.copyto(d2, a.max(), where=np.isinf(u))  # its limit at +-inf
+            return [top, mean, d2]
 
         return _by_blocks(x, max(1, _CHUNK // K), order + 1, block,
                           scratch=2 if order > 1 else 1, width=K)

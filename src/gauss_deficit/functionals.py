@@ -37,30 +37,29 @@ class EntFisher:
 # entropy and Fisher information
 
 
-def _xlogx(x):
-    out = np.zeros_like(x)
-    big = x > 1e-300
-    out[big] = x[big] * np.log(x[big])
-    return out
-
-
 def entropy_fisher(f: GridField | Tilt, rule: QuadratureRule) -> EntFisher:
     """Ent_gamma(f) and I_gamma(f) for a relative density f (w.r.t. gamma).
 
     Ent = int f log f dgamma - F log F with F = int f dgamma;
     I   = int f |grad log f|^2 dgamma  (the stable form of int |grad f|^2/f).
-    ``f`` is a GridField or a Tilt: only f and (log f)' at the quadrature
-    nodes are read.
+    ``f`` is a GridField or a Tilt: log f and (log f)' at the quadrature
+    nodes are read once each, and f = exp(log f); a field without a log
+    closure is read through its value closure, refused where f < 0.
     """
     z, w = rule.nodes, rule.weights
-    fv = np.asarray(f(z), float)
-    if np.any(fv < 0):
-        raise PositivityError("entropy requires f >= 0")
+    if isinstance(f, GridField) and f.analytic_log is None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lf = np.log(f(z))  # NaN where f < 0
+        if np.any(np.isnan(lf)):
+            raise PositivityError("entropy requires f >= 0")
+    else:
+        lf = np.asarray(f.log(z), float)
+    fv = np.exp(lf)
     mass = float(fv @ w)
-    ent = float(_xlogx(fv) @ w) - _xlogx(np.array([mass]))[0]
+    # f log f and F log F are 0 where f and F are; e^lf is 0 below -746
+    ent = float((fv * np.maximum(lf, -746.0)) @ w) - mass * np.log(mass or 1)
     dl = np.asarray(f.dlog(z), float)
-    fisher = float((fv * dl * dl) @ w)
-    return EntFisher(ent, fisher)
+    return EntFisher(ent, float((fv * dl * dl) @ w))
 
 
 # ---------------------------------------------------------------------------
@@ -68,17 +67,21 @@ def entropy_fisher(f: GridField | Tilt, rule: QuadratureRule) -> EntFisher:
 
 
 def _log_lp(lv, r: float, logw) -> float:
-    """log ||f||_{L^r(gamma)} from log f at the quadrature nodes.
-
-    ``lv`` holds log f at the nodes of a rule, ``logw`` its log weights.
-    """
-    lv = np.asarray(lv, float)
-    if np.any(np.isnan(lv)):
+    """log ||f||_{L^r(gamma)} from log f at a rule's nodes (``lv``) and its
+    log weights; for |r| < 1, where 1/r magnifies the rounding, the m terms
+    at the top t stay out of the sum s of the rest: log1p(s/m) + log m + t."""
+    lt = r * np.asarray(lv, float) + logw
+    top = lt.max()
+    if np.isnan(top):
         raise EvaluationError("log integrand is NaN at a quadrature node")
-    total = logsumexp(r * lv + logw)
-    if not np.isfinite(total):
+    if not np.isfinite(top):
         raise IntegrabilityError("|f|^r not integrable against gamma")
-    return float(total / r)
+    if abs(r) >= 1:
+        return float(logsumexp(lt) / r)
+    at_top = lt == top
+    s = np.exp(lt - top, out=np.zeros_like(lt), where=~at_top).sum()
+    m = np.count_nonzero(at_top)
+    return float((np.log1p(s / m) + np.log(m) + top) / r)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +189,6 @@ class Tilt:
     d2log: Optional[Callable]
     tag: Optional[LogQuad] = None
     nodes: Optional[Callable] = None
-
-    def __call__(self, x):
-        return np.exp(self.log(x))
 
     def field(self, grid: Grid1D) -> GridField:
         """w on the grid: the tag's field when exact, else the closures with

@@ -223,12 +223,9 @@ def matrix_check(v1: GridField, v2: GridField, B: np.ndarray, which: str,
 # Poincare and Beckner
 
 
-def _grad_sq_gauss(f: GridField, rule) -> float:
-    """int |f'|^2 dgamma, with f' = f (log f)' from the exact (log f)'
-    closure; a field without one is refused by GridField.dlog."""
-    z, w = rule.nodes, rule.weights
-    df = f(z) * f.dlog(z)
-    return float((df * df) @ w)
+def _grad_sq_gauss(f: GridField, fv, rule) -> float:
+    """int |f'|^2 dgamma, f' = fv (log f)' with fv = f at the rule's nodes."""
+    return float(((fv * f.dlog(rule.nodes)) ** 2) @ rule.weights)
 
 
 def poincare_check(f: GridField, beta: float, rule) -> DeficitReport:
@@ -241,11 +238,10 @@ def poincare_check(f: GridField, beta: float, rule) -> DeficitReport:
     L^2-vs-L^1 entropy inequality (its p = 1 form) is recorded in params.
     """
     hyps = _certificate_hypotheses(tilt(f, 2.0, -1.0).field(f.grid), beta)
-    z, wts = rule.nodes, rule.weights
-    fv = np.asarray(f(z), float)
+    fv, wts = np.asarray(f(rule.nodes), float), rule.weights
     int_f2 = float((fv * fv) @ wts)
     int_absf = float(np.abs(fv) @ wts)
-    grad = _grad_sq_gauss(f, rule)
+    grad = _grad_sq_gauss(f, fv, rule)
     dn = sharp_constant("dn", beta=beta)
     lhs = 0.5 * (1.0 + dn) * int_f2 - 0.5 * int_absf**2
     params = {"beta": beta, "dn": dn, "int_f2": int_f2, "int_absf": int_absf,
@@ -274,14 +270,13 @@ def beckner_check(f: GridField, p: float, beta: float,
     """
     if not 1.0 < p < 2.0:
         raise ParameterError("p must lie in (1, 2)")
-    z, wts = rule.nodes, rule.weights
-    fv = np.asarray(f(z), float)
+    fv, wts = np.asarray(f(rule.nodes), float), rule.weights
     if np.any(fv < 0):
         raise ParameterError("beckner_check needs nonnegative f")
     hyps = _certificate_hypotheses(tilt(f, p, -1.0).field(f.grid), beta)
     int_f2 = float((fv * fv) @ wts)
     int_fp = float((fv ** p) @ wts)
-    grad = _grad_sq_gauss(f, rule)
+    grad = _grad_sq_gauss(f, fv, rule)
     bconst = sharp_constant("beckner_b", p=p, beta=beta)
     lhs = (int_f2 - bconst * int_fp ** (2.0 / p)) / (2.0 - p)
     s = -0.5 * float(np.log(p - 1.0))

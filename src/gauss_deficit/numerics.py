@@ -294,34 +294,20 @@ def interior_peak(u: np.ndarray) -> bool:
 
 
 def logsumexp(a, axis=None):
-    """log(sum(exp(a))) over all entries (axis None) or the last axis (-1).
-
-    The maximum is taken out and its m tied entries kept apart from the sum
-    s of the others: log1p(s / m) + log(m) + max (Blanchard, Higham &
-    Higham, IMA J. Numer. Anal. 41, 2021).  Where that is not finite (all
-    -inf, +inf or NaN entries) the direct log(sum(exp(a))) is returned.
-    Bit for bit what scipy.special.logsumexp (1.17) gives for real input.
-    """
+    """log(sum(exp(a))) over all entries (axis None) or the last axis (-1),
+    as top + log(sum(exp(a - top))), top the largest entry or 0 where that
+    is not finite (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41,
+    2021).  Within 1 ulp of max(1, |result|) of scipy.special.logsumexp
+    (1.17), and equal to it where the result is -inf, +inf or NaN."""
     if axis not in (None, -1):
         raise ParameterError("logsumexp sums over all entries or axis -1")
     a = np.atleast_1d(np.asarray(a, float))
-    axes = tuple(range(a.ndim)) if axis is None else axis
-    top = np.max(a, axis=axes, keepdims=True)
-    at_top = a == top
-    m = np.count_nonzero(at_top, axis=axes, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        e = a - top
-        e[at_top] = -np.inf
-        s = np.sum(np.exp(e, out=e), axis=axes, keepdims=True)
-        out = np.log1p(s / m) + np.log(m) + top
-        bad = ~np.isfinite(out)
-        if bad.any():
-            if axis is None:
-                out = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))
-            else:
-                out[bad] = np.log(np.sum(np.exp(a[bad[..., 0]]), axis=-1))
-    out = np.squeeze(out, axis=axes)
-    return out[()] if out.ndim == 0 else out
+    top = np.max(a, axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    e = a - top  # exp runs in place; it overflows only beside a +inf entry
+    with np.errstate(over="ignore", divide="ignore"):  # log(0) at all -inf
+        s = np.log(np.sum(np.exp(e, out=e), axis=axis))
+    return s + top.reshape(np.shape(s))
 
 
 def cumulative_simpson(y, dx: float, initial: float):

@@ -15,6 +15,20 @@ and B(p, beta) = 1 - (e/2) dn + O(e^2), Ent = Ent_gamma(f^2), M = int f^2
 dgamma and dn = (1/2)(log beta - 1 + 1/beta) ((d/dp) beckner_b at p = 2).
 So the left side of beckner_check, [M - B (int f^p)^{2/p}] / e, tends to
 (1/2) Ent + (dn/2) M as p -> 2.
+
+LSI -> Poincare: for f = (v/gamma)^{1/2}, M = int f^2 dgamma and
+A = int |f| dgamma, the LSI of v times M is the entropy goal of
+poincare_check, M Ent <= 2 int |f'|^2 dgamma - dn M, and Jensen's
+M Ent >= M log(M/A^2) is its left side.  So
+
+    entropy_goal_slack = M (LSI slack of v) + J,   J = M Ent - M log(M/A^2),
+
+and since log u >= 1 - 1/u,
+
+    2 (Poincare slack) = entropy_goal_slack + J2,  J2 = M log(M/A^2) - M + A^2,
+
+with J, J2 >= 0: the Poincare check's gradient, D_n and lhs are tied to the
+LSI check's entropy, Fisher information and constant.
 """
 import numpy as np
 import pytest
@@ -22,7 +36,8 @@ import pytest
 from gauss_deficit import cli
 from gauss_deficit.functionals import (entropy_fisher, log_hc_norm,
                                        log_ou_norm, sharp_constant, tilt)
-from gauss_deficit.inequalities import beckner_check
+from gauss_deficit.inequalities import (beckner_check, lsi_check,
+                                        poincare_check)
 
 
 def _richardson(g, h):
@@ -85,3 +100,40 @@ class TestBecknerToLsi:
             mass = float(np.exp(2.0 * log_ou_norm(f, 2.0, 0.0, rule)))
             want = 0.5 * ent + 0.5 * dn * mass
             assert got == pytest.approx(want, rel=0, abs=1e-10), i
+
+
+def _poincare_chain(beta):
+    """Per item 0-5 at seed 0: the Poincare report of f = (v/gamma)^{1/2},
+    the LSI report of v, J and J2."""
+    config = cli.RunConfig("verify-poincare", beta=beta, seed=0)
+    rule = config.rule()
+    for i in range(6):
+        pc = poincare_check(cli._test_function(config, i, 2.0), beta, rule)
+        lsi = lsi_check(cli._density(config, i), beta, rule)
+        m, a = pc.params["int_f2"], pc.params["int_absf"]
+        j = m * lsi.params["entropy"] - pc.params["entropy_goal_lhs"]
+        j2 = m * np.log(m / a**2) - m + a**2
+        yield i, pc, lsi, j, j2
+
+
+class TestLsiToPoincare:
+    # measured: the first identity holds within 2.2e-16 at beta = 2 and
+    # misses by up to 1.1e-10 at beta = 0.5, where v's Gauss-Hermite mass
+    # is 1 only to about 1e-10; the second holds within 1.1e-16 at both
+    @pytest.mark.parametrize("beta", [2.0, pytest.param(
+        0.5, marks=pytest.mark.xfail(
+            strict=True,
+            reason="ROADMAP item 3: 96 Gauss-Hermite nodes read the "
+                   "beta = 0.5 inputs, narrower than gamma, to about 1e-10"))])
+    def test_lsi_gives_the_entropy_goal(self, beta):
+        for i, pc, lsi, j, _ in _poincare_chain(beta):
+            m = pc.params["int_f2"]
+            assert pc.params["entropy_goal_slack"] == pytest.approx(
+                m * lsi.slack + j, rel=0, abs=1e-12), i
+
+    @pytest.mark.parametrize("beta", [2.0, 0.5])
+    def test_entropy_goal_gives_poincare(self, beta):
+        for i, pc, _, j, j2 in _poincare_chain(beta):
+            assert j >= 0 and j2 >= 0, i
+            assert 2.0 * pc.slack == pytest.approx(
+                pc.params["entropy_goal_slack"] + j2, rel=0, abs=1e-12), i

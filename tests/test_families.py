@@ -349,6 +349,39 @@ class TestEvaluationPass:
             for row in fam._pass(x, order):
                 assert np.all(np.isnan(row[[0, 50]]))
 
+    def test_nan_point_moves_no_other(self):
+        # a family held about its blocks' centres takes each centre from
+        # the block's finite points: the other 100 points read bit for bit
+        # what they read without the NaN, and a block of NaN reads NaN
+        fam, _ = self.mixture(8, 12, True)
+        x = np.linspace(-4.0, 4.0, 101)
+        x_nan = x.copy()
+        x_nan[37] = np.nan
+        for order in (0, 1, 2):
+            for got, want in zip(fam._pass(x_nan, order),
+                                 fam._pass(np.delete(x, 37), order)):
+                np.testing.assert_array_equal(np.delete(got, 37), want)
+            for row in fam._pass(np.full(3, np.nan), order):
+                assert np.all(np.isnan(row))
+
+    @pytest.mark.parametrize("about", [False, True])
+    def test_infinite_points_read_the_limit(self, about):
+        # every exponent is -inf at x = +-inf; there log f reads -inf,
+        # (log f)' -+inf and (log f)'' the widest component's a, their
+        # limits, without a warning; the finite point reads as beside
+        # finite points (a product over 1 column may round otherwise)
+        fam, _ = self.mixture(8, 13, about)
+        x = np.array([0.0, np.inf, -np.inf])
+        for q in (fam, symmetric_mixture(1.0, 1.0)):
+            for order in (0, 1, 2):
+                want = q._pass(np.array([0.0, 1.0, -1.0]), order)
+                for got, row in zip(q._pass(x, order), want):
+                    assert got[0] == row[0]
+            got = q._pass(x, 2)
+            np.testing.assert_array_equal(got[0][1:], -np.inf)
+            np.testing.assert_array_equal(got[1][1:], [-np.inf, np.inf])
+            np.testing.assert_array_equal(got[2][1:], q.a.max())
+
     @pytest.mark.parametrize("order, rows, doubles", [(0, 1, 10), (2, 2, 13)])
     def test_peak_memory_per_point(self, grid, order, rows, doubles):
         # a pass holds its scratch rows of K doubles a point, its output rows

@@ -15,8 +15,8 @@ from gauss_deficit.functionals import (_log_lp, entropy_fisher, log_hc_norm,
 from gauss_deficit.inequalities import (make_fp_input, make_logconcave_input,
                                         matrix_check)
 from gauss_deficit.numerics import (EvaluationError, GridField,
-                                    ParameterError, default_grid,
-                                    gauss_hermite_rule)
+                                    ParameterError, PositivityError,
+                                    default_grid, gauss_hermite_rule)
 from gauss_deficit.semigroups import ExponentTriple
 
 
@@ -54,6 +54,32 @@ class TestEntropyFisher:
         ef = entropy_fisher(f, rule)
         assert ef.entropy == pytest.approx(0, abs=1e-12)
         assert ef.fisher == pytest.approx(0, abs=1e-12)
+
+
+    def test_one_read_of_the_log_closure(self, grid, rule):
+        # log f is read once at the nodes, f = exp(log f), and no other
+        # closure of f but (log f)'
+        calls = []
+        fam = tilt(LogQuad.gaussian(2.0), 1.0, 1.0).tag
+
+        def log(x):
+            calls.append(np.shape(x))
+            return fam.log_at(x)
+
+        f = GridField.from_callable(grid, log_fn=log, dlog_fn=fam.dlog)
+        calls.clear()
+        ef = entropy_fisher(f, rule)
+        assert calls == [rule.nodes.shape]
+        want = entropy_fisher(tilt(LogQuad.gaussian(2.0), 1.0, 1.0), rule)
+        assert ef == want
+
+    def test_negative_field_is_refused(self, grid, rule):
+        # a value closure may give signed data: one negative node refuses
+        f = GridField.from_callable(
+            grid, lambda x: np.exp(-0.5 * x * x) * np.sign(1.0 - x),
+            dlog_fn=lambda x: -np.asarray(x, float))
+        with pytest.raises(PositivityError):
+            entropy_fisher(f, rule)
 
 
 class TestLpNorm:

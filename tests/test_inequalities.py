@@ -124,6 +124,14 @@ class TestReverseHC:
         r = hc_check(v, 0.5, t, rule)
         assert r.asserted and r.slack >= -1e-5
 
+    def test_same_sign_below_beta_one_is_not_asserted(self, grid, rule):
+        # pq > 0 needs beta > 1: at beta = 0.5 its margin is beta - 1
+        v = make_logconcave_input(np.random.default_rng(4), 0.5, grid)
+        r = hc_check(v, 0.5, ExponentTriple(0.5, 0.25), rule)
+        regime = r.hypotheses[0]
+        assert (regime.name, regime.margin) == ("beta>1-for-pq>0", -0.5)
+        assert not regime.passed and not r.asserted
+
     def test_regime_picks_direction_and_name(self, grid, rule):
         v = gaussian_field(grid, 2.0)
         forward = hc_check(v, 2.0, ExponentTriple(2.0, 4.0), rule)
@@ -332,6 +340,28 @@ class TestPoincare:
                 poincare_check(f, 2.0, rule)
             else:
                 beckner_check(f, 1.5, 2.0, rule)
+
+    @pytest.mark.parametrize("check", ["poincare", "beckner"])
+    def test_one_read_of_f_at_the_nodes(self, grid, rule, check):
+        # f at the rule's nodes is read once, for its integrals and for
+        # int |f'|^2 dgamma alike
+        exact = sqrt_ratio_field(grid, 2.0, 2.0 if check == "poincare"
+                                 else 1.5)
+        at_nodes = []
+
+        def log(x):
+            at_nodes.append(np.array_equal(x, rule.nodes))
+            return exact.analytic_log(x)
+
+        f = GridField.from_callable(grid, log_fn=log,
+                                    dlog_fn=exact.analytic_dlog,
+                                    d2log_fn=exact.analytic_d2log)
+        at_nodes.clear()
+        if check == "poincare":
+            poincare_check(f, 2.0, rule)
+        else:
+            beckner_check(f, 1.5, 2.0, rule)
+        assert sum(at_nodes) == 1
 
 
 class TestBeckner:

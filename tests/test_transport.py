@@ -217,6 +217,13 @@ class TestTalagrandDeficit:
         assert (r.params["entropy"] + 0.5 * shift**2
                 == entropy_fisher(tilt(v, 1.0, 1.0), rule).entropy)
 
+    def test_mikulincer_bound_value(self, grid, rule):
+        # -(2(1 - beta) + (beta + 1) log beta) / (2(beta - 1)) at beta = 1/2
+        # is 1 - (3/2) log 2
+        r = talagrand_deficit(gauss_spec(0.5, grid), 0.5, rule)
+        assert r.params["mikulincer_bound"] == pytest.approx(
+            -0.0397207708399179, rel=1e-14)
+
     def test_mikulincer_reported_for_small_beta(self, grid, rule):
         r = talagrand_deficit(gauss_spec(0.5, grid), 0.5, rule)
         assert "mikulincer_bound" in r.params
@@ -312,6 +319,15 @@ class TestGeneralLSI:
         r = general_lsi_deficit(self._member(pot, 2.0), pot, 2.0)
         assert r.asserted
         assert r.slack == pytest.approx(0, abs=1e-9)
+
+    @pytest.mark.parametrize("omega, eps, beta, want", [
+        (1.0, 0.5, 2.0, 0.25),     # (1 - 1/2)(1.5 - 1)/1
+        (2.0, 1.0, 4.0, 0.375)])   # (1 - 1/4)(3 - 2)/2
+    def test_correction_by_hand(self, grid, omega, eps, beta, want):
+        pot = self._potential(grid, omega, eps)
+        v = self._member(pot, beta * pot.L / pot.K)
+        r = general_lsi_deficit(v, pot, beta)
+        assert r.params["correction"] == pytest.approx(want, rel=1e-15)
 
     def test_perturbed_potential_positive_slack(self, grid):
         pot = self._potential(grid, omega=1.0, eps=0.03)
