@@ -9,7 +9,8 @@ flag of every subcommand (``--grid-n`` for ``grid_n``) and a config-file
 key, read as the type of its default; a flag beats the file.  Output is
 JSON (the full bundle) or CSV (flat per-check rows), chosen by ``--format``
 or the output file extension.  Exit status: 0 when every report passes
-(DeficitReport.passes at ``tol``), 1 when one fails (the report is still
+(DeficitReport.passes at ``tol``) and every item the suite names as a case of
+equality has |slack| <= ``tol``, 1 when one fails (the report is still
 written), 2 on usage errors, an unwritable ``--out`` among them, and on the
 package's own errors (a parameter, integrand, positivity or truncation
 failure, such as verify-hj at beta <= 1), which leave no report.
@@ -197,7 +198,10 @@ class ReportBundle:
 
 
 def _summarize(reports, extremiser_indices, tol):
-    passed = sum(r.passes(tol) for r in reports)
+    # a case of equality also fails when |slack| > tol, on either side
+    passed = sum(r.passes(tol) and (i not in extremiser_indices
+                                    or abs(r.slack) <= tol)
+                 for i, r in enumerate(reports))
     summary = {
         "count": len(reports),
         "passed": passed,

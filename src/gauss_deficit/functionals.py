@@ -182,13 +182,15 @@ class Tilt:
     """w = v^r gamma^{-a} as closures, and as ``tag``, w's exact LogQuad,
     when v's tag gives one (see tilt).  Without a tag, ``nodes(grid)``
     gives log w and (log w)'' at the nodes from v's node arrays, or
-    (None, None) on a grid other than v's."""
+    (None, None) on a grid other than v's, and ``sums(x, y)``, for a
+    mixture tag, log w at the sums x[:, None] + y (LogQuad.log_at_sums)."""
 
     log: Callable
     dlog: Callable
     d2log: Optional[Callable]
     tag: Optional[LogQuad] = None
     nodes: Optional[Callable] = None
+    sums: Optional[Callable] = None
 
     def field(self, grid: Grid1D) -> GridField:
         """w on the grid: the tag's field when exact, else the closures with
@@ -209,7 +211,8 @@ def tilt(v, r: float, a: float) -> Tilt:
     ``v`` is a GridField, or a LogQuad standing for itself.  A tag of one
     component, or any tag at r = 1, gives w exactly as a LogQuad.  Otherwise
     w is built from v's closures, (log w)' = r (log v)' + a x, and
-    (log w)'' = r (log v)'' + a when v carries (log v)''.  Nothing is
+    (log w)'' = r (log v)'' + a when v carries (log v)''; a mixture tag
+    also gives log w at sums of points from its rank-K read.  Nothing is
     evaluated until a closure is called or ``field`` is built; a field on
     v's grid is built from v's node arrays, without evaluating v again.
     """
@@ -238,8 +241,10 @@ def tilt(v, r: float, a: float) -> Tilt:
         return (tilted(v.grid_log(), grid.points),
                 None if d2 is None else r * v.grid_d2log() + a)
 
+    sums = (lambda x, y: tilted(tag.log_at_sums(x, y), np.add.outer(x, y))
+            ) if isinstance(tag, LogQuad) else None
     return Tilt(log, dlog, None if d2 is None else (
-        lambda x: r * np.asarray(d2(x), float) + a), nodes=nodes)
+        lambda x: r * np.asarray(d2(x), float) + a), nodes=nodes, sums=sums)
 
 
 def log_ou_norm(w, q: float, s: float, rule: QuadratureRule) -> float:
@@ -247,10 +252,12 @@ def log_ou_norm(w, q: float, s: float, rule: QuadratureRule) -> float:
     of P_s against gamma.  A tag of one component, or any tag at q = 1,
     takes the closed form (LogQuad.ou, then log_lp_norm_gauss); anything
     else nested Gauss-Hermite in log space, P_s read only at the outer
-    nodes.  ``w`` is a GridField or a Tilt."""
+    nodes, at the nested sums through a Tilt's ``sums`` when it has one.
+    ``w`` is a GridField or a Tilt."""
     if w.tag is not None and (w.tag.a.size == 1 or q == 1):
         return (w.tag.ou(s) if s else w.tag).log_lp_norm_gauss(q)
-    logf = w.log if s == 0 else _ou_closures_1d(w.log, s, rule)[0]
+    sums = w.sums if isinstance(w, Tilt) else None
+    logf = w.log if s == 0 else _ou_closures_1d(w.log, s, rule, sums)[0]
     return _log_lp(logf(rule.nodes), q, rule.log_weights)
 
 

@@ -78,10 +78,11 @@ def beta_s(beta: float, triple: ExponentTriple) -> float:
 # Ornstein-Uhlenbeck semigroup
 
 
-def _ou_closures_1d(f_log, s: float, rule: QuadratureRule):
+def _ou_closures_1d(f_log, s: float, rule: QuadratureRule, f_log_sums=None):
     """(log P_s f,): a closure of x for s > 0, from the log closure f_log
     of f, evaluated only where called; a tuple, as bench/spans.py wraps
-    each closure returned."""
+    each closure returned.  ``f_log_sums(x, y)``, if given, is log f at
+    x_i + y_j for 1-D x and y, and reads the samples in f_log's place."""
     if s <= 0:
         raise ParameterError("s must be positive")
     e = float(np.exp(-s))
@@ -89,8 +90,10 @@ def _ou_closures_1d(f_log, s: float, rule: QuadratureRule):
     z, logw = rule.nodes, rule.log_weights
 
     def logvalue(x):
-        samples = e * np.asarray(x, float)[..., None] + sig * z
-        lv = np.asarray(f_log(samples), float)
+        x = np.asarray(x, float)
+        lv = np.asarray(f_log(e * x[..., None] + sig * z) if f_log_sums is None
+                        else f_log_sums(e * x.ravel(), sig * z).reshape(
+                            x.shape + z.shape), float)
         if np.any(np.isnan(lv)) or np.any(lv == np.inf):
             raise IntegrabilityError("OU integrand overflowed in log space")
         return logsumexp(lv + logw, axis=-1)

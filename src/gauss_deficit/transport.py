@@ -6,34 +6,48 @@ Brenier maps are quantile compositions T = F_nu^{-1} o F_mu, read at the
 source's nodes.  Every entry point first checks that its fields are
 probability densities (flows.check_density); a map takes their CDFs there:
 a field tagged with a closed-form family (a LogQuad: Gaussians, mixtures)
-has its exact CDF through numerics.ndtr, any other field the cumulative
-Simpson sum of its values.  F_nu is inverted by monotone interpolation on
-the nodes, refined by Newton steps where nu has an exact CDF, and on a
-clipped quantile range where either CDF is a Simpson sum.  On top of the
-maps: W_2, Talagrand deficits, Caffarelli slope checks (the slope read
-exactly, by Monge-Ampere, from the densities), and the general-potential
-LSI comparison.
+has its exact CDF through numerics.ndtr (gamma's kept once per grid), any
+other field the cumulative Simpson sum of its values.  F_nu is inverted by
+monotone interpolation on the nodes, refined by Newton steps where nu has
+an exact CDF, and on a clipped quantile range where either CDF is a
+Simpson sum.  On top of the maps: W_2, Talagrand deficits, Caffarelli
+slope checks (the slope read exactly, by Monge-Ampere, from the
+densities), and the general-potential LSI comparison.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .families import LogQuad, gaussian_field
+from .families import _GAMMA, LogQuad, gaussian_field
 from .flows import (check_density, curvature, moments, semi_log_concave,
                     semi_log_convex)
 from .functionals import entropy_fisher, sharp_constant, tilt
-from .numerics import (GridField, ParameterError, QuadratureRule,
+from .numerics import (Grid1D, GridField, ParameterError, QuadratureRule,
                        cumulative_simpson)
 from .reports import DeficitReport, HypothesisCheck
 
 QUANTILE_CLIP = 1e-7  # interior quantile range for grid-path CDF inversion
 
 
+@lru_cache(maxsize=16)
+def _gamma_cdf(grid: Grid1D) -> np.ndarray:
+    """Phi at the grid's nodes, built once per grid and read-only; the
+    standard Gaussian's density check on the grid runs when it is built."""
+    check_density(gaussian_field(grid, 1.0))
+    F = _GAMMA.cdf()(grid.points)
+    F.setflags(write=False)
+    return F
+
+
 def _density_cdf(v: GridField):
     """Check that v is a probability density on its grid (check_density);
-    return (its CDF at the nodes, the exact CDF closure or None)."""
+    return (its CDF at the nodes, the exact CDF closure or None).  A field
+    of gaussian_field(grid, 1) reads _gamma_cdf's array."""
+    if v.tag is _GAMMA:
+        return _gamma_cdf(v.grid), _GAMMA.cdf()
     check_density(v)
     if isinstance(v.tag, LogQuad):
         cdf = v.tag.cdf()

@@ -9,11 +9,12 @@ import threading
 import numpy as np
 import pytest
 
-from gauss_deficit import cli
+from gauss_deficit import cli, inequalities
 from gauss_deficit.cli import COMMANDS, RunConfig, flow_trace, main, run
 from gauss_deficit.hamilton_jacobi import (beta_of_a, hj_hc_check,
                                            quadratic_datum)
 from gauss_deficit.numerics import ParameterError, gauss_hermite_rule
+from gauss_deficit.reports import DeficitReport
 
 
 # the names of the curvature hypotheses, one per report
@@ -336,6 +337,36 @@ class TestMain:
                      "--grid-hi", "20", "--count", "3", "--out", str(out)])
         assert code == 0
         assert len(json.loads(out.read_text())["reports"]) == 3
+
+    @pytest.mark.parametrize("slack", [2e-5, -2e-5, float("nan")])
+    def test_equality_gate_fails_either_side(self, slack):
+        # a case of equality fails when |slack| > tol on either side; the
+        # same report at any other index only below -tol
+        r = DeficitReport("x", 0.0, slack, 0.0)
+        assert cli._summarize([r], [0], 1e-5)["failed"] == 1
+        assert cli._summarize([r], [], 1e-5)["failed"] == (slack < 0
+                                                          or slack != slack)
+        assert cli._summarize([r], [0], 1e-4)["failed"] == (slack != slack)
+
+    def test_weakened_constant_exits_one(self, tmp_path, monkeypatch):
+        # the LSI constant 0.1 % too large in the favourable direction
+        # leaves slack 9.7e-5 at the Gaussian: it passes as an inequality
+        # and fails as a case of equality
+        exact = inequalities.sharp_constant
+        monkeypatch.setattr(inequalities, "sharp_constant",
+                            lambda name, **kw: exact(name, **kw) * 0.999)
+        out = tmp_path / "r.json"
+        assert main(["verify-lsi", "--count", "1", "--grid-n", "1025",
+                     "--out", str(out)]) == 1
+        report = json.loads(out.read_text())["reports"][0]
+        assert 1e-5 < report["slack"] < 1e-4
+
+    def test_coarse_rule_fails_at_the_extremiser(self, tmp_path):
+        # 16 GH nodes read the LSI of gamma_0.25 1.1e-2 above its constant
+        out = tmp_path / "r.json"
+        assert main(["verify-lsi", "--gh-nodes", "16", "--beta", "0.25",
+                     "--count", "1", "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["summary"]["failed"] == 1
 
     def test_usage_error_exit_two(self):
         # p outside the forward regime is a parameter error, not a failure

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from gauss_deficit import families, flows
+from gauss_deficit import cli, families, flows
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
 from gauss_deficit.functionals import tilt
-from gauss_deficit.numerics import ParameterError, default_grid
+from gauss_deficit.numerics import (ParameterError, default_grid,
+                                    gauss_hermite_rule)
 
 
 def ratio(beta):
@@ -408,3 +409,75 @@ class TestEvaluationPass:
         shuffled = LogQuad.gaussian(0.05, rng.permutation(means))
         np.testing.assert_allclose(shuffled.log_at(x), sorted_.log_at(x),
                                    rtol=1e-15, atol=1e-15)
+
+
+class TestRankKSums:
+    """LogQuad.log_at_sums: log f at x_i + y_j, a rank-K product of shifted
+    exps when every a_k is equal."""
+
+    @staticmethod
+    def nested(s=0.3):
+        """The (96, 96) nested Gauss-Hermite sums e^-s z_i + sqrt(1 -
+        e^-2s) z_j, as their two 1-D factors."""
+        z, e = gauss_hermite_rule(96).nodes, np.exp(-s)
+        return e * z, np.sqrt(1.0 - e * e) * z
+
+    @staticmethod
+    def fp_family(seed, i):
+        return cli._density(cli.RunConfig("verify-hc", beta=2.0, seed=seed),
+                            i).tag
+
+    @staticmethod
+    def long_double_log(fam, t):
+        """log f at the float64 points t in long double, from the exact
+        centres: an FP family's _about at a long-double 0."""
+        a, b, c = (np.asarray(v, np.longdouble)
+                   for v in fam._about(np.longdouble(0.0)))
+        L = c + t.astype(np.longdouble)[..., None] * (
+            b + 0.5 * a * t.astype(np.longdouble)[..., None])
+        top = L.max(axis=-1)
+        return top + np.log(np.exp(L - top[..., None]).sum(axis=-1))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="long double is no wider than double here")
+    def test_no_less_accurate_than_the_pass(self):
+        # FP(2) inputs of verify-hc, seeds 0-2, items 1-5: |log f| reaches
+        # 187 on these sums
+        x, y = self.nested()
+        t = x[:, None] + y
+        worst_sums = worst_pass = 0.0
+        for seed in range(3):
+            for i in range(1, 6):
+                fam = self.fp_family(seed, i)
+                want = self.long_double_log(fam, t)
+                got = fam.log_at_sums(x, y)
+                assert got.shape == t.shape
+                worst_sums = max(worst_sums, float(np.max(np.abs(got - want))))
+                worst_pass = max(worst_pass, float(np.max(np.abs(
+                    fam.log_at(t) - want))))
+        assert worst_sums <= worst_pass
+
+    def test_wide_slopes_read_the_pass(self):
+        # db max|y| = 60 * 12.4 > 600: the product could underflow
+        x, y = self.nested()
+        fam = LogQuad.gaussian(1.0, np.array([-30.0, 30.0]))
+        assert np.ptp(fam.b) * np.abs(y).max() > 600.0
+        np.testing.assert_array_equal(fam.log_at_sums(x, y),
+                                      fam.log_at(x[:, None] + y))
+
+    def test_unequal_widths_read_the_pass(self):
+        x, y = self.nested()
+        fam = LogQuad(np.array([-1.0, -0.5]), np.array([0.3, -0.2]),
+                      np.array([0.1, -1.0]))
+        np.testing.assert_array_equal(fam.log_at_sums(x, y),
+                                      fam.log_at(x[:, None] + y))
+
+    @pytest.mark.parametrize("about", [False, True])
+    def test_agrees_with_the_pass(self, about):
+        x, y = self.nested(0.8)
+        fam = self.fp_family(1, 3)
+        if not about:
+            fam = LogQuad(fam.a, fam.b, fam.c)
+        t = x[:, None] + y
+        np.testing.assert_allclose(fam.log_at_sums(x, y), fam.log_at(t),
+                                   rtol=1e-14, atol=1e-13)

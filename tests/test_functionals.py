@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 
 import numpy as np
@@ -336,6 +337,18 @@ class TestHCNorm:
                                                                abs=1e-12)
         assert log_ou_norm(untagged(w.field(grid)), 1.0, 0.3,
                            rule) == pytest.approx(mass, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixture_sums_match_the_pointwise_read(self, seed, grid, rule):
+        # a tag of K > 1 components at r != 1 reads P_s at the nested sums
+        # through LogQuad.log_at_sums; without it, log_at at each sample
+        v = make_fp_input(np.random.default_rng(seed), 2.0, grid)
+        w = tilt(v, 0.5, 0.5)
+        assert v.tag.a.size > 1 and w.tag is None and w.sums is not None
+        pointwise = dataclasses.replace(w, sums=None)
+        for q in (4.0, 0.25):
+            assert log_ou_norm(w, q, 0.3, rule) == pytest.approx(
+                log_ou_norm(pointwise, q, 0.3, rule), rel=1e-14, abs=1e-14)
 
 
 # the functions that read a field's closed-form tag, one per quantity

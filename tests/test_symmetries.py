@@ -1,15 +1,20 @@
-"""Exact symmetries of the Gaussian setting as an oracle: scaling.
+"""Exact symmetries of the Gaussian setting as an oracle: reflection and
+scaling.
 
-Every CLI input has mass 1, so a formula wrong only off mass 1 passes every
-suite.  The statements are homogeneous in the input: v -> lam v multiplies
-hc's two sides by lam^{1/p}; in matrix_check, v1 -> lam v1 multiplies the
-product's entropy, Fisher information and mass by lam, and its hc sides by
-lam^{1/p}; in Brascamp-Lieb, f_i -> lam_i f_i multiplies both sides by
-lam1^{c1} lam2^{c2}.  Each input and its multiple are closure fields on the
-same node arrays, so that both are read through the same path.
+gamma is even, so every deficit of v(-x) equals that of v: the suites'
+random inputs are drawn again with every draw on a symmetric range (FP
+atoms, bump centres) negated.  Every CLI input has mass 1, so a formula
+wrong only off mass 1 passes every suite.  The statements are homogeneous
+in the input: v -> lam v multiplies hc's two sides by lam^{1/p}; in
+matrix_check, v1 -> lam v1 multiplies the product's entropy, Fisher
+information and mass by lam, and its hc sides by lam^{1/p}; in
+Brascamp-Lieb, f_i -> lam_i f_i multiplies both sides by lam1^{c1}
+lam2^{c2}.  Each input and its multiple are closure fields on the same node
+arrays, so that both are read through the same path.
 """
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from gauss_deficit import cli
 from gauss_deficit.inequalities import (brascamp_lieb_check, hc_check,
@@ -19,6 +24,55 @@ from gauss_deficit.semigroups import ExponentTriple
 
 LAMBDAS = [0.3, 3.0]
 TRIPLE = ExponentTriple(2.0, 4.0)
+
+
+class _Mirror:
+    """A generator whose draws on a symmetric range [-c, c] come out
+    negated, counted in ``negated``; every other draw is the wrapped
+    generator's."""
+
+    def __init__(self, rng):
+        self.rng, self.negated = rng, 0
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def uniform(self, low, high, size=None):
+        u = self.rng.uniform(low, high, size)
+        if low != -high:
+            return u
+        self.negated += 1
+        return -u
+
+
+# (suite, the random items read): reverse-hc's odd items are opposite-sign
+# pairs on a log-concave input, its even ones same-sign pairs on FP(2)
+REFLECTED = [("verify-hc", (1, 2)), ("verify-reverse-hc", (1, 2)),
+             ("verify-talagrand", (1, 2))]
+
+
+@pytest.mark.parametrize("beta", [2.0, 0.5])
+@pytest.mark.parametrize("command, items", REFLECTED)
+def test_reflection_leaves_the_report(command, items, beta, monkeypatch):
+    config = cli.RunConfig(command, beta=beta, seed=0, count=max(items) + 1)
+    tasks, _ = cli._SUITES[command](config)
+    plain = [tasks[i]() for i in items]
+    mirrors = []
+
+    def mirrored(c, i):
+        mirrors.append(_Mirror(default_rng([c.seed, i])))
+        return mirrors[-1]
+
+    monkeypatch.setattr(cli, "_item_rng", mirrored)
+    for i, one in zip(items, plain):
+        r = tasks[i]()
+        assert mirrors[-1].negated > 0
+        tol = 1e-12 * max(1.0, abs(one.lhs))
+        for key in ("lhs", "rhs", "slack"):
+            assert getattr(r, key) == pytest.approx(getattr(one, key),
+                                                    rel=0, abs=tol)
+        for h, h1 in zip(r.hypotheses, one.hypotheses):
+            assert h.margin == pytest.approx(h1.margin, rel=0, abs=1e-12)
 
 
 def _scaled(v, lam):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gauss_deficit import cli, transport
+from gauss_deficit import cli, families, transport
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
 from gauss_deficit.flows import check_density
@@ -12,7 +12,7 @@ from gauss_deficit.functionals import entropy_fisher, tilt
 from gauss_deficit.inequalities import (els_eigen_check, lsi_check,
                                         make_talagrand_input, matrix_check)
 from gauss_deficit.numerics import (Grid1D, GridField, ParameterError,
-                                    default_grid)
+                                    default_grid, ndtr)
 from gauss_deficit.transport import (PotentialSpec, brenier_1d,
                                      caffarelli_check, general_lsi_deficit,
                                      talagrand_deficit, w2)
@@ -117,6 +117,54 @@ class TestDensityChecks:
         monkeypatch.setattr(transport, "_density_cdf", refuse)
         pot = PotentialSpec(gauss_spec(1.0, grid), K=1.0, L=1.0)
         assert general_lsi_deficit(gauss_spec(2.0, grid), pot, 2.0).asserted
+
+
+class TestGammaCDF:
+    """Phi at a grid's nodes, the standard Gaussian's CDF every W2 from
+    gamma reads, is one read-only array per grid."""
+
+    @staticmethod
+    def count_phi(monkeypatch, grids):
+        """A list that counts ndtr calls at the nodes of one of ``grids``."""
+        calls = []
+
+        def counting(a, out):
+            calls.extend(g for g in grids
+                         if np.array_equal(np.ravel(a), g.points))
+            return ndtr(a, out)
+
+        monkeypatch.setattr(families, "ndtr", counting)
+        return calls
+
+    def test_phi_once_per_grid(self, monkeypatch):
+        small = Grid1D(-12.0, 12.0, 2049)
+        calls = self.count_phi(monkeypatch, [default_grid(), small])
+        transport._gamma_cdf.cache_clear()
+        for beta in (2.0, 0.5, 2.0):
+            cli.run(cli.RunConfig("verify-talagrand", beta=beta, count=6))
+        assert calls == [default_grid()]
+        cli.run(cli.RunConfig("verify-talagrand", count=6, grid_n=2049))
+        assert calls == [default_grid(), small]
+
+    def test_cached_array_is_read_only_per_grid(self, grid):
+        F = transport._gamma_cdf(grid)
+        assert not F.flags.writeable
+        assert transport._gamma_cdf(default_grid()) is F
+        other = transport._gamma_cdf(Grid1D(-12.0, 12.0, 2049))
+        assert other is not F and other.size == 2049
+        np.testing.assert_array_equal(
+            F, ndtr(grid.points, np.empty(grid.n)))
+
+    def test_density_check_runs_on_the_build(self):
+        # gamma on [0, 12] has mass 1/2: refused on every call, and no
+        # array is kept for the grid
+        half = Grid1D(0.0, 12.0, 1025)
+        v = gauss_spec(1.0, half, mean=6.0)
+        kept = transport._gamma_cdf.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="normalized"):
+                w2(gauss_spec(1.0, half), v)
+        assert transport._gamma_cdf.cache_info().currsize == kept
 
 
 class WavyCDF(LogQuad):
