@@ -38,14 +38,13 @@ reports.HypothesisCheck that carries the tolerance it is judged at.
 from __future__ import annotations
 
 import logging
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .families import LogQuad, field_from_family
 from .numerics import (Grid1D, GridField, ParameterError, PositivityError,
-                       TruncationError, _coarsest_stride, _refine_strides,
-                       logsumexp)
+                       TruncationError, logsumexp)
 from .reports import HypothesisCheck
 
 logger = logging.getLogger(__name__)
@@ -84,6 +83,33 @@ def _atoms_family(points, logw, beta: float, t: float) -> LogQuad:
                 peak - d * d / (2.0 * w))
 
     return LogQuad(q.a, q.b, q.c + logw[keep], _about=about)
+
+
+def _coarsest_stride(intervals: int) -> int:
+    """The first of the nested levels: the largest power-of-two stride that
+    divides the interval count and leaves at least 64 intervals."""
+    k = 1
+    while intervals % (2 * k) == 0 and intervals >= 128 * k:
+        k *= 2
+    return k
+
+
+def _refine_strides(refine: Callable, k: int, tol: float):
+    """Halve the stride from k until two successive levels agree.
+
+    ``refine(k)`` evaluates the level at stride k and returns how far it
+    disagrees with the level evaluated before it (NaN for the first).  The
+    caller holds the levels, so a level may be built in place from the one
+    before it, as long as the gap is taken before the older level is
+    overwritten.  Returns (k, gap) at the first level within ``tol`` of the
+    one before it; an unresolved level sequence ends at stride 1.  The gap
+    is NaN when only one level was evaluated.
+    """
+    g = refine(k)
+    while k > 1 and not g <= tol:
+        k //= 2
+        g = refine(k)
+    return k, g
 
 
 def _grid_density_family(src: GridField, beta: float, t: float):

@@ -7,7 +7,8 @@ The tilt w = v^r gamma^{-a} is the only code that writes out the reference
 measure gamma; every deficit checker reaches v/gamma and its powers through
 it.  entropy_fisher is the one reader of Ent_gamma, and log_ou_norm the
 one reader of ||P_s w||_{L^q(gamma)}, every mass int v dx included:
-Gauss-Hermite unless w's tag gives it in closed form.  Every field is read
+Gauss-Hermite unless w's tag gives it in closed form; log_ou_pairing reads
+int u P_s w dgamma by Gauss-Hermite alone.  Every field is read
 off its nodes through its exact closures.  Norms are assembled in log space
 (log-sum-exp) so that negative and large exponents are handled uniformly.
 """
@@ -259,6 +260,15 @@ def log_ou_norm(w, q: float, s: float, rule: QuadratureRule) -> float:
     sums = w.sums if isinstance(w, Tilt) else None
     logf = w.log if s == 0 else _ou_closures_1d(w.log, s, rule, sums)[0]
     return _log_lp(logf(rule.nodes), q, rule.log_weights)
+
+
+def log_ou_pairing(u: Tilt, w: Tilt, s: float, rule: QuadratureRule) -> float:
+    """log int u P_s w dgamma, s > 0: log P_s w at the rule's nodes by
+    nested Gauss-Hermite, as in log_ou_norm, plus log u there, summed
+    against the rule's weights."""
+    log_pw = _ou_closures_1d(w.log, s, rule, w.sums)[0]
+    return _log_lp(u.log(rule.nodes) + log_pw(rule.nodes), 1.0,
+                   rule.log_weights)
 
 
 def log_hc_norm(v, p: float, q: float, s: float,

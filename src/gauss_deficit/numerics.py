@@ -245,37 +245,6 @@ def gauss_hermite_rule(m: int) -> QuadratureRule:
 
 
 # ---------------------------------------------------------------------------
-# nested strided levels
-
-
-def _coarsest_stride(*intervals: int) -> int:
-    """The first of the nested levels: the largest power-of-two stride that
-    divides every interval count and leaves at least 64 intervals on each."""
-    m, k = int(np.gcd.reduce(intervals)), 1
-    while m % (2 * k) == 0 and min(intervals) >= 128 * k:
-        k *= 2
-    return k
-
-
-def _refine_strides(refine: Callable, k: int, tol: float):
-    """Halve the stride from k until two successive levels agree.
-
-    ``refine(k)`` evaluates the level at stride k and returns how far it
-    disagrees with the level evaluated before it (NaN for the first).  The
-    caller holds the levels, so a level may be built in place from the one
-    before it, as long as the gap is taken before the older level is
-    overwritten.  Returns (k, gap) at the first level within ``tol`` of the
-    one before it; an unresolved level sequence ends at stride 1.  The gap
-    is NaN when only one level was evaluated.
-    """
-    g = refine(k)
-    while k > 1 and not g <= tol:
-        k //= 2
-        g = refine(k)
-    return k, g
-
-
-# ---------------------------------------------------------------------------
 # the interior-peak proxy
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -647,3 +648,39 @@ class TestInterpolatedReads:
                 with open(os.path.join(src, name), encoding="utf-8") as fh:
                     takers += [name] * fh.read().count("np.gradient(")
         assert takers == ["hamilton_jacobi.py"]
+
+
+# three grid windows: the default, a narrow coarse one and a wide fine one
+WINDOWS = [(-12.0, 12.0, 4097), (-8.0, 8.0, 1025), (-40.0, 40.0, 16385)]
+
+
+class TestBrascampLiebSuite:
+    @pytest.mark.parametrize("beta", [2.0, 0.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_window_leaves_the_bundle(self, seed, beta):
+        # the double integral is read by Gauss-Hermite over R^2; the grid
+        # only certifies f1 at its nodes, and gamma_beta's (log f1)'' is
+        # the same at every node
+        bundles = []
+        for lo, hi, n in WINDOWS:
+            d = run(RunConfig(command="verify-bl", beta=beta, seed=seed,
+                              count=6, grid_lo=lo, grid_hi=hi,
+                              grid_n=n)).to_dict()
+            del d["config"], d["timing_ms"]
+            bundles.append(json.dumps(d))
+        assert bundles[1:] == bundles[:1] * 2
+
+    @pytest.mark.parametrize("beta", [2.0, 0.5])
+    def test_an_item_builds_no_grid_sized_2d_array(self, beta):
+        # one 4097^2 array of doubles is 134 MB, a 513^2 level 2.1 MB; an
+        # item reads 0.54 MB at its peak on the default grid
+        tasks, _ = cli._SUITES["verify-bl"](RunConfig(
+            command="verify-bl", beta=beta, count=3))
+        for task in tasks:
+            tracemalloc.start()
+            try:
+                task()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1_000_000

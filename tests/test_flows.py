@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gauss_deficit import families, flows, numerics
+from gauss_deficit import families, flows
 from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
 from gauss_deficit.flows import (T_STAR, certify_matrix, curvature,
@@ -295,7 +295,7 @@ class TestGridDensityFlow:
         # the coarsest level has no mass, and the pad is settled on the
         # first finer level that has; at the end nodes v_t is then the flow
         # of the whole closure, as on a grid twice as wide
-        k0 = numerics._coarsest_stride(grid.n - 1)
+        k0 = flows._coarsest_stride(grid.n - 1)
 
         def comb(x):
             u = (np.asarray(x, float) - grid.lo) / grid.spacing
@@ -468,7 +468,7 @@ def _merge_source(name, grid):
         return _nodal(grid, gaussian_field(grid, 0.5).values), 0.5
     # between-coarse-nodes: zero at every node of the coarsest level
     vals = np.maximum(1.0 - ((grid.points - 0.2) / 0.1) ** 2, 0.0)
-    k0 = numerics._coarsest_stride(grid.n - 1)
+    k0 = flows._coarsest_stride(grid.n - 1)
     assert not np.any(vals[::k0]) and np.any(vals[::k0 // 2])
     return _nodal(grid, vals / _nodal(grid, vals).grid_mass), 1.0
 

@@ -11,8 +11,8 @@ from gauss_deficit.families import (LogQuad, field_from_family,
                                     gaussian_field, symmetric_mixture)
 from gauss_deficit.flows import T_STAR, fp_evolve, fp_measure
 from gauss_deficit.functionals import (_log_lp, entropy_fisher, log_hc_norm,
-                                       log_ou_norm, q_functional,
-                                       sharp_constant, tilt)
+                                       log_ou_norm, log_ou_pairing,
+                                       q_functional, sharp_constant, tilt)
 from gauss_deficit.inequalities import (make_fp_input, make_logconcave_input,
                                         matrix_check)
 from gauss_deficit.numerics import (EvaluationError, GridField,
@@ -349,6 +349,23 @@ class TestHCNorm:
         for q in (4.0, 0.25):
             assert log_ou_norm(w, q, 0.3, rule) == pytest.approx(
                 log_ou_norm(pointwise, q, 0.3, rule), rel=1e-14, abs=1e-14)
+
+
+class TestOUPairing:
+    @pytest.mark.parametrize("beta, c, s", [
+        (2.0, 0.5, 0.3), (0.5, 2.0, 0.55), (2.0, -1.0, 0.7),
+        (0.5, 0.75, 1.2)])
+    def test_one_component_tags_match_the_closed_form(self, beta, c, s,
+                                                      rule):
+        # u P_s w of one-component tags is one LogQuad, whose integral
+        # against gamma is closed-form; the pairing reads it by nested GH
+        u = tilt(LogQuad.gaussian(beta), c, c)
+        w = tilt(LogQuad.gaussian(1.0, 0.8), c, c)
+        pw = w.tag.ou(s)
+        want = LogQuad(u.tag.a + pw.a, u.tag.b + pw.b,
+                       u.tag.c + pw.c).log_lp_norm_gauss(1)
+        assert log_ou_pairing(u, w, s, rule) == pytest.approx(
+            want, rel=0, abs=1e-14)
 
 
 # the functions that read a field's closed-form tag, one per quantity

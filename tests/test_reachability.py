@@ -40,6 +40,8 @@ UNREACHED = {
                                  "benchmark's untagged Gaussian",
     "flows._grid_density_family": "the untagged FP kernel: the benchmark's "
                                   "fp-flow workload",
+    "flows._coarsest_stride": "the untagged FP kernel",
+    "flows._refine_strides": "the untagged FP kernel",
     "flows._lattice_pass": "the untagged FP kernel",
     "flows._edge_weight": "the untagged FP kernel",
     "flows._merge_odd": "the untagged FP kernel",

@@ -48,7 +48,9 @@ class _Mirror:
 # (suite, the random items read): reverse-hc's odd items are opposite-sign
 # pairs on a log-concave input, its even ones same-sign pairs on FP(2)
 REFLECTED = [("verify-hc", (1, 2)), ("verify-reverse-hc", (1, 2)),
-             ("verify-talagrand", (1, 2))]
+             ("verify-talagrand", (1, 2)), ("verify-lsi", (1, 2)),
+             ("verify-els", (1, 2)), ("verify-poincare", (1, 2)),
+             ("verify-beckner", (1, 2)), ("verify-matrix", (1, 2))]
 
 
 @pytest.mark.parametrize("beta", [2.0, 0.5])
