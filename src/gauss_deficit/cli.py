@@ -325,7 +325,9 @@ def _bl_item(config: RunConfig, i: int):
 def _perturbed_quadratic(config: RunConfig, index: int,
                          a: float) -> HJField:
     """The quadratic extremiser datum plus a small smooth convex bump,
-    c log cosh(x - m), with its exact f'' = base f'' + c sech^2(x - m)."""
+    c log cosh(x - m), with its exact f' = base f' + c tanh(x - m) and
+    f'' = base f'' + c sech^2(x - m); as c >= 0 and the bump's f'' vanishes
+    at infinity, inf f'' and kappa are the base's."""
     base = quadratic_datum(a, beta_of_a(a, config.beta), config.grid())
     if index == 0:
         return base
@@ -335,7 +337,9 @@ def _perturbed_quadratic(config: RunConfig, index: int,
     return HJField(
         GridField.from_callable(
             config.grid(), lambda y: base.f(y) + c * np.log(np.cosh(y - m))),
-        laplacian=lambda y: base.laplacian(y) + c / np.cosh(y - m) ** 2)
+        lambda y: base.slope(y) + c * np.tanh(y - m),
+        lambda y: base.laplacian(y) + c / np.cosh(y - m) ** 2,
+        base.inf_laplacian, base.kappa)
 
 
 def _general_lsi_item(config: RunConfig, i: int):

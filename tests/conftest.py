@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
 
-from gauss_deficit.numerics import Grid1D, default_grid, gauss_hermite_rule
+from gauss_deficit.numerics import default_grid, gauss_hermite_rule
 
 
 @pytest.fixture(scope="session")
 def grid():
     return default_grid()
-
-
-@pytest.fixture(scope="session")
-def small_grid():
-    """A coarser grid for O(N^2) Hopf-Lax sweeps."""
-    return Grid1D(-12.0, 12.0, 1025)
 
 
 @pytest.fixture(scope="session")

@@ -207,11 +207,13 @@ class TestCriterion8Applications:
         for _ in range(5):
             c = float(rng.uniform(0.0, 0.05))
             m = float(rng.uniform(-1.0, 1.0))
-            # with its exact f'' = base f'' + c sech^2(y - m)
+            # with its exact f' = base f' + c tanh(y - m) and f'' = base
+            # f'' + c sech^2(y - m), whose inf and limit are the base's
             pert = HJField(GridField.from_callable(
                 grid, lambda y: ext.f(y) + c * np.log(np.cosh(y - m))),
-                laplacian=lambda y: (ext.laplacian(y)
-                                     + c / np.cosh(y - m) ** 2))
+                lambda y: ext.slope(y) + c * np.tanh(y - m),
+                lambda y: ext.laplacian(y) + c / np.cosh(y - m) ** 2,
+                ext.inf_laplacian, ext.kappa)
             rp = hj_hc_check(pert, a, tau, beta, rule)
             assert rp.asserted and rp.slack >= -1e-4
 
@@ -224,11 +226,13 @@ class TestCriterion8Applications:
         for _ in range(5):
             c = float(rng.uniform(0.0, 0.03))
             m = float(rng.uniform(-1.0, 1.0))
-            # with its exact f'' = base f'' + c sech^2(y - m)
+            # with its exact f' = base f' + c tanh(y - m) and f'' = base
+            # f'' + c sech^2(y - m), whose inf and limit are the base's
             pert = HJField(GridField.from_callable(
                 grid, lambda y: ext.f(y) + c * np.log(np.cosh(y - m))),
-                laplacian=lambda y: (ext.laplacian(y)
-                                     + c / np.cosh(y - m) ** 2))
+                lambda y: ext.slope(y) + c * np.tanh(y - m),
+                lambda y: ext.laplacian(y) + c / np.cosh(y - m) ** 2,
+                ext.inf_laplacian, ext.kappa)
             rp = dual_talagrand_check(pert, tau, beta, rule)
             assert rp.asserted and rp.slack >= -1e-4
 

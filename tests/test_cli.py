@@ -613,11 +613,10 @@ class TestDefaultRuleCallers:
 
 class TestInterpolatedReads:
     def test_closure_built_inputs_are_read_exactly(self, monkeypatch):
-        # every input and every Hopf-Lax envelope a suite builds carries its
-        # exact closure, so the only linear interpolation left is the
-        # inverse CDF of brenier_1d, and the only grid gradient the
-        # Lipschitz estimate hopf_lax reads off its datum, which sets the
-        # width of the Hopf-Lax extension and no reported number
+        # every input a suite builds carries its exact closure, and every
+        # Hopf-Lax datum its exact f' and f'', so the only linear
+        # interpolation left is the inverse CDF of brenier_1d, and no suite
+        # takes a grid gradient
         interp, gradient = np.interp, np.gradient
         current, interps, gradients = [None], [], []
 
@@ -632,7 +631,7 @@ class TestInterpolatedReads:
         monkeypatch.setattr(np, "interp",
                             recording(interp, "brenier_1d", interps))
         monkeypatch.setattr(np, "gradient",
-                            recording(gradient, "hopf_lax", gradients))
+                            recording(gradient, None, gradients))
         for current[0], task in _every_suite():
             task()
         assert interps == []
@@ -640,14 +639,15 @@ class TestInterpolatedReads:
 
     def test_one_grid_gradient_in_the_library(self):
         # caffarelli_check, which no suite runs, reads T' exactly by
-        # Monge-Ampere: no module but hamilton_jacobi takes a grid gradient
+        # Monge-Ampere, and hopf_lax reads its datum's exact f': no module
+        # takes a grid gradient
         src = os.path.dirname(cli.__file__)
         takers = []
         for name in sorted(os.listdir(src)):
             if name.endswith(".py"):
                 with open(os.path.join(src, name), encoding="utf-8") as fh:
                     takers += [name] * fh.read().count("np.gradient(")
-        assert takers == ["hamilton_jacobi.py"]
+        assert takers == []
 
 
 # three grid windows: the default, a narrow coarse one and a wide fine one
@@ -684,3 +684,21 @@ class TestBrascampLiebSuite:
             finally:
                 tracemalloc.stop()
             assert peak <= 1_000_000
+
+
+class TestHamiltonJacobiSuites:
+    @pytest.mark.parametrize("beta", [1.25, 2.0, 4.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_window_leaves_the_bundle(self, seed, beta):
+        # Hopf-Lax is read by Newton at the Gauss-Hermite nodes, and the
+        # hypotheses from the datum's inf f'' and kappa: the grid only
+        # holds the datum's field, which no check reads
+        for command in ("verify-hj", "verify-dual-talagrand"):
+            bundles = []
+            for lo, hi, n in WINDOWS:
+                d = run(RunConfig(command=command, beta=beta, seed=seed,
+                                  count=6, grid_lo=lo, grid_hi=hi,
+                                  grid_n=n)).to_dict()
+                del d["config"], d["timing_ms"]
+                bundles.append(json.dumps(d))
+            assert bundles[1:] == bundles[:1] * 2, command

@@ -1,9 +1,10 @@
 """Exact symmetries of the Gaussian setting as an oracle: reflection and
 scaling.
 
-gamma is even, so every deficit of v(-x) equals that of v: the suites'
-random inputs are drawn again with every draw on a symmetric range (FP
-atoms, bump centres) negated.  Every CLI input has mass 1, so a formula
+gamma is even, so every deficit of v(-x) equals that of v, and every
+Hamilton-Jacobi deficit of a datum f(-x) that of f: the suites' random
+inputs are drawn again with every draw on a symmetric range (FP atoms,
+bump centres) negated.  Every CLI input has mass 1, so a formula
 wrong only off mass 1 passes every suite.  The statements are homogeneous
 in the input: v -> lam v multiplies hc's two sides by lam^{1/p}; in
 matrix_check, v1 -> lam v1 multiplies the product's entropy, Fisher
@@ -53,9 +54,26 @@ REFLECTED = [("verify-hc", (1, 2)), ("verify-reverse-hc", (1, 2)),
              ("verify-beckner", (1, 2)), ("verify-matrix", (1, 2))]
 
 
+# the Hamilton-Jacobi suites refuse beta <= 1; their bump centre m is the
+# draw negated, so the mirrored datum is f(-x)
+REFLECTED_HJ = [("verify-hj", (1, 2)), ("verify-dual-talagrand", (1, 2))]
+
+
 @pytest.mark.parametrize("beta", [2.0, 0.5])
 @pytest.mark.parametrize("command, items", REFLECTED)
 def test_reflection_leaves_the_report(command, items, beta, monkeypatch):
+    _reflect(command, items, beta, monkeypatch)
+
+
+@pytest.mark.parametrize("beta", [1.25, 2.0, 4.0])
+@pytest.mark.parametrize("command, items", REFLECTED_HJ)
+def test_reflection_leaves_the_hj_report(command, items, beta, monkeypatch):
+    _reflect(command, items, beta, monkeypatch)
+
+
+def _reflect(command, items, beta, monkeypatch):
+    """Items of a suite, and again with every symmetric draw negated,
+    give the same lhs, rhs, slack and margins within 1e-12."""
     config = cli.RunConfig(command, beta=beta, seed=0, count=max(items) + 1)
     tasks, _ = cli._SUITES[command](config)
     plain = [tasks[i]() for i in items]
